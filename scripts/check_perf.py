@@ -30,10 +30,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CURRENT = REPO_ROOT / "benchmarks" / "output" / "BENCH_engine.json"
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "BENCH_engine.snapshot.json"
-#: Committed per-PR perf trajectory: the repo-root copy of the latest
-#: benchmark document, refreshed by the CI perf stage (and by --update) so
-#: `git log -p BENCH_engine.json` reads as the perf history of the project.
-TRAJECTORY = REPO_ROOT / "BENCH_engine.json"
 
 
 def load_document(path: Path, role: str) -> dict:
@@ -151,12 +147,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.update:
         args.baseline.parent.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(args.current, args.baseline)
-        shutil.copyfile(args.current, TRAJECTORY)
         print(
             f"snapshot updated: {args.baseline} now holds "
             f"{len(current['phases'])} phase(s) ({', '.join(sorted(current['phases']))})"
         )
-        print(f"perf trajectory refreshed: {TRAJECTORY}")
         return 0
     baseline = load_document(args.baseline, "baseline")
 

@@ -10,11 +10,13 @@
 #                serialization rules over src/ and the markdown docs)
 #   docs         documentation link check (the DOC001 analysis rule alone)
 #   test         the tier-1 pytest suite (tests + benchmark harness)
+#   gradcheck    finite-difference check of every model's analytic gradients
+#                (scripts/gradcheck.py, ~2 s)
 #   bench        codec throughput benchmark in smoke mode
 #   perf         engine benchmark in smoke mode + regression gate against the
 #                committed benchmarks/BENCH_engine.snapshot.json (>20% fails);
-#                also refreshes the committed repo-root BENCH_engine.json so
-#                every PR carries its own perf numbers
+#                this stage alone refreshes the committed repo-root
+#                BENCH_engine.json so every PR carries its own perf numbers
 #   smoke        async gossip example + orchestration sweep resume smoke +
 #                live status.json heartbeat smoke (2-worker sweep, `top`)
 #   determinism  churn+partition sweep twice serially and once on 2 workers;
@@ -54,6 +56,10 @@ stage_docs() {
 
 stage_test() {
   python -m pytest -x -q
+}
+
+stage_gradcheck() {
+  python scripts/gradcheck.py
 }
 
 stage_bench() {
@@ -286,7 +292,7 @@ stage_fuzz() {
   echo "fuzz gate: 10 hostile schedules passed all 4 oracles; self-test caught and root-caused the injected bug"
 }
 
-ALL_STAGES=(lint analysis docs test bench perf smoke determinism checkpoint fuzz)
+ALL_STAGES=(lint analysis docs test gradcheck bench perf smoke determinism checkpoint fuzz)
 
 run_stage() {
   local name="$1"

@@ -1,7 +1,8 @@
 """Numerical gradient check for every model in the zoo.
 
-Run manually with ``python scripts/gradcheck.py``; the same checks are part of
-the test suite (tests/nn/test_gradients.py) at a smaller scale.
+Run by the ``gradcheck`` stage of ``scripts/ci.sh`` (or by hand with
+``PYTHONPATH=src python scripts/gradcheck.py``); the same checks are part of the
+test suite (tests/nn/test_gradients.py) at a smaller scale.
 """
 
 from __future__ import annotations

@@ -12,10 +12,12 @@ Two interchangeable implementations live here:
   reference.  Easy to audit, and the ground truth the vectorized paths are
   pinned against byte-for-byte.
 * :func:`pack_bitfields`/:func:`unpack_bits` — the vectorized bulk operations
-  the hot path uses: an entire sequence of MSB-first bit fields is materialized
-  into a ``uint8`` array with numpy shifts and packed with ``np.packbits``
-  (whose big-endian bit order and zero-padded final byte match
-  :meth:`BitWriter.getvalue` exactly).
+  the hot path uses.  Packing works at 64-bit-word granularity, one array
+  element per *field*: each value is shifted to where its last bit belongs in
+  its word, the fields of one word are combined in a single ``reduceat``, and
+  the words are serialized big-endian — the same bytes, zero-padded final byte
+  included, as :meth:`BitWriter.getvalue`.  Unpacking expands a payload into a
+  0/1 array with ``np.unpackbits`` for the vectorized decoders.
 """
 
 from __future__ import annotations
@@ -128,8 +130,10 @@ class BitReader:
 
 # -- vectorized bulk operations ---------------------------------------------------------
 
-#: Widest bit field :func:`pack_bitfields` accepts; numpy's int64 shifts are
-#: undefined beyond 63 positions, so wider fields must go through the scalar
+#: Widest bit field :func:`pack_bitfields` accepts: a field narrower than a
+#: 64-bit word spans at most two words and leaves at least one field end in
+#: every word, which the kernel relies on (and numpy's int64 shifts are
+#: undefined beyond 63 positions).  Wider fields must go through the scalar
 #: :class:`BitWriter` instead.
 MAX_FIELD_BITS = 63
 
@@ -141,6 +145,14 @@ def pack_bitfields(values: np.ndarray, widths: np.ndarray) -> tuple[bytes, int]:
     same ``write_bits(value, width)`` calls in order: fields are concatenated
     most-significant-bit first and the final byte is zero-padded.  Returns
     ``(payload, bit_length)``.
+
+    Works on 64-bit words, one array element per *field* rather than per bit:
+    field ``i`` ends at stream bit ``ends[i] = cumsum(widths)[i]``, so its
+    value is shifted up to end at that bit of word ``(ends[i] - 1) >> 6``; the
+    fields of one word occupy disjoint bits, so summing them is OR-ing them.
+    A field of at most 63 bits spans at most two words, and only the last
+    field ending in a word can have started in the previous one, whose low
+    bits then receive the field's high bits.
 
     Raises :class:`~repro.exceptions.CodecError` if any value is negative or
     does not fit in its declared width, or if a width exceeds
@@ -155,32 +167,54 @@ def pack_bitfields(values: np.ndarray, widths: np.ndarray) -> tuple[bytes, int]:
         )
     if values.size == 0:
         return b"", 0
-    if np.any(widths < 0):
+    if widths.min() < 0:
         raise CodecError("width must be non-negative")
-    if np.any(widths > MAX_FIELD_BITS):
+    if widths.max() > MAX_FIELD_BITS:
         raise CodecError(
             f"pack_bitfields supports fields up to {MAX_FIELD_BITS} bits; "
             "use BitWriter for wider fields"
         )
     # A value fits its width iff shifting the width away leaves nothing
-    # (width 0 therefore only admits the value 0, as write_bits does).
-    if np.any(values < 0) or np.any(values >> np.minimum(widths, 63) != 0):
-        bad = int(np.flatnonzero((values < 0) | (values >> np.minimum(widths, 63) != 0))[0])
+    # (width 0 therefore only admits the value 0, as write_bits does); the
+    # arithmetic shift keeps a negative value negative, hence non-zero.
+    overflow = values >> widths
+    if overflow.any():
+        bad = int(np.flatnonzero(overflow)[0])
         raise CodecError(
             f"value {int(values[bad])} does not fit in {int(widths[bad])} bits"
         )
 
-    offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(widths)])
-    total_bits = int(offsets[-1])
-    if total_bits == 0:
+    occupied = widths != 0
+    if not occupied.all():
+        # Zero-width fields hold no bits; dropping them keeps every remaining
+        # field end strictly increasing (and >= 1).
+        values, widths = values[occupied], widths[occupied]
+    if values.size == 0:
         return b"", 0
-    # One row per output bit: which field it belongs to and the shift that
-    # isolates it, MSB first within the field.
-    field_of_bit = np.repeat(np.arange(values.size), widths)
-    bit_in_field = np.arange(total_bits) - np.repeat(offsets[:-1], widths)
-    shifts = np.repeat(widths, widths) - 1 - bit_in_field
-    bits = ((values[field_of_bit] >> shifts) & 1).astype(np.uint8)
-    return np.packbits(bits).tobytes(), total_bits
+    last_bits = np.cumsum(widths) - 1
+    total_bits = int(last_bits[-1]) + 1
+    word_of = last_bits >> 6
+    # Stream bit b is bit 63 - (b & 63) of its word (MSB first), which is the
+    # left shift that puts a field's last bit in place.  A straddling field
+    # loses its high bits to the uint64 overflow here, on purpose.
+    offsets = last_bits & 63
+    shifts = (63 - offsets).astype(np.uint64)
+    fields = values.astype(np.uint64)
+    # Every word holds at least one field end (a field is narrower than a
+    # word), so the word index rises by 0 or 1 per field and one reduceat over
+    # the run starts yields all ceil(total_bits / 64) words in order.
+    run_starts = np.concatenate(
+        [np.zeros(1, dtype=np.intp), np.flatnonzero(word_of[1:] != word_of[:-1]) + 1]
+    )
+    words = np.add.reduceat(fields << shifts, run_starts)
+    # A field wider than the bits of its word up to its last one began in the
+    # previous word; at most one does per boundary, so the indices are distinct.
+    straddlers = np.flatnonzero(widths > offsets + 1)
+    if straddlers.size:
+        words[word_of[straddlers] - 1] |= fields[straddlers] >> (
+            np.uint64(64) - shifts[straddlers]
+        )
+    return words.astype(">u8").tobytes()[: (total_bits + 7) // 8], total_bits
 
 
 def unpack_bits(payload: bytes, bit_length: int) -> np.ndarray:

@@ -13,8 +13,9 @@ Two implementations are provided with byte-identical output:
   the ground truth the equivalence tests compare against.
 * :func:`elias_gamma_encode`/:func:`elias_gamma_decode` — the vectorized hot
   path.  Encoding computes every code length at once with a branch-free
-  bit-smearing popcount and materializes the bitstream through
-  :func:`~repro.compression.bitstream.pack_bitfields`; decoding finds each
+  bit-smearing popcount and hands ``(value, 2L - 1)`` fields to the word-level
+  packer :func:`~repro.compression.bitstream.pack_bitfields`, so its cost
+  grows with the number of values, not of output bits; decoding finds each
   code's unary terminator with a vectorized leading-one scan and enumerates
   the code boundaries by pointer doubling instead of walking bit by bit.
 

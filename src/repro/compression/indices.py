@@ -101,12 +101,15 @@ class EliasGammaIndexCodec(IndexCodec):
     def encode(self, indices: np.ndarray, universe: int) -> EncodedIndices:
         """Sort, delta-encode and Elias-gamma code the index gaps."""
 
-        values = _validate_indices(indices, universe)
-        values = np.sort(values)
-        if values.size and np.any(np.diff(values) == 0):
-            raise CodecError("duplicate indices cannot be delta-encoded")
-        # Gaps are >= 1 after sorting unique indices; shift the first index by
-        # one so that every encoded integer is positive as gamma requires.
+        values = np.asarray(indices, dtype=np.int64).ravel()
+        # Top-k selection hands over ascending indices, and "strictly ascending
+        # from a first index >= 0 to a last one < universe" proves distinct,
+        # in range and sorted in O(k).  Anything else takes the full validation
+        # (which raises, or accepts an unsorted set) and a sort.
+        if universe <= 0 or not _strictly_ascending_within(values, universe):
+            values = np.sort(_validate_indices(values, universe))
+        # Gaps are >= 1 between sorted distinct indices; shift the first index
+        # by one so that every encoded integer is positive as gamma requires.
         gaps = np.diff(values, prepend=-1)
         payload, bit_length, count = elias_gamma_encode(gaps)
         return EncodedIndices(
@@ -172,6 +175,20 @@ class SeedIndexCodec(IndexCodec):
         if not encoded.extra:
             raise CodecError("seed-coded indices are missing the seed")
         return random_indices_from_seed(encoded.extra[0], encoded.count, encoded.universe)
+
+
+def _strictly_ascending_within(values: np.ndarray, universe: int) -> bool:
+    """Whether ``values`` ascends strictly inside ``[0, universe)`` (no sort).
+
+    Compares neighbours instead of differencing them, so extreme int64 values
+    cannot wrap their way past the check.
+    """
+
+    if values.size == 0:
+        return True
+    if values[0] < 0 or values[-1] >= universe:
+        return False
+    return bool((values[1:] > values[:-1]).all())
 
 
 def _validate_indices(indices: np.ndarray, universe: int) -> np.ndarray:

@@ -12,24 +12,33 @@ floating-point error.  Odd-length inputs are zero-padded by one element at the
 level where the odd length occurs; the padding is recorded so the inverse can
 trim it again.
 
-The hot path is vectorized without changing a single output bit:
+The hot path reads every filter tap from contiguous memory without changing
+a single output bit.  A periodized level only ever pairs even taps with even
+samples and odd taps with odd samples, so both directions work on the two
+*phases* of the full-rate signal:
 
-* analysis views the periodically extended signal as a strided window matrix
-  (``np.lib.stride_tricks.as_strided``), eliminating the per-tap
-  ``(2i + k) % length`` index computation;
-* synthesis gathers through index/tap matrices precomputed per
-  ``(length, filter)`` and cached across rounds, eliminating the per-tap
-  ``np.add.at`` scatter (the slowest numpy primitive in the old loop).
+* analysis deinterleaves the signal once into contiguous ``even``/``odd``
+  halves (cyclically extended by the filter's half-length, zero padding of an
+  odd length folded in), shared by the low- and the high-pass filter; tap ``k``
+  then multiplies the plain slice ``phase[k & 1][k >> 1 : (k >> 1) + half]``;
+* synthesis accumulates the ``even`` and ``odd`` output phases from plain
+  slices of a cyclically prefixed copy of each coefficient band and
+  interleaves them once at the end.
 
-Both paths accumulate taps in exactly the original order, so they are
-bit-identical to :func:`dwt_single_reference`/:func:`idwt_single_reference`
-(the original scalar-loop implementations, kept as the equivalence-test
-ground truth).
+The kernels broadcast over leading axes, so the single-signal and the stacked
+``(N, length)`` entry points are the same code, and both accumulate taps in
+exactly the original order: they are bit-identical (signed zeros included) to
+:func:`dwt_single_reference`/:func:`idwt_single_reference`, the original
+scalar-loop implementations kept as the equivalence-test ground truth.  Those
+loops also serve what the phase kernels do not cover — filters with an odd
+number of taps and signals shorter than the filter's half-length — which no
+shipped wavelet and no decomposition level :func:`max_decomposition_level`
+admits ever reaches.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,157 +85,101 @@ def _synthesis_accumulate_reference(
         np.add.at(out, (starts + k) % length, tap * coefficients)
 
 
-def _analysis(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Circularly filter ``signal`` with ``taps`` and downsample by two.
+def _phase_kernels_apply(bank: WaveletFilterBank, half: int) -> bool:
+    """Whether the phase-split kernels cover ``bank`` at ``half`` outputs per band.
 
-    Reads window ``i`` as the strided slice ``extended[2i : 2i + K]`` of the
-    cyclically extended signal instead of gathering ``(2i + k) % length`` per
-    tap.  Columns are accumulated in tap order, exactly like
-    :func:`_analysis_reference`, so the result is bit-identical.
+    They pair taps ``2m``/``2m + 1`` with the even/odd phase (an even tap
+    count) and take the cyclic extension as one slice of the phase itself (at
+    least ``taps / 2 - 1`` samples per phase).
     """
 
-    length = signal.size
-    half = length // 2
-    window = taps.size
-    # The last window starts at 2*(half-1) and reaches 2*half - 2 + window - 1;
-    # np.resize repeats the signal cyclically, which is the periodic extension.
-    needed = max(length, 2 * half - 2 + window)
-    extended = signal if needed == length else np.resize(signal, needed)
-    stride = extended.strides[0]
-    windows = np.lib.stride_tricks.as_strided(
-        extended, shape=(half, window), strides=(2 * stride, stride), writeable=False
-    )
-    # Start from zeros and accumulate per tap, mirroring the reference loop
-    # operation for operation (this keeps even signed zeros bit-identical).
-    out = np.zeros(half, dtype=np.float64)
-    for k in range(window):
-        out += taps[k] * windows[:, k]
+    return bank.length % 2 == 0 and bank.length // 2 - 1 <= half
+
+
+def _analysis(values: np.ndarray, bank: WaveletFilterBank) -> tuple[np.ndarray, np.ndarray]:
+    """One periodized analysis level over the last axis of ``values``.
+
+    Returns ``(approximation, detail)``, each ``(..., ceil(n / 2))``; an odd
+    length ``n`` is zero-padded by one sample.  Output ``i`` of a band is the
+    sum over taps ``k`` ascending, from a zero start, of ``taps[k] *
+    x[(2i + k) % length]`` — the operations of :func:`_analysis_reference` in
+    the same order, so every leading-axis row is bit-identical to it.
+    """
+
+    lead, n = values.shape[:-1], values.shape[-1]
+    half = (n + 1) // 2
+    if not _phase_kernels_apply(bank, half):
+        if n % 2:
+            values = np.concatenate([values, np.zeros(lead + (1,))], axis=-1)
+        rows = values.reshape(-1, 2 * half)
+        approx, detail = (
+            np.array([_analysis_reference(row, taps) for row in rows]).reshape(lead + (half,))
+            for taps in (bank.dec_lo, bank.dec_hi)
+        )
+        return approx, detail
+
+    # x[(2i + k) % length] is sample (i + (k >> 1)) % half of phase k & 1, so
+    # extending each phase cyclically by taps / 2 - 1 samples turns tap k's
+    # operand into a plain slice.
+    extension = bank.length // 2 - 1
+    phases = np.empty((2,) + lead + (half + extension,), dtype=np.float64)
+    phases[0][..., :half] = values[..., 0::2]
+    phases[1][..., : n // 2] = values[..., 1::2]
+    if n % 2:
+        phases[1][..., half - 1] = 0.0
+    phases[..., half:] = phases[..., :extension]
+
+    scratch = np.empty(lead + (half,), dtype=np.float64)
+    bands = []
+    for taps in (bank.dec_lo, bank.dec_hi):
+        # Start from zeros and add tap by tap, mirroring the reference loop
+        # operation for operation (this keeps even signed zeros bit-identical).
+        out = np.zeros(lead + (half,), dtype=np.float64)
+        for k in range(taps.size):
+            start = k >> 1
+            np.multiply(phases[k & 1][..., start : start + half], taps[k], out=scratch)
+            out += scratch
+        bands.append(out)
+    return bands[0], bands[1]
+
+
+def _synthesis(approx: np.ndarray, detail: np.ndarray, bank: WaveletFilterBank) -> np.ndarray:
+    """Transpose of :func:`_analysis` over the last axis: ``(..., 2 * half)``.
+
+    Output ``2p + parity`` receives, for ``(approx, dec_lo)`` then ``(detail,
+    dec_hi)`` and ``m`` ascending, ``taps[2m + parity] * c[(p - m) % half]`` —
+    the contributions :func:`_synthesis_accumulate_reference` scatters to that
+    position, in its order, so every leading-axis row is bit-identical to it.
+    """
+
+    lead, half = approx.shape[:-1], approx.shape[-1]
+    if not _phase_kernels_apply(bank, half):
+        out = np.zeros((math.prod(lead), 2 * half), dtype=np.float64)
+        for band, taps in ((approx, bank.dec_lo), (detail, bank.dec_hi)):
+            for row, coefficients in zip(out, band.reshape(len(out), half)):
+                _synthesis_accumulate_reference(coefficients, taps, 2 * half, row)
+        return out.reshape(lead + (2 * half,))
+
+    extension = bank.length // 2 - 1
+    prefixed = np.empty(lead + (extension + half,), dtype=np.float64)
+    scratch = np.empty(lead + (half,), dtype=np.float64)
+    even = np.zeros(lead + (half,), dtype=np.float64)
+    odd = np.zeros(lead + (half,), dtype=np.float64)
+    for band, taps in ((approx, bank.dec_lo), (detail, bank.dec_hi)):
+        # c[(p - m) % half] for p in [0, half) is the slice starting at
+        # extension - m of the band prefixed with its own last samples.
+        prefixed[..., extension:] = band
+        prefixed[..., :extension] = band[..., half - extension :]
+        for m in range(taps.size // 2):
+            source = prefixed[..., extension - m : extension - m + half]
+            np.multiply(source, taps[2 * m], out=scratch)
+            even += scratch
+            np.multiply(source, taps[2 * m + 1], out=scratch)
+            odd += scratch
+    out = np.empty(lead + (2 * half,), dtype=np.float64)
+    out[..., 0::2] = even
+    out[..., 1::2] = odd
     return out
-
-
-#: LRU cache of synthesis gather matrices keyed by ``(length, filter bytes)``.
-#: An entry costs ~16 bytes per output sample per tap pair, so the cache is
-#: bounded: least-recently-used entries are evicted beyond this many.  One
-#: model uses two filters per decomposition level (well under the cap), so
-#: steady-state rounds always hit.
-_SYNTHESIS_CACHE_MAX_ENTRIES = 64
-_SYNTHESIS_GATHER_CACHE: "OrderedDict[tuple[int, bytes], tuple[np.ndarray, np.ndarray]]" = (
-    OrderedDict()
-)
-
-
-def _synthesis_gather_matrices(
-    length: int, taps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Precompute the synthesis gather for an even ``length`` and even-tap filter.
-
-    Output position ``j`` of the transposed analysis operator receives exactly
-    one contribution per parity-matching tap ``k``: ``taps[k] *
-    coefficients[i]`` with ``2i + k = j (mod length)``.  Returns
-    ``(coefficient_indices, tap_values)``, both of shape
-    ``(length, taps.size // 2)``, with taps ordered ascending per row so the
-    accumulation order matches :func:`_synthesis_accumulate_reference`.
-    """
-
-    key = (length, taps.tobytes())
-    cached = _SYNTHESIS_GATHER_CACHE.get(key)
-    if cached is not None:
-        _SYNTHESIS_GATHER_CACHE.move_to_end(key)
-        return cached
-    window = taps.size
-    outputs = np.arange(length)[:, None]
-    # Row j uses taps of j's parity, ascending: k = (j % 2) + 2m.
-    tap_indices = (outputs % 2) + 2 * np.arange(window // 2)[None, :]
-    coefficient_indices = ((outputs - tap_indices) % length) // 2
-    # Fortran order makes each per-tap column contiguous for the gather loop.
-    matrices = (
-        np.asfortranarray(coefficient_indices),
-        np.asfortranarray(taps[tap_indices]),
-    )
-    _SYNTHESIS_GATHER_CACHE[key] = matrices
-    while len(_SYNTHESIS_GATHER_CACHE) > _SYNTHESIS_CACHE_MAX_ENTRIES:
-        _SYNTHESIS_GATHER_CACHE.popitem(last=False)
-    return matrices
-
-
-def _synthesis_accumulate(
-    coefficients: np.ndarray, taps: np.ndarray, length: int, out: np.ndarray
-) -> None:
-    """Accumulate the transpose of :func:`_analysis` into ``out``.
-
-    Uses the cached gather matrices when the filter has an even number of taps
-    (every shipped wavelet does) and ``length == 2 * coefficients.size`` (the
-    periodized invariant); falls back to the reference scatter otherwise.
-    Accumulation follows ascending tap order per output, making the result
-    bit-identical to :func:`_synthesis_accumulate_reference`.
-    """
-
-    if taps.size % 2 or length != 2 * coefficients.size:
-        _synthesis_accumulate_reference(coefficients, taps, length, out)
-        return
-    coefficient_indices, tap_values = _synthesis_gather_matrices(length, taps)
-    for m in range(tap_values.shape[1]):
-        out += tap_values[:, m] * coefficients[coefficient_indices[:, m]]
-
-
-def _analysis_batch(signals: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_analysis` over a stacked ``(N, length)`` signal matrix.
-
-    Each row is filtered and downsampled exactly like the single-signal path:
-    the cyclic extension appends leading columns (the same values
-    ``np.resize`` repeats), the strided view reads window ``i`` of row ``r``
-    as ``extended[r, 2i : 2i + K]``, and taps accumulate in the original
-    order.  Because every operation is elementwise per row, row ``r`` of the
-    result is bit-identical to ``_analysis(signals[r], taps)``.
-    """
-
-    count, length = signals.shape
-    half = length // 2
-    window = taps.size
-    needed = max(length, 2 * half - 2 + window)
-    if needed == length:
-        extended = np.ascontiguousarray(signals)
-    else:
-        # Cyclic extension by column blocks: repeat the signal prefix until
-        # the last window fits, mirroring np.resize's flat repetition per row.
-        parts = [signals]
-        remaining = needed - length
-        while remaining > 0:
-            take = min(length, remaining)
-            parts.append(signals[:, :take])
-            remaining -= take
-        extended = np.ascontiguousarray(np.concatenate(parts, axis=1))
-    row_stride, col_stride = extended.strides
-    windows = np.lib.stride_tricks.as_strided(
-        extended,
-        shape=(count, half, window),
-        strides=(row_stride, 2 * col_stride, col_stride),
-        writeable=False,
-    )
-    out = np.zeros((count, half), dtype=np.float64)
-    for k in range(window):
-        out += taps[k] * windows[:, :, k]
-    return out
-
-
-def _synthesis_accumulate_batch(
-    coefficients: np.ndarray, taps: np.ndarray, length: int, out: np.ndarray
-) -> None:
-    """Row-wise :func:`_synthesis_accumulate` over ``(N, length // 2)`` rows.
-
-    Shares the cached gather matrices with the single-signal path and
-    accumulates taps in the same ascending order, so each output row is
-    bit-identical to the per-row call.  Falls back to the reference scatter
-    per row for odd-tap filters or non-periodized lengths.
-    """
-
-    if taps.size % 2 or length != 2 * coefficients.shape[1]:
-        for row in range(coefficients.shape[0]):
-            _synthesis_accumulate_reference(coefficients[row], taps, length, out[row])
-        return
-    coefficient_indices, tap_values = _synthesis_gather_matrices(length, taps)
-    for m in range(tap_values.shape[1]):
-        out += tap_values[:, m] * coefficients[:, coefficient_indices[:, m]]
 
 
 def dwt_single(
@@ -242,12 +195,8 @@ def dwt_single(
     values = np.asarray(signal, dtype=np.float64).ravel()
     if values.size < 2:
         raise WaveletError("dwt_single requires a signal with at least 2 elements")
-    padded = values.size % 2 == 1
-    if padded:
-        values = np.concatenate([values, np.zeros(1)])
-    approx = _analysis(values, bank.dec_lo)
-    detail = _analysis(values, bank.dec_hi)
-    return approx, detail, padded
+    approx, detail = _analysis(values, bank)
+    return approx, detail, values.size % 2 == 1
 
 
 def idwt_single(
@@ -265,13 +214,8 @@ def idwt_single(
         raise WaveletError(
             f"approximation ({approx.size}) and detail ({detail.size}) lengths differ"
         )
-    length = 2 * approx.size
-    out = np.zeros(length, dtype=np.float64)
-    _synthesis_accumulate(approx, bank.dec_lo, length, out)
-    _synthesis_accumulate(detail, bank.dec_hi, length, out)
-    if padded:
-        out = out[:-1]
-    return out
+    out = _synthesis(approx, detail, bank)
+    return out[:-1] if padded else out
 
 
 def dwt_single_reference(
@@ -445,12 +389,8 @@ def dwt_single_batch(
         raise WaveletError(f"dwt_single_batch expects a 2-D matrix, got ndim={values.ndim}")
     if values.shape[1] < 2:
         raise WaveletError("dwt_single_batch requires signals with at least 2 elements")
-    padded = values.shape[1] % 2 == 1
-    if padded:
-        values = np.concatenate([values, np.zeros((values.shape[0], 1))], axis=1)
-    approx = _analysis_batch(values, bank.dec_lo)
-    detail = _analysis_batch(values, bank.dec_hi)
-    return approx, detail, padded
+    approx, detail = _analysis(values, bank)
+    return approx, detail, values.shape[1] % 2 == 1
 
 
 def idwt_single_batch(
@@ -474,13 +414,8 @@ def idwt_single_batch(
         raise WaveletError(
             f"approximation {approx.shape} and detail {detail.shape} shapes differ"
         )
-    length = 2 * approx.shape[1]
-    out = np.zeros((approx.shape[0], length), dtype=np.float64)
-    _synthesis_accumulate_batch(approx, bank.dec_lo, length, out)
-    _synthesis_accumulate_batch(detail, bank.dec_hi, length, out)
-    if padded:
-        out = out[:, :-1]
-    return out
+    out = _synthesis(approx, detail, bank)
+    return out[:, :-1] if padded else out
 
 
 def wavedec_batch(

@@ -16,7 +16,7 @@ import numpy as np
 from repro.exceptions import WaveletError
 from repro.wavelets.dwt import MultiLevelCoefficients
 
-__all__ = ["CoefficientLayout", "pack_coefficients", "unpack_coefficients"]
+__all__ = ["CoefficientLayout", "coefficient_layout", "pack_coefficients", "unpack_coefficients"]
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,31 @@ class CoefficientLayout:
             slices.append(slice(offset, offset + size))
             offset += size
         return slices
+
+
+def coefficient_layout(length: int, wavelet: str, levels: int) -> CoefficientLayout:
+    """The layout ``wavedec`` of any ``length``-sample signal packs to.
+
+    Band sizes depend on the length alone: each level zero-pads an odd input
+    by one sample and halves it.  ``levels`` is taken as given (callers clamp
+    it with :func:`~repro.wavelets.dwt.max_decomposition_level`).
+    """
+
+    if levels < 0:
+        raise WaveletError("levels must be non-negative")
+    current = int(length)
+    details: list[int] = []
+    pad_flags: list[bool] = []
+    for _ in range(levels):
+        pad_flags.append(current % 2 == 1)
+        current = (current + 1) // 2
+        details.append(current)
+    return CoefficientLayout(
+        wavelet=wavelet.lower(),
+        band_sizes=(current, *reversed(details)),
+        pad_flags=tuple(pad_flags),
+        original_length=int(length),
+    )
 
 
 def pack_coefficients(

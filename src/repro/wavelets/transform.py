@@ -29,7 +29,12 @@ from repro.wavelets.dwt import (
     waverec_batch,
 )
 from repro.wavelets.fourier import FourierLayout, fft_forward, fft_inverse
-from repro.wavelets.packing import CoefficientLayout, pack_coefficients, unpack_coefficients
+from repro.wavelets.packing import (
+    CoefficientLayout,
+    coefficient_layout,
+    pack_coefficients,
+    unpack_coefficients,
+)
 
 __all__ = [
     "FourierTransform",
@@ -148,10 +153,7 @@ class WaveletTransform(ModelTransform):
         super().__init__(model_size)
         self.wavelet = wavelet
         self.levels = min(int(levels), max_decomposition_level(model_size, wavelet))
-        # The coefficient layout only depends on the model size, so compute it
-        # once from a probe vector and reuse it for every forward/inverse call.
-        probe = wavedec(np.zeros(model_size), wavelet, self.levels)
-        _, self._layout = pack_coefficients(probe)
+        self._layout = coefficient_layout(model_size, wavelet, self.levels)
 
     @property
     def layout(self) -> CoefficientLayout:
@@ -187,7 +189,7 @@ class WaveletTransform(ModelTransform):
         if pad_flags != self._layout.pad_flags or tuple(
             band.shape[1] for band in bands
         ) != self._layout.band_sizes:
-            raise WaveletError("batched decomposition disagrees with the probe layout")
+            raise WaveletError("batched decomposition disagrees with the precomputed layout")
         return np.concatenate(bands, axis=1)
 
     def inverse_batch(self, coefficients: np.ndarray) -> np.ndarray:

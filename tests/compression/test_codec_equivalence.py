@@ -31,16 +31,51 @@ from repro.exceptions import CodecError
 
 
 # -- pack_bitfields vs BitWriter --------------------------------------------------------
+def bitwriter_pack(values, widths):
+    writer = BitWriter()
+    for value, width in zip(values, widths):
+        writer.write_bits(int(value), int(width))
+    return writer.getvalue(), writer.bit_length
+
+
 def test_pack_bitfields_matches_bitwriter():
     rng = np.random.default_rng(0)
     widths = rng.integers(0, 20, size=500)
     values = np.array([int(rng.integers(0, 1 << w)) if w else 0 for w in widths])
-    writer = BitWriter()
-    for value, width in zip(values, widths):
-        writer.write_bits(int(value), int(width))
-    payload, bit_length = pack_bitfields(values, widths)
-    assert payload == writer.getvalue()
-    assert bit_length == writer.bit_length
+    assert pack_bitfields(values, widths) == bitwriter_pack(values, widths)
+
+
+@pytest.mark.parametrize("residue", [0, 1, 63])
+@pytest.mark.parametrize("seed", range(4))
+def test_pack_bitfields_word_boundaries_match_bitwriter(seed, residue):
+    # The packer works on 64-bit words: cover zero-width and 63-bit fields, a
+    # field that ends exactly on a word boundary, one that straddles the next,
+    # and streams whose last word is full, one bit long and one bit short.
+    rng = np.random.default_rng(seed)
+    widths = rng.choice([0, 1, 7, 31, 32, 33, 62, 63], size=120).tolist()
+    widths.append(-sum(widths) % 64)          # ends on a word boundary
+    assert sum(widths) % 64 == 0
+    widths += [40, 0, 63]                     # bits 40..102 of the next two words
+    widths.append((residue - sum(widths)) % 64)
+    assert sum(widths) % 64 == residue
+    # All-ones fields would carry into their neighbours if any two overlapped.
+    values = [
+        (1 << w) - 1 if rng.random() < 0.5 else int(rng.integers(0, 1 << w)) if w else 0
+        for w in widths
+    ]
+    assert pack_bitfields(np.array(values), np.array(widths)) == bitwriter_pack(values, widths)
+
+
+def test_pack_bitfields_straddling_field_worked_example():
+    # docs/ARCHITECTURE.md, "Hot-path implementations": 60 + 8 + 4 bits, the
+    # middle field 0xAB split 4/4 across the first word boundary.
+    payload, bit_length = pack_bitfields(np.array([1, 0xAB, 0xF]), np.array([60, 8, 4]))
+    assert (payload.hex(), bit_length) == ("000000000000001abf", 72)
+    assert (payload, bit_length) == bitwriter_pack([1, 0xAB, 0xF], [60, 8, 4])
+
+
+def test_pack_bitfields_all_zero_width_fields():
+    assert pack_bitfields(np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)) == (b"", 0)
 
 
 def test_pack_bitfields_empty():
@@ -54,6 +89,12 @@ def test_pack_bitfields_rejects_overflow_and_negative():
         pack_bitfields(np.array([-1]), np.array([8]))
     with pytest.raises(CodecError):
         pack_bitfields(np.array([1]), np.array([64]))
+    with pytest.raises(CodecError):
+        pack_bitfields(np.array([1]), np.array([0]))
+    with pytest.raises(CodecError):
+        pack_bitfields(np.array([1]), np.array([-1]))
+    with pytest.raises(CodecError):
+        pack_bitfields(np.array([1, 2]), np.array([8]))
 
 
 def test_unpack_bits_matches_packbits_layout():
@@ -153,6 +194,31 @@ def test_index_codec_random_property(seed):
     gaps = np.diff(indices.astype(np.int64), prepend=-1)
     assert encoded.payload == elias_gamma_encode_reference(gaps)[0]
     assert np.array_equal(codec.decode(encoded), indices)
+    # Sorted input is proved valid without sorting; any other order of the
+    # same set goes through the full validation and must encode identically.
+    assert codec.encode(rng.permutation(indices), universe) == encoded
+    assert codec.encode(indices[::-1], universe) == encoded
+
+
+@pytest.mark.parametrize(
+    "indices,universe",
+    [
+        ([1, 1, 2], 10),                  # duplicate, sorted
+        ([2, 1, 1], 10),                  # duplicate, unsorted
+        ([-1, 3], 10),                    # negative first index
+        ([3, -1], 10),                    # negative index hidden behind a valid first one
+        ([0, 10], 10),                    # index == universe, sorted
+        ([10, 0], 10),                    # index == universe, unsorted
+        ([], 0),                          # universe == 0
+        ([0], 0),
+        ([0], -5),
+        # int64 extremes: the differences wrap around to small positive gaps
+        ([0, 2**63 - 1, -(2**63), -1, 0, 1], 10),
+    ],
+)
+def test_index_codec_rejects_invalid_input(indices, universe):
+    with pytest.raises(CodecError):
+        EliasGammaIndexCodec().encode(np.array(indices, dtype=np.int64), universe)
 
 
 # -- quantized wire format --------------------------------------------------------------

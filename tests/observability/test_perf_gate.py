@@ -86,11 +86,16 @@ def test_phases_missing_from_the_baseline_are_skipped(tmp_path):
 
 
 def test_update_writes_the_snapshot(tmp_path):
+    # --update writes --baseline and nothing else: the committed repo-root perf
+    # trajectory belongs to `scripts/ci.sh perf` alone.
+    trajectory = REPO_ROOT / "BENCH_engine.json"
+    trajectory_before = trajectory.read_bytes()
     current = _document(train=0.5, total=1.0)
     completed = _run(tmp_path, None, current, "--update")
     assert completed.returncode == 0
     written = json.loads((tmp_path / "baseline.json").read_text(encoding="utf-8"))
     assert written == current
+    assert trajectory.read_bytes() == trajectory_before
 
 
 def test_missing_baseline_is_a_clear_error(tmp_path):

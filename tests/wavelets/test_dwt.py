@@ -100,18 +100,29 @@ def test_coefficient_count_close_to_signal_length():
 
 # -- vectorized vs reference equivalence ------------------------------------------------
 #
-# The vectorized analysis (strided windows) and synthesis (cached gather
-# matrices) must reproduce the original scalar loops bit for bit — the
-# sync-mode determinism pin depends on it.
+# The phase-split analysis and synthesis kernels must reproduce the original
+# scalar loops bit for bit (signed zeros included) — the sync-mode determinism
+# pin depends on it.  Comparisons are on raw bytes: ``==`` would call -0.0 and
+# 0.0 equal.
+
+def signal_with_signed_zeros(rng, length):
+    signal = rng.standard_normal(length)
+    signal[rng.random(length) < 0.2] = -0.0
+    signal[rng.random(length) < 0.2] = 0.0
+    return signal
+
 
 def test_vectorized_dwt_bit_identical_to_reference_all_wavelets():
     from repro.wavelets.dwt import dwt_single_reference, idwt_single_reference
     from repro.wavelets.filters import available_wavelets
 
     rng = np.random.default_rng(7)
+    # From the shortest legal signal up: lengths 2..9 are shorter than some
+    # filters (cyclic wrap-around, and below the 8-tap filters' half-length
+    # the reference fallback), then even and odd lengths of ordinary size.
     for wavelet in available_wavelets():
-        for length in (2, 5, 16, 33, 100, 257):
-            signal = rng.standard_normal(length)
+        for length in (2, 3, 4, 5, 6, 7, 8, 9, 16, 33, 100, 257):
+            signal = signal_with_signed_zeros(rng, length)
             approx, detail, padded = dwt_single(signal, wavelet)
             ref_approx, ref_detail, ref_padded = dwt_single_reference(signal, wavelet)
             assert padded == ref_padded
@@ -120,6 +131,12 @@ def test_vectorized_dwt_bit_identical_to_reference_all_wavelets():
             restored = idwt_single(approx, detail, wavelet, padded)
             ref_restored = idwt_single_reference(approx, detail, wavelet, padded)
             assert restored.tobytes() == ref_restored.tobytes(), (wavelet, length)
+            # Synthesis of bands that themselves hold signed zeros.
+            low, high = np.split(signal_with_signed_zeros(rng, 2 * approx.size), 2)
+            assert (
+                idwt_single(low, high, wavelet).tobytes()
+                == idwt_single_reference(low, high, wavelet).tobytes()
+            ), (wavelet, length)
 
 
 @pytest.mark.parametrize("length", [3, 17, 101, 1001])
@@ -140,9 +157,9 @@ def test_odd_length_signals_bit_identical_to_reference(length):
     )
 
 
-def test_zero_signal_probe_bit_identical():
-    # WaveletTransform's layout probe decomposes an all-zeros vector; signed
-    # zeros from negative taps must not leak into the vectorized output.
+def test_zero_signal_bit_identical():
+    # Negative taps times +0.0 give -0.0 products; the zero start of the
+    # accumulation must absorb them exactly as the reference loop does.
     from repro.wavelets.dwt import dwt_single_reference
 
     for wavelet in ("haar", "sym2", "db4"):
@@ -150,16 +167,3 @@ def test_zero_signal_probe_bit_identical():
         ref_approx, ref_detail, _ = dwt_single_reference(np.zeros(64), wavelet)
         assert approx.tobytes() == ref_approx.tobytes()
         assert detail.tobytes() == ref_detail.tobytes()
-
-
-def test_synthesis_gather_cache_reused_across_calls():
-    from repro.wavelets import dwt as dwt_module
-
-    dwt_module._SYNTHESIS_GATHER_CACHE.clear()
-    signal = np.random.default_rng(3).standard_normal(64)
-    approx, detail, padded = dwt_single(signal, "sym2")
-    idwt_single(approx, detail, "sym2", padded)
-    entries = len(dwt_module._SYNTHESIS_GATHER_CACHE)
-    assert entries == 2  # one per filter (dec_lo / dec_hi) at this length
-    idwt_single(approx, detail, "sym2", padded)
-    assert len(dwt_module._SYNTHESIS_GATHER_CACHE) == entries

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import WaveletError
-from repro.wavelets.dwt import wavedec, waverec
-from repro.wavelets.packing import pack_coefficients, unpack_coefficients
+from repro.wavelets.dwt import max_decomposition_level, wavedec, waverec
+from repro.wavelets.packing import coefficient_layout, pack_coefficients, unpack_coefficients
 
 
 def test_pack_unpack_roundtrip():
@@ -42,3 +42,20 @@ def test_modifying_packed_vector_changes_reconstruction():
     vector[:] = 0.0
     reconstructed = waverec(unpack_coefficients(vector, layout))
     assert np.allclose(reconstructed, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("wavelet", ["haar", "sym2", "db4"])
+def test_arithmetic_layout_equals_the_decomposed_one(wavelet):
+    # WaveletTransform sizes its bands without decomposing anything; the
+    # arithmetic must agree with what wavedec really produces, at tiny sizes
+    # (levels clamped down to 0) and at the benchmark workloads' model sizes.
+    for length in [*range(1, 201), 2410, 18490, 273418]:
+        for requested in (0, 1, 4, 7):
+            levels = min(requested, max_decomposition_level(length, wavelet))
+            _, decomposed = pack_coefficients(wavedec(np.zeros(length), wavelet, requested))
+            assert coefficient_layout(length, wavelet, levels) == decomposed, (length, requested)
+
+
+def test_arithmetic_layout_rejects_negative_levels():
+    with pytest.raises(WaveletError):
+        coefficient_layout(64, "sym2", -1)
