@@ -24,12 +24,12 @@
 #                prints a forensic trace diff: first divergent record, field
 #                drift, causal backtrace)
 #   checkpoint   SIGINT a 2-cell pool sweep mid-spec, resume it, and
-#                byte-compare the store against an uninterrupted run
+#                byte-compare the store's rows against an uninterrupted run
 #                (the fourth determinism pillar), plus dry-run/compact smokes
 #   fuzz         fixed-seed 10-case scenario-fuzz smoke: every generated
 #                hostile schedule must pass the rerun, 1-vs-2-worker,
-#                interrupt-resume and strip_wall oracles (a failing case
-#                prints its JSON schedule for local replay), plus the
+#                interrupt-resume, strip_wall and arena-vs-pernode oracles (a
+#                failing case prints its JSON schedule for local replay), plus the
 #                injected-nondeterminism self-test, which must also
 #                root-cause the injected bug via the forensic trace differ
 #
@@ -264,7 +264,14 @@ stage_checkpoint() {
   # exact record where the resumed run departs from the uninterrupted one.
   python -m repro.cli sweep "${ck_args[@]}" --store "$CI_TMP/ck-intr.jsonl" \
       --workers 2 --checkpoint-dir "$CI_TMP/ckpts" --trace "$CI_TMP/ck-resume-traces" >/dev/null
-  _compare_stores "$CI_TMP/ck-ref.jsonl" "$CI_TMP/ck-intr.jsonl" "interrupt/resume" \
+  # Sorted copies, in this leg only: the store is append-only, so its row
+  # order is completion order, and which of the two cells lands first depends
+  # on whether the fast full-sharing cell beat the SIGINT while the jwins cell
+  # paused.  Rows are keyed by spec hash, so order carries no meaning here;
+  # the determinism stage keeps raw cmp, where order is part of the contract.
+  LC_ALL=C sort "$CI_TMP/ck-ref.jsonl"  >"$CI_TMP/ck-ref.sorted.jsonl"
+  LC_ALL=C sort "$CI_TMP/ck-intr.jsonl" >"$CI_TMP/ck-intr.sorted.jsonl"
+  _compare_stores "$CI_TMP/ck-ref.sorted.jsonl" "$CI_TMP/ck-intr.sorted.jsonl" "interrupt/resume" \
       "$CI_TMP/ck-ref-traces" "$CI_TMP/ck-resume-traces"
 
   # New-subcommand smokes: the expansion preview leaves no store behind, and
@@ -289,7 +296,7 @@ stage_fuzz() {
   selftest_out="$(python -m repro.scenarios.fuzz --self-test --cases 1 --seed 0)"
   grep -q "forensics localized the divergence to round" <<<"$selftest_out"
   grep -q "first divergent record" <<<"$selftest_out"
-  echo "fuzz gate: 10 hostile schedules passed all 4 oracles; self-test caught and root-caused the injected bug"
+  echo "fuzz gate: 10 hostile schedules passed all 5 oracles; self-test caught and root-caused the injected bug"
 }
 
 ALL_STAGES=(lint analysis docs test gradcheck bench perf smoke determinism checkpoint fuzz)

@@ -432,9 +432,13 @@ def load_status(target: str | Path) -> dict[str, Any]:
     """Parse a status document from a directory (``status.json`` inside) or file."""
 
     path = Path(target)
-    if path.is_dir():
-        path = path / STATUS_FILENAME
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except IsADirectoryError:
+        # Read first, ask later: an ``is_dir()`` probe races a writer that
+        # creates the status directory between the probe and the read.
+        text = (path / STATUS_FILENAME).read_text(encoding="utf-8")
+    return json.loads(text)
 
 
 def _fmt_eta(seconds: Any) -> str:

@@ -1,8 +1,8 @@
 """Seeded scenario fuzzer: the determinism contract as a property test.
 
-The five determinism oracles (seed pinning, sync-vs-seed, serial-vs-pool,
-interrupt-resume, wall-stripped traces) were historically pinned on two
-hand-written sweep cells.  This module turns four of them into a property
+The six determinism oracles (seed pinning, sync-vs-seed, serial-vs-pool,
+interrupt-resume, wall-stripped traces, arena-vs-pernode) were historically
+pinned on hand-written cells.  This module turns five of them into a property
 over a *distribution* of hostile schedules: a seeded generator produces
 random well-formed :class:`~repro.scenarios.schedule.ScenarioSchedule`
 instances (overlapping outages, nested partitions, Byzantine windows,
@@ -12,7 +12,10 @@ schedule must survive
 - ``rerun``    — executing the same spec twice yields byte-identical results,
 - ``workers``  — a 2-cell sweep stores byte-identical JSONL on 1 and 2 workers,
 - ``resume``   — interrupt mid-run + resume equals the uninterrupted run,
-- ``trace``    — wall-stripped structured traces are byte-identical across reruns.
+- ``trace``    — wall-stripped structured traces are byte-identical across reruns,
+- ``engines``  — the ``engine=arena`` override changes neither the result nor the
+  wall-stripped trace (the ``manifest`` record aside: its ``spec_hash`` names
+  the override).
 
 On failure the schedule is *shrunk* (events dropped, windows truncated, the
 topology policy simplified, rounds reduced) to a minimal still-failing case
@@ -43,7 +46,7 @@ import numpy as np
 from repro.checkpoint.snapshot import SimulationSnapshot
 from repro.exceptions import ExperimentPaused
 from repro.observability.forensics import TraceDiff, diff_traces
-from repro.observability.trace import TraceEmitter, strip_wall
+from repro.observability.trace import TraceEmitter, read_trace, strip_wall
 from repro.orchestration.pool import run_sweep
 from repro.orchestration.spec import ExperimentSpec
 from repro.orchestration.store import ResultStore
@@ -72,7 +75,7 @@ __all__ = [
 ]
 
 #: Oracle names, in execution order (cheapest first).
-ORACLES = ("rerun", "workers", "resume", "trace")
+ORACLES = ("rerun", "workers", "resume", "trace", "engines")
 
 #: Default workload/scheme for fuzz runs — the cheapest registered workload.
 DEFAULT_WORKLOAD = "movielens"
@@ -365,20 +368,56 @@ def _oracle_resume(case: FuzzCase, workload: str, scheme: str) -> str | None:
     return None
 
 
+def _traced_result_json(spec: ExperimentSpec, path: Path) -> str:
+    """Run ``spec`` with its trace written to ``path``; the result as JSON."""
+
+    emitter = TraceEmitter(path)
+    try:
+        return _result_json(spec, trace=emitter)
+    finally:
+        emitter.close()
+
+
 def _oracle_trace(case: FuzzCase, workload: str, scheme: str) -> str | None:
     spec = case.spec(workload, scheme)
     stripped: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
         for attempt in range(2):
             path = Path(tmp) / f"run-{attempt}.trace.jsonl"
-            emitter = TraceEmitter(path)
-            try:
-                spec.run(trace=emitter)
-            finally:
-                emitter.close()
+            _traced_result_json(spec, path)
             stripped.append(strip_wall(path))
     if stripped[0] != stripped[1]:
         return "wall-stripped traces differ between identical runs"
+    return None
+
+
+def _engine_runs(
+    case: FuzzCase, workload: str, scheme: str, tmp: Path
+) -> list[tuple[str, list[dict[str, Any]]]]:
+    """``(result JSON, trace records)`` of the case as generated, then on the arena.
+
+    The records leave out the manifest, whose ``spec_hash`` names the override.
+    """
+
+    spec = case.spec(workload, scheme)
+    runs = []
+    for variant in (spec, replace(spec, overrides={**spec.overrides, "engine": "arena"})):
+        path = tmp / f"engine-{len(runs)}.trace.jsonl"
+        result = _traced_result_json(variant, path)
+        events = [r for r in read_trace(path) if r.get("kind") != "manifest"]
+        runs.append((result, events))
+    return runs
+
+
+def _oracle_engines(case: FuzzCase, workload: str, scheme: str) -> str | None:
+    with tempfile.TemporaryDirectory() as tmp:
+        (pernode, pernode_events), (arena, arena_events) = _engine_runs(
+            case, workload, scheme, Path(tmp)
+        )
+    if pernode != arena:
+        return "the arena engine's result differs from the per-node engine's"
+    if strip_wall(pernode_events) != strip_wall(arena_events):
+        return "the arena engine's wall-stripped trace differs from the per-node engine's"
     return None
 
 
@@ -387,6 +426,7 @@ _ORACLE_FUNCS: dict[str, Callable[[FuzzCase, str, str], str | None]] = {
     "workers": _oracle_workers,
     "resume": _oracle_resume,
     "trace": _oracle_trace,
+    "engines": _oracle_engines,
 }
 
 
@@ -522,7 +562,9 @@ def forensics_for_case(
 
     For the ``workers`` oracle the serial and 2-worker sweeps are repeated
     with per-cell trace directories and the first divergent cell's traces are
-    compared; every other oracle re-executes the spec twice with an attached
+    compared; for the ``engines`` oracle the per-node and arena runs' traces
+    are compared past their manifests; every other oracle re-executes the
+    spec twice with an attached
     :class:`~repro.observability.trace.TraceEmitter` (whatever run-order
     dependent state broke the oracle breaks the second traced run the same
     way).  Returns the forensic :class:`TraceDiff` — first divergent record,
@@ -560,15 +602,15 @@ def forensics_for_case(
                 if not diff.identical:
                     return diff
             return None
+        if oracle == "engines":
+            (_, pernode), (_, arena) = _engine_runs(case, workload, scheme, tmp_path)
+            diff = diff_traces(pernode, arena, a_label="pernode", b_label="arena")
+            return None if diff.identical else diff
         spec = case.spec(workload, scheme)
         paths = []
         for attempt in range(2):
             path = tmp_path / f"attempt-{attempt}.trace.jsonl"
-            emitter = TraceEmitter(path)
-            try:
-                spec.run(trace=emitter)
-            finally:
-                emitter.close()
+            _traced_result_json(spec, path)
             paths.append(path)
         diff = diff_traces(paths[0], paths[1], a_label="run-1", b_label="run-2")
         return None if diff.identical else diff

@@ -4,13 +4,13 @@ The package is organized around the :class:`~repro.simulation.engine.Simulator`
 engine:
 
 * :mod:`repro.simulation.engine` — the :class:`Simulator` (nodes, topology,
-  byte metering, evaluation) plus the pluggable execution modes:
-  :class:`SynchronousMode` (the paper's lock-step rounds) and
-  :class:`AsynchronousMode` (event-driven gossip over heterogeneous nodes);
+  byte metering, evaluation) plus the two pluggable execution modes:
+  :class:`SynchronousMode` (the paper's lock-step rounds, one six-stage loop)
+  and :class:`AsynchronousMode` (event-driven gossip over heterogeneous nodes);
 * :mod:`repro.simulation.arena` — the arena engine: node state batched into
-  contiguous ``(N, d)`` arenas with vectorized SGD/DWT passes, selected via
-  ``ExperimentConfig.engine="arena"`` and byte-identical to the per-node
-  reference path (see ``docs/SCALING.md``);
+  contiguous ``(N, d)`` arenas plus the vectorized SGD/DWT stage kernels that
+  loop runs under ``ExperimentConfig.engine="arena"``, byte-identical to the
+  per-row reference kernels (see ``docs/SCALING.md``);
 * :mod:`repro.simulation.events` — the typed :class:`Event` and the
   deterministic :class:`EventLoop` the async mode runs on;
 * :mod:`repro.simulation.runner` — the :func:`run_experiment` one-call facade;
@@ -28,12 +28,7 @@ Attach observers instead of editing the loop::
     result = simulator.run()
 """
 
-from repro.simulation.arena import (
-    ArenaSGD,
-    ArenaSynchronousMode,
-    NodeArenas,
-    build_arena_nodes,
-)
+from repro.simulation.arena import ArenaSGD, NodeArenas, build_arena_nodes
 from repro.simulation.engine import (
     AsynchronousMode,
     ExecutionMode,
@@ -51,7 +46,6 @@ from repro.simulation.timing import HeterogeneousTimeModel, TimeModel, time_mode
 
 __all__ = [
     "ArenaSGD",
-    "ArenaSynchronousMode",
     "AsynchronousMode",
     "ByteMeter",
     "ENGINES",

@@ -1,8 +1,8 @@
 """The arena engine: contiguous ``(N, d)`` node-state arenas with batched kernels.
 
-The per-node engine (:func:`~repro.simulation.engine.build_nodes` plus
-:class:`~repro.simulation.engine.SynchronousMode`) stores one private model per
-:class:`~repro.simulation.node.SimulationNode` and drives train/encode/
+The per-node engine (:func:`~repro.simulation.engine.build_nodes`) stores one
+private model per :class:`~repro.simulation.node.SimulationNode`, and the
+per-row stage kernels of :mod:`repro.simulation.engine` drive train/encode/
 aggregate as a Python loop over nodes.  That is faithful to the original
 process-per-client deployment but caps the fig10 scalability reproduction at a
 few dozen nodes: the round cost is dominated by per-node, per-tensor Python
@@ -12,8 +12,9 @@ This module batches the node *state* instead.  All mutable per-node training
 state lives in three contiguous ``(N, d)`` float64 arenas — parameters,
 gradients and momentum — and every node's :class:`~repro.nn.module.Parameter`
 objects are rebound to row views into them (:func:`build_arena_nodes`).  The
-:class:`ArenaSynchronousMode` schedule then replaces the hottest per-node loops
-with whole-arena numpy operations:
+lock-step loop (:class:`~repro.simulation.engine.SynchronousMode`) then runs
+its train/encode/aggregate stages through the ``*_batched`` kernels below,
+which replace the hottest per-node loops with whole-arena numpy operations:
 
 * the SGD update of a local step runs once over all active rows
   (:meth:`NodeArenas.step_rows`) instead of once per node per tensor;
@@ -22,21 +23,20 @@ with whole-arena numpy operations:
   :meth:`~repro.wavelets.transform.ModelTransform.forward_batch` /
   :meth:`~repro.wavelets.transform.ModelTransform.inverse_batch` call over a
   stacked coefficient matrix;
-* scenario churn/partition checks act on the active-id row set rather than on
-  per-object membership tests.
+* everything else of a round (scenario state, the byzantine send path, delivery
+  in drop-RNG draw order, metering, checkpointing) is the loop's own code.
 
 The determinism contract is strict bit-identity: for any configuration,
 ``config.with_engine("arena")`` produces an
 :class:`~repro.simulation.metrics.ExperimentResult` whose ``to_dict()`` is
 byte-for-byte equal to the per-node engine's (the equivalence tests in
-``tests/simulation/test_arena.py`` pin this down).  The per-node path stays the
-reference twin; see ``docs/SCALING.md`` for the memory layout and the
-measured scaling story.
+``tests/simulation/test_arena.py`` and the fuzzer's ``engines`` oracle pin
+this down).  The per-row kernels stay the reference; see ``docs/SCALING.md``
+for the memory layout and the measured scaling story.
 
 Checkpoints are engine-agnostic: node ``state_dict`` payloads read identically
-through the views, and :class:`ArenaSynchronousMode` keeps the mode name and
-private state of :class:`~repro.simulation.engine.SynchronousMode`, so a
-snapshot taken under one engine resumes under the other.
+through the views and the mode state belongs to the shared loop, so a snapshot
+taken under one engine resumes under the other.
 """
 
 from __future__ import annotations
@@ -50,14 +50,13 @@ from repro.core.jwins import JwinsScheme
 from repro.datasets.base import LearningTask
 from repro.exceptions import SimulationError
 from repro.nn.optim import SGD
-from repro.simulation.engine import Simulator, SynchronousMode, build_nodes
+from repro.simulation.engine import Simulator, aggregate_rows, build_nodes, encode_rows
 from repro.simulation.experiment import ExperimentConfig
 from repro.simulation.node import SimulationNode
 from repro.wavelets.transform import ModelTransform, WaveletTransform
 
 __all__ = [
     "ArenaSGD",
-    "ArenaSynchronousMode",
     "NodeArenas",
     "build_arena_nodes",
 ]
@@ -300,204 +299,94 @@ def _jwins_batch_plan(nodes: list[SimulationNode]) -> _JwinsBatchPlan | None:
     )
 
 
-class ArenaSynchronousMode(SynchronousMode):
-    """Lock-step rounds over arena state: batched SGD and batched DWT passes.
+# -- batched stage kernels ---------------------------------------------------------
+# The arena forms of the layout-dependent stages of the lock-step loop: same
+# signatures as the per-row ``*_rows`` kernels, one profiler interval a stage.
+def train_batched(
+    simulator: Simulator, active_nodes: list[SimulationNode]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Stage ``train``, step-major: one batched SGD update per local step.
 
-    A drop-in twin of :class:`~repro.simulation.engine.SynchronousMode` that
-    produces byte-identical results while replacing the per-node hot loops:
-
-    * **train** runs step-major — every active node samples, forwards and
-      backwards its own mini-batch (per-node RNG streams are independent, so
-      the reorder is bit-safe), then one :meth:`NodeArenas.step_rows` call
-      applies the SGD update to all active rows at once;
-    * **encode** computes the two forward DWTs of a JWINS round for all
-      active nodes in two batched passes and hands each scheme its rows via
-      :meth:`~repro.core.jwins.JwinsScheme.prepare_from_coefficients`;
-    * **aggregate** collects each node's weighted coefficient average, then
-      reconstructs all rows in one batched inverse DWT, and feeds the
-      end-of-round accumulator update from one batched forward DWT of the
-      round changes.
-
-    The delivery loop is copied verbatim from the per-node mode — the shared
-    message-drop RNG must consume draws in exactly the per-node order —
-    and scenario activity is expressed as the active-row index set.
-    Non-JWINS (or heterogeneous) schemes fall back to per-node scheme calls
-    while keeping the batched SGD training.  The mode keeps ``name = "sync"``
-    and the ``{"kind", "clock"}`` checkpoint state of its parent, so
-    snapshots interoperate across engines and executions can resume
-    interrupted runs bit-identically (pinned in ``tests/simulation``).
+    Every active node samples, forwards and backwards its own mini-batch
+    (per-node RNG streams are independent, so the reorder is bit-safe), then
+    one :meth:`NodeArenas.step_rows` call updates all active rows at once.
     """
 
-    def run(self, simulator: Simulator) -> None:
-        config = simulator.config
-        nodes = simulator.nodes
-        arenas = simulator.arenas
-        if arenas is None:
-            raise SimulationError(
-                "ArenaSynchronousMode requires arena-built nodes; "
-                "set ExperimentConfig.engine='arena'"
-            )
-        clock = 0.0
-        start_round = 0
-        resume = simulator.consume_resume_state(self.name)
-        if resume is not None:
-            clock = float(resume.mode_state["clock"])
-            start_round = int(resume.rounds_completed)
-
-        for round_index in range(start_round, config.rounds):
-            simulator.apply_topology_policy(round_index)
-            state = simulator.scenario_state(round_index)
-            active_rows = np.asarray(state.active, dtype=np.int64)
-            active_nodes = [nodes[node_id] for node_id in state.active]
-            plan = _jwins_batch_plan(active_nodes)
-
-            # -- train: step-major, one batched SGD update per local step ----------
-            with simulator.profile("train"):
-                start_matrix = arenas.params[active_rows].copy()
-                losses: list[list[float]] = [[] for _ in active_nodes]
-                for node in active_nodes:
-                    node.model.train()
-                for _ in range(config.local_steps):
-                    for position, node in enumerate(active_nodes):
-                        inputs, targets = node.sample_batch()
-                        node.model.zero_grad()
-                        outputs = node.model.forward(inputs)
-                        losses[position].append(node.loss.forward(outputs, targets))
-                        node.model.backward(node.loss.backward())
-                    arenas.step_rows(
-                        active_rows, config.learning_rate, config.momentum
-                    )
-                for position, node in enumerate(active_nodes):
-                    node.last_train_loss = float(np.mean(losses[position]))
-                trained_matrix = arenas.params[active_rows].copy()
-
-            # -- byzantine + contexts (per-node loops over reorder-safe streams) ---
-            presented: list[np.ndarray] = []
-            contexts: dict[int, RoundContext] = {}
+    config = simulator.config
+    arenas = simulator.arenas
+    active_rows = np.asarray([node.node_id for node in active_nodes], dtype=np.int64)
+    with simulator.profile("train"):
+        start_matrix = arenas.params[active_rows]  # index arrays select copies
+        losses: list[list[float]] = [[] for _ in active_nodes]
+        for node in active_nodes:
+            node.model.train()
+        for _ in range(config.local_steps):
             for position, node in enumerate(active_nodes):
-                presented.append(
-                    simulator.apply_byzantine(
-                        node.node_id,
-                        round_index,
-                        state,
-                        start_matrix[position],
-                        trained_matrix[position],
-                    )
-                )
-                contexts[node.node_id] = simulator.make_context(
-                    node, round_index, start_matrix[position], presented[position],
-                    now=clock,
-                )
+                inputs, targets = node.sample_batch()
+                node.model.zero_grad()
+                outputs = node.model.forward(inputs)
+                losses[position].append(node.loss.forward(outputs, targets))
+                node.model.backward(node.loss.backward())
+            arenas.step_rows(active_rows, config.learning_rate, config.momentum)
+        for position, node in enumerate(active_nodes):
+            node.last_train_loss = float(np.mean(losses[position]))
+        trained_matrix = arenas.params[active_rows]
+    return list(zip(start_matrix, trained_matrix))
 
-            # -- encode: batched DWT passes, one scheme call per node --------------
-            messages: dict[int, Message] = {}
-            with simulator.profile("encode"):
-                if plan is not None:
-                    presented_matrix = np.stack(presented)
-                    change_matrix = plan.transform.forward_batch(
-                        presented_matrix - start_matrix
-                    )
-                    own_matrix = plan.transform.forward_batch(presented_matrix)
-                    for position, node in enumerate(active_nodes):
-                        context = contexts[node.node_id]
-                        message = node.scheme.prepare_from_coefficients(
-                            context, change_matrix[position], own_matrix[position]
-                        )
-                        messages[node.node_id] = simulator.record_prepared_message(
-                            node, context, message
-                        )
-                else:
-                    for node in active_nodes:
-                        messages[node.node_id] = simulator.prepare_message(
-                            node, contexts[node.node_id]
-                        )
 
-            # -- deliver (verbatim per-node loop: shared drop-RNG draw order) ------
-            round_fractions = [
-                messages[node_id].shared_fraction for node_id in state.active
+def encode_batched(
+    simulator: Simulator, active_nodes: list[SimulationNode], contexts: list[RoundContext]
+) -> dict[int, Message]:
+    """Stage ``encode``: two batched forward DWTs, then one scheme call per node.
+
+    Schemes without a batch plan take the per-row kernel, on arena-backed state.
+    """
+
+    plan = _jwins_batch_plan(active_nodes)
+    if plan is None:
+        return encode_rows(simulator, active_nodes, contexts)
+    messages: dict[int, Message] = {}
+    with simulator.profile("encode"):
+        start_matrix = np.stack([context.params_start for context in contexts])
+        presented_matrix = np.stack([context.params_trained for context in contexts])
+        change_matrix = plan.transform.forward_batch(presented_matrix - start_matrix)
+        own_matrix = plan.transform.forward_batch(presented_matrix)
+        for position, (node, context) in enumerate(zip(active_nodes, contexts)):
+            message = node.scheme.prepare_from_coefficients(
+                context, change_matrix[position], own_matrix[position]
+            )
+            messages[node.node_id] = simulator.record_prepared_message(node, context, message)
+    return messages
+
+
+def aggregate_batched(
+    simulator: Simulator,
+    active_nodes: list[SimulationNode],
+    contexts: list[RoundContext],
+    inboxes: list[list[Message]],
+) -> None:
+    """Stage ``aggregate``: one batched inverse DWT over all averaged rows.
+
+    Each node's weighted coefficient average is collected per row, and the
+    end-of-round accumulator update is fed from one batched forward DWT of the
+    round changes.  Schemes without a batch plan take the per-row kernel.
+    """
+
+    plan = _jwins_batch_plan(active_nodes)
+    if plan is None:
+        return aggregate_rows(simulator, active_nodes, contexts, inboxes)
+    with simulator.profile("aggregate"):
+        averaged_matrix = np.stack(
+            [
+                node.scheme.aggregate_coefficients(context, inbox)
+                for node, context, inbox in zip(active_nodes, contexts, inboxes)
             ]
-            drops_enabled = config.message_drop_probability > 0.0
-            inboxes: dict[int, list[Message]] = {}
-            for node in active_nodes:
-                inbox: list[Message] = []
-                for neighbor in simulator.topology.neighbors(node.node_id):
-                    message = messages.get(neighbor)
-                    if message is None:
-                        continue  # the sender sat this round out
-                    if not state.allows(neighbor, node.node_id):
-                        simulator._m_suppressed.inc()
-                        continue
-                    if drops_enabled and not simulator.deliver_allowed():
-                        simulator._m_dropped.inc()
-                        continue
-                    inbox.append(message)
-                for message in inbox:
-                    simulator.emit_message(message, node.node_id, clock)
-                inboxes[node.node_id] = inbox
-
-            # -- aggregate: batched inverse DWT + batched accumulator update -------
-            with simulator.profile("aggregate"):
-                if plan is not None and active_nodes:
-                    averaged_matrix = np.stack(
-                        [
-                            node.scheme.aggregate_coefficients(
-                                contexts[node.node_id], inboxes[node.node_id]
-                            )
-                            for node in active_nodes
-                        ]
-                    )
-                    new_matrix = plan.transform.inverse_batch(averaged_matrix)
-                    if plan.use_accumulation:
-                        round_change_matrix = plan.transform.forward_batch(
-                            new_matrix - start_matrix
-                        )
-                        for position, node in enumerate(active_nodes):
-                            node.scheme.finalize_from_change(
-                                round_change_matrix[position]
-                            )
-                    for position, node in enumerate(active_nodes):
-                        node.set_parameters(new_matrix[position])
-                else:
-                    for node in active_nodes:
-                        context = contexts[node.node_id]
-                        new_params = node.scheme.aggregate(
-                            context, inboxes[node.node_id]
-                        )
-                        node.scheme.finalize(context, new_params)
-                        node.set_parameters(new_params)
-
-            # -- meter time and bytes (identical to the per-node mode) -------------
-            max_bytes = max(
-                (
-                    message.size.total_bytes
-                    * len(simulator.topology.neighbors(message.sender))
-                    for message in messages.values()
-                ),
-                default=0,
-            )
-            round_duration = config.time_model.round_duration(
-                config.local_steps, max_bytes
-            )
-            worst_slowdown = state.max_slowdown()
-            if worst_slowdown > 1.0:
-                round_duration += (
-                    worst_slowdown - 1.0
-                ) * config.time_model.compute_duration(config.local_steps)
-            clock += round_duration
-            simulator.meter.end_round()
-            simulator.result.rounds_completed = round_index + 1
-            simulator.emit_round_end(round_index, None, clock)
-
-            # -- evaluate ----------------------------------------------------------
-            is_last = round_index == config.rounds - 1
-            if (round_index + 1) % config.eval_every == 0 or is_last:
-                shared = float(np.mean(round_fractions)) if round_fractions else 0.0
-                simulator.record_evaluation(round_index + 1, shared, clock)
-                if simulator.should_stop_at_target():
-                    simulator.mark_profile_round(round_index)
-                    break
-            simulator.mark_profile_round(round_index)
-            simulator.checkpoint_point(lambda: {"kind": self.name, "clock": clock})
-
-        simulator.result.simulated_time_seconds = clock
-        simulator.result.per_node_time_seconds = [clock] * config.num_nodes
+        )
+        new_matrix = plan.transform.inverse_batch(averaged_matrix)
+        if plan.use_accumulation:
+            start_matrix = np.stack([context.params_start for context in contexts])
+            round_change_matrix = plan.transform.forward_batch(new_matrix - start_matrix)
+            for node, round_change in zip(active_nodes, round_change_matrix):
+                node.scheme.finalize_from_change(round_change)
+        for node, new_params in zip(active_nodes, new_matrix):
+            node.set_parameters(new_params)

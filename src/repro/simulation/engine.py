@@ -6,7 +6,9 @@ The engine separates three concerns that used to live in one monolithic loop:
   weights, byte metering, evaluation and the result being built;
 * an :class:`ExecutionMode` strategy owns the *schedule* — how rounds unfold
   in simulated time.  :class:`SynchronousMode` reproduces the paper's
-  lock-step rounds bit-for-bit; :class:`AsynchronousMode` runs event-driven
+  lock-step rounds bit-for-bit as one six-stage loop whose layout-dependent
+  stages are plain functions (per-row here, batched in
+  :mod:`repro.simulation.arena`); :class:`AsynchronousMode` runs event-driven
   gossip where heterogeneous nodes progress at their own pace;
 * observers attach to the engine's hook points (``on_round_end``,
   ``on_message``, ``on_evaluate``) so metrics collection, early-stop logic or
@@ -240,7 +242,7 @@ class Simulator:
         self.config = config
         self.seeds = SeedSequenceFactory(config.seed)
         if config.engine == "arena":
-            # Lazy import: the arena module subclasses SynchronousMode.
+            # Lazy import: the arena module imports this one.
             from repro.simulation.arena import build_arena_nodes
 
             self.nodes, self.arenas = build_arena_nodes(task, scheme_factory, config)
@@ -292,16 +294,9 @@ class Simulator:
         self._latency_marks: dict[int, float] = {}
 
         if mode is None:
-            if config.execution != "sync":
-                # The event-driven mode steps nodes one at a time, so it works
-                # unchanged on arena-backed nodes (state lives behind views).
-                mode = AsynchronousMode()
-            elif config.engine == "arena":
-                from repro.simulation.arena import ArenaSynchronousMode
-
-                mode = ArenaSynchronousMode()
-            else:
-                mode = SynchronousMode()
+            # Both run on either node-state engine: gossip steps nodes through
+            # their arena views, lock-step picks stage kernels off ``arenas``.
+            mode = SynchronousMode() if config.execution == "sync" else AsynchronousMode()
         self.mode = mode
 
         self.result = ExperimentResult(
@@ -771,12 +766,81 @@ class Simulator:
         return self.result
 
 
+# -- per-row stage kernels (batched forms, same signatures: repro.simulation.arena) --
+# The layout-dependent stages of a lock-step round, one timed row at a time;
+# ``present`` and ``aggregate_node`` also serve the event loop.
+def train_rows(
+    simulator: "Simulator", active_nodes: list[SimulationNode]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Stage ``train``: one ``(params_start, params_trained)`` pair per node."""
+
+    pairs = []
+    for node in active_nodes:
+        with simulator.profile("train"):
+            pairs.append(node.local_training())
+    return pairs
+
+
+def present(
+    simulator: "Simulator",
+    node: SimulationNode,
+    round_index: int,
+    state: ScenarioState,
+    params_start: np.ndarray,
+    params_trained: np.ndarray,
+    now: float,
+) -> RoundContext:
+    """Stage ``present``: the send-time attack, then the node's round context."""
+
+    params_trained = simulator.apply_byzantine(
+        node.node_id, round_index, state, params_start, params_trained
+    )
+    return simulator.make_context(node, round_index, params_start, params_trained, now=now)
+
+
+def encode_rows(
+    simulator: "Simulator", active_nodes: list[SimulationNode], contexts: list[RoundContext]
+) -> dict[int, Message]:
+    """Stage ``encode``: every node's metered round message, keyed by sender."""
+
+    messages: dict[int, Message] = {}
+    for node, context in zip(active_nodes, contexts):
+        with simulator.profile("encode"):
+            messages[node.node_id] = simulator.prepare_message(node, context)
+    return messages
+
+
+def aggregate_node(
+    simulator: "Simulator", node: SimulationNode, context: RoundContext, inbox: list[Message]
+) -> None:
+    """Mix ``inbox`` into ``node``'s model and close its scheme's round."""
+
+    with simulator.profile("aggregate"):
+        new_params = node.scheme.aggregate(context, inbox)
+        node.scheme.finalize(context, new_params)
+        node.set_parameters(new_params)
+
+
+def aggregate_rows(
+    simulator: "Simulator",
+    active_nodes: list[SimulationNode],
+    contexts: list[RoundContext],
+    inboxes: list[list[Message]],
+) -> None:
+    """Stage ``aggregate``: :func:`aggregate_node` over every active row."""
+
+    for node, context, inbox in zip(active_nodes, contexts, inboxes):
+        aggregate_node(simulator, node, context, inbox)
+
+
 class SynchronousMode(ExecutionMode):
     """The paper's lock-step schedule: train, exchange, aggregate, barrier.
 
-    This mode is a faithful port of the original monolithic runner — for a
-    given seed it produces the identical :class:`ExperimentResult` (history,
-    bytes, simulated time), which the regression tests pin down.
+    The only lock-step loop: ``train -> present -> encode -> deliver ->
+    aggregate -> account``, every delivery of a round preceding any aggregation,
+    with the per-row kernels above or (arena-backed nodes) the batched ones.
+    For a given seed either choice produces the :class:`ExperimentResult` of the
+    original monolithic runner (history, bytes, simulated time), pinned by tests.
 
     Scenario semantics per round: the topology policy may rewire the graph,
     offline (churn) nodes neither train, send, receive nor aggregate (their
@@ -789,7 +853,13 @@ class SynchronousMode(ExecutionMode):
 
     def run(self, simulator: Simulator) -> None:
         config = simulator.config
-        nodes = simulator.nodes
+        train, encode, aggregate = train_rows, encode_rows, aggregate_rows
+        if simulator.arenas is not None:
+            from repro.simulation import arena  # lazy: that module imports this one
+
+            train, encode, aggregate = (
+                arena.train_batched, arena.encode_batched, arena.aggregate_batched
+            )
         clock = 0.0
         start_round = 0
         resume = simulator.consume_resume_state(self.name)
@@ -803,31 +873,22 @@ class SynchronousMode(ExecutionMode):
         for round_index in range(start_round, config.rounds):
             simulator.apply_topology_policy(round_index)
             state = simulator.scenario_state(round_index)
-            active_nodes = [nodes[node_id] for node_id in state.active]
+            active_nodes = [simulator.nodes[node_id] for node_id in state.active]
 
-            # -- train + prepare (offline nodes sit the round out) -----------------
-            contexts: dict[int, RoundContext] = {}
-            messages: dict[int, Message] = {}
-            for node in active_nodes:
-                with simulator.profile("train"):
-                    params_start, params_trained = node.local_training()
-                params_trained = simulator.apply_byzantine(
-                    node.node_id, round_index, state, params_start, params_trained
-                )
-                context = simulator.make_context(
-                    node, round_index, params_start, params_trained, now=clock
-                )
-                with simulator.profile("encode"):
-                    messages[node.node_id] = simulator.prepare_message(node, context)
-                contexts[node.node_id] = context
-
-            # -- deliver + aggregate -----------------------------------------------
-            round_fractions = [
-                messages[node_id].shared_fraction for node_id in state.active
+            # -- train, present, encode (offline nodes sit the round out) ----------
+            # Stage-major order is bit-safe: every RNG stream these stages
+            # draw from (batches, byzantine, round) is seeded per node.
+            trained = train(simulator, active_nodes)
+            contexts = [
+                present(simulator, node, round_index, state, *params, now=clock)
+                for node, params in zip(active_nodes, trained)
             ]
+            messages = encode(simulator, active_nodes, contexts)
+
+            # -- deliver -----------------------------------------------------------
             drops_enabled = config.message_drop_probability > 0.0
+            inboxes: list[list[Message]] = []
             for node in active_nodes:
-                context = contexts[node.node_id]
                 # One pass per neighbor, preserving the original draw order of
                 # the drop RNG: a delivery draw happens exactly for the
                 # messages that passed the scenario filter, in neighbor order.
@@ -845,12 +906,12 @@ class SynchronousMode(ExecutionMode):
                     inbox.append(message)
                 for message in inbox:
                     simulator.emit_message(message, node.node_id, clock)
-                with simulator.profile("aggregate"):
-                    new_params = node.scheme.aggregate(context, inbox)
-                    node.scheme.finalize(context, new_params)
-                    node.set_parameters(new_params)
+                inboxes.append(inbox)
 
-            # -- meter time and bytes ----------------------------------------------
+            # -- aggregate ---------------------------------------------------------
+            aggregate(simulator, active_nodes, contexts, inboxes)
+
+            # -- account: meter time and bytes -------------------------------------
             # An all-nodes-offline round (possible under custom schedules) still
             # advances the barrier clock by a silent round's duration.
             max_bytes = max(
@@ -873,10 +934,11 @@ class SynchronousMode(ExecutionMode):
             simulator.result.rounds_completed = round_index + 1
             simulator.emit_round_end(round_index, None, clock)
 
-            # -- evaluate ----------------------------------------------------------
+            # -- account: evaluate -------------------------------------------------
             is_last = round_index == config.rounds - 1
             if (round_index + 1) % config.eval_every == 0 or is_last:
-                shared = float(np.mean(round_fractions)) if round_fractions else 0.0
+                fractions = [message.shared_fraction for message in messages.values()]
+                shared = float(np.mean(fractions)) if fractions else 0.0
                 simulator.record_evaluation(round_index + 1, shared, clock)
                 if simulator.should_stop_at_target():
                     simulator.mark_profile_round(round_index)
@@ -1102,11 +1164,9 @@ class AsynchronousMode(ExecutionMode):
                 state = simulator.scenario_state(node_round[node_id])
                 with simulator.profile("train"):
                     params_start, params_trained = node.local_training()
-                params_trained = simulator.apply_byzantine(
-                    node_id, node_round[node_id], state, params_start, params_trained
-                )
-                context = simulator.make_context(
-                    node, node_round[node_id], params_start, params_trained, now=now
+                context = present(
+                    simulator, node, node_round[node_id], state,
+                    params_start, params_trained, now,
                 )
                 contexts[node_id] = context
                 with simulator.profile("encode"):
@@ -1174,10 +1234,7 @@ class AsynchronousMode(ExecutionMode):
                     if message.sender in context.neighbor_weights
                 ]
                 inboxes[node_id].clear()
-                with simulator.profile("aggregate"):
-                    new_params = node.scheme.aggregate(context, inbox)
-                    node.scheme.finalize(context, new_params)
-                    node.set_parameters(new_params)
+                aggregate_node(simulator, node, context, inbox)
                 contexts[node_id] = None
                 if not complete_round(node_id, now):
                     loop.clear()

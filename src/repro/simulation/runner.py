@@ -2,11 +2,11 @@
 
 :func:`run_experiment` is a thin wrapper over
 :class:`~repro.simulation.engine.Simulator`: it builds the engine from the
-configuration (which selects the execution mode, ``"sync"`` lock-step rounds
-or ``"async"`` event-driven gossip, and the node-state engine, per-node
-reference objects or the batched ``(N, d)`` arenas of
-:mod:`repro.simulation.arena` that scale one process to thousands of nodes)
-and runs it to completion.
+configuration (which selects one of the two execution modes, ``"sync"``
+lock-step rounds or ``"async"`` event-driven gossip, and independently the
+node-state engine: per-node reference objects, or the ``(N, d)`` arenas and
+batched stage kernels of :mod:`repro.simulation.arena` that scale one process
+to thousands of nodes) and runs it to completion.
 :func:`resume_experiment` is the matching resume-from-snapshot entry point:
 given a :class:`~repro.checkpoint.snapshot.SimulationSnapshot`, it continues
 the run bit-identically to never having stopped.  Code that needs the

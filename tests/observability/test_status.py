@@ -18,9 +18,13 @@ from __future__ import annotations
 import io
 import json
 import threading
+from pathlib import Path
+
+import pytest
 
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.status import (
+    STATUS_FILENAME,
     CellStatusWriter,
     StatusBoard,
     load_status,
@@ -145,6 +149,22 @@ def test_board_merges_live_cell_metrics(tmp_path):
     board.refresh()
     document = load_status(tmp_path)
     assert document["metrics"]["c"]["value"] == 5  # finished + live, merged
+
+
+def test_load_status_reads_a_directory_an_empty_directory_and_a_file(tmp_path, monkeypatch):
+    """No ``is_dir()`` probe: a poller may see the directory appear mid-call."""
+
+    status_dir = tmp_path / "status"
+    StatusBoard(status_dir, sweep_name="demo").refresh()
+    (tmp_path / "empty").mkdir()
+    # The race, frozen: any probe answers as it would have before the mkdir.
+    monkeypatch.setattr(Path, "is_dir", lambda self: False)
+    assert load_status(status_dir)["sweep"] == "demo"
+    assert load_status(status_dir / STATUS_FILENAME) == load_status(status_dir)
+    with pytest.raises(FileNotFoundError):  # created, not yet written: ``top`` waits
+        load_status(tmp_path / "empty")
+    with pytest.raises(FileNotFoundError):
+        load_status(tmp_path / "absent")
 
 
 # -- mid-flight atomicity over a real pool sweep ------------------------------------

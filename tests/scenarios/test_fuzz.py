@@ -22,6 +22,7 @@ import sys
 from repro.scenarios.fuzz import (
     ORACLES,
     FuzzCase,
+    _oracle_engines,
     _oracle_rerun,
     forensics_for_case,
     generate_case,
@@ -38,6 +39,7 @@ from repro.scenarios.schedule import (
     ScenarioSchedule,
     StragglerWindow,
 )
+from repro.simulation.arena import NodeArenas
 from repro.topology.policy import GeneratorPolicy
 
 
@@ -205,6 +207,25 @@ def test_forensics_localize_injected_chaos_to_a_round():
 def test_forensics_return_none_when_traces_agree():
     case = generate_case(0, 0)
     assert forensics_for_case(case, "movielens", "jwins", oracle="rerun") is None
+    assert forensics_for_case(case, "movielens", "jwins", oracle="engines") is None
+
+
+def test_engines_oracle_rings_when_a_batched_kernel_drifts(monkeypatch):
+    """Break only the arena's batched SGD update: the per-node run is the reference."""
+
+    case = generate_case(0, 9)  # sync, with outages, partitions and attackers
+    assert case.execution == "sync"
+    assert _oracle_engines(case, "movielens", "jwins") is None
+    step_rows = NodeArenas.step_rows
+    monkeypatch.setattr(
+        NodeArenas,
+        "step_rows",
+        lambda self, rows, lr, momentum: step_rows(self, rows, lr * 1.001, momentum),
+    )
+    assert "arena" in _oracle_engines(case, "movielens", "jwins")
+    diff = forensics_for_case(case, "movielens", "jwins", oracle="engines")
+    assert diff is not None and diff.kind != "manifest"
+    assert (diff.a_label, diff.b_label) == ("pernode", "arena")
 
 
 # -- the CLI entry point -----------------------------------------------------------
@@ -247,4 +268,4 @@ def test_module_self_test_catches_injected_nondeterminism():
 def test_oracle_names_are_stable():
     # scripts/ci.sh and the README document these names; renaming is a breaking
     # change to saved failure reports.
-    assert ORACLES == ("rerun", "workers", "resume", "trace")
+    assert ORACLES == ("rerun", "workers", "resume", "trace", "engines")

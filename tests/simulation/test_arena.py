@@ -1,9 +1,10 @@
-"""The arena engine's determinism contract: byte-identity with the per-node twin.
+"""The arena engine's determinism contract: byte-identity with the per-node engine.
 
 Every test here runs the same configuration through both engines —
-``engine="pernode"`` (the reference) and ``engine="arena"`` (the batched
-``(N, d)`` twin from :mod:`repro.simulation.arena`) — and requires the
-serialized :class:`~repro.simulation.metrics.ExperimentResult` payloads to be
+``engine="pernode"`` (the reference per-row kernels) and ``engine="arena"``
+(the batched ``(N, d)`` kernels from :mod:`repro.simulation.arena`, driven by
+the same loop) — and requires the serialized
+:class:`~repro.simulation.metrics.ExperimentResult` payloads to be
 byte-for-byte equal.  The matrix covers the paper's schemes and scenario
 machinery plus the awkward edge shapes: a single-row arena, a round where every
 node is offline, a node churning out mid-run, and odd parameter-tensor lengths
@@ -13,6 +14,7 @@ flowing through the batched DWT.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from repro.simulation import (
     run_experiment,
 )
 from repro.simulation.arena import ArenaSGD, _jwins_batch_plan, build_arena_nodes
-from repro.simulation.engine import Simulator
+from repro.simulation.engine import Simulator, SynchronousMode
 from tests.conftest import make_toy_task
 
 ROUNDS = 5
@@ -87,6 +89,17 @@ EQUIVALENCE_CASES = {
         "scenario": get_scenario("byzantine", num_nodes=6, rounds=ROUNDS).to_dict()
     },
     "async": {"execution": "async", "compute_speed_range": (1.0, 3.0)},
+    # The event loop's calls into the shared present/aggregate_node helpers,
+    # with attackers, NODE_RESUME sleeps and in-flight drops all live.
+    "async-byzantine-churn": {
+        "execution": "async",
+        "compute_speed_range": (1.0, 3.0),
+        "message_drop_probability": 0.3,
+        "scenario": replace(
+            get_scenario("byzantine", num_nodes=6, rounds=ROUNDS),
+            outages=get_scenario("churn", num_nodes=6, rounds=ROUNDS).outages,
+        ).to_dict(),
+    },
 }
 
 
@@ -123,6 +136,47 @@ def test_arena_fallback_schemes_match_pernode(factory_builder):
     """Non-JWINS schemes take the per-node fallback path on arena-backed state."""
 
     assert_engines_agree(factory_builder, build_config())
+
+
+def test_both_engines_run_the_one_loop_and_deliver_before_aggregating():
+    """One loop, one observable schedule: deliveries, then model writes, then the barrier."""
+
+    logs = {}
+    for engine in ENGINES:
+        config = build_config(message_drop_probability=0.3).with_engine(engine)
+        simulator = Simulator(make_toy_task(), jwins_factory(), config)
+        assert type(simulator.mode) is SynchronousMode
+        log: list[tuple] = []
+        simulator.on_message(
+            lambda message, receiver, now, log=log: log.append(
+                ("message", message.sender, receiver, now)
+            )
+        )
+        simulator.on_round_end(
+            lambda round_index, node_id, now, log=log: log.append(("round_end", now))
+        )
+        for node in simulator.nodes:
+            # Aggregation is the only writer of whole parameter vectors.
+            def logged(vector, node=node, write=node.set_parameters, log=log):
+                log.append(("write", node.node_id))
+                write(vector)
+
+            node.set_parameters = logged
+        simulator.run()
+        logs[engine] = log
+
+    assert logs["arena"] == logs["pernode"]
+    kinds = [entry[0] for entry in logs["pernode"]]
+    assert kinds.count("round_end") == ROUNDS
+    assert kinds.count("write") == ROUNDS * 6
+    written = False
+    for kind in kinds:
+        if kind == "write":
+            written = True
+        elif kind == "round_end":
+            written = False
+        else:
+            assert not written, "a delivery followed an aggregation of its round"
 
 
 # -- edge shapes -------------------------------------------------------------------

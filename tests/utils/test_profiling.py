@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.full_sharing import full_sharing_factory
+from repro.core import jwins_factory
 from repro.simulation.engine import Simulator
 from repro.simulation.experiment import ExperimentConfig
 from repro.simulation.metrics import ExperimentResult
@@ -78,21 +79,28 @@ def _tiny_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
-@pytest.mark.parametrize("execution", ["sync", "async"])
-def test_engine_fills_phase_seconds(execution):
+@pytest.mark.parametrize(
+    "execution,engine",
+    [("sync", "pernode"), ("async", "pernode"), ("sync", "arena"), ("async", "arena")],
+    ids=["sync", "async", "sync-arena", "async-arena"],
+)
+def test_engine_fills_phase_seconds(execution, engine):
     task = make_toy_task(seed=5)
     profiler = Profiler()
     result = run_experiment(
         task,
-        full_sharing_factory(),
-        _tiny_config(execution=execution),
+        jwins_factory(),
+        _tiny_config(execution=execution).with_engine(engine),
         profiler=profiler,
     )
     assert set(result.phase_seconds) == {"train", "encode", "aggregate", "evaluate"}
     assert all(seconds >= 0.0 for seconds in result.phase_seconds.values())
-    # 3 rounds x 4 nodes of each per-node phase
-    assert profiler.counts["train"] == 12
-    assert profiler.counts["encode"] == 12
+    # 3 rounds x 4 nodes: the per-row kernels (and the event loop) time every
+    # row on its own, the lock-step arena kernels once per stage.
+    expected = 3 if (execution, engine) == ("sync", "arena") else 12
+    assert profiler.counts["train"] == expected
+    assert profiler.counts["encode"] == expected
+    assert profiler.counts["aggregate"] == expected
     assert result.round_phase_seconds
     # every phase total equals the sum of its per-round attribution
     for phase, total in result.phase_seconds.items():
