@@ -9,14 +9,11 @@
 #   analysis     repro.analysis static-analysis gate (determinism &
 #                serialization rules over src/ and the markdown docs)
 #   docs         documentation link check (the DOC001 analysis rule alone)
-#   test         the tier-1 pytest suite (tests + benchmark harness)
+#   test         the tier-1 pytest suite (tests + benchmark harness); fails
+#                when the run changed `git status --porcelain` (hermeticity)
 #   gradcheck    finite-difference check of every model's analytic gradients
 #                (scripts/gradcheck.py, ~2 s)
 #   bench        codec throughput benchmark in smoke mode
-#   perf         engine benchmark in smoke mode + regression gate against the
-#                committed benchmarks/BENCH_engine.snapshot.json (>20% fails);
-#                this stage alone refreshes the committed repo-root
-#                BENCH_engine.json so every PR carries its own perf numbers
 #   smoke        async gossip example + orchestration sweep resume smoke +
 #                live status.json heartbeat smoke (2-worker sweep, `top`)
 #   determinism  churn+partition sweep twice serially and once on 2 workers;
@@ -55,7 +52,17 @@ stage_docs() {
 }
 
 stage_test() {
+  # Hermeticity: the suite must leave the working tree as it found it.
+  # Compared before/after, so a developer's own uncommitted edits pass.
+  local before after
+  before="$(git status --porcelain)"
   python -m pytest -x -q
+  after="$(git status --porcelain)"
+  if [[ "$before" != "$after" ]]; then
+    echo "tier-1 run changed the working tree:" >&2
+    diff <(echo "$before") <(echo "$after") >&2 || true
+    return 1
+  fi
 }
 
 stage_gradcheck() {
@@ -67,20 +74,6 @@ stage_bench() {
   # pass exercises the CODEC_THROUGHPUT_SMOKE env path (what slow CI runners
   # use) so a broken smoke mode cannot land silently.
   CODEC_THROUGHPUT_SMOKE=1 python -m pytest benchmarks/test_codec_throughput.py -q
-}
-
-stage_perf() {
-  # Engine perf backbone: re-benchmark the engine under the smoke budget and
-  # diff every phase shared with the committed snapshot; a >20% slowdown on
-  # any timed phase fails the stage (scripts/check_perf.py prints the diff).
-  # After an intentional perf change, refresh the snapshot with
-  # `python scripts/check_perf.py --update` and commit it.
-  ENGINE_BENCH_SMOKE=1 python -m pytest benchmarks/test_engine_perf.py -q
-  python scripts/check_perf.py
-  # Perf trajectory: keep the repo-root copy of the latest benchmark document
-  # current, so each PR commits its own numbers and `git log -p
-  # BENCH_engine.json` reads as the project's perf history.
-  cp benchmarks/output/BENCH_engine.json BENCH_engine.json
 }
 
 stage_smoke() {
@@ -299,7 +292,7 @@ stage_fuzz() {
   echo "fuzz gate: 10 hostile schedules passed all 5 oracles; self-test caught and root-caused the injected bug"
 }
 
-ALL_STAGES=(lint analysis docs test gradcheck bench perf smoke determinism checkpoint fuzz)
+ALL_STAGES=(lint analysis docs test gradcheck bench smoke determinism checkpoint fuzz)
 
 run_stage() {
   local name="$1"

@@ -1,7 +1,7 @@
 """Command-line interface for running decentralized-learning experiments.
 
 Installed as the ``jwins-repro`` console script; also runnable as
-``python -m repro.cli``.  Three subcommands::
+``python -m repro.cli``.  The three main subcommands::
 
     jwins-repro run --workload cifar10 --scheme jwins full-sharing --nodes 8
     jwins-repro sweep --preset table1 --store results/table1.jsonl --workers 4
@@ -9,7 +9,12 @@ Installed as the ``jwins-repro`` console script; also runnable as
 
 ``run`` executes one flat comparison (the historical behaviour — invoking the
 CLI without a subcommand still defaults to it, so ``jwins-repro --workload
-cifar10`` keeps working).  ``sweep`` expands a declarative grid — a preset from
+cifar10`` keeps working): one :class:`~repro.orchestration.ExperimentSpec`
+per ``--scheme``, each executed through :meth:`ExperimentSpec.run` exactly
+like a sweep cell — the checkpoint flags only add arguments to that call.
+``run`` and ``fork`` share one cell lifecycle (:func:`_run_cells`: status
+board, per-cell heartbeat, trace, pause/finish verdicts).  ``sweep`` expands
+a declarative grid — a preset from
 :mod:`repro.orchestration.artifacts` or an ad-hoc workload x scheme x seed
 product — and executes it on a worker pool against a resumable JSONL store.
 ``regenerate`` re-emits the paper artifacts from such a store without
@@ -32,7 +37,6 @@ from typing import Callable, Sequence
 from typing import Mapping
 
 from repro.checkpoint import CheckpointManager, SimulationSnapshot, preemption
-from repro.core.interface import SchemeFactory
 from repro.evaluation import WORKLOADS, get_workload, summarize_results
 from repro.exceptions import (
     CheckpointError,
@@ -54,11 +58,9 @@ from repro.orchestration import (
     Sweep,
     SweepObserver,
     available_schemes,
-    build_scheme_factory,
     describe_schemes,
     get_artifact,
     regenerate,
-    run_fork,
     run_sweep,
 )
 from repro.observability import (
@@ -71,11 +73,12 @@ from repro.observability import (
     watch_status,
 )
 from repro.orchestration.fork import build_forked_spec
-from repro.simulation import run_experiment
+from repro.orchestration.pool import cell_heartbeat, cell_trace, spec_total_rounds
+from repro.simulation import ExperimentResult
 from repro.utils.profiling import Profiler, format_profile
 from repro.version import __version__
 
-__all__ = ["build_cli_parser", "build_parser", "main", "scheme_factory_from_name"]
+__all__ = ["build_cli_parser", "build_parser", "main"]
 
 SCHEME_CHOICES = available_schemes()
 
@@ -101,14 +104,6 @@ def _scheme_params_from_args(name: str, args: argparse.Namespace) -> dict:
     elif name == "quantized":
         params["bits"] = args.bits
     return params
-
-
-def scheme_factory_from_name(name: str, args: argparse.Namespace) -> SchemeFactory:
-    """Translate a CLI scheme name into a configured scheme factory."""
-
-    if name not in SCHEME_CHOICES:
-        raise SystemExit(f"unknown scheme {name!r}; choose from {', '.join(SCHEME_CHOICES)}")
-    return build_scheme_factory(name, _scheme_params_from_args(name, args))
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
@@ -648,12 +643,11 @@ def _load_snapshot(path: str) -> SimulationSnapshot:
 def _spec_for_run(
     args: argparse.Namespace, scheme_name: str, overrides: dict
 ) -> ExperimentSpec:
-    """The :class:`ExperimentSpec` a flat ``run`` invocation is equivalent to.
+    """The :class:`ExperimentSpec` one scheme of a flat ``run`` invocation is.
 
-    Checkpoint-enabled runs route through the spec machinery so every
-    snapshot is tied to a content hash; the spec pins the CLI seed explicitly,
-    which makes its resolved seed (and therefore the results) identical to
-    the plain ``run_experiment`` path.
+    Every ``run`` executes through :meth:`ExperimentSpec.run`, so snapshots,
+    traces and status cells are all tied to a content hash; the spec pins the
+    CLI seed explicitly, so its resolved seed is the ``--seed`` value.
     """
 
     spec_overrides = dict(overrides)
@@ -693,6 +687,79 @@ def _handle_list_flags(args: argparse.Namespace) -> bool:
     return listed
 
 
+def _run_cells(
+    args: argparse.Namespace,
+    action: str,
+    board_name: str,
+    specs: Sequence[ExperimentSpec],
+    trace: TraceEmitter | None,
+    metrics: MetricsRegistry | None,
+    **run_options: object,
+) -> tuple[list[ExperimentResult], int | None]:
+    """Execute ``specs`` back to back: the one cell lifecycle of ``run`` and ``fork``.
+
+    Register the cells on the ``--status`` board -> auto-refresh -> per-cell
+    heartbeat -> :meth:`ExperimentSpec.run` (with ``run_options`` on top of
+    the telemetry sinks) -> mark done/paused -> close ``trace`` -> finalize
+    the board state, printing a progress line and (under ``--profile``) the
+    phase table per cell.  ``action`` names the subcommand in the clean-exit
+    message of a failing cell.  Returns the results of the finished cells, in
+    order, and the round the next one paused at (``None`` when all finished).
+    """
+
+    board = None
+    if args.status is not None:
+        # Cells are keyed by spec hash, so `run`, `fork` and `sweep` status
+        # files read the same way.
+        board = StatusBoard(args.status, sweep_name=board_name, workers=1)
+        board.register_cells(
+            [(spec.content_hash(), spec.label, spec_total_rounds(spec)) for spec in specs]
+        )
+        board.start_auto_refresh()
+    finished: list[ExperimentResult] = []
+    state = "failed"
+    try:
+        for spec in specs:
+            print(f"running {spec.scheme.label} ...")
+            profiler = Profiler() if args.profile else None
+            try:
+                result = spec.run(
+                    profiler=profiler,
+                    metrics=metrics,
+                    trace=trace,
+                    heartbeat=cell_heartbeat(args.status, spec, metrics),
+                    **run_options,
+                )
+            except ExperimentPaused as paused:
+                round_index = int(paused.snapshot.rounds_completed)
+                if board is not None:
+                    board.mark_paused(spec.content_hash(), round_index)
+                state = "interrupted"
+                return finished, round_index
+            except ReproError as error:
+                # e.g. a scenario whose topology generator cannot fit the
+                # deployment — undefined setups exit cleanly, never a traceback.
+                raise SystemExit(f"cannot {action} {spec.scheme.label}: {error}")
+            if board is not None:
+                board.mark_done(spec.content_hash(), result.rounds_completed)
+            finished.append(result)
+            if profiler is not None:
+                print(f"\n[{spec.scheme.label} profile]")
+                print(
+                    format_profile(
+                        result.phase_seconds, result.rounds_completed, profiler.counts
+                    )
+                )
+                print()
+        state = "done"
+        return finished, None
+    finally:
+        if trace is not None:
+            trace.close()
+        if board is not None:
+            board.finalize(state)
+
+
 def _run_command(args: argparse.Namespace) -> int:
     if _handle_list_flags(args):
         return 0
@@ -722,10 +789,6 @@ def _run_command(args: argparse.Namespace) -> int:
         workload = get_workload(args.workload)
     except ConfigurationError as error:
         raise SystemExit(str(error))
-    # Checkpoint-enabled runs rebuild the task inside spec.run(); only the
-    # plain path needs it materialized here (dataset generation is the
-    # expensive part of a workload).
-    task = None if checkpointing else workload.make_task(seed=args.seed)
     overrides = {
         "seed": args.seed,
         "dynamic_topology": args.dynamic_topology,
@@ -746,6 +809,8 @@ def _run_command(args: argparse.Namespace) -> int:
         rounds = args.rounds if args.rounds is not None else workload.config.rounds
         overrides["scenario"] = _resolve_scenario(args.scenario, num_nodes, rounds)
     try:
+        # Built here only to validate the flags and print the header; each
+        # cell rebuilds task and config from its spec.
         config = workload.make_config(execution=args.execution, **overrides)
     except ConfigurationError as error:
         raise SystemExit(f"invalid configuration: {error}")
@@ -757,131 +822,55 @@ def _run_command(args: argparse.Namespace) -> int:
         f"partition={config.partition} seed={config.seed} execution={config.execution}"
         f"{engine_note}{scenario_note}"
     )
-    results = {}
-    metrics = MetricsRegistry() if args.metrics else None
-    trace = TraceEmitter(args.trace) if args.trace is not None else None
-    board = None
-    run_keys: dict = {}
-    if args.status is not None:
-        # Key the heartbeat cells by the spec hash each scheme run is
-        # equivalent to, so `run` and `sweep` status files read the same way.
-        board = StatusBoard(
-            args.status, sweep_name=f"run:{args.workload}", workers=1
-        )
-        for scheme_name in args.scheme:
-            run_keys[scheme_name] = _spec_for_run(
-                args, scheme_name, overrides
-            ).content_hash()
-        board.register_cells(
-            [
-                (run_keys[name], f"{args.workload}/{name}", config.rounds)
-                for name in args.scheme
-            ]
-        )
-        board.start_auto_refresh()
-    final_state = "failed"
-    try:
-        for scheme_name in args.scheme:
-            print(f"running {scheme_name} ...")
-            profiler = Profiler() if args.profile else None
-            heartbeat = (
-                None
-                if board is None
-                else board.heartbeat_for(
-                    run_keys[scheme_name],
-                    total_rounds=config.rounds,
-                    registry=metrics,
-                )
+    specs = [_spec_for_run(args, name, overrides) for name in args.scheme]
+    snapshot = None
+    if args.resume_from is not None:
+        snapshot = _load_snapshot(args.resume_from)
+        if snapshot.spec_hash() != specs[0].content_hash():
+            embedded = snapshot.spec_hash()
+            raise SystemExit(
+                f"snapshot {args.resume_from!r} does not match this "
+                f"invocation: it embeds spec hash "
+                f"{'(none)' if embedded is None else embedded[:12] + '...'}, "
+                f"the command line implies {specs[0].content_hash()[:12]}...; "
+                "re-run with the original flags, or replay it under a "
+                "changed config with `fork`"
             )
-            if checkpointing:
-                spec = _spec_for_run(args, scheme_name, overrides)
-                snapshot = None
-                if args.resume_from is not None:
-                    snapshot = _load_snapshot(args.resume_from)
-                    if snapshot.spec_hash() != spec.content_hash():
-                        embedded = snapshot.spec_hash()
-                        raise SystemExit(
-                            f"snapshot {args.resume_from!r} does not match this "
-                            f"invocation: it embeds spec hash "
-                            f"{'(none)' if embedded is None else embedded[:12] + '...'}, "
-                            f"the command line implies {spec.content_hash()[:12]}...; "
-                            "re-run with the original flags, or replay it under a "
-                            "changed config with `fork`"
-                        )
-                previous_handler = preemption.install_preemption_handler()
-                try:
-                    result = spec.run(
-                        checkpoint_dir=args.checkpoint_dir,
-                        checkpoint_every=args.checkpoint_every,
-                        snapshot=snapshot,
-                        profiler=profiler,
-                        metrics=metrics,
-                        trace=trace,
-                        heartbeat=heartbeat,
-                    )
-                except ExperimentPaused as paused:
-                    round_index = paused.snapshot.rounds_completed
-                    if board is not None:
-                        board.mark_paused(run_keys[scheme_name], int(round_index))
-                        final_state = "interrupted"
-                    if args.checkpoint_dir is not None:
-                        path = CheckpointManager(args.checkpoint_dir).path_for(
-                            spec.content_hash()
-                        )
-                        print(
-                            f"paused {scheme_name} at round {round_index}; resume with "
-                            f"--resume-from {path}"
-                        )
-                    else:
-                        print(f"paused {scheme_name} at round {round_index}")
-                    return PAUSED_EXIT_CODE
-                except ReproError as error:
-                    raise SystemExit(f"cannot run {scheme_name}: {error}")
-                finally:
-                    preemption.restore_handler(previous_handler)
-                    preemption.reset()
-            else:
-                factory = scheme_factory_from_name(scheme_name, args)
-                try:
-                    result = run_experiment(
-                        task,
-                        factory,
-                        config,
-                        scheme_name=scheme_name,
-                        profiler=profiler,
-                        metrics=metrics,
-                        trace=trace,
-                        heartbeat=heartbeat,
-                    )
-                except ReproError as error:
-                    # e.g. a scenario whose topology generator cannot fit the
-                    # deployment — undefined setups exit cleanly, never a traceback.
-                    raise SystemExit(f"cannot run {scheme_name}: {error}")
-            results[scheme_name] = result
-            if board is not None:
-                board.mark_done(run_keys[scheme_name], result.rounds_completed)
-            if profiler is not None:
-                print(f"\n[{scheme_name} profile]")
-                print(
-                    format_profile(
-                        result.phase_seconds, result.rounds_completed, profiler.counts
-                    )
-                )
-                print()
-        final_state = "done"
+    metrics = MetricsRegistry() if args.metrics else None
+    # SIGINT pauses at the next round boundary only when there is a
+    # checkpoint to pause into; otherwise it stays a KeyboardInterrupt.
+    previous_handler = preemption.install_preemption_handler() if checkpointing else None
+    try:
+        finished, paused_at = _run_cells(
+            args,
+            "run",
+            f"run:{args.workload}",
+            specs,
+            TraceEmitter(args.trace) if args.trace is not None else None,
+            metrics,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+            snapshot=snapshot,
+        )
     finally:
-        if trace is not None:
-            trace.close()
-        if board is not None:
-            board.finalize(final_state)
-
+        if checkpointing:
+            preemption.restore_handler(previous_handler)
+            preemption.reset()
+    if paused_at is not None:
+        spec = specs[len(finished)]
+        resume_hint = ""
+        if args.checkpoint_dir is not None:
+            path = CheckpointManager(args.checkpoint_dir).path_for(spec.content_hash())
+            resume_hint = f"; resume with --resume-from {path}"
+        print(f"paused {spec.scheme.label} at round {paused_at}{resume_hint}")
+        return PAUSED_EXIT_CODE
     print()
-    print(summarize_results(results))
+    print(summarize_results(dict(zip(args.scheme, finished))))
     if metrics is not None:
         print()
         print("[metrics]")
         print(metrics.render())
-    if trace is not None:
+    if args.trace is not None:
         print(f"\ntrace written to {args.trace}")
     return 0
 
@@ -1061,87 +1050,51 @@ def _fork_command(args: argparse.Namespace) -> int:
         mutations["scenario"] = _resolve_scenario(
             args.scenario, num_nodes, rounds
         ).to_dict()
-    profiler = Profiler() if args.profile else None
-    metrics = MetricsRegistry() if args.metrics else None
-    trace = None
-    trace_dir = None
-    if args.trace is not None:
-        if Path(args.trace).is_dir():
-            # A directory (typically the parent sweep's --trace dir): let
-            # run_fork name the file after the *forked* spec's hash so the
-            # parent cell's trace is never overwritten.
-            trace_dir = args.trace
-        else:
-            trace = TraceEmitter(args.trace)
-    board = None
-    heartbeat = None
-    fork_key = None
-    if args.status is not None:
-        try:
-            forked = build_forked_spec(snapshot, mutations)
-        except ReproError as error:
-            raise SystemExit(f"cannot fork: {error}")
-        fork_key = forked.content_hash()
-        total = forked.overrides.get("rounds", snapshot.config.get("rounds"))
-        board = StatusBoard(args.status, sweep_name="fork", workers=1)
-        board.register_cells(
-            [(fork_key, forked.label, None if total is None else int(total))]
-        )
-        board.start_auto_refresh()
-        heartbeat = board.heartbeat_for(fork_key, registry=metrics)
-    final_state = "failed"
     try:
-        spec, result = run_fork(
-            snapshot,
-            mutations,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            profiler=profiler,
-            metrics=metrics,
-            trace=trace,
-            trace_dir=trace_dir,
-            heartbeat=heartbeat,
-        )
-        final_state = "done"
-        if board is not None:
-            board.mark_done(fork_key, result.rounds_completed)
-    except ExperimentPaused as paused:
-        if board is not None:
-            board.mark_paused(fork_key, int(paused.snapshot.rounds_completed))
-            final_state = "interrupted"
-        print(f"paused forked run at round {paused.snapshot.rounds_completed}")
-        return PAUSED_EXIT_CODE
+        spec = build_forked_spec(snapshot, mutations)
     except ReproError as error:
         raise SystemExit(f"cannot fork: {error}")
-    finally:
-        if trace is not None:
-            trace.close()
-        if board is not None:
-            board.finalize(final_state)
+    trace = None
+    if args.trace is not None:
+        # A directory (typically the parent sweep's --trace dir): the file is
+        # named after the *forked* spec's hash, so the parent cell's trace is
+        # never overwritten.
+        trace = (
+            cell_trace(args.trace, spec.content_hash())
+            if Path(args.trace).is_dir()
+            else TraceEmitter(args.trace)
+        )
+    metrics = MetricsRegistry() if args.metrics else None
+    finished, paused_at = _run_cells(
+        args,
+        "fork",
+        "fork",
+        [spec],
+        trace,
+        metrics,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=args.checkpoint_every,
+        snapshot=snapshot,
+        verify_spec=False,
+    )
+    if paused_at is not None:
+        print(f"paused forked run at round {paused_at}")
+        return PAUSED_EXIT_CODE
+    [result] = finished
     lineage = spec.lineage or {}
     print(
         f"forked {spec.label} from round {lineage.get('round', snapshot.rounds_completed)}: "
         f"parent spec {str(lineage.get('parent', ''))[:12]}... -> "
         f"forked spec {spec.content_hash()[:12]}..."
     )
-    if trace_dir is not None:
-        print(
-            f"trace written to "
-            f"{Path(trace_dir) / (spec.content_hash() + '.trace.jsonl')}"
-        )
+    if trace is not None:
+        print(f"trace written to {trace.path}")
     if args.store is not None:
         store = ResultStore(args.store)
         store.put(spec, result)
         print(f"stored forked result under {spec.content_hash()} in {args.store}")
     print()
     print(summarize_results({spec.label: result}))
-    if profiler is not None:
-        print("\n[fork profile]")
-        print(
-            format_profile(
-                result.phase_seconds, result.rounds_completed, profiler.counts
-            )
-        )
     if metrics is not None:
         print("\n[metrics]")
         print(metrics.render())

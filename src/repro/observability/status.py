@@ -248,26 +248,6 @@ class StatusBoard:
         self.refresh()
         return self
 
-    def heartbeat_for(
-        self,
-        key: str,
-        total_rounds: int | None = None,
-        label: str | None = None,
-        registry: MetricsRegistry | None = None,
-    ) -> CellStatusWriter:
-        """A started :class:`CellStatusWriter` for ``key`` (serial-path cells)."""
-
-        with self._lock:
-            cell = self._cells.get(key, {})
-        return CellStatusWriter(
-            self.status_dir,
-            key,
-            total_rounds=total_rounds if total_rounds is not None else cell.get("total_rounds"),
-            label=label or cell.get("label"),
-            registry=registry,
-            wall_clock=self._wall_clock,
-        ).start()
-
     def _set_terminal(
         self, key: str, state: str, rounds_completed: int | None = None
     ) -> None:

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.exceptions import CheckpointError, ConfigurationError
-from repro.observability.trace import TraceEmitter
+from repro.orchestration.pool import cell_trace
 from repro.orchestration.spec import ExperimentSpec
 from repro.simulation import ExperimentResult
 
@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.checkpoint.snapshot import SimulationSnapshot
     from repro.observability.metrics import MetricsRegistry
     from repro.observability.status import CellStatusWriter
+    from repro.observability.trace import TraceEmitter
     from repro.utils.profiling import Profiler
 
 __all__ = ["build_forked_spec", "run_fork"]
@@ -102,8 +103,9 @@ def run_fork(
     on a plain run (and stay outside the determinism contract).
 
     ``trace_dir`` derives the trace path from the **forked** spec's content
-    hash (``<forked hash>.trace.jsonl``), exactly like ``run_sweep`` names
-    per-cell traces.  Because lineage participates in the hash, a fork traced
+    hash (``<forked hash>.trace.jsonl``) through the same
+    :func:`~repro.orchestration.pool.cell_trace` that names a sweep's per-cell
+    traces.  Because lineage participates in the hash, a fork traced
     into its parent sweep's trace directory can never silently overwrite the
     parent cell's trace file.  ``trace`` and ``trace_dir`` are mutually
     exclusive (an explicit emitter already has a path).
@@ -114,10 +116,8 @@ def run_fork(
             "pass either an explicit trace emitter or a trace_dir, not both"
         )
     spec = build_forked_spec(snapshot, mutations)
-    owns_trace = False
     if trace_dir is not None:
-        trace = TraceEmitter(Path(trace_dir) / f"{spec.content_hash()}.trace.jsonl")
-        owns_trace = True
+        trace = cell_trace(trace_dir, spec.content_hash())
     try:
         result = spec.run(
             checkpoint_dir=checkpoint_dir,
@@ -130,6 +130,6 @@ def run_fork(
             heartbeat=heartbeat,
         )
     finally:
-        if owns_trace and trace is not None:
-            trace.close()
+        if trace_dir is not None:
+            trace.close()  # ours; an emitter passed in stays the caller's
     return spec, result

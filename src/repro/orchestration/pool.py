@@ -5,10 +5,12 @@ pre-expanded specs), skips every cell whose content hash is already in the
 :class:`~repro.orchestration.store.ResultStore` (resume), and executes the
 remainder — in-process when ``workers == 1``, on a process pool otherwise.
 
-Determinism does not depend on the worker count: each cell is an
+There is one worker, :func:`_execute_spec_task`, and one consumer loop: the
+pool maps the worker over the pending cells with ``imap``, a serial sweep
+calls the very same function in-process, one cell at a time.  Each cell is an
 :class:`~repro.orchestration.spec.ExperimentSpec` that carries its own seed and
-is rebuilt from its serialized form inside the worker, so a 2-worker run
-produces bit-identical results to a serial run (pinned by a test).
+is rebuilt from its serialized form inside the worker on both paths, so
+"1 worker == N workers" holds by construction (and stays pinned by a test).
 
 With ``checkpoint_dir`` set the sweep becomes **preemptible**: ``SIGINT`` is
 routed to :mod:`repro.checkpoint.preemption` (in the main process and in every
@@ -20,18 +22,21 @@ determinism pillar.
 
 Progress is observable through :class:`SweepObserver` hooks — the resume
 acceptance test counts executed specs exactly this way, and the CLI uses the
-same hooks for its progress lines.
+same hooks for its progress lines.  The per-cell telemetry sinks
+(:func:`cell_trace`, :func:`cell_heartbeat`) are built here and nowhere else;
+``run_fork`` and the CLI's ``run``/``fork`` reuse them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import signal
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.checkpoint import preemption
 from repro.evaluation.workloads import get_workload
@@ -45,7 +50,14 @@ from repro.orchestration.sweep import Sweep
 from repro.simulation import ExperimentResult
 from repro.utils.profiling import Profiler
 
-__all__ = ["SweepObserver", "SweepOutcome", "run_sweep"]
+__all__ = [
+    "SweepObserver",
+    "SweepOutcome",
+    "cell_heartbeat",
+    "cell_trace",
+    "run_sweep",
+    "spec_total_rounds",
+]
 
 
 class SweepObserver:
@@ -110,12 +122,12 @@ class SweepOutcome:
         }
 
 
-def _cell_trace(trace_dir: str | None, key: str) -> TraceEmitter | None:
+def cell_trace(trace_dir: str | Path | None, key: str) -> TraceEmitter | None:
     """The per-cell trace emitter, or ``None`` when tracing is off.
 
     Every cell writes its own file, named by its content hash, so the file
     set — and each file's stripped byte content — is identical for any worker
-    count and any completion order.
+    count and any completion order.  The caller closes the emitter.
     """
 
     if trace_dir is None:
@@ -123,7 +135,7 @@ def _cell_trace(trace_dir: str | None, key: str) -> TraceEmitter | None:
     return TraceEmitter(Path(trace_dir) / f"{key}.trace.jsonl")
 
 
-def _spec_total_rounds(spec: ExperimentSpec) -> int | None:
+def spec_total_rounds(spec: ExperimentSpec) -> int | None:
     """The cell's round budget, for status progress/ETA reporting only.
 
     Read from the overrides (or the workload's default config) without
@@ -139,8 +151,10 @@ def _spec_total_rounds(spec: ExperimentSpec) -> int | None:
         return None
 
 
-def _cell_heartbeat(
-    status_dir: str | None, spec: ExperimentSpec, registry: MetricsRegistry | None
+def cell_heartbeat(
+    status_dir: str | Path | None,
+    spec: ExperimentSpec,
+    registry: MetricsRegistry | None,
 ) -> CellStatusWriter | None:
     """The started per-cell status heartbeat, or ``None`` when status is off."""
 
@@ -149,7 +163,7 @@ def _cell_heartbeat(
     return CellStatusWriter(
         status_dir,
         spec.content_hash(),
-        total_rounds=_spec_total_rounds(spec),
+        total_rounds=spec_total_rounds(spec),
         label=spec.label,
         registry=registry,
     ).start()
@@ -158,14 +172,15 @@ def _cell_heartbeat(
 def _execute_spec_task(
     task: tuple[dict[str, Any], str | None, int, dict[str, Any]],
 ) -> tuple[str, dict[str, Any]]:
-    """Preemptible worker entry point.
+    """The one cell worker: a pool process maps it, a serial sweep calls it.
 
     Returns ``(key, payload)`` with ``payload["status"]`` one of ``"done"``
     (carries the result), ``"paused"`` (the cell checkpointed and stopped) or
-    ``"preempted"`` (the worker saw the interrupt before starting the cell,
-    draining the queue quickly).  When the sweep's ``telemetry`` options ask
-    for metrics, the payload also carries the worker registry's snapshot for
-    the parent to merge.
+    ``"preempted"`` (the interrupt was seen before the cell started, which
+    drains a pool's queue quickly).  When the sweep's ``telemetry`` options
+    ask for metrics, the payload also carries the cell registry's snapshot
+    for the sweep to merge.  Any other exception propagates, its half-filled
+    registry with it.
     """
 
     spec_dict, checkpoint_dir, checkpoint_every, telemetry = task
@@ -173,31 +188,28 @@ def _execute_spec_task(
     key = spec.content_hash()
     if preemption.interrupted():
         return key, {"status": "preempted"}
-    profiler = Profiler() if telemetry.get("profile") else None
+    # A registry per cell, in-process too, so gauges merge with max semantics.
     registry = MetricsRegistry() if telemetry.get("metrics") else None
-    trace = _cell_trace(telemetry.get("trace_dir"), key)
-    heartbeat = _cell_heartbeat(telemetry.get("status_dir"), spec, registry)
+    trace = cell_trace(telemetry.get("trace_dir"), key)
     try:
         result = spec.run(
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
-            profiler=profiler,
+            profiler=Profiler() if telemetry.get("profile") else None,
             metrics=registry,
             trace=trace,
-            heartbeat=heartbeat,
+            heartbeat=cell_heartbeat(telemetry.get("status_dir"), spec, registry),
         )
     except ExperimentPaused as paused:
         payload: dict[str, Any] = {
             "status": "paused",
             "rounds_completed": int(paused.snapshot.rounds_completed),
         }
-        if registry is not None:
-            payload["metrics"] = registry.to_dict()
-        return key, payload
+    else:
+        payload = {"status": "done", "result": result.to_dict()}
     finally:
         if trace is not None:
             trace.close()
-    payload = {"status": "done", "result": result.to_dict()}
     if registry is not None:
         payload["metrics"] = registry.to_dict()
     return key, payload
@@ -264,10 +276,11 @@ def run_sweep(
         byte-identical with profiling on or off.
     metrics:
         Parent :class:`~repro.observability.metrics.MetricsRegistry`.  Every
-        executed cell records into a registry of its own (in-process when
-        serial, shipped back as a snapshot from pool workers) and the parent
-        folds the per-cell registries in with the order-independent merge —
-        the merged registry is identical for any worker count.
+        executed cell records into a registry of its own, handed back as a
+        snapshot by the worker on both paths, and the parent folds the
+        snapshots in with the order-independent merge — the merged registry
+        is identical for any worker count.  A cell that raises contributes
+        nothing.
     trace_dir:
         Directory receiving one ``<spec hash>.trace.jsonl`` per executed
         cell.  Per-cell files keep stripped traces byte-identical across
@@ -306,7 +319,7 @@ def run_sweep(
                 registered[key] = (
                     key,
                     labels.get(key, spec.label),
-                    _spec_total_rounds(spec),
+                    spec_total_rounds(spec),
                 )
         board = StatusBoard(status_dir, sweep_name=name, workers=workers)
         board.register_cells(list(registered.values()))
@@ -330,17 +343,6 @@ def run_sweep(
             pending.append(spec)
             pending_keys.add(key)
 
-    def record(spec: ExperimentSpec, result_dict: dict[str, Any]) -> None:
-        """Persist one finished cell and notify the observer."""
-
-        store.put(spec, result_dict)
-        result = ExperimentResult.from_dict(result_dict)
-        outcome.results[spec.content_hash()] = result
-        outcome.executed.append(spec)
-        observer.on_result(spec, result)
-        if board is not None:
-            board.mark_done(spec.content_hash(), result.rounds_completed)
-
     preemptible = checkpoint_dir is not None
     telemetry = {
         "profile": profile,
@@ -350,59 +352,39 @@ def run_sweep(
         "trace_dir": None if trace_dir is None else str(trace_dir),
         "status_dir": None if status_dir is None else str(status_dir),
     }
+    tasks = [
+        (spec.to_dict(), checkpoint_dir, checkpoint_every, telemetry)
+        for spec in pending
+    ]
+
+    def in_process() -> Iterator[tuple[str, dict[str, Any]]]:
+        """The pool worker called in this process, one cell at a time.
+
+        Each cell is announced just before it runs, and none starts once the
+        outcome is interrupted.
+        """
+
+        for spec, task in zip(pending, tasks):
+            if outcome.interrupted:
+                return
+            observer.on_start(spec)
+            yield _execute_spec_task(task)
+
     if board is not None:
         board.start_auto_refresh()
     previous_handler = preemption.install_preemption_handler() if preemptible else None
     failed = False
     try:
-        if workers == 1 or len(pending) <= 1:
-            for spec in pending:
-                if preemptible and preemption.interrupted():
-                    outcome.interrupted = True
-                    break
-                observer.on_start(spec)
-                # Per-cell registry even in-process, so gauges merge with the
-                # same max semantics a pool run uses.
-                registry = MetricsRegistry() if telemetry["metrics"] else None
-                trace = _cell_trace(telemetry["trace_dir"], spec.content_hash())
-                heartbeat = _cell_heartbeat(telemetry["status_dir"], spec, registry)
-                try:
-                    result = spec.run(
-                        checkpoint_dir=checkpoint_dir,
-                        checkpoint_every=checkpoint_every,
-                        profiler=Profiler() if profile else None,
-                        metrics=registry,
-                        trace=trace,
-                        heartbeat=heartbeat,
+        with contextlib.ExitStack() as stack:
+            if workers == 1 or len(pending) <= 1:
+                payloads = in_process()
+            else:
+                pool = stack.enter_context(
+                    _pool_context().Pool(
+                        processes=min(workers, len(pending)),
+                        initializer=_worker_initializer if preemptible else None,
                     )
-                except ExperimentPaused as paused:
-                    outcome.paused.append(spec)
-                    outcome.interrupted = True
-                    observer.on_pause(spec, int(paused.snapshot.rounds_completed))
-                    if board is not None:
-                        board.mark_paused(
-                            spec.content_hash(), int(paused.snapshot.rounds_completed)
-                        )
-                    break
-                finally:
-                    if trace is not None:
-                        trace.close()
-                    if registry is not None:
-                        if metrics is not None:
-                            metrics.merge(registry)
-                        if board is not None:
-                            board.merge_metrics(registry)
-                record(spec, result.to_dict())
-        else:
-            by_key = {spec.content_hash(): spec for spec in pending}
-            tasks = [
-                (spec.to_dict(), checkpoint_dir, checkpoint_every, telemetry)
-                for spec in pending
-            ]
-            initializer = _worker_initializer if preemptible else None
-            with _pool_context().Pool(
-                processes=min(workers, len(pending)), initializer=initializer
-            ) as pool:
+                )
                 if preemptible and threading.current_thread() is threading.main_thread():
                     # A SIGINT aimed at the parent alone (e.g. `kill -INT
                     # <pid>`, a scheduler reclaiming the job) must still reach
@@ -424,24 +406,31 @@ def run_sweep(
                     signal.signal(signal.SIGINT, _forward_interrupt)
                 for spec in pending:
                     observer.on_start(spec)
-                for key, payload in pool.imap(_execute_spec_task, tasks):
-                    spec = by_key[key]
-                    status = payload["status"]
-                    if "metrics" in payload:
-                        if metrics is not None:
-                            metrics.merge(payload["metrics"])
-                        if board is not None:
-                            board.merge_metrics(payload["metrics"])
-                    if status == "done":
-                        record(spec, payload["result"])
-                    elif status == "paused":
-                        outcome.paused.append(spec)
-                        outcome.interrupted = True
-                        observer.on_pause(spec, int(payload["rounds_completed"]))
-                        if board is not None:
-                            board.mark_paused(key, int(payload["rounds_completed"]))
-                    else:  # preempted before start
-                        outcome.interrupted = True
+                payloads = pool.imap(_execute_spec_task, tasks)
+            # Both sources yield in ``pending`` order (``imap`` is ordered).
+            for spec, (key, payload) in zip(pending, payloads):
+                status = payload["status"]
+                if "metrics" in payload:
+                    if metrics is not None:
+                        metrics.merge(payload["metrics"])
+                    if board is not None:
+                        board.merge_metrics(payload["metrics"])
+                if status == "done":
+                    store.put(spec, payload["result"])
+                    result = ExperimentResult.from_dict(payload["result"])
+                    outcome.results[key] = result
+                    outcome.executed.append(spec)
+                    observer.on_result(spec, result)
+                    if board is not None:
+                        board.mark_done(key, result.rounds_completed)
+                elif status == "paused":
+                    outcome.paused.append(spec)
+                    outcome.interrupted = True
+                    observer.on_pause(spec, int(payload["rounds_completed"]))
+                    if board is not None:
+                        board.mark_paused(key, int(payload["rounds_completed"]))
+                else:  # preempted before start
+                    outcome.interrupted = True
     except BaseException:
         failed = True
         raise

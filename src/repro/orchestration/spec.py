@@ -218,23 +218,9 @@ class ExperimentSpec:
         outside the determinism contract.
         """
 
-        task, factory, config, _ = self.build()
-        if checkpoint_dir is None and snapshot is None and checkpoint_every <= 0:
-            # The historical path, untouched: no checkpoint machinery at all.
-            return run_experiment(
-                task,
-                factory,
-                config,
-                scheme_name=self.scheme.label,
-                profiler=profiler,
-                spec=self.to_dict(),
-                metrics=metrics,
-                trace=trace,
-                heartbeat=heartbeat,
-            )
-
         from repro.checkpoint.manager import CheckpointManager
 
+        task, factory, config, _ = self.build()
         if checkpoint_every > 0 and checkpoint_dir is None:
             raise ConfigurationError(
                 "checkpoint_every requires a checkpoint_dir to save snapshots into"

@@ -59,7 +59,6 @@ from repro.scenarios.schedule import (
     StragglerWindow,
 )
 from repro.simulation.engine import Simulator
-from repro.simulation.runner import resume_experiment
 from repro.topology.policy import GeneratorPolicy
 from repro.utils.rng import derive_rng
 
@@ -351,15 +350,7 @@ def _oracle_resume(case: FuzzCase, workload: str, scheme: str) -> str | None:
     snapshot = SimulationSnapshot.from_dict(
         json.loads(json.dumps(snapshot.to_dict(), sort_keys=True))
     )
-    task, factory, config, _ = spec.build()
-    resumed = resume_experiment(
-        task,
-        factory,
-        config,
-        snapshot,
-        scheme_name=spec.scheme.label,
-        spec=spec.to_dict(),
-    )
+    resumed = spec.run(snapshot=snapshot)
     if json.dumps(resumed.to_dict(), sort_keys=True) != uninterrupted:
         return (
             f"interrupt at round {snapshot.rounds_completed} + resume differs "

@@ -13,7 +13,9 @@ engine:
   per-row reference kernels (see ``docs/SCALING.md``);
 * :mod:`repro.simulation.events` — the typed :class:`Event` and the
   deterministic :class:`EventLoop` the async mode runs on;
-* :mod:`repro.simulation.runner` — the :func:`run_experiment` one-call facade;
+* :mod:`repro.simulation.runner` — the :func:`run_experiment` one-call facade
+  (``resume_from=`` a snapshot continues a paused run; there is no separate
+  resume entry point);
 * :mod:`repro.simulation.experiment` — :class:`ExperimentConfig`, including
   the ``execution`` mode and heterogeneity knobs;
 * :mod:`repro.simulation.timing` — :class:`TimeModel` and
@@ -41,7 +43,7 @@ from repro.simulation.experiment import ENGINES, EXECUTION_MODES, ExperimentConf
 from repro.simulation.metrics import ExperimentResult, RoundRecord
 from repro.simulation.network import ByteMeter
 from repro.simulation.node import SimulationNode
-from repro.simulation.runner import build_nodes, resume_experiment, run_experiment
+from repro.simulation.runner import build_nodes, run_experiment
 from repro.simulation.timing import HeterogeneousTimeModel, TimeModel, time_model_from_dict
 
 __all__ = [
@@ -65,7 +67,6 @@ __all__ = [
     "TimeModel",
     "build_arena_nodes",
     "build_nodes",
-    "resume_experiment",
     "run_experiment",
     "time_model_from_dict",
 ]

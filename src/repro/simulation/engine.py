@@ -722,16 +722,19 @@ class Simulator:
             self.mode.run(self)
         finally:
             preemption.unregister(self)
-        if self.profiler is not None:
-            # Flush work recorded after the last round boundary (e.g. the
-            # final evaluation) into a trailing row before copying.
-            self.profiler.flush(self.result.rounds_completed)
-            self.result.phase_seconds = self.profiler.totals
-            self.result.round_phase_seconds = self.profiler.round_rows
-            memory: dict[str, Any] = {"peak_rss_bytes": peak_rss_bytes()}
-            if self.profiler.memory is not None:
-                memory.update(self.profiler.memory.stop())
-            self.result.memory = memory
+            if self.profiler is not None:
+                # In ``finally`` so a paused or failed run also stops the
+                # memory tracker (tracemalloc must not outlive the run) and
+                # keeps its totals.  Flush work recorded after the last round
+                # boundary (e.g. the final evaluation) into a trailing row
+                # before copying.
+                self.profiler.flush(self.result.rounds_completed)
+                self.result.phase_seconds = self.profiler.totals
+                self.result.round_phase_seconds = self.profiler.round_rows
+                memory: dict[str, Any] = {"peak_rss_bytes": peak_rss_bytes()}
+                if self.profiler.memory is not None:
+                    memory.update(self.profiler.memory.stop())
+                self.result.memory = memory
         if self.scenario.has_events:
             # The trace is a pure function of the schedule, recorded for every
             # round the run actually completed (early stop truncates it).
@@ -869,6 +872,8 @@ class SynchronousMode(ExecutionMode):
             # next round index are the mode's only private state.
             clock = float(resume.mode_state["clock"])
             start_round = int(resume.rounds_completed)
+            # Round latency is measured from the restored clock, not from 0.
+            simulator._latency_marks[-1] = clock
 
         for round_index in range(start_round, config.rounds):
             simulator.apply_topology_policy(round_index)
@@ -1046,6 +1051,8 @@ class AsynchronousMode(ExecutionMode):
             last_fraction = [float(value) for value in state["last_fraction"]]
             evaluated_through = int(state["evaluated_through"])
             decode_rng_state(latency_rng, state["latency_rng"])
+            # Each node's next round latency starts at its restored clock.
+            simulator._latency_marks.update(enumerate(node_clock))
 
         def build_mode_state() -> dict:
             return {

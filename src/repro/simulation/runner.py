@@ -1,4 +1,4 @@
-"""The one-call experiment facades.
+"""The one-call experiment facade.
 
 :func:`run_experiment` is a thin wrapper over
 :class:`~repro.simulation.engine.Simulator`: it builds the engine from the
@@ -6,10 +6,14 @@ configuration (which selects one of the two execution modes, ``"sync"``
 lock-step rounds or ``"async"`` event-driven gossip, and independently the
 node-state engine: per-node reference objects, or the ``(N, d)`` arenas and
 batched stage kernels of :mod:`repro.simulation.arena` that scale one process
-to thousands of nodes) and runs it to completion.
-:func:`resume_experiment` is the matching resume-from-snapshot entry point:
-given a :class:`~repro.checkpoint.snapshot.SimulationSnapshot`, it continues
-the run bit-identically to never having stopped.  Code that needs the
+to thousands of nodes) and runs it to completion.  Resuming is the same call:
+``resume_from=`` a :class:`~repro.checkpoint.snapshot.SimulationSnapshot`
+continues the run bit-identically to never having stopped (``task``,
+``scheme_factory`` and ``config`` must describe the deployment shape the
+snapshot was captured from; schedule-level changes — another scenario, more
+rounds — are the ``fork`` workflow).  Every orchestrated cell reaches this
+function through :meth:`~repro.orchestration.spec.ExperimentSpec.run`, the
+only call to it in the CLI and the orchestration layer.  Code that needs the
 engine's observer hooks or a custom
 :class:`~repro.simulation.engine.ExecutionMode` should construct the
 :class:`~repro.simulation.engine.Simulator` directly.
@@ -32,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.observability.status import CellStatusWriter
     from repro.observability.trace import TraceEmitter
 
-__all__ = ["build_nodes", "resume_experiment", "run_experiment"]
+__all__ = ["build_nodes", "run_experiment"]
 
 
 def _attach_heartbeat(simulator: Simulator, heartbeat: "CellStatusWriter") -> None:
@@ -120,43 +124,3 @@ def run_experiment(
     if heartbeat is not None:
         _attach_heartbeat(simulator, heartbeat)
     return simulator.run()
-
-
-def resume_experiment(
-    task: LearningTask,
-    scheme_factory: SchemeFactory,
-    config: ExperimentConfig,
-    snapshot: "SimulationSnapshot",
-    scheme_name: str | None = None,
-    profiler: Profiler | None = None,
-    checkpoint_every: int = 0,
-    checkpoint_sink: Callable[["SimulationSnapshot"], None] | None = None,
-    spec: dict[str, Any] | None = None,
-    metrics: "MetricsRegistry | None" = None,
-    trace: "TraceEmitter | None" = None,
-    heartbeat: "CellStatusWriter | None" = None,
-) -> ExperimentResult:
-    """Continue a checkpointed experiment from ``snapshot`` to completion.
-
-    ``task``, ``scheme_factory`` and ``config`` must describe the same
-    deployment shape the snapshot was captured from (node count, model size,
-    execution mode); the hard determinism guarantee is that the returned
-    result is byte-identical to the uninterrupted run's.  Schedule-level
-    config changes (a different scenario, more rounds) are permitted — that
-    is the ``fork`` workflow.
-    """
-
-    return run_experiment(
-        task,
-        scheme_factory,
-        config,
-        scheme_name=scheme_name,
-        profiler=profiler,
-        checkpoint_every=checkpoint_every,
-        checkpoint_sink=checkpoint_sink,
-        resume_from=snapshot,
-        spec=spec,
-        metrics=metrics,
-        trace=trace,
-        heartbeat=heartbeat,
-    )

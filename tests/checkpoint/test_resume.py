@@ -20,7 +20,6 @@ from repro.scenarios import get_scenario
 from repro.scenarios.schedule import BYZANTINE_MODES, ByzantineWindow, ScenarioSchedule
 from repro.simulation import (
     ExperimentConfig,
-    resume_experiment,
     run_experiment,
 )
 from repro.simulation.engine import Simulator
@@ -83,8 +82,8 @@ def test_interrupt_resume_is_byte_identical(execution, scenario):
 
     snapshot = pause_at(config, 3)
     assert snapshot.rounds_completed == 3
-    resumed = resume_experiment(
-        make_toy_task(), jwins_factory(), config, json_roundtrip(snapshot)
+    resumed = run_experiment(
+        make_toy_task(), jwins_factory(), config, resume_from=json_roundtrip(snapshot)
     )
     assert json.dumps(resumed.to_dict(), sort_keys=True) == json.dumps(
         uninterrupted.to_dict(), sort_keys=True
@@ -98,8 +97,8 @@ def test_interrupt_resume_choco(execution):
     config = build_config(execution, scenario=False)
     uninterrupted = run_experiment(make_toy_task(), choco_factory(), config)
     snapshot = pause_at(config, 3, factory=choco_factory)
-    resumed = resume_experiment(
-        make_toy_task(), choco_factory(), config, json_roundtrip(snapshot)
+    resumed = run_experiment(
+        make_toy_task(), choco_factory(), config, resume_from=json_roundtrip(snapshot)
     )
     assert resumed.to_dict() == uninterrupted.to_dict()
 
@@ -113,8 +112,8 @@ def test_round_zero_snapshot_resumes_full_run():
     simulator = Simulator(make_toy_task(), jwins_factory(), config)
     snapshot = capture_snapshot(simulator, {"kind": "sync", "clock": 0.0})
     assert snapshot.rounds_completed == 0
-    resumed = resume_experiment(
-        make_toy_task(), jwins_factory(), config, json_roundtrip(snapshot)
+    resumed = run_experiment(
+        make_toy_task(), jwins_factory(), config, resume_from=json_roundtrip(snapshot)
     )
     assert resumed.to_dict() == uninterrupted.to_dict()
 
@@ -136,8 +135,8 @@ def test_final_round_snapshot_yields_complete_result(execution):
     )
     assert checkpointed.to_dict() == uninterrupted.to_dict()
     assert snapshots[-1].rounds_completed == ROUNDS
-    resumed = resume_experiment(
-        make_toy_task(), jwins_factory(), config, json_roundtrip(snapshots[-1])
+    resumed = run_experiment(
+        make_toy_task(), jwins_factory(), config, resume_from=json_roundtrip(snapshots[-1])
     )
     assert resumed.to_dict() == uninterrupted.to_dict()
 
@@ -189,8 +188,8 @@ def test_cadence_checkpoints_do_not_change_results(tmp_path):
     assert seen_rounds == [2, 4, 6]
 
     # The latest (final) snapshot resumes straight to the complete result.
-    resumed = resume_experiment(
-        make_toy_task(), jwins_factory(), config, manager.load("toy")
+    resumed = run_experiment(
+        make_toy_task(), jwins_factory(), config, resume_from=manager.load("toy")
     )
     assert resumed.to_dict() == plain.to_dict()
 
@@ -246,8 +245,8 @@ def test_interrupt_resume_under_byzantine_window(execution, mode):
     else:
         assert snapshot.byzantine == []
 
-    resumed = resume_experiment(
-        make_toy_task(), jwins_factory(), config, json_roundtrip(snapshot)
+    resumed = run_experiment(
+        make_toy_task(), jwins_factory(), config, resume_from=json_roundtrip(snapshot)
     )
     assert json.dumps(resumed.to_dict(), sort_keys=True) == json.dumps(
         uninterrupted.to_dict(), sort_keys=True
@@ -289,7 +288,7 @@ def test_resume_after_early_target_stop():
     uninterrupted = run_experiment(make_toy_task(), jwins_factory(), config)
     assert uninterrupted.reached_target_at_round == 2
     snapshot = pause_at(config, 1)
-    resumed = resume_experiment(
-        make_toy_task(), jwins_factory(), config, json_roundtrip(snapshot)
+    resumed = run_experiment(
+        make_toy_task(), jwins_factory(), config, resume_from=json_roundtrip(snapshot)
     )
     assert resumed.to_dict() == uninterrupted.to_dict()

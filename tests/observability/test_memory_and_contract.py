@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
+from repro.baselines.full_sharing import full_sharing_factory
+from repro.exceptions import ExperimentPaused
 from repro.observability.contract import TELEMETRY_RESULT_FIELDS, scrub_telemetry
 from repro.observability.memory import MemoryTracker, peak_rss_bytes
+from repro.simulation import ExperimentConfig, Simulator
+from repro.utils.profiling import Profiler
+from tests.conftest import make_toy_task
 
 
 class TestPeakRss:
@@ -51,6 +58,27 @@ class TestMemoryTracker:
         tracker.start()
         assert tracker.stop() != {}
         assert tracker.stop() == {}
+
+
+    def test_a_paused_run_stops_tracing_and_keeps_its_totals(self):
+        """``Simulator.run`` stops the tracker on every exit, not only success."""
+
+        profiler = Profiler(memory=MemoryTracker(top_n=1))
+        simulator = Simulator(
+            make_toy_task(),
+            full_sharing_factory(),
+            ExperimentConfig(
+                num_nodes=4, degree=2, rounds=3, local_steps=1, batch_size=4,
+                eval_every=2, eval_test_samples=16, seed=5,
+            ),
+            profiler=profiler,
+        )
+        simulator.on_round_end(lambda *_: simulator.request_checkpoint_stop())
+        with pytest.raises(ExperimentPaused):
+            simulator.run()
+        assert not tracemalloc.is_tracing()
+        assert simulator.result.phase_seconds == profiler.totals != {}
+        assert simulator.result.memory["tracemalloc_peak_bytes"] > 0
 
 
 class TestScrubTelemetry:

@@ -107,7 +107,7 @@ def test_board_lifecycle_counts_and_terminal_states(tmp_path):
     assert document["counts"]["pending"] == 2
 
     board.mark_skipped("k1")
-    heartbeat = board.heartbeat_for("k2")
+    heartbeat = CellStatusWriter(tmp_path, "k2", wall_clock=clock).start()
     clock.now += 1.0
     heartbeat.on_round(3)
     board.refresh()
@@ -128,7 +128,7 @@ def test_board_lifecycle_counts_and_terminal_states(tmp_path):
 def test_finalize_interrupted_flips_running_cells_to_paused(tmp_path):
     board = StatusBoard(tmp_path)
     board.register_cells([("k1", "one", 4)])
-    board.heartbeat_for("k1")
+    CellStatusWriter(tmp_path, "k1").start()
     board.refresh()
     assert load_status(tmp_path)["cells"]["k1"]["state"] == "running"
     board.finalize("interrupted")
@@ -145,7 +145,7 @@ def test_board_merges_live_cell_metrics(tmp_path):
     board.merge_metrics(done)
     live = MetricsRegistry()
     live.counter("c").inc(3)
-    board.heartbeat_for("k1", registry=live)
+    CellStatusWriter(tmp_path, "k1", registry=live).start()
     board.refresh()
     document = load_status(tmp_path)
     assert document["metrics"]["c"]["value"] == 5  # finished + live, merged

@@ -97,6 +97,41 @@ def test_engine_populates_the_metrics_catalog():
     assert latency.count == 3  # sync mode: one observation per global round
 
 
+@pytest.mark.parametrize("execution", ["sync", "async"])
+def test_resumed_run_measures_round_latency_from_the_restored_clock(execution):
+    """The first round after a resume is not charged the whole simulated clock."""
+
+    config = _tiny_config(rounds=6, execution=execution)
+    snapshots: list = []
+    full = MetricsRegistry()
+    result = run_experiment(
+        make_toy_task(seed=5),
+        full_sharing_factory(),
+        config,
+        checkpoint_every=3,
+        checkpoint_sink=snapshots.append,
+        metrics=full,
+    )
+    resumed = MetricsRegistry()
+    run_experiment(
+        make_toy_task(seed=5),
+        full_sharing_factory(),
+        config,
+        resume_from=snapshots[0],
+        metrics=resumed,
+    )
+    whole = full.histogram("engine_round_latency_seconds")
+    tail = resumed.histogram("engine_round_latency_seconds")
+    state = snapshots[0].mode_state
+    if execution == "sync":
+        elapsed = result.simulated_time_seconds - state["clock"]
+    else:  # one latency series per node, each from its own restored clock
+        elapsed = sum(result.per_node_time_seconds) - sum(state["node_clock"])
+    assert tail.count == whole.count // 2
+    assert tail.total == pytest.approx(elapsed)
+    assert tail.maximum <= whole.maximum
+
+
 def test_trace_records_cover_the_run(tmp_path):
     task = make_toy_task(seed=5)
     path = tmp_path / "run.trace.jsonl"

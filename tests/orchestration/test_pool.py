@@ -8,8 +8,12 @@ These pin the two orchestration acceptance criteria:
   serial run's accuracies and byte counts exactly (bit-identical results).
 """
 
+import json
+
 import pytest
 
+from repro.observability.metrics import MetricsRegistry
+from repro.orchestration import pool
 from repro.orchestration.pool import SweepObserver, run_sweep
 from repro.orchestration.schemes import SchemeSpec
 from repro.orchestration.spec import ExperimentSpec
@@ -74,6 +78,53 @@ class TestSerialExecution:
         for spec in outcome.specs:
             assert outcome.result_for(spec).rounds_completed == 2
 
+    def test_serial_sweep_runs_the_pool_worker_in_process(self, monkeypatch):
+        """One worker, one consumer: ``workers=1`` is the pool path minus the pool."""
+
+        tasks, events = [], []
+
+        class Log(SweepObserver):
+            def on_start(self, spec):
+                events.append(("start", spec.content_hash()))
+
+            def on_result(self, spec, result):
+                events.append(("result", spec.content_hash()))
+
+        serial_registry, pooled_registry = MetricsRegistry(), MetricsRegistry()
+        with monkeypatch.context() as patch:
+            worker = pool._execute_spec_task
+            patch.setattr(
+                pool, "_execute_spec_task", lambda task: tasks.append(task) or worker(task)
+            )
+            serial = run_sweep(_sweep(), observer=Log(), metrics=serial_registry)
+        keys = [spec.content_hash() for spec in _sweep().expand()]
+        assert [ExperimentSpec.from_dict(task[0]).content_hash() for task in tasks] == keys
+        # Serially, each cell is announced immediately before its own result.
+        assert events == [(kind, key) for key in keys for kind in ("start", "result")]
+
+        pooled = run_sweep(_sweep(), workers=2, metrics=pooled_registry)
+        assert serial.executed == pooled.executed == _sweep().expand()
+        assert serial.skipped == serial.paused == pooled.paused == []
+        assert not serial.interrupted and not pooled.interrupted
+        assert serial.labels == pooled.labels
+        assert {key: result.to_dict() for key, result in serial.results.items()} == {
+            key: result.to_dict() for key, result in pooled.results.items()
+        }
+        assert serial_registry.to_dict() == pooled_registry.to_dict() != {}
+
+    def test_a_failing_serial_cell_propagates_and_merges_no_metrics(self, monkeypatch):
+        """Like a pool worker, a cell that raises hands back no registry."""
+
+        def explode(self, **kwargs):
+            kwargs["metrics"].counter("half_filled").inc()
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(ExperimentSpec, "run", explode)
+        registry = MetricsRegistry()
+        with pytest.raises(RuntimeError, match="boom"):
+            run_sweep(_sweep(), metrics=registry)
+        assert registry.to_dict() == {}
+
     def test_labelled_results_include_axis_values(self):
         outcome = run_sweep(_sweep())
         labels = list(outcome.labelled_results())
@@ -100,6 +151,21 @@ class TestSerialExecution:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             run_sweep(_sweep(), workers=0)
+
+
+def test_cell_sinks_are_named_by_spec_hash_and_off_without_a_directory(tmp_path):
+    """The one constructor of each per-cell sink (sweeps, forks and the CLI)."""
+
+    spec = ExperimentSpec("movielens", "jwins", {**TINY, "seed": 1})
+    key = spec.content_hash()
+    assert pool.cell_trace(None, key) is None
+    assert pool.cell_heartbeat(None, spec, None) is None
+    assert pool.cell_trace(tmp_path, key).path == tmp_path / f"{key}.trace.jsonl"
+    heartbeat = pool.cell_heartbeat(tmp_path, spec, MetricsRegistry())
+    document = json.loads(heartbeat.path.read_text(encoding="utf-8"))
+    assert heartbeat.path == tmp_path / "cells" / f"{key}.json"
+    assert (document["state"], document["total_rounds"]) == ("running", TINY["rounds"])
+    assert (document["key"], document["label"]) == (key, spec.label)
 
 
 class TestResume:

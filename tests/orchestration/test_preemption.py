@@ -54,6 +54,10 @@ def test_serial_preempt_and_resume_store_is_byte_identical(tmp_path):
 
     class Recorder(SweepObserver):
         pauses: list = []
+        starts: list = []
+
+        def on_start(self, spec):
+            self.starts.append(spec.label)
 
         def on_pause(self, spec, rounds_completed):
             self.pauses.append((spec.label, rounds_completed))
@@ -70,6 +74,7 @@ def test_serial_preempt_and_resume_store_is_byte_identical(tmp_path):
     assert [spec.label for spec in outcome.paused] == ["movielens/jwins"]
     assert outcome.executed == []
     assert Recorder.pauses == [("movielens/jwins", 2)]
+    assert Recorder.starts == ["movielens/jwins"]  # nothing starts after a pause
 
     # preemption.reset() ran inside run_sweep's cleanup; the second invocation
     # resumes the paused cell mid-spec and runs the untouched one.

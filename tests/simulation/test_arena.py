@@ -31,7 +31,6 @@ from repro.simulation import (
     ENGINES,
     ExperimentConfig,
     NodeArenas,
-    resume_experiment,
     run_experiment,
 )
 from repro.simulation.arena import ArenaSGD, _jwins_batch_plan, build_arena_nodes
@@ -291,8 +290,8 @@ def test_arena_interrupt_resume_is_byte_identical():
     uninterrupted = run_experiment(make_toy_task(), jwins_factory(), config)
     snapshot = pause_at(config, 3)
     assert snapshot.rounds_completed == 3
-    resumed = resume_experiment(
-        make_toy_task(), jwins_factory(), config, json_roundtrip(snapshot)
+    resumed = run_experiment(
+        make_toy_task(), jwins_factory(), config, resume_from=json_roundtrip(snapshot)
     )
     assert dumps(resumed) == dumps(uninterrupted)
 
@@ -307,11 +306,11 @@ def test_snapshots_cross_engines(pause_engine, resume_engine):
     config = build_config(momentum=0.9)
     uninterrupted = run_experiment(make_toy_task(), jwins_factory(), config)
     snapshot = pause_at(config.with_engine(pause_engine), 3)
-    resumed = resume_experiment(
+    resumed = run_experiment(
         make_toy_task(),
         jwins_factory(),
         config.with_engine(resume_engine),
-        json_roundtrip(snapshot),
+        resume_from=json_roundtrip(snapshot),
     )
     assert dumps(resumed) == dumps(uninterrupted)
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import build_cli_parser, build_parser, main, scheme_factory_from_name
+from repro.cli import _scheme_params_from_args, build_cli_parser, build_parser, main
+from repro.orchestration import SchemeSpec
 
 
 def test_parser_defaults():
@@ -23,7 +24,7 @@ def test_parser_rejects_unknown_scheme():
 )
 def test_scheme_factory_from_name_builds_every_scheme(name):
     args = build_parser().parse_args([])
-    factory = scheme_factory_from_name(name, args)
+    factory = SchemeSpec(name, _scheme_params_from_args(name, args)).build()
     scheme = factory(0, 200, 1)
     assert hasattr(scheme, "prepare")
     assert hasattr(scheme, "aggregate")
@@ -31,7 +32,7 @@ def test_scheme_factory_from_name_builds_every_scheme(name):
 
 def test_budget_configures_jwins_distribution():
     args = build_parser().parse_args(["--budget", "0.2"])
-    scheme = scheme_factory_from_name("jwins", args)(0, 200, 1)
+    scheme = SchemeSpec("jwins", _scheme_params_from_args("jwins", args)).build()(0, 200, 1)
     assert scheme.config.expected_sharing_fraction == pytest.approx(0.2)
 
 

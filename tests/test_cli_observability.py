@@ -16,6 +16,7 @@ import pytest
 from repro.checkpoint import preemption
 from repro.cli import main
 from repro.observability.status import load_status
+from repro.observability.trace import read_trace, strip_wall
 
 RUN_ARGS = [
     "run",
@@ -122,6 +123,20 @@ def test_trace_summarize_rejects_two_paths(tmp_path):
     trace_dir = _traced_sweep(tmp_path, "a")
     with pytest.raises(SystemExit, match="single path"):
         main(["trace", "summarize", str(trace_dir), str(trace_dir)])
+
+
+# -- one road: `run` is ExperimentSpec.run with or without checkpoint flags ------------
+def test_run_prints_and_traces_the_same_with_or_without_checkpoint_dir(tmp_path, capsys):
+    outputs, traces = [], []
+    for name, extra in (("plain", []), ("ckpt", ["--checkpoint-dir", str(tmp_path / "ck")])):
+        trace = tmp_path / f"{name}.trace.jsonl"
+        assert main([*RUN_ARGS, "--trace", str(trace), *extra]) == 0
+        outputs.append(capsys.readouterr().out.replace(str(trace), "TRACE"))
+        traces.append(trace)
+    assert outputs[0] == outputs[1]
+    assert strip_wall(traces[0]) == strip_wall(traces[1])
+    manifest = read_trace(traces[0])[0]
+    assert manifest["kind"] == "manifest" and len(manifest["spec_hash"]) == 64
 
 
 # -- the --status heartbeat -----------------------------------------------------------
