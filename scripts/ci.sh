@@ -14,8 +14,9 @@
 #   gradcheck    finite-difference check of every model's analytic gradients
 #                (scripts/gradcheck.py, ~2 s)
 #   bench        codec throughput benchmark in smoke mode
-#   smoke        async gossip example + orchestration sweep resume smoke +
-#                live status.json heartbeat smoke (2-worker sweep, `top`)
+#   smoke        pinned CLI spec hashes / `sweep --dry-run` expansion first,
+#                then async gossip example + orchestration sweep resume smoke
+#                + live status.json heartbeat smoke (2-worker sweep, `top`)
 #   determinism  churn+partition sweep twice serially and once on 2 workers;
 #                the JSONL stores must be byte-for-byte identical (a mismatch
 #                prints a forensic trace diff: first divergent record, field
@@ -77,6 +78,11 @@ stage_bench() {
 }
 
 stage_smoke() {
+  # Before any cell runs: a drifted flag -> spec mapping moves content hashes,
+  # so the pinned `run` spec hashes and `sweep --dry-run` expansion (hashes,
+  # resolved seeds, labels) fail here in about a second.
+  python -m pytest -q tests/test_cli_pins.py -k "spec_identity or dry_run"
+
   python examples/async_gossip.py --smoke
   python examples/churn_partition.py --smoke
 

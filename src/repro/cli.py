@@ -12,8 +12,10 @@ CLI without a subcommand still defaults to it, so ``jwins-repro --workload
 cifar10`` keeps working): one :class:`~repro.orchestration.ExperimentSpec`
 per ``--scheme``, each executed through :meth:`ExperimentSpec.run` exactly
 like a sweep cell — the checkpoint flags only add arguments to that call.
-``run`` and ``fork`` share one cell lifecycle (:func:`_run_cells`: status
-board, per-cell heartbeat, trace, pause/finish verdicts).  ``sweep`` expands
+``run``, ``sweep`` and ``fork`` take their common flags from four argparse
+parent groups (:func:`_flag_groups`); ``run`` and ``fork`` share one cell
+lifecycle (:func:`_run_cells`: status board, per-cell heartbeat, trace,
+pause/finish verdicts).  ``sweep`` expands
 a declarative grid — a preset from
 :mod:`repro.orchestration.artifacts` or an ad-hoc workload x scheme x seed
 product — and executes it on a worker pool against a resumable JSONL store.
@@ -32,9 +34,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
-
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 from repro.checkpoint import CheckpointManager, SimulationSnapshot, preemption
 from repro.evaluation import WORKLOADS, get_workload, summarize_results
@@ -99,31 +99,113 @@ def _scheme_params_from_args(name: str, args: argparse.Namespace) -> dict:
     elif name in ("random-sampling", "topk"):
         params["fraction"] = args.fraction
     elif name == "choco":
-        params["fraction"] = args.budget or args.fraction
+        params["fraction"] = args.budget if args.budget is not None else args.fraction
         params["gamma"] = args.gamma
     elif name == "quantized":
         params["bits"] = args.bits
     return params
 
 
+def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
+    """The four flag groups ``run``, ``sweep`` and ``fork`` share, as argparse parents.
+
+    Built fresh per call: a child parser shares its parents' action objects,
+    so ``sweep``'s ``set_defaults(checkpoint_every=1)`` on a shared instance
+    would leak into ``run`` and ``fork``.
+    """
+
+    deployment = argparse.ArgumentParser(add_help=False)
+    deployment.add_argument("--nodes", type=int, default=None, help="number of DL nodes")
+    deployment.add_argument("--degree", type=int, default=None, help="topology degree")
+    deployment.add_argument("--rounds", type=int, default=None, help="communication rounds")
+
+    scheme = argparse.ArgumentParser(add_help=False)
+    scheme.add_argument(
+        "--scheme",
+        nargs="+",
+        default=["jwins", "full-sharing"],
+        choices=SCHEME_CHOICES,
+        help="one or more sharing schemes to compare (the scheme axis of an ad-hoc sweep)",
+    )
+    scheme.add_argument(
+        "--budget",
+        type=float,
+        default=None,
+        help="communication budget in (0, 1]; configures JWINS' alpha distribution and CHOCO's fraction",
+    )
+    scheme.add_argument(
+        "--fraction",
+        type=float,
+        default=0.37,
+        help="sharing fraction for random-sampling / topk (default 0.37 as in Table I)",
+    )
+    scheme.add_argument("--gamma", type=float, default=0.6, help="CHOCO consensus step size")
+    scheme.add_argument("--bits", type=int, default=4, help="bits for the quantized baseline")
+
+    checkpointing = argparse.ArgumentParser(add_help=False)
+    checkpointing.add_argument(
+        "--checkpoint-dir",
+        default=None,
+        metavar="DIR",
+        help="directory snapshots are written to (one latest snapshot per "
+        "experiment, plus a lineage.jsonl provenance log); SIGINT then pauses "
+        "at the next round boundary, and re-running the same `sweep` resumes "
+        "its in-flight cells mid-spec, byte-identical to an uninterrupted run",
+    )
+    checkpointing.add_argument(
+        "--checkpoint-every",
+        type=int,
+        default=0,
+        metavar="K",
+        help="snapshot the full mid-run state every K completed rounds into "
+        "--checkpoint-dir (run/fork: 0 = off, K > 0 requires --checkpoint-dir; "
+        "sweep: default 1, in effect once --checkpoint-dir is set)",
+    )
+
+    telemetry = argparse.ArgumentParser(add_help=False)
+    telemetry.add_argument(
+        "--profile",
+        action="store_true",
+        help="time the engine phases (train/encode/aggregate/evaluate) and "
+        "print a per-phase breakdown after each scheme (sweep: one table "
+        "aggregated over the executed cells; stored rows stay byte-identical)",
+    )
+    telemetry.add_argument(
+        "--metrics",
+        action="store_true",
+        help="collect engine/network/checkpoint counters and print the "
+        "registry after the run (sweep: merged over the executed cells, "
+        "identical for any --workers); telemetry only, results are unaffected",
+    )
+    telemetry.add_argument(
+        "--trace",
+        default=None,
+        metavar="PATH",
+        help="write a structured JSONL event trace (manifest, rounds, "
+        "messages, evaluations, checkpoints) to PATH; the schemes of one `run` "
+        "share the file, back to back; `sweep` (always) and `fork` (when PATH "
+        "is an existing directory) write one <spec hash>.trace.jsonl per cell",
+    )
+    telemetry.add_argument(
+        "--status",
+        default=None,
+        metavar="DIR",
+        help="write an atomically updated status.json heartbeat into DIR "
+        "(per-cell state, round progress, rounds/sec, ETA, worker pid, last "
+        "checkpoint round); watch it live with `jwins-repro top DIR` "
+        "(telemetry only; results are unaffected)",
+    )
+    return deployment, scheme, checkpointing, telemetry
+
+
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    """The flat experiment flags shared by ``run`` and the ad-hoc ``sweep``."""
+    """The flags only ``run`` has, on top of the four shared groups."""
 
     parser.add_argument(
         "--workload",
         default="cifar10",
         help="one of the five paper workloads (cifar10, femnist, celeba, shakespeare, movielens)",
     )
-    parser.add_argument(
-        "--scheme",
-        nargs="+",
-        default=["jwins", "full-sharing"],
-        choices=SCHEME_CHOICES,
-        help="one or more sharing schemes to compare",
-    )
-    parser.add_argument("--nodes", type=int, default=None, help="number of DL nodes")
-    parser.add_argument("--degree", type=int, default=None, help="topology degree")
-    parser.add_argument("--rounds", type=int, default=None, help="communication rounds")
     parser.add_argument("--seed", type=int, default=1, help="experiment seed")
     parser.add_argument(
         "--dynamic-topology",
@@ -139,20 +221,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "path to a ScenarioSchedule JSON file (churn, partitions, stragglers, "
         "topology rewiring)",
     )
-    parser.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        help="communication budget in (0, 1]; configures JWINS' alpha distribution and CHOCO's fraction",
-    )
-    parser.add_argument(
-        "--fraction",
-        type=float,
-        default=0.37,
-        help="sharing fraction for random-sampling / topk (default 0.37 as in Table I)",
-    )
-    parser.add_argument("--gamma", type=float, default=0.6, help="CHOCO consensus step size")
-    parser.add_argument("--bits", type=int, default=4, help="bits for the quantized baseline")
     parser.add_argument(
         "--execution",
         choices=("sync", "async"),
@@ -182,71 +250,18 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         help="probability that each message delivery is independently dropped",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="time the engine phases (train/encode/aggregate/evaluate) and "
-        "print a per-phase breakdown after each scheme",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect engine/network/checkpoint counters and print the "
-        "registry after the run (telemetry only; results are unaffected)",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a structured JSONL event trace (manifest, rounds, "
-        "messages, evaluations, checkpoints) to PATH; schemes of one "
-        "invocation share the file, back to back",
-    )
-    parser.add_argument(
-        "--status",
-        default=None,
-        metavar="DIR",
-        help="write an atomically updated status.json heartbeat into DIR "
-        "(per-scheme progress, rounds/sec, ETA); watch it live with "
-        "`jwins-repro top DIR` (telemetry only; results are unaffected)",
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="K",
-        help="snapshot the full mid-run state every K completed rounds into "
-        "--checkpoint-dir (0 = off); SIGINT then pauses the run at the next "
-        "round boundary instead of losing it",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="directory snapshots are written to (one latest snapshot per "
-        "experiment, plus a lineage.jsonl provenance log)",
-    )
-    parser.add_argument(
         "--resume-from",
         default=None,
         metavar="SNAPSHOT",
         help="continue a paused run from a snapshot file; the remaining "
         "rounds produce results byte-identical to an uninterrupted run",
     )
-    parser.add_argument(
-        "--list-workloads",
-        action="store_true",
-        help="print the workload registry and exit",
-    )
-    parser.add_argument(
-        "--list-schemes",
-        action="store_true",
-        help="print the scheme registry and exit",
-    )
-    parser.add_argument(
-        "--list-scenarios",
-        action="store_true",
-        help="print the scenario presets and exit",
-    )
+    for registry in ("workloads", "schemes", "scenarios"):
+        parser.add_argument(
+            f"--list-{registry}",
+            action="store_true",
+            help=f"print the {registry[:-1]} registry and exit",
+        )
     parser.add_argument("--version", action="version", version=f"jwins-repro {__version__}")
 
 
@@ -256,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jwins-repro",
         description="Run decentralized-learning experiments from the JWINS reproduction.",
+        parents=list(_flag_groups()),
     )
     _add_run_arguments(parser)
     return parser
@@ -272,7 +288,9 @@ def build_cli_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command")
 
     run_parser = subparsers.add_parser(
-        "run", help="run one flat scheme comparison (the default subcommand)"
+        "run",
+        help="run one flat scheme comparison (the default subcommand)",
+        parents=list(_flag_groups()),
     )
     _add_run_arguments(run_parser)
     run_parser.set_defaults(handler=_run_command)
@@ -280,6 +298,7 @@ def build_cli_parser() -> argparse.ArgumentParser:
     sweep_parser = subparsers.add_parser(
         "sweep",
         help="expand a declarative experiment grid and execute it on a worker pool",
+        parents=list(_flag_groups()),
     )
     sweep_parser.add_argument(
         "--preset",
@@ -292,13 +311,6 @@ def build_cli_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=["cifar10"],
         help="workload axis of an ad-hoc sweep",
-    )
-    sweep_parser.add_argument(
-        "--scheme",
-        nargs="+",
-        default=["jwins", "full-sharing"],
-        choices=SCHEME_CHOICES,
-        help="scheme axis of an ad-hoc sweep",
     )
     sweep_parser.add_argument(
         "--seeds",
@@ -316,17 +328,6 @@ def build_cli_parser() -> argparse.ArgumentParser:
         "JSON files (presets are sized for --nodes/--rounds, falling back to "
         "the first workload's defaults)",
     )
-    sweep_parser.add_argument("--nodes", type=int, default=None, help="number of DL nodes")
-    sweep_parser.add_argument("--degree", type=int, default=None, help="topology degree")
-    sweep_parser.add_argument("--rounds", type=int, default=None, help="communication rounds")
-    sweep_parser.add_argument(
-        "--budget", type=float, default=None, help="JWINS/CHOCO communication budget"
-    )
-    sweep_parser.add_argument(
-        "--fraction", type=float, default=0.37, help="random-sampling/topk fraction"
-    )
-    sweep_parser.add_argument("--gamma", type=float, default=0.6, help="CHOCO step size")
-    sweep_parser.add_argument("--bits", type=int, default=4, help="quantized baseline bits")
     sweep_parser.add_argument(
         "--store",
         default="sweep-results.jsonl",
@@ -355,56 +356,14 @@ def build_cli_parser() -> argparse.ArgumentParser:
         help="print the expanded cell list (content hash + label) and exit "
         "without executing anything or touching the store",
     )
-    sweep_parser.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="enable preemptible execution: SIGINT checkpoints in-flight cells "
-        "here and stops; re-running the same sweep resumes them mid-spec, "
-        "byte-identical to an uninterrupted run",
-    )
-    sweep_parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        metavar="K",
-        help="per-cell snapshot cadence in completed rounds when "
-        "--checkpoint-dir is set (default 1)",
-    )
-    sweep_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile every executed cell and print an aggregated per-phase "
-        "table (stored rows stay byte-identical; profiling is telemetry only)",
-    )
-    sweep_parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="merge every executed cell's counters into one registry "
-        "(deterministic merge, identical for any --workers) and print it",
-    )
-    sweep_parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="DIR",
-        help="write one <spec hash>.trace.jsonl per executed cell into DIR "
-        "(per-cell files keep traces stable across worker counts)",
-    )
-    sweep_parser.add_argument(
-        "--status",
-        default=None,
-        metavar="DIR",
-        help="write an atomically updated status.json heartbeat into DIR: "
-        "per-cell state, round progress, rounds/sec, ETA, worker pid and "
-        "last checkpoint round, from both the serial and the pool path; "
-        "watch it live with `jwins-repro top DIR`",
-    )
-    sweep_parser.set_defaults(handler=_sweep_command)
+    sweep_parser.set_defaults(handler=_sweep_command, checkpoint_every=1)
 
+    _, _, checkpointing, telemetry = _flag_groups()
     fork_parser = subparsers.add_parser(
         "fork",
         help="replay a checkpoint under a mutated config axis (e.g. a different "
         "scenario) without re-running the common prefix",
+        parents=[checkpointing, telemetry],
     )
     fork_parser.add_argument(
         "--snapshot", required=True, help="snapshot file to fork from"
@@ -433,42 +392,6 @@ def build_cli_parser() -> argparse.ArgumentParser:
         default=None,
         help="JSONL store to append the forked result to (keyed by the forked "
         "spec's hash, which records the fork lineage)",
-    )
-    fork_parser.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="make the forked run itself checkpointable",
-    )
-    fork_parser.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="K",
-        help="snapshot cadence of the forked run (requires --checkpoint-dir)",
-    )
-    fork_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="time the forked run's engine phases and print the breakdown",
-    )
-    fork_parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect the forked run's counters and print the registry",
-    )
-    fork_parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write the forked run's JSONL event trace to PATH; when PATH is "
-        "an existing directory (e.g. the parent sweep's --trace dir) the file "
-        "is named <forked spec hash>.trace.jsonl, which can never collide "
-        "with the parent cell's trace",
-    )
-    fork_parser.add_argument(
-        "--status",
-        default=None,
-        metavar="DIR",
-        help="write an atomically updated status.json heartbeat for the "
-        "forked run into DIR (watch with `jwins-repro top DIR`)",
     )
     fork_parser.set_defaults(handler=_fork_command)
 
@@ -591,9 +514,14 @@ def _parse_scale(entries: Sequence[str] | None, flag: str = "--scale") -> dict |
     return scale
 
 
-def _resolve_scenario(value: str, num_nodes: int, rounds: int) -> ScenarioSchedule:
+def _resolve_scenario(
+    value: str, overrides: Mapping, num_nodes: int, rounds: int
+) -> ScenarioSchedule:
     """Turn a ``--scenario`` argument into a schedule, exiting cleanly on errors.
 
+    The schedule is sized for ``overrides`` (the deployment flags; ``fork``:
+    the mutations), falling back to the ``num_nodes``/``rounds`` of the
+    workload (``fork``: the snapshot) where they leave the deployment alone.
     Preset names win (so a stray local file cannot shadow ``churn``); a value
     ending in ``.jsonl`` is compiled as an availability/latency trace via
     :meth:`~repro.scenarios.ScenarioSchedule.from_trace` (clipped to the
@@ -602,6 +530,8 @@ def _resolve_scenario(value: str, num_nodes: int, rounds: int) -> ScenarioSchedu
     document.
     """
 
+    num_nodes = int(overrides.get("num_nodes", num_nodes))
+    rounds = int(overrides.get("rounds", rounds))
     path = Path(value)
     if value.lower() in SCENARIO_PRESETS:
         return get_scenario(value, num_nodes=num_nodes, rounds=rounds)
@@ -640,36 +570,52 @@ def _load_snapshot(path: str) -> SimulationSnapshot:
         raise SystemExit(str(error))
 
 
-def _spec_for_run(
-    args: argparse.Namespace, scheme_name: str, overrides: dict
-) -> ExperimentSpec:
-    """The :class:`ExperimentSpec` one scheme of a flat ``run`` invocation is.
+def _validate_flags(args: argparse.Namespace, cadence_needs_dir: bool = True) -> None:
+    """Range-check the scheme and checkpoint flag groups of ``run``/``sweep``/``fork``."""
 
-    Every ``run`` executes through :meth:`ExperimentSpec.run`, so snapshots,
-    traces and status cells are all tied to a content hash; the spec pins the
-    CLI seed explicitly, so its resolved seed is the ``--seed`` value.
+    budget = getattr(args, "budget", None)  # fork has no scheme flags
+    if budget is not None and not 0.0 < budget <= 1.0:
+        raise SystemExit("--budget must be in (0, 1]")
+    if args.checkpoint_every < 0:
+        raise SystemExit("--checkpoint-every must be non-negative")
+    # `sweep` passes False: its cadence defaults to 1 and only counts with a directory.
+    if cadence_needs_dir and args.checkpoint_every > 0 and args.checkpoint_dir is None:
+        raise SystemExit("--checkpoint-every requires --checkpoint-dir")
+
+
+def _grid_from_flags(args: argparse.Namespace) -> tuple[dict, tuple[SchemeSpec, ...]]:
+    """The overrides and scheme specs the deployment/scheme flags imply.
+
+    Shared by ``run`` and the ad-hoc ``sweep``; an unset deployment flag
+    stays out of the overrides, and so out of the content hash.
     """
 
-    spec_overrides = dict(overrides)
-    spec_overrides["execution"] = args.execution
-    scenario = spec_overrides.get("scenario")
-    if scenario is not None and not isinstance(scenario, Mapping):
-        spec_overrides["scenario"] = scenario.to_dict()
-    return ExperimentSpec(
-        workload=args.workload,
-        scheme=SchemeSpec(
-            scheme_name, _scheme_params_from_args(scheme_name, args), label=scheme_name
-        ),
-        overrides=spec_overrides,
+    flags = {"num_nodes": args.nodes, "degree": args.degree, "rounds": args.rounds}
+    overrides = {field: value for field, value in flags.items() if value is not None}
+    schemes = tuple(
+        SchemeSpec(name, _scheme_params_from_args(name, args), label=name)
+        for name in args.scheme
     )
+    return overrides, schemes
+
+
+def _print_telemetry_footer(
+    metrics: MetricsRegistry | None, title: str, trace_note: str | None
+) -> None:
+    """The ``[metrics]`` registry and trace-location lines closing a command's output."""
+
+    if metrics is not None:
+        print(f"\n[{title}]")
+        print(metrics.render())
+    if trace_note is not None:
+        print(f"\n{trace_note}")
 
 
 # -- subcommand handlers ---------------------------------------------------------------
 def _handle_list_flags(args: argparse.Namespace) -> bool:
     """Print the requested registries; returns True when the CLI should exit 0."""
 
-    listed = False
-    if getattr(args, "list_workloads", False):
+    if args.list_workloads:
         rows = [
             [name, workload.config.partition, workload.description]
             for name, workload in WORKLOADS.items()
@@ -677,14 +623,11 @@ def _handle_list_flags(args: argparse.Namespace) -> bool:
         width = max(len(name) for name, _, _ in rows)
         for name, partition, description in rows:
             print(f"{name:{width}s}  partition={partition:8s}  {description}")
-        listed = True
-    if getattr(args, "list_schemes", False):
+    if args.list_schemes:
         print(describe_schemes())
-        listed = True
-    if getattr(args, "list_scenarios", False):
+    if args.list_scenarios:
         print(describe_scenarios())
-        listed = True
-    return listed
+    return args.list_workloads or args.list_schemes or args.list_scenarios
 
 
 def _run_cells(
@@ -763,25 +706,17 @@ def _run_cells(
 def _run_command(args: argparse.Namespace) -> int:
     if _handle_list_flags(args):
         return 0
-    if args.budget is not None and not 0.0 < args.budget <= 1.0:
-        raise SystemExit("--budget must be in (0, 1]")
+    _validate_flags(args)
     if args.slowdown < 1.0:
         raise SystemExit("--slowdown must be >= 1")
     if not 0.0 <= args.drop_probability < 1.0:
         raise SystemExit("--drop-probability must be in [0, 1)")
-
     if args.scenario is not None and args.dynamic_topology:
         raise SystemExit(
             "--scenario and --dynamic-topology are mutually exclusive; "
             "use --scenario dynamic for the per-round rewiring"
         )
-    if args.checkpoint_every < 0:
-        raise SystemExit("--checkpoint-every must be non-negative")
-    if args.checkpoint_every > 0 and args.checkpoint_dir is None:
-        raise SystemExit("--checkpoint-every requires --checkpoint-dir")
-    checkpointing = bool(
-        args.checkpoint_every or args.checkpoint_dir or args.resume_from
-    )
+    checkpointing = bool(args.checkpoint_every or args.checkpoint_dir or args.resume_from)
     if args.resume_from is not None and len(args.scheme) != 1:
         raise SystemExit("--resume-from resumes one run; pass exactly one --scheme")
 
@@ -789,29 +724,26 @@ def _run_command(args: argparse.Namespace) -> int:
         workload = get_workload(args.workload)
     except ConfigurationError as error:
         raise SystemExit(str(error))
-    overrides = {
-        "seed": args.seed,
-        "dynamic_topology": args.dynamic_topology,
-        "compute_speed_range": (1.0, args.slowdown),
-        "message_drop_probability": args.drop_probability,
-    }
-    if args.nodes is not None:
-        overrides["num_nodes"] = args.nodes
-    if args.degree is not None:
-        overrides["degree"] = args.degree
-    if args.rounds is not None:
-        overrides["rounds"] = args.rounds
+    overrides, schemes = _grid_from_flags(args)
+    overrides.update(
+        seed=args.seed,
+        dynamic_topology=args.dynamic_topology,
+        compute_speed_range=(1.0, args.slowdown),
+        message_drop_probability=args.drop_probability,
+        execution=args.execution,
+    )
     if args.engine != "pernode":
         # Conditional so default invocations keep their historical spec hashes.
         overrides["engine"] = args.engine
+    scenario = None
     if args.scenario is not None:
-        num_nodes = args.nodes if args.nodes is not None else workload.config.num_nodes
-        rounds = args.rounds if args.rounds is not None else workload.config.rounds
-        overrides["scenario"] = _resolve_scenario(args.scenario, num_nodes, rounds)
+        scenario = _resolve_scenario(
+            args.scenario, overrides, workload.config.num_nodes, workload.config.rounds
+        )
     try:
         # Built here only to validate the flags and print the header; each
         # cell rebuilds task and config from its spec.
-        config = workload.make_config(execution=args.execution, **overrides)
+        config = workload.make_config(**overrides, scenario=scenario)
     except ConfigurationError as error:
         raise SystemExit(f"invalid configuration: {error}")
 
@@ -822,7 +754,14 @@ def _run_command(args: argparse.Namespace) -> int:
         f"partition={config.partition} seed={config.seed} execution={config.execution}"
         f"{engine_note}{scenario_note}"
     )
-    specs = [_spec_for_run(args, name, overrides) for name in args.scheme]
+    if scenario is not None:
+        overrides["scenario"] = scenario.to_dict()
+    # One spec per --scheme, run like a sweep cell; the overrides pin the CLI
+    # seed, so each spec's resolved seed is the --seed value.
+    specs = [
+        ExperimentSpec(workload=args.workload, scheme=scheme, overrides=overrides)
+        for scheme in schemes
+    ]
     snapshot = None
     if args.resume_from is not None:
         snapshot = _load_snapshot(args.resume_from)
@@ -866,12 +805,11 @@ def _run_command(args: argparse.Namespace) -> int:
         return PAUSED_EXIT_CODE
     print()
     print(summarize_results(dict(zip(args.scheme, finished))))
-    if metrics is not None:
-        print()
-        print("[metrics]")
-        print(metrics.render())
-    if args.trace is not None:
-        print(f"\ntrace written to {args.trace}")
+    _print_telemetry_footer(
+        metrics,
+        "metrics",
+        None if args.trace is None else f"trace written to {args.trace}",
+    )
     return 0
 
 
@@ -900,27 +838,15 @@ class _PrintingObserver(SweepObserver):
         print(f"paused {spec.label} at round {rounds_completed} (snapshot saved)")
 
 
-def _build_adhoc_sweep(args: argparse.Namespace) -> Sweep:
-    schemes = tuple(
-        SchemeSpec(name, _scheme_params_from_args(name, args), label=name)
-        for name in args.scheme
-    )
-    base_overrides: dict = {}
-    if args.nodes is not None:
-        base_overrides["num_nodes"] = args.nodes
-    if args.degree is not None:
-        base_overrides["degree"] = args.degree
-    if args.rounds is not None:
-        base_overrides["rounds"] = args.rounds
+def _build_adhoc_sweep(args: argparse.Namespace, scale: dict | None) -> Sweep:
+    base_overrides, schemes = _grid_from_flags(args)
     axes: dict = {}
     if args.seeds is not None:
         axes["seed"] = tuple(args.seeds)
     if args.scenario:
-        reference = get_workload(args.workload[0])  # ConfigurationError -> SystemExit
-        num_nodes = args.nodes if args.nodes is not None else reference.config.num_nodes
-        rounds = args.rounds if args.rounds is not None else reference.config.rounds
+        reference = get_workload(args.workload[0]).config  # ConfigurationError -> SystemExit
         axes["scenario"] = tuple(
-            _resolve_scenario(name, num_nodes, rounds).to_dict()
+            _resolve_scenario(name, base_overrides, reference.num_nodes, reference.rounds).to_dict()
             for name in args.scenario
         )
     return Sweep(
@@ -928,7 +854,7 @@ def _build_adhoc_sweep(args: argparse.Namespace) -> Sweep:
         workloads=tuple(args.workload),
         schemes=schemes,
         axes=axes,
-        base_overrides=base_overrides,
+        base_overrides={**base_overrides, **(scale or {})},
     )
 
 
@@ -955,32 +881,25 @@ def _print_sweep_telemetry(
         if totals:
             print(f"\n[profile: aggregated over {len(outcome.executed)} executed cell(s)]")
             print(format_profile(totals, rounds))
-    if metrics is not None:
-        print(f"\n[metrics: merged over {len(outcome.executed)} executed cell(s)]")
-        print(metrics.render())
-    if args.trace is not None and outcome.executed:
-        print(f"\n{len(outcome.executed)} trace file(s) written to {args.trace}/")
+    _print_telemetry_footer(
+        metrics,
+        f"metrics: merged over {len(outcome.executed)} executed cell(s)",
+        f"{len(outcome.executed)} trace file(s) written to {args.trace}/"
+        if args.trace is not None and outcome.executed
+        else None,
+    )
 
 
 def _sweep_command(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
-    if args.checkpoint_every < 0:
-        raise SystemExit("--checkpoint-every must be non-negative")
+    _validate_flags(args, cadence_needs_dir=False)
     scale = _parse_scale(args.scale)
     try:
         if args.preset is not None:
             sweep = get_artifact(args.preset).build_sweep(scale)
         else:
-            sweep = _build_adhoc_sweep(args)
-            if scale:
-                sweep = Sweep(
-                    name=sweep.name,
-                    workloads=sweep.workloads,
-                    schemes=sweep.schemes,
-                    axes=sweep.axes,
-                    base_overrides={**sweep.base_overrides, **scale},
-                )
+            sweep = _build_adhoc_sweep(args, scale)
         cells = sweep.cells()  # validate workloads/schemes/overrides before executing
     except ConfigurationError as error:
         raise SystemExit(f"invalid sweep: {error}")
@@ -1036,19 +955,17 @@ def _sweep_command(args: argparse.Namespace) -> int:
 
 
 def _fork_command(args: argparse.Namespace) -> int:
-    if args.checkpoint_every < 0:
-        raise SystemExit("--checkpoint-every must be non-negative")
-    if args.checkpoint_every > 0 and args.checkpoint_dir is None:
-        raise SystemExit("--checkpoint-every requires --checkpoint-dir")
+    _validate_flags(args)
     snapshot = _load_snapshot(args.snapshot)
     mutations: dict = dict(_parse_scale(args.set, flag="--set") or {})
     if args.rounds is not None:
         mutations["rounds"] = args.rounds
     if args.scenario is not None:
-        num_nodes = int(snapshot.config.get("num_nodes", 0))
-        rounds = int(mutations.get("rounds", snapshot.config.get("rounds", 0)))
         mutations["scenario"] = _resolve_scenario(
-            args.scenario, num_nodes, rounds
+            args.scenario,
+            mutations,
+            snapshot.config.get("num_nodes", 0),
+            snapshot.config.get("rounds", 0),
         ).to_dict()
     try:
         spec = build_forked_spec(snapshot, mutations)
@@ -1087,17 +1004,15 @@ def _fork_command(args: argparse.Namespace) -> int:
         f"parent spec {str(lineage.get('parent', ''))[:12]}... -> "
         f"forked spec {spec.content_hash()[:12]}..."
     )
-    if trace is not None:
-        print(f"trace written to {trace.path}")
     if args.store is not None:
         store = ResultStore(args.store)
         store.put(spec, result)
         print(f"stored forked result under {spec.content_hash()} in {args.store}")
     print()
     print(summarize_results({spec.label: result}))
-    if metrics is not None:
-        print("\n[metrics]")
-        print(metrics.render())
+    _print_telemetry_footer(
+        metrics, "metrics", None if trace is None else f"trace written to {trace.path}"
+    )
     return 0
 
 

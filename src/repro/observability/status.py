@@ -284,11 +284,6 @@ class StatusBoard:
 
         self._set_terminal(key, "paused", rounds_completed)
 
-    def mark_failed(self, key: str) -> None:
-        """The cell raised; the sweep is about to propagate the error."""
-
-        self._set_terminal(key, "failed")
-
     def merge_metrics(self, registry: "MetricsRegistry | Mapping[str, Any]") -> None:
         """Fold a finished cell's registry into the board's merged snapshot."""
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -260,8 +261,14 @@ class ScenarioState:
     slowdowns: tuple[float, ...]
     byzantine: tuple[str | None, ...] = ()
 
+    @cached_property
+    def _active_set(self) -> frozenset[int]:
+        """``active`` as a set: membership is asked O(N) times a round."""
+
+        return frozenset(self.active)
+
     def is_active(self, node: int) -> bool:
-        return node in self.active
+        return node in self._active_set
 
     def byzantine_mode(self, node: int) -> str | None:
         """The attack ``node`` mounts this round (``None`` for honest nodes)."""
@@ -273,7 +280,7 @@ class ScenarioState:
     def allows(self, sender: int, receiver: int) -> bool:
         """Whether a message from ``sender`` can reach ``receiver`` this round."""
 
-        if sender not in self.active or receiver not in self.active:
+        if sender not in self._active_set or receiver not in self._active_set:
             return False
         return self.partition_ids[sender] == self.partition_ids[receiver]
 

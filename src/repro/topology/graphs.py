@@ -10,6 +10,7 @@ topology is validated to be connected so the decentralized averaging mixes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
@@ -44,16 +45,26 @@ class Topology:
             if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
                 raise TopologyError(f"edge ({u}, {v}) references an unknown node")
 
-    def neighbors(self, node: int) -> list[int]:
-        """Sorted neighbor list of ``node``."""
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor tuple per node, built from one pass over ``edges``.
 
-        found = set()
+        A cached property rather than a field, so equality, hashing,
+        ``dataclasses.replace`` and snapshots see ``num_nodes`` and ``edges`` only.
+        """
+
+        found: list[set[int]] = [set() for _ in range(self.num_nodes)]
         for u, v in self.edges:
-            if u == node:
-                found.add(v)
-            elif v == node:
-                found.add(u)
-        return sorted(found)
+            found[u].add(v)
+            found[v].add(u)
+        return tuple(tuple(sorted(peers)) for peers in found)
+
+    def neighbors(self, node: int) -> list[int]:
+        """Sorted neighbor list of ``node`` (empty for a node outside the graph)."""
+
+        if not 0 <= node < self.num_nodes:
+            return []
+        return list(self._adjacency[node])
 
     def degree(self, node: int) -> int:
         return len(self.neighbors(node))

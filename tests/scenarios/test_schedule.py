@@ -131,6 +131,23 @@ class TestStateAt:
         assert schedule.state_at(4, 4).slowdowns[2] == 2.0
         assert schedule.state_at(4, 4).max_slowdown() == 6.0
 
+    def test_allows_and_is_active_agree_with_the_definition_every_round(self):
+        # Table test over churn + partition states: membership in the ordered
+        # `active` tuple and equal partition ids are the definition.
+        schedule = _rich_schedule()
+        for round_index in range(9):
+            state = schedule.state_at(round_index, 4)
+            assert isinstance(state.active, tuple) and list(state.active) == sorted(state.active)
+            for sender in range(-1, 5):
+                assert state.is_active(sender) == (sender in state.active)
+                for receiver in range(4):
+                    expected = (
+                        sender in state.active
+                        and receiver in state.active
+                        and state.partition_ids[sender] == state.partition_ids[receiver]
+                    )
+                    assert state.allows(sender, receiver) == expected
+
     def test_max_slowdown_ignores_offline_nodes(self):
         schedule = ScenarioSchedule(
             outages=(NodeOutage(node=0, start_round=0, end_round=2),),

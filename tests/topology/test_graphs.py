@@ -1,5 +1,7 @@
 """Tests for communication topologies."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.topology.graphs import (
     fully_connected_topology,
     random_regular_topology,
     ring_topology,
+    small_world_topology,
     star_topology,
 )
 
@@ -90,3 +93,78 @@ def test_dynamic_topology_changes_every_round():
     assert all(
         dynamic.current.degree(node) == 4 for node in range(12)
     )
+
+
+# -- neighbors()/degree() against an edge-scan oracle ---------------------------------
+def _edge_scan_neighbors(topology: Topology, node: int) -> list[int]:
+    """The definition: scan every edge (what ``neighbors`` did before the cache)."""
+
+    found = set()
+    for u, v in topology.edges:
+        if u == node:
+            found.add(v)
+        elif v == node:
+            found.add(u)
+    return sorted(found)
+
+
+_ORACLE_GRAPHS = {
+    "ring": lambda: ring_topology(9),
+    "star": lambda: star_topology(7, center=2),
+    "regular-8": lambda: random_regular_topology(8, 3, np.random.default_rng(0)),
+    "regular-96": lambda: random_regular_topology(96, 4, np.random.default_rng(1)),
+    "regular-384": lambda: random_regular_topology(384, 6, np.random.default_rng(2)),
+    "small-world": lambda: small_world_topology(24, 4, 0.3, np.random.default_rng(3)),
+    # Node 3 is isolated, and the duplicate / reversed edges must collapse.
+    "isolated": lambda: Topology(num_nodes=5, edges=((0, 1), (1, 0), (0, 1), (2, 4), (1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_GRAPHS))
+def test_neighbors_and_degree_match_the_edge_scan_oracle(name):
+    topology = _ORACLE_GRAPHS[name]()
+    for node in (-1, *range(topology.num_nodes), topology.num_nodes, topology.num_nodes + 7):
+        expected = _edge_scan_neighbors(topology, node)
+        assert topology.neighbors(node) == expected
+        assert topology.degree(node) == len(expected)
+    assert topology.neighbors(topology.num_nodes) == []  # out of range, not an IndexError
+
+
+def test_neighbors_returns_a_fresh_list_each_call():
+    topology = ring_topology(5)
+    first = topology.neighbors(0)
+    first.append(99)
+    assert topology.neighbors(0) == [1, 4]
+
+
+class _CountingEdges(tuple):
+    """An edge tuple that counts how many times it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1  # per instance: the class attribute stays 0
+        return super().__iter__()
+
+
+def test_neighbor_lookups_do_not_rescan_the_edge_list():
+    num_nodes = 64
+    edges = _CountingEdges(ring_topology(num_nodes).edges)
+    topology = Topology(num_nodes=num_nodes, edges=edges)
+    after_construction = edges.iterations
+    for _ in range(3):
+        for node in range(num_nodes):
+            topology.neighbors(node)
+            topology.degree(node)
+    # One pass builds the adjacency; 6 * N lookups add none.
+    assert edges.iterations - after_construction <= 1
+
+
+def test_adjacency_cache_is_invisible_to_equality_hash_and_replace():
+    warm = ring_topology(6)
+    warm.neighbors(0)
+    cold = ring_topology(6)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert [field.name for field in fields(warm)] == ["num_nodes", "edges"]
+    grown = replace(warm, edges=warm.edges + ((0, 3),))
+    assert grown.neighbors(0) == [1, 3, 5]  # the copy rebuilt its own adjacency
