@@ -20,7 +20,8 @@
 #   determinism  churn+partition sweep twice serially and once on 2 workers;
 #                the JSONL stores must be byte-for-byte identical (a mismatch
 #                prints a forensic trace diff: first divergent record, field
-#                drift, causal backtrace)
+#                drift, causal backtrace); then 24-node arena-vs-pernode cells
+#                (default cut-off list and --budget 0.2), equal result payloads
 #   checkpoint   SIGINT a 2-cell pool sweep mid-spec, resume it, and
 #                byte-compare the store's rows against an uninterrupted run
 #                (the fourth determinism pillar), plus dry-run/compact smokes
@@ -201,18 +202,25 @@ stage_determinism() {
   _compare_stores "$CI_TMP/det-serial.jsonl" "$CI_TMP/det-pool.jsonl"  "worker count (1 vs 2)" \
       "$CI_TMP/det-serial-traces" "$CI_TMP/det-pool-traces"
 
-  # Arena-engine equivalence cell: the batched (N, d) engine must reproduce
-  # the per-node engine's result payloads exactly.  The seed is pinned
-  # because an unseeded spec derives its seed from the content hash, which
-  # the engine override is deliberately part of; and the comparison is over
-  # result payloads, not raw store bytes, because the spec rows themselves
-  # differ by that override.
+  # Arena-engine equivalence cells: the batched (N, d) engine must reproduce
+  # the per-node engine's result payloads exactly.  24 nodes, so that the
+  # count-groups the arena ranks, selects and index-codes in one call hold
+  # several rows each; the --budget 0.2 cell adds the two-point cut-off (one
+  # large group split across pack chunks, one `count == c` group).  The seed
+  # is pinned because an unseeded spec derives its seed from the content
+  # hash, which the engine override is deliberately part of; and the
+  # comparison is over result payloads, not raw store bytes, because the spec
+  # rows themselves differ by that override.
   local arena_args=(--workload movielens --scheme jwins full-sharing
-                    --nodes 4 --degree 2 --rounds 3 --scenario churn-partition
+                    --nodes 24 --degree 4 --rounds 3 --scenario churn-partition
                     --seeds 1)
-  python -m repro.cli sweep "${arena_args[@]}" --store "$CI_TMP/det-engine-pernode.jsonl" --workers 1 >/dev/null
-  python -m repro.cli sweep "${arena_args[@]}" --store "$CI_TMP/det-engine-arena.jsonl"   --workers 1 --scale engine=arena >/dev/null
-  python - "$CI_TMP/det-engine-pernode.jsonl" "$CI_TMP/det-engine-arena.jsonl" <<'PY'
+  local cell
+  for cell in default budget; do
+    local cell_args=("${arena_args[@]}")
+    if [[ "$cell" == budget ]]; then cell_args+=(--budget 0.2); fi
+    python -m repro.cli sweep "${cell_args[@]}" --store "$CI_TMP/det-engine-pernode-$cell.jsonl" --workers 1 >/dev/null
+    python -m repro.cli sweep "${cell_args[@]}" --store "$CI_TMP/det-engine-arena-$cell.jsonl"   --workers 1 --scale engine=arena >/dev/null
+    python - "$CI_TMP/det-engine-pernode-$cell.jsonl" "$CI_TMP/det-engine-arena-$cell.jsonl" <<'PY'
 import json
 import sys
 
@@ -228,6 +236,7 @@ for row_p, row_a in zip(pernode, arena):
         print(f"determinism gate FAILED: arena result differs for {label}")
         sys.exit(1)
 PY
+  done
   echo "determinism gate: arena-engine results are byte-identical to per-node"
 }
 

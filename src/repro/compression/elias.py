@@ -46,6 +46,13 @@ __all__ = [
 #: (bit_length 32 -> code width 63).
 _MAX_FAST_VALUE = (1 << 32) - 1
 
+#: Most bit fields the rows form of :func:`elias_gamma_encode` hands
+#: :func:`~repro.compression.bitstream.pack_bitfields` at once.  The packer
+#: keeps about a dozen field-sized temporaries alive, so its transient memory
+#: would grow with the number of rows (one pack over a 1,000-node round's
+#: 118k fields measured +9% peak RSS); 8k fields stay in cache at any N.
+_ROWS_CHUNK_FIELDS = 8192
+
 
 def gamma_code_length(value: int) -> int:
     """Number of bits Elias gamma uses for ``value`` (must be >= 1)."""
@@ -116,30 +123,69 @@ def _bit_lengths(values: np.ndarray) -> np.ndarray:
     return ((x * h01) >> np.uint64(56)).astype(np.int64)
 
 
-def elias_gamma_encode(values: Iterable[int] | Sequence[int] | np.ndarray) -> tuple[bytes, int, int]:
+def elias_gamma_encode(
+    values: Iterable[int] | Sequence[int] | np.ndarray,
+) -> tuple[bytes, int, int] | list[tuple[bytes, int, int]]:
     """Encode a sequence of positive integers.
 
     Returns ``(payload, bit_length, count)``; ``bit_length`` is required for an
     exact decode and ``count`` is the number of encoded integers.  The payload
     is byte-identical to :func:`elias_gamma_encode_reference`.
+
+    A 2-D array is a stack of equally long sequences: the result is then a
+    list with one such triple per row, each identical to the 1-D call on that
+    row.
     """
 
     if isinstance(values, np.ndarray):
-        data = np.asarray(values, dtype=np.int64).ravel()
+        data = np.asarray(values, dtype=np.int64)
     else:
-        data = np.asarray(list(values), dtype=np.int64).ravel()
-    if data.size == 0:
-        return b"", 0, 0
+        data = np.asarray(list(values), dtype=np.int64)
+    if data.ndim == 2:
+        return _encode_rows(data)
+    return _encode_rows(data.reshape(1, -1))[0]
+
+
+def _encode_rows(data: np.ndarray) -> list[tuple[bytes, int, int]]:
+    """Gamma-code every row of an ``(n, k)`` matrix as its own byte-aligned stream.
+
+    Rows are packed :data:`_ROWS_CHUNK_FIELDS` fields at a time: within a chunk
+    a zero-valued pad field after each row rounds it up to a whole byte, so one
+    :func:`pack_bitfields` call emits the rows back to back and the payload
+    splits at byte offsets.  A chunk of one row — the 1-D call, or rows longer
+    than a chunk — needs no pad (the packer zero-pads the final byte itself)
+    and is packed in place, without a copy.
+    """
+
+    rows, count = data.shape
+    if count == 0:
+        return [(b"", 0, 0)] * rows
     if np.any(data < 1):
         bad = int(data[data < 1][0])
         raise CodecError(f"Elias gamma requires positive integers, got {bad}")
     if int(data.max()) > _MAX_FAST_VALUE:
-        return elias_gamma_encode_reference(data)
-    lengths = _bit_lengths(data)
-    # gamma(v) is v right-aligned in a field of 2L-1 bits: the L-1 leading
-    # zeros double as the unary prefix and v's own leading one terminates it.
-    payload, bit_length = pack_bitfields(data, 2 * lengths - 1)
-    return payload, bit_length, int(data.size)
+        return [elias_gamma_encode_reference(row) for row in data]
+    encoded: list[tuple[bytes, int, int]] = []
+    step = max(1, _ROWS_CHUNK_FIELDS // (count + 1))
+    for start in range(0, rows, step):
+        block = data[start : start + step]
+        # gamma(v) is v right-aligned in a field of 2L-1 bits: the L-1 leading
+        # zeros double as the unary prefix and v's own leading one terminates it.
+        widths = 2 * _bit_lengths(block) - 1
+        if block.shape[0] == 1:
+            encoded.append((*pack_bitfields(block, widths), count))
+            continue
+        row_bits = widths.sum(axis=1)
+        fields = np.zeros((block.shape[0], count + 1), dtype=np.int64)
+        fields[:, :count] = block
+        field_widths = np.empty_like(fields)
+        field_widths[:, :count] = widths
+        field_widths[:, count] = -row_bits & 7
+        payload, _ = pack_bitfields(fields, field_widths)
+        stops = np.cumsum((row_bits + 7) >> 3).tolist()
+        for begin, stop, bits in zip([0] + stops, stops, row_bits.tolist()):
+            encoded.append((payload[begin:stop], bits, count))
+    return encoded
 
 
 def elias_gamma_decode_array(payload: bytes, bit_length: int, count: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from repro.exceptions import CodecError
 
 __all__ = [
     "EliasGammaIndexCodec",
+    "EncodedIndexRows",
     "EncodedIndices",
     "IndexCodec",
     "RawIndexCodec",
@@ -53,14 +54,34 @@ class EncodedIndices:
         return len(self.payload) + 12 + 4 * len(self.extra)
 
 
+class EncodedIndexRows(tuple):
+    """One :class:`EncodedIndices` per row of an encoded ``(n, k)`` index matrix."""
+
+    __slots__ = ()
+
+    @property
+    def size_bytes(self) -> int:
+        """Total metadata size of the rows, each framed as its own message."""
+
+        return sum(row.size_bytes for row in self)
+
+
 class IndexCodec(ABC):
     """Interface of an index codec."""
 
     name = "abstract"
 
     @abstractmethod
-    def encode(self, indices: np.ndarray, universe: int) -> EncodedIndices:
-        """Encode ``indices`` drawn from ``range(universe)``."""
+    def encode(
+        self, indices: np.ndarray, universe: int
+    ) -> EncodedIndices | EncodedIndexRows:
+        """Encode ``indices`` drawn from ``range(universe)``.
+
+        The codecs JWINS ships (:class:`RawIndexCodec`,
+        :class:`EliasGammaIndexCodec`) also take an ``(n, k)`` matrix of ``n``
+        equally long index lists and return :class:`EncodedIndexRows`, each
+        row encoded exactly as the 1-D call would.
+        """
 
     @abstractmethod
     def decode(self, encoded: EncodedIndices) -> np.ndarray:
@@ -72,9 +93,13 @@ class RawIndexCodec(IndexCodec):
 
     name = "raw"
 
-    def encode(self, indices: np.ndarray, universe: int) -> EncodedIndices:
+    def encode(
+        self, indices: np.ndarray, universe: int
+    ) -> EncodedIndices | EncodedIndexRows:
         """Ship the indices verbatim as little-endian 32-bit integers."""
 
+        if np.ndim(indices) == 2:
+            return EncodedIndexRows(self.encode(row, universe) for row in indices)
         values = _validate_indices(indices, universe)
         payload = values.astype("<u4").tobytes()
         return EncodedIndices(
@@ -98,26 +123,40 @@ class EliasGammaIndexCodec(IndexCodec):
 
     name = "elias-gamma"
 
-    def encode(self, indices: np.ndarray, universe: int) -> EncodedIndices:
+    def encode(
+        self, indices: np.ndarray, universe: int
+    ) -> EncodedIndices | EncodedIndexRows:
         """Sort, delta-encode and Elias-gamma code the index gaps."""
 
-        values = np.asarray(indices, dtype=np.int64).ravel()
+        values = np.asarray(indices, dtype=np.int64)
+        if values.ndim == 2:
+            return self._encode_rows(values, universe)
+        return self._encode_rows(values.reshape(1, -1), universe)[0]
+
+    def _encode_rows(self, values: np.ndarray, universe: int) -> EncodedIndexRows:
         # Top-k selection hands over ascending indices, and "strictly ascending
-        # from a first index >= 0 to a last one < universe" proves distinct,
-        # in range and sorted in O(k).  Anything else takes the full validation
-        # (which raises, or accepts an unsorted set) and a sort.
-        if universe <= 0 or not _strictly_ascending_within(values, universe):
-            values = np.sort(_validate_indices(values, universe))
+        # from a first index >= 0 to a last one < universe" proves a row
+        # distinct, in range and sorted in O(k).  Any other row takes the full
+        # validation (which raises, or accepts an unsorted set) and a sort.
+        proven = _strictly_ascending_within(values, universe)
+        if universe <= 0:
+            proven[:] = False
+        if not proven.all():
+            values = values.copy()
+            for row in np.flatnonzero(~proven):
+                values[row] = np.sort(_validate_indices(values[row], universe))
         # Gaps are >= 1 between sorted distinct indices; shift the first index
         # by one so that every encoded integer is positive as gamma requires.
         gaps = np.diff(values, prepend=-1)
-        payload, bit_length, count = elias_gamma_encode(gaps)
-        return EncodedIndices(
-            codec=self.name,
-            payload=payload,
-            bit_length=bit_length,
-            count=count,
-            universe=int(universe),
+        return EncodedIndexRows(
+            EncodedIndices(
+                codec=self.name,
+                payload=payload,
+                bit_length=bit_length,
+                count=count,
+                universe=int(universe),
+            )
+            for payload, bit_length, count in elias_gamma_encode(gaps)
         )
 
     def decode(self, encoded: EncodedIndices) -> np.ndarray:
@@ -177,18 +216,20 @@ class SeedIndexCodec(IndexCodec):
         return random_indices_from_seed(encoded.extra[0], encoded.count, encoded.universe)
 
 
-def _strictly_ascending_within(values: np.ndarray, universe: int) -> bool:
-    """Whether ``values`` ascends strictly inside ``[0, universe)`` (no sort).
+def _strictly_ascending_within(values: np.ndarray, universe: int) -> np.ndarray:
+    """Per row of ``(n, k)`` ``values``: strictly ascending inside ``[0, universe)``?
 
     Compares neighbours instead of differencing them, so extreme int64 values
     cannot wrap their way past the check.
     """
 
-    if values.size == 0:
-        return True
-    if values[0] < 0 or values[-1] >= universe:
-        return False
-    return bool((values[1:] > values[:-1]).all())
+    if values.shape[1] == 0:
+        return np.ones(values.shape[0], dtype=bool)
+    return (
+        (values[:, 0] >= 0)
+        & (values[:, -1] < universe)
+        & (values[:, 1:] > values[:, :-1]).all(axis=1)
+    )
 
 
 def _validate_indices(indices: np.ndarray, universe: int) -> np.ndarray:

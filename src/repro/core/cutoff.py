@@ -39,6 +39,10 @@ class CutoffDistribution:
         total = float(sum(self.probabilities))
         if not np.isclose(total, 1.0, atol=1e-9):
             raise ConfigurationError(f"probabilities must sum to 1, got {total}")
+        # What ``Generator.choice(p=...)`` recomputes on every call, after
+        # re-validating ``p``.  Not a field: equality and repr ignore it.
+        cdf = np.cumsum(np.asarray(self.probabilities, dtype=np.float64))
+        object.__setattr__(self, "_cdf", cdf / cdf[-1])
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -80,9 +84,14 @@ class CutoffDistribution:
 
     # -- behaviour ------------------------------------------------------------
     def sample(self, rng: np.random.Generator) -> float:
-        """Draw one sharing fraction."""
+        """Draw one sharing fraction.
 
-        index = rng.choice(len(self.alphas), p=self.probabilities)
+        Index and generator state afterwards are those of
+        ``rng.choice(len(alphas), p=probabilities)``: one uniform draw looked
+        up in the CDF (pinned against numpy in ``tests/core/test_cutoff.py``).
+        """
+
+        index = self._cdf.searchsorted(rng.random(), side="right")
         return float(self.alphas[index])
 
     def expected_fraction(self) -> float:

@@ -17,6 +17,8 @@ Per round, a node running JWINS
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.compression.float_codec import FloatCodec, RawFloatCodec
@@ -86,59 +88,90 @@ class JwinsScheme(SharingScheme):
             - np.asarray(context.params_start, dtype=np.float64)
         )
         own_coefficients = self.transform.forward(context.params_trained)
-        return self.prepare_from_coefficients(context, local_change, own_coefficients)
+        return self.prepare_from_coefficients(
+            [self], [context], local_change[None], own_coefficients[None]
+        )[0]
 
+    @staticmethod
     def prepare_from_coefficients(
-        self,
-        context: RoundContext,
-        local_change_coefficients: np.ndarray,
-        own_coefficients: np.ndarray,
-    ) -> Message:
-        """Algorithm 1 lines 5-8 from precomputed coefficient vectors.
+        schemes: Sequence["JwinsScheme"],
+        contexts: Sequence[RoundContext],
+        change_matrix: np.ndarray,
+        own_matrix: np.ndarray,
+    ) -> list[Message]:
+        """Algorithm 1 lines 5-8 for a stack of nodes, from precomputed coefficients.
 
-        The arena engine runs the two forward DWTs (of the local change and of
-        the trained model) for *all* nodes in two batched passes and hands each
-        scheme its rows; :meth:`prepare` delegates here after computing the
-        same two vectors one node at a time, so both engines share one code
-        path and produce bit-identical messages.  ``own_coefficients`` is
+        Row ``i`` of ``change_matrix``/``own_matrix`` holds the forward DWT of
+        node ``i``'s local change / trained model.  The arena engine computes
+        both for *all* nodes in two batched passes and calls this once a
+        round; :meth:`prepare` calls it with its own single row, so both
+        engines share one code path and produce bit-identical messages.
+
+        The cut-off list is short, so the rows fall into a few groups of equal
+        count — rectangular problems: scores and the alpha draw (from each
+        node's own ``context.rng``) stay per row, then every group takes one
+        :func:`~repro.sparsification.topk.topk_indices` over its score matrix,
+        one gather and one index-codec call over its index matrix.  The float
+        codec runs per message (DEFLATE has no batch form).  All ``schemes``
+        must share one :class:`~repro.core.config.JwinsConfig`, since a group
+        is encoded by its first scheme's codecs.  Each ``own_matrix`` row is
         retained by reference until :meth:`aggregate` consumes it and must not
         be mutated by the caller in between.
         """
 
-        scores = self._adjust_scores(
-            self.ranker.round_scores_from_change(local_change_coefficients)
-        )
-        if self.config.use_random_cutoff:
-            alpha = self.config.cutoff.sample(context.rng)
-        else:
-            alpha = self._fixed_alpha
-        self.last_alpha = alpha
-        count = fraction_to_count(alpha, self.ranker.coefficient_size)
-        indices = topk_indices(scores, count)
-        own_coefficients = np.asarray(own_coefficients, dtype=np.float64)
-        self._own_coefficients = own_coefficients
-        values = own_coefficients[indices]
-        self.ranker.mark_shared(indices)
+        first = schemes[0]
+        config = first.config
+        if any(scheme.config is not config and scheme.config != config for scheme in schemes):
+            raise SimulationError("schemes prepared together must share one JwinsConfig")
+        coefficient_size = first.ranker.coefficient_size
+        own_matrix = np.asarray(own_matrix, dtype=np.float64)
+        row_scores: list[np.ndarray] = []
+        groups: dict[int, list[int]] = {}
+        for row, (scheme, context) in enumerate(zip(schemes, contexts)):
+            row_scores.append(
+                scheme._adjust_scores(scheme.ranker.round_scores_from_change(change_matrix[row]))
+            )
+            if config.use_random_cutoff:
+                alpha = config.cutoff.sample(context.rng)
+            else:
+                alpha = scheme._fixed_alpha
+            scheme.last_alpha = alpha
+            scheme._own_coefficients = own_matrix[row]
+            groups.setdefault(fraction_to_count(alpha, coefficient_size), []).append(row)
 
-        compressed_values = self._float_codec.compress(values)
-        encoded_indices = self._index_codec.encode(indices, self.ranker.coefficient_size)
-        size = PayloadSize(
-            values_bytes=compressed_values.size_bytes,
-            metadata_bytes=encoded_indices.size_bytes,
-        )
-        payload = {
-            "indices": indices,
-            "values": values,
-            "alpha": alpha,
-            "coefficient_size": self.ranker.coefficient_size,
-        }
-        return Message(
-            sender=self.node_id,
-            kind=MESSAGE_KIND,
-            payload=payload,
-            size=size,
-            shared_fraction=min(1.0, values.size / max(1, context.model_size)),
-        )
+        messages: dict[int, Message] = {}
+        for count, rows in groups.items():
+            indices = topk_indices(
+                # One row stays a view: the per-node engines pay no O(d) copy.
+                row_scores[rows[0]][None]
+                if len(rows) == 1
+                else np.stack([row_scores[row] for row in rows]),
+                count,
+            )
+            values = own_matrix[np.asarray(rows)[:, None], indices]
+            encoded = first._index_codec.encode(indices, coefficient_size)
+            for row, row_indices, row_values, row_encoded in zip(rows, indices, values, encoded):
+                scheme = schemes[row]
+                scheme.ranker.mark_shared(row_indices)
+                compressed_values = scheme._float_codec.compress(row_values)
+                messages[row] = Message(
+                    sender=scheme.node_id,
+                    kind=MESSAGE_KIND,
+                    payload={
+                        "indices": row_indices,
+                        "values": row_values,
+                        "alpha": scheme.last_alpha,
+                        "coefficient_size": coefficient_size,
+                    },
+                    size=PayloadSize(
+                        values_bytes=compressed_values.size_bytes,
+                        metadata_bytes=row_encoded.size_bytes,
+                    ),
+                    shared_fraction=min(
+                        1.0, row_values.size / max(1, contexts[row].model_size)
+                    ),
+                )
+        return [messages[row] for row in range(len(schemes))]
 
     # -- Algorithm 1, lines 9-11 ------------------------------------------------
     def aggregate(self, context: RoundContext, messages: list[Message]) -> np.ndarray:

@@ -17,14 +17,29 @@ its train/encode/aggregate stages through the ``*_batched`` kernels below,
 which replace the hottest per-node loops with whole-arena numpy operations:
 
 * the SGD update of a local step runs once over all active rows
-  (:meth:`NodeArenas.step_rows`) instead of once per node per tensor;
+  (:meth:`NodeArenas.step_rows`) instead of once per node per tensor, and so
+  does the gradient zeroing before it (one ``arenas.grads[rows] = 0`` for N
+  ``model.zero_grad()`` traversals);
 * the three DWT passes of a JWINS round (scores change, own coefficients,
   end-of-round change) each run as one batched
   :meth:`~repro.wavelets.transform.ModelTransform.forward_batch` /
   :meth:`~repro.wavelets.transform.ModelTransform.inverse_batch` call over a
   stacked coefficient matrix;
-* everything else of a round (scenario state, the byzantine send path, delivery
-  in drop-RNG draw order, metering, checkpointing) is the loop's own code.
+* Algorithm 1 lines 5-8 run once a round through the rows form of
+  :meth:`~repro.core.jwins.JwinsScheme.prepare_from_coefficients`: the cut-off
+  list is short (seven fractions by default), so the N messages fall into a
+  few groups of equal count, and each group takes one row-wise TopK, one
+  gather and one Elias-gamma call over its ``(n_g, k)`` index matrix;
+* the averaged models are written back in one ``arenas.params[rows] = ...``
+  assignment instead of N ``set_parameters`` calls.
+
+What stays per node, and why: the alpha draw and :meth:`Simulator.make_context`
+(every node owns its RNG streams, derived per node and round), the float codec
+(DEFLATE has no batch form and the exact wire size needs each message
+compressed), :meth:`~repro.core.jwins.JwinsScheme.aggregate_coefficients`
+(each inbox is its own sparse average), sampling and forward/backward.
+Everything else of a round (scenario state, the byzantine send path, delivery
+in drop-RNG draw order, metering, checkpointing) is the loop's own code.
 
 The determinism contract is strict bit-identity: for any configuration,
 ``config.with_engine("arena")`` produces an
@@ -76,8 +91,9 @@ class NodeArenas:
         ``(N, d)`` parameter values; node models read and write it through
         per-tensor row views.
     grads:
-        ``(N, d)`` accumulated gradients, zeroed by ``model.zero_grad()``
-        through the same views.
+        ``(N, d)`` accumulated gradients, zeroed a row block at a time by
+        :func:`train_batched` (or by ``model.zero_grad()`` through the same
+        views).
     velocity:
         ``(N, d)`` SGD momentum buffers (all zeros while momentum is 0.0),
         owned jointly with each node's :class:`ArenaSGD`.
@@ -257,10 +273,12 @@ def _jwins_batch_plan(nodes: list[SimulationNode]) -> _JwinsBatchPlan | None:
     The batched path is taken only when every scheme is the same
     :class:`~repro.core.jwins.JwinsScheme` subtype that inherits ``prepare``/
     ``aggregate``/``finalize`` unchanged (so the coefficient-level entry
-    points cover the whole protocol) and all transforms agree.  Anything else
-    — mixed schemes, a baseline scheme, a subclass overriding the round
-    protocol — falls back to per-node scheme calls, still on arena-backed
-    state.
+    points cover the whole protocol), all transforms agree and all
+    :class:`~repro.core.config.JwinsConfig` are equal (a count-group is
+    selected and encoded in one call, with one cut-off and one codec pair).
+    Anything else — mixed schemes, a baseline scheme, a subclass overriding
+    the round protocol, a factory configuring nodes differently — falls back
+    to per-node scheme calls, still on arena-backed state.
     """
 
     if not nodes:
@@ -292,11 +310,22 @@ def _jwins_batch_plan(nodes: list[SimulationNode]) -> _JwinsBatchPlan | None:
             other.wavelet != transform.wavelet or other.levels != transform.levels
         ):
             return None
-        if scheme.ranker.use_accumulation != first.ranker.use_accumulation:
+        if scheme.config is not first.config and scheme.config != first.config:
             return None
     return _JwinsBatchPlan(
         transform=transform, use_accumulation=first.ranker.use_accumulation
     )
+
+
+def _change_since_start(matrix: np.ndarray, contexts: list[RoundContext]) -> np.ndarray:
+    """``matrix`` minus the stacked ``params_start`` rows, in the stack's own buffer.
+
+    One ``(N, d)`` temporary instead of two, and it dies with the expression
+    that consumes it — the stage matrices are what ``peak_rss_mib`` sees.
+    """
+
+    change = np.stack([context.params_start for context in contexts])
+    return np.subtract(matrix, change, out=change)
 
 
 # -- batched stage kernels ---------------------------------------------------------
@@ -307,9 +336,10 @@ def train_batched(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Stage ``train``, step-major: one batched SGD update per local step.
 
-    Every active node samples, forwards and backwards its own mini-batch
-    (per-node RNG streams are independent, so the reorder is bit-safe), then
-    one :meth:`NodeArenas.step_rows` call updates all active rows at once.
+    All active gradient rows are zeroed at once, every active node samples,
+    forwards and backwards its own mini-batch (per-node RNG streams are
+    independent, so the reorder is bit-safe), then one
+    :meth:`NodeArenas.step_rows` call updates all active rows at once.
     """
 
     config = simulator.config
@@ -321,9 +351,9 @@ def train_batched(
         for node in active_nodes:
             node.model.train()
         for _ in range(config.local_steps):
+            arenas.grads[active_rows] = 0.0  # every node's model.zero_grad() at once
             for position, node in enumerate(active_nodes):
                 inputs, targets = node.sample_batch()
-                node.model.zero_grad()
                 outputs = node.model.forward(inputs)
                 losses[position].append(node.loss.forward(outputs, targets))
                 node.model.backward(node.loss.backward())
@@ -337,7 +367,7 @@ def train_batched(
 def encode_batched(
     simulator: Simulator, active_nodes: list[SimulationNode], contexts: list[RoundContext]
 ) -> dict[int, Message]:
-    """Stage ``encode``: two batched forward DWTs, then one scheme call per node.
+    """Stage ``encode``: two batched forward DWTs, then one scheme call for all rows.
 
     Schemes without a batch plan take the per-row kernel, on arena-backed state.
     """
@@ -345,18 +375,20 @@ def encode_batched(
     plan = _jwins_batch_plan(active_nodes)
     if plan is None:
         return encode_rows(simulator, active_nodes, contexts)
-    messages: dict[int, Message] = {}
     with simulator.profile("encode"):
-        start_matrix = np.stack([context.params_start for context in contexts])
         presented_matrix = np.stack([context.params_trained for context in contexts])
-        change_matrix = plan.transform.forward_batch(presented_matrix - start_matrix)
+        change_matrix = plan.transform.forward_batch(
+            _change_since_start(presented_matrix, contexts)
+        )
         own_matrix = plan.transform.forward_batch(presented_matrix)
-        for position, (node, context) in enumerate(zip(active_nodes, contexts)):
-            message = node.scheme.prepare_from_coefficients(
-                context, change_matrix[position], own_matrix[position]
-            )
-            messages[node.node_id] = simulator.record_prepared_message(node, context, message)
-    return messages
+        del presented_matrix  # consumed: one (N, d) matrix less under the peak
+        prepared = active_nodes[0].scheme.prepare_from_coefficients(
+            [node.scheme for node in active_nodes], contexts, change_matrix, own_matrix
+        )
+        return {
+            node.node_id: simulator.record_prepared_message(node, context, message)
+            for node, context, message in zip(active_nodes, contexts, prepared)
+        }
 
 
 def aggregate_batched(
@@ -367,26 +399,37 @@ def aggregate_batched(
 ) -> None:
     """Stage ``aggregate``: one batched inverse DWT over all averaged rows.
 
-    Each node's weighted coefficient average is collected per row, and the
+    Each node's weighted coefficient average is collected per row, the
     end-of-round accumulator update is fed from one batched forward DWT of the
-    round changes.  Schemes without a batch plan take the per-row kernel.
+    round changes, and the new models land in the arena in one assignment.
+    Schemes without a batch plan take the per-row kernel.
     """
 
     plan = _jwins_batch_plan(active_nodes)
     if plan is None:
         return aggregate_rows(simulator, active_nodes, contexts, inboxes)
     with simulator.profile("aggregate"):
-        averaged_matrix = np.stack(
-            [
-                node.scheme.aggregate_coefficients(context, inbox)
-                for node, context, inbox in zip(active_nodes, contexts, inboxes)
-            ]
+        new_matrix = plan.transform.inverse_batch(
+            np.stack(
+                [
+                    node.scheme.aggregate_coefficients(context, inbox)
+                    for node, context, inbox in zip(active_nodes, contexts, inboxes)
+                ]
+            )
         )
-        new_matrix = plan.transform.inverse_batch(averaged_matrix)
+        arenas = simulator.arenas
+        active_rows = [node.node_id for node in active_nodes]
+        if new_matrix.shape != (len(active_rows), arenas.model_size):
+            raise SimulationError(
+                f"aggregation produced a {new_matrix.shape} matrix for "
+                f"{len(active_rows)} models of {arenas.model_size} parameters"
+            )
         if plan.use_accumulation:
-            start_matrix = np.stack([context.params_start for context in contexts])
-            round_change_matrix = plan.transform.forward_batch(new_matrix - start_matrix)
+            round_change_matrix = plan.transform.forward_batch(
+                _change_since_start(new_matrix, contexts)
+            )
             for node, round_change in zip(active_nodes, round_change_matrix):
                 node.scheme.finalize_from_change(round_change)
-        for node, new_params in zip(active_nodes, new_matrix):
-            node.set_parameters(new_params)
+        # One assignment for N set_parameters() calls; the nodes' Parameter
+        # views stay bound to the arena.
+        arenas.params[active_rows] = new_matrix

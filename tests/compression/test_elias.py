@@ -61,3 +61,21 @@ def test_empty_sequence():
     payload, bits, count = elias_gamma_encode([])
     assert count == 0
     assert elias_gamma_decode(payload, bits, count) == []
+
+
+@pytest.mark.parametrize("rows,count", [(1, 7), (3, 1), (40, 500), (9, 9000)])
+def test_matrix_encodes_each_row_as_the_one_dimensional_call(rows, count):
+    """Several chunks, rows wider than a chunk, a one-row matrix: same streams."""
+
+    values = np.random.default_rng(rows + count).integers(1, 1 << 20, size=(rows, count))
+    encoded = elias_gamma_encode(values)
+    assert encoded == [elias_gamma_encode(row) for row in values]
+    for (payload, bit_length, decoded_count), row in zip(encoded, values):
+        assert elias_gamma_decode(payload, bit_length, decoded_count) == row.tolist()
+
+
+def test_matrix_with_a_non_positive_value_is_rejected_like_its_row():
+    values = np.arange(1, 13).reshape(3, 4)
+    values[1, 2] = 0
+    with pytest.raises(CodecError, match="got 0"):
+        elias_gamma_encode(values)

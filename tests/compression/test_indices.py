@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.compression import elias as elias_module
 from repro.compression.indices import (
     EliasGammaIndexCodec,
+    EncodedIndexRows,
     RawIndexCodec,
     SeedIndexCodec,
     random_indices_from_seed,
@@ -92,3 +94,109 @@ def test_seed_codec_rejects_foreign_indices():
     codec = SeedIndexCodec(1)
     with pytest.raises(CodecError):
         codec.encode(np.array([1, 2, 3]), 512)
+
+
+# -- the matrix contract: every row is encoded exactly as the 1-D call would --------
+UNIVERSE = 342
+
+
+def _index_rows(rows: int, count: int, universe: int = UNIVERSE) -> np.ndarray:
+    rng = np.random.default_rng(rows * 1000 + count)
+    return np.stack(
+        [np.sort(rng.choice(universe, size=count, replace=False)) for _ in range(rows)]
+    )
+
+
+def _assert_rows_equal_single_calls(codec, matrix, universe):
+    encoded = codec.encode(matrix, universe)
+    assert isinstance(encoded, EncodedIndexRows) and len(encoded) == len(matrix)
+    singles = [codec.encode(row, universe) for row in matrix]
+    for row, single in zip(encoded, singles):
+        assert row == single  # codec, payload, bit_length, count, universe
+        assert row.size_bytes == single.size_bytes
+    assert encoded.size_bytes == sum(single.size_bytes for single in singles)
+    return encoded
+
+
+# 234 rows of 34+1 fields fill one 8,192-field chunk exactly; 235 leaves a
+# one-row chunk (packed without pad fields), 300 a shorter second chunk.
+@pytest.mark.parametrize("rows", [1, 2, 234, 235, 300])
+@pytest.mark.parametrize("count", [1, 34, 342])
+def test_elias_matrix_form_equals_row_by_row(rows, count):
+    assert elias_module._ROWS_CHUNK_FIELDS // (34 + 1) == 234
+    codec = EliasGammaIndexCodec()
+    matrix = _index_rows(rows, count)
+    encoded = _assert_rows_equal_single_calls(codec, matrix, UNIVERSE)
+    for row, indices in zip(encoded, matrix):
+        assert np.array_equal(codec.decode(row), indices)
+
+
+def test_elias_matrix_form_with_rows_wider_than_a_chunk():
+    universe = 3 * elias_module._ROWS_CHUNK_FIELDS
+    matrix = _index_rows(3, elias_module._ROWS_CHUNK_FIELDS + 5, universe)
+    _assert_rows_equal_single_calls(EliasGammaIndexCodec(), matrix, universe)
+
+
+def test_elias_matrix_form_sorts_an_unsorted_row_like_the_single_call():
+    codec = EliasGammaIndexCodec()
+    matrix = _index_rows(4, 34)
+    matrix[2] = matrix[2][::-1]
+    encoded = _assert_rows_equal_single_calls(codec, matrix, UNIVERSE)
+    assert np.array_equal(codec.decode(encoded[2]), np.sort(matrix[2]))
+    assert np.array_equal(matrix[2], np.sort(matrix[2])[::-1])  # input untouched
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda row: row.__setitem__(1, row[0]),  # duplicate
+        lambda row: row.__setitem__(-1, UNIVERSE),  # past the universe
+        lambda row: row.__setitem__(0, -1),  # negative
+    ],
+    ids=["duplicate", "too-large", "negative"],
+)
+@pytest.mark.parametrize("codec", [EliasGammaIndexCodec(), RawIndexCodec()], ids=["elias", "raw"])
+def test_matrix_form_rejects_a_bad_row_like_the_single_call(codec, corrupt):
+    matrix = _index_rows(5, 34)
+    corrupt(matrix[3])
+    with pytest.raises(CodecError) as single:
+        codec.encode(matrix[3], UNIVERSE)
+    with pytest.raises(CodecError) as stacked:
+        codec.encode(matrix, UNIVERSE)
+    assert str(stacked.value) == str(single.value)
+    for universe in (0, -3):
+        with pytest.raises(CodecError, match="universe must be positive"):
+            codec.encode(matrix[:2], universe)
+
+
+def test_elias_matrix_form_takes_the_reference_path_above_the_fast_limit(monkeypatch):
+    universe = 1 << 40
+    matrix = np.array([[3, 1 << 34, (1 << 34) + 9], [0, 1, 2]], dtype=np.int64)
+    calls = []
+    reference = elias_module.elias_gamma_encode_reference
+    monkeypatch.setattr(
+        elias_module,
+        "elias_gamma_encode_reference",
+        lambda values: calls.append(1) or reference(values),
+    )
+    codec = EliasGammaIndexCodec()
+    encoded = _assert_rows_equal_single_calls(codec, matrix, universe)
+    assert calls, "a gap of 2**34 cannot go through the int64 kernels"
+    for row, indices in zip(encoded, matrix):
+        assert row.payload == reference(np.diff(indices, prepend=-1))[0]
+        assert np.array_equal(codec.decode(row), indices)
+
+
+def test_raw_matrix_form_equals_row_by_row():
+    codec = RawIndexCodec()
+    matrix = _index_rows(7, 34)
+    encoded = _assert_rows_equal_single_calls(codec, matrix, UNIVERSE)
+    assert np.array_equal(codec.decode(encoded[4]), matrix[4])
+
+
+def test_empty_rows_encode_to_empty_streams():
+    encoded = EliasGammaIndexCodec().encode(np.zeros((3, 0), dtype=np.int64), UNIVERSE)
+    assert [row.payload for row in encoded] == [b""] * 3
+    assert encoded == tuple(
+        EliasGammaIndexCodec().encode(np.zeros(0, dtype=np.int64), UNIVERSE) for _ in range(3)
+    )

@@ -89,3 +89,25 @@ def test_invalid_distributions_raise():
 def test_max_fraction():
     assert CutoffDistribution.uniform().max_fraction() == 1.0
     assert CutoffDistribution.fixed(0.3).max_fraction() == 0.3
+
+
+@pytest.mark.parametrize(
+    "distribution",
+    [CutoffDistribution.uniform(), CutoffDistribution.budgeted(0.2), CutoffDistribution.fixed(0.3)],
+    ids=["uniform", "budgeted", "fixed"],
+)
+def test_sample_is_generator_choice_draw_for_draw(distribution):
+    """``sample`` skips ``Generator.choice``'s per-call validation, not its draw.
+
+    Stored results depend on both the index and the generator state left
+    behind; a numpy whose ``choice(p=...)`` draws differently must fail here
+    rather than silently move every store.
+    """
+
+    size = len(distribution.alphas)
+    for seed in range(3000):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            expected = distribution.alphas[numpys.choice(size, p=distribution.probabilities)]
+            assert distribution.sample(ours) == expected
+        assert ours.bit_generator.state == numpys.bit_generator.state

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.adaptive import AdaptiveJwinsScheme
 from repro.core.config import JwinsConfig
 from repro.core.cutoff import CutoffDistribution
 from repro.core.interface import Message, RoundContext
@@ -194,3 +195,96 @@ def test_metadata_smaller_than_values_with_elias_gamma():
     scheme = _scheme(config)
     message = scheme.prepare(_context(trained=np.random.default_rng(0).normal(size=MODEL_SIZE)))
     assert message.size.metadata_bytes < message.size.values_bytes
+
+
+# -- the rows form: N schemes at once equal N one-row calls -------------------------
+ROWS_CONFIGS = {
+    "paper-default": JwinsConfig.paper_default(),
+    "budgeted": JwinsConfig.low_budget(0.2),
+    "fixed-cutoff": JwinsConfig.paper_default().without_random_cutoff(),
+    "no-accumulation": JwinsConfig.paper_default().without_accumulation(),
+    "raw-codecs": JwinsConfig(index_codec="raw", float_codec="raw32"),
+}
+
+
+def _assert_same_message(actual: Message, expected: Message) -> None:
+    assert (actual.sender, actual.kind, actual.size, actual.shared_fraction) == (
+        expected.sender, expected.kind, expected.size, expected.shared_fraction
+    )
+    assert actual.payload.keys() == expected.payload.keys()
+    for key in ("alpha", "coefficient_size"):
+        assert actual.payload[key] == expected.payload[key]
+    for key in ("indices", "values"):
+        assert actual.payload[key].dtype == expected.payload[key].dtype
+        assert actual.payload[key].tobytes() == expected.payload[key].tobytes()
+
+
+@pytest.mark.parametrize("scheme_type", [JwinsScheme, AdaptiveJwinsScheme])
+@pytest.mark.parametrize("config_name", sorted(ROWS_CONFIGS))
+def test_rows_form_equals_one_row_calls(scheme_type, config_name):
+    """Messages, ``last_alpha``, accumulators, kept rows and every context RNG."""
+
+    config, nodes = ROWS_CONFIGS[config_name], 40
+    stacked, single = (
+        [scheme_type(node_id, MODEL_SIZE, seed=1, config=config) for node_id in range(nodes)]
+        for _ in range(2)
+    )
+    width = stacked[0].ranker.coefficient_size
+    data = np.random.default_rng(9)
+    for round_index in range(3):  # later rounds rank on what earlier ones zeroed
+        change_matrix = data.normal(size=(nodes, width))
+        change_matrix[:, ::5] = 0.0  # ties at the selection threshold
+        own_matrix = data.normal(size=(nodes, width))
+        contexts_a, contexts_b = (
+            [_context(round_index, rng_seed=100 * round_index + node) for node in range(nodes)]
+            for _ in range(2)
+        )
+        messages = JwinsScheme.prepare_from_coefficients(
+            stacked, contexts_a, change_matrix, own_matrix
+        )
+        counts = set()
+        for row in range(nodes):
+            (expected,) = single[row].prepare_from_coefficients(
+                [single[row]], [contexts_b[row]], change_matrix[row][None], own_matrix[row][None]
+            )
+            _assert_same_message(messages[row], expected)
+            counts.add(expected.payload["indices"].size)
+            assert stacked[row].last_alpha == single[row].last_alpha
+            assert stacked[row].ranker.scores.tobytes() == single[row].ranker.scores.tobytes()
+            assert (
+                stacked[row]._own_coefficients.tobytes() == own_matrix[row].tobytes()
+                and single[row]._own_coefficients.tobytes() == own_matrix[row].tobytes()
+            )
+            assert (
+                contexts_a[row].rng.bit_generator.state == contexts_b[row].rng.bit_generator.state
+            )
+        if config.use_random_cutoff:
+            assert len(counts) == len(config.cutoff.alphas)  # multi-row groups of every count
+        for scheme_a, scheme_b in zip(stacked, single):
+            round_change = data.normal(size=width)
+            scheme_a.finalize_from_change(round_change)
+            scheme_b.finalize_from_change(round_change)
+
+
+def test_prepare_is_the_rows_form_with_one_row():
+    config = JwinsConfig.paper_default()
+    via_prepare, via_rows = _scheme(config), _scheme(config)
+    trained = np.random.default_rng(4).normal(size=MODEL_SIZE)
+    message = via_prepare.prepare(_context(trained=trained, rng_seed=6))
+    context = _context(trained=trained, rng_seed=6)
+    (expected,) = via_rows.prepare_from_coefficients(
+        [via_rows],
+        [context],
+        via_rows.transform.forward(trained - context.params_start)[None],
+        via_rows.transform.forward(trained)[None],
+    )
+    _assert_same_message(message, expected)
+
+
+def test_rows_form_rejects_schemes_with_different_configs():
+    schemes = [_scheme(JwinsConfig.paper_default()), _scheme(JwinsConfig(float_codec="raw32"), 1)]
+    width = schemes[0].ranker.coefficient_size
+    with pytest.raises(SimulationError, match="share one JwinsConfig"):
+        JwinsScheme.prepare_from_coefficients(
+            schemes, [_context(), _context()], np.ones((2, width)), np.ones((2, width))
+        )

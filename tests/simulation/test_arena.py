@@ -22,6 +22,7 @@ import pytest
 from repro.baselines import choco_factory, full_sharing_factory
 from repro.core import JwinsConfig, jwins_factory
 from repro.core.adaptive import adaptive_jwins_factory
+from repro.core.cutoff import CutoffDistribution
 from repro.exceptions import ConfigurationError, ExperimentPaused, SimulationError
 from repro.nn.module import Parameter
 from repro.nn.optim import SGD
@@ -130,6 +131,48 @@ def test_arena_matches_pernode_identity_transform():
     assert_engines_agree(lambda: jwins_factory(config), build_config())
 
 
+# What a count-group shares besides the transform: one cut-off, one codec pair.
+JWINS_CONFIG_CASES = {
+    "fixed-cutoff": JwinsConfig(use_random_cutoff=False),  # one group of all rows
+    "budgeted": JwinsConfig.low_budget(0.2),  # a large group and a ``count == c`` one
+    "raw-index-codec": JwinsConfig(index_codec="raw"),
+    "raw-float-codec": JwinsConfig(float_codec="raw32"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JWINS_CONFIG_CASES))
+def test_arena_matches_pernode_for_jwins_config(case):
+    config = JWINS_CONFIG_CASES[case]
+    assert_engines_agree(lambda: jwins_factory(config), build_config())
+
+
+def test_arena_matches_pernode_at_sixty_four_nodes():
+    """Multi-row count-groups (about nine rows each) in every round."""
+
+    config = build_config(num_nodes=64, degree=4, rounds=3, message_drop_probability=0.1)
+    assert_engines_agree(jwins_factory, config)
+
+
+@pytest.mark.parametrize(
+    "odd_config",
+    [JwinsConfig(float_codec="raw32"), JwinsConfig.low_budget(0.2)],
+    ids=["float-codec", "cutoff"],
+)
+def test_arena_matches_pernode_when_one_node_is_configured_differently(odd_config):
+    """No shared group encode across unequal configs: the per-row kernels run."""
+
+    def factory_builder():
+        def factory(node_id, model_size, seed):
+            config = odd_config if node_id == 2 else JwinsConfig()
+            return jwins_factory(config)(node_id, model_size, seed)
+
+        return factory
+
+    nodes, _ = build_arena_nodes(make_toy_task(), factory_builder(), build_config())
+    assert _jwins_batch_plan(nodes) is None
+    assert_engines_agree(factory_builder, build_config())
+
+
 @pytest.mark.parametrize("factory_builder", [full_sharing_factory, choco_factory])
 def test_arena_fallback_schemes_match_pernode(factory_builder):
     """Non-JWINS schemes take the per-node fallback path on arena-backed state."""
@@ -138,44 +181,59 @@ def test_arena_fallback_schemes_match_pernode(factory_builder):
 
 
 def test_both_engines_run_the_one_loop_and_deliver_before_aggregating():
-    """One loop, one observable schedule: deliveries, then model writes, then the barrier."""
+    """One loop, one observable schedule: deliveries, then model writes, then the barrier.
+
+    Observed through what both engines share — the observer hooks and
+    ``get_parameters()`` — because the arena writes a round's averaged models
+    back in one arena-wide assignment, not through ``node.set_parameters``.
+    """
 
     logs = {}
     for engine in ENGINES:
         config = build_config(message_drop_probability=0.3).with_engine(engine)
         simulator = Simulator(make_toy_task(), jwins_factory(), config)
         assert type(simulator.mode) is SynchronousMode
-        log: list[tuple] = []
+
+        def models(simulator=simulator) -> tuple[bytes, ...]:
+            return tuple(node.get_parameters().tobytes() for node in simulator.nodes)
+
+        log: list[tuple] = [("round_end", 0.0, models())]
         simulator.on_message(
-            lambda message, receiver, now, log=log: log.append(
-                ("message", message.sender, receiver, now)
+            lambda message, receiver, now, log=log, models=models: log.append(
+                ("message", message.sender, receiver, now, models())
             )
         )
         simulator.on_round_end(
-            lambda round_index, node_id, now, log=log: log.append(("round_end", now))
+            lambda round_index, node_id, now, log=log, models=models: log.append(
+                ("round_end", now, models())
+            )
         )
-        for node in simulator.nodes:
-            # Aggregation is the only writer of whole parameter vectors.
-            def logged(vector, node=node, write=node.set_parameters, log=log):
-                log.append(("write", node.node_id))
-                write(vector)
-
-            node.set_parameters = logged
         simulator.run()
         logs[engine] = log
+        if simulator.arenas is not None:
+            # The arena-wide write-back leaves every node's views bound.
+            for node in simulator.nodes:
+                for parameter in node.model.parameters():
+                    assert np.shares_memory(parameter.value, simulator.arenas.params)
+                np.testing.assert_array_equal(
+                    node.get_parameters(), simulator.arenas.params[node.node_id]
+                )
 
     assert logs["arena"] == logs["pernode"]
-    kinds = [entry[0] for entry in logs["pernode"]]
-    assert kinds.count("round_end") == ROUNDS
-    assert kinds.count("write") == ROUNDS * 6
-    written = False
-    for kind in kinds:
-        if kind == "write":
-            written = True
-        elif kind == "round_end":
-            written = False
-        else:
-            assert not written, "a delivery followed an aggregation of its round"
+    log = logs["pernode"]
+    barriers = [index for index, entry in enumerate(log) if entry[0] == "round_end"]
+    assert len(barriers) == ROUNDS + 1
+    for opened, closed in zip(barriers, barriers[1:]):
+        before, after = log[opened][-1], log[closed][-1]
+        delivered = {entry[-1] for entry in log[opened + 1 : closed]}
+        # Every delivery of the round saw the same models: no aggregation ran
+        # between two deliveries ...
+        assert len(delivered) == 1, "a delivery followed an aggregation of its round"
+        (trained,) = delivered
+        # ... each of them the node's trained model, rewritten before the barrier.
+        for node_id in range(6):
+            assert trained[node_id] != before[node_id]
+            assert after[node_id] != trained[node_id]
 
 
 # -- edge shapes -------------------------------------------------------------------
@@ -384,6 +442,18 @@ def test_jwins_batch_plan_rejects_heterogeneous_schemes():
     plan = _jwins_batch_plan(jwins_nodes)
     assert plan is not None
     assert plan.transform is jwins_nodes[0].scheme.transform
+    # Equal-but-distinct config objects batch; any differing field does not.
+    assert jwins_nodes[0].scheme.config is not jwins_nodes[1].scheme.config
+    for field, value in (
+        ("float_codec", "raw32"),
+        ("index_codec", "raw"),
+        ("use_random_cutoff", False),
+        ("use_accumulation", False),
+        ("cutoff", CutoffDistribution.budgeted(0.2)),
+    ):
+        odd_nodes, _ = build_arena_nodes(make_toy_task(), jwins_factory(), config)
+        odd_nodes[3].scheme.config = replace(odd_nodes[3].scheme.config, **{field: value})
+        assert _jwins_batch_plan(odd_nodes) is None, field
 
 
 def test_engine_knob_is_validated():

@@ -56,3 +56,36 @@ def test_fraction_to_count_bounds():
         fraction_to_count(0.0, 100)
     with pytest.raises(ConfigurationError):
         fraction_to_count(1.5, 100)
+
+
+# -- the matrix form: every row is the 1-D call on that row -------------------------
+def _score_rows(kind: str, rows: int = 40, width: int = 97) -> np.ndarray:
+    rng = np.random.default_rng(5)
+    scores = rng.normal(size=(rows, width))
+    if kind == "ties":
+        # Exact zeros in every third column and few distinct magnitudes: the
+        # selection threshold falls inside a run of equal values on every row.
+        scores = np.round(scores * 2.0) / 2.0
+        scores[:, ::3] = 0.0
+        scores[rng.random(scores.shape) < 0.1] *= -1.0
+    return scores
+
+
+@pytest.mark.parametrize("kind", ["random", "ties"])
+@pytest.mark.parametrize("count", [1, 96, 97, 102])
+def test_topk_matrix_form_equals_row_by_row(kind, count):
+    scores = _score_rows(kind)
+    selected = topk_indices(scores, count)
+    assert selected.shape == (scores.shape[0], min(count, scores.shape[1]))
+    assert selected.dtype == np.int64
+    for row, row_scores in zip(selected, scores):
+        expected = topk_indices(row_scores, count)
+        assert row.dtype == expected.dtype
+        assert np.array_equal(row, expected)
+
+
+def test_topk_matrix_form_of_one_row_and_validation():
+    scores = _score_rows("ties", rows=1)
+    assert np.array_equal(topk_indices(scores, 10)[0], topk_indices(scores[0], 10))
+    with pytest.raises(ConfigurationError):
+        topk_indices(scores, 0)
