@@ -3,6 +3,11 @@
 Run by the ``gradcheck`` stage of ``scripts/ci.sh`` (or by hand with
 ``PYTHONPATH=src python scripts/gradcheck.py``); the same checks are part of the
 test suite (tests/nn/test_gradients.py) at a smaller scale.
+
+The model checks difference *parameters*; the layer checks at the end difference
+the *input* of ``Conv2d`` and ``MaxPool2d`` over kernel sizes, strides and
+paddings, which is the only finite-difference cover of ``_col2im`` beyond the
+one geometry a ``ConvClassifier``'s ``conv2`` uses.
 """
 
 from __future__ import annotations
@@ -11,9 +16,11 @@ import numpy as np
 
 from repro.nn import (
     CharLSTM,
+    Conv2d,
     ConvClassifier,
     CrossEntropyLoss,
     MatrixFactorization,
+    MaxPool2d,
     MLPClassifier,
     MSELoss,
     get_flat_gradients,
@@ -54,6 +61,25 @@ def check(name, model, loss, inputs, targets, tolerance=1e-5):
     return error < tolerance
 
 
+def check_input_gradient(name, layer, inputs, upstream, tolerance=1e-6, epsilon=1e-6):
+    """``layer.backward`` against central differences of ``sum(forward(x) * upstream)`` in x."""
+
+    layer.forward(inputs)
+    analytic = layer.backward(upstream)
+    numeric = np.zeros_like(inputs)
+    for index in np.ndindex(*inputs.shape):
+        perturbed = inputs.copy()
+        perturbed[index] += epsilon
+        plus = float(np.sum(layer.forward(perturbed) * upstream))
+        perturbed[index] -= 2 * epsilon
+        minus = float(np.sum(layer.forward(perturbed) * upstream))
+        numeric[index] = (plus - minus) / (2 * epsilon)
+    error = np.max(np.abs(analytic - numeric)) / max(1.0, np.max(np.abs(numeric)))
+    status = "OK " if error < tolerance else "FAIL"
+    print(f"{status} {name}: relative error {error:.2e} over {inputs.size} inputs")
+    return error < tolerance
+
+
 def main() -> None:
     rng = np.random.default_rng(0)
     ok = True
@@ -73,6 +99,21 @@ def main() -> None:
     mf = MatrixFactorization(5, 7, rng, embedding_dim=3)
     pairs = np.stack([rng.integers(0, 5, size=6), rng.integers(0, 7, size=6)], axis=1)
     ok &= check("MatrixFactorization", mf, MSELoss(), pairs, rng.normal(size=6))
+
+    for kernel in (2, 3, 5):
+        for stride in (1, 2):
+            for padding in (0, 2):
+                conv = Conv2d(2, 3, kernel, rng, stride=stride, padding=padding)
+                inputs = rng.normal(size=(2, 2, 7, 6))
+                upstream = rng.normal(size=conv.forward(inputs).shape)
+                name = f"Conv2d(kernel={kernel}, stride={stride}, padding={padding}) input"
+                ok &= check_input_gradient(name, conv, inputs, upstream)
+    for kernel in (2, 3):
+        # Continuous random inputs: no window ties, so the maximum is differentiable.
+        inputs = rng.normal(size=(2, 3, 2 * kernel, 3 * kernel))
+        ok &= check_input_gradient(
+            f"MaxPool2d({kernel}) input", MaxPool2d(kernel), inputs, rng.normal(size=(2, 3, 2, 3))
+        )
 
     raise SystemExit(0 if ok else 1)
 

@@ -36,8 +36,12 @@ class ReLU(Module):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
-        self._cache_mask = inputs > 0
-        return np.where(self._cache_mask, inputs, 0.0)
+        self._cache_mask = (inputs > 0) if self.training else None
+        # Bit-for-bit ``np.where(inputs > 0, inputs, 0.0)`` in two SIMD passes:
+        # ``fmax`` (unlike ``maximum``) maps NaN to 0.0, and ``abs`` clears the
+        # sign of the -0.0 that ``fmax(-0.0, 0.0)`` is free to return.
+        output = np.fmax(inputs, 0.0)
+        return np.abs(output, out=output)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache_mask is None:
@@ -54,7 +58,7 @@ class Tanh(Module):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         output = np.tanh(np.asarray(inputs, dtype=np.float64))
-        self._cache_output = output
+        self._cache_output = output if self.training else None
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -72,7 +76,7 @@ class Sigmoid(Module):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         output = sigmoid(np.asarray(inputs, dtype=np.float64))
-        self._cache_output = output
+        self._cache_output = output if self.training else None
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

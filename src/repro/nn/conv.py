@@ -59,11 +59,12 @@ def _col2im(
         (batch, channels, height + 2 * padding, width + 2 * padding), dtype=np.float64
     )
     cols = columns.reshape(batch, out_h, out_w, channels, kernel, kernel)
+    # One strided basic slice per kernel offset: each target cell receives its
+    # additions in (row, col) order, whatever the stride or overlap.
     for row in range(kernel):
-        row_span = row + stride * np.arange(out_h)
+        rows = slice(row, row + stride * out_h, stride)
         for col in range(kernel):
-            col_span = col + stride * np.arange(out_w)
-            padded[:, :, row_span[:, None], col_span[None, :]] += cols[
+            padded[:, :, rows, col : col + stride * out_w : stride] += cols[
                 :, :, :, :, row, col
             ].transpose(0, 3, 1, 2)
     if padding:
@@ -115,23 +116,34 @@ class Conv2d(Module):
         output = columns @ weight_matrix.T  # (N, out_h*out_w, out_channels)
         if self.bias is not None:
             output = output + self.bias.value
-        self._cache = (columns, inputs.shape, out_h, out_w)
+        self._cache = (columns, inputs.shape, out_h, out_w) if self.training else None
         return output.transpose(0, 2, 1).reshape(inputs.shape[0], self.out_channels, out_h, out_w)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward_parameters(self, grad_output: np.ndarray) -> np.ndarray:
+        """The parameter half of :meth:`backward`: accumulate the weight and bias gradients.
+
+        All a model's first layer needs, since nothing consumes the gradient of
+        the model's input.  Returns ``grad_output`` as the
+        ``(N, out_h*out_w, out_channels)`` matrix the input half starts from.
+        """
+
         if self._cache is None:
             raise ModelError("backward called before forward")
         columns, input_shape, out_h, out_w = self._cache
         grad_output = np.asarray(grad_output, dtype=np.float64)
         batch = input_shape[0]
         grad_matrix = grad_output.reshape(batch, self.out_channels, out_h * out_w).transpose(0, 2, 1)
-        weight_matrix = self.weight.value.reshape(self.out_channels, -1)
-        # Parameter gradients.
         grad_weight = np.einsum("npo,npk->ok", grad_matrix, columns)
         self.weight.grad += grad_weight.reshape(self.weight.value.shape)
         if self.bias is not None:
             self.bias.grad += grad_matrix.sum(axis=(0, 1))
+        return grad_matrix
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        grad_matrix = self.backward_parameters(grad_output)
+        _, input_shape, out_h, out_w = self._cache
         # Input gradient.
+        weight_matrix = self.weight.value.reshape(self.out_channels, -1)
         grad_columns = grad_matrix @ weight_matrix
         return _col2im(
             grad_columns, input_shape, self.kernel_size, self.stride, self.padding, out_h, out_w
@@ -146,7 +158,7 @@ class MaxPool2d(Module):
         if kernel_size <= 0:
             raise ModelError("kernel_size must be positive")
         self.kernel_size = int(kernel_size)
-        self._cache: tuple[np.ndarray, np.ndarray, tuple[int, ...]] | None = None
+        self._cache: tuple[np.ndarray, tuple[int, ...]] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -158,19 +170,27 @@ class MaxPool2d(Module):
             raise ModelError(
                 f"MaxPool2d window {k} does not evenly divide input size {height}x{width}"
             )
+        if not self.training:
+            # Inference needs the maximum, not where it was: fold the k*k
+            # strided slices (window order, so ties resolve as ``argmax`` does).
+            self._cache = None
+            output = inputs[:, :, 0::k, 0::k].copy()
+            for offset in range(1, k * k):
+                np.maximum(output, inputs[:, :, offset // k :: k, offset % k :: k], out=output)
+            return output
         reshaped = inputs.reshape(batch, channels, height // k, k, width // k, k)
         windows = reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(
             batch, channels, height // k, width // k, k * k
         )
         argmax = windows.argmax(axis=-1)
         output = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
-        self._cache = (argmax, np.array(inputs.shape), inputs.shape)
+        self._cache = (argmax, inputs.shape)
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise ModelError("backward called before forward")
-        argmax, _, input_shape = self._cache
+        argmax, input_shape = self._cache
         grad_output = np.asarray(grad_output, dtype=np.float64)
         batch, channels, height, width = input_shape
         k = self.kernel_size

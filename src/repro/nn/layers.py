@@ -58,24 +58,34 @@ class Linear(Module):
             raise ModelError(
                 f"Linear expected {self.in_features} input features, got {inputs.shape[-1]}"
             )
-        self._cache_input = inputs
+        self._cache_input = inputs if self.training else None
         output = inputs @ self.weight.value.T
         if self.bias is not None:
             output = output + self.bias.value
         return output
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward_parameters(self, grad_output: np.ndarray) -> np.ndarray:
+        """The parameter half of :meth:`backward`: accumulate the weight and bias gradients.
+
+        All a model's first layer needs, since nothing consumes the gradient of
+        the model's input.  Returns ``grad_output`` as the
+        ``(batch, out_features)`` matrix the input half starts from.
+        """
+
         if self._cache_input is None:
             raise ModelError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        inputs = self._cache_input
         # Collapse any leading dimensions into a single batch dimension.
         flat_grad = grad_output.reshape(-1, self.out_features)
-        flat_in = inputs.reshape(-1, self.in_features)
+        flat_in = self._cache_input.reshape(-1, self.in_features)
         self.weight.grad += flat_grad.T @ flat_in
         if self.bias is not None:
             self.bias.grad += flat_grad.sum(axis=0)
-        return (flat_grad @ self.weight.value).reshape(inputs.shape)
+        return flat_grad
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        flat_grad = self.backward_parameters(grad_output)
+        return (flat_grad @ self.weight.value).reshape(self._cache_input.shape)
 
 
 class Embedding(Module):
@@ -101,7 +111,7 @@ class Embedding(Module):
             raise ModelError("Embedding inputs must be integer ids")
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
             raise ModelError("Embedding ids out of range")
-        self._cache_ids = ids
+        self._cache_ids = ids if self.training else None
         return self.weight.value[ids]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -124,7 +134,7 @@ class Flatten(Module):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
-        self._cache_shape = inputs.shape
+        self._cache_shape = inputs.shape if self.training else None
         return inputs.reshape(inputs.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -35,6 +35,12 @@ class ConvClassifier(Module):
 
     This is the shared skeleton of the GN-LeNet-style CNNs used for the image
     classification tasks (CIFAR-10, FEMNIST, CelebA).
+
+    Follows the :class:`~repro.nn.module.Module` contract: a train-mode
+    ``forward`` caches for exactly one ``backward``; an eval-mode ``forward``
+    caches nothing and a ``backward`` after it raises.  ``backward`` accumulates
+    every parameter gradient and returns ``None``: no caller uses the gradient
+    of the images, so ``conv1`` runs only the parameter half of its backward.
     """
 
     def __init__(
@@ -70,13 +76,12 @@ class ConvClassifier(Module):
         hidden = self.act3(self.fc1(self.flatten(hidden)))
         return self.fc2(hidden)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> None:
         grad = self.fc2.backward(grad_output)
         grad = self.fc1.backward(self.act3.backward(grad))
         grad = self.flatten.backward(grad)
         grad = self.conv2.backward(self.act2.backward(self.pool2.backward(grad)))
-        grad = self.conv1.backward(self.act1.backward(self.pool1.backward(grad)))
-        return grad
+        self.conv1.backward_parameters(self.act1.backward(self.pool1.backward(grad)))
 
 
 class GNLeNet(ConvClassifier):
@@ -128,7 +133,14 @@ class CelebACNN(ConvClassifier):
 
 
 class MLPClassifier(Module):
-    """A small multi-layer perceptron (used by quick examples and tests)."""
+    """A small multi-layer perceptron (used by quick examples and tests).
+
+    Follows the :class:`~repro.nn.module.Module` contract: a train-mode
+    ``forward`` caches for exactly one ``backward``; an eval-mode ``forward``
+    caches nothing and a ``backward`` after it raises.  ``backward`` accumulates
+    every parameter gradient and returns ``None``: no caller uses the gradient
+    of the inputs, so ``fc1`` runs only the parameter half of its backward.
+    """
 
     def __init__(
         self,
@@ -147,8 +159,8 @@ class MLPClassifier(Module):
         flat = inputs.reshape(inputs.shape[0], -1)
         return self.fc2(self.act(self.fc1(flat)))
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return self.fc1.backward(self.act.backward(self.fc2.backward(grad_output)))
+    def backward(self, grad_output: np.ndarray) -> None:
+        self.fc1.backward_parameters(self.act.backward(self.fc2.backward(grad_output)))
 
 
 class CharLSTM(Module):
@@ -175,7 +187,7 @@ class CharLSTM(Module):
             raise ModelError("CharLSTM expects (batch, sequence) integer inputs")
         embedded = self.embedding(ids)
         states = self.lstm(embedded)
-        self._cache_seq = (states.shape[1], states.shape[2])
+        self._cache_seq = (states.shape[1], states.shape[2]) if self.training else None
         # Predict the next character from the final hidden state.
         return self.head(states[:, -1, :])
 
@@ -226,7 +238,7 @@ class MatrixFactorization(Module):
         items = pairs[:, 1]
         user_vectors = self.user_factors(users)
         item_vectors = self.item_factors(items)
-        self._cache = (users, items, user_vectors, item_vectors)
+        self._cache = (users, items, user_vectors, item_vectors) if self.training else None
         ratings = (
             (user_vectors * item_vectors).sum(axis=1)
             + self.user_bias.value[users]

@@ -10,17 +10,19 @@ the model as a flat vector, so :func:`get_flat_parameters` /
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.utils.vectors import flatten_arrays, unflatten_vector
+from repro.utils.vectors import flatten_arrays
 
 __all__ = [
     "Module",
     "Parameter",
     "Sequential",
+    "assign_flat_values",
+    "flat_values",
     "get_flat_gradients",
     "get_flat_parameters",
     "set_flat_parameters",
@@ -34,7 +36,9 @@ class Parameter:
 
     def __init__(self, value: np.ndarray, name: str = "") -> None:
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        # ``np.zeros`` (calloc), not ``zeros_like`` (allocate + fill): the pages
+        # are first touched by the first backward, not by model construction.
+        self.grad = np.zeros(self.value.shape)
         self.name = name
 
     @property
@@ -59,6 +63,16 @@ class Module:
     recursive traversal in :meth:`parameters` and :meth:`modules` discovers
     them in attribute-definition order, which makes the flat parameter layout
     deterministic across nodes — a requirement for decentralized averaging.
+
+    The ``forward``/``backward`` contract: in train mode (``training`` true,
+    the default) a ``forward`` caches what exactly one ``backward`` needs.  In
+    eval mode a ``forward`` caches nothing — its intermediates die with the
+    call — and a ``backward`` after it raises :class:`~repro.exceptions.ModelError`.
+    A layer's ``backward`` accumulates its parameter gradients and returns the
+    gradient with respect to its input; a root model's ``backward`` accumulates
+    the parameter gradients of every layer and may return ``None`` where no
+    caller has a use for the input gradient (the CNNs and the MLP of
+    :mod:`repro.nn.models`).
     """
 
     def __init__(self) -> None:
@@ -144,23 +158,36 @@ class Sequential(Module):
         return grad
 
 
+def flat_values(parameters: Sequence[Parameter]) -> np.ndarray:
+    """Return the values of ``parameters`` as one flat float64 vector."""
+
+    return flatten_arrays([parameter.value for parameter in parameters])
+
+
+def assign_flat_values(parameters: Sequence[Parameter], vector: np.ndarray) -> None:
+    """Write consecutive slices of ``vector`` into the values of ``parameters`` (in place)."""
+
+    vector = np.asarray(vector, dtype=np.float64).ravel()
+    total = sum(parameter.size for parameter in parameters)
+    if vector.size != total:
+        raise ModelError(f"vector has {vector.size} elements but shapes require {total}")
+    offset = 0
+    for parameter in parameters:
+        stop = offset + parameter.size
+        parameter.value[...] = vector[offset:stop].reshape(parameter.value.shape)
+        offset = stop
+
+
 def get_flat_parameters(module: Module) -> np.ndarray:
     """Return all parameters of ``module`` as one flat float64 vector."""
 
-    return flatten_arrays([parameter.value for parameter in module.parameters()])
+    return flat_values(module.parameters())
 
 
 def set_flat_parameters(module: Module, vector: np.ndarray) -> None:
     """Write ``vector`` back into the parameters of ``module`` (in place)."""
 
-    parameters = module.parameters()
-    shapes = [parameter.shape for parameter in parameters]
-    try:
-        arrays = unflatten_vector(vector, shapes)
-    except ValueError as error:
-        raise ModelError(str(error)) from error
-    for parameter, array in zip(parameters, arrays):
-        parameter.value[...] = array
+    assign_flat_values(module.parameters(), vector)
 
 
 def get_flat_gradients(module: Module) -> np.ndarray:

@@ -37,7 +37,9 @@ class SGD:
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self._velocity = [np.zeros_like(p.value) for p in self.parameters]
+        # calloc'd: with ``momentum == 0`` the buffers are never written, so
+        # their pages are never touched.
+        self._velocity = [np.zeros(p.value.shape) for p in self.parameters]
 
     def zero_grad(self) -> None:
         for parameter in self.parameters:

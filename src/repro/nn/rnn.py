@@ -64,18 +64,20 @@ class LSTMLayer(Module):
             gate_f = sigmoid(pre[:, hidden : 2 * hidden])
             gate_g = np.tanh(pre[:, 2 * hidden : 3 * hidden])
             gate_o = sigmoid(pre[:, 3 * hidden :])
-            cache["inputs"].append(x_t)
-            cache["h_prev"].append(h_state)
-            cache["c_prev"].append(c_state)
-            c_state = gate_f * c_state + gate_i * gate_g
+            c_next = gate_f * c_state + gate_i * gate_g
+            if self.training:
+                cache["inputs"].append(x_t)
+                cache["h_prev"].append(h_state)
+                cache["c_prev"].append(c_state)
+                cache["gate_i"].append(gate_i)
+                cache["gate_f"].append(gate_f)
+                cache["gate_g"].append(gate_g)
+                cache["gate_o"].append(gate_o)
+                cache["c_state"].append(c_next)
+            c_state = c_next
             h_state = gate_o * np.tanh(c_state)
-            cache["gate_i"].append(gate_i)
-            cache["gate_f"].append(gate_f)
-            cache["gate_g"].append(gate_g)
-            cache["gate_o"].append(gate_o)
-            cache["c_state"].append(c_state)
             outputs[:, step, :] = h_state
-        self._cache = cache
+        self._cache = cache if self.training else None
         return outputs
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -230,11 +230,13 @@ def build_arena_nodes(
     """
 
     nodes = build_nodes(task, scheme_factory, config)
-    shapes = [parameter.shape for parameter in nodes[0].model.parameters()]
+    shapes = [parameter.shape for parameter in nodes[0].parameters]
     arenas = NodeArenas(config.num_nodes, shapes)
     for node in nodes:
         row = node.node_id
-        parameters = node.model.parameters()
+        # The node's own list: rebinding the same Parameter objects keeps it
+        # (and everything the node routes through it) bound to the arena.
+        parameters = node.parameters
         if [parameter.shape for parameter in parameters] != arenas.shapes:
             raise SimulationError(
                 f"node {row} has a different parameter layout than node 0; "
@@ -349,7 +351,7 @@ def train_batched(
         start_matrix = arenas.params[active_rows]  # index arrays select copies
         losses: list[list[float]] = [[] for _ in active_nodes]
         for node in active_nodes:
-            node.model.train()
+            node.set_training(True)
         for _ in range(config.local_steps):
             arenas.grads[active_rows] = 0.0  # every node's model.zero_grad() at once
             for position, node in enumerate(active_nodes):

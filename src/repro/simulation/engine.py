@@ -106,17 +106,17 @@ def build_nodes(
         shards_per_node=config.shards_per_node,
     )
 
-    # All nodes start from the same initial model (as in D-PSGD): build one
-    # reference model and copy its flat parameters into every node's model.
-    reference_model = task.make_model(seeds.rng("model-init"))
+    # All nodes start from the same initial model (as in D-PSGD): every model
+    # is drawn from the same "model-init" stream, the first one is the
+    # reference and its flat parameters are copied into every node's model.
     from repro.nn.module import get_flat_parameters  # local import avoids a cycle
 
-    initial_parameters = get_flat_parameters(reference_model)
+    models = [task.make_model(seeds.rng("model-init")) for _ in range(config.num_nodes)]
+    initial_parameters = get_flat_parameters(models[0])
     model_size = initial_parameters.size
 
     nodes: list[SimulationNode] = []
-    for node_id in range(config.num_nodes):
-        model = task.make_model(seeds.rng("model-init"))
+    for node_id, model in enumerate(models):
         scheme = scheme_factory(node_id, model_size, seeds.node_seed(node_id, "scheme"))
         node = SimulationNode(
             node_id=node_id,

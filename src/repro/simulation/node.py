@@ -15,7 +15,7 @@ from repro.core.interface import SharingScheme
 from repro.datasets.base import Dataset
 from repro.exceptions import SimulationError
 from repro.nn.losses import Loss
-from repro.nn.module import Module, get_flat_parameters, set_flat_parameters
+from repro.nn.module import Module, assign_flat_values, flat_values
 from repro.nn.optim import SGD
 
 __all__ = ["SimulationNode"]
@@ -48,7 +48,11 @@ class SimulationNode:
         self.scheme = scheme
         self.batch_size = int(batch_size)
         self.local_steps = int(local_steps)
-        self.optimizer = SGD(model.parameters(), lr=learning_rate, momentum=momentum)
+        # The module tree never changes after construction: walk it once here,
+        # not on every flatten, ``zero_grad`` and mode toggle of every round.
+        self.parameters = model.parameters()
+        self._modules = list(model.modules())
+        self.optimizer = SGD(self.parameters, lr=learning_rate, momentum=momentum)
         self._rng = rng
         self.last_train_loss = float("nan")
 
@@ -56,12 +60,18 @@ class SimulationNode:
     def get_parameters(self) -> np.ndarray:
         """Current flat model parameters."""
 
-        return get_flat_parameters(self.model)
+        return flat_values(self.parameters)
 
     def set_parameters(self, vector: np.ndarray) -> None:
         """Overwrite the model with the given flat parameter vector."""
 
-        set_flat_parameters(self.model, vector)
+        assign_flat_values(self.parameters, vector)
+
+    def set_training(self, training: bool) -> None:
+        """Put every module of the model in train (``True``) or eval mode."""
+
+        for module in self._modules:
+            module.training = training
 
     def sample_batch(self) -> tuple[np.ndarray, np.ndarray]:
         """Draw one mini-batch (with replacement when the partition is small)."""
@@ -75,11 +85,11 @@ class SimulationNode:
         """Run ``local_steps`` SGD steps; return ``(params_start, params_trained)``."""
 
         params_start = self.get_parameters()
-        self.model.train()
+        self.set_training(True)
         losses = []
         for _ in range(self.local_steps):
             inputs, targets = self.sample_batch()
-            self.model.zero_grad()
+            self.optimizer.zero_grad()
             outputs = self.model.forward(inputs)
             losses.append(self.loss.forward(outputs, targets))
             self.model.backward(self.loss.backward())
@@ -97,18 +107,21 @@ class SimulationNode:
     ) -> tuple[float, float]:
         """Return ``(loss, accuracy)`` of this node's model on the given data."""
 
-        self.model.eval()
-        total_loss = 0.0
-        outputs_all = []
-        count = inputs.shape[0]
-        for start in range(0, count, batch_size):
-            batch_inputs = inputs[start : start + batch_size]
-            batch_targets = targets[start : start + batch_size]
-            outputs = self.model.forward(batch_inputs)
-            total_loss += self.loss.forward(outputs, batch_targets) * batch_inputs.shape[0]
-            outputs_all.append(outputs)
-        outputs = np.concatenate(outputs_all, axis=0)
-        self.model.train()
+        self.set_training(False)
+        try:
+            total_loss = 0.0
+            outputs_all = []
+            count = inputs.shape[0]
+            for start in range(0, count, batch_size):
+                batch_inputs = inputs[start : start + batch_size]
+                batch_targets = targets[start : start + batch_size]
+                outputs = self.model.forward(batch_inputs)
+                total_loss += self.loss.forward(outputs, batch_targets) * batch_inputs.shape[0]
+                outputs_all.append(outputs)
+            outputs = np.concatenate(outputs_all, axis=0)
+        finally:
+            # An eval-mode model has no backward cache: never hand one back.
+            self.set_training(True)
         return total_loss / count, float(accuracy_fn(outputs, targets))
 
     # -- checkpointing ---------------------------------------------------------------
@@ -133,10 +146,11 @@ class SimulationNode:
         """Restore state captured by :meth:`state_dict` on a rebuilt node."""
 
         params = np.asarray(state["params"], dtype=np.float64)
-        if params.size != self.get_parameters().size:
+        model_size = sum(parameter.size for parameter in self.parameters)
+        if params.size != model_size:
             raise SimulationError(
                 f"checkpointed model for node {self.node_id} holds {params.size} "
-                f"parameters, this node's model holds {self.get_parameters().size}"
+                f"parameters, this node's model holds {model_size}"
             )
         self.set_parameters(params)
         self.optimizer.load_state_dict(state["optimizer"])

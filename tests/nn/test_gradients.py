@@ -2,12 +2,16 @@
 
 These are the strongest correctness tests of the NN substrate: the analytic
 backward pass of each model is compared against central finite differences of
-the loss with respect to every parameter.
+the loss with respect to every parameter — and, for ``Conv2d`` and
+``MaxPool2d``, the layer's *input* gradient against differences in the input,
+across kernel sizes, strides and paddings (the models only ever exercise
+``_col2im`` at kernel 3, stride 1, padding 1).
 """
 
 import numpy as np
 import pytest
 
+from repro.nn.conv import Conv2d, MaxPool2d
 from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn.models import CharLSTM, ConvClassifier, MatrixFactorization, MLPClassifier
 from repro.nn.module import get_flat_gradients, get_flat_parameters, set_flat_parameters
@@ -104,3 +108,39 @@ def test_gradients_scale_with_batch_size(batch):
     targets = rng.integers(0, 2, size=batch)
     grad = _analytic_gradient(model, loss, inputs, targets)
     assert np.max(np.abs(grad)) < 10.0
+
+
+def _input_gradient_error(layer, inputs, upstream, epsilon=1e-6):
+    """``layer.backward`` vs central differences of ``sum(forward(x) * upstream)`` in x."""
+
+    layer.forward(inputs)
+    analytic = layer.backward(upstream)
+    numeric = np.zeros_like(inputs)
+    for index in np.ndindex(*inputs.shape):
+        perturbed = inputs.copy()
+        perturbed[index] += epsilon
+        plus = np.sum(layer.forward(perturbed) * upstream)
+        perturbed[index] -= 2 * epsilon
+        minus = np.sum(layer.forward(perturbed) * upstream)
+        numeric[index] = (plus - minus) / (2 * epsilon)
+    return _relative_error(analytic, numeric)
+
+
+@pytest.mark.parametrize("padding", [0, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kernel", [2, 3, 5])
+def test_conv_input_gradient_matches(kernel, stride, padding):
+    rng = np.random.default_rng(5)
+    layer = Conv2d(2, 2, kernel, rng, stride=stride, padding=padding)
+    inputs = rng.normal(size=(2, 2, 6, 5))
+    upstream = rng.normal(size=layer.forward(inputs).shape)
+    assert _input_gradient_error(layer, inputs, upstream) < 1e-6
+
+
+@pytest.mark.parametrize("kernel", [2, 3])
+def test_maxpool_input_gradient_matches(kernel):
+    rng = np.random.default_rng(6)
+    # Continuous random inputs: no window ties, so the maximum is differentiable.
+    inputs = rng.normal(size=(2, 2, 2 * kernel, 2 * kernel))
+    upstream = rng.normal(size=(2, 2, 2, 2))
+    assert _input_gradient_error(MaxPool2d(kernel), inputs, upstream) < 1e-6

@@ -393,6 +393,30 @@ def test_build_arena_nodes_rebinds_views():
         )
 
 
+def test_node_parameter_list_stays_bound_to_the_arena():
+    """The list a node captured at construction is what the arena rebinds.
+
+    ``build_arena_nodes`` swaps ``.value``/``.grad`` on the same ``Parameter``
+    objects, so everything the node routes through its list — flatten, write
+    back, ``zero_grad`` — reads and writes arena rows.
+    """
+
+    config = build_config()
+    nodes, arenas = build_arena_nodes(make_toy_task(), jwins_factory(), config)
+    node = nodes[3]
+    for kept, found in zip(node.parameters, node.model.parameters(), strict=True):
+        assert kept is found
+        assert np.shares_memory(kept.value, arenas.params[3])
+        assert np.shares_memory(kept.grad, arenas.grads[3])
+    vector = np.arange(arenas.model_size, dtype=np.float64)
+    node.set_parameters(vector)
+    np.testing.assert_array_equal(arenas.params[3], vector)
+    np.testing.assert_array_equal(node.get_parameters(), vector)
+    arenas.grads[3] = 1.0
+    node.optimizer.zero_grad()
+    assert not arenas.grads[3].any()
+
+
 def test_arena_sgd_load_state_dict_writes_through_views():
     config = build_config(momentum=0.9)
     nodes, arenas = build_arena_nodes(make_toy_task(), jwins_factory(), config)
