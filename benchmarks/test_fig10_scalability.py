@@ -8,10 +8,10 @@ Two sweeps cover two scales.  The accuracy sweep keeps the paper's CIFAR-like
 workload at 8-20 nodes, where the per-node reference engine is comfortable and
 the accuracy/traffic *shape* is what matters.  The arena sweep
 (:func:`test_fig10_arena_scaling`) then pushes node counts to 1,000 in one
-process — 10,000 with ``FIG10_MAX_NODES=10000`` — on the batched
-``engine="arena"`` path, recording wall-clock, per-phase seconds and peak RSS
-per N into ``benchmarks/output/BENCH_engine.json`` (the measured scaling story
-quoted by ``docs/SCALING.md``).
+process — 10,000 with ``FIG10_MAX_NODES=10000`` — under ``engine="arena"``,
+recording wall-clock, per-phase seconds and peak RSS per N into
+``benchmarks/output/BENCH_engine.json`` (the measured scaling story quoted by
+``docs/SCALING.md``).
 """
 
 from __future__ import annotations
@@ -168,9 +168,10 @@ def test_fig10_arena_scaling():
     counts = tuple(n for n in ARENA_NODE_COUNTS if n <= MAX_ARENA_NODES)
     assert 1000 in counts, "the acceptance cell: 1,000 nodes in one process"
 
-    # One per-node reference cell at the smallest count anchors the speedup
-    # column; beyond that the reference engine is exactly what the arena
-    # engine exists to replace.
+    # One per-node cell at the smallest count, for the "vs pernode" column.
+    # Information, not an assertion: both engines run the same share path and
+    # differ in the SGD step alone, so which one wins a 3-round cell is
+    # run-to-run noise (docs/SCALING.md).
     reference = _run_scaling_cell(counts[0], "pernode")
     merge_json_metrics("engine", f"fig10_pernode_n{counts[0]}", reference)
 
@@ -206,10 +207,7 @@ def test_fig10_arena_scaling():
     )
     save_report("fig10_arena_scaling", report)
 
-    # The batched engine beats the per-node loop head-to-head...
-    head_to_head = cells[0]
-    assert head_to_head["seconds_per_round"] < reference["seconds_per_round"]
-    # ...and the cost per node must not blow up as the deployment grows: the
+    # The cost per node must not blow up as the deployment grows: the
     # measured drift from 100 to 10,000 nodes is ~7x (amortized per-node
     # setup plus cache pressure), so a 10x ceiling rules out a quadratic
     # delivery loop or an O(N) scan sneaking into a per-node code path.

@@ -20,8 +20,10 @@
 #   determinism  churn+partition sweep twice serially and once on 2 workers;
 #                the JSONL stores must be byte-for-byte identical (a mismatch
 #                prints a forensic trace diff: first divergent record, field
-#                drift, causal backtrace); then 24-node arena-vs-pernode cells
-#                (default cut-off list and --budget 0.2), equal result payloads
+#                drift, causal backtrace); then arena-vs-pernode cells with
+#                equal result payloads: 24 nodes with the default cut-off list
+#                and with --budget 0.2 (jwins and full-sharing each), and a
+#                20-node cifar10 cell whose rows x d need two JWINS passes
 #   checkpoint   SIGINT a 2-cell pool sweep mid-spec, resume it, and
 #                byte-compare the store's rows against an uninterrupted run
 #                (the fourth determinism pillar), plus dry-run/compact smokes
@@ -202,22 +204,30 @@ stage_determinism() {
   _compare_stores "$CI_TMP/det-serial.jsonl" "$CI_TMP/det-pool.jsonl"  "worker count (1 vs 2)" \
       "$CI_TMP/det-serial-traces" "$CI_TMP/det-pool-traces"
 
-  # Arena-engine equivalence cells: the batched (N, d) engine must reproduce
-  # the per-node engine's result payloads exactly.  24 nodes, so that the
-  # count-groups the arena ranks, selects and index-codes in one call hold
-  # several rows each; the --budget 0.2 cell adds the two-point cut-off (one
-  # large group split across pack chunks, one `count == c` group).  The seed
-  # is pinned because an unseeded spec derives its seed from the content
-  # hash, which the engine override is deliberately part of; and the
+  # Arena-engine equivalence cells: (N, d) arena state must reproduce the
+  # per-node engine's result payloads exactly.  Both engines run one share
+  # path, so what the cells vary is what that path decides from its input.
+  # 24 movielens nodes, so that the count-groups a JWINS pass ranks, selects
+  # and index-codes in one call hold several rows each; the --budget 0.2 cell
+  # adds the two-point cut-off (one large group split across pack chunks, one
+  # `count == c` group); full-sharing in both is a baseline scheme on the
+  # default per-row hooks and the arena's row write-back.  The passes cell is
+  # 20 cifar10 nodes: 20 x 18,490 elements exceed jwins._PASS_ELEMENTS, so
+  # every stage is cut into two passes (14 + 6 rows, 14 + 5 under churn).
+  # The seed is pinned because an unseeded spec derives its seed from the
+  # content hash, which the engine override is deliberately part of; and the
   # comparison is over result payloads, not raw store bytes, because the spec
   # rows themselves differ by that override.
-  local arena_args=(--workload movielens --scheme jwins full-sharing
-                    --nodes 24 --degree 4 --rounds 3 --scenario churn-partition
-                    --seeds 1)
+  local arena_args=(--scheme jwins full-sharing --degree 4 --rounds 3
+                    --scenario churn-partition --seeds 1)
   local cell
-  for cell in default budget; do
+  for cell in default budget passes; do
     local cell_args=("${arena_args[@]}")
-    if [[ "$cell" == budget ]]; then cell_args+=(--budget 0.2); fi
+    case "$cell" in
+      default) cell_args+=(--workload movielens --nodes 24) ;;
+      budget)  cell_args+=(--workload movielens --nodes 24 --budget 0.2) ;;
+      passes)  cell_args+=(--workload cifar10 --nodes 20) ;;
+    esac
     python -m repro.cli sweep "${cell_args[@]}" --store "$CI_TMP/det-engine-pernode-$cell.jsonl" --workers 1 >/dev/null
     python -m repro.cli sweep "${cell_args[@]}" --store "$CI_TMP/det-engine-arena-$cell.jsonl"   --workers 1 --scale engine=arena >/dev/null
     python - "$CI_TMP/det-engine-pernode-$cell.jsonl" "$CI_TMP/det-engine-arena-$cell.jsonl" <<'PY'

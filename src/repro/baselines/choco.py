@@ -21,6 +21,7 @@ import numpy as np
 from repro.compression.float_codec import FloatCodec, RawFloatCodec
 from repro.compression.indices import EliasGammaIndexCodec
 from repro.compression.sizing import PayloadSize
+from repro.core.aggregation import weighted_inbox
 from repro.core.interface import Message, RoundContext, SharingScheme
 from repro.exceptions import SimulationError
 from repro.sparsification.base import fraction_to_count
@@ -93,18 +94,9 @@ class ChocoScheme(SharingScheme):
         # Update the weighted neighborhood sum with every public-copy update,
         # including the node's own (weight W[i][i]).
         self._neighborhood_sum[own_indices] += context.self_weight * own_values
-        for message in messages:
-            if message.kind != MESSAGE_KIND:
-                raise SimulationError(
-                    f"CHOCO received an incompatible message of kind {message.kind!r}"
-                )
-            weight = context.neighbor_weights.get(message.sender)
-            if weight is None:
-                raise SimulationError(
-                    f"received a message from non-neighbor node {message.sender}"
-                )
-            indices = np.asarray(message.payload["indices"], dtype=np.int64)
-            values = np.asarray(message.payload["values"], dtype=np.float64)
+        for weight, payload in weighted_inbox(context, messages, MESSAGE_KIND, "CHOCO"):
+            indices = np.asarray(payload["indices"], dtype=np.int64)
+            values = np.asarray(payload["values"], dtype=np.float64)
             self._neighborhood_sum[indices] += weight * values
 
         self._own_update = None

@@ -12,8 +12,8 @@ import numpy as np
 
 from repro.compression.float_codec import FloatCodec, RawFloatCodec
 from repro.compression.sizing import PayloadSize
+from repro.core.aggregation import average_inbox
 from repro.core.interface import Message, RoundContext, SharingScheme
-from repro.exceptions import SimulationError
 
 __all__ = ["FullSharingScheme", "full_sharing_factory"]
 
@@ -46,26 +46,9 @@ class FullSharingScheme(SharingScheme):
         # Own-centered form of the weighted average: a neighbor whose message
         # never arrived implicitly contributes the node's own model, so the
         # scheme degrades gracefully under message loss or churn.
-        own = np.asarray(context.params_trained, dtype=np.float64)
-        result = own.copy()
-        total_weight = context.self_weight
-        for message in messages:
-            if message.kind != MESSAGE_KIND:
-                raise SimulationError(
-                    f"full sharing received an incompatible message of kind {message.kind!r}"
-                )
-            weight = context.neighbor_weights.get(message.sender)
-            if weight is None:
-                raise SimulationError(
-                    f"received a message from non-neighbor node {message.sender}"
-                )
-            result += weight * (np.asarray(message.payload["values"], dtype=np.float64) - own)
-            total_weight += weight
-        if total_weight > 1.0 + 1e-6:
-            raise SimulationError(
-                f"mixing weights must not exceed 1 for a stable average, got {total_weight}"
-            )
-        return result
+        return average_inbox(
+            context.params_trained, context, messages, MESSAGE_KIND, "full sharing"
+        )
 
 
 def full_sharing_factory(compress: bool = True):

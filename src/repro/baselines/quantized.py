@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.compression.quantization import QsgdQuantizer
 from repro.compression.sizing import PayloadSize
+from repro.core.aggregation import average_inbox
 from repro.core.interface import Message, RoundContext, SharingScheme
 from repro.exceptions import SimulationError
 
@@ -72,26 +73,9 @@ class QuantizedSharingScheme(SharingScheme):
     def aggregate(self, context: RoundContext, messages: list[Message]) -> np.ndarray:
         # Own-centered weighted average (see FullSharingScheme.aggregate): a
         # missing neighbor message implicitly contributes the own model.
-        own = np.asarray(context.params_trained, dtype=np.float64)
-        result = own.copy()
-        total_weight = context.self_weight
-        for message in messages:
-            if message.kind != MESSAGE_KIND:
-                raise SimulationError(
-                    f"quantized sharing received an incompatible message of kind {message.kind!r}"
-                )
-            weight = context.neighbor_weights.get(message.sender)
-            if weight is None:
-                raise SimulationError(
-                    f"received a message from non-neighbor node {message.sender}"
-                )
-            result += weight * (np.asarray(message.payload["values"], dtype=np.float64) - own)
-            total_weight += weight
-        if total_weight > 1.0 + 1e-6:
-            raise SimulationError(
-                f"mixing weights must not exceed 1 for a stable average, got {total_weight}"
-            )
-        return result
+        return average_inbox(
+            context.params_trained, context, messages, MESSAGE_KIND, "quantized sharing"
+        )
 
     # -- checkpointing -----------------------------------------------------------
     def state_dict(self) -> dict:

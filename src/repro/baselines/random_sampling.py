@@ -14,7 +14,7 @@ import numpy as np
 from repro.compression.float_codec import FloatCodec, RawFloatCodec
 from repro.compression.indices import random_indices_from_seed
 from repro.compression.sizing import PayloadSize
-from repro.core.aggregation import SparseContribution, partial_weighted_average
+from repro.core.aggregation import average_inbox
 from repro.core.interface import Message, RoundContext, SharingScheme
 from repro.exceptions import SimulationError
 from repro.sparsification.base import fraction_to_count
@@ -70,26 +70,9 @@ class RandomSamplingScheme(SharingScheme):
         )
 
     def aggregate(self, context: RoundContext, messages: list[Message]) -> np.ndarray:
-        own = np.asarray(context.params_trained, dtype=np.float64)
-        contributions = []
-        for message in messages:
-            if message.kind != MESSAGE_KIND:
-                raise SimulationError(
-                    f"random sampling received an incompatible message of kind {message.kind!r}"
-                )
-            weight = context.neighbor_weights.get(message.sender)
-            if weight is None:
-                raise SimulationError(
-                    f"received a message from non-neighbor node {message.sender}"
-                )
-            contributions.append(
-                SparseContribution(
-                    weight=weight,
-                    indices=message.payload["indices"],
-                    values=message.payload["values"],
-                )
-            )
-        return partial_weighted_average(own, context.self_weight, contributions)
+        return average_inbox(
+            context.params_trained, context, messages, MESSAGE_KIND, "random sampling"
+        )
 
 
 def random_sampling_factory(fraction: float = 0.37, compress: bool = True):

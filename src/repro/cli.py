@@ -232,9 +232,9 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--engine",
         choices=("pernode", "arena"),
         default="pernode",
-        help="node-state engine: pernode = one private model per node (the "
-        "reference twin); arena = batched (N, d) state arenas with vectorized "
-        "SGD/DWT passes for large deployments (byte-identical results)",
+        help="where node state lives: pernode = one private model per node; "
+        "arena = contiguous (N, d) state arenas with one SGD update for all "
+        "nodes per local step (byte-identical results, same share path)",
     )
     parser.add_argument(
         "--slowdown",

@@ -142,11 +142,11 @@ def elias_gamma_encode(
     else:
         data = np.asarray(list(values), dtype=np.int64)
     if data.ndim == 2:
-        return _encode_rows(data)
-    return _encode_rows(data.reshape(1, -1))[0]
+        return _encode_matrix(data)
+    return _encode_matrix(data.reshape(1, -1))[0]
 
 
-def _encode_rows(data: np.ndarray) -> list[tuple[bytes, int, int]]:
+def _encode_matrix(data: np.ndarray) -> list[tuple[bytes, int, int]]:
     """Gamma-code every row of an ``(n, k)`` matrix as its own byte-aligned stream.
 
     Rows are packed :data:`_ROWS_CHUNK_FIELDS` fields at a time: within a chunk

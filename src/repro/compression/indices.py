@@ -130,10 +130,10 @@ class EliasGammaIndexCodec(IndexCodec):
 
         values = np.asarray(indices, dtype=np.int64)
         if values.ndim == 2:
-            return self._encode_rows(values, universe)
-        return self._encode_rows(values.reshape(1, -1), universe)[0]
+            return self._encode_matrix(values, universe)
+        return self._encode_matrix(values.reshape(1, -1), universe)[0]
 
-    def _encode_rows(self, values: np.ndarray, universe: int) -> EncodedIndexRows:
+    def _encode_matrix(self, values: np.ndarray, universe: int) -> EncodedIndexRows:
         # Top-k selection hands over ascending indices, and "strictly ascending
         # from a first index >= 0 to a last one < universe" proves a row
         # distinct, in range and sorted in O(k).  Any other row takes the full

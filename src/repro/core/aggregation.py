@@ -5,30 +5,64 @@ entries are substituted with the node's own values before the weighted
 (Metropolis–Hastings) averaging — this is how partial sharing is aggregated in
 DecentralizePy and what Algorithm 1 line 10 ("average all received partial
 wavelets with own coefficients") means in practice.  The same helper serves
-the parameter domain (random sampling, TopK) and the wavelet domain (JWINS).
+the parameter domain (random sampling, TopK), the wavelet domain (JWINS) and —
+a dense model being the contribution that shares every position — full and
+quantized sharing.  :func:`weighted_inbox` is the other half every scheme
+shares: reading an inbox into ``(weight, payload)`` pairs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
+from repro.core.interface import Message, RoundContext
 from repro.exceptions import SimulationError
 
-__all__ = ["SparseContribution", "partial_weighted_average"]
+__all__ = [
+    "SparseContribution",
+    "average_inbox",
+    "partial_weighted_average",
+    "weighted_inbox",
+]
+
+
+def weighted_inbox(
+    context: RoundContext, messages: Iterable[Message], kind: str, label: str
+) -> Iterator[tuple[float, dict[str, Any]]]:
+    """Each message's mixing weight and payload, after the checks all schemes share.
+
+    It must be of the scheme's ``kind`` (``label`` names the scheme in the
+    error) and come from a neighbor of this round's topology.
+    """
+
+    for message in messages:
+        if message.kind != kind:
+            raise SimulationError(
+                f"{label} received an incompatible message of kind {message.kind!r}"
+            )
+        weight = context.neighbor_weights.get(message.sender)
+        if weight is None:
+            raise SimulationError(
+                f"received a message from non-neighbor node {message.sender}"
+            )
+        yield weight, message.payload
 
 
 class SparseContribution:
-    """One neighbor's sparse contribution: ``values`` at ``indices`` with ``weight``."""
+    """One neighbor's contribution: ``values`` at ``indices`` with ``weight``.
+
+    ``indices=None`` is the dense case: ``values`` covers every position.
+    """
 
     __slots__ = ("weight", "indices", "values")
 
-    def __init__(self, weight: float, indices: np.ndarray, values: np.ndarray) -> None:
+    def __init__(self, weight: float, indices: np.ndarray | None, values: np.ndarray) -> None:
         self.weight = float(weight)
-        self.indices = np.asarray(indices, dtype=np.int64)
+        self.indices = None if indices is None else np.asarray(indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
-        if self.indices.shape != self.values.shape:
+        if self.indices is not None and self.indices.shape != self.values.shape:
             raise SimulationError("indices and values must have the same length")
 
 
@@ -58,7 +92,11 @@ def partial_weighted_average(
     total_weight = float(self_weight)
     for contribution in contributions:
         indices = contribution.indices
-        if indices.size and (indices.min() < 0 or indices.max() >= own.size):
+        if indices is None:
+            if contribution.values.shape != own.shape:
+                raise SimulationError("a dense contribution must match the own vector's shape")
+            indices = slice(None)
+        elif indices.size and (indices.min() < 0 or indices.max() >= own.size):
             raise SimulationError("contribution indices out of range")
         result[indices] += contribution.weight * (contribution.values - own[indices])
         total_weight += contribution.weight
@@ -67,3 +105,26 @@ def partial_weighted_average(
             f"mixing weights must not exceed 1 for a stable average, got {total_weight}"
         )
     return result
+
+
+def average_inbox(
+    own: np.ndarray,
+    context: RoundContext,
+    messages: Iterable[Message],
+    kind: str,
+    label: str,
+) -> np.ndarray:
+    """:func:`partial_weighted_average` of ``own`` with a whole inbox.
+
+    A payload contributes its ``"values"`` at its ``"indices"``, or everywhere
+    when it has none.  The inbox is read (and checked) as the average runs.
+    """
+
+    return partial_weighted_average(
+        own,
+        context.self_weight,
+        (
+            SparseContribution(weight, payload.get("indices"), payload["values"])
+            for weight, payload in weighted_inbox(context, messages, kind, label)
+        ),
+    )

@@ -7,13 +7,18 @@ decides *what* a node sends to its neighbors (`prepare`) and *how* received
 messages are combined with the node's own model (`aggregate`).  The simulator
 drives schemes through this interface only, so full sharing, random sampling,
 TopK, CHOCO-SGD and JWINS are interchangeable.
+
+A lock-step round hands a scheme class all of its nodes at once
+(:meth:`SharingScheme.prepare_rows`, :meth:`SharingScheme.aggregate_rows`).
+The defaults make one per-node call per row; a scheme with matrix kernels
+overrides them and decides, from the rows it is given, how many share a call.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -113,6 +118,34 @@ class SharingScheme(ABC):
         JWINS uses it for the end-of-round accumulator update (Equation 4);
         most schemes need no post-processing, hence the default no-op.
         """
+
+    # -- one lock-step stage over many nodes ---------------------------------------
+    @staticmethod
+    def prepare_rows(
+        schemes: Sequence["SharingScheme"], contexts: Sequence[RoundContext]
+    ) -> list[Message]:
+        """Every scheme's round message, in row order: one :meth:`prepare` per row."""
+
+        return [scheme.prepare(context) for scheme, context in zip(schemes, contexts)]
+
+    @staticmethod
+    def aggregate_rows(
+        schemes: Sequence["SharingScheme"],
+        contexts: Sequence[RoundContext],
+        inboxes: Sequence[list[Message]],
+    ) -> Iterator[tuple[slice, np.ndarray]]:
+        """Close the round for every row: yields ``(rows, new_parameters)`` blocks.
+
+        ``rows`` is a slice of the given sequences, ``new_parameters`` those
+        nodes' ``(len(rows), model_size)`` next models; blocks come in row
+        order, cover every row once, and are finalized when yielded.  The
+        default is :meth:`aggregate` then :meth:`finalize`, one row per block.
+        """
+
+        for row, (scheme, context, inbox) in enumerate(zip(schemes, contexts, inboxes)):
+            new_params = scheme.aggregate(context, inbox)
+            scheme.finalize(context, new_params)
+            yield slice(row, row + 1), np.asarray(new_params, dtype=np.float64).reshape(1, -1)
 
     # -- checkpointing -------------------------------------------------------------
     def state_dict(self) -> dict[str, Any]:

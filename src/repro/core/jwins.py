@@ -13,18 +13,24 @@ Per round, a node running JWINS
    coefficients a neighbor did not share;
 5. inverts the wavelet transform to obtain the next round's model and updates
    the accumulator with the whole-round change (Equation 4).
+
+Steps 1-3 and 4-5 are each written once, over a *pass* of consecutive rows
+(:func:`_prepare_pass`, :func:`_aggregate_pass`): the DWTs run on the pass's
+``(n, d)`` matrix, everything per node stays per row.  A lock-step round is
+cut into passes of about :data:`_PASS_ELEMENTS` elements; :meth:`JwinsScheme.prepare`
+is the one-row pass.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.compression.float_codec import FloatCodec, RawFloatCodec
 from repro.compression.indices import EliasGammaIndexCodec, RawIndexCodec
 from repro.compression.sizing import PayloadSize
-from repro.core.aggregation import SparseContribution, partial_weighted_average
+from repro.core.aggregation import average_inbox
 from repro.core.config import JwinsConfig
 from repro.core.interface import Message, RoundContext, SharingScheme
 from repro.core.ranking import WaveletRanker
@@ -36,6 +42,100 @@ from repro.wavelets.transform import IdentityTransform, ModelTransform, WaveletT
 __all__ = ["JwinsScheme", "jwins_factory"]
 
 MESSAGE_KIND = "jwins-partial-wavelets"
+
+#: Elements (rows x model size) one pass transforms in one kernel call: as many
+#: whole rows as fit, at least one.  Measured (docs/SCALING.md, "Passes"):
+#: stacking rows costs 0.07x the per-row loop at 256 x 300, breaks even near
+#: 14 x 18,490 and loses (1.1-1.4x) once a DWT level outgrows the cache.
+_PASS_ELEMENTS = 1 << 18
+
+
+def _rows(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """``vectors`` as a float64 matrix; one vector stays a view (no O(d) copy)."""
+
+    vectors = [np.asarray(vector, dtype=np.float64) for vector in vectors]
+    return vectors[0][None] if len(vectors) == 1 else np.stack(vectors)
+
+
+def _share_passes(schemes: Sequence[SharingScheme]) -> bool:
+    """Whether ``schemes`` may run a round through shared row passes.
+
+    A pass uses its first scheme's transform and codecs for all rows, so all
+    must be one :class:`JwinsScheme` subtype inheriting ``prepare``/
+    ``aggregate``/``finalize`` unchanged and be built from the same two things
+    a scheme derives everything from: model size and an equal
+    :class:`~repro.core.config.JwinsConfig`.  Anything else takes the per-row
+    default hooks.
+    """
+
+    if not schemes:
+        return False
+    first = schemes[0]
+    cls = type(first)
+    if (
+        cls.prepare is not JwinsScheme.prepare
+        or cls.aggregate is not JwinsScheme.aggregate
+        or cls.finalize is not JwinsScheme.finalize
+    ):
+        return False
+    return all(
+        type(scheme) is cls
+        and scheme.transform.model_size == first.transform.model_size
+        and (scheme.config is first.config or scheme.config == first.config)
+        for scheme in schemes[1:]
+    )
+
+
+def _passes(schemes: Sequence["JwinsScheme"]) -> Iterator[slice]:
+    """Consecutive row slices of about :data:`_PASS_ELEMENTS` elements each."""
+
+    step = max(1, _PASS_ELEMENTS // schemes[0].transform.model_size)
+    for start in range(0, len(schemes), step):
+        yield slice(start, min(start + step, len(schemes)))
+
+
+def _prepare_pass(
+    schemes: Sequence["JwinsScheme"], contexts: Sequence[RoundContext]
+) -> list[Message]:
+    """Algorithm 1 lines 5-8 for one pass: two stacked DWTs, then the rows form."""
+
+    transform = schemes[0].transform
+    trained = _rows([context.params_trained for context in contexts])
+    change_matrix = transform.forward_batch(
+        trained - _rows([context.params_start for context in contexts])
+    )
+    return schemes[0].prepare_from_coefficients(
+        schemes, contexts, change_matrix, transform.forward_batch(trained)
+    )
+
+
+def _aggregate_pass(
+    schemes: Sequence["JwinsScheme"],
+    contexts: Sequence[RoundContext],
+    inboxes: Sequence[list[Message]],
+) -> np.ndarray:
+    """Algorithm 1 lines 9-12 for one pass: its ``(n, d)`` new models.
+
+    The sparse average is per row; the inverse DWT and the DWT of the
+    whole-round change (Equation 4) each run once over the pass.
+    """
+
+    first = schemes[0]
+    new_params = first.transform.inverse_batch(
+        _rows(
+            [
+                scheme.aggregate_coefficients(context, inbox)
+                for scheme, context, inbox in zip(schemes, contexts, inboxes)
+            ]
+        )
+    )
+    if first.ranker.use_accumulation:
+        round_change = first.transform.forward_batch(
+            new_params - _rows([context.params_start for context in contexts])
+        )
+        for scheme, row in zip(schemes, round_change):
+            scheme.finalize_from_change(row)
+    return new_params
 
 
 class JwinsScheme(SharingScheme):
@@ -83,14 +183,20 @@ class JwinsScheme(SharingScheme):
 
     # -- Algorithm 1, lines 5-8 ------------------------------------------------
     def prepare(self, context: RoundContext) -> Message:
-        local_change = self.transform.forward(
-            np.asarray(context.params_trained, dtype=np.float64)
-            - np.asarray(context.params_start, dtype=np.float64)
-        )
-        own_coefficients = self.transform.forward(context.params_trained)
-        return self.prepare_from_coefficients(
-            [self], [context], local_change[None], own_coefficients[None]
-        )[0]
+        # The pass itself, not ``prepare_rows``: that would hand a subclass
+        # overriding ``prepare`` straight back to its own override.
+        return _prepare_pass([self], [context])[0]
+
+    @staticmethod
+    def prepare_rows(
+        schemes: Sequence["JwinsScheme"], contexts: Sequence[RoundContext]
+    ) -> list[Message]:
+        if not _share_passes(schemes):
+            return SharingScheme.prepare_rows(schemes, contexts)
+        messages: list[Message] = []
+        for rows in _passes(schemes):
+            messages += _prepare_pass(schemes[rows], contexts[rows])
+        return messages
 
     @staticmethod
     def prepare_from_coefficients(
@@ -102,10 +208,9 @@ class JwinsScheme(SharingScheme):
         """Algorithm 1 lines 5-8 for a stack of nodes, from precomputed coefficients.
 
         Row ``i`` of ``change_matrix``/``own_matrix`` holds the forward DWT of
-        node ``i``'s local change / trained model.  The arena engine computes
-        both for *all* nodes in two batched passes and calls this once a
-        round; :meth:`prepare` calls it with its own single row, so both
-        engines share one code path and produce bit-identical messages.
+        node ``i``'s local change / trained model.  :func:`_prepare_pass`
+        computes both for a whole pass and calls this once, whether the pass
+        holds one node or many, so every message comes from one code path.
 
         The cut-off list is short, so the rows fall into a few groups of equal
         count — rectangular problems: scores and the alpha draw (from each
@@ -141,13 +246,7 @@ class JwinsScheme(SharingScheme):
 
         messages: dict[int, Message] = {}
         for count, rows in groups.items():
-            indices = topk_indices(
-                # One row stays a view: the per-node engines pay no O(d) copy.
-                row_scores[rows[0]][None]
-                if len(rows) == 1
-                else np.stack([row_scores[row] for row in rows]),
-                count,
-            )
+            indices = topk_indices(_rows([row_scores[row] for row in rows]), count)
             values = own_matrix[np.asarray(rows)[:, None], indices]
             encoded = first._index_codec.encode(indices, coefficient_size)
             for row, row_indices, row_values, row_encoded in zip(rows, indices, values, encoded):
@@ -174,9 +273,23 @@ class JwinsScheme(SharingScheme):
         return [messages[row] for row in range(len(schemes))]
 
     # -- Algorithm 1, lines 9-11 ------------------------------------------------
+    # ``aggregate``/``finalize`` serve the event loop, one node at a time;
+    # a lock-step round closes through ``aggregate_rows``.
     def aggregate(self, context: RoundContext, messages: list[Message]) -> np.ndarray:
         averaged = self.aggregate_coefficients(context, messages)
         return self.transform.inverse(averaged)
+
+    @staticmethod
+    def aggregate_rows(
+        schemes: Sequence["JwinsScheme"],
+        contexts: Sequence[RoundContext],
+        inboxes: Sequence[list[Message]],
+    ) -> Iterator[tuple[slice, np.ndarray]]:
+        if not _share_passes(schemes):
+            yield from SharingScheme.aggregate_rows(schemes, contexts, inboxes)
+            return
+        for rows in _passes(schemes):
+            yield rows, _aggregate_pass(schemes[rows], contexts[rows], inboxes[rows])
 
     def aggregate_coefficients(
         self, context: RoundContext, messages: list[Message]
@@ -184,33 +297,15 @@ class JwinsScheme(SharingScheme):
         """Algorithm 1 lines 9-10 without the final inverse transform.
 
         Returns the partially weighted-averaged coefficient vector still in
-        the transform domain.  :meth:`aggregate` immediately inverts it; the
-        arena engine instead stacks the rows of all nodes and reconstructs
-        them in one batched inverse-DWT pass — bit-identical either way.
+        the transform domain.  :meth:`aggregate` immediately inverts it;
+        :func:`_aggregate_pass` stacks the rows of a pass and reconstructs
+        them in one inverse DWT — bit-identical either way.
         """
 
         if self._own_coefficients is None:
             raise SimulationError("aggregate called before prepare")
-        contributions = []
-        for message in messages:
-            if message.kind != MESSAGE_KIND:
-                raise SimulationError(
-                    f"JWINS received an incompatible message of kind {message.kind!r}"
-                )
-            weight = context.neighbor_weights.get(message.sender)
-            if weight is None:
-                raise SimulationError(
-                    f"received a message from non-neighbor node {message.sender}"
-                )
-            contributions.append(
-                SparseContribution(
-                    weight=weight,
-                    indices=message.payload["indices"],
-                    values=message.payload["values"],
-                )
-            )
-        averaged = partial_weighted_average(
-            self._own_coefficients, context.self_weight, contributions
+        averaged = average_inbox(
+            self._own_coefficients, context, messages, MESSAGE_KIND, "JWINS"
         )
         self._own_coefficients = None
         return averaged
@@ -222,9 +317,9 @@ class JwinsScheme(SharingScheme):
     def finalize_from_change(self, round_change_coefficients: np.ndarray) -> None:
         """Equation 4 from a precomputed coefficient-domain round change.
 
-        Batched twin of :meth:`finalize`: the arena engine transforms
-        ``x^(t+1,0) - x^(t,0)`` for all nodes in one pass and feeds each
-        scheme its row.  A no-op when accumulation is disabled.
+        :func:`_aggregate_pass` transforms ``x^(t+1,0) - x^(t,0)`` for a whole
+        pass at once and feeds each scheme its row.  A no-op when accumulation
+        is disabled.
         """
 
         self.ranker.end_of_round_from_change(round_change_coefficients)

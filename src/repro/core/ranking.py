@@ -39,32 +39,14 @@ class WaveletRanker:
 
         return self._accumulator.scores
 
-    def round_scores(
-        self, params_start: np.ndarray, params_trained: np.ndarray
-    ) -> np.ndarray:
-        """Equation 3: ``V' = V + DWT(x^(t,tau) - x^(t,0))``.
-
-        With accumulation disabled (the Figure 8 ablation) the score is just
-        the wavelet transform of this round's local change.
-        """
-
-        local_change = self.transform.forward(
-            np.asarray(params_trained, dtype=np.float64)
-            - np.asarray(params_start, dtype=np.float64)
-        )
-        if not self.use_accumulation:
-            return local_change
-        return self._accumulator.scores + local_change
-
     def round_scores_from_change(self, local_change: np.ndarray) -> np.ndarray:
-        """Equation 3 from a precomputed coefficient-domain local change.
+        """Equation 3: ``V' = V + DWT(x^(t,tau) - x^(t,0))``, given that DWT.
 
-        The arena engine computes ``DWT(x^(t,tau) - x^(t,0))`` for *all* nodes
-        in one batched pass and hands each ranker its row; this entry point
-        skips the per-node transform of :meth:`round_scores` but returns
-        bit-identical scores.  The input is never mutated (a defensive copy is
-        taken on the non-accumulating path), so rows of a shared stacked
-        matrix are safe to pass.
+        The scheme transforms the local change of a whole pass of nodes at
+        once and hands each ranker its row.  With accumulation disabled (the
+        Figure 8 ablation) the score is just this round's change.  The input
+        is never mutated (a defensive copy is taken on the non-accumulating
+        path), so rows of a shared stacked matrix are safe to pass.
         """
 
         local_change = np.asarray(local_change, dtype=np.float64)
@@ -92,10 +74,9 @@ class WaveletRanker:
     def end_of_round_from_change(self, round_change: np.ndarray) -> None:
         """Equation 4 from a precomputed coefficient-domain round change.
 
-        Batched twin of :meth:`end_of_round`: the arena engine transforms the
-        whole-round change of every node in one pass and feeds each ranker its
-        row.  A no-op when accumulation is disabled, exactly like the per-node
-        path.
+        Twin of :meth:`end_of_round` for a lock-step round, where the scheme
+        transforms the whole-round change of a pass of nodes at once and feeds
+        each ranker its row.  A no-op when accumulation is disabled.
         """
 
         if not self.use_accumulation:

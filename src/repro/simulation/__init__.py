@@ -7,10 +7,10 @@ engine:
   byte metering, evaluation) plus the two pluggable execution modes:
   :class:`SynchronousMode` (the paper's lock-step rounds, one six-stage loop)
   and :class:`AsynchronousMode` (event-driven gossip over heterogeneous nodes);
-* :mod:`repro.simulation.arena` — the arena engine: node state batched into
-  contiguous ``(N, d)`` arenas plus the vectorized SGD/DWT stage kernels that
-  loop runs under ``ExperimentConfig.engine="arena"``, byte-identical to the
-  per-row reference kernels (see ``docs/SCALING.md``);
+* :mod:`repro.simulation.arena` — the arena engine: node state held in
+  contiguous ``(N, d)`` arenas plus the step-major train stage that loop runs
+  under ``ExperimentConfig.engine="arena"``, byte-identical to private
+  per-node models (see ``docs/SCALING.md``);
 * :mod:`repro.simulation.events` — the typed :class:`Event` and the
   deterministic :class:`EventLoop` the async mode runs on;
 * :mod:`repro.simulation.runner` — the :func:`run_experiment` one-call facade

@@ -1,53 +1,37 @@
-"""The arena engine: contiguous ``(N, d)`` node-state arenas with batched kernels.
+"""The arena engine: contiguous ``(N, d)`` node-state arenas and their train stage.
 
 The per-node engine (:func:`~repro.simulation.engine.build_nodes`) stores one
-private model per :class:`~repro.simulation.node.SimulationNode`, and the
-per-row stage kernels of :mod:`repro.simulation.engine` drive train/encode/
-aggregate as a Python loop over nodes.  That is faithful to the original
-process-per-client deployment but caps the fig10 scalability reproduction at a
-few dozen nodes: the round cost is dominated by per-node, per-tensor Python
-overhead, not by arithmetic.
-
-This module batches the node *state* instead.  All mutable per-node training
-state lives in three contiguous ``(N, d)`` float64 arenas — parameters,
-gradients and momentum — and every node's :class:`~repro.nn.module.Parameter`
-objects are rebound to row views into them (:func:`build_arena_nodes`).  The
-lock-step loop (:class:`~repro.simulation.engine.SynchronousMode`) then runs
-its train/encode/aggregate stages through the ``*_batched`` kernels below,
-which replace the hottest per-node loops with whole-arena numpy operations:
+private model per :class:`~repro.simulation.node.SimulationNode`, faithful to
+the original process-per-client deployment.  This module changes where that
+*state* lives, and nothing else.  All mutable per-node training state sits in
+three contiguous ``(N, d)`` float64 arenas — parameters, gradients and momentum — and every node's
+:class:`~repro.nn.module.Parameter` objects are rebound to row views into them
+(:func:`build_arena_nodes`).  The one stage of the lock-step loop
+(:class:`~repro.simulation.engine.SynchronousMode`) that depends on the layout
+is ``train``, and :func:`train_batched` is its arena form:
 
 * the SGD update of a local step runs once over all active rows
   (:meth:`NodeArenas.step_rows`) instead of once per node per tensor, and so
   does the gradient zeroing before it (one ``arenas.grads[rows] = 0`` for N
   ``model.zero_grad()`` traversals);
-* the three DWT passes of a JWINS round (scores change, own coefficients,
-  end-of-round change) each run as one batched
-  :meth:`~repro.wavelets.transform.ModelTransform.forward_batch` /
-  :meth:`~repro.wavelets.transform.ModelTransform.inverse_batch` call over a
-  stacked coefficient matrix;
-* Algorithm 1 lines 5-8 run once a round through the rows form of
-  :meth:`~repro.core.jwins.JwinsScheme.prepare_from_coefficients`: the cut-off
-  list is short (seven fractions by default), so the N messages fall into a
-  few groups of equal count, and each group takes one row-wise TopK, one
-  gather and one Elias-gamma call over its ``(n_g, k)`` index matrix;
-* the averaged models are written back in one ``arenas.params[rows] = ...``
-  assignment instead of N ``set_parameters`` calls.
+* sampling, forward and backward stay per node
+  (:meth:`~repro.simulation.node.SimulationNode.backpropagate_batch`): every
+  node owns its batch RNG stream and its data.
 
-What stays per node, and why: the alpha draw and :meth:`Simulator.make_context`
-(every node owns its RNG streams, derived per node and round), the float codec
-(DEFLATE has no batch form and the exact wire size needs each message
-compressed), :meth:`~repro.core.jwins.JwinsScheme.aggregate_coefficients`
-(each inbox is its own sparse average), sampling and forward/backward.
-Everything else of a round (scenario state, the byzantine send path, delivery
-in drop-RNG draw order, metering, checkpointing) is the loop's own code.
+``encode`` and ``aggregate`` are the same functions for both layouts
+(:func:`repro.simulation.engine.encode`/:func:`~repro.simulation.engine.aggregate`):
+the scheme class decides how many rows share a DWT or a TopK call, the engine
+writes each block of new models back — here in one ``arenas.params[rows] =
+block`` assignment instead of one ``set_parameters`` per node.  This module
+therefore knows no sharing scheme, no transform and no codec.
 
 The determinism contract is strict bit-identity: for any configuration,
 ``config.with_engine("arena")`` produces an
 :class:`~repro.simulation.metrics.ExperimentResult` whose ``to_dict()`` is
 byte-for-byte equal to the per-node engine's (the equivalence tests in
 ``tests/simulation/test_arena.py`` and the fuzzer's ``engines`` oracle pin
-this down).  The per-row kernels stay the reference; see ``docs/SCALING.md``
-for the memory layout and the measured scaling story.
+this down); see ``docs/SCALING.md`` for the memory layout and the measured
+scaling story.
 
 Checkpoints are engine-agnostic: node ``state_dict`` payloads read identically
 through the views and the mode state belongs to the shared loop, so a snapshot
@@ -56,19 +40,15 @@ taken under one engine resumes under the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.interface import Message, RoundContext, SchemeFactory
-from repro.core.jwins import JwinsScheme
+from repro.core.interface import SchemeFactory
 from repro.datasets.base import LearningTask
 from repro.exceptions import SimulationError
 from repro.nn.optim import SGD
-from repro.simulation.engine import Simulator, aggregate_rows, build_nodes, encode_rows
+from repro.simulation.engine import Simulator, build_nodes
 from repro.simulation.experiment import ExperimentConfig
 from repro.simulation.node import SimulationNode
-from repro.wavelets.transform import ModelTransform, WaveletTransform
 
 __all__ = [
     "ArenaSGD",
@@ -261,87 +241,17 @@ def build_arena_nodes(
     return nodes, arenas
 
 
-@dataclass(frozen=True)
-class _JwinsBatchPlan:
-    """Proof that a round's schemes can run through the batched JWINS path."""
-
-    transform: ModelTransform
-    use_accumulation: bool
-
-
-def _jwins_batch_plan(nodes: list[SimulationNode]) -> _JwinsBatchPlan | None:
-    """Whether (and how) the active nodes' schemes admit batched DWT dispatch.
-
-    The batched path is taken only when every scheme is the same
-    :class:`~repro.core.jwins.JwinsScheme` subtype that inherits ``prepare``/
-    ``aggregate``/``finalize`` unchanged (so the coefficient-level entry
-    points cover the whole protocol), all transforms agree and all
-    :class:`~repro.core.config.JwinsConfig` are equal (a count-group is
-    selected and encoded in one call, with one cut-off and one codec pair).
-    Anything else — mixed schemes, a baseline scheme, a subclass overriding
-    the round protocol, a factory configuring nodes differently — falls back
-    to per-node scheme calls, still on arena-backed state.
-    """
-
-    if not nodes:
-        return None
-    first = nodes[0].scheme
-    if not isinstance(first, JwinsScheme):
-        return None
-    cls = type(first)
-    if (
-        cls.prepare is not JwinsScheme.prepare
-        or cls.aggregate is not JwinsScheme.aggregate
-        or cls.finalize is not JwinsScheme.finalize
-    ):
-        return None
-    transform = first.transform
-    for node in nodes[1:]:
-        scheme = node.scheme
-        if type(scheme) is not cls:
-            return None
-        other = scheme.transform
-        if type(other) is not type(transform):
-            return None
-        if (
-            other.model_size != transform.model_size
-            or other.coefficient_size() != transform.coefficient_size()
-        ):
-            return None
-        if isinstance(transform, WaveletTransform) and (
-            other.wavelet != transform.wavelet or other.levels != transform.levels
-        ):
-            return None
-        if scheme.config is not first.config and scheme.config != first.config:
-            return None
-    return _JwinsBatchPlan(
-        transform=transform, use_accumulation=first.ranker.use_accumulation
-    )
-
-
-def _change_since_start(matrix: np.ndarray, contexts: list[RoundContext]) -> np.ndarray:
-    """``matrix`` minus the stacked ``params_start`` rows, in the stack's own buffer.
-
-    One ``(N, d)`` temporary instead of two, and it dies with the expression
-    that consumes it — the stage matrices are what ``peak_rss_mib`` sees.
-    """
-
-    change = np.stack([context.params_start for context in contexts])
-    return np.subtract(matrix, change, out=change)
-
-
-# -- batched stage kernels ---------------------------------------------------------
-# The arena forms of the layout-dependent stages of the lock-step loop: same
-# signatures as the per-row ``*_rows`` kernels, one profiler interval a stage.
+# -- the layout-dependent stage ----------------------------------------------------
 def train_batched(
     simulator: Simulator, active_nodes: list[SimulationNode]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Stage ``train``, step-major: one batched SGD update per local step.
 
-    All active gradient rows are zeroed at once, every active node samples,
-    forwards and backwards its own mini-batch (per-node RNG streams are
-    independent, so the reorder is bit-safe), then one
-    :meth:`NodeArenas.step_rows` call updates all active rows at once.
+    Same signature as :func:`repro.simulation.engine.train_rows`, one profiler
+    interval for the stage.  All active gradient rows are zeroed at once,
+    every active node samples, forwards and backwards its own mini-batch
+    (per-node RNG streams are independent, so the reorder is bit-safe), then
+    one :meth:`NodeArenas.step_rows` call updates all active rows at once.
     """
 
     config = simulator.config
@@ -354,84 +264,10 @@ def train_batched(
             node.set_training(True)
         for _ in range(config.local_steps):
             arenas.grads[active_rows] = 0.0  # every node's model.zero_grad() at once
-            for position, node in enumerate(active_nodes):
-                inputs, targets = node.sample_batch()
-                outputs = node.model.forward(inputs)
-                losses[position].append(node.loss.forward(outputs, targets))
-                node.model.backward(node.loss.backward())
+            for node_losses, node in zip(losses, active_nodes):
+                node_losses.append(node.backpropagate_batch())
             arenas.step_rows(active_rows, config.learning_rate, config.momentum)
-        for position, node in enumerate(active_nodes):
-            node.last_train_loss = float(np.mean(losses[position]))
+        for node_losses, node in zip(losses, active_nodes):
+            node.last_train_loss = float(np.mean(node_losses))
         trained_matrix = arenas.params[active_rows]
     return list(zip(start_matrix, trained_matrix))
-
-
-def encode_batched(
-    simulator: Simulator, active_nodes: list[SimulationNode], contexts: list[RoundContext]
-) -> dict[int, Message]:
-    """Stage ``encode``: two batched forward DWTs, then one scheme call for all rows.
-
-    Schemes without a batch plan take the per-row kernel, on arena-backed state.
-    """
-
-    plan = _jwins_batch_plan(active_nodes)
-    if plan is None:
-        return encode_rows(simulator, active_nodes, contexts)
-    with simulator.profile("encode"):
-        presented_matrix = np.stack([context.params_trained for context in contexts])
-        change_matrix = plan.transform.forward_batch(
-            _change_since_start(presented_matrix, contexts)
-        )
-        own_matrix = plan.transform.forward_batch(presented_matrix)
-        del presented_matrix  # consumed: one (N, d) matrix less under the peak
-        prepared = active_nodes[0].scheme.prepare_from_coefficients(
-            [node.scheme for node in active_nodes], contexts, change_matrix, own_matrix
-        )
-        return {
-            node.node_id: simulator.record_prepared_message(node, context, message)
-            for node, context, message in zip(active_nodes, contexts, prepared)
-        }
-
-
-def aggregate_batched(
-    simulator: Simulator,
-    active_nodes: list[SimulationNode],
-    contexts: list[RoundContext],
-    inboxes: list[list[Message]],
-) -> None:
-    """Stage ``aggregate``: one batched inverse DWT over all averaged rows.
-
-    Each node's weighted coefficient average is collected per row, the
-    end-of-round accumulator update is fed from one batched forward DWT of the
-    round changes, and the new models land in the arena in one assignment.
-    Schemes without a batch plan take the per-row kernel.
-    """
-
-    plan = _jwins_batch_plan(active_nodes)
-    if plan is None:
-        return aggregate_rows(simulator, active_nodes, contexts, inboxes)
-    with simulator.profile("aggregate"):
-        new_matrix = plan.transform.inverse_batch(
-            np.stack(
-                [
-                    node.scheme.aggregate_coefficients(context, inbox)
-                    for node, context, inbox in zip(active_nodes, contexts, inboxes)
-                ]
-            )
-        )
-        arenas = simulator.arenas
-        active_rows = [node.node_id for node in active_nodes]
-        if new_matrix.shape != (len(active_rows), arenas.model_size):
-            raise SimulationError(
-                f"aggregation produced a {new_matrix.shape} matrix for "
-                f"{len(active_rows)} models of {arenas.model_size} parameters"
-            )
-        if plan.use_accumulation:
-            round_change_matrix = plan.transform.forward_batch(
-                _change_since_start(new_matrix, contexts)
-            )
-            for node, round_change in zip(active_nodes, round_change_matrix):
-                node.scheme.finalize_from_change(round_change)
-        # One assignment for N set_parameters() calls; the nodes' Parameter
-        # views stay bound to the arena.
-        arenas.params[active_rows] = new_matrix

@@ -6,10 +6,12 @@ The engine separates three concerns that used to live in one monolithic loop:
   weights, byte metering, evaluation and the result being built;
 * an :class:`ExecutionMode` strategy owns the *schedule* — how rounds unfold
   in simulated time.  :class:`SynchronousMode` reproduces the paper's
-  lock-step rounds bit-for-bit as one six-stage loop whose layout-dependent
-  stages are plain functions (per-row here, batched in
-  :mod:`repro.simulation.arena`); :class:`AsynchronousMode` runs event-driven
-  gossip where heterogeneous nodes progress at their own pace;
+  lock-step rounds bit-for-bit as one six-stage loop of plain stage functions:
+  only ``train`` depends on where node state lives (step-major form in
+  :mod:`repro.simulation.arena`), ``encode``/``aggregate`` hand all active
+  nodes to their scheme class, which alone decides how many rows share a
+  kernel call; :class:`AsynchronousMode` runs event-driven gossip where
+  heterogeneous nodes progress at their own pace;
 * observers attach to the engine's hook points (``on_round_end``,
   ``on_message``, ``on_evaluate``) so metrics collection, early-stop logic or
   live dashboards never require editing the loop itself.
@@ -35,7 +37,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.checkpoint import preemption
-from repro.core.interface import Message, RoundContext, SchemeFactory
+from repro.core.interface import Message, RoundContext, SchemeFactory, SharingScheme
 from repro.datasets.base import LearningTask
 from repro.datasets.partition import partition_dataset
 from repro.exceptions import CheckpointError, ExperimentPaused, SimulationError
@@ -295,7 +297,7 @@ class Simulator:
 
         if mode is None:
             # Both run on either node-state engine: gossip steps nodes through
-            # their arena views, lock-step picks stage kernels off ``arenas``.
+            # their arena views, lock-step picks its train stage off ``arenas``.
             mode = SynchronousMode() if config.execution == "sync" else AsynchronousMode()
         self.mode = mode
 
@@ -562,20 +564,14 @@ class Simulator:
             self._byzantine_stale[node_id] = held
         return held.copy()
 
-    def prepare_message(self, node: SimulationNode, context: RoundContext) -> Message:
-        """Ask ``node``'s scheme for its round message and meter the send."""
-
-        return self.record_prepared_message(node, context, node.scheme.prepare(context))
-
     def record_prepared_message(
         self, node: SimulationNode, context: RoundContext, message: Message
     ) -> Message:
         """Validate and meter a round message produced for ``node``.
 
-        Shared tail of :meth:`prepare_message`; the arena engine's batched
-        encode path builds messages itself (one batched DWT pass, then one
-        scheme call per node) and routes them through here so the sender check
-        and the byte metering stay identical across engines.
+        Every message passes through here — one ``prepare`` at a time from the
+        event loop, a stage's worth from :func:`encode` — so the sender check
+        and the byte metering are the same code wherever it was built.
         """
 
         if message.sender != node.node_id:
@@ -769,13 +765,13 @@ class Simulator:
         return self.result
 
 
-# -- per-row stage kernels (batched forms, same signatures: repro.simulation.arena) --
-# The layout-dependent stages of a lock-step round, one timed row at a time;
-# ``present`` and ``aggregate_node`` also serve the event loop.
+# -- stage functions -------------------------------------------------------------------
+# The stages of a lock-step round that touch node state, one profiler interval
+# each; ``present`` and ``aggregate_node`` also serve the event loop.
 def train_rows(
     simulator: "Simulator", active_nodes: list[SimulationNode]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Stage ``train``: one ``(params_start, params_trained)`` pair per node."""
+    """Stage ``train`` on private models: a ``(params_start, params_trained)`` per node."""
 
     pairs = []
     for node in active_nodes:
@@ -801,16 +797,26 @@ def present(
     return simulator.make_context(node, round_index, params_start, params_trained, now=now)
 
 
-def encode_rows(
+def _scheme_class(nodes: list[SimulationNode]) -> type[SharingScheme]:
+    """The class whose rows hooks run a stage: the nodes' own when they share one."""
+
+    classes = {type(node.scheme) for node in nodes}
+    return classes.pop() if len(classes) == 1 else SharingScheme
+
+
+def encode(
     simulator: "Simulator", active_nodes: list[SimulationNode], contexts: list[RoundContext]
 ) -> dict[int, Message]:
     """Stage ``encode``: every node's metered round message, keyed by sender."""
 
-    messages: dict[int, Message] = {}
-    for node, context in zip(active_nodes, contexts):
-        with simulator.profile("encode"):
-            messages[node.node_id] = simulator.prepare_message(node, context)
-    return messages
+    with simulator.profile("encode"):
+        prepared = _scheme_class(active_nodes).prepare_rows(
+            [node.scheme for node in active_nodes], contexts
+        )
+        return {
+            node.node_id: simulator.record_prepared_message(node, context, message)
+            for node, context, message in zip(active_nodes, contexts, prepared)
+        }
 
 
 def aggregate_node(
@@ -824,16 +830,35 @@ def aggregate_node(
         node.set_parameters(new_params)
 
 
-def aggregate_rows(
+def aggregate(
     simulator: "Simulator",
     active_nodes: list[SimulationNode],
     contexts: list[RoundContext],
     inboxes: list[list[Message]],
 ) -> None:
-    """Stage ``aggregate``: :func:`aggregate_node` over every active row."""
+    """Stage ``aggregate``: the schemes close the round, the models are rewritten.
 
-    for node, context, inbox in zip(active_nodes, contexts, inboxes):
-        aggregate_node(simulator, node, context, inbox)
+    Each block of new models lands where the state lives: row by row in
+    private models, one assignment in the arena (whose ``Parameter`` views
+    stay bound to it).
+    """
+
+    with simulator.profile("aggregate"):
+        blocks = _scheme_class(active_nodes).aggregate_rows(
+            [node.scheme for node in active_nodes], contexts, inboxes
+        )
+        for rows, block in blocks:
+            members = active_nodes[rows]
+            if block.shape != (len(members), simulator.model_size):
+                raise SimulationError(
+                    f"aggregation produced a {block.shape} matrix for "
+                    f"{len(members)} models of {simulator.model_size} parameters"
+                )
+            if simulator.arenas is None:
+                for node, new_params in zip(members, block):
+                    node.set_parameters(new_params)
+            else:
+                simulator.arenas.params[[node.node_id for node in members]] = block
 
 
 class SynchronousMode(ExecutionMode):
@@ -841,9 +866,9 @@ class SynchronousMode(ExecutionMode):
 
     The only lock-step loop: ``train -> present -> encode -> deliver ->
     aggregate -> account``, every delivery of a round preceding any aggregation,
-    with the per-row kernels above or (arena-backed nodes) the batched ones.
-    For a given seed either choice produces the :class:`ExperimentResult` of the
-    original monolithic runner (history, bytes, simulated time), pinned by tests.
+    through the stage functions above.  For a given seed either state layout
+    produces the :class:`ExperimentResult` of the original monolithic runner
+    (history, bytes, simulated time), pinned by tests.
 
     Scenario semantics per round: the topology policy may rewire the graph,
     offline (churn) nodes neither train, send, receive nor aggregate (their
@@ -856,13 +881,11 @@ class SynchronousMode(ExecutionMode):
 
     def run(self, simulator: Simulator) -> None:
         config = simulator.config
-        train, encode, aggregate = train_rows, encode_rows, aggregate_rows
-        if simulator.arenas is not None:
-            from repro.simulation import arena  # lazy: that module imports this one
-
-            train, encode, aggregate = (
-                arena.train_batched, arena.encode_batched, arena.aggregate_batched
-            )
+        if simulator.arenas is None:
+            train = train_rows
+        else:
+            # Lazy import: the arena module imports this one.
+            from repro.simulation.arena import train_batched as train
         clock = 0.0
         start_round = 0
         resume = simulator.consume_resume_state(self.name)
@@ -1177,7 +1200,9 @@ class AsynchronousMode(ExecutionMode):
                 )
                 contexts[node_id] = context
                 with simulator.profile("encode"):
-                    message = simulator.prepare_message(node, context)
+                    message = simulator.record_prepared_message(
+                        node, context, node.scheme.prepare(context)
+                    )
                 last_fraction[node_id] = message.shared_fraction
 
                 neighbors = simulator.topology.neighbors(node_id)

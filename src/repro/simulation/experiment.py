@@ -10,10 +10,10 @@ heterogeneous nodes (see :mod:`repro.simulation.engine`).
 
 Orthogonally to the execution mode, :attr:`ExperimentConfig.engine` selects
 *how node state is stored and stepped*: ``"pernode"`` keeps one private model
-per :class:`~repro.simulation.node.SimulationNode` (the reference twin),
-``"arena"`` packs all node state into contiguous ``(N, d)`` arenas and
-batches SGD/DWT work across nodes (see :mod:`repro.simulation.arena`).  Both
-engines produce byte-identical results for the same configuration.
+per :class:`~repro.simulation.node.SimulationNode`, ``"arena"`` packs all
+node state into contiguous ``(N, d)`` arenas and applies each local SGD step
+to all rows at once (see :mod:`repro.simulation.arena`).  The share path is
+the same code under both, and both produce byte-identical results.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ __all__ = ["ENGINES", "EXECUTION_MODES", "ExperimentConfig"]
 EXECUTION_MODES = ("sync", "async")
 
 #: The state-layout engines the simulator ships with: ``"pernode"`` keeps one
-#: private model object per node, ``"arena"`` batches node state into
-#: contiguous ``(N, d)`` arenas (bit-identical results, very different
-#: scaling; see :mod:`repro.simulation.arena` and ``docs/SCALING.md``).
+#: private model object per node, ``"arena"`` holds node state in contiguous
+#: ``(N, d)`` arenas (bit-identical results; see :mod:`repro.simulation.arena`
+#: and ``docs/SCALING.md`` for what the choice still buys).
 ENGINES = ("pernode", "arena")
 
 
@@ -76,11 +76,10 @@ class ExperimentConfig:
     #: topology rewiring policy).  ``None`` means the trivial scenario implied
     #: by :attr:`dynamic_topology`; see :meth:`resolved_scenario`.
     scenario: ScenarioSchedule | None = None
-    #: Node-state engine: ``"pernode"`` runs one private model per node (the
-    #: bit-identical reference twin), ``"arena"`` batches all node state into
-    #: contiguous ``(N, d)`` arenas with vectorized SGD and DWT passes — the
-    #: scalable choice for hundreds to thousands of nodes.  Results are
-    #: byte-identical between the two; see :mod:`repro.simulation.arena`.
+    #: Node-state engine: ``"pernode"`` runs one private model per node,
+    #: ``"arena"`` holds all node state in contiguous ``(N, d)`` arenas and
+    #: steps SGD for all rows at once.  Results are byte-identical between
+    #: the two; see :mod:`repro.simulation.arena`.
     engine: str = "pernode"
 
     def __post_init__(self) -> None:
@@ -240,7 +239,7 @@ class ExperimentConfig:
         """Copy of this configuration running on a different node-state engine.
 
         Handy for equivalence tests: ``config.with_engine("arena")`` is the
-        batched twin of a per-node run and must produce byte-identical results.
+        arena twin of a per-node run and must produce byte-identical results.
         """
 
         return replace(self, engine=engine)

@@ -81,6 +81,20 @@ class SimulationNode:
         indices = self._rng.choice(size, size=min(self.batch_size, size), replace=replace)
         return self.dataset.batch(indices)
 
+    def backpropagate_batch(self) -> float:
+        """One mini-batch's loss, its gradients added to ``Parameter.grad``.
+
+        The caller zeroes the gradients before and applies the update after:
+        per node in :meth:`local_training`, once for all arena rows in
+        :func:`~repro.simulation.arena.train_batched`.
+        """
+
+        inputs, targets = self.sample_batch()
+        outputs = self.model.forward(inputs)
+        loss = self.loss.forward(outputs, targets)
+        self.model.backward(self.loss.backward())
+        return loss
+
     def local_training(self) -> tuple[np.ndarray, np.ndarray]:
         """Run ``local_steps`` SGD steps; return ``(params_start, params_trained)``."""
 
@@ -88,11 +102,8 @@ class SimulationNode:
         self.set_training(True)
         losses = []
         for _ in range(self.local_steps):
-            inputs, targets = self.sample_batch()
             self.optimizer.zero_grad()
-            outputs = self.model.forward(inputs)
-            losses.append(self.loss.forward(outputs, targets))
-            self.model.backward(self.loss.backward())
+            losses.append(self.backpropagate_batch())
             self.optimizer.step()
         self.last_train_loss = float(np.mean(losses))
         return params_start, self.get_parameters()

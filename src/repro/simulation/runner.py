@@ -4,9 +4,8 @@
 :class:`~repro.simulation.engine.Simulator`: it builds the engine from the
 configuration (which selects one of the two execution modes, ``"sync"``
 lock-step rounds or ``"async"`` event-driven gossip, and independently the
-node-state engine: per-node reference objects, or the ``(N, d)`` arenas and
-batched stage kernels of :mod:`repro.simulation.arena` that scale one process
-to thousands of nodes) and runs it to completion.  Resuming is the same call:
+node-state engine: private per-node models, or the ``(N, d)`` arenas of
+:mod:`repro.simulation.arena`) and runs it to completion.  Resuming is the same call:
 ``resume_from=`` a :class:`~repro.checkpoint.snapshot.SimulationSnapshot`
 continues the run bit-identically to never having stopped (``task``,
 ``scheme_factory`` and ``config`` must describe the deployment shape the
@@ -75,11 +74,10 @@ def run_experiment(
     :class:`~repro.core.interface.SharingScheme` per node (from
     ``scheme_factory``) and drives it under the execution mode selected by
     ``config.execution`` and the node-state engine selected by
-    ``config.engine`` (``"arena"`` batches state into ``(N, d)`` arenas and
-    scales a single process to thousands of nodes, with results byte-identical
-    to the default per-node path — deployments are no longer capped at a few
-    dozen nodes).  ``scheme_name`` overrides the display name stored
-    on the result; ``profiler`` (see :mod:`repro.utils.profiling`) opts into
+    ``config.engine`` (``"arena"`` holds state in ``(N, d)`` arenas, with
+    results byte-identical to the default per-node models; either scales a
+    single process to thousands of nodes).  ``scheme_name`` overrides the
+    display name stored on the result; ``profiler`` (see :mod:`repro.utils.profiling`) opts into
     wall-clock phase timing, surfaced on
     :attr:`~repro.simulation.metrics.ExperimentResult.phase_seconds`.
 

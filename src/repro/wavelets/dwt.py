@@ -3,7 +3,11 @@
 This is the substrate that replaces PyWavelets in the original JWINS
 implementation.  Only what JWINS needs is implemented: the one-dimensional
 orthogonal DWT of a flat parameter vector, multi-level decomposition and the
-exact inverse.
+exact inverse.  Every entry point works along the *last* axis and carries any
+leading axes through, so one flat vector and a stacked ``(N, length)`` matrix
+of them are the same call — and row ``r`` of a stacked result is bit-identical
+to the call on row ``r`` alone (``tests/wavelets/test_batch.py``), which is
+what lets a sharing scheme transform many nodes' rows in one pass.
 
 The analysis operator uses circular (periodized) boundary extension.  For an
 even-length signal and orthonormal filters the operator is orthogonal, hence
@@ -25,9 +29,8 @@ samples and odd taps with odd samples, so both directions work on the two
   slices of a cyclically prefixed copy of each coefficient band and
   interleaves them once at the end.
 
-The kernels broadcast over leading axes, so the single-signal and the stacked
-``(N, length)`` entry points are the same code, and both accumulate taps in
-exactly the original order: they are bit-identical (signed zeros included) to
+The kernels broadcast over leading axes and accumulate taps in exactly the
+original order: every row is bit-identical (signed zeros included) to
 :func:`dwt_single_reference`/:func:`idwt_single_reference`, the original
 scalar-loop implementations kept as the equivalence-test ground truth.  Those
 loops also serve what the phase kernels do not cover — filters with an odd
@@ -49,16 +52,12 @@ from repro.wavelets.filters import WaveletFilterBank, get_filter_bank
 __all__ = [
     "MultiLevelCoefficients",
     "dwt_single",
-    "dwt_single_batch",
     "dwt_single_reference",
     "idwt_single",
-    "idwt_single_batch",
     "idwt_single_reference",
     "max_decomposition_level",
     "wavedec",
-    "wavedec_batch",
     "waverec",
-    "waverec_batch",
 ]
 
 
@@ -185,18 +184,19 @@ def _synthesis(approx: np.ndarray, detail: np.ndarray, bank: WaveletFilterBank) 
 def dwt_single(
     signal: np.ndarray, wavelet: str | WaveletFilterBank = "sym2"
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One level of the periodized DWT.
+    """One level of the periodized DWT along the last axis of ``signal``.
 
     Returns ``(approximation, detail, padded)`` where ``padded`` indicates the
-    input was zero-padded by one element to reach an even length.
+    input was zero-padded by one element to reach an even length (one flag:
+    stacked signals share their length).
     """
 
     bank = wavelet if isinstance(wavelet, WaveletFilterBank) else get_filter_bank(wavelet)
-    values = np.asarray(signal, dtype=np.float64).ravel()
-    if values.size < 2:
+    values = np.asarray(signal, dtype=np.float64)
+    if values.ndim == 0 or values.shape[-1] < 2:
         raise WaveletError("dwt_single requires a signal with at least 2 elements")
     approx, detail = _analysis(values, bank)
-    return approx, detail, values.size % 2 == 1
+    return approx, detail, values.shape[-1] % 2 == 1
 
 
 def idwt_single(
@@ -205,17 +205,17 @@ def idwt_single(
     wavelet: str | WaveletFilterBank = "sym2",
     padded: bool = False,
 ) -> np.ndarray:
-    """Invert one level of the periodized DWT."""
+    """Invert one level of the periodized DWT along the last axis."""
 
     bank = wavelet if isinstance(wavelet, WaveletFilterBank) else get_filter_bank(wavelet)
-    approx = np.asarray(approx, dtype=np.float64).ravel()
-    detail = np.asarray(detail, dtype=np.float64).ravel()
-    if approx.size != detail.size:
+    approx = np.asarray(approx, dtype=np.float64)
+    detail = np.asarray(detail, dtype=np.float64)
+    if approx.ndim == 0 or approx.shape != detail.shape:
         raise WaveletError(
-            f"approximation ({approx.size}) and detail ({detail.size}) lengths differ"
+            f"approximation {approx.shape} and detail {detail.shape} shapes differ"
         )
     out = _synthesis(approx, detail, bank)
-    return out[:-1] if padded else out
+    return out[..., :-1] if padded else out
 
 
 def dwt_single_reference(
@@ -282,9 +282,11 @@ class MultiLevelCoefficients:
 
     ``arrays`` stores, in order, the deepest approximation followed by the
     detail bands from deepest to shallowest (the PyWavelets ``wavedec``
-    convention).  ``pad_flags[j]`` records whether the input to level ``j``
-    (counting from the shallowest level, ``j == 0`` being the original signal)
-    was zero-padded by one element.
+    convention); every band carries the signal's leading axes and its
+    coefficients along the last one.  ``pad_flags[j]`` records whether the
+    input to level ``j`` (counting from the shallowest level, ``j == 0`` being
+    the original signal) was zero-padded by one element.  ``original_length``
+    and :attr:`total_size` count one signal, i.e. the last axis.
     """
 
     wavelet: str
@@ -298,7 +300,7 @@ class MultiLevelCoefficients:
 
     @property
     def total_size(self) -> int:
-        return int(sum(a.size for a in self.arrays))
+        return int(sum(a.shape[-1] for a in self.arrays))
 
 
 def wavedec(
@@ -306,12 +308,12 @@ def wavedec(
     wavelet: str | WaveletFilterBank = "sym2",
     levels: int | None = 4,
 ) -> MultiLevelCoefficients:
-    """Multi-level periodized wavelet decomposition of a 1-D signal.
+    """Multi-level periodized wavelet decomposition along the last axis.
 
     Parameters
     ----------
     signal:
-        Flat vector to decompose.
+        Flat vector to decompose, or a stack of them along leading axes.
     wavelet:
         Wavelet name or a prebuilt :class:`WaveletFilterBank`.
     levels:
@@ -322,10 +324,10 @@ def wavedec(
     """
 
     bank = wavelet if isinstance(wavelet, WaveletFilterBank) else get_filter_bank(wavelet)
-    values = np.asarray(signal, dtype=np.float64).ravel()
-    if values.size == 0:
+    values = np.asarray(signal, dtype=np.float64)
+    if values.ndim == 0 or values.shape[-1] == 0:
         raise WaveletError("cannot decompose an empty signal")
-    limit = max_decomposition_level(values.size, bank)
+    limit = max_decomposition_level(values.shape[-1], bank)
     if levels is None:
         levels = limit
     if levels < 0:
@@ -345,146 +347,24 @@ def wavedec(
         wavelet=bank.name,
         arrays=arrays,
         pad_flags=tuple(pad_flags),
-        original_length=values.size,
+        original_length=values.shape[-1],
     )
 
 
 def waverec(coefficients: MultiLevelCoefficients) -> np.ndarray:
-    """Invert :func:`wavedec`, returning the reconstructed flat signal."""
+    """Invert :func:`wavedec`, returning the reconstructed signal (or stack)."""
 
     bank = get_filter_bank(coefficients.wavelet)
     arrays = coefficients.arrays
-    if len(arrays) == 1:
-        return np.asarray(arrays[0], dtype=np.float64).copy()
     current = np.asarray(arrays[0], dtype=np.float64)
+    if len(arrays) == 1:
+        return current.copy()
     # Details are stored deepest-first; pad flags are stored shallowest-first.
-    for depth, detail in enumerate(arrays[1:]):
-        level_index = coefficients.levels - 1 - depth
-        padded = coefficients.pad_flags[level_index]
+    for detail, padded in zip(arrays[1:], reversed(coefficients.pad_flags)):
         current = idwt_single(current, detail, bank, padded=padded)
-    if current.size != coefficients.original_length:
+    if current.shape[-1] != coefficients.original_length:
         raise WaveletError(
             "reconstructed length does not match the original signal length: "
-            f"{current.size} != {coefficients.original_length}"
-        )
-    return current
-
-
-# -- batched (N, length) variants --------------------------------------------------
-def dwt_single_batch(
-    signals: np.ndarray, wavelet: str | WaveletFilterBank = "sym2"
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One DWT level over a stacked ``(N, length)`` matrix of signals.
-
-    Returns ``(approximations, details, padded)`` with one row per input row;
-    ``padded`` is shared because every row has the same length.  Row ``r`` of
-    each output is bit-identical to ``dwt_single(signals[r], wavelet)`` — the
-    batched analysis performs the same elementwise tap accumulation, just
-    across all rows at once (the arena engine's stacked-coefficient path).
-    """
-
-    bank = wavelet if isinstance(wavelet, WaveletFilterBank) else get_filter_bank(wavelet)
-    values = np.asarray(signals, dtype=np.float64)
-    if values.ndim != 2:
-        raise WaveletError(f"dwt_single_batch expects a 2-D matrix, got ndim={values.ndim}")
-    if values.shape[1] < 2:
-        raise WaveletError("dwt_single_batch requires signals with at least 2 elements")
-    approx, detail = _analysis(values, bank)
-    return approx, detail, values.shape[1] % 2 == 1
-
-
-def idwt_single_batch(
-    approx: np.ndarray,
-    detail: np.ndarray,
-    wavelet: str | WaveletFilterBank = "sym2",
-    padded: bool = False,
-) -> np.ndarray:
-    """Invert one DWT level over stacked ``(N, length // 2)`` coefficient rows.
-
-    The inverse of :func:`dwt_single_batch`: row ``r`` of the result is
-    bit-identical to ``idwt_single(approx[r], detail[r], wavelet, padded)``.
-    """
-
-    bank = wavelet if isinstance(wavelet, WaveletFilterBank) else get_filter_bank(wavelet)
-    approx = np.asarray(approx, dtype=np.float64)
-    detail = np.asarray(detail, dtype=np.float64)
-    if approx.ndim != 2 or detail.ndim != 2:
-        raise WaveletError("idwt_single_batch expects 2-D coefficient matrices")
-    if approx.shape != detail.shape:
-        raise WaveletError(
-            f"approximation {approx.shape} and detail {detail.shape} shapes differ"
-        )
-    out = _synthesis(approx, detail, bank)
-    return out[:, :-1] if padded else out
-
-
-def wavedec_batch(
-    signals: np.ndarray,
-    wavelet: str | WaveletFilterBank = "sym2",
-    levels: int | None = 4,
-) -> tuple[list[np.ndarray], tuple[bool, ...]]:
-    """Multi-level decomposition of a stacked ``(N, length)`` signal matrix.
-
-    Returns ``(bands, pad_flags)`` where ``bands`` lists 2-D matrices in the
-    :func:`wavedec` order (deepest approximation first, then details deepest
-    to shallowest) and ``pad_flags`` matches
-    :attr:`MultiLevelCoefficients.pad_flags` (identical for every row, since
-    all rows share one length).  Row ``r`` of each band is bit-identical to
-    the corresponding band of ``wavedec(signals[r], wavelet, levels)``.
-    """
-
-    bank = wavelet if isinstance(wavelet, WaveletFilterBank) else get_filter_bank(wavelet)
-    values = np.asarray(signals, dtype=np.float64)
-    if values.ndim != 2:
-        raise WaveletError(f"wavedec_batch expects a 2-D matrix, got ndim={values.ndim}")
-    if values.shape[1] == 0:
-        raise WaveletError("cannot decompose empty signals")
-    limit = max_decomposition_level(values.shape[1], bank)
-    if levels is None:
-        levels = limit
-    if levels < 0:
-        raise WaveletError("levels must be non-negative")
-    levels = min(int(levels), limit)
-
-    details: list[np.ndarray] = []
-    pad_flags: list[bool] = []
-    current = values
-    for _ in range(levels):
-        approx, detail, padded = dwt_single_batch(current, bank)
-        details.append(detail)
-        pad_flags.append(padded)
-        current = approx
-    return [current] + list(reversed(details)), tuple(pad_flags)
-
-
-def waverec_batch(
-    bands: list[np.ndarray],
-    pad_flags: tuple[bool, ...],
-    wavelet: str | WaveletFilterBank = "sym2",
-    original_length: int | None = None,
-) -> np.ndarray:
-    """Invert :func:`wavedec_batch`, returning the ``(N, length)`` signal matrix.
-
-    ``bands`` and ``pad_flags`` follow the :func:`wavedec_batch` conventions;
-    ``original_length``, when given, validates the reconstructed width.  Row
-    ``r`` of the result is bit-identical to reconstructing row ``r``'s bands
-    through :func:`waverec`.
-    """
-
-    bank = wavelet if isinstance(wavelet, WaveletFilterBank) else get_filter_bank(wavelet)
-    if not bands:
-        raise WaveletError("waverec_batch needs at least one coefficient band")
-    if len(bands) == 1:
-        return np.asarray(bands[0], dtype=np.float64).copy()
-    current = np.asarray(bands[0], dtype=np.float64)
-    levels = len(bands) - 1
-    # Details are stored deepest-first; pad flags are stored shallowest-first.
-    for depth, detail in enumerate(bands[1:]):
-        padded = pad_flags[levels - 1 - depth]
-        current = idwt_single_batch(current, np.asarray(detail, dtype=np.float64), bank, padded=padded)
-    if original_length is not None and current.shape[1] != original_length:
-        raise WaveletError(
-            "reconstructed length does not match the original signal length: "
-            f"{current.shape[1]} != {original_length}"
+            f"{current.shape[-1]} != {coefficients.original_length}"
         )
     return current

@@ -4,7 +4,8 @@ JWINS ranks, sparsifies, transmits and averages wavelet coefficients as one
 flat vector (the same way it treats the model parameters themselves).  The
 :class:`CoefficientLayout` records how that flat vector maps back onto the
 per-level coefficient bands so the inverse transform can be applied after
-averaging.
+averaging.  Like the DWT itself, packing works along the last axis: a stack of
+signals packs to a stack of flat vectors with one shared layout.
 """
 
 from __future__ import annotations
@@ -75,12 +76,13 @@ def coefficient_layout(length: int, wavelet: str, levels: int) -> CoefficientLay
 def pack_coefficients(
     coefficients: MultiLevelCoefficients,
 ) -> tuple[np.ndarray, CoefficientLayout]:
-    """Flatten ``coefficients`` into ``(vector, layout)``."""
+    """Join the bands of ``coefficients`` along the last axis: ``(vector, layout)``."""
 
-    vector = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in coefficients.arrays])
+    arrays = [np.asarray(a, dtype=np.float64) for a in coefficients.arrays]
+    vector = np.concatenate(arrays, axis=-1)
     layout = CoefficientLayout(
         wavelet=coefficients.wavelet,
-        band_sizes=tuple(int(a.size) for a in coefficients.arrays),
+        band_sizes=tuple(int(a.shape[-1]) for a in arrays),
         pad_flags=coefficients.pad_flags,
         original_length=coefficients.original_length,
     )
@@ -90,19 +92,21 @@ def pack_coefficients(
 def unpack_coefficients(
     vector: np.ndarray, layout: CoefficientLayout
 ) -> MultiLevelCoefficients:
-    """Rebuild :class:`MultiLevelCoefficients` from a flat vector and its layout."""
+    """Rebuild :class:`MultiLevelCoefficients` from a flat vector and its layout.
 
-    values = np.asarray(vector, dtype=np.float64).ravel()
-    if values.size != layout.total_size:
+    The bands are views of ``vector`` (of every stacked row, when it has
+    leading axes); :func:`~repro.wavelets.dwt.waverec` only reads them.
+    """
+
+    values = np.asarray(vector, dtype=np.float64)
+    if values.ndim == 0 or values.shape[-1] != layout.total_size:
         raise WaveletError(
-            f"coefficient vector has {values.size} elements, layout expects {layout.total_size}"
+            f"coefficient vector has shape {values.shape}, layout expects "
+            f"{layout.total_size} elements along the last axis"
         )
-    arrays: list[np.ndarray] = []
-    for band in layout.band_slices():
-        arrays.append(values[band].copy())
     return MultiLevelCoefficients(
         wavelet=layout.wavelet,
-        arrays=tuple(arrays),
+        arrays=tuple(values[..., band] for band in layout.band_slices()),
         pad_flags=layout.pad_flags,
         original_length=layout.original_length,
     )

@@ -12,6 +12,11 @@ domain that vector lives in:
 
 All transforms are linear and map a length-``n`` parameter vector to a
 coefficient vector whose length is reported by :meth:`ModelTransform.coefficient_size`.
+Each has two entry shapes — one flat vector (``forward``/``inverse``) and a
+stacked ``(N, n)`` matrix of them (``forward_batch``/``inverse_batch``) — with
+row ``r`` of the stacked result bit-identical to the flat call on row ``r``.
+For :class:`WaveletTransform` the two are shape checks around one
+decomposition, since the DWT works along the last axis.
 """
 
 from __future__ import annotations
@@ -21,13 +26,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.exceptions import WaveletError
-from repro.wavelets.dwt import (
-    max_decomposition_level,
-    wavedec,
-    wavedec_batch,
-    waverec,
-    waverec_batch,
-)
+from repro.wavelets.dwt import max_decomposition_level, wavedec, waverec
 from repro.wavelets.fourier import FourierLayout, fft_forward, fft_inverse
 from repro.wavelets.packing import (
     CoefficientLayout,
@@ -79,13 +78,13 @@ class ModelTransform(ABC):
             )
         return values
 
-    # -- batched (N, size) entry points -------------------------------------------
+    # -- stacked (N, size) entry points -------------------------------------------
     def forward_batch(self, matrix: np.ndarray) -> np.ndarray:
         """Map a stacked ``(N, model_size)`` matrix to ``(N, coefficient_size)``.
 
         Row ``r`` of the result equals ``forward(matrix[r])`` bit for bit —
-        that contract is what lets the arena engine batch DWT calls over all
-        nodes and stay byte-identical to the per-node path.  The default
+        that contract is what lets a sharing scheme transform many nodes' rows
+        in one call and stay byte-identical to one call per node.  The default
         implementation simply loops over rows; transforms with a true batched
         kernel (:class:`WaveletTransform`) override it.
         """
@@ -121,18 +120,14 @@ class IdentityTransform(ModelTransform):
     def forward(self, vector: np.ndarray) -> np.ndarray:
         return self._check_input(vector).copy()
 
-    def inverse(self, coefficients: np.ndarray) -> np.ndarray:
-        return self._check_input(coefficients).copy()
-
     def forward_batch(self, matrix: np.ndarray) -> np.ndarray:
         """Copy the stacked rows through unchanged (trivially bit-identical)."""
 
         return self._check_batch(matrix, self._model_size).copy()
 
-    def inverse_batch(self, coefficients: np.ndarray) -> np.ndarray:
-        """Copy the stacked rows through unchanged (trivially bit-identical)."""
-
-        return self._check_batch(coefficients, self._model_size).copy()
+    # The identity is its own inverse, in either shape.
+    inverse = forward
+    inverse_batch = forward_batch
 
 
 class WaveletTransform(ModelTransform):
@@ -164,47 +159,34 @@ class WaveletTransform(ModelTransform):
     def coefficient_size(self) -> int:
         return self._layout.total_size
 
-    def forward(self, vector: np.ndarray) -> np.ndarray:
-        values = self._check_input(vector)
-        coefficients = wavedec(values, self.wavelet, self.levels)
-        packed, _ = pack_coefficients(coefficients)
+    def _decompose(self, values: np.ndarray) -> np.ndarray:
+        """DWT along the last axis, packed; leading axes pass through."""
+
+        packed, layout = pack_coefficients(wavedec(values, self.wavelet, self.levels))
+        if layout != self._layout:
+            raise WaveletError("decomposition disagrees with the precomputed layout")
         return packed
 
+    def _reconstruct(self, coefficients: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`_decompose`; the unpack checks the coefficient width."""
+
+        return waverec(unpack_coefficients(coefficients, self._layout))
+
+    def forward(self, vector: np.ndarray) -> np.ndarray:
+        return self._decompose(self._check_input(vector))
+
     def inverse(self, coefficients: np.ndarray) -> np.ndarray:
-        unpacked = unpack_coefficients(coefficients, self._layout)
-        return waverec(unpacked)
+        return self._reconstruct(np.asarray(coefficients, dtype=np.float64).ravel())
 
     def forward_batch(self, matrix: np.ndarray) -> np.ndarray:
-        """Batched DWT of stacked parameter rows (one kernel pass, all nodes).
+        """Every row's :meth:`forward` in one kernel pass over the matrix."""
 
-        Decomposes the whole ``(N, model_size)`` matrix through
-        :func:`~repro.wavelets.dwt.wavedec_batch` and packs the bands along
-        axis 1 — row ``r`` is bit-identical to ``forward(matrix[r])`` because
-        the batched analysis accumulates taps in the same elementwise order
-        and the band concatenation mirrors the single-row packing.
-        """
-
-        matrix = self._check_batch(matrix, self._model_size)
-        bands, pad_flags = wavedec_batch(matrix, self.wavelet, self.levels)
-        if pad_flags != self._layout.pad_flags or tuple(
-            band.shape[1] for band in bands
-        ) != self._layout.band_sizes:
-            raise WaveletError("batched decomposition disagrees with the precomputed layout")
-        return np.concatenate(bands, axis=1)
+        return self._decompose(self._check_batch(matrix, self._model_size))
 
     def inverse_batch(self, coefficients: np.ndarray) -> np.ndarray:
-        """Batched inverse DWT of stacked coefficient rows (arena aggregate path).
+        """Every row's :meth:`inverse` in one kernel pass over the matrix."""
 
-        Unpacks along axis 1 using the precomputed layout and reconstructs
-        every row in one :func:`~repro.wavelets.dwt.waverec_batch` pass, bit
-        for bit equal to per-row :meth:`inverse` calls.
-        """
-
-        coefficients = self._check_batch(coefficients, self.coefficient_size())
-        bands = [coefficients[:, band] for band in self._layout.band_slices()]
-        return waverec_batch(
-            bands, self._layout.pad_flags, self.wavelet, self._layout.original_length
-        )
+        return self._reconstruct(self._check_batch(coefficients, self.coefficient_size()))
 
 
 class FourierTransform(ModelTransform):

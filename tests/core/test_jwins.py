@@ -6,6 +6,7 @@ import pytest
 from repro.core.adaptive import AdaptiveJwinsScheme
 from repro.core.config import JwinsConfig
 from repro.core.cutoff import CutoffDistribution
+from repro.core import jwins as jwins_module
 from repro.core.interface import Message, RoundContext
 from repro.core.jwins import JwinsScheme, jwins_factory
 from repro.exceptions import SimulationError
@@ -288,3 +289,80 @@ def test_rows_form_rejects_schemes_with_different_configs():
         JwinsScheme.prepare_from_coefficients(
             schemes, [_context(), _context()], np.ones((2, width)), np.ones((2, width))
         )
+
+
+# -- row passes: a lock-step stage over N schemes equals N per-node rounds -----------
+@pytest.mark.parametrize("rows_per_pass", [1, 3, 7])
+@pytest.mark.parametrize("scheme_type", [JwinsScheme, AdaptiveJwinsScheme])
+@pytest.mark.parametrize("config_name", sorted(ROWS_CONFIGS))
+def test_rows_hooks_equal_per_node_rounds_at_every_pass_size(
+    monkeypatch, rows_per_pass, scheme_type, config_name
+):
+    """``prepare_rows``/``aggregate_rows`` vs ``prepare``/``aggregate``/``finalize``.
+
+    Whatever the pass size cuts the seven rows into, messages, accumulators,
+    every ``context.rng`` and the new parameters equal — byte for byte — what
+    seven nodes produce one call at a time (the event loop's road).
+    """
+
+    monkeypatch.setattr(jwins_module, "_PASS_ELEMENTS", rows_per_pass * MODEL_SIZE)
+    config, nodes = ROWS_CONFIGS[config_name], 7
+    together, alone = (
+        [scheme_type(node_id, MODEL_SIZE, seed=1, config=config) for node_id in range(nodes)]
+        for _ in range(2)
+    )
+    data = np.random.default_rng(11)
+    models = data.normal(size=(nodes, MODEL_SIZE))
+    ring = [((node - 1) % nodes, (node + 1) % nodes) for node in range(nodes)]
+    for round_index in range(3):  # later rounds rank on what earlier ones accumulated
+        trained = models + 0.1 * data.normal(size=models.shape)
+        contexts_a, contexts_b = (
+            [
+                _context(
+                    round_index,
+                    start=models[node].copy(),
+                    trained=trained[node].copy(),
+                    neighbors=ring[node],
+                    rng_seed=100 * round_index + node,
+                )
+                for node in range(nodes)
+            ]
+            for _ in range(2)
+        )
+        messages_a = scheme_type.prepare_rows(together, contexts_a)
+        messages_b = [scheme.prepare(context) for scheme, context in zip(alone, contexts_b)]
+        for node in range(nodes):
+            _assert_same_message(messages_a[node], messages_b[node])
+            assert (
+                contexts_a[node].rng.bit_generator.state
+                == contexts_b[node].rng.bit_generator.state
+            )
+        blocks = list(
+            scheme_type.aggregate_rows(
+                together, contexts_a, [[messages_a[peer] for peer in ring[node]] for node in range(nodes)]
+            )
+        )
+        assert [(rows.start, rows.stop) for rows, _ in blocks] == [
+            (start, min(start + rows_per_pass, nodes)) for start in range(0, nodes, rows_per_pass)
+        ]
+        new_models = np.concatenate([block for _, block in blocks])
+        assert new_models.shape == models.shape
+        for node in range(nodes):
+            inbox = [messages_b[peer] for peer in ring[node]]
+            expected = alone[node].aggregate(contexts_b[node], inbox)
+            alone[node].finalize(contexts_b[node], expected)
+            assert new_models[node].tobytes() == expected.tobytes()
+            assert together[node].ranker.scores.tobytes() == alone[node].ranker.scores.tobytes()
+            assert together[node]._own_coefficients is None
+        models = new_models
+
+
+def test_the_default_pass_takes_whole_rows_and_at_least_one():
+    def sizes(model_size, nodes):
+        schemes = [JwinsScheme(node, model_size, seed=1) for node in range(2)] * (nodes // 2)
+        return [rows.stop - rows.start for rows in jwins_module._passes(schemes)]
+
+    budget = jwins_module._PASS_ELEMENTS
+    assert sizes(budget // 4, 8) == [4, 4]
+    assert sizes(budget // 4 + 1, 8) == [3, 3, 2]
+    assert sizes(budget + 2, 4) == [1, 1, 1, 1]  # a row larger than the budget

@@ -17,7 +17,9 @@ def test_round_scores_equation3(identity_ranker):
 
     start = np.zeros(8)
     trained = np.arange(8.0)
-    scores = identity_ranker.round_scores(start, trained)
+    scores = identity_ranker.round_scores_from_change(
+        identity_ranker.transform.forward(trained - start)
+    )
     assert np.allclose(scores, trained - start)
     # The persistent accumulator is not modified by computing round scores.
     assert np.allclose(identity_ranker.scores, 0.0)
@@ -50,14 +52,18 @@ def test_unshared_coordinates_accumulate_across_rounds(identity_ranker):
 
 def test_round_scores_include_history(identity_ranker):
     identity_ranker.end_of_round(np.zeros(8), np.ones(8))
-    scores = identity_ranker.round_scores(np.zeros(8), np.full(8, 0.5))
+    scores = identity_ranker.round_scores_from_change(
+        identity_ranker.transform.forward(np.full(8, 0.5) - np.zeros(8))
+    )
     assert np.allclose(scores, 1.5)
 
 
 def test_accumulation_disabled_only_uses_local_change():
     ranker = WaveletRanker(IdentityTransform(4), use_accumulation=False)
     ranker.end_of_round(np.zeros(4), np.ones(4))  # should be ignored
-    scores = ranker.round_scores(np.zeros(4), np.full(4, 0.25))
+    scores = ranker.round_scores_from_change(
+        ranker.transform.forward(np.full(4, 0.25) - np.zeros(4))
+    )
     assert np.allclose(scores, 0.25)
     assert np.allclose(ranker.scores, 0.0)
     ranker.mark_shared(np.array([0]))  # no-op, must not raise
@@ -71,7 +77,7 @@ def test_wavelet_domain_scores_capture_parameter_changes():
     start = np.zeros(64)
     trained = np.zeros(64)
     trained[10:14] = 1.0
-    scores = ranker.round_scores(start, trained)
+    scores = ranker.round_scores_from_change(transform.forward(trained - start))
     assert scores.size == transform.coefficient_size()
     assert np.allclose(transform.inverse(scores), trained - start, atol=1e-9)
 

@@ -1,14 +1,14 @@
 """The arena engine's determinism contract: byte-identity with the per-node engine.
 
 Every test here runs the same configuration through both engines —
-``engine="pernode"`` (the reference per-row kernels) and ``engine="arena"``
-(the batched ``(N, d)`` kernels from :mod:`repro.simulation.arena`, driven by
-the same loop) — and requires the serialized
+``engine="pernode"`` (private per-node models) and ``engine="arena"`` (state in
+the ``(N, d)`` arenas of :mod:`repro.simulation.arena`, step-major training),
+driven by the same loop and the same share path — and requires the serialized
 :class:`~repro.simulation.metrics.ExperimentResult` payloads to be
 byte-for-byte equal.  The matrix covers the paper's schemes and scenario
 machinery plus the awkward edge shapes: a single-row arena, a round where every
 node is offline, a node churning out mid-run, and odd parameter-tensor lengths
-flowing through the batched DWT.
+flowing through the stacked DWT.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.baselines import choco_factory, full_sharing_factory
+from repro.baselines import choco_factory, full_sharing_factory, topk_sharing_factory
 from repro.core import JwinsConfig, jwins_factory
+from repro.core import jwins as jwins_module
 from repro.core.adaptive import adaptive_jwins_factory
 from repro.core.cutoff import CutoffDistribution
 from repro.exceptions import ConfigurationError, ExperimentPaused, SimulationError
@@ -34,7 +35,8 @@ from repro.simulation import (
     NodeArenas,
     run_experiment,
 )
-from repro.simulation.arena import ArenaSGD, _jwins_batch_plan, build_arena_nodes
+from repro.core.jwins import JwinsScheme, _share_passes
+from repro.simulation.arena import ArenaSGD, build_arena_nodes
 from repro.simulation.engine import Simulator, SynchronousMode
 from tests.conftest import make_toy_task
 
@@ -159,7 +161,7 @@ def test_arena_matches_pernode_at_sixty_four_nodes():
     ids=["float-codec", "cutoff"],
 )
 def test_arena_matches_pernode_when_one_node_is_configured_differently(odd_config):
-    """No shared group encode across unequal configs: the per-row kernels run."""
+    """No shared pass across unequal configs: every row takes its own calls."""
 
     def factory_builder():
         def factory(node_id, model_size, seed):
@@ -169,13 +171,75 @@ def test_arena_matches_pernode_when_one_node_is_configured_differently(odd_confi
         return factory
 
     nodes, _ = build_arena_nodes(make_toy_task(), factory_builder(), build_config())
-    assert _jwins_batch_plan(nodes) is None
+    assert not _share_passes([node.scheme for node in nodes])
     assert_engines_agree(factory_builder, build_config())
+
+
+# -- pass size: how many rows share a kernel call never reaches the result ------------
+
+PASS_SIZE_SCHEMES = {
+    "jwins": jwins_factory,
+    "jwins-budget": lambda: jwins_factory(JwinsConfig.low_budget(0.2)),
+    "topk": topk_sharing_factory,
+    "full-sharing": full_sharing_factory,
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(PASS_SIZE_SCHEMES))
+def test_result_is_independent_of_pass_size_and_engine(scheme, monkeypatch):
+    """{1 row, 3 rows, default, unbounded} x {pernode, arena}: one payload, under drops and churn."""
+
+    config = build_config(
+        num_nodes=8,
+        rounds=4,
+        message_drop_probability=0.2,
+        scenario=get_scenario("churn-partition", num_nodes=8, rounds=4).to_dict(),
+    )
+    model_size = Simulator(make_toy_task(), full_sharing_factory(), config).model_size
+    payloads = set()
+    for pass_elements in (1, 3 * model_size, jwins_module._PASS_ELEMENTS, 1 << 62):
+        monkeypatch.setattr(jwins_module, "_PASS_ELEMENTS", pass_elements)
+        for engine in ENGINES:
+            result = run_experiment(
+                make_toy_task(), PASS_SIZE_SCHEMES[scheme](), config.with_engine(engine)
+            )
+            payloads.add(dumps(result))
+    assert len(payloads) == 1
+
+
+class _OverridingPrepare(JwinsScheme):
+    """A user subclass hooking ``prepare``; the rows hooks must not bypass it."""
+
+    prepared: list[tuple[int, int]] = []
+
+    def prepare(self, context):
+        self.prepared.append((context.round_index, self.node_id))
+        return super().prepare(context)
+
+
+def test_a_subclass_overriding_prepare_is_honoured_by_both_engines():
+    """Per-row calls through the override (which reaches the pass via ``super()``
+    without recursing), and the same bytes as plain JWINS."""
+
+    assert not _share_passes([_OverridingPrepare(node, 64, seed=1) for node in range(3)])
+    plain = run_experiment(make_toy_task(), jwins_factory(), build_config())
+    for engine in ENGINES:
+        _OverridingPrepare.prepared.clear()
+        result = run_experiment(
+            make_toy_task(),
+            lambda node_id, model_size, seed: _OverridingPrepare(node_id, model_size, seed),
+            build_config().with_engine(engine),
+            scheme_name="jwins",
+        )
+        assert _OverridingPrepare.prepared == [
+            (round_index, node_id) for round_index in range(ROUNDS) for node_id in range(6)
+        ]
+        assert dumps(result) == dumps(plain)
 
 
 @pytest.mark.parametrize("factory_builder", [full_sharing_factory, choco_factory])
 def test_arena_fallback_schemes_match_pernode(factory_builder):
-    """Non-JWINS schemes take the per-node fallback path on arena-backed state."""
+    """Non-JWINS schemes take the default per-row hooks on arena-backed state."""
 
     assert_engines_agree(factory_builder, build_config())
 
@@ -460,13 +524,15 @@ def test_jwins_batch_plan_rejects_heterogeneous_schemes():
     baseline_nodes, _ = build_arena_nodes(
         make_toy_task(), full_sharing_factory(), config
     )
-    assert _jwins_batch_plan([]) is None
-    assert _jwins_batch_plan(baseline_nodes) is None
-    assert _jwins_batch_plan(jwins_nodes[:1] + baseline_nodes[1:]) is None
-    plan = _jwins_batch_plan(jwins_nodes)
-    assert plan is not None
-    assert plan.transform is jwins_nodes[0].scheme.transform
-    # Equal-but-distinct config objects batch; any differing field does not.
+    def share(nodes):
+        return _share_passes([node.scheme for node in nodes])
+
+    assert not share([])
+    assert not share(baseline_nodes)
+    # The engine never hands JWINS another class's rows; asked anyway, it declines.
+    assert not share(jwins_nodes[:1] + baseline_nodes[1:])
+    assert share(jwins_nodes)
+    # Equal-but-distinct config objects share passes; any differing field does not.
     assert jwins_nodes[0].scheme.config is not jwins_nodes[1].scheme.config
     for field, value in (
         ("float_codec", "raw32"),
@@ -477,7 +543,7 @@ def test_jwins_batch_plan_rejects_heterogeneous_schemes():
     ):
         odd_nodes, _ = build_arena_nodes(make_toy_task(), jwins_factory(), config)
         odd_nodes[3].scheme.config = replace(odd_nodes[3].scheme.config, **{field: value})
-        assert _jwins_batch_plan(odd_nodes) is None, field
+        assert not share(odd_nodes), field
 
 
 def test_engine_knob_is_validated():

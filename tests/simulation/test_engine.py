@@ -10,14 +10,20 @@ shared-fraction heuristic — kept here as the frozen reference.
 
 from __future__ import annotations
 
+import ast
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.baselines import choco_factory, full_sharing_factory
+import repro.simulation
+from repro.baselines import FullSharingScheme, choco_factory, full_sharing_factory
 from repro.core import JwinsConfig, jwins_factory
 from repro.core.interface import Message, RoundContext
 from repro.exceptions import SimulationError
 from repro.simulation import (
+    ENGINES,
     AsynchronousMode,
     ExperimentConfig,
     SimulationObserver,
@@ -357,3 +363,56 @@ def test_round_context_carries_now_and_node_id(toy_task, small_config):
     simulator.run()
     assert all(node_id >= 0 for node_id, _ in seen)
     assert seen[0][1] == 0.0  # the first round happens at t=0
+
+
+# -- the stage functions' own checks, on both state layouts ---------------------------
+
+
+class _WrongSender(FullSharingScheme):
+    def prepare(self, context):
+        message = super().prepare(context)
+        return replace(message, sender=message.sender + 1)
+
+
+class _WrongShape(FullSharingScheme):
+    def aggregate(self, context, messages):
+        return super().aggregate(context, messages)[:-1]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "scheme_type,error",
+    [(_WrongSender, "wrong sender id"), (_WrongShape, "aggregation produced a")],
+)
+def test_stages_reject_a_wrong_sender_and_a_wrong_shape(
+    engine, scheme_type, error, toy_task, small_config
+):
+    simulator = Simulator(toy_task, scheme_type, small_config.with_engine(engine))
+    with pytest.raises(SimulationError, match=error):
+        simulator.run()
+
+
+def test_simulation_reaches_schemes_through_the_interface_only():
+    """By AST: nothing under ``repro/simulation/`` imports a scheme's internals.
+
+    The simulator drives every scheme through :mod:`repro.core.interface`; what
+    a scheme transforms, ranks or selects with is not the simulator's business.
+    """
+
+    offenders = []
+    for path in sorted(Path(repro.simulation.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, f"{path.name}: relative import hides its target"
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.startswith(("repro.wavelets", "repro.sparsification"))
+                or (name.startswith("repro.core") and not name.startswith("repro.core.interface."))
+            ]
+    assert not offenders, offenders
