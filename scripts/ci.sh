@@ -23,7 +23,9 @@
 #                drift, causal backtrace); then arena-vs-pernode cells with
 #                equal result payloads: 24 nodes with the default cut-off list
 #                and with --budget 0.2 (jwins and full-sharing each), and a
-#                20-node cifar10 cell whose rows x d need two JWINS passes
+#                20-node cifar10 cell whose rows x d need two JWINS passes;
+#                then the float-codec oracle: 8 cifar10 nodes, four schemes,
+#                value codec on vs off, results equal but for bytes and time
 #   checkpoint   SIGINT a 2-cell pool sweep mid-spec, resume it, and
 #                byte-compare the store's rows against an uninterrupted run
 #                (the fourth determinism pillar), plus dry-run/compact smokes
@@ -248,6 +250,45 @@ for row_p, row_a in zip(pernode, arena):
 PY
   done
   echo "determinism gate: arena-engine results are byte-identical to per-node"
+
+  # Float-codec losslessness, whole-run and parent-free: each compressing
+  # scheme with its value codec on and off must give one result once the six
+  # byte/time fields a codec sets are dropped.  Lock-step with drops on; under
+  # the event loop message size sets the event order, so this cannot hold there.
+  python - <<'PY'
+import sys
+from repro.baselines import choco_factory, full_sharing_factory, random_sampling_factory
+from repro.core import JwinsConfig, jwins_factory
+from repro.evaluation.workloads import get_workload
+from repro.simulation import run_experiment
+
+workload = get_workload("cifar10")
+task = workload.make_task(1)
+config = workload.make_config(num_nodes=8, degree=4, rounds=3, eval_every=1,
+                              eval_test_samples=64, message_drop_probability=0.1)
+
+
+def stripped(factory):
+    document = run_experiment(task, factory, config).to_dict()
+    for name in ("total_bytes", "total_values_bytes", "simulated_time_seconds",
+                 "per_node_time_seconds"):
+        del document[name]
+    for record in document["history"]:
+        del record["cumulative_bytes_per_node"], record["simulated_time_seconds"]
+    return document
+
+
+for label, coded, raw in [
+    ("jwins", jwins_factory(JwinsConfig()), jwins_factory(JwinsConfig(float_codec="raw32"))),
+    ("full-sharing", full_sharing_factory(), full_sharing_factory(compress=False)),
+    ("random-sampling", random_sampling_factory(0.37), random_sampling_factory(0.37, compress=False)),
+    ("choco", choco_factory(0.2, 0.6), choco_factory(0.2, 0.6, compress=False)),
+]:
+    if stripped(coded) != stripped(raw):
+        print(f"determinism gate FAILED: the float codec changed the {label} trajectory")
+        sys.exit(1)
+PY
+  echo "determinism gate: float codec on/off moves only byte and time fields (4 schemes)"
 }
 
 stage_checkpoint() {

@@ -55,8 +55,9 @@ __all__ = [
 
 #: Identifies a checkpoint file; bump :data:`SNAPSHOT_VERSION` on breaking
 #: schema changes so stale snapshots fail loudly instead of resuming wrongly.
+#: Version 2: new float codec; a snapshot holds byte counts, not the codec's name.
 SNAPSHOT_FORMAT = "jwins-repro-checkpoint"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def _canonical_json(data: Any) -> str:

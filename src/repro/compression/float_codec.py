@@ -1,14 +1,26 @@
 """Lossless floating-point payload compression.
 
-The paper compresses the transmitted model parameters with Fpzip, a lossless
-predictive floating-point compressor.  Fpzip is not available offline, so this
-module implements a compressor in the same spirit: parameter values are stored
-as 32-bit floats, a delta/XOR predictor removes redundancy between consecutive
-values, the residual bytes are transposed by byte plane (so that the highly
-repetitive exponent bytes end up adjacent) and the result is entropy-coded
-with DEFLATE.  The pipeline is exactly invertible, so like Fpzip it is
-lossless at 32-bit precision, and its measured compressed size is what the
-byte-metering layer reports.
+The paper compresses the transmitted values with Fpzip, a lossless predictive
+float compressor that "performed the best across our experiments".  Fpzip is
+not available offline, so :class:`FloatCodec` is what performs best on *this*
+system's traffic.  A message carries top-k wavelet coefficients (or sampled
+parameters): they are not neighbours in the model, so a predictor has nothing
+to predict, and of a float32's four bytes only the high one (sign and seven
+exponent bits) repeats; the three below it are mantissa noise no entropy coder
+shrinks.  So the three low bytes of every value are stored as they lie and
+only the plane of high bytes is DEFLATEd.  Like Fpzip it is lossless at 32-bit
+precision, and its measured size is what the byte-metering layer reports.
+
+On every payload the five ``BENCHMARK.json`` workloads compress (seed 7, 4-byte
+header included, best of three), against the design it replaced (XOR with the
+previous value, four byte planes, DEFLATE-6); raw float32 is 4 B/value::
+
+    workload        messages x values   replaced design      this codec
+    wide4_sync           24 x 94k       3.460 B/v  625 ms    3.441 B/v  60 ms
+    conv8_sync          192 x 6.6k      3.582 B/v  174 ms    3.446 B/v  36 ms
+    gossip64_async    1,014 x 836       3.725 B/v  126 ms    3.459 B/v  36 ms
+    sweep8_ckpt         576 x 2.1k      3.598 B/v  167 ms    3.424 B/v  39 ms
+    mlp1k_arena       2,000 x 118       4.063 B/v   84 ms    3.650 B/v  24 ms
 """
 
 from __future__ import annotations
@@ -31,6 +43,10 @@ __all__ = [
     "RawFloatCodec",
 ]
 
+#: DEFLATE level of the sign/exponent plane.  On the ``wide4_sync`` payloads
+#: level 6 saves 1.1% of the bytes for 6.7x the time, so there is no knob.
+_EXPONENT_PLANE_LEVEL = 1
+
 
 @dataclass(frozen=True)
 class CompressedFloats:
@@ -48,31 +64,21 @@ class CompressedFloats:
 
 
 class FloatCodec:
-    """XOR-predictive + byte-plane-transposed + DEFLATE float compressor."""
+    """Mantissa bytes raw, sign/exponent bytes through DEFLATE-1, no predictor.
 
-    name = "xor-deflate"
+    The payload of ``n`` little-endian float32 values is their ``3n`` low bytes
+    in value order, then one zlib stream of their ``n`` high bytes.
+    """
 
-    def __init__(self, level: int = 6) -> None:
-        if not 1 <= level <= 9:
-            raise CodecError("zlib compression level must be in [1, 9]")
-        self.level = int(level)
+    name = "exp-deflate"
 
     def compress(self, values: np.ndarray) -> CompressedFloats:
-        """Compress ``values`` losslessly at float32 precision.
+        """Compress ``values`` losslessly at float32 precision."""
 
-        The whole predictor/transpose pipeline is vectorized;
-        :func:`float_compress_reference` is the scalar ground truth it is
-        pinned against byte-for-byte.
-        """
-
-        data = np.asarray(values, dtype=np.float32).ravel()
-        bits = data.view(np.uint32)
-        predicted = np.zeros_like(bits)
-        predicted[1:] = bits[:-1]
-        residual = bits ^ predicted
-        planes = residual.view(np.uint8).reshape(-1, 4).T.copy() if data.size else np.zeros((4, 0), np.uint8)
-        payload = zlib.compress(planes.tobytes(), self.level)
-        return CompressedFloats(codec=self.name, payload=payload, count=int(data.size))
+        data = np.asarray(values, dtype="<f4").ravel()
+        octets = data.view(np.uint8).reshape(data.size, 4)
+        exponents = zlib.compress(octets[:, 3].tobytes(), _EXPONENT_PLANE_LEVEL)
+        return CompressedFloats(self.name, octets[:, :3].tobytes() + exponents, data.size)
 
     def decompress(self, compressed: CompressedFloats) -> np.ndarray:
         """Exactly invert :meth:`compress`, restoring the float32 values."""
@@ -81,39 +87,32 @@ class FloatCodec:
             raise CodecError(
                 f"payload was produced by {compressed.codec!r}, not {self.name!r}"
             )
-        raw = zlib.decompress(compressed.payload)
-        count = compressed.count
-        if len(raw) != 4 * count:
-            raise CodecError("decompressed payload has an unexpected size")
-        if count == 0:
-            return np.zeros(0, dtype=np.float32)
-        planes = np.frombuffer(raw, dtype=np.uint8).reshape(4, count)
-        residual = np.ascontiguousarray(planes.T).reshape(-1).view(np.uint32)
-        # Inverting the XOR predictor is a cumulative XOR over the residuals.
-        bits = np.bitwise_xor.accumulate(residual)
-        return bits.view(np.float32).copy()
+        count, payload = compressed.count, memoryview(compressed.payload)
+        inflater = zlib.decompressobj()
+        try:  # a payload cut inside the raw planes leaves an empty stream here
+            exponents = inflater.decompress(payload[3 * count :], count + 1)
+        except zlib.error as error:
+            raise CodecError(f"corrupt sign/exponent stream: {error}") from error
+        if len(exponents) != count or not inflater.eof or inflater.unused_data:
+            raise CodecError("payload is not 3 raw bytes and 1 deflated byte per value")
+        octets = np.empty((count, 4), dtype=np.uint8)
+        octets[:, :3] = np.frombuffer(payload[: 3 * count], dtype=np.uint8).reshape(count, 3)
+        octets[:, 3] = np.frombuffer(exponents, dtype=np.uint8)
+        return octets.reshape(-1).view("<f4").astype(np.float32, copy=False)
 
 
-def float_compress_reference(values: np.ndarray, level: int = 6) -> CompressedFloats:
-    """Scalar reference for :meth:`FloatCodec.compress` (loops, no vector ops).
+def float_compress_reference(values: np.ndarray) -> CompressedFloats:
+    """Scalar reference for :meth:`FloatCodec.compress`: shifts in a loop, no vector ops.
 
-    Applies the XOR predictor one value at a time and builds the byte planes
-    with explicit Python loops; the equivalence tests assert its payload is
-    byte-identical to the vectorized pipeline.
+    The equivalence tests pin the vectorized payload to it byte for byte.
     """
 
-    data = np.asarray(values, dtype=np.float32).ravel()
-    words = [int(w) for w in data.view(np.uint32)]
-    residuals: list[int] = []
-    previous = 0
+    words = [int(w) for w in np.asarray(values, dtype=np.float32).ravel().view(np.uint32)]
+    mantissas, exponents = bytearray(), bytearray()
     for word in words:
-        residuals.append(word ^ previous)
-        previous = word
-    planes = bytearray()
-    for plane in range(4):  # little-endian byte planes, low byte first
-        for residual in residuals:
-            planes.append((residual >> (8 * plane)) & 0xFF)
-    payload = zlib.compress(bytes(planes), level)
+        mantissas += bytes(((word >> shift) & 0xFF) for shift in (0, 8, 16))
+        exponents.append(word >> 24)
+    payload = bytes(mantissas) + zlib.compress(bytes(exponents), _EXPONENT_PLANE_LEVEL)
     return CompressedFloats(codec=FloatCodec.name, payload=payload, count=len(words))
 
 

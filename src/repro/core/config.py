@@ -41,8 +41,8 @@ class JwinsConfig:
         Metadata codec: ``"elias-gamma"`` (default) or ``"raw"`` (Figure 9's
         uncompressed baseline).
     float_codec:
-        Value codec: ``"fpzip-like"`` (lossless predictive + DEFLATE, default)
-        or ``"raw32"``.
+        Value codec: ``"fpzip-like"`` (the lossless :class:`FloatCodec` standing
+        in for the paper's Fpzip, default) or ``"raw32"``.
     """
 
     wavelet: str = "sym2"

@@ -106,12 +106,15 @@ def test_load_rejects_tampered_payload(tmp_path):
         SimulationSnapshot.load(path)
 
 
-def test_load_rejects_wrong_version(tmp_path):
+@pytest.mark.parametrize("version", [1, 999], ids=["pre-codec-epoch", "future"])
+def test_load_rejects_wrong_version(tmp_path, version):
+    """Version 1 files hold the old float codec's byte counts and must not resume."""
+
     snapshot = pause_at(small_config(), 2)
     path = tmp_path / "run.ckpt.json"
     snapshot.save(path)
     document = json.loads(path.read_text())
-    document["version"] = 999
+    document["version"] = version
     path.write_text(json.dumps(document))
     with pytest.raises(CheckpointError, match="schema version"):
         SimulationSnapshot.load(path)

@@ -1,10 +1,50 @@
 """Tests for float payload codecs."""
 
+import zlib
+
 import numpy as np
 import pytest
 
-from repro.compression.float_codec import Float16Codec, FloatCodec, RawFloatCodec
+from repro.compression.float_codec import (
+    CompressedFloats,
+    DeflateFloatCodec,
+    Float16Codec,
+    FloatCodec,
+    RawFloatCodec,
+)
+from repro.datasets import make_cifar10_task
+from repro.datasets.base import iterate_minibatches
 from repro.exceptions import CodecError
+from repro.nn.module import get_flat_parameters
+from repro.nn.optim import SGD
+from repro.sparsification.topk import topk_indices
+from repro.utils.rng import derive_rng
+from repro.wavelets.transform import WaveletTransform
+
+
+def _traffic() -> dict[str, np.ndarray]:
+    """What the schemes send: a trained conv net, dense and as a JWINS message.
+
+    The message holds the wavelet coefficients of the trained model at the
+    top 10% of positions ranked by the change since initialisation, which is
+    how Algorithm 1 picks them -- values that are not neighbours in the model.
+    """
+
+    task = make_cifar10_task(seed=8, train_samples=96, test_samples=16, noise=1.0)
+    model = task.make_model(derive_rng(8, "model"))
+    initial = get_flat_parameters(model).copy()
+    loss = task.make_loss()
+    optimizer = SGD(model.parameters(), lr=0.05)
+    for inputs, targets in iterate_minibatches(task.train, 16, derive_rng(8, "batches")):
+        model.zero_grad()
+        loss.forward(model.forward(inputs), targets)
+        model.backward(loss.backward())
+        optimizer.step()
+    trained = get_flat_parameters(model)
+    transform = WaveletTransform(trained.size)
+    change = transform.forward(trained - initial)
+    shared = topk_indices(change, trained.size // 10)
+    return {"dense": trained, "top-10% wavelet message": transform.forward(trained)[shared]}
 
 
 def test_lossless_roundtrip_exact_at_float32():
@@ -15,11 +55,37 @@ def test_lossless_roundtrip_exact_at_float32():
     assert np.array_equal(restored, values)
 
 
-def test_compresses_smooth_payloads():
-    values = np.linspace(0.0, 1.0, 8192, dtype=np.float32)
+def test_smaller_than_raw_and_deflate_on_the_traffic_schemes_send():
+    for name, values in _traffic().items():
+        size = FloatCodec().compress(values).size_bytes
+        assert size < RawFloatCodec().compress(values).size_bytes, name
+        assert size <= DeflateFloatCodec().compress(values).size_bytes, name
+
+
+def test_size_is_header_plus_three_raw_planes_plus_one_deflate_stream():
+    values = np.random.default_rng(3).normal(scale=0.03, size=1000).astype("<f4")
+    compressed = FloatCodec().compress(values)
+    octets = values.view(np.uint8).reshape(-1, 4)
+    stream = zlib.compress(octets[:, 3].tobytes(), 1)
+    assert compressed.payload == octets[:, :3].tobytes() + stream
+    assert compressed.size_bytes == 4 + 3 * 1000 + len(stream)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.random.default_rng(4).normal(size=64),  # float64 in, float32 out
+        np.random.default_rng(5).normal(size=128).astype(np.float32)[::3],
+        np.random.default_rng(6).normal(size=(6, 10)).astype(np.float32).T,
+        np.zeros((0, 4)),
+    ],
+    ids=["float64", "non-contiguous", "2-d-transposed", "empty-2-d"],
+)
+def test_roundtrip_flattens_any_input_in_c_order(values):
     codec = FloatCodec()
-    compressed = codec.compress(values)
-    assert compressed.size_bytes < values.size * 4 * 0.6
+    restored = codec.decompress(codec.compress(values))
+    assert restored.dtype == np.float32
+    assert np.array_equal(restored, np.asarray(values, dtype=np.float32).ravel())
 
 
 def test_empty_payload_roundtrip():
@@ -58,9 +124,24 @@ def test_wrong_codec_rejected():
         FloatCodec().decompress(compressed)
 
 
-def test_invalid_level_rejected():
+def _corruptions() -> dict[str, bytes]:
+    good = FloatCodec().compress(np.random.default_rng(2).normal(size=40))
+    mantissas, stream = good.payload[:120], good.payload[120:]
+    return {
+        "shorter-than-mantissa-planes": good.payload[:100],
+        "inflates-to-wrong-count": mantissas + zlib.compress(bytes(39), 1),
+        "trailing-garbage": good.payload + b"\x00",
+        "not-a-deflate-stream": mantissas + bytes(reversed(stream)),
+    }
+
+
+_CORRUPTIONS = _corruptions()
+
+
+@pytest.mark.parametrize("payload", _CORRUPTIONS.values(), ids=_CORRUPTIONS.keys())
+def test_corrupt_payload_raises_codec_error(payload):
     with pytest.raises(CodecError):
-        FloatCodec(level=0)
+        FloatCodec().decompress(CompressedFloats(FloatCodec.name, payload, 40))
 
 
 def test_special_values_preserved():
@@ -68,4 +149,4 @@ def test_special_values_preserved():
     codec = FloatCodec()
     restored = codec.decompress(codec.compress(values))
     assert np.array_equal(np.isinf(restored), np.isinf(values))
-    assert np.array_equal(restored, values)
+    assert np.array_equal(restored.view(np.uint32), values.view(np.uint32))

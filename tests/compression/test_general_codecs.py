@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compression.float_codec import DeflateFloatCodec, FloatCodec, LzmaFloatCodec
+from repro.compression.float_codec import DeflateFloatCodec, LzmaFloatCodec
 from repro.exceptions import CodecError
 
 
@@ -25,14 +25,6 @@ def test_random_data_roundtrip(codec_class):
     values = np.random.default_rng(0).normal(size=777).astype(np.float32)
     codec = codec_class()
     assert np.array_equal(codec.decompress(codec.compress(values)), values)
-
-
-def test_predictive_codec_beats_plain_deflate_on_model_like_payloads(smooth_payload):
-    """The Fpzip-like predictive codec compresses smooth payloads better than raw DEFLATE."""
-
-    predictive = FloatCodec().compress(smooth_payload).size_bytes
-    plain = DeflateFloatCodec().compress(smooth_payload).size_bytes
-    assert predictive <= plain
 
 
 def test_wrong_codec_rejected(smooth_payload):

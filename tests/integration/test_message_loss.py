@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.baselines import choco_factory, full_sharing_factory
+from repro.baselines import choco_factory, full_sharing_factory, random_sampling_factory
 from repro.core import JwinsConfig, jwins_factory
 from repro.exceptions import ConfigurationError
 from repro.simulation import ExperimentConfig, run_experiment
@@ -88,3 +88,50 @@ def test_heavy_loss_degrades_learning(task, lossy_config):
     degraded = run_experiment(task, full_sharing_factory(), heavy)
     healthy = run_experiment(task, full_sharing_factory(), light)
     assert degraded.final_accuracy <= healthy.final_accuracy + 0.05
+
+
+#: Everything a float codec is allowed to move in a lock-step result.
+_CODEC_RESULT_FIELDS = (
+    "total_bytes",
+    "total_values_bytes",
+    "simulated_time_seconds",
+    "per_node_time_seconds",
+)
+_CODEC_RECORD_FIELDS = ("cumulative_bytes_per_node", "simulated_time_seconds")
+
+
+def without_codec_fields(result):
+    """``result.to_dict()`` minus the six byte/time fields a float codec sets."""
+
+    document = result.to_dict()
+    for name in _CODEC_RESULT_FIELDS:
+        del document[name]
+    for record in document["history"]:
+        for name in _CODEC_RECORD_FIELDS:
+            del record[name]
+    return document
+
+
+@pytest.mark.parametrize(
+    "coded, raw",
+    [
+        (jwins_factory(JwinsConfig()), jwins_factory(JwinsConfig(float_codec="raw32"))),
+        (full_sharing_factory(), full_sharing_factory(compress=False)),
+        (random_sampling_factory(0.37), random_sampling_factory(0.37, compress=False)),
+        (choco_factory(0.2, 0.6), choco_factory(0.2, 0.6, compress=False)),
+    ],
+    ids=["jwins", "full-sharing", "random-sampling", "choco"],
+)
+def test_float_codec_is_lossless_over_a_whole_run(task, lossy_config, coded, raw):
+    """The parent-free oracle: compressing the values changes only what they cost.
+
+    Lock-step only.  Under the event loop a message's size sets its transfer
+    time and hence the event order, so there a codec moves losses and
+    accuracies too, legitimately.
+    """
+
+    assert lossy_config.execution == "sync" and lossy_config.message_drop_probability > 0
+    with_codec = run_experiment(task, coded, lossy_config)
+    without = run_experiment(task, raw, lossy_config)
+    assert with_codec.total_values_bytes < without.total_values_bytes
+    assert without_codec_fields(with_codec) == without_codec_fields(without)

@@ -33,28 +33,25 @@ def test_index_codecs_roundtrip(universe, seed, fraction):
         assert np.array_equal(codec.decode(encoded), indices)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    values=st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=32),
-        max_size=300,
-    )
-)
-def test_float_codec_lossless(values):
-    array = np.asarray(values, dtype=np.float32)
+@settings(max_examples=100, deadline=None)
+@given(words=st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=300))
+def test_float_codec_lossless_on_every_bit_pattern(words):
+    """NaN payloads, -0.0, subnormals and infinities all come back bit for bit."""
+
+    array = np.asarray(words, dtype=np.uint32).view(np.float32)
     codec = FloatCodec()
     restored = codec.decompress(codec.compress(array))
-    assert np.array_equal(restored, array)
+    assert np.array_equal(restored.view(np.uint32), array.view(np.uint32))
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
-    size=st.integers(min_value=1, max_value=2000),
+    size=st.integers(min_value=0, max_value=20000),
 )
-def test_float_codec_never_larger_than_raw_plus_overhead(seed, size):
-    """DEFLATE adds at most a small constant overhead even on incompressible data."""
+def test_float_codec_worst_case_is_raw_plus_the_deflate_framing(seed, size):
+    """On incompressible high bytes DEFLATE falls back to stored blocks."""
 
-    values = np.random.default_rng(seed).normal(size=size).astype(np.float32)
-    compressed = FloatCodec().compress(values)
-    assert compressed.size_bytes <= 4 * size + 256
+    words = np.random.default_rng(seed).integers(0, 2**32, size=size, dtype=np.uint32)
+    compressed = FloatCodec().compress(words.view(np.float32))
+    assert compressed.size_bytes <= 4 * size + 4 + 16 + size // 1000
