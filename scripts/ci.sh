@@ -29,10 +29,12 @@
 #   checkpoint   SIGINT a 2-cell pool sweep mid-spec, resume it, and
 #                byte-compare the store's rows against an uninterrupted run
 #                (the fourth determinism pillar), plus dry-run/compact smokes
-#   fuzz         fixed-seed 10-case scenario-fuzz smoke: every generated
-#                hostile schedule must pass the rerun, 1-vs-2-worker,
-#                interrupt-resume, strip_wall and arena-vs-pernode oracles (a
-#                failing case prints its JSON schedule for local replay), plus the
+#   fuzz         fixed-seed scenario-fuzz smoke, 10 cases under jwins and 4
+#                under choco (a stateful baseline through the event loop's
+#                one-row encode/aggregate calls): every generated hostile
+#                schedule must pass the rerun, 1-vs-2-worker, interrupt-resume,
+#                strip_wall and arena-vs-pernode oracles (a failing case
+#                prints its JSON schedule for local replay), plus the
 #                injected-nondeterminism self-test, which must also
 #                root-cause the injected bug via the forensic trace differ
 #
@@ -348,6 +350,10 @@ stage_fuzz() {
   # fixed seed keeps the smoke reproducible; a failure prints the minimal
   # failing schedule as JSON replayable with `--replay`.
   python -m repro.scenarios.fuzz --cases 10 --seed 0
+  # A stateful baseline takes the per-row default hooks: its error-feedback
+  # state crosses the one-node stage calls under churn, partitions, byzantine
+  # windows and mid-flight resumes.
+  python -m repro.scenarios.fuzz --cases 4 --seed 1 --scheme choco
   # The alarm itself must ring, and the forensics must root-cause it: inject
   # nondeterminism into the byzantine send path, require a caught, shrunken
   # failure AND a forensic trace diff naming the divergent round and field.
@@ -355,7 +361,7 @@ stage_fuzz() {
   selftest_out="$(python -m repro.scenarios.fuzz --self-test --cases 1 --seed 0)"
   grep -q "forensics localized the divergence to round" <<<"$selftest_out"
   grep -q "first divergent record" <<<"$selftest_out"
-  echo "fuzz gate: 10 hostile schedules passed all 5 oracles; self-test caught and root-caused the injected bug"
+  echo "fuzz gate: 10 jwins + 4 choco hostile schedules passed all 5 oracles; self-test caught and root-caused the injected bug"
 }
 
 ALL_STAGES=(lint analysis docs test gradcheck bench smoke determinism checkpoint fuzz)

@@ -922,6 +922,8 @@ def _sweep_command(args: argparse.Namespace) -> int:
         f"sweep={sweep.name} cells={len(sweep)} store={args.store} "
         f"workers={args.workers} (stored: {len(store)})"
     )
+    if store.repaired_tail_bytes:
+        print(f"store: cut off a torn final line ({store.repaired_tail_bytes} bytes)")
     metrics = MetricsRegistry() if args.metrics else None
     try:
         outcome = run_sweep(

@@ -8,8 +8,9 @@ messages are combined with the node's own model (`aggregate`).  The simulator
 drives schemes through this interface only, so full sharing, random sampling,
 TopK, CHOCO-SGD and JWINS are interchangeable.
 
-A lock-step round hands a scheme class all of its nodes at once
-(:meth:`SharingScheme.prepare_rows`, :meth:`SharingScheme.aggregate_rows`).
+A round stage hands a scheme class its nodes at once — all active ones under
+lock-step, one under gossip (:meth:`SharingScheme.prepare_rows`,
+:meth:`SharingScheme.aggregate_rows`): the engine calls nothing else.
 The defaults make one per-node call per row; a scheme with matrix kernels
 overrides them and decides, from the rows it is given, how many share a call.
 """
@@ -119,7 +120,7 @@ class SharingScheme(ABC):
         most schemes need no post-processing, hence the default no-op.
         """
 
-    # -- one lock-step stage over many nodes ---------------------------------------
+    # -- one round stage over the nodes it is given --------------------------------
     @staticmethod
     def prepare_rows(
         schemes: Sequence["SharingScheme"], contexts: Sequence[RoundContext]

@@ -273,8 +273,8 @@ class JwinsScheme(SharingScheme):
         return [messages[row] for row in range(len(schemes))]
 
     # -- Algorithm 1, lines 9-11 ------------------------------------------------
-    # ``aggregate``/``finalize`` serve the event loop, one node at a time;
-    # a lock-step round closes through ``aggregate_rows``.
+    # Both schedules close a round through ``aggregate_rows``; the 1-D
+    # ``aggregate``/``finalize`` are the fallback when passes cannot be shared.
     def aggregate(self, context: RoundContext, messages: list[Message]) -> np.ndarray:
         averaged = self.aggregate_coefficients(context, messages)
         return self.transform.inverse(averaged)

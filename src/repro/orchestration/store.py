@@ -5,8 +5,9 @@ One line per completed run::
     {"key": "<sha256 of the spec>", "spec": {...}, "result": {...}}
 
 Append-only writes make interruption safe: a sweep killed mid-run leaves at
-worst one truncated final line, which :meth:`ResultStore._load` discards, and
-every completed cell before it survives.  Looking a spec up by content hash
+worst one truncated final line, which :meth:`ResultStore._load` discards and
+cuts off the file (so the next :meth:`ResultStore.put` starts a fresh line),
+and every completed cell before it survives.  Looking a spec up by content hash
 gives resume (completed cells are skipped) and invalidation (any change to the
 spec — workload, scheme parameters, config overrides — changes the hash, so
 stale results are simply never matched) in one mechanism.
@@ -37,14 +38,20 @@ class ResultStore:
         self.path = Path(path) if path is not None else None
         self._records: dict[str, dict[str, Any]] = {}
         self.discarded_lines = 0
+        #: Bytes of a torn final line (no newline) cut off the file on open.
+        self.repaired_tail_bytes = 0
         if self.path is not None and self.path.exists():
             self._load()
 
     # -- loading -------------------------------------------------------------------
     def _load(self) -> None:
         assert self.path is not None
+        torn = ""
         with self.path.open("r", encoding="utf-8") as handle:
             for line in handle:
+                if not line.endswith("\n"):
+                    torn = line  # a row is committed by its newline
+                    break
                 line = line.strip()
                 if not line:
                     continue
@@ -58,6 +65,13 @@ class ResultStore:
                     self.discarded_lines += 1
                     continue
                 self._records[key] = record  # last write wins
+        if torn:
+            # The writer died mid-append.  Cut the fragment off, or the next
+            # ``put`` is glued onto it and discarded on the following open.
+            self.discarded_lines += 1
+            self.repaired_tail_bytes = len(torn.encode("utf-8"))
+            with self.path.open("rb+") as handle:
+                handle.truncate(handle.seek(0, os.SEEK_END) - self.repaired_tail_bytes)
 
     # -- querying ------------------------------------------------------------------
     @staticmethod

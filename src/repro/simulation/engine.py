@@ -5,13 +5,16 @@ The engine separates three concerns that used to live in one monolithic loop:
 * the :class:`Simulator` owns the *deployment* — nodes, topology, mixing
   weights, byte metering, evaluation and the result being built;
 * an :class:`ExecutionMode` strategy owns the *schedule* — how rounds unfold
-  in simulated time.  :class:`SynchronousMode` reproduces the paper's
-  lock-step rounds bit-for-bit as one six-stage loop of plain stage functions:
-  only ``train`` depends on where node state lives (step-major form in
-  :mod:`repro.simulation.arena`), ``encode``/``aggregate`` hand all active
-  nodes to their scheme class, which alone decides how many rows share a
-  kernel call; :class:`AsynchronousMode` runs event-driven gossip where
-  heterogeneous nodes progress at their own pace;
+  in simulated time — and nothing else: a round's work is one set of plain
+  stage functions (``train``, ``present``, ``encode``, ``deliver``/``admit``,
+  ``aggregate``, ``account``) that both schedules call.  :class:`SynchronousMode`
+  reproduces the paper's lock-step rounds bit-for-bit as one loop handing each
+  stage all active nodes; :class:`AsynchronousMode` runs event-driven gossip as
+  a table of per-event-kind handlers calling the same stages with a one-node
+  list.  Only ``train`` depends on where node state lives (step-major form in
+  :mod:`repro.simulation.arena`); ``encode``/``aggregate`` reach a scheme only
+  through its class's rows hooks, which alone decide how many rows share a
+  kernel call;
 * observers attach to the engine's hook points (``on_round_end``,
   ``on_message``, ``on_evaluate``) so metrics collection, early-stop logic or
   live dashboards never require editing the loop itself.
@@ -28,6 +31,7 @@ API every benchmark and example uses.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import platform
@@ -48,6 +52,7 @@ from repro.simulation.events import (
     FINISH_TRAIN,
     NODE_RESUME,
     START_ROUND,
+    Event,
     EventLoop,
 )
 from repro.observability.memory import peak_rss_bytes
@@ -74,17 +79,8 @@ __all__ = [
     "build_nodes",
 ]
 
-class _NullTimer:
-    """Zero-cost stand-in for :class:`~repro.utils.profiling.PhaseTimer`."""
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_TIMER = _NullTimer()
+#: Zero-cost stand-in for :class:`~repro.utils.profiling.PhaseTimer`.
+_NULL_TIMER = contextlib.nullcontext()
 
 MessageCallback = Callable[[Message, int, float], None]
 RoundEndCallback = Callable[[int, "int | None", float], None]
@@ -412,10 +408,10 @@ class Simulator:
             self.result.rounds_completed
         )
 
-    def checkpoint_point(self, build_mode_state: Callable[[], dict[str, Any]]) -> None:
+    def checkpoint_point(self, mode_state: Callable[[], dict[str, Any]]) -> None:
         """Execution modes call this at snapshot-safe round boundaries.
 
-        ``build_mode_state`` lazily produces the mode's private state (already
+        ``mode_state`` lazily produces the mode's private state (already
         JSON-encoded), so quiet rounds cost one flag check and nothing more.
         Captures a snapshot when the cadence is due or a stop is pending; a
         pending stop then raises :class:`~repro.exceptions.ExperimentPaused`.
@@ -432,7 +428,7 @@ class Simulator:
             return
         from repro.checkpoint.snapshot import capture_snapshot
 
-        snapshot = capture_snapshot(self, build_mode_state())
+        snapshot = capture_snapshot(self, mode_state())
         self.metrics.counter("engine_snapshots_captured").inc()
         if self.trace is not None:
             self.trace.emit(
@@ -466,7 +462,7 @@ class Simulator:
         return snapshot
 
     # -- deployment helpers --------------------------------------------------------
-    def profile(self, name: str) -> "PhaseTimer | _NullTimer":
+    def profile(self, name: str) -> "PhaseTimer | contextlib.nullcontext":
         """Context manager timing phase ``name``; a no-op without a profiler."""
 
         if self.profiler is None:
@@ -563,32 +559,6 @@ class Simulator:
             held = params_trained.copy()
             self._byzantine_stale[node_id] = held
         return held.copy()
-
-    def record_prepared_message(
-        self, node: SimulationNode, context: RoundContext, message: Message
-    ) -> Message:
-        """Validate and meter a round message produced for ``node``.
-
-        Every message passes through here — one ``prepare`` at a time from the
-        event loop, a stage's worth from :func:`encode` — so the sender check
-        and the byte metering are the same code wherever it was built.
-        """
-
-        if message.sender != node.node_id:
-            raise SimulationError("a scheme produced a message with the wrong sender id")
-        self.meter.record_send(
-            node.node_id, message.size, copies=len(context.neighbor_weights)
-        )
-        return message
-
-    def deliver_allowed(self) -> bool:
-        """One Bernoulli draw of the lossy-network model: ``True`` = delivered.
-
-        The sender's bytes are metered regardless (the data still left its
-        uplink); a dropped delivery simply never reaches the receiver.
-        """
-
-        return self._drop_rng.random() >= self.config.message_drop_probability
 
     # -- evaluation ----------------------------------------------------------------
     def _evaluate_nodes(self) -> tuple[float, float]:
@@ -766,8 +736,9 @@ class Simulator:
 
 
 # -- stage functions -------------------------------------------------------------------
-# The stages of a lock-step round that touch node state, one profiler interval
-# each; ``present`` and ``aggregate_node`` also serve the event loop.
+# The one set of round stages both schedules call: lock-step hands each stage
+# all active nodes, the event loop a one-node list.  ``train``, ``encode`` and
+# ``aggregate`` (and ``record_evaluation``) take the profiler intervals.
 def train_rows(
     simulator: "Simulator", active_nodes: list[SimulationNode]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -807,27 +778,72 @@ def _scheme_class(nodes: list[SimulationNode]) -> type[SharingScheme]:
 def encode(
     simulator: "Simulator", active_nodes: list[SimulationNode], contexts: list[RoundContext]
 ) -> dict[int, Message]:
-    """Stage ``encode``: every node's metered round message, keyed by sender."""
+    """Stage ``encode``: every node's round message, checked and metered, by sender."""
 
     with simulator.profile("encode"):
         prepared = _scheme_class(active_nodes).prepare_rows(
             [node.scheme for node in active_nodes], contexts
         )
-        return {
-            node.node_id: simulator.record_prepared_message(node, context, message)
-            for node, context, message in zip(active_nodes, contexts, prepared)
-        }
+        messages: dict[int, Message] = {}
+        for node, context, message in zip(active_nodes, contexts, prepared):
+            if message.sender != node.node_id:
+                raise SimulationError("a scheme produced a message with the wrong sender id")
+            # One copy per neighbor leaves the uplink, delivered or not.
+            simulator.meter.record_send(
+                node.node_id, message.size, copies=len(context.neighbor_weights)
+            )
+            messages[node.node_id] = message
+        return messages
 
 
-def aggregate_node(
-    simulator: "Simulator", node: SimulationNode, context: RoundContext, inbox: list[Message]
-) -> None:
-    """Mix ``inbox`` into ``node``'s model and close its scheme's round."""
+def admit(
+    simulator: "Simulator", state: ScenarioState, sender: int, receiver: int, draw: bool
+) -> bool:
+    """Whether one copy ``sender -> receiver`` survives the send-time filters.
 
-    with simulator.profile("aggregate"):
-        new_params = node.scheme.aggregate(context, inbox)
-        node.scheme.finalize(context, new_params)
-        node.set_parameters(new_params)
+    The scenario filter comes first (an open partition or an offline receiver,
+    judged in the sender's round: the copy is *suppressed*), then the lossy
+    network's Bernoulli draw (*dropped*) — so the ``message-drops`` stream
+    advances exactly once per copy that passed the filter.  ``draw`` keeps the
+    two pinned draw rules: lock-step draws only when drops are configured,
+    gossip always.  The sender's uplink was metered either way.
+    """
+
+    if not state.allows(sender, receiver):
+        simulator._m_suppressed.inc()
+        return False
+    if draw and simulator._drop_rng.random() < simulator.config.message_drop_probability:
+        simulator._m_dropped.inc()
+        return False
+    return True
+
+
+def deliver(
+    simulator: "Simulator",
+    state: ScenarioState,
+    active_nodes: list[SimulationNode],
+    messages: dict[int, Message],
+    now: float,
+) -> list[list[Message]]:
+    """Stage ``deliver`` of a barrier round: every active node's inbox.
+
+    One pass per receiver in neighbor order (the drop stream's draw order);
+    a neighbor without a message sat the round out.
+    """
+
+    draw = simulator.config.message_drop_probability > 0.0
+    inboxes: list[list[Message]] = []
+    for node in active_nodes:
+        receiver = node.node_id
+        inbox = [
+            messages[sender]
+            for sender in simulator.topology.neighbors(receiver)
+            if sender in messages and admit(simulator, state, sender, receiver, draw)
+        ]
+        for message in inbox:
+            simulator.emit_message(message, receiver, now)
+        inboxes.append(inbox)
+    return inboxes
 
 
 def aggregate(
@@ -859,6 +875,29 @@ def aggregate(
                     node.set_parameters(new_params)
             else:
                 simulator.arenas.params[[node.node_id for node in members]] = block
+
+
+def account(
+    simulator: "Simulator", state: ScenarioState, messages: dict[int, Message]
+) -> float:
+    """Stage ``account``, clock and bytes: close the meter's round, return its duration.
+
+    The barrier lasts as long as the busiest uplink needs (an all-offline
+    round, possible under custom schedules, still lasts a silent round's
+    duration) plus the slowest active straggler's extra compute.
+    """
+
+    local_steps, time_model = simulator.config.local_steps, simulator.config.time_model
+    uplinks = [
+        message.size.total_bytes * len(simulator.topology.neighbors(message.sender))
+        for message in messages.values()
+    ]
+    duration = time_model.round_duration(local_steps, max(uplinks, default=0))
+    worst_slowdown = state.max_slowdown()
+    if worst_slowdown > 1.0:
+        duration += (worst_slowdown - 1.0) * time_model.compute_duration(local_steps)
+    simulator.meter.end_round()
+    return duration
 
 
 class SynchronousMode(ExecutionMode):
@@ -901,77 +940,31 @@ class SynchronousMode(ExecutionMode):
         for round_index in range(start_round, config.rounds):
             simulator.apply_topology_policy(round_index)
             state = simulator.scenario_state(round_index)
+            # Offline nodes sit the round out.  Stage-major order is bit-safe:
+            # every RNG stream the first three stages draw from (batches,
+            # byzantine, round) is seeded per node.
             active_nodes = [simulator.nodes[node_id] for node_id in state.active]
-
-            # -- train, present, encode (offline nodes sit the round out) ----------
-            # Stage-major order is bit-safe: every RNG stream these stages
-            # draw from (batches, byzantine, round) is seeded per node.
             trained = train(simulator, active_nodes)
             contexts = [
                 present(simulator, node, round_index, state, *params, now=clock)
                 for node, params in zip(active_nodes, trained)
             ]
             messages = encode(simulator, active_nodes, contexts)
-
-            # -- deliver -----------------------------------------------------------
-            drops_enabled = config.message_drop_probability > 0.0
-            inboxes: list[list[Message]] = []
-            for node in active_nodes:
-                # One pass per neighbor, preserving the original draw order of
-                # the drop RNG: a delivery draw happens exactly for the
-                # messages that passed the scenario filter, in neighbor order.
-                inbox: list[Message] = []
-                for neighbor in simulator.topology.neighbors(node.node_id):
-                    message = messages.get(neighbor)
-                    if message is None:
-                        continue  # the sender sat this round out
-                    if not state.allows(neighbor, node.node_id):
-                        simulator._m_suppressed.inc()
-                        continue
-                    if drops_enabled and not simulator.deliver_allowed():
-                        simulator._m_dropped.inc()
-                        continue
-                    inbox.append(message)
-                for message in inbox:
-                    simulator.emit_message(message, node.node_id, clock)
-                inboxes.append(inbox)
-
-            # -- aggregate ---------------------------------------------------------
+            inboxes = deliver(simulator, state, active_nodes, messages, clock)
             aggregate(simulator, active_nodes, contexts, inboxes)
-
-            # -- account: meter time and bytes -------------------------------------
-            # An all-nodes-offline round (possible under custom schedules) still
-            # advances the barrier clock by a silent round's duration.
-            max_bytes = max(
-                (
-                    message.size.total_bytes
-                    * len(simulator.topology.neighbors(message.sender))
-                    for message in messages.values()
-                ),
-                default=0,
-            )
-            round_duration = config.time_model.round_duration(config.local_steps, max_bytes)
-            worst_slowdown = state.max_slowdown()
-            if worst_slowdown > 1.0:
-                # The barrier waits for the slowest straggler's extra compute.
-                round_duration += (worst_slowdown - 1.0) * config.time_model.compute_duration(
-                    config.local_steps
-                )
-            clock += round_duration
-            simulator.meter.end_round()
+            clock += account(simulator, state, messages)
             simulator.result.rounds_completed = round_index + 1
             simulator.emit_round_end(round_index, None, clock)
 
-            # -- account: evaluate -------------------------------------------------
-            is_last = round_index == config.rounds - 1
-            if (round_index + 1) % config.eval_every == 0 or is_last:
+            due = (round_index + 1) % config.eval_every == 0 or round_index == config.rounds - 1
+            if due:
                 fractions = [message.shared_fraction for message in messages.values()]
                 shared = float(np.mean(fractions)) if fractions else 0.0
                 simulator.record_evaluation(round_index + 1, shared, clock)
-                if simulator.should_stop_at_target():
-                    simulator.mark_profile_round(round_index)
-                    break
+            # After the evaluation, so its time lands in the round that triggered it.
             simulator.mark_profile_round(round_index)
+            if due and simulator.should_stop_at_target():
+                break
             # Snapshot-safe boundary: the round is fully accounted (models,
             # meter, clock, evaluation) and nothing is in flight.
             simulator.checkpoint_point(lambda: {"kind": self.name, "clock": clock})
@@ -984,19 +977,20 @@ class AsynchronousMode(ExecutionMode):
     """Event-driven gossip: every node rounds at its own, heterogeneous pace.
 
     Per node the event chain is ``START_ROUND -> FINISH_TRAIN ->
-    DELIVER_MESSAGE (to each neighbor) -> AGGREGATE``:
+    DELIVER_MESSAGE (to each neighbor) -> AGGREGATE``, one handler method per
+    event kind over the per-node round state this instance holds:
 
     * ``START_ROUND``: the node begins its local SGD steps; compute time is
       scaled by its per-node slowdown drawn from the
       :class:`~repro.simulation.timing.HeterogeneousTimeModel`.
-    * ``FINISH_TRAIN``: the node prepares its scheme message and pushes one
-      copy per neighbor on its uplink; deliveries land after the serialized
-      transfer time plus per-link latency (with optional jitter), unless the
-      lossy-network model drops them in flight.
+    * ``FINISH_TRAIN``: the node runs ``train``/``present``/``encode`` as a
+      one-node stage and pushes one copy per neighbor on its uplink; deliveries
+      land after the serialized transfer time plus per-link latency (with
+      optional jitter), unless :func:`admit` refuses them.
     * ``AGGREGATE`` fires once the uplink is drained: the node combines its
       model with whatever its inbox holds *right now* (stale or missing
-      neighbors degrade gracefully — that is the point of gossip), then
-      immediately starts its next round.
+      neighbors degrade gracefully — that is the point of gossip) through the
+      one-node ``aggregate`` stage, then immediately starts its next round.
 
     Evaluation keeps the configured cadence against *globally completed*
     rounds (the minimum round counter over all nodes), so learning curves
@@ -1011,269 +1005,255 @@ class AsynchronousMode(ExecutionMode):
     offline receiver) forbids are suppressed at send time, judged in the
     sender's round, and a delivery landing on a node that is offline in its
     own round is lost rather than parked.  The topology policy rewires on
-    global-round advancement, so dynamic topologies now work under gossip
-    too.
+    global-round advancement, so dynamic topologies work under gossip too.
     """
 
     name = "async"
 
-    def run(self, simulator: Simulator) -> None:
+    def bind(self, simulator: Simulator) -> None:
+        """Build the event fabric for ``simulator``: an empty queue, round-zero nodes."""
+
         config = simulator.config
-        nodes = simulator.nodes
-        num_nodes = config.num_nodes
-        time_model = config.resolved_time_model()
+        self.simulator = simulator
+        time_model = self.time_model = config.resolved_time_model()
+        rng = simulator.seeds.rng("heterogeneity")
+        self.compute_slowdown = time_model.sample_compute_multipliers(config.num_nodes, rng)
+        self.bandwidth_scale = time_model.sample_bandwidth_multipliers(config.num_nodes, rng)
+        self.latency_rng = simulator.seeds.rng("link-latency")
+        self.loop = EventLoop()
+        #: Per receiver: sender -> (sender's round, message), the freshest held.
+        self.inboxes: list[dict[int, tuple[int, Message]]] = [{} for _ in simulator.nodes]
+        self.contexts: list[RoundContext | None] = [None] * config.num_nodes
+        self.node_round = [0] * config.num_nodes
+        self.node_clock = [0.0] * config.num_nodes
+        self.last_fraction = [1.0] * config.num_nodes
+        self.evaluated_through = 0
+        self.handlers = {
+            START_ROUND: self.start_round,
+            FINISH_TRAIN: self.finish_train,
+            DELIVER_MESSAGE: self.deliver,
+            AGGREGATE: self.aggregate,
+            NODE_RESUME: self.resume_node,
+        }
 
-        heterogeneity_rng = simulator.seeds.rng("heterogeneity")
-        compute_slowdown = time_model.sample_compute_multipliers(
-            num_nodes, heterogeneity_rng
+    # -- checkpointing -------------------------------------------------------------
+    def state(self) -> dict[str, Any]:
+        """The mode's private state, JSON-encoded (a snapshot's ``mode_state``).
+
+        Under gossip the "mid-run state" is the whole event fabric: the queue
+        (with its in-flight messages and original sequence numbers), per-node
+        inboxes and live round contexts, the per-node round/clock counters and
+        the latency jitter stream.
+        """
+
+        from repro.checkpoint import serialization as wire  # lazy: it imports this package
+
+        return {
+            "kind": self.name,
+            "loop": {
+                "now": float(self.loop.now),
+                "next_seq": int(self.loop.next_seq),
+                "events": [wire.encode_value(event) for event in self.loop.pending()],
+            },
+            "inboxes": [
+                [
+                    [int(sender), int(round_sent), wire.encode_value(message)]
+                    for sender, (round_sent, message) in inbox.items()
+                ]
+                for inbox in self.inboxes
+            ],
+            "contexts": [
+                None if context is None else wire.encode_value(context)
+                for context in self.contexts
+            ],
+            "node_round": [int(value) for value in self.node_round],
+            "node_clock": [float(value) for value in self.node_clock],
+            "last_fraction": [float(value) for value in self.last_fraction],
+            "evaluated_through": int(self.evaluated_through),
+            "latency_rng": wire.encode_rng_state(self.latency_rng),
+        }
+
+    def load_state(self, state: dict[str, Any]) -> None:
+        """Overlay a :meth:`state` payload on the freshly bound fabric."""
+
+        from repro.checkpoint import serialization as wire  # lazy: it imports this package
+
+        self.loop.restore(
+            [wire.decode_value(event) for event in state["loop"]["events"]],
+            next_seq=state["loop"]["next_seq"],
+            now=state["loop"]["now"],
         )
-        bandwidth_scale = time_model.sample_bandwidth_multipliers(
-            num_nodes, heterogeneity_rng
-        )
-        latency_rng = simulator.seeds.rng("link-latency")
+        self.inboxes = [
+            {
+                int(sender): (int(round_sent), wire.decode_value(message))
+                for sender, round_sent, message in entries
+            }
+            for entries in state["inboxes"]
+        ]
+        self.contexts = [
+            None if context is None else wire.decode_value(context)
+            for context in state["contexts"]
+        ]
+        self.node_round = [int(value) for value in state["node_round"]]
+        self.node_clock = [float(value) for value in state["node_clock"]]
+        self.last_fraction = [float(value) for value in state["last_fraction"]]
+        self.evaluated_through = int(state["evaluated_through"])
+        wire.decode_rng_state(self.latency_rng, state["latency_rng"])
+        # Each node's next round latency starts at its restored clock.
+        self.simulator._latency_marks.update(enumerate(self.node_clock))
 
-        loop = EventLoop()
-        # Per receiver: sender -> (sender's round, message) of the freshest
-        # delivery currently held.
-        inboxes: list[dict[int, tuple[int, Message]]] = [{} for _ in range(num_nodes)]
-        contexts: list[RoundContext | None] = [None] * num_nodes
-        node_round = [0] * num_nodes
-        node_clock = [0.0] * num_nodes
-        last_fraction = [1.0] * num_nodes
-        evaluated_through = 0
-
-        # Lazy import: the checkpoint package transitively imports this module.
-        from repro.checkpoint.serialization import (
-            decode_rng_state,
-            decode_value,
-            encode_rng_state,
-            encode_value,
-        )
-
+    # -- the schedule --------------------------------------------------------------
+    def run(self, simulator: Simulator) -> None:
+        self.bind(simulator)
         resume = simulator.consume_resume_state(self.name)
         if resume is not None:
-            # Under gossip the "mid-run state" is the whole event fabric: the
-            # queue (with its in-flight messages and original sequence
-            # numbers), per-node inboxes and live round contexts, the per-node
-            # round/clock counters and the latency jitter stream.
-            state = resume.mode_state
-            loop.restore(
-                [decode_value(event) for event in state["loop"]["events"]],
-                next_seq=state["loop"]["next_seq"],
-                now=state["loop"]["now"],
-            )
-            for node_id, entries in enumerate(state["inboxes"]):
-                for sender, round_sent, message in entries:
-                    inboxes[node_id][int(sender)] = (int(round_sent), decode_value(message))
-            contexts = [
-                None if context is None else decode_value(context)
-                for context in state["contexts"]
-            ]
-            node_round = [int(value) for value in state["node_round"]]
-            node_clock = [float(value) for value in state["node_clock"]]
-            last_fraction = [float(value) for value in state["last_fraction"]]
-            evaluated_through = int(state["evaluated_through"])
-            decode_rng_state(latency_rng, state["latency_rng"])
-            # Each node's next round latency starts at its restored clock.
-            simulator._latency_marks.update(enumerate(node_clock))
+            self.load_state(resume.mode_state)
+        else:
+            for node in simulator.nodes:
+                self.loop.schedule(0.0, START_ROUND, node.node_id)
 
-        def build_mode_state() -> dict:
-            return {
-                "kind": self.name,
-                "loop": {
-                    "now": float(loop.now),
-                    "next_seq": int(loop.next_seq),
-                    "events": [encode_value(event) for event in loop.pending()],
-                },
-                "inboxes": [
-                    [
-                        [int(sender), int(round_sent), encode_value(message)]
-                        for sender, (round_sent, message) in inbox.items()
-                    ]
-                    for inbox in inboxes
-                ],
-                "contexts": [
-                    None if context is None else encode_value(context)
-                    for context in contexts
-                ],
-                "node_round": [int(value) for value in node_round],
-                "node_clock": [float(value) for value in node_clock],
-                "last_fraction": [float(value) for value in last_fraction],
-                "evaluated_through": int(evaluated_through),
-                "latency_rng": encode_rng_state(latency_rng),
-            }
-
-        def complete_round(node_id: int, now: float) -> bool:
-            """Round bookkeeping shared by AGGREGATE and NODE_RESUME.
-
-            Returns ``False`` when the target-accuracy early stop fired (the
-            caller clears the loop and exits).
-            """
-
-            nonlocal evaluated_through
-            node_round[node_id] += 1
-            simulator.emit_round_end(node_round[node_id] - 1, node_id, now)
-
-            global_round = min(node_round)
-            advanced = global_round > simulator.result.rounds_completed
-            if advanced:
-                # One ByteMeter round per globally completed round, so
-                # per_round_bytes keeps its per-round meaning under gossip.
-                simulator.meter.end_round()
-                # Rewiring keys off the *global* round: the policy fires once
-                # per completed round, at a deterministic point of the event
-                # order (the aggregate/resume that advanced the minimum).
-                # Reaching config.rounds means everyone is done — no round
-                # will run on a fresh graph, so don't sample one.
-                if global_round < config.rounds:
-                    simulator.apply_topology_policy(global_round)
-            simulator.result.rounds_completed = global_round
-            due = (
-                global_round % config.eval_every == 0
-                or global_round == config.rounds
-            )
-            if global_round > evaluated_through and due:
-                evaluated_through = global_round
-                simulator.record_evaluation(
-                    global_round, float(np.mean(last_fraction)), now
-                )
-                if simulator.should_stop_at_target():
-                    simulator.mark_profile_round(node_round[node_id] - 1)
-                    return False
-            # Under gossip a "round" boundary is one node finishing its
-            # round; the row holds whatever work happened since the last
-            # such completion (including any evaluation it triggered).
-            simulator.mark_profile_round(node_round[node_id] - 1)
-            if node_round[node_id] < config.rounds:
-                loop.schedule(now, START_ROUND, node_id)
-            # Snapshot-safe boundary: the completing node's next round is
-            # scheduled, so the captured queue is self-consistent.  Cadence
-            # checkpoints key off *global* round advancement; stop requests
-            # are honoured at any completion.
-            if advanced or simulator.checkpoint_stop_pending():
-                simulator.checkpoint_point(build_mode_state)
-            return True
-
-        if resume is None:
-            for node in nodes:
-                loop.schedule(0.0, START_ROUND, node.node_id)
-
-        while loop:
+        loop, node_clock, handlers = self.loop, self.node_clock, self.handlers
+        while loop:  # an early stop clears the queue
             event = loop.pop()
             simulator._m_events.inc()
-            now, node_id = event.time, event.node_id
             if event.kind != DELIVER_MESSAGE:
                 # A delivery is passive: it lands in the inbox without
                 # advancing the receiver's own progress clock.
-                node_clock[node_id] = max(node_clock[node_id], now)
-
-            if event.kind == START_ROUND:
-                state = simulator.scenario_state(node_round[node_id])
-                duration = (
-                    time_model.compute_duration(config.local_steps)
-                    * compute_slowdown[node_id]
-                )
-                if not state.is_active(node_id):
-                    # Offline (churn) round: sleep one compute-round's worth
-                    # of time, share nothing, then rejoin the schedule.
-                    loop.schedule(now + duration, NODE_RESUME, node_id)
-                else:
-                    scenario_slowdown = state.slowdowns[node_id]
-                    if scenario_slowdown != 1.0:
-                        duration *= scenario_slowdown
-                    loop.schedule(now + duration, FINISH_TRAIN, node_id)
-
-            elif event.kind == NODE_RESUME:
-                last_fraction[node_id] = 0.0  # the offline node shared nothing
-                if not complete_round(node_id, now):
-                    loop.clear()
-                    break
-
-            elif event.kind == FINISH_TRAIN:
-                node = nodes[node_id]
-                state = simulator.scenario_state(node_round[node_id])
-                with simulator.profile("train"):
-                    params_start, params_trained = node.local_training()
-                context = present(
-                    simulator, node, node_round[node_id], state,
-                    params_start, params_trained, now,
-                )
-                contexts[node_id] = context
-                with simulator.profile("encode"):
-                    message = simulator.record_prepared_message(
-                        node, context, node.scheme.prepare(context)
-                    )
-                last_fraction[node_id] = message.shared_fraction
-
-                neighbors = simulator.topology.neighbors(node_id)
-                # The uplink serializes the copies: neighbor k's copy starts
-                # travelling only after the first k copies have been pushed.
-                transfer = (
-                    time_model.transfer_duration(message.size.total_bytes)
-                    / bandwidth_scale[node_id]
-                )
-                for position, neighbor in enumerate(neighbors):
-                    sent_at = now + (position + 1) * transfer
-                    if not state.allows(node_id, neighbor):
-                        # Partitioned away or offline (judged in the sender's
-                        # round): the copy leaves the uplink but never lands.
-                        simulator._m_suppressed.inc()
-                        continue
-                    if not simulator.deliver_allowed():
-                        # Dropped in flight; uplink bytes already metered.
-                        simulator._m_dropped.inc()
-                        continue
-                    latency = time_model.sample_link_latency(latency_rng)
-                    loop.schedule(
-                        sent_at + latency,
-                        DELIVER_MESSAGE,
-                        neighbor,
-                        data={"message": message, "round": node_round[node_id]},
-                    )
-                loop.schedule(now + len(neighbors) * transfer, AGGREGATE, node_id)
-
-            elif event.kind == DELIVER_MESSAGE:
-                if not simulator.scenario_state(node_round[node_id]).is_active(node_id):
-                    # The receiver is offline in its own current round: the
-                    # delivery is lost, not parked for after the outage.
-                    simulator._m_suppressed.inc()
-                    continue
-                message = event.data["message"]
-                round_sent = event.data["round"]
-                # Keep only the freshest message per sender: gossip aggregation
-                # mixes at most one contribution per neighbor.  Latency jitter
-                # can reorder a sender's consecutive deliveries, so freshness
-                # is judged by the sender's round, not by arrival time.
-                held = inboxes[node_id].get(message.sender)
-                if held is None or round_sent >= held[0]:
-                    inboxes[node_id][message.sender] = (round_sent, message)
-                simulator.emit_message(message, node_id, now)
-
-            elif event.kind == AGGREGATE:
-                node = nodes[node_id]
-                context = contexts[node_id]
-                if context is None:  # pragma: no cover - event chain guarantees this
-                    raise SimulationError("AGGREGATE fired before FINISH_TRAIN")
-                # Mix only with the neighborhood this round's context was built
-                # under: a rewiring policy can retire an edge while a delivery
-                # is in flight (or parked in the inbox), and schemes validate
-                # senders against ``context.neighbor_weights``.  With a static
-                # topology every held sender is a neighbor — the filter is a
-                # no-op there.
-                inbox = [
-                    message
-                    for _, message in inboxes[node_id].values()
-                    if message.sender in context.neighbor_weights
-                ]
-                inboxes[node_id].clear()
-                aggregate_node(simulator, node, context, inbox)
-                contexts[node_id] = None
-                if not complete_round(node_id, now):
-                    loop.clear()
-                    break
-
-            else:  # pragma: no cover - only the five kinds above are scheduled
-                raise SimulationError(f"unknown event kind {event.kind!r}")
+                node_clock[event.node_id] = max(node_clock[event.node_id], event.time)
+            handlers[event.kind](event)  # only the five kinds are ever scheduled
 
         simulator.result.simulated_time_seconds = float(max(node_clock))
         simulator.result.per_node_time_seconds = [float(t) for t in node_clock]
+
+    # -- event handlers ------------------------------------------------------------
+    def start_round(self, event: Event) -> None:
+        """``START_ROUND``: schedule the end of the node's compute (or of its outage)."""
+
+        node_id = event.node_id
+        state = self.simulator.scenario_state(self.node_round[node_id])
+        duration = self.time_model.compute_duration(self.simulator.config.local_steps)
+        duration *= self.compute_slowdown[node_id]
+        if not state.is_active(node_id):
+            # Offline (churn) round: sleep one compute-round, share nothing, rejoin.
+            self.loop.schedule(event.time + duration, NODE_RESUME, node_id)
+            return
+        if state.slowdowns[node_id] != 1.0:
+            duration *= state.slowdowns[node_id]
+        self.loop.schedule(event.time + duration, FINISH_TRAIN, node_id)
+
+    def finish_train(self, event: Event) -> None:
+        """``FINISH_TRAIN``: train, present, encode; one copy per neighbor takes off."""
+
+        simulator, node_id, now = self.simulator, event.node_id, event.time
+        node = simulator.nodes[node_id]
+        round_index = self.node_round[node_id]
+        state = simulator.scenario_state(round_index)
+        (params,) = train_rows(simulator, [node])
+        context = present(simulator, node, round_index, state, *params, now=now)
+        self.contexts[node_id] = context
+        message = encode(simulator, [node], [context])[node_id]
+        self.last_fraction[node_id] = message.shared_fraction
+
+        neighbors = simulator.topology.neighbors(node_id)
+        # The uplink serializes the copies: neighbor k's copy starts
+        # travelling only after the first k copies have been pushed.
+        transfer = (
+            self.time_model.transfer_duration(message.size.total_bytes)
+            / self.bandwidth_scale[node_id]
+        )
+        data = {"message": message, "round": round_index}
+        for position, neighbor in enumerate(neighbors):
+            # A refused copy still left the uplink; it just never lands.
+            if admit(simulator, state, node_id, neighbor, True):
+                sent_at = now + (position + 1) * transfer
+                latency = self.time_model.sample_link_latency(self.latency_rng)
+                self.loop.schedule(sent_at + latency, DELIVER_MESSAGE, neighbor, data)
+        self.loop.schedule(now + len(neighbors) * transfer, AGGREGATE, node_id)
+
+    def deliver(self, event: Event) -> None:
+        """``DELIVER_MESSAGE``: the copy lands in the receiver's inbox."""
+
+        simulator, node_id = self.simulator, event.node_id
+        if not simulator.scenario_state(self.node_round[node_id]).is_active(node_id):
+            # Offline in its own current round: lost, not parked for later.
+            simulator._m_suppressed.inc()
+            return
+        message, round_sent = event.data["message"], event.data["round"]
+        # Keep only the freshest message per sender: gossip aggregation mixes
+        # at most one contribution per neighbor.  Latency jitter can reorder a
+        # sender's deliveries, so freshness is the sender's round, not arrival.
+        held = self.inboxes[node_id].get(message.sender)
+        if held is None or round_sent >= held[0]:
+            self.inboxes[node_id][message.sender] = (round_sent, message)
+        simulator.emit_message(message, node_id, event.time)
+
+    def aggregate(self, event: Event) -> None:
+        """``AGGREGATE``: mix whatever the inbox holds right now, close the round."""
+
+        node_id = event.node_id
+        context = self.contexts[node_id]
+        if context is None:  # pragma: no cover - event chain guarantees this
+            raise SimulationError("AGGREGATE fired before FINISH_TRAIN")
+        # Mix only with the neighborhood this round's context was built under:
+        # a rewiring policy can retire an edge while a delivery is in flight
+        # (or parked in the inbox), and schemes validate senders against
+        # ``context.neighbor_weights``.  A no-op under a static topology.
+        inbox = [
+            message
+            for _, message in self.inboxes[node_id].values()
+            if message.sender in context.neighbor_weights
+        ]
+        self.inboxes[node_id].clear()
+        aggregate(self.simulator, [self.simulator.nodes[node_id]], [context], [inbox])
+        self.contexts[node_id] = None
+        self.complete_round(node_id, event.time)
+
+    def resume_node(self, event: Event) -> None:
+        """``NODE_RESUME``: an offline round ends; the node shared nothing."""
+
+        self.last_fraction[event.node_id] = 0.0
+        self.complete_round(event.node_id, event.time)
+
+    def complete_round(self, node_id: int, now: float) -> None:
+        """Round bookkeeping shared by ``AGGREGATE`` and ``NODE_RESUME``.
+
+        The target-accuracy early stop clears the queue, which ends the run.
+        """
+
+        simulator, config = self.simulator, self.simulator.config
+        round_index = self.node_round[node_id]
+        self.node_round[node_id] += 1
+        simulator.emit_round_end(round_index, node_id, now)
+
+        global_round = min(self.node_round)
+        advanced = global_round > simulator.result.rounds_completed
+        if advanced:
+            # One ByteMeter round per globally completed round, so
+            # per_round_bytes keeps its per-round meaning under gossip.
+            simulator.meter.end_round()
+            # Rewiring keys off the *global* round: once per completed round,
+            # at a deterministic point of the event order (the completion
+            # that advanced the minimum).  At config.rounds everyone is done:
+            # no round will run on a fresh graph, so don't sample one.
+            if global_round < config.rounds:
+                simulator.apply_topology_policy(global_round)
+        simulator.result.rounds_completed = global_round
+        due = global_round % config.eval_every == 0 or global_round == config.rounds
+        stop = False
+        if global_round > self.evaluated_through and due:
+            self.evaluated_through = global_round
+            simulator.record_evaluation(global_round, float(np.mean(self.last_fraction)), now)
+            stop = simulator.should_stop_at_target()
+        # Under gossip a profiler row is one node finishing its round: the
+        # work since the last completion, any evaluation it triggered included.
+        simulator.mark_profile_round(round_index)
+        if stop:
+            self.loop.clear()
+            return
+        if self.node_round[node_id] < config.rounds:
+            self.loop.schedule(now, START_ROUND, node_id)
+        # Snapshot-safe boundary: the completing node's next round is
+        # scheduled, so the captured queue is self-consistent.  Cadence keys
+        # off *global* advancement; a stop is honoured at any completion.
+        if advanced or simulator.checkpoint_stop_pending():
+            simulator.checkpoint_point(self.state)

@@ -50,9 +50,9 @@ class Event:
     time:
         Simulated second at which the event fires.
     kind:
-        One of the module-level event-kind constants (:data:`START_ROUND`,
-        :data:`FINISH_TRAIN`, :data:`DELIVER_MESSAGE`, :data:`AGGREGATE`) or
-        any user-defined string for custom execution modes.
+        One of the five module-level event-kind constants (:data:`START_ROUND`,
+        :data:`FINISH_TRAIN`, :data:`DELIVER_MESSAGE`, :data:`AGGREGATE`,
+        :data:`NODE_RESUME`) or a user-defined string for custom execution modes.
     node_id:
         The node the event happens *at* (the receiver for deliveries).
     seq:

@@ -89,6 +89,26 @@ def test_truncated_final_line_is_discarded(tmp_path):
     assert reloaded.discarded_lines == 1
 
 
+def test_torn_tail_is_cut_off_so_the_recomputed_row_survives(tmp_path):
+    path = tmp_path / "results.jsonl"
+    store = ResultStore(path)
+    store.put(_spec(seed=1), _result())
+    store.put(_spec(seed=2), _result())
+    intact = path.read_bytes()
+    # The writer was killed mid-append: the second row is torn, no newline.
+    path.write_bytes(intact[:-40])
+
+    reopened = ResultStore(path)
+    assert (len(reopened), reopened.discarded_lines) == (1, 1)
+    assert reopened.repaired_tail_bytes == len(intact.splitlines(keepends=True)[1]) - 40
+    assert path.read_bytes() == intact.splitlines(keepends=True)[0]
+
+    reopened.put(_spec(seed=2), _result())  # the lost cell is recomputed
+    assert path.read_bytes() == intact
+    final = ResultStore(path)
+    assert (len(final), final.discarded_lines, final.repaired_tail_bytes) == (2, 0, 0)
+
+
 def test_non_record_json_is_discarded(tmp_path):
     path = tmp_path / "results.jsonl"
     path.write_text(json.dumps({"not": "a record"}) + "\n", encoding="utf-8")

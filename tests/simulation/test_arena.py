@@ -91,8 +91,8 @@ EQUIVALENCE_CASES = {
         "scenario": get_scenario("byzantine", num_nodes=6, rounds=ROUNDS).to_dict()
     },
     "async": {"execution": "async", "compute_speed_range": (1.0, 3.0)},
-    # The event loop's calls into the shared present/aggregate_node helpers,
-    # with attackers, NODE_RESUME sleeps and in-flight drops all live.
+    # The event loop's one-node calls into the shared train/present/encode/
+    # aggregate stages, with attackers, NODE_RESUME sleeps and in-flight drops live.
     "async-byzantine-churn": {
         "execution": "async",
         "compute_speed_range": (1.0, 3.0),
