@@ -5,9 +5,10 @@ Run by the ``gradcheck`` stage of ``scripts/ci.sh`` (or by hand with
 test suite (tests/nn/test_gradients.py) at a smaller scale.
 
 The model checks difference *parameters*; the layer checks at the end difference
-the *input* of ``Conv2d`` and ``MaxPool2d`` over kernel sizes, strides and
-paddings, which is the only finite-difference cover of ``_col2im`` beyond the
-one geometry a ``ConvClassifier``'s ``conv2`` uses.
+a bare ``Conv2d``'s weight and bias and the *input* of ``Conv2d`` and
+``MaxPool2d`` over kernel sizes, strides and paddings, which is the only
+finite-difference cover of ``_im2col``/``_col2im`` beyond the one geometry
+(kernel 3, stride 1, padding 1) a ``ConvClassifier`` uses.
 """
 
 from __future__ import annotations
@@ -61,6 +62,17 @@ def check(name, model, loss, inputs, targets, tolerance=1e-5):
     return error < tolerance
 
 
+class WeightedSum:
+    """``sum(outputs * upstream)`` as a loss: its gradient in the outputs is ``upstream``."""
+
+    def forward(self, outputs, upstream):
+        self.upstream = upstream
+        return float(np.sum(outputs * upstream))
+
+    def backward(self):
+        return self.upstream
+
+
 def check_input_gradient(name, layer, inputs, upstream, tolerance=1e-6, epsilon=1e-6):
     """``layer.backward`` against central differences of ``sum(forward(x) * upstream)`` in x."""
 
@@ -106,8 +118,9 @@ def main() -> None:
                 conv = Conv2d(2, 3, kernel, rng, stride=stride, padding=padding)
                 inputs = rng.normal(size=(2, 2, 7, 6))
                 upstream = rng.normal(size=conv.forward(inputs).shape)
-                name = f"Conv2d(kernel={kernel}, stride={stride}, padding={padding}) input"
-                ok &= check_input_gradient(name, conv, inputs, upstream)
+                name = f"Conv2d(kernel={kernel}, stride={stride}, padding={padding})"
+                ok &= check(f"{name} weight+bias", conv, WeightedSum(), inputs, upstream)
+                ok &= check_input_gradient(f"{name} input", conv, inputs, upstream)
     for kernel in (2, 3):
         # Continuous random inputs: no window ties, so the maximum is differentiable.
         inputs = rng.normal(size=(2, 3, 2 * kernel, 3 * kernel))

@@ -55,10 +55,10 @@ def make_class_images(
         [_smooth_prototype(rng, channels, image_size) for _ in range(num_classes)]
     )
     labels = rng.integers(0, num_classes, size=num_samples)
-    images = prototypes[labels] + noise * rng.normal(
-        size=(num_samples, channels, image_size, image_size)
-    )
-    return images.astype(np.float64), labels.astype(np.int64)
+    images = rng.normal(size=(num_samples, channels, image_size, image_size))
+    images *= noise
+    images += prototypes[labels]
+    return images, labels
 
 
 def make_client_images(
@@ -83,9 +83,10 @@ def make_client_images(
     prototypes = np.stack(
         [_smooth_prototype(rng, channels, image_size) for _ in range(num_classes)]
     )
-    images: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
-    clients: list[np.ndarray] = []
+    # Each output is allocated once at its final size and filled client by client.
+    shape = (samples_per_client, channels, image_size, image_size)
+    images = np.empty((num_clients * samples_per_client, *shape[1:]))
+    labels = np.empty(num_clients * samples_per_client, dtype=np.int64)
     for client in range(num_clients):
         if classes_per_client is None:
             client_classes = np.arange(num_classes)
@@ -93,18 +94,13 @@ def make_client_images(
             client_classes = rng.choice(
                 num_classes, size=min(classes_per_client, num_classes), replace=False
             )
-        client_labels = rng.choice(client_classes, size=samples_per_client)
-        client_images = prototypes[client_labels] + noise * rng.normal(
-            size=(samples_per_client, channels, image_size, image_size)
-        )
-        images.append(client_images)
-        labels.append(client_labels)
-        clients.append(np.full(samples_per_client, client))
-    return (
-        np.concatenate(images).astype(np.float64),
-        np.concatenate(labels).astype(np.int64),
-        np.concatenate(clients).astype(np.int64),
-    )
+        rows = slice(client * samples_per_client, (client + 1) * samples_per_client)
+        labels[rows] = rng.choice(client_classes, size=samples_per_client)
+        normal = rng.normal(size=shape)
+        normal *= noise
+        np.add(prototypes[labels[rows]], normal, out=images[rows])
+    clients = np.repeat(np.arange(num_clients, dtype=np.int64), samples_per_client)
+    return images, labels, clients
 
 
 def make_rating_triples(

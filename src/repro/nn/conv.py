@@ -1,4 +1,4 @@
-"""Convolution and pooling layers (NCHW layout, im2col implementation)."""
+"""Convolution and pooling layers (NCHW tensors, channel-major im2col)."""
 
 from __future__ import annotations
 
@@ -14,33 +14,29 @@ __all__ = ["Conv2d", "MaxPool2d"]
 def _im2col(
     inputs: np.ndarray, kernel: int, stride: int, padding: int
 ) -> tuple[np.ndarray, int, int]:
-    """Unfold ``inputs`` (N, C, H, W) into columns of shape (N, out_h*out_w, C*k*k)."""
+    """Unfold ``inputs`` (N, C, H, W) into columns of shape (C*k*k, N*out_h*out_w).
+
+    Row ``(c, i, j)`` holds input channel ``c`` at kernel offset ``(i, j)`` for
+    every output position, batch-major, so ``weight.reshape(O, -1) @ columns``
+    is the whole convolution.
+    """
 
     batch, channels, height, width = inputs.shape
-    if padding:
-        inputs = np.pad(
-            inputs, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-        )
-    padded_h, padded_w = inputs.shape[2], inputs.shape[3]
-    out_h = (padded_h - kernel) // stride + 1
-    out_w = (padded_w - kernel) // stride + 1
+    out_h = (height + 2 * padding - kernel) // stride + 1
+    out_w = (width + 2 * padding - kernel) // stride + 1
     if out_h <= 0 or out_w <= 0:
         raise ModelError("convolution output would be empty; check kernel/stride/padding")
-    # Gather sliding windows with stride tricks, then reorder to columns.
-    shape = (batch, channels, out_h, out_w, kernel, kernel)
-    strides = (
-        inputs.strides[0],
-        inputs.strides[1],
-        inputs.strides[2] * stride,
-        inputs.strides[3] * stride,
-        inputs.strides[2],
-        inputs.strides[3],
-    )
-    windows = np.lib.stride_tricks.as_strided(inputs, shape=shape, strides=strides)
-    columns = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        batch, out_h * out_w, channels * kernel * kernel
-    )
-    return np.ascontiguousarray(columns), out_h, out_w
+    source = inputs.transpose(1, 0, 2, 3)  # (C, N, H, W) view
+    if padding:
+        padded = np.zeros((channels, batch, height + 2 * padding, width + 2 * padding))
+        padded[:, :, padding : padding + height, padding : padding + width] = source
+        source = padded
+    columns = np.empty((channels, kernel, kernel, batch, out_h, out_w))
+    for row in range(kernel):
+        rows = slice(row, row + stride * out_h, stride)
+        for col in range(kernel):
+            columns[:, row, col] = source[:, :, rows, col : col + stride * out_w : stride]
+    return columns.reshape(channels * kernel * kernel, -1), out_h, out_w
 
 
 def _col2im(
@@ -52,28 +48,32 @@ def _col2im(
     out_h: int,
     out_w: int,
 ) -> np.ndarray:
-    """Fold column gradients back onto the (padded) input, inverting :func:`_im2col`."""
+    """Fold (C*k*k, N*out_h*out_w) column gradients onto the input, inverting :func:`_im2col`.
+
+    Returns an (N, C, H, W) view of a channel-major (C, N, H, W) buffer.
+    """
 
     batch, channels, height, width = input_shape
-    padded = np.zeros(
-        (batch, channels, height + 2 * padding, width + 2 * padding), dtype=np.float64
-    )
-    cols = columns.reshape(batch, out_h, out_w, channels, kernel, kernel)
+    padded = np.zeros((channels, batch, height + 2 * padding, width + 2 * padding))
+    cols = columns.reshape(channels, kernel, kernel, batch, out_h, out_w)
     # One strided basic slice per kernel offset: each target cell receives its
     # additions in (row, col) order, whatever the stride or overlap.
     for row in range(kernel):
         rows = slice(row, row + stride * out_h, stride)
         for col in range(kernel):
-            padded[:, :, rows, col : col + stride * out_w : stride] += cols[
-                :, :, :, :, row, col
-            ].transpose(0, 3, 1, 2)
-    if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+            padded[:, :, rows, col : col + stride * out_w : stride] += cols[:, row, col]
+    return padded[:, :, padding : padding + height, padding : padding + width].transpose(
+        1, 0, 2, 3
+    )
 
 
 class Conv2d(Module):
-    """2-D convolution over NCHW inputs."""
+    """2-D convolution over NCHW inputs.
+
+    Every product is one 2-D GEMM over the channel-major columns of
+    :func:`_im2col`; outputs and input gradients are NCHW views of
+    channel-major buffers.
+    """
 
     def __init__(
         self,
@@ -111,40 +111,36 @@ class Conv2d(Module):
             raise ModelError(
                 f"Conv2d expected NCHW input with {self.in_channels} channels, got {inputs.shape}"
             )
+        batch = inputs.shape[0]
         columns, out_h, out_w = _im2col(inputs, self.kernel_size, self.stride, self.padding)
-        weight_matrix = self.weight.value.reshape(self.out_channels, -1)
-        output = columns @ weight_matrix.T  # (N, out_h*out_w, out_channels)
+        output = self.weight.value.reshape(self.out_channels, -1) @ columns  # (O, N*out_h*out_w)
         if self.bias is not None:
-            output = output + self.bias.value
+            output += self.bias.value[:, None]
         self._cache = (columns, inputs.shape, out_h, out_w) if self.training else None
-        return output.transpose(0, 2, 1).reshape(inputs.shape[0], self.out_channels, out_h, out_w)
+        return output.reshape(self.out_channels, batch, out_h, out_w).transpose(1, 0, 2, 3)
 
     def backward_parameters(self, grad_output: np.ndarray) -> np.ndarray:
         """The parameter half of :meth:`backward`: accumulate the weight and bias gradients.
 
         All a model's first layer needs, since nothing consumes the gradient of
         the model's input.  Returns ``grad_output`` as the
-        ``(N, out_h*out_w, out_channels)`` matrix the input half starts from.
+        ``(out_channels, N*out_h*out_w)`` matrix the input half starts from.
         """
 
         if self._cache is None:
             raise ModelError("backward called before forward")
-        columns, input_shape, out_h, out_w = self._cache
+        columns = self._cache[0]
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        batch = input_shape[0]
-        grad_matrix = grad_output.reshape(batch, self.out_channels, out_h * out_w).transpose(0, 2, 1)
-        grad_weight = np.einsum("npo,npk->ok", grad_matrix, columns)
-        self.weight.grad += grad_weight.reshape(self.weight.value.shape)
+        grad_matrix = grad_output.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
+        self.weight.grad += (grad_matrix @ columns.T).reshape(self.weight.value.shape)
         if self.bias is not None:
-            self.bias.grad += grad_matrix.sum(axis=(0, 1))
+            self.bias.grad += grad_matrix.sum(axis=1)
         return grad_matrix
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad_matrix = self.backward_parameters(grad_output)
         _, input_shape, out_h, out_w = self._cache
-        # Input gradient.
-        weight_matrix = self.weight.value.reshape(self.out_channels, -1)
-        grad_columns = grad_matrix @ weight_matrix
+        grad_columns = self.weight.value.reshape(self.out_channels, -1).T @ grad_matrix
         return _col2im(
             grad_columns, input_shape, self.kernel_size, self.stride, self.padding, out_h, out_w
         )

@@ -1,15 +1,21 @@
-"""Bit-identity of the conv-stack kernels with the forms they replaced.
+"""The conv-stack kernels against the forms they replaced.
 
-Every stored digest rests on these kernels producing the same float64 bits as
-before they were rewritten for speed, so each is pinned against its old form,
-kept here as an oracle, by comparing ``uint64`` views (``==`` on floats cannot
-tell -0.0 from 0.0 and fails on NaN):
+Every stored digest rests on these kernels' float64 bits, so each rewrite is
+pinned against its old form, kept here as an oracle.  Data movement is pinned
+bit for bit by comparing ``uint64`` views (``==`` on floats cannot tell -0.0
+from 0.0 and fails on NaN):
 
-* slice-form ``_col2im`` against the fancy-index scatter;
+* channel-major ``_im2col`` against the ``as_strided`` window copy, and
+  channel-major slab ``_col2im`` against the fancy-index scatter, each after a
+  relayout of the columns;
 * ``ReLU``'s ``abs(fmax(x, 0.0))`` against ``np.where(x > 0, x, 0.0)``;
 * eval-mode ``MaxPool2d`` (a ``np.maximum`` chain) against the training path;
 * a root model's ``backward`` (parameter half only on its first layer) against
   a full backward through every layer.
+
+``Conv2d``'s products are one 2-D GEMM each, which sums in another order than
+the batched ``matmul``/``einsum`` they replaced; they are pinned to 1e-12
+relative against the old formulation instead.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.nn.activations import ReLU
-from repro.nn.conv import MaxPool2d, _col2im
+from repro.nn.conv import Conv2d, MaxPool2d, _col2im, _im2col
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import CelebACNN, FEMNISTCNN, GNLeNet, MLPClassifier
 from repro.nn.module import get_flat_gradients
@@ -33,7 +39,51 @@ def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
     assert np.array_equal(bits(actual), bits(expected))
 
 
-# -- col2im ------------------------------------------------------------------------
+# -- im2col / col2im -----------------------------------------------------------------
+GEOMETRY = [
+    pytest.param(kernel, stride, padding, batch)
+    for kernel in (1, 2, 3, 5)
+    for stride in (1, 2, 3)
+    for padding in (0, 1, 2)
+    for batch in (1, 3)
+]
+
+
+def output_size(kernel, stride, padding):
+    """Output height/width on a (7, 8) input."""
+
+    return (7 + 2 * padding - kernel) // stride + 1, (8 + 2 * padding - kernel) // stride + 1
+
+
+def to_batch_major(columns, channels, kernel, batch, out_h, out_w):
+    """Channel-major (C*k*k, N*P) columns in the old (N, P, C*k*k) layout."""
+
+    return (
+        columns.reshape(channels, kernel, kernel, batch, out_h, out_w)
+        .transpose(3, 4, 5, 0, 1, 2)
+        .reshape(batch, out_h * out_w, channels * kernel * kernel)
+    )
+
+
+def im2col_as_strided(inputs, kernel, stride, padding):
+    """The ``(N, out_h*out_w, C*k*k)`` window copy ``_im2col`` made before it went channel-major."""
+
+    batch, channels = inputs.shape[:2]
+    if padding:
+        inputs = np.pad(inputs, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out_h = (inputs.shape[2] - kernel) // stride + 1
+    out_w = (inputs.shape[3] - kernel) // stride + 1
+    strides = inputs.strides
+    windows = np.lib.stride_tricks.as_strided(
+        inputs,
+        shape=(batch, channels, out_h, out_w, kernel, kernel),
+        strides=(*strides[:2], strides[2] * stride, strides[3] * stride, *strides[2:]),
+    )
+    return np.ascontiguousarray(
+        windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch, out_h * out_w, -1)
+    )
+
+
 def col2im_fancy_index(columns, input_shape, kernel, stride, padding, out_h, out_w):
     """The scatter ``_col2im`` used before it accumulated through basic slices."""
 
@@ -52,6 +102,25 @@ def col2im_fancy_index(columns, input_shape, kernel, stride, padding, out_h, out
     return padded
 
 
+def signed_normal(rng, shape):
+    values = rng.normal(size=shape)
+    values[rng.random(shape) < 0.1] = -0.0
+    return values
+
+
+@pytest.mark.parametrize("kernel, stride, padding, batch", GEOMETRY)
+def test_im2col_matches_the_as_strided_form(kernel, stride, padding, batch):
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+    inputs = signed_normal(rng, (batch, 2, 7, 8))
+    columns, out_h, out_w = _im2col(inputs, kernel, stride, padding)
+    assert (out_h, out_w) == output_size(kernel, stride, padding)
+    assert columns.shape == (2 * kernel * kernel, batch * out_h * out_w)
+    assert_same_bits(
+        to_batch_major(columns, 2, kernel, batch, out_h, out_w),
+        im2col_as_strided(inputs, kernel, stride, padding),
+    )
+
+
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("padding", [0, 1, 2])
 @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -61,14 +130,52 @@ def test_col2im_matches_the_fancy_index_form(kernel, stride, padding, batch):
 
     rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
     input_shape = (batch, 2, 7, 8)
-    out_h = (7 + 2 * padding - kernel) // stride + 1
-    out_w = (8 + 2 * padding - kernel) // stride + 1
-    columns = rng.normal(size=(batch, out_h * out_w, 2 * kernel * kernel))
-    columns[rng.random(columns.shape) < 0.1] = -0.0
+    out_h, out_w = output_size(kernel, stride, padding)
+    columns = signed_normal(rng, (2 * kernel * kernel, batch * out_h * out_w))
     assert_same_bits(
         _col2im(columns, input_shape, kernel, stride, padding, out_h, out_w),
-        col2im_fancy_index(columns, input_shape, kernel, stride, padding, out_h, out_w),
+        col2im_fancy_index(
+            to_batch_major(columns, 2, kernel, batch, out_h, out_w),
+            input_shape, kernel, stride, padding, out_h, out_w,
+        ),
     )
+
+
+# -- Conv2d products -------------------------------------------------------------------
+def conv_einsum_form(layer, inputs, grad_output):
+    """Output and weight/bias/input gradients as ``Conv2d`` formed them batch-major."""
+
+    kernel, stride, padding = layer.kernel_size, layer.stride, layer.padding
+    batch = inputs.shape[0]
+    out_h, out_w = grad_output.shape[2:]
+    columns = im2col_as_strided(inputs, kernel, stride, padding)
+    weight_matrix = layer.weight.value.reshape(layer.out_channels, -1)
+    output = columns @ weight_matrix.T + layer.bias.value
+    output = output.transpose(0, 2, 1).reshape(batch, layer.out_channels, out_h, out_w)
+    grad_matrix = grad_output.reshape(batch, layer.out_channels, -1).transpose(0, 2, 1)
+    grad_weight = np.einsum("npo,npk->ok", grad_matrix, columns).reshape(layer.weight.shape)
+    grad_bias = grad_matrix.sum(axis=(0, 1))
+    grad_input = col2im_fancy_index(
+        grad_matrix @ weight_matrix, inputs.shape, kernel, stride, padding, out_h, out_w
+    )
+    return output, grad_weight, grad_bias, grad_input
+
+
+@pytest.mark.parametrize("kernel, stride, padding, batch", GEOMETRY)
+def test_conv2d_matches_the_einsum_form(kernel, stride, padding, batch):
+    """One 2-D GEMM per product moves bits, never more than summation order can."""
+
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+    layer = Conv2d(2, 3, kernel, rng, stride=stride, padding=padding)
+    inputs = rng.normal(size=(batch, 2, 7, 8))
+    output = layer.forward(inputs)
+    grad_output = rng.normal(size=output.shape)
+    grad_input = layer.backward(grad_output)
+    expected = conv_einsum_form(layer, inputs, grad_output)
+    for actual, oracle in zip((output, layer.weight.grad, layer.bias.grad, grad_input), expected):
+        assert actual.shape == oracle.shape
+        scale = float(np.max(np.abs(oracle)))
+        assert float(np.max(np.abs(actual - oracle))) <= 1e-12 * scale
 
 
 # -- ReLU ----------------------------------------------------------------------------
