@@ -32,8 +32,10 @@
 #   fuzz         fixed-seed scenario-fuzz smoke, 10 cases under jwins and 4
 #                under choco (a stateful baseline through the event loop's
 #                one-row encode/aggregate calls): every generated hostile
-#                schedule must pass the rerun, 1-vs-2-worker, interrupt-resume,
-#                strip_wall and arena-vs-pernode oracles (a failing case
+#                schedule must pass the rerun, F_start-invariant (JWINS's
+#                cached start coefficients = DWT of the model at every round
+#                end), 1-vs-2-worker, interrupt-resume, strip_wall and
+#                arena-vs-pernode oracles (a failing case
 #                prints its JSON schedule for local replay), plus the
 #                injected-nondeterminism self-test, which must also
 #                root-cause the injected bug via the forensic trace differ
@@ -361,7 +363,7 @@ stage_fuzz() {
   selftest_out="$(python -m repro.scenarios.fuzz --self-test --cases 1 --seed 0)"
   grep -q "forensics localized the divergence to round" <<<"$selftest_out"
   grep -q "first divergent record" <<<"$selftest_out"
-  echo "fuzz gate: 10 jwins + 4 choco hostile schedules passed all 5 oracles; self-test caught and root-caused the injected bug"
+  echo "fuzz gate: 10 jwins + 4 choco hostile schedules passed all 6 oracles; self-test caught and root-caused the injected bug"
 }
 
 ALL_STAGES=(lint analysis docs test gradcheck bench smoke determinism checkpoint fuzz)

@@ -56,11 +56,13 @@ __all__ = [
 #: Identifies a checkpoint file; bump :data:`SNAPSHOT_VERSION` on breaking
 #: schema changes so stale snapshots fail loudly instead of resuming wrongly.
 #: Version 2: new float codec; a snapshot holds byte counts, not the codec's name.
+#: Version 3: JWINS scheme state holds ``F_start``, the coefficients of the
+#: node's start model, which the next round's local change is taken against.
 #: A kernel rewrite that only moves float bits (the channel-major conv stack)
 #: does not bump it: a snapshot holds parameters, momentum, RNG and scheme
 #: state at a round boundary, never a kernel's cache or layout.
 SNAPSHOT_FORMAT = "jwins-repro-checkpoint"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 def _canonical_json(data: Any) -> str:

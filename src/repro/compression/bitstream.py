@@ -177,43 +177,59 @@ def pack_bitfields(values: np.ndarray, widths: np.ndarray) -> tuple[bytes, int]:
     # A value fits its width iff shifting the width away leaves nothing
     # (width 0 therefore only admits the value 0, as write_bits does); the
     # arithmetic shift keeps a negative value negative, hence non-zero.
+    # Every field-sized temporary below is dropped (or overwritten in place)
+    # as soon as it has been read: the packer runs at a round's memory peak.
     overflow = values >> widths
     if overflow.any():
         bad = int(np.flatnonzero(overflow)[0])
         raise CodecError(
             f"value {int(values[bad])} does not fit in {int(widths[bad])} bits"
         )
+    del overflow
 
     occupied = widths != 0
     if not occupied.all():
         # Zero-width fields hold no bits; dropping them keeps every remaining
         # field end strictly increasing (and >= 1).
         values, widths = values[occupied], widths[occupied]
+    del occupied
     if values.size == 0:
         return b"", 0
-    last_bits = np.cumsum(widths) - 1
+    last_bits = np.cumsum(widths)
+    last_bits -= 1
     total_bits = int(last_bits[-1]) + 1
+    # A field wider than the bits of its word up to its last one began in the
+    # previous word; at most one does per boundary, so the indices are distinct.
+    word_bits = last_bits & 63
+    word_bits += 1
+    straddlers = np.flatnonzero(widths > word_bits)
+    del word_bits
     word_of = last_bits >> 6
-    # Stream bit b is bit 63 - (b & 63) of its word (MSB first), which is the
-    # left shift that puts a field's last bit in place.  A straddling field
-    # loses its high bits to the uint64 overflow here, on purpose.
-    offsets = last_bits & 63
-    shifts = (63 - offsets).astype(np.uint64)
-    fields = values.astype(np.uint64)
     # Every word holds at least one field end (a field is narrower than a
     # word), so the word index rises by 0 or 1 per field and one reduceat over
     # the run starts yields all ceil(total_bits / 64) words in order.
     run_starts = np.concatenate(
         [np.zeros(1, dtype=np.intp), np.flatnonzero(word_of[1:] != word_of[:-1]) + 1]
     )
-    words = np.add.reduceat(fields << shifts, run_starts)
-    # A field wider than the bits of its word up to its last one began in the
-    # previous word; at most one does per boundary, so the indices are distinct.
-    straddlers = np.flatnonzero(widths > offsets + 1)
-    if straddlers.size:
-        words[word_of[straddlers] - 1] |= fields[straddlers] >> (
-            np.uint64(64) - shifts[straddlers]
-        )
+    spill_words = word_of[straddlers] - 1
+    del word_of
+    # Stream bit b is bit 63 - (b & 63) of its word (MSB first), which is the
+    # left shift that puts a field's last bit in place.  A straddling field
+    # loses its high bits to the uint64 overflow of that shift, on purpose:
+    # they are gathered first and go to the previous word.
+    offsets = last_bits
+    del last_bits
+    offsets &= 63
+    np.subtract(63, offsets, out=offsets)
+    shifts = offsets.view(np.uint64)  # 0..63: the same bits either way
+    del offsets
+    fields = values.astype(np.uint64)
+    spills = fields[straddlers] >> (np.uint64(64) - shifts[straddlers])
+    fields <<= shifts
+    del shifts
+    words = np.add.reduceat(fields, run_starts)
+    del fields
+    words[spill_words] |= spills
     return words.astype(">u8").tobytes()[: (total_bits + 7) // 8], total_bits
 
 

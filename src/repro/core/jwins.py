@@ -14,11 +14,25 @@ Per round, a node running JWINS
 5. inverts the wavelet transform to obtain the next round's model and updates
    the accumulator with the whole-round change (Equation 4).
 
+The algorithm works in the coefficient domain.  A node keeps ``F_start``, the
+coefficients of its model at the start of the round, so one forward DWT per
+round suffices: of the trained model.  Both changes are differences of
+coefficients (the DWT is linear): step 1 uses ``F_trained - F_start``, step 5
+``F_new - F_start``.  ``F_new``, the coefficients of the model step 5
+reconstructs from the averaged vector ``C``, is ``forward(inverse(C))``, an
+orthogonal projection of ``C``
+(:meth:`~repro.wavelets.transform.WaveletTransform.project_batch`), and becomes
+the next round's ``F_start``.  This rests on one invariant: a node's
+parameters are written only by its own training and its own aggregate.
+``F_start`` is unset until a node's first round, which transforms its start
+model.
+
 Steps 1-3 and 4-5 are each written once, over a *pass* of consecutive rows
-(:func:`_prepare_pass`, :func:`_aggregate_pass`): the DWTs run on the pass's
-``(n, d)`` matrix, everything per node stays per row.  A lock-step round is
-cut into passes of about :data:`_PASS_ELEMENTS` elements; :meth:`JwinsScheme.prepare`
-is the one-row pass.
+(:func:`_prepare_pass`, :func:`_aggregate_pass`): the transforms run on the
+pass's ``(n, d)`` matrix, everything per node stays per row.  A lock-step round
+is cut into passes of about :data:`_PASS_ELEMENTS` elements;
+:meth:`JwinsScheme.prepare` and :meth:`JwinsScheme.aggregate` are the one-row
+passes.
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ from repro.core.ranking import WaveletRanker
 from repro.exceptions import SimulationError
 from repro.sparsification.base import fraction_to_count
 from repro.sparsification.topk import topk_indices
-from repro.wavelets.transform import IdentityTransform, ModelTransform, WaveletTransform
+from repro.wavelets.transform import IdentityTransform, WaveletTransform
 
 __all__ = ["JwinsScheme", "jwins_factory"]
 
@@ -57,13 +71,19 @@ def _rows(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return vectors[0][None] if len(vectors) == 1 else np.stack(vectors)
 
 
+def _copy_or_none(vector: np.ndarray | None) -> np.ndarray | None:
+    """A private float64 copy of a state vector, ``None`` kept."""
+
+    return None if vector is None else np.array(vector, dtype=np.float64)
+
+
 def _share_passes(schemes: Sequence[SharingScheme]) -> bool:
     """Whether ``schemes`` may run a round through shared row passes.
 
     A pass uses its first scheme's transform and codecs for all rows, so all
-    must be one :class:`JwinsScheme` subtype inheriting ``prepare``/
-    ``aggregate``/``finalize`` unchanged and be built from the same two things
-    a scheme derives everything from: model size and an equal
+    must be one :class:`JwinsScheme` subtype that inherits ``prepare`` and
+    ``aggregate`` and adds no ``finalize``, built from the same two things a
+    scheme derives everything from: model size and an equal
     :class:`~repro.core.config.JwinsConfig`.  Anything else takes the per-row
     default hooks.
     """
@@ -97,16 +117,24 @@ def _passes(schemes: Sequence["JwinsScheme"]) -> Iterator[slice]:
 def _prepare_pass(
     schemes: Sequence["JwinsScheme"], contexts: Sequence[RoundContext]
 ) -> list[Message]:
-    """Algorithm 1 lines 5-8 for one pass: two stacked DWTs, then the rows form."""
+    """Algorithm 1 lines 5-8 for one pass: one stacked DWT, then the rows form.
+
+    The local change is ``F_trained - F_start`` row by row.  Rows whose
+    ``F_start`` is unset (a node's first round) take it from one stacked DWT of
+    their start models.
+    """
 
     transform = schemes[0].transform
-    trained = _rows([context.params_trained for context in contexts])
-    change_matrix = transform.forward_batch(
-        trained - _rows([context.params_start for context in contexts])
-    )
-    return schemes[0].prepare_from_coefficients(
-        schemes, contexts, change_matrix, transform.forward_batch(trained)
-    )
+    own_matrix = transform.forward_batch(_rows([context.params_trained for context in contexts]))
+    unset = [row for row, scheme in enumerate(schemes) if scheme._start_coefficients is None]
+    if unset:
+        starts = transform.forward_batch(_rows([contexts[row].params_start for row in unset]))
+        for row, start in zip(unset, starts):
+            schemes[row]._start_coefficients = start
+    change_matrix = np.empty_like(own_matrix)
+    for row, scheme in enumerate(schemes):
+        np.subtract(own_matrix[row], scheme._start_coefficients, out=change_matrix[row])
+    return schemes[0].prepare_from_coefficients(schemes, contexts, change_matrix, own_matrix)
 
 
 def _aggregate_pass(
@@ -116,25 +144,24 @@ def _aggregate_pass(
 ) -> np.ndarray:
     """Algorithm 1 lines 9-12 for one pass: its ``(n, d)`` new models.
 
-    The sparse average is per row; the inverse DWT and the DWT of the
-    whole-round change (Equation 4) each run once over the pass.
+    The sparse average is per row; the inverse DWT and the projection giving
+    ``F_new`` each run once over the pass.  Equation 4 adds
+    ``F_new - F_start`` per row, then ``F_new`` is the next ``F_start``.
     """
 
     first = schemes[0]
-    new_params = first.transform.inverse_batch(
-        _rows(
-            [
-                scheme.aggregate_coefficients(context, inbox)
-                for scheme, context, inbox in zip(schemes, contexts, inboxes)
-            ]
-        )
+    averaged = _rows(
+        [
+            scheme.aggregate_coefficients(context, inbox)
+            for scheme, context, inbox in zip(schemes, contexts, inboxes)
+        ]
     )
-    if first.ranker.use_accumulation:
-        round_change = first.transform.forward_batch(
-            new_params - _rows([context.params_start for context in contexts])
-        )
-        for scheme, row in zip(schemes, round_change):
-            scheme.finalize_from_change(row)
+    new_params = first.transform.inverse_batch(averaged)
+    new_starts = first.transform.project_batch(averaged)
+    for scheme, new_start in zip(schemes, new_starts):
+        if first.ranker.use_accumulation:
+            scheme.ranker.end_of_round_from_change(new_start - scheme._start_coefficients)
+        scheme._start_coefficients = new_start
     return new_params
 
 
@@ -152,7 +179,7 @@ class JwinsScheme(SharingScheme):
     ) -> None:
         self.node_id = int(node_id)
         self.config = config if config is not None else JwinsConfig()
-        self.transform: ModelTransform
+        self.transform: WaveletTransform | IdentityTransform
         if self.config.use_wavelet:
             self.transform = WaveletTransform(
                 model_size, wavelet=self.config.wavelet, levels=self.config.levels
@@ -167,8 +194,20 @@ class JwinsScheme(SharingScheme):
             EliasGammaIndexCodec() if self.config.index_codec == "elias-gamma" else RawIndexCodec()
         )
         self._fixed_alpha = self.config.cutoff.expected_fraction()
+        #: ``F_start``: the coefficients of the model the next round starts from.
+        self._start_coefficients: np.ndarray | None = None
         self._own_coefficients: np.ndarray | None = None
         self.last_alpha: float | None = None
+
+    @property
+    def start_coefficients(self) -> np.ndarray | None:
+        """``F_start`` of the node's next round; ``None`` before its first round.
+
+        The coefficients of the model that round starts from.  Callers must not
+        mutate it.
+        """
+
+        return self._start_coefficients
 
     # -- extension hook ----------------------------------------------------------
     def _adjust_scores(self, scores: np.ndarray) -> np.ndarray:
@@ -221,7 +260,9 @@ class JwinsScheme(SharingScheme):
         must share one :class:`~repro.core.config.JwinsConfig`, since a group
         is encoded by its first scheme's codecs.  Each ``own_matrix`` row is
         retained by reference until :meth:`aggregate` consumes it and must not
-        be mutated by the caller in between.
+        be mutated by the caller in between.  ``change_matrix`` is consumed:
+        its rows are overwritten with the ranking scores, so a round holds no
+        second score matrix beside it.
         """
 
         first = schemes[0]
@@ -230,11 +271,12 @@ class JwinsScheme(SharingScheme):
             raise SimulationError("schemes prepared together must share one JwinsConfig")
         coefficient_size = first.ranker.coefficient_size
         own_matrix = np.asarray(own_matrix, dtype=np.float64)
-        row_scores: list[np.ndarray] = []
+        scores = np.asarray(change_matrix, dtype=np.float64)
         groups: dict[int, list[int]] = {}
         for row, (scheme, context) in enumerate(zip(schemes, contexts)):
-            row_scores.append(
-                scheme._adjust_scores(scheme.ranker.round_scores_from_change(change_matrix[row]))
+            # Assigning a row to itself is free (numpy skips the copy).
+            scores[row] = scheme._adjust_scores(
+                scheme.ranker.round_scores_from_change(scores[row])
             )
             if config.use_random_cutoff:
                 alpha = config.cutoff.sample(context.rng)
@@ -246,7 +288,7 @@ class JwinsScheme(SharingScheme):
 
         messages: dict[int, Message] = {}
         for count, rows in groups.items():
-            indices = topk_indices(_rows([row_scores[row] for row in rows]), count)
+            indices = topk_indices(scores if len(rows) == len(schemes) else scores[rows], count)
             values = own_matrix[np.asarray(rows)[:, None], indices]
             encoded = first._index_codec.encode(indices, coefficient_size)
             for row, row_indices, row_values, row_encoded in zip(rows, indices, values, encoded):
@@ -272,12 +314,10 @@ class JwinsScheme(SharingScheme):
                 )
         return [messages[row] for row in range(len(schemes))]
 
-    # -- Algorithm 1, lines 9-11 ------------------------------------------------
-    # Both schedules close a round through ``aggregate_rows``; the 1-D
-    # ``aggregate``/``finalize`` are the fallback when passes cannot be shared.
+    # -- Algorithm 1, lines 9-12 ------------------------------------------------
     def aggregate(self, context: RoundContext, messages: list[Message]) -> np.ndarray:
-        averaged = self.aggregate_coefficients(context, messages)
-        return self.transform.inverse(averaged)
+        # The one-row pass, for the same reason as ``prepare``.
+        return _aggregate_pass([self], [context], [messages])[0]
 
     @staticmethod
     def aggregate_rows(
@@ -297,9 +337,8 @@ class JwinsScheme(SharingScheme):
         """Algorithm 1 lines 9-10 without the final inverse transform.
 
         Returns the partially weighted-averaged coefficient vector still in
-        the transform domain.  :meth:`aggregate` immediately inverts it;
-        :func:`_aggregate_pass` stacks the rows of a pass and reconstructs
-        them in one inverse DWT — bit-identical either way.
+        the transform domain; :func:`_aggregate_pass` stacks the rows of a
+        pass and reconstructs them in one inverse DWT.
         """
 
         if self._own_coefficients is None:
@@ -310,29 +349,14 @@ class JwinsScheme(SharingScheme):
         self._own_coefficients = None
         return averaged
 
-    # -- Algorithm 1, line 12 ----------------------------------------------------
-    def finalize(self, context: RoundContext, new_params: np.ndarray) -> None:
-        self.ranker.end_of_round(context.params_start, new_params)
-
-    def finalize_from_change(self, round_change_coefficients: np.ndarray) -> None:
-        """Equation 4 from a precomputed coefficient-domain round change.
-
-        :func:`_aggregate_pass` transforms ``x^(t+1,0) - x^(t,0)`` for a whole
-        pass at once and feeds each scheme its row.  A no-op when accumulation
-        is disabled.
-        """
-
-        self.ranker.end_of_round_from_change(round_change_coefficients)
-
     # -- checkpointing -----------------------------------------------------------
     def state_dict(self) -> dict:
-        """Accumulated scores plus the in-flight round state (if any)."""
+        """Accumulated scores, ``F_start`` and the in-flight round state (if any)."""
 
         return {
             "ranker": self.ranker.state_dict(),
-            "own_coefficients": (
-                None if self._own_coefficients is None else self._own_coefficients.copy()
-            ),
+            "start_coefficients": _copy_or_none(self._start_coefficients),
+            "own_coefficients": _copy_or_none(self._own_coefficients),
             "last_alpha": None if self.last_alpha is None else float(self.last_alpha),
         }
 
@@ -340,10 +364,8 @@ class JwinsScheme(SharingScheme):
         """Restore state captured by :meth:`state_dict`."""
 
         self.ranker.load_state_dict(state["ranker"])
-        own = state["own_coefficients"]
-        self._own_coefficients = (
-            None if own is None else np.asarray(own, dtype=np.float64).copy()
-        )
+        self._start_coefficients = _copy_or_none(state["start_coefficients"])
+        self._own_coefficients = _copy_or_none(state["own_coefficients"])
         alpha = state["last_alpha"]
         self.last_alpha = None if alpha is None else float(alpha)
 

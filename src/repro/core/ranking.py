@@ -40,19 +40,17 @@ class WaveletRanker:
         return self._accumulator.scores
 
     def round_scores_from_change(self, local_change: np.ndarray) -> np.ndarray:
-        """Equation 3: ``V' = V + DWT(x^(t,tau) - x^(t,0))``, given that DWT.
+        """Equation 3 in place: ``V' = V + DWT(x^(t,tau) - x^(t,0))``, given that DWT.
 
-        The scheme transforms the local change of a whole pass of nodes at
-        once and hands each ranker its row.  With accumulation disabled (the
-        Figure 8 ablation) the score is just this round's change.  The input
-        is never mutated (a defensive copy is taken on the non-accumulating
-        path), so rows of a shared stacked matrix are safe to pass.
+        The scheme computes the local change of a whole pass of nodes at once
+        and hands each ranker its row, a float64 array the scheme owns: the
+        row becomes the scores and is returned.  With accumulation disabled
+        (the Figure 8 ablation) the score is just this round's change.
         """
 
-        local_change = np.asarray(local_change, dtype=np.float64)
-        if not self.use_accumulation:
-            return local_change.copy()
-        return self._accumulator.scores + local_change
+        if self.use_accumulation:
+            local_change += self._accumulator.scores
+        return local_change
 
     def mark_shared(self, indices: np.ndarray) -> None:
         """Zero the persistent scores of coefficients that were just shared."""
@@ -61,7 +59,11 @@ class WaveletRanker:
             self._accumulator.reset_indices(indices)
 
     def end_of_round(self, params_start: np.ndarray, params_final: np.ndarray) -> None:
-        """Equation 4: ``V <- V + DWT(x^(t+1,0) - x^(t,0))``."""
+        """Equation 4: ``V <- V + DWT(x^(t+1,0) - x^(t,0))``, transforming the change.
+
+        JWINS itself calls :meth:`end_of_round_from_change` with the change it
+        already holds in the coefficient domain.
+        """
 
         if not self.use_accumulation:
             return
@@ -74,9 +76,9 @@ class WaveletRanker:
     def end_of_round_from_change(self, round_change: np.ndarray) -> None:
         """Equation 4 from a precomputed coefficient-domain round change.
 
-        Twin of :meth:`end_of_round` for a lock-step round, where the scheme
-        transforms the whole-round change of a pass of nodes at once and feeds
-        each ranker its row.  A no-op when accumulation is disabled.
+        The scheme computes the whole-round change of a pass of nodes at once,
+        as ``F_new - F_start``, and feeds each ranker its row.  A no-op when
+        accumulation is disabled.
         """
 
         if not self.use_accumulation:

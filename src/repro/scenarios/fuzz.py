@@ -15,7 +15,13 @@ schedule must survive
 - ``trace``    — wall-stripped structured traces are byte-identical across reruns,
 - ``engines``  — the ``engine=arena`` override changes neither the result nor the
   wall-stripped trace (the ``manifest`` record aside: its ``spec_hash`` names
-  the override).
+  the override),
+
+and one invariant the coefficient-domain JWINS round rests on:
+
+- ``coefficients`` — at every round end, each node's ``F_start`` (the
+  coefficients JWINS keeps of the model its next round starts from) matches
+  the DWT of the node's actual model to :data:`COEFFICIENT_TOLERANCE`.
 
 On failure the schedule is *shrunk* (events dropped, windows truncated, the
 topology policy simplified, rounds reduced) to a minimal still-failing case
@@ -44,6 +50,7 @@ from typing import Any, Callable, Iterator, Mapping
 import numpy as np
 
 from repro.checkpoint.snapshot import SimulationSnapshot
+from repro.core.jwins import JwinsScheme
 from repro.exceptions import ExperimentPaused
 from repro.observability.forensics import TraceDiff, diff_traces
 from repro.observability.trace import TraceEmitter, read_trace, strip_wall
@@ -63,8 +70,10 @@ from repro.topology.policy import GeneratorPolicy
 from repro.utils.rng import derive_rng
 
 __all__ = [
+    "COEFFICIENT_TOLERANCE",
     "ORACLES",
     "FuzzCase",
+    "coefficient_drift",
     "forensics_for_case",
     "generate_case",
     "install_chaos",
@@ -74,7 +83,13 @@ __all__ = [
 ]
 
 #: Oracle names, in execution order (cheapest first).
-ORACLES = ("rerun", "workers", "resume", "trace", "engines")
+ORACLES = ("rerun", "coefficients", "workers", "resume", "trace", "engines")
+
+#: How far ``F_start`` may sit from the DWT of the model, relative to the
+#: latter's norm.  Not 1e-12: the db2/sym2 taps are orthonormal only to
+#: ``sum(h**2) - 1 = -5.7e-13``, so the projection that yields ``F_start``
+#: agrees with ``forward(inverse(c))`` to about 1.3e-12.
+COEFFICIENT_TOLERANCE = 1e-11
 
 #: Default workload/scheme for fuzz runs — the cheapest registered workload.
 DEFAULT_WORKLOAD = "movielens"
@@ -412,8 +427,46 @@ def _oracle_engines(case: FuzzCase, workload: str, scheme: str) -> str | None:
     return None
 
 
+def coefficient_drift(node: Any) -> float | None:
+    """``|F_start - DWT(model)| / |DWT(model)|`` of a JWINS node, else ``None``.
+
+    ``None`` too before the node's first round, when ``F_start`` is unset.
+    """
+
+    scheme = node.scheme
+    if not isinstance(scheme, JwinsScheme) or scheme.start_coefficients is None:
+        return None
+    expected = scheme.transform.forward(node.get_parameters())
+    error = np.linalg.norm(scheme.start_coefficients - expected)
+    return float(error / max(np.linalg.norm(expected), np.finfo(np.float64).tiny))
+
+
+def _oracle_coefficients(case: FuzzCase, workload: str, scheme: str) -> str | None:
+    spec = case.spec(workload, scheme)
+    task, factory, config, _ = spec.build()
+    simulator = Simulator(task, factory, config, scheme_name=spec.scheme.label)
+    failures: list[str] = []
+
+    def check(round_index: int, node_id: int | None, now: float) -> None:
+        # Lock-step ends a round for every node; gossip for the one whose
+        # round just ended (the others may be mid-round, holding a trained model).
+        nodes = simulator.nodes if node_id is None else [simulator.nodes[node_id]]
+        for node in nodes:
+            drift = coefficient_drift(node)
+            if drift is not None and not drift <= COEFFICIENT_TOLERANCE and not failures:
+                failures.append(
+                    f"after round {round_index}, node {node.node_id}'s F_start is "
+                    f"{drift:.2e} (relative) from the DWT of its model"
+                )
+
+    simulator.on_round_end(check)
+    simulator.run()
+    return failures[0] if failures else None
+
+
 _ORACLE_FUNCS: dict[str, Callable[[FuzzCase, str, str], str | None]] = {
     "rerun": _oracle_rerun,
+    "coefficients": _oracle_coefficients,
     "workers": _oracle_workers,
     "resume": _oracle_resume,
     "trace": _oracle_trace,

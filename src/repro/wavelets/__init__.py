@@ -17,6 +17,7 @@ from repro.wavelets.transform import (
     ModelTransform,
     WaveletTransform,
     make_transform,
+    pad_images,
 )
 
 __all__ = [
@@ -40,4 +41,5 @@ __all__ = [
     "ModelTransform",
     "WaveletTransform",
     "make_transform",
+    "pad_images",
 ]

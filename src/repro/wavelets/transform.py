@@ -17,16 +17,24 @@ stacked ``(N, n)`` matrix of them (``forward_batch``/``inverse_batch``) — with
 row ``r`` of the stacked result bit-identical to the flat call on row ``r``.
 For :class:`WaveletTransform` the two are shape checks around one
 decomposition, since the DWT works along the last axis.
+
+The two transforms JWINS uses also have ``project_batch``, ``forward(inverse(c))``
+per row: the coefficients of the model a coefficient vector reconstructs.  It
+copies for :class:`IdentityTransform`.  The padded DWT is not onto, so for
+:class:`WaveletTransform` it is not the identity but an orthogonal projection
+(:func:`pad_images`), computed without running either transform.
 """
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 
 import numpy as np
 
 from repro.exceptions import WaveletError
-from repro.wavelets.dwt import max_decomposition_level, wavedec, waverec
+from repro.wavelets.dwt import dwt_single, max_decomposition_level, wavedec, waverec
+from repro.wavelets.filters import get_filter_bank
 from repro.wavelets.fourier import FourierLayout, fft_forward, fft_inverse
 from repro.wavelets.packing import (
     CoefficientLayout,
@@ -41,7 +49,48 @@ __all__ = [
     "ModelTransform",
     "WaveletTransform",
     "make_transform",
+    "pad_images",
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def pad_images(layout: CoefficientLayout) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The sparse columns ``v_j`` spanning what the padded DWT never reaches.
+
+    A level whose input has odd length appends a zero sample.  Let that sample
+    vary instead and every level is an orthogonal map, so the DWT with free pad
+    samples is orthogonal too; ``v_j`` is its image of a unit pad sample at
+    padded level ``j``: that level's analysis of the unit, its approximation
+    carried through the deeper levels.  The DWT's range is everything
+    orthogonal to the ``v_j``, and
+    ``forward(inverse(c)) = c - sum_j v_j (v_j . c)``.
+    One ``(indices, values)`` pair per padded level, shallowest first,
+    each a few filter taps per level deep; none for an unpadded layout.
+    Cached per layout (a frozen dataclass), so every node of a deployment
+    shares one read-only copy.
+    """
+
+    bank = get_filter_bank(layout.wavelet)
+    images = []
+    length = layout.original_length
+    for level, padded in enumerate(layout.pad_flags):
+        if padded:
+            unit = np.zeros(length + 1)
+            unit[-1] = 1.0
+            approx, detail, _ = dwt_single(unit, bank)
+            deeper = wavedec(approx, bank, layout.levels - level - 1)
+            # Bands are packed deepest first: the deeper levels', then this
+            # level's detail; every shallower band is zero.
+            head = np.concatenate(deeper.arrays + (detail,))
+            if head.size != sum(layout.band_sizes[: layout.levels - level + 1]):
+                raise WaveletError("pad image disagrees with the coefficient layout")
+            indices = np.flatnonzero(head)
+            values = head[indices]
+            indices.setflags(write=False)
+            values.setflags(write=False)
+            images.append((indices, values))
+        length = (length + 1) // 2
+    return tuple(images)
 
 
 class ModelTransform(ABC):
@@ -125,9 +174,11 @@ class IdentityTransform(ModelTransform):
 
         return self._check_batch(matrix, self._model_size).copy()
 
-    # The identity is its own inverse, in either shape.
+    # The identity is its own inverse, in either shape, and onto: what JWINS
+    # calls ``project_batch`` (``forward(inverse(c))``) is a copy too.
     inverse = forward
     inverse_batch = forward_batch
+    project_batch = forward_batch
 
 
 class WaveletTransform(ModelTransform):
@@ -187,6 +238,27 @@ class WaveletTransform(ModelTransform):
         """Every row's :meth:`inverse` in one kernel pass over the matrix."""
 
         return self._reconstruct(self._check_batch(coefficients, self.coefficient_size()))
+
+    def project_batch(self, coefficients: np.ndarray) -> np.ndarray:
+        """``forward_batch(inverse_batch(c))`` as ``c - sum_j v_j (v_j . c)`` per row.
+
+        Equal to the two transforms up to rounding (the filters are
+        orthonormal to about 1e-12, not exactly), at a few dozen
+        multiply-adds per row, over :func:`pad_images`.  Each dot product is a running sum along the
+        row, never a BLAS product or a reduction whose order follows the
+        gather's memory layout, so every row is bit-identical to the one-row
+        call.
+        """
+
+        projected = self._check_batch(coefficients, self.coefficient_size()).copy()
+        images = pad_images(self._layout)
+        dots = [
+            np.cumsum(projected[:, indices] * values, axis=1)[:, -1]
+            for indices, values in images
+        ]
+        for (indices, values), dot in zip(images, dots):
+            projected[:, indices] -= dot[:, None] * values
+        return projected
 
 
 class FourierTransform(ModelTransform):

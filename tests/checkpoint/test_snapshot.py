@@ -106,9 +106,12 @@ def test_load_rejects_tampered_payload(tmp_path):
         SimulationSnapshot.load(path)
 
 
-@pytest.mark.parametrize("version", [1, 999], ids=["pre-codec-epoch", "future"])
+@pytest.mark.parametrize(
+    "version", [1, 2, 999], ids=["pre-codec-epoch", "pre-coefficient-epoch", "future"]
+)
 def test_load_rejects_wrong_version(tmp_path, version):
-    """Version 1 files hold the old float codec's byte counts and must not resume."""
+    """Version 1 files hold the old float codec's byte counts, version 2 files
+    JWINS state without ``F_start``: neither may resume."""
 
     snapshot = pause_at(small_config(), 2)
     path = tmp_path / "run.ckpt.json"

@@ -111,6 +111,7 @@ def test_scheme_state_roundtrip_mid_round():
     inbox = [neighbor.prepare(make_context(1, 0))]
     state = decode_value(json.loads(json.dumps(encode_value(scheme.state_dict()))))
     assert state["own_coefficients"] is not None
+    assert state["start_coefficients"].tobytes() == scheme.start_coefficients.tobytes()
 
     clone = jwins_factory()(0, MODEL_SIZE, 7)
     clone.load_state_dict(state)

@@ -240,13 +240,17 @@ def test_rows_form_equals_one_row_calls(scheme_type, config_name):
             [_context(round_index, rng_seed=100 * round_index + node) for node in range(nodes)]
             for _ in range(2)
         )
+        # The rows form consumes its change matrix (the rows become scores).
         messages = JwinsScheme.prepare_from_coefficients(
-            stacked, contexts_a, change_matrix, own_matrix
+            stacked, contexts_a, change_matrix.copy(), own_matrix
         )
         counts = set()
         for row in range(nodes):
             (expected,) = single[row].prepare_from_coefficients(
-                [single[row]], [contexts_b[row]], change_matrix[row][None], own_matrix[row][None]
+                [single[row]],
+                [contexts_b[row]],
+                change_matrix[row][None].copy(),
+                own_matrix[row][None],
             )
             _assert_same_message(messages[row], expected)
             counts.add(expected.payload["indices"].size)
@@ -263,23 +267,24 @@ def test_rows_form_equals_one_row_calls(scheme_type, config_name):
             assert len(counts) == len(config.cutoff.alphas)  # multi-row groups of every count
         for scheme_a, scheme_b in zip(stacked, single):
             round_change = data.normal(size=width)
-            scheme_a.finalize_from_change(round_change)
-            scheme_b.finalize_from_change(round_change)
+            scheme_a.ranker.end_of_round_from_change(round_change)
+            scheme_b.ranker.end_of_round_from_change(round_change)
 
 
 def test_prepare_is_the_rows_form_with_one_row():
+    """A first round: the change is ``forward(trained) - forward(start)``."""
+
     config = JwinsConfig.paper_default()
     via_prepare, via_rows = _scheme(config), _scheme(config)
-    trained = np.random.default_rng(4).normal(size=MODEL_SIZE)
-    message = via_prepare.prepare(_context(trained=trained, rng_seed=6))
-    context = _context(trained=trained, rng_seed=6)
+    start, trained = np.random.default_rng(4).normal(size=(2, MODEL_SIZE))
+    message = via_prepare.prepare(_context(start=start, trained=trained, rng_seed=6))
+    context = _context(start=start, trained=trained, rng_seed=6)
+    own = via_rows.transform.forward(trained)
     (expected,) = via_rows.prepare_from_coefficients(
-        [via_rows],
-        [context],
-        via_rows.transform.forward(trained - context.params_start)[None],
-        via_rows.transform.forward(trained)[None],
+        [via_rows], [context], (own - via_rows.transform.forward(start))[None], own[None]
     )
     _assert_same_message(message, expected)
+    assert via_prepare._start_coefficients.tobytes() == via_rows.transform.forward(start).tobytes()
 
 
 def test_rows_form_rejects_schemes_with_different_configs():

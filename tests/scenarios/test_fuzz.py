@@ -268,4 +268,4 @@ def test_module_self_test_catches_injected_nondeterminism():
 def test_oracle_names_are_stable():
     # scripts/ci.sh and the README document these names; renaming is a breaking
     # change to saved failure reports.
-    assert ORACLES == ("rerun", "workers", "resume", "trace", "engines")
+    assert ORACLES == ("rerun", "coefficients", "workers", "resume", "trace", "engines")
