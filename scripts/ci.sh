@@ -23,7 +23,9 @@
 #                drift, causal backtrace); then arena-vs-pernode cells with
 #                equal result payloads: 24 nodes with the default cut-off list
 #                and with --budget 0.2 (jwins and full-sharing each), and a
-#                20-node cifar10 cell whose rows x d need two JWINS passes;
+#                20-node cifar10 cell whose rows x d need two JWINS passes,
+#                and a 96-node fig10 MLP cell through the arena's stacked train
+#                step and its per-node fallback;
 #                then the float-codec oracle: 8 cifar10 nodes, four schemes,
 #                value codec on vs off, results equal but for bytes and time
 #   checkpoint   SIGINT a 2-cell pool sweep mid-spec, resume it, and
@@ -254,6 +256,73 @@ for row_p, row_a in zip(pernode, arena):
 PY
   done
   echo "determinism gate: arena-engine results are byte-identical to per-node"
+
+  # The arena's stacked train step (one forward/loss/backward of a member-axis
+  # MLP per local step) on the fig10 synthetic MLP task: 96 nodes, degree 6,
+  # churn-partition, momentum 0.9, both engines, equal result payloads.  No
+  # registered workload trains an MLPClassifier, so the cells above never
+  # reach it.  673 samples over 96 iid nodes: node 0 holds 8 (the batch size),
+  # every other node 7, so the batches differ in shape and the step falls back
+  # per node -- except while churn has node 0 offline, when the rest stack.
+  python - <<'PY'
+import json
+import sys
+
+import numpy as np
+
+from repro.core import JwinsConfig, jwins_factory
+from repro.datasets.base import Dataset, LearningTask, classification_accuracy
+from repro.datasets.synthetic import make_class_images
+from repro.nn.losses import CrossEntropyLoss
+from repro.nn.models import MLPClassifier
+from repro.scenarios import get_scenario
+from repro.simulation import ExperimentConfig, arena, run_experiment
+from repro.simulation.node import SimulationNode
+
+inputs, labels = make_class_images(
+    np.random.default_rng(5), 673 + 64, 4, image_size=4, channels=1, noise=0.5
+)
+task = LearningTask(
+    name="toy",
+    train=Dataset(inputs[:673], labels[:673]),
+    test=Dataset(inputs[673:], labels[673:]),
+    model_factory=lambda rng: MLPClassifier(16, 16, 4, rng),
+    loss_factory=CrossEntropyLoss,
+    accuracy_fn=classification_accuracy,
+)
+config = ExperimentConfig(
+    num_nodes=96, degree=6, rounds=6, local_steps=2, batch_size=8, learning_rate=0.05,
+    momentum=0.9, eval_every=2, eval_nodes=8, eval_test_samples=64, seed=5,
+    partition="iid", scenario=get_scenario("churn-partition", 96, 6),
+)
+calls = {"stacked": 0, "per-node": 0}
+stacked_step, backpropagate = arena._stacked_step, SimulationNode.backpropagate
+
+
+def counting_step(*args):
+    calls["stacked"] += 1
+    return stacked_step(*args)
+
+
+def counting_backpropagate(self, *args):
+    calls["per-node"] += 1
+    return backpropagate(self, *args)
+
+
+arena._stacked_step, SimulationNode.backpropagate = counting_step, counting_backpropagate
+factory = jwins_factory(JwinsConfig.paper_default())
+arena_result = run_experiment(task, factory, config.with_engine("arena")).to_dict()
+arena_calls = dict(calls)
+pernode_result = run_experiment(task, factory, config).to_dict()
+if json.dumps(arena_result, sort_keys=True) != json.dumps(pernode_result, sort_keys=True):
+    print("determinism gate FAILED: the stacked train step changed the fig10 MLP result")
+    sys.exit(1)
+if not (arena_calls["stacked"] and arena_calls["per-node"]):
+    print(f"determinism gate FAILED: the cell did not run both train paths: {arena_calls}")
+    sys.exit(1)
+print(f"stacked steps {arena_calls['stacked']}, per-node fallback backprops {arena_calls['per-node']}")
+PY
+  echo "determinism gate: the stacked train step is byte-identical to per-node training"
 
   # Float-codec losslessness, whole-run and parent-free: each compressing
   # scheme with its value codec on and off must give one result once the six

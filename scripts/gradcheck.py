@@ -4,11 +4,13 @@ Run by the ``gradcheck`` stage of ``scripts/ci.sh`` (or by hand with
 ``PYTHONPATH=src python scripts/gradcheck.py``); the same checks are part of the
 test suite (tests/nn/test_gradients.py) at a smaller scale.
 
-The model checks difference *parameters*; the layer checks at the end difference
-a bare ``Conv2d``'s weight and bias and the *input* of ``Conv2d`` and
-``MaxPool2d`` over kernel sizes, strides and paddings, which is the only
-finite-difference cover of ``_im2col``/``_col2im`` beyond the one geometry
-(kernel 3, stride 1, padding 1) a ``ConvClassifier`` uses.
+The model checks difference *parameters*, including an ``MLPClassifier`` whose
+parameters carry a member axis (three MLPs in one call, as the arena's stacked
+train step runs them) against the sum of its members' losses.  The layer checks
+at the end difference a bare ``Conv2d``'s weight and bias and the *input* of
+``Conv2d`` and ``MaxPool2d`` over kernel sizes, strides and paddings, which is
+the only finite-difference cover of ``_im2col``/``_col2im`` beyond the one
+geometry (kernel 3, stride 1, padding 1) a ``ConvClassifier`` uses.
 """
 
 from __future__ import annotations
@@ -62,6 +64,33 @@ def check(name, model, loss, inputs, targets, tolerance=1e-5):
     return error < tolerance
 
 
+class MemberSum:
+    """The sum of a member-axis loss's per-member values.
+
+    Member ``r``'s parameters enter member ``r``'s loss alone, so the gradient
+    of the sum in them is that member's own gradient — what ``backward``
+    returns for the stack.
+    """
+
+    def __init__(self, loss):
+        self.loss = loss
+
+    def forward(self, outputs, targets):
+        return float(np.sum(self.loss.forward(outputs, targets)))
+
+    def backward(self):
+        return self.loss.backward()
+
+
+def member_axis(model, members, rng):
+    """``model`` rebound to ``members`` random parameter sets, one per leading row."""
+
+    for parameter in model.parameters():
+        parameter.value = rng.normal(scale=0.5, size=(members, *parameter.shape))
+        parameter.grad = np.zeros_like(parameter.value)
+    return model
+
+
 class WeightedSum:
     """``sum(outputs * upstream)`` as a loss: its gradient in the outputs is ``upstream``."""
 
@@ -99,6 +128,10 @@ def main() -> None:
     mlp = MLPClassifier(12, 8, 3, rng)
     ok &= check("MLPClassifier", mlp, CrossEntropyLoss(), rng.normal(size=(4, 12)),
                 rng.integers(0, 3, size=4))
+
+    stacked = member_axis(MLPClassifier(12, 8, 3, rng), 3, rng)
+    ok &= check("MLPClassifier, member axis of 3", stacked, MemberSum(CrossEntropyLoss()),
+                rng.normal(size=(3, 4, 12)), rng.integers(0, 3, size=(3, 4)))
 
     cnn = ConvClassifier(2, 8, 3, rng, channels=(2, 3), hidden=6)
     ok &= check("ConvClassifier", cnn, CrossEntropyLoss(), rng.normal(size=(2, 2, 8, 8)),

@@ -6,7 +6,9 @@ algorithms (full sharing, random sampling, CHOCO, JWINS) are measured with the
 same accounting rules:
 
 * parameter values travel through the configured float codec (Fpzip in the
-  paper, the XOR/DEFLATE codec here);
+  paper; here :class:`~repro.compression.float_codec.FloatCodec`, which sends
+  the three low bytes of each float32 raw and the sign/exponent byte plane
+  through DEFLATE level 1);
 * sparsification metadata travels through the configured index codec;
 * every message carries a small fixed framing header.
 """

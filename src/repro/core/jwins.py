@@ -28,8 +28,9 @@ parameters are written only by its own training and its own aggregate.
 model.
 
 Steps 1-3 and 4-5 are each written once, over a *pass* of consecutive rows
-(:func:`_prepare_pass`, :func:`_aggregate_pass`): the transforms run on the
-pass's ``(n, d)`` matrix, everything per node stays per row.  A lock-step round
+(:func:`_prepare_pass`, :func:`_aggregate_pass`): the transforms and the
+sparse average run on the pass's ``(n, d)`` matrix, what is drawn or encoded
+per node (scores, alpha, the float codec) stays per row.  A lock-step round
 is cut into passes of about :data:`_PASS_ELEMENTS` elements;
 :meth:`JwinsScheme.prepare` and :meth:`JwinsScheme.aggregate` are the one-row
 passes.
@@ -44,7 +45,7 @@ import numpy as np
 from repro.compression.float_codec import FloatCodec, RawFloatCodec
 from repro.compression.indices import EliasGammaIndexCodec, RawIndexCodec
 from repro.compression.sizing import PayloadSize
-from repro.core.aggregation import average_inbox
+from repro.core.aggregation import inbox_contributions, partial_weighted_average
 from repro.core.config import JwinsConfig
 from repro.core.interface import Message, RoundContext, SharingScheme
 from repro.core.ranking import WaveletRanker
@@ -144,18 +145,13 @@ def _aggregate_pass(
 ) -> np.ndarray:
     """Algorithm 1 lines 9-12 for one pass: its ``(n, d)`` new models.
 
-    The sparse average is per row; the inverse DWT and the projection giving
-    ``F_new`` each run once over the pass.  Equation 4 adds
-    ``F_new - F_start`` per row, then ``F_new`` is the next ``F_start``.
+    The sparse average, the inverse DWT and the projection giving ``F_new``
+    each run once over the pass.  Equation 4 adds ``F_new - F_start`` per row,
+    then ``F_new`` is the next ``F_start``.
     """
 
     first = schemes[0]
-    averaged = _rows(
-        [
-            scheme.aggregate_coefficients(context, inbox)
-            for scheme, context, inbox in zip(schemes, contexts, inboxes)
-        ]
-    )
+    averaged = first.aggregate_coefficients(schemes, contexts, inboxes)
     new_params = first.transform.inverse_batch(averaged)
     new_starts = first.transform.project_batch(averaged)
     for scheme, new_start in zip(schemes, new_starts):
@@ -331,22 +327,35 @@ class JwinsScheme(SharingScheme):
         for rows in _passes(schemes):
             yield rows, _aggregate_pass(schemes[rows], contexts[rows], inboxes[rows])
 
+    @staticmethod
     def aggregate_coefficients(
-        self, context: RoundContext, messages: list[Message]
+        schemes: Sequence["JwinsScheme"],
+        contexts: Sequence[RoundContext],
+        inboxes: Sequence[list[Message]],
     ) -> np.ndarray:
-        """Algorithm 1 lines 9-10 without the final inverse transform.
+        """Algorithm 1 lines 9-10 for a stack of nodes, without the inverse transform.
 
-        Returns the partially weighted-averaged coefficient vector still in
-        the transform domain; :func:`_aggregate_pass` stacks the rows of a
-        pass and reconstructs them in one inverse DWT.
+        The pass-level counterpart of :meth:`prepare_from_coefficients`: row
+        ``i`` is node ``i``'s own coefficients (retained by that call, and
+        consumed here) partially weighted-averaged with ``inboxes[i]``, still
+        in the transform domain.  All rows go through one
+        :func:`~repro.core.aggregation.partial_weighted_average`;
+        :func:`_aggregate_pass` calls this once, for one row or many.
         """
 
-        if self._own_coefficients is None:
+        owns = [scheme._own_coefficients for scheme in schemes]
+        if any(own is None for own in owns):
             raise SimulationError("aggregate called before prepare")
-        averaged = average_inbox(
-            self._own_coefficients, context, messages, MESSAGE_KIND, "JWINS"
+        averaged = partial_weighted_average(
+            _rows(owns),
+            [context.self_weight for context in contexts],
+            [
+                inbox_contributions(context, inbox, MESSAGE_KIND, "JWINS")
+                for context, inbox in zip(contexts, inboxes)
+            ],
         )
-        self._own_coefficients = None
+        for scheme in schemes:
+            scheme._own_coefficients = None
         return averaged
 
     # -- checkpointing -----------------------------------------------------------

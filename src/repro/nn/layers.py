@@ -14,6 +14,12 @@ __all__ = ["Dropout", "Embedding", "Flatten", "Linear"]
 class Linear(Module):
     """Fully connected layer ``y = x W^T + b``.
 
+    A layer whose parameters carry a leading *member axis* — weight
+    ``(members, out, in)``, bias ``(members, out)``, inputs ``(members, batch,
+    in)`` — is ``members`` independent layers in one call: member ``r`` of every
+    product is one 2-D ``matmul`` on its own rows, so it is bit-identical to the
+    layer holding member ``r``'s parameters alone.
+
     Parameters
     ----------
     in_features, out_features:
@@ -59,9 +65,9 @@ class Linear(Module):
                 f"Linear expected {self.in_features} input features, got {inputs.shape[-1]}"
             )
         self._cache_input = inputs if self.training else None
-        output = inputs @ self.weight.value.T
+        output = inputs @ self.weight.value.mT
         if self.bias is not None:
-            output = output + self.bias.value
+            output += self.bias.value[..., None, :]
         return output
 
     def backward_parameters(self, grad_output: np.ndarray) -> np.ndarray:
@@ -69,18 +75,20 @@ class Linear(Module):
 
         All a model's first layer needs, since nothing consumes the gradient of
         the model's input.  Returns ``grad_output`` as the
-        ``(batch, out_features)`` matrix the input half starts from.
+        ``(batch, out_features)`` matrix (one per member) the input half starts
+        from.
         """
 
         if self._cache_input is None:
             raise ModelError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        # Collapse any leading dimensions into a single batch dimension.
-        flat_grad = grad_output.reshape(-1, self.out_features)
-        flat_in = self._cache_input.reshape(-1, self.in_features)
-        self.weight.grad += flat_grad.T @ flat_in
+        # Collapse any leading dimensions but the member axis into one batch dimension.
+        members = self.weight.value.shape[:-2]
+        flat_grad = grad_output.reshape(*members, -1, self.out_features)
+        flat_in = self._cache_input.reshape(*members, -1, self.in_features)
+        self.weight.grad += flat_grad.mT @ flat_in
         if self.bias is not None:
-            self.bias.grad += flat_grad.sum(axis=0)
+            self.bias.grad += flat_grad.sum(axis=-2)
         return flat_grad
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

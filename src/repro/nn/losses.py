@@ -47,36 +47,44 @@ class Loss:
 
 
 class CrossEntropyLoss(Loss):
-    """Softmax cross-entropy over integer class targets (mean over the batch)."""
+    """Softmax cross-entropy over integer class targets (mean over the batch).
+
+    Logits ``(members, batch, classes)`` with targets ``(members, batch)`` are
+    that many independent losses: ``forward`` returns the array of the
+    members' batch means, ``backward`` their stacked gradients, row ``r``
+    bit-identical to the 2-D call on member ``r`` alone.
+    """
 
     def __init__(self) -> None:
-        self._cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._cache: tuple[np.ndarray, tuple[np.ndarray, ...]] | None = None
 
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
+    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float | np.ndarray:
         logits = np.asarray(predictions, dtype=np.float64)
         labels = np.asarray(targets)
-        if logits.ndim != 2:
+        if logits.ndim not in (2, 3):
             raise ModelError("CrossEntropyLoss expects (batch, classes) logits")
         if not np.issubdtype(labels.dtype, np.integer):
             raise ModelError("CrossEntropyLoss expects integer class targets")
-        if labels.shape[0] != logits.shape[0]:
+        if labels.shape != logits.shape[:-1]:
             raise ModelError("logits and targets have mismatched batch sizes")
-        if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+        if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[-1]):
             raise ModelError("target class out of range")
-        log_probs = log_softmax(logits)
-        batch = logits.shape[0]
-        loss = -float(log_probs[np.arange(batch), labels].mean())
-        self._cache = (logits, labels)
-        return loss
+        # The target logit of every row: (arange(batch), labels), behind a
+        # member index when there is a member axis.
+        targets_at = (np.arange(labels.shape[-1]), labels)
+        if labels.ndim == 2:
+            targets_at = (np.arange(labels.shape[0])[:, None], *targets_at)
+        losses = -log_softmax(logits)[targets_at].mean(axis=-1)
+        self._cache = (logits, targets_at)
+        return float(losses) if logits.ndim == 2 else losses
 
     def backward(self) -> np.ndarray:
         if self._cache is None:
             raise ModelError("backward called before forward")
-        logits, labels = self._cache
-        batch = logits.shape[0]
+        logits, targets_at = self._cache
         grad = softmax(logits)
-        grad[np.arange(batch), labels] -= 1.0
-        return grad / batch
+        grad[targets_at] -= 1.0
+        return grad / logits.shape[-2]
 
     def predictions(self, logits: np.ndarray) -> np.ndarray:
         """Return the predicted class per row (used by accuracy metrics)."""

@@ -140,6 +140,11 @@ class MLPClassifier(Module):
     caches nothing and a ``backward`` after it raises.  ``backward`` accumulates
     every parameter gradient and returns ``None``: no caller uses the gradient
     of the inputs, so ``fc1`` runs only the parameter half of its backward.
+
+    With a member axis on its parameters (see :class:`~repro.nn.layers.Linear`)
+    it is that many MLPs of one shape in one call: inputs ``(members, batch,
+    ...)``, logits ``(members, batch, classes)``, row ``r`` bit-identical to
+    the MLP holding member ``r``'s parameters alone.
     """
 
     def __init__(
@@ -156,7 +161,9 @@ class MLPClassifier(Module):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
-        flat = inputs.reshape(inputs.shape[0], -1)
+        # Keep the batch axis, and the member axis in front of it if any.
+        batch_axes = self.fc1.weight.value.ndim - 1
+        flat = inputs.reshape(*inputs.shape[:batch_axes], -1)
         return self.fc2(self.act(self.fc1(flat)))
 
     def backward(self, grad_output: np.ndarray) -> None:

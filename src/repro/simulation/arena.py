@@ -14,9 +14,15 @@ is ``train``, and :func:`train_batched` is its arena form:
   (:meth:`NodeArenas.step_rows`) instead of once per node per tensor, and so
   does the gradient zeroing before it (one ``arenas.grads[rows] = 0`` for N
   ``model.zero_grad()`` traversals);
-* sampling, forward and backward stay per node
-  (:meth:`~repro.simulation.node.SimulationNode.backpropagate_batch`): every
-  node owns its batch RNG stream and its data.
+* sampling stays per node — every node owns its batch RNG stream and its
+  data — but when the nodes train one
+  :class:`~repro.nn.models.MLPClassifier` shape under a
+  :class:`~repro.nn.losses.CrossEntropyLoss` and their batches share a shape,
+  forward, loss and backward run once, on a model whose parameters carry a
+  member axis over the active rows (:func:`_stacked_step`); row ``r`` of
+  every product is the node's own 2-D call, so the gradients are
+  bit-identical.  Any other model, or a step whose batches differ in shape,
+  runs :meth:`~repro.simulation.node.SimulationNode.backpropagate` per node.
 
 ``encode`` and ``aggregate`` are the same functions for both layouts
 (:func:`repro.simulation.engine.encode`/:func:`~repro.simulation.engine.aggregate`):
@@ -40,11 +46,15 @@ taken under one engine resumes under the other.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.core.interface import SchemeFactory
 from repro.datasets.base import LearningTask
 from repro.exceptions import SimulationError
+from repro.nn.losses import CrossEntropyLoss
+from repro.nn.models import MLPClassifier
 from repro.nn.optim import SGD
 from repro.simulation.engine import Simulator, build_nodes
 from repro.simulation.experiment import ExperimentConfig
@@ -108,6 +118,18 @@ class NodeArenas:
 
         return [
             arena[row, column_range].reshape(shape)
+            for column_range, shape in zip(self.slices, self.shapes)
+        ]
+
+    def member_views(self, block: np.ndarray) -> list[np.ndarray]:
+        """Per-tensor views of an ``(n, d)`` row block with a leading member axis.
+
+        Tensor ``t`` is ``block[:, slice_t]`` reshaped to ``(n, *shape_t)``;
+        splitting the contiguous last axis keeps it a view.
+        """
+
+        return [
+            block[:, column_range].reshape(len(block), *shape)
             for column_range, shape in zip(self.slices, self.shapes)
         ]
 
@@ -242,6 +264,54 @@ def build_arena_nodes(
 
 
 # -- the layout-dependent stage ----------------------------------------------------
+def _stackable(nodes: list[SimulationNode]) -> bool:
+    """Whether the nodes can train as one member-axis MLP.
+
+    Exact types only: a subclass may override ``forward``/``backward``.  The
+    arena already holds one parameter layout for all nodes.
+    """
+
+    return bool(nodes) and all(
+        type(node.model) is MLPClassifier and type(node.loss) is CrossEntropyLoss
+        for node in nodes
+    )
+
+
+def _stacked_step(
+    template: MLPClassifier,
+    arenas: NodeArenas,
+    rows: np.ndarray,
+    batches: list[tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """One local step of every row on its batch, in one forward/loss/backward.
+
+    A copy of ``template`` is bound to the rows' parameters and their zeroed
+    gradient rows, so the gradients land as ``0.0 + g``, as each node's own
+    step lands them.  Consecutive rows (no node offline) are bound in place;
+    others are gathered into blocks, the gradients written back.  The copy
+    and its blocks die with the call, before the SGD step allocates its own.
+    Returns the rows' losses.
+    """
+
+    model = copy.deepcopy(template)
+    consecutive = bool(np.all(np.diff(rows) == 1))
+    block = slice(rows[0], rows[-1] + 1) if consecutive else rows
+    grads = arenas.grads[block] if consecutive else np.zeros((rows.size, arenas.model_size))
+    for parameter, value, grad in zip(
+        model.parameters(), arenas.member_views(arenas.params[block]), arenas.member_views(grads)
+    ):
+        parameter.value, parameter.grad = value, grad
+    loss = CrossEntropyLoss()
+    losses = loss.forward(
+        model.forward(np.stack([inputs for inputs, _ in batches])),
+        np.stack([targets for _, targets in batches]),
+    )
+    model.backward(loss.backward())
+    if not consecutive:
+        arenas.grads[rows] = grads
+    return losses
+
+
 def train_batched(
     simulator: Simulator, active_nodes: list[SimulationNode]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -249,9 +319,11 @@ def train_batched(
 
     Same signature as :func:`repro.simulation.engine.train_rows`, one profiler
     interval for the stage.  All active gradient rows are zeroed at once,
-    every active node samples, forwards and backwards its own mini-batch
-    (per-node RNG streams are independent, so the reorder is bit-safe), then
-    one :meth:`NodeArenas.step_rows` call updates all active rows at once.
+    every active node samples its own mini-batch and backpropagates it (per-node
+    RNG streams are independent, so the reorder is bit-safe) — all rows in one
+    :func:`_stacked_step` when the nodes are :func:`_stackable` and their
+    batches share a shape — then one :meth:`NodeArenas.step_rows` call updates
+    all active rows at once.
     """
 
     config = simulator.config
@@ -259,15 +331,28 @@ def train_batched(
     active_rows = np.asarray([node.node_id for node in active_nodes], dtype=np.int64)
     with simulator.profile("train"):
         start_matrix = arenas.params[active_rows]  # index arrays select copies
-        losses: list[list[float]] = [[] for _ in active_nodes]
+        losses = np.empty((len(active_nodes), config.local_steps))
         for node in active_nodes:
             node.set_training(True)
-        for _ in range(config.local_steps):
+        stackable = _stackable(active_nodes)
+        for step in range(config.local_steps):
             arenas.grads[active_rows] = 0.0  # every node's model.zero_grad() at once
-            for node_losses, node in zip(losses, active_nodes):
-                node_losses.append(node.backpropagate_batch())
+            if not stackable:
+                step_losses = [node.backpropagate_batch() for node in active_nodes]
+            else:
+                batches = [node.sample_batch() for node in active_nodes]
+                if len({(inputs.shape, targets.shape) for inputs, targets in batches}) == 1:
+                    step_losses = _stacked_step(
+                        active_nodes[0].model, arenas, active_rows, batches
+                    )
+                else:
+                    step_losses = [
+                        node.backpropagate(*batch) for node, batch in zip(active_nodes, batches)
+                    ]
+            losses[:, step] = step_losses
             arenas.step_rows(active_rows, config.learning_rate, config.momentum)
-        for node_losses, node in zip(losses, active_nodes):
-            node.last_train_loss = float(np.mean(node_losses))
+        # Row means: each row reduced alone, as ``np.mean`` reduces one node's list.
+        for node, mean in zip(active_nodes, losses.mean(axis=1).tolist()):
+            node.last_train_loss = mean
         trained_matrix = arenas.params[active_rows]
     return list(zip(start_matrix, trained_matrix))

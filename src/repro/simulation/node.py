@@ -81,19 +81,23 @@ class SimulationNode:
         indices = self._rng.choice(size, size=min(self.batch_size, size), replace=replace)
         return self.dataset.batch(indices)
 
-    def backpropagate_batch(self) -> float:
-        """One mini-batch's loss, its gradients added to ``Parameter.grad``.
+    def backpropagate(self, inputs: np.ndarray, targets: np.ndarray) -> float:
+        """The loss on one mini-batch, its gradients added to ``Parameter.grad``.
 
         The caller zeroes the gradients before and applies the update after:
         per node in :meth:`local_training`, once for all arena rows in
         :func:`~repro.simulation.arena.train_batched`.
         """
 
-        inputs, targets = self.sample_batch()
         outputs = self.model.forward(inputs)
         loss = self.loss.forward(outputs, targets)
         self.model.backward(self.loss.backward())
         return loss
+
+    def backpropagate_batch(self) -> float:
+        """:meth:`backpropagate` on a freshly sampled mini-batch."""
+
+        return self.backpropagate(*self.sample_batch())
 
     def local_training(self) -> tuple[np.ndarray, np.ndarray]:
         """Run ``local_steps`` SGD steps; return ``(params_start, params_trained)``."""

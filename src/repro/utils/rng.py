@@ -11,10 +11,21 @@ accidentally share a stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["SeedSequenceFactory", "derive_rng", "spawn_seeds"]
+
+
+@lru_cache(maxsize=256)
+def _fnv1a(text: str) -> int:
+    """Stable, platform-independent 32-bit FNV-1a hash of a textual component."""
+
+    acc = 2166136261
+    for byte in text.encode("utf-8"):
+        acc = ((acc ^ byte) * 16777619) & 0xFFFFFFFF
+    return acc
 
 
 def derive_rng(seed: int, *namespace: object) -> np.random.Generator:
@@ -22,21 +33,19 @@ def derive_rng(seed: int, *namespace: object) -> np.random.Generator:
 
     The optional ``namespace`` components (strings or integers) are hashed into
     the seed sequence, so ``derive_rng(7, "topology")`` and
-    ``derive_rng(7, "init", 3)`` produce independent streams.
+    ``derive_rng(7, "init", 3)`` produce independent streams.  Every component
+    is one 32-bit word, so the ``uint32`` array handed to
+    :class:`numpy.random.SeedSequence` is the very pool a list of those words
+    would give, without the per-word coercion.
     """
 
-    entropy: list[int] = [int(seed) & 0xFFFFFFFF]
+    entropy = [int(seed) & 0xFFFFFFFF]
     for part in namespace:
         if isinstance(part, (int, np.integer)):
             entropy.append(int(part) & 0xFFFFFFFF)
         else:
-            # Stable, platform-independent hash of the textual component.
-            text = str(part).encode("utf-8")
-            acc = 2166136261
-            for byte in text:
-                acc = ((acc ^ byte) * 16777619) & 0xFFFFFFFF
-            entropy.append(acc)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+            entropy.append(_fnv1a(str(part)))
+    return np.random.default_rng(np.random.SeedSequence(np.array(entropy, dtype=np.uint32)))
 
 
 def spawn_seeds(seed: int, count: int, *namespace: object) -> list[int]:

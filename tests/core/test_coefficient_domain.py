@@ -48,7 +48,8 @@ class ThreeForwardJwins(JwinsScheme):
         return message
 
     def aggregate(self, context, messages):
-        new_params = self.transform.inverse(self.aggregate_coefficients(context, messages))
+        (averaged,) = self.aggregate_coefficients([self], [context], [messages])
+        new_params = self.transform.inverse(averaged)
         self.ranker.end_of_round(context.params_start, new_params)
         return new_params
 

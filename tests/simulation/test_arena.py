@@ -36,8 +36,10 @@ from repro.simulation import (
     run_experiment,
 )
 from repro.core.jwins import JwinsScheme, _share_passes
+from repro.simulation import arena as arena_module
 from repro.simulation.arena import ArenaSGD, build_arena_nodes
 from repro.simulation.engine import Simulator, SynchronousMode
+from repro.simulation.node import SimulationNode
 from tests.conftest import make_toy_task
 
 ROUNDS = 5
@@ -90,6 +92,8 @@ EQUIVALENCE_CASES = {
     "byzantine": {
         "scenario": get_scenario("byzantine", num_nodes=6, rounds=ROUNDS).to_dict()
     },
+    # Three stacked steps a round, through the momentum buffers.
+    "local-steps": {"local_steps": 3, "momentum": 0.9},
     "async": {"execution": "async", "compute_speed_range": (1.0, 3.0)},
     # The event loop's one-node calls into the shared train/present/encode/
     # aggregate stages, with attackers, NODE_RESUME sleeps and in-flight drops live.
@@ -108,6 +112,62 @@ EQUIVALENCE_CASES = {
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 def test_arena_matches_pernode(case):
     assert_engines_agree(jwins_factory, build_config(**EQUIVALENCE_CASES[case]))
+
+
+def count_train_calls(monkeypatch) -> dict[str, int]:
+    """Count stacked steps and per-node backpropagations from here on."""
+
+    calls = {"stacked": 0, "per-node": 0}
+    stacked_step, backpropagate = arena_module._stacked_step, SimulationNode.backpropagate
+
+    def counting_step(*args):
+        calls["stacked"] += 1
+        return stacked_step(*args)
+
+    def counting_backpropagate(self, inputs, targets):
+        calls["per-node"] += 1
+        return backpropagate(self, inputs, targets)
+
+    monkeypatch.setattr(arena_module, "_stacked_step", counting_step)
+    monkeypatch.setattr(SimulationNode, "backpropagate", counting_backpropagate)
+    return calls
+
+
+def test_the_toy_mlp_trains_through_the_stacked_step(monkeypatch):
+    """The matrix's MLP is the stacked step's oracle: under the arena every
+    local step of a lock-step round is one stacked call, no node backpropagates
+    alone; the per-node engine never stacks."""
+
+    config = build_config(local_steps=3)
+    calls = count_train_calls(monkeypatch)
+    run_experiment(make_toy_task(), jwins_factory(), config.with_engine("arena"))
+    assert calls == {"stacked": ROUNDS * 3, "per-node": 0}
+    calls.update({"stacked": 0, "per-node": 0})
+    run_experiment(make_toy_task(), jwins_factory(), config)
+    assert calls == {"stacked": 0, "per-node": ROUNDS * 3 * config.num_nodes}
+
+
+def test_unequal_batches_fall_back_per_node_and_still_match(monkeypatch):
+    """31 samples over 6 iid nodes: node 0 holds 6, the others 5, all under the
+    batch size, so the batches differ in shape and the step runs per node —
+    except while churn has node 0 offline, when the other five stack."""
+
+    scenario = ScenarioSchedule(
+        name="node-0-away", outages=(NodeOutage(node=0, start_round=1, end_round=3),)
+    )
+    config = build_config(partition="iid", momentum=0.9, scenario=scenario)
+    task_kwargs = {"train_samples": 31}
+    nodes, _ = build_arena_nodes(make_toy_task(**task_kwargs), jwins_factory(), config)
+    sizes = [len(node.dataset) for node in nodes]
+    assert sizes == [6, 5, 5, 5, 5, 5] and max(sizes) < config.batch_size
+    calls = count_train_calls(monkeypatch)
+    assert_engines_agree(jwins_factory, config, task_kwargs=task_kwargs)
+    steps, away = config.local_steps, 2  # node 0 misses rounds 1 and 2
+    assert calls["stacked"] == away * steps
+    assert calls["per-node"] == (
+        (ROUNDS - away) * steps * 6  # the arena's fallback, node 0 present
+        + (ROUNDS * 6 - away) * steps  # the per-node engine, every node-round
+    )
 
 
 def test_arena_matches_pernode_at_twenty_nodes():
@@ -339,12 +399,18 @@ def test_arena_matches_pernode_all_nodes_offline_round():
     assert result.rounds_completed == ROUNDS
 
 
-def test_arena_matches_pernode_node_churns_out_mid_run():
+def test_arena_matches_pernode_node_churns_out_mid_run(monkeypatch):
+    """Node 2 away for two rounds: the stacked step gathers rows 0, 1, 3, 4, 5
+    (no longer consecutive, so not bound in place) and writes them back."""
+
     scenario = ScenarioSchedule(
         name="mid-run-churn",
         outages=(NodeOutage(node=2, start_round=1, end_round=3),),
     )
-    assert_engines_agree(jwins_factory, build_config(scenario=scenario))
+    config = build_config(scenario=scenario)
+    calls = count_train_calls(monkeypatch)
+    assert_engines_agree(jwins_factory, config)
+    assert calls["stacked"] == ROUNDS * config.local_steps
 
 
 def test_single_row_arena_step_matches_sgd():
