@@ -17,10 +17,11 @@
 #   smoke        pinned CLI spec hashes / `sweep --dry-run` expansion first,
 #                then async gossip example + orchestration sweep resume smoke
 #                + live status.json heartbeat smoke (2-worker sweep, `top`)
-#   determinism  churn+partition sweep twice serially and once on 2 workers;
-#                the JSONL stores must be byte-for-byte identical (a mismatch
-#                prints a forensic trace diff: first divergent record, field
-#                drift, causal backtrace); then arena-vs-pernode cells with
+#   determinism  churn+partition sweep (sync and async cells) twice serially
+#                and once on 2 workers; the JSONL stores must be byte-for-byte
+#                identical and so must every wall-stripped cell trace (a
+#                mismatch prints a forensic trace diff: first divergent record,
+#                field drift, causal backtrace); then arena-vs-pernode cells with
 #                equal result payloads: 24 nodes with the default cut-off list
 #                and with --budget 0.2 (jwins and full-sharing each), and a
 #                20-node cifar10 cell whose rows x d need two JWINS passes,
@@ -194,23 +195,57 @@ _compare_stores() {
   echo "determinism gate: $label stores are byte-identical"
 }
 
+# The stripped (wall-free) per-cell traces of two runs must match file for
+# file; on a mismatch the forensic diff names the first divergent record.
+_compare_traces() {
+  local dir_a="$1" dir_b="$2" label="$3"
+  if ! python - "$dir_a" "$dir_b" <<'PY'
+import sys
+from pathlib import Path
+
+from repro.observability.trace import strip_wall
+
+left, right = (sorted(Path(d).glob("*.trace.jsonl")) for d in sys.argv[1:3])
+if not left or [p.name for p in left] != [p.name for p in right]:
+    sys.exit(f"  trace file sets differ ({len(left)} vs {len(right)} files)")
+for a, b in zip(left, right):
+    if strip_wall(a) != strip_wall(b):
+        sys.exit(f"  {a.name}: stripped traces differ")
+print(f"determinism gate: {len(left)} stripped cell traces are identical")
+PY
+  then
+    echo "determinism gate FAILED: $label stripped traces differ"
+    _trace_forensics "$dir_a" "$dir_b"
+    return 1
+  fi
+}
+
 stage_determinism() {
   # A seeded churn+partition sweep must be reproducible byte for byte: run the
-  # 2-cell grid twice with 1 worker and once with 2 workers, then compare the
-  # JSONL stores.  The churn-partition scenario cell keeps the whole scenario
-  # subsystem (churn, partitions, rewiring trace) inside the gate.
-  # Each run also writes per-cell traces so a byte mismatch is root-caused on
-  # the spot (first divergent record + causal backtrace) instead of dumping a
-  # raw store diff.
+  # grid twice with 1 worker and once with 2 workers, then compare the JSONL
+  # stores and the wall-stripped per-cell traces (every record, not just the
+  # results).  The churn-partition scenario keeps the whole scenario subsystem
+  # (churn, partitions, rewiring trace) inside the gate; each leg runs the
+  # two schemes lock-step, then again under the event loop (a second sweep
+  # into the same store: two cells, so the 2-worker leg maps them over the
+  # pool rather than running one cell in-process).
   local det_args=(--workload movielens --scheme jwins full-sharing
                   --nodes 4 --degree 2 --rounds 3 --scenario churn-partition)
-  python -m repro.cli sweep "${det_args[@]}" --store "$CI_TMP/det-serial.jsonl" --workers 1 --trace "$CI_TMP/det-serial-traces" >/dev/null
-  python -m repro.cli sweep "${det_args[@]}" --store "$CI_TMP/det-rerun.jsonl"  --workers 1 --trace "$CI_TMP/det-rerun-traces"  >/dev/null
-  python -m repro.cli sweep "${det_args[@]}" --store "$CI_TMP/det-pool.jsonl"   --workers 2 --trace "$CI_TMP/det-pool-traces"   >/dev/null
+  local leg workers
+  for leg in serial rerun pool; do
+    workers=1
+    [[ "$leg" == pool ]] && workers=2
+    python -m repro.cli sweep "${det_args[@]}" --store "$CI_TMP/det-$leg.jsonl" \
+        --workers "$workers" --trace "$CI_TMP/det-$leg-traces" >/dev/null
+    python -m repro.cli sweep "${det_args[@]}" --scale execution=async --store "$CI_TMP/det-$leg.jsonl" \
+        --workers "$workers" --trace "$CI_TMP/det-$leg-traces" >/dev/null
+  done
   _compare_stores "$CI_TMP/det-serial.jsonl" "$CI_TMP/det-rerun.jsonl" "rerun (1 worker vs 1 worker)" \
       "$CI_TMP/det-serial-traces" "$CI_TMP/det-rerun-traces"
+  _compare_traces "$CI_TMP/det-serial-traces" "$CI_TMP/det-rerun-traces" "rerun (1 worker vs 1 worker)"
   _compare_stores "$CI_TMP/det-serial.jsonl" "$CI_TMP/det-pool.jsonl"  "worker count (1 vs 2)" \
       "$CI_TMP/det-serial-traces" "$CI_TMP/det-pool-traces"
+  _compare_traces "$CI_TMP/det-serial-traces" "$CI_TMP/det-pool-traces" "worker count (1 vs 2)"
 
   # Arena-engine equivalence cells: (N, d) arena state must reproduce the
   # per-node engine's result payloads exactly.  Both engines run one share

@@ -669,7 +669,7 @@ def _run_cells(
                 result = spec.run(
                     profiler=profiler,
                     metrics=metrics,
-                    trace=trace,
+                    observers=() if trace is None else (trace,),
                     heartbeat=cell_heartbeat(args.status, spec, metrics),
                     **run_options,
                 )

@@ -113,13 +113,6 @@ class SharingScheme(ABC):
         starts the next round from.
         """
 
-    def finalize(self, context: RoundContext, new_params: np.ndarray) -> None:
-        """Hook called after aggregation with the final round result.
-
-        JWINS uses it for the end-of-round accumulator update (Equation 4);
-        most schemes need no post-processing, hence the default no-op.
-        """
-
     # -- one round stage over the nodes it is given --------------------------------
     @staticmethod
     def prepare_rows(
@@ -139,13 +132,12 @@ class SharingScheme(ABC):
 
         ``rows`` is a slice of the given sequences, ``new_parameters`` those
         nodes' ``(len(rows), model_size)`` next models; blocks come in row
-        order, cover every row once, and are finalized when yielded.  The
-        default is :meth:`aggregate` then :meth:`finalize`, one row per block.
+        order and cover every row once.  The default is one :meth:`aggregate`
+        per row, one row per block.
         """
 
         for row, (scheme, context, inbox) in enumerate(zip(schemes, contexts, inboxes)):
             new_params = scheme.aggregate(context, inbox)
-            scheme.finalize(context, new_params)
             yield slice(row, row + 1), np.asarray(new_params, dtype=np.float64).reshape(1, -1)
 
     # -- checkpointing -------------------------------------------------------------

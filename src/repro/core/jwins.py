@@ -83,7 +83,7 @@ def _share_passes(schemes: Sequence[SharingScheme]) -> bool:
 
     A pass uses its first scheme's transform and codecs for all rows, so all
     must be one :class:`JwinsScheme` subtype that inherits ``prepare`` and
-    ``aggregate`` and adds no ``finalize``, built from the same two things a
+    ``aggregate``, built from the same two things a
     scheme derives everything from: model size and an equal
     :class:`~repro.core.config.JwinsConfig`.  Anything else takes the per-row
     default hooks.
@@ -93,11 +93,7 @@ def _share_passes(schemes: Sequence[SharingScheme]) -> bool:
         return False
     first = schemes[0]
     cls = type(first)
-    if (
-        cls.prepare is not JwinsScheme.prepare
-        or cls.aggregate is not JwinsScheme.aggregate
-        or cls.finalize is not JwinsScheme.finalize
-    ):
+    if cls.prepare is not JwinsScheme.prepare or cls.aggregate is not JwinsScheme.aggregate:
         return False
     return all(
         type(scheme) is cls

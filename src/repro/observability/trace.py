@@ -1,9 +1,11 @@
 """Structured JSONL run traces with a determinism-preserving wall split.
 
-A :class:`TraceEmitter` writes one JSON object per line: a ``manifest``
-header at the start of every run (spec hash, seed, library versions), then
-one record per round / delivered message / evaluation / checkpoint event and
-a closing ``run_end`` record.  Every record has the shape::
+A :class:`TraceEmitter` is an engine observer (attach it with
+``Simulator.add_observer`` or pass it in ``observers=``).  It writes one JSON
+object per line: a ``manifest`` header at the start of every run (spec hash,
+seed, library versions), then one record per round / delivered message /
+evaluation / checkpoint event and a closing ``run_end`` record.  Every record
+has the shape::
 
     {"kind": "round", "seq": 7, "round": 3, "now": 41.25, ...,
      "wall": {"unix_time": 1719244801.22}}
@@ -23,10 +25,16 @@ event of a broken replay.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import platform
 import time
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, TextIO
+
+import numpy as np
+
+from repro.observability.memory import peak_rss_bytes
 
 __all__ = [
     "TraceEmitter",
@@ -40,8 +48,37 @@ __all__ = [
 WALL_KEY = "wall"
 
 
+def _run_manifest(simulator: Any) -> dict[str, Any]:
+    """The identity header the trace's ``manifest`` record carries.
+
+    Everything here is stable for a given machine and spec — the seed, sizes,
+    execution mode, library versions and (when the run came from an
+    orchestration cell) the spec content hash — so stripped traces stay
+    byte-identical across reruns.
+    """
+
+    config = simulator.config
+    manifest: dict[str, Any] = {
+        "scheme": simulator.result.scheme,
+        "task": simulator.result.task,
+        "num_nodes": int(config.num_nodes),
+        "rounds": int(config.rounds),
+        "seed": int(config.seed),
+        "execution": simulator.mode.name,
+        "versions": {"python": platform.python_version(), "numpy": np.__version__},
+    }
+    if simulator.spec_payload is not None:
+        canonical = json.dumps(simulator.spec_payload, sort_keys=True, separators=(",", ":"))
+        manifest["spec_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
+    return manifest
+
+
 class TraceEmitter:
     """Append-structured-records-to-JSONL emitter with sequence numbering.
+
+    Its ``on_*`` methods are the engine's observer hooks (see
+    :class:`~repro.simulation.engine.SimulationObserver`); one emitter may
+    trace several runs back to back into one file.
 
     Parameters
     ----------
@@ -90,10 +127,43 @@ class TraceEmitter:
         handle.write(json.dumps(record, sort_keys=True) + "\n")
         self._seq += 1
 
-    def begin_run(self, manifest: Mapping[str, Any]) -> None:
-        """Emit the run-manifest header record (once per run sharing the file)."""
+    # -- the engine's observer hooks -----------------------------------------------
+    def on_run_start(self, simulator: Any) -> None:
+        self.emit("manifest", _run_manifest(simulator))
 
-        self.emit("manifest", manifest)
+    def on_round_end(self, round_index: int, node_id: int | None, now: float) -> None:
+        self.emit("round", {"round": round_index, "node": node_id, "now": now})
+
+    def on_message(self, message: Any, receiver: int, now: float) -> None:
+        sender, size = message.sender, float(message.size.total_bytes)
+        self.emit("message", {"sender": sender, "receiver": receiver, "bytes": size, "now": now})
+
+    def on_evaluate(self, record: Any) -> None:
+        self.emit(
+            "evaluate",
+            {
+                "round": record.round_index,
+                "accuracy": record.test_accuracy,
+                "loss": record.test_loss,
+                "bytes_per_node": record.cumulative_bytes_per_node,
+                "now": record.simulated_time_seconds,
+            },
+        )
+
+    def on_checkpoint(self, rounds_completed: int, reason: str) -> None:
+        self.emit("checkpoint", {"rounds_completed": rounds_completed, "reason": reason})
+
+    def on_run_end(self, result: Any) -> None:
+        wall: dict[str, Any] = {"peak_rss_bytes": peak_rss_bytes()}
+        if result.phase_seconds:
+            wall["phase_seconds"] = dict(result.phase_seconds)
+        fields = {
+            "rounds_completed": result.rounds_completed,
+            "total_bytes": float(result.total_bytes),
+            "simulated_time_seconds": float(result.simulated_time_seconds),
+        }
+        self.emit("run_end", fields, wall=wall)
+        self.flush()
 
     def flush(self) -> None:
         """Flush buffered records to disk (the file stays open)."""

@@ -20,7 +20,7 @@ Identity rules, pinned by tests:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.orchestration.pool import cell_trace
@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.checkpoint.snapshot import SimulationSnapshot
     from repro.observability.metrics import MetricsRegistry
     from repro.observability.status import CellStatusWriter
-    from repro.observability.trace import TraceEmitter
     from repro.utils.profiling import Profiler
 
 __all__ = ["build_forked_spec", "run_fork"]
@@ -90,7 +89,7 @@ def run_fork(
     checkpoint_every: int = 0,
     profiler: "Profiler | None" = None,
     metrics: "MetricsRegistry | None" = None,
-    trace: "TraceEmitter | None" = None,
+    observers: Sequence[object] = (),
     trace_dir: "str | Path | None" = None,
     heartbeat: "CellStatusWriter | None" = None,
 ) -> tuple[ExperimentSpec, ExperimentResult]:
@@ -99,25 +98,19 @@ def run_fork(
     Returns the forked spec (hash-distinct from the parent whenever lineage
     or mutations differ) together with its result.  The forked run is itself
     checkpointable via ``checkpoint_dir``/``checkpoint_every``; ``profiler``,
-    ``metrics``, ``trace`` and ``heartbeat`` attach run telemetry exactly as
-    on a plain run (and stay outside the determinism contract).
+    ``metrics``, ``observers`` and ``heartbeat`` attach run telemetry exactly
+    as on a plain run (and stay outside the determinism contract).
 
-    ``trace_dir`` derives the trace path from the **forked** spec's content
-    hash (``<forked hash>.trace.jsonl``) through the same
+    ``trace_dir`` adds a trace named by the **forked** spec's content hash
+    (``<forked hash>.trace.jsonl``) through the same
     :func:`~repro.orchestration.pool.cell_trace` that names a sweep's per-cell
     traces.  Because lineage participates in the hash, a fork traced
     into its parent sweep's trace directory can never silently overwrite the
-    parent cell's trace file.  ``trace`` and ``trace_dir`` are mutually
-    exclusive (an explicit emitter already has a path).
+    parent cell's trace file.
     """
 
-    if trace is not None and trace_dir is not None:
-        raise ConfigurationError(
-            "pass either an explicit trace emitter or a trace_dir, not both"
-        )
     spec = build_forked_spec(snapshot, mutations)
-    if trace_dir is not None:
-        trace = cell_trace(trace_dir, spec.content_hash())
+    trace = cell_trace(trace_dir, spec.content_hash())
     try:
         result = spec.run(
             checkpoint_dir=checkpoint_dir,
@@ -126,10 +119,10 @@ def run_fork(
             verify_spec=False,
             profiler=profiler,
             metrics=metrics,
-            trace=trace,
+            observers=observers if trace is None else (*observers, trace),
             heartbeat=heartbeat,
         )
     finally:
-        if trace_dir is not None:
-            trace.close()  # ours; an emitter passed in stays the caller's
+        if trace is not None:
+            trace.close()  # ours; an observer passed in stays the caller's
     return spec, result

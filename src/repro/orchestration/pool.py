@@ -197,7 +197,7 @@ def _execute_spec_task(
             checkpoint_every=checkpoint_every,
             profiler=Profiler() if telemetry.get("profile") else None,
             metrics=registry,
-            trace=trace,
+            observers=() if trace is None else (trace,),
             heartbeat=cell_heartbeat(telemetry.get("status_dir"), spec, registry),
         )
     except ExperimentPaused as paused:

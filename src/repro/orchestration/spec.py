@@ -23,9 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.interface import SchemeFactory
 from repro.datasets.base import LearningTask
@@ -40,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.checkpoint.snapshot import SimulationSnapshot
     from repro.observability.metrics import MetricsRegistry
     from repro.observability.status import CellStatusWriter
-    from repro.observability.trace import TraceEmitter
     from repro.utils.profiling import Profiler
 
 __all__ = ["ExperimentSpec"]
@@ -198,7 +195,7 @@ class ExperimentSpec:
         verify_spec: bool = True,
         profiler: "Profiler | None" = None,
         metrics: "MetricsRegistry | None" = None,
-        trace: "TraceEmitter | None" = None,
+        observers: Sequence[object] = (),
         heartbeat: "CellStatusWriter | None" = None,
     ) -> ExperimentResult:
         """Execute this cell and return its result.
@@ -213,9 +210,10 @@ class ExperimentSpec:
         snapshot-belongs-to-this-spec check (the ``fork`` workflow, which
         replays a parent spec's snapshot under a mutated config).
 
-        ``profiler``, ``metrics``, ``trace`` and ``heartbeat`` attach the
-        telemetry layer (see :mod:`repro.observability`); all four stay
-        outside the determinism contract.
+        ``profiler``, ``metrics``, ``observers`` (e.g. a trace emitter) and
+        ``heartbeat`` attach the telemetry layer (see
+        :mod:`repro.observability`); all four stay outside the determinism
+        contract.
         """
 
         from repro.checkpoint.manager import CheckpointManager
@@ -260,6 +258,6 @@ class ExperimentSpec:
             resume_from=snapshot,
             spec=self.to_dict(),
             metrics=metrics,
-            trace=trace,
+            observers=observers,
             heartbeat=heartbeat,
         )

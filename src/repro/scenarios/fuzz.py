@@ -315,8 +315,8 @@ def generate_case(seed: int, index: int, ensure_byzantine: bool = False) -> Fuzz
 
 
 # -- oracles -----------------------------------------------------------------------
-def _result_json(spec: ExperimentSpec, trace: TraceEmitter | None = None) -> str:
-    return json.dumps(spec.run(trace=trace).to_dict(), sort_keys=True)
+def _result_json(spec: ExperimentSpec, observers: tuple[object, ...] = ()) -> str:
+    return json.dumps(spec.run(observers=observers).to_dict(), sort_keys=True)
 
 
 def _oracle_rerun(case: FuzzCase, workload: str, scheme: str) -> str | None:
@@ -377,11 +377,8 @@ def _oracle_resume(case: FuzzCase, workload: str, scheme: str) -> str | None:
 def _traced_result_json(spec: ExperimentSpec, path: Path) -> str:
     """Run ``spec`` with its trace written to ``path``; the result as JSON."""
 
-    emitter = TraceEmitter(path)
-    try:
-        return _result_json(spec, trace=emitter)
-    finally:
-        emitter.close()
+    with TraceEmitter(path) as emitter:
+        return _result_json(spec, observers=(emitter,))
 
 
 def _oracle_trace(case: FuzzCase, workload: str, scheme: str) -> str | None:

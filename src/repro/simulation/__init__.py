@@ -4,7 +4,7 @@ The package is organized around the :class:`~repro.simulation.engine.Simulator`
 engine:
 
 * :mod:`repro.simulation.engine` — the :class:`Simulator` (nodes, topology,
-  byte metering, evaluation) plus the two pluggable execution modes:
+  byte metering, evaluation) plus the two execution modes:
   :class:`SynchronousMode` (the paper's lock-step rounds, one six-stage loop)
   and :class:`AsynchronousMode` (event-driven gossip over heterogeneous nodes);
 * :mod:`repro.simulation.arena` — the arena engine: node state held in
@@ -23,7 +23,8 @@ engine:
 * :mod:`repro.simulation.node`, :mod:`repro.simulation.network`,
   :mod:`repro.simulation.metrics` — nodes, byte metering and results.
 
-Attach observers instead of editing the loop::
+Attach observers (any object defining some of
+:class:`SimulationObserver`'s hooks) instead of editing the loop::
 
     simulator = Simulator(task, scheme_factory, config)
     simulator.on_evaluate(lambda record: print(record.round_index, record.test_accuracy))
@@ -33,7 +34,6 @@ Attach observers instead of editing the loop::
 from repro.simulation.arena import ArenaSGD, NodeArenas, build_arena_nodes
 from repro.simulation.engine import (
     AsynchronousMode,
-    ExecutionMode,
     SimulationObserver,
     Simulator,
     SynchronousMode,
@@ -54,7 +54,6 @@ __all__ = [
     "EXECUTION_MODES",
     "Event",
     "EventLoop",
-    "ExecutionMode",
     "NodeArenas",
     "ExperimentConfig",
     "ExperimentResult",

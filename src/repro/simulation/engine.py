@@ -1,13 +1,14 @@
-"""The :class:`Simulator` engine and its pluggable execution modes.
+"""The :class:`Simulator` engine and its two execution modes.
 
 The engine separates three concerns that used to live in one monolithic loop:
 
 * the :class:`Simulator` owns the *deployment* — nodes, topology, mixing
   weights, byte metering, evaluation and the result being built;
-* an :class:`ExecutionMode` strategy owns the *schedule* — how rounds unfold
-  in simulated time — and nothing else: a round's work is one set of plain
-  stage functions (``train``, ``present``, ``encode``, ``deliver``/``admit``,
-  ``aggregate``, ``account``) that both schedules call.  :class:`SynchronousMode`
+* the execution mode that ``config.execution`` selects owns the *schedule* —
+  how rounds unfold in simulated time — and nothing else: a round's work is one
+  set of plain stage functions (``train``, ``present``, ``encode``,
+  ``deliver``/``admit``, ``aggregate``, ``account``) that both schedules
+  call.  :class:`SynchronousMode`
   reproduces the paper's lock-step rounds bit-for-bit as one loop handing each
   stage all active nodes; :class:`AsynchronousMode` runs event-driven gossip as
   a table of per-event-kind handlers calling the same stages with a one-node
@@ -15,9 +16,9 @@ The engine separates three concerns that used to live in one monolithic loop:
   :mod:`repro.simulation.arena`); ``encode``/``aggregate`` reach a scheme only
   through its class's rows hooks, which alone decide how many rows share a
   kernel call;
-* observers attach to the engine's hook points (``on_round_end``,
-  ``on_message``, ``on_evaluate``) so metrics collection, early-stop logic or
-  live dashboards never require editing the loop itself.
+* observers attach to the engine's hook points (see
+  :class:`SimulationObserver`) so traces, status heartbeats, early-stop logic
+  or live dashboards never require editing the loop itself.
 
 Typical use::
 
@@ -32,10 +33,6 @@ API every benchmark and example uses.
 from __future__ import annotations
 
 import contextlib
-import hashlib
-import json
-import platform
-from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -57,7 +54,6 @@ from repro.simulation.events import (
 )
 from repro.observability.memory import peak_rss_bytes
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
-from repro.observability.trace import TraceEmitter
 from repro.simulation.experiment import ExperimentConfig
 from repro.simulation.metrics import ExperimentResult, RoundRecord
 from repro.simulation.network import ByteMeter
@@ -72,7 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover - lazy runtime import avoids a cycle
 
 __all__ = [
     "AsynchronousMode",
-    "ExecutionMode",
     "SimulationObserver",
     "Simulator",
     "SynchronousMode",
@@ -134,10 +129,12 @@ def build_nodes(
 
 
 class SimulationObserver:
-    """Base class for engine observers; override any subset of the hooks.
+    """The engine's hooks; an observer defines any subset of them.
 
-    Prefer this over raw callbacks when one object wants several hooks, e.g.
-    a dashboard collecting both deliveries and evaluation points::
+    :meth:`Simulator.add_observer` attaches whichever hooks an object defines
+    (a subclass of this or not, like the JSONL trace) and skips the no-ops
+    inherited from here, e.g. a dashboard collecting deliveries and
+    evaluation points::
 
         class Dashboard(SimulationObserver):
             def on_message(self, message, receiver, now):
@@ -146,12 +143,18 @@ class SimulationObserver:
                 ...
 
         simulator.add_observer(Dashboard())
+
+    Within a round the order is ``on_message`` (each delivery), ``on_round_end``,
+    then that round's ``on_evaluate`` and ``on_checkpoint``, if any.
     """
+
+    def on_run_start(self, simulator: "Simulator") -> None:
+        """``simulator.run()`` began (a resumed run starts here too)."""
 
     def on_round_end(self, round_index: int, node_id: int | None, now: float) -> None:
         """A round finished.  ``node_id`` is ``None`` under the synchronous
         barrier (the round ends globally) and the finishing node's id under
-        the asynchronous mode."""
+        the asynchronous mode; ``result.rounds_completed`` is already settled."""
 
     def on_message(self, message: Message, receiver: int, now: float) -> None:
         """``message`` was delivered to ``receiver`` at simulated time ``now``."""
@@ -159,16 +162,18 @@ class SimulationObserver:
     def on_evaluate(self, record: RoundRecord) -> None:
         """An evaluation point was recorded."""
 
+    def on_checkpoint(self, rounds_completed: int, reason: str) -> None:
+        """A snapshot was captured (and handed to the sink, if any).
 
-class ExecutionMode(ABC):
-    """Strategy deciding how rounds unfold in simulated time."""
+        ``reason`` is ``"cadence"`` or ``"stop"``; a stop then pauses the run.
+        """
 
-    #: Short name stored on :attr:`ExperimentResult.execution`.
-    name = "abstract"
+    def on_run_end(self, result: ExperimentResult) -> None:
+        """The run completed (a paused or failed run never gets here)."""
 
-    @abstractmethod
-    def run(self, simulator: "Simulator") -> None:
-        """Drive ``simulator`` to completion, filling its result in place."""
+
+#: The hook names :meth:`Simulator.add_observer` looks for.
+OBSERVER_HOOKS = tuple(name for name in vars(SimulationObserver) if name.startswith("on_"))
 
 
 class Simulator:
@@ -181,13 +186,10 @@ class Simulator:
     scheme_factory:
         Factory building one :class:`~repro.core.interface.SharingScheme` per node.
     config:
-        The experiment configuration; ``config.execution`` selects the default
-        execution mode unless ``mode`` overrides it.
+        The experiment configuration; ``config.execution`` selects
+        :class:`SynchronousMode` or :class:`AsynchronousMode`.
     scheme_name:
         Optional display name stored on the result.
-    mode:
-        Explicit :class:`ExecutionMode` instance; defaults to
-        :class:`SynchronousMode` or :class:`AsynchronousMode` per the config.
     profiler:
         Optional :class:`~repro.utils.profiling.Profiler` measuring the
         wall-clock cost of the engine phases (``train``/``encode``/
@@ -215,10 +217,9 @@ class Simulator:
         collecting run telemetry (bytes and messages per scheme, drops and
         suppressions, events processed, round latencies).  Defaults to the
         shared no-op registry, so instrumented code paths never branch.
-    trace:
-        Optional :class:`~repro.observability.trace.TraceEmitter` receiving
-        one structured record per round, delivered message, evaluation and
-        checkpoint, bracketed by a run manifest and a ``run_end`` summary.
+
+    Everything else that watches a run — the JSONL trace, a status heartbeat —
+    is an observer (:meth:`add_observer`).
     """
 
     def __init__(
@@ -227,14 +228,12 @@ class Simulator:
         scheme_factory: SchemeFactory,
         config: ExperimentConfig,
         scheme_name: str | None = None,
-        mode: ExecutionMode | None = None,
         profiler: Profiler | None = None,
         checkpoint_every: int = 0,
         checkpoint_sink: Callable[["SimulationSnapshot"], None] | None = None,
         resume_from: "SimulationSnapshot | None" = None,
         spec: dict[str, Any] | None = None,
         metrics: MetricsRegistry | None = None,
-        trace: TraceEmitter | None = None,
     ) -> None:
         self.task = task
         self.config = config
@@ -260,7 +259,6 @@ class Simulator:
 
         resolved_scheme = scheme_name or self.nodes[0].scheme.name
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.trace = trace
         self.meter = ByteMeter(
             config.num_nodes, metrics=self.metrics, scheme=resolved_scheme
         )
@@ -291,11 +289,9 @@ class Simulator:
         self._m_round_latency = self.metrics.histogram("engine_round_latency_seconds")
         self._latency_marks: dict[int, float] = {}
 
-        if mode is None:
-            # Both run on either node-state engine: gossip steps nodes through
-            # their arena views, lock-step picks its train stage off ``arenas``.
-            mode = SynchronousMode() if config.execution == "sync" else AsynchronousMode()
-        self.mode = mode
+        # Both run on either node-state engine: gossip steps nodes through
+        # their arena views, lock-step picks its train stage off ``arenas``.
+        self.mode = SynchronousMode() if config.execution == "sync" else AsynchronousMode()
 
         self.result = ExperimentResult(
             scheme=resolved_scheme,
@@ -303,12 +299,11 @@ class Simulator:
             num_nodes=config.num_nodes,
             rounds_completed=0,
             target_accuracy=config.target_accuracy,
-            execution=mode.name,
+            execution=self.mode.name,
         )
 
-        self._round_end_callbacks: list[RoundEndCallback] = []
-        self._message_callbacks: list[MessageCallback] = []
-        self._evaluate_callbacks: list[EvaluateCallback] = []
+        #: Hook name -> the callbacks attached to it, in registration order.
+        self._hooks: dict[str, list[Callable[..., None]]] = {name: [] for name in OBSERVER_HOOKS}
         self._ran = False
 
         if checkpoint_every < 0:
@@ -327,29 +322,40 @@ class Simulator:
     def on_round_end(self, callback: RoundEndCallback) -> "Simulator":
         """Register ``callback(round_index, node_id, now)``; returns ``self``."""
 
-        self._round_end_callbacks.append(callback)
+        self._hooks["on_round_end"].append(callback)
         return self
 
     def on_message(self, callback: MessageCallback) -> "Simulator":
         """Register ``callback(message, receiver, now)``; returns ``self``."""
 
-        self._message_callbacks.append(callback)
+        self._hooks["on_message"].append(callback)
         return self
 
     def on_evaluate(self, callback: EvaluateCallback) -> "Simulator":
         """Register ``callback(record)``; returns ``self``."""
 
-        self._evaluate_callbacks.append(callback)
+        self._hooks["on_evaluate"].append(callback)
         return self
 
-    def add_observer(self, observer: SimulationObserver) -> "Simulator":
-        """Attach all three hooks of a :class:`SimulationObserver` at once."""
+    def add_observer(self, observer: object) -> "Simulator":
+        """Attach every hook ``observer`` defines (see :class:`SimulationObserver`).
 
-        return (
-            self.on_round_end(observer.on_round_end)
-            .on_message(observer.on_message)
-            .on_evaluate(observer.on_evaluate)
-        )
+        A no-op inherited from :class:`SimulationObserver` is not attached, so
+        an observer pays only for the hooks it overrides.
+        """
+
+        for name, callbacks in self._hooks.items():
+            hook = getattr(observer, name, None)
+            inherited = getattr(type(observer), name, None) is getattr(SimulationObserver, name)
+            if hook is not None and not inherited:
+                callbacks.append(hook)
+        return self
+
+    def _notify(self, hook: str, *args: Any) -> None:
+        """Call every callback attached to ``hook`` with ``args``."""
+
+        for callback in self._hooks[hook]:
+            callback(*args)
 
     def emit_round_end(self, round_index: int, node_id: int | None, now: float) -> None:
         self._m_rounds.set(float(self.result.rounds_completed))
@@ -359,10 +365,7 @@ class Simulator:
             key = -1 if node_id is None else node_id
             self._m_round_latency.observe(now - self._latency_marks.get(key, 0.0))
             self._latency_marks[key] = now
-        if self.trace is not None:
-            self.trace.emit("round", {"round": round_index, "node": node_id, "now": now})
-        for callback in self._round_end_callbacks:
-            callback(round_index, node_id, now)
+        self._notify("on_round_end", round_index, node_id, now)
 
     def mark_profile_round(self, round_index: int) -> None:
         """Cut the profiler's per-round row at a round boundary (no-op when off).
@@ -377,17 +380,8 @@ class Simulator:
     def emit_message(self, message: Message, receiver: int, now: float) -> None:
         self._m_delivered.inc()
         self._m_bytes_received.inc(message.size.total_bytes)
-        if self.trace is not None:
-            self.trace.emit(
-                "message",
-                {
-                    "sender": message.sender,
-                    "receiver": receiver,
-                    "bytes": float(message.size.total_bytes),
-                    "now": now,
-                },
-            )
-        for callback in self._message_callbacks:
+        # The loop of ``_notify`` inlined: this runs once per delivered copy.
+        for callback in self._hooks["on_message"]:
             callback(message, receiver, now)
 
     # -- checkpointing -------------------------------------------------------------
@@ -430,16 +424,11 @@ class Simulator:
 
         snapshot = capture_snapshot(self, mode_state())
         self.metrics.counter("engine_snapshots_captured").inc()
-        if self.trace is not None:
-            self.trace.emit(
-                "checkpoint",
-                {
-                    "rounds_completed": self.result.rounds_completed,
-                    "reason": "stop" if stopping else "cadence",
-                },
-            )
         if self.checkpoint_sink is not None:
             self.checkpoint_sink(snapshot)
+        self._notify(
+            "on_checkpoint", self.result.rounds_completed, "stop" if stopping else "cadence"
+        )
         if stopping:
             raise ExperimentPaused(snapshot)
 
@@ -607,25 +596,13 @@ class Simulator:
         )
         self.result.history.append(record)
         self._m_evaluations.inc()
-        if self.trace is not None:
-            self.trace.emit(
-                "evaluate",
-                {
-                    "round": record.round_index,
-                    "accuracy": record.test_accuracy,
-                    "loss": record.test_loss,
-                    "bytes_per_node": record.cumulative_bytes_per_node,
-                    "now": now,
-                },
-            )
         if (
             self.config.target_accuracy is not None
             and self.result.reached_target_at_round is None
             and test_accuracy >= self.config.target_accuracy
         ):
             self.result.reached_target_at_round = round_index
-        for callback in self._evaluate_callbacks:
-            callback(record)
+        self._notify("on_evaluate", record)
         return record
 
     def should_stop_at_target(self) -> bool:
@@ -636,34 +613,6 @@ class Simulator:
             and self.config.target_accuracy is not None
             and self.result.reached_target_at_round is not None
         )
-
-    def run_manifest(self) -> dict[str, Any]:
-        """The identity header the trace's ``manifest`` record carries.
-
-        Everything here is stable for a given machine and spec — the seed,
-        sizes, execution mode, library versions and (when the run came from an
-        orchestration cell) the spec content hash — so stripped traces stay
-        byte-identical across reruns.
-        """
-
-        manifest: dict[str, Any] = {
-            "scheme": self.result.scheme,
-            "task": self.result.task,
-            "num_nodes": int(self.config.num_nodes),
-            "rounds": int(self.config.rounds),
-            "seed": int(self.config.seed),
-            "execution": self.mode.name,
-            "versions": {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-            },
-        }
-        if self.spec_payload is not None:
-            canonical = json.dumps(
-                self.spec_payload, sort_keys=True, separators=(",", ":")
-            )
-            manifest["spec_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
-        return manifest
 
     # -- driving -------------------------------------------------------------------
     def run(self) -> ExperimentResult:
@@ -679,8 +628,7 @@ class Simulator:
                 "a Simulator instance is single-shot; build a new one to re-run"
             )
         self._ran = True
-        if self.trace is not None:
-            self.trace.begin_run(self.run_manifest())
+        self._notify("on_run_start", self)
         if self.profiler is not None and self.profiler.memory is not None:
             self.profiler.memory.start()
         preemption.register(self)
@@ -716,22 +664,7 @@ class Simulator:
         self.result.total_bytes = self.meter.total_bytes
         self.result.total_metadata_bytes = self.meter.total_metadata_bytes
         self.result.total_values_bytes = self.meter.total_values_bytes
-        if self.trace is not None:
-            wall: dict[str, Any] = {"peak_rss_bytes": peak_rss_bytes()}
-            if self.result.phase_seconds:
-                wall["phase_seconds"] = dict(self.result.phase_seconds)
-            self.trace.emit(
-                "run_end",
-                {
-                    "rounds_completed": self.result.rounds_completed,
-                    "total_bytes": float(self.result.total_bytes),
-                    "simulated_time_seconds": float(
-                        self.result.simulated_time_seconds
-                    ),
-                },
-                wall=wall,
-            )
-            self.trace.flush()
+        self._notify("on_run_end", self.result)
         return self.result
 
 
@@ -900,7 +833,7 @@ def account(
     return duration
 
 
-class SynchronousMode(ExecutionMode):
+class SynchronousMode:
     """The paper's lock-step schedule: train, exchange, aggregate, barrier.
 
     The only lock-step loop: ``train -> present -> encode -> deliver ->
@@ -916,9 +849,12 @@ class SynchronousMode(ExecutionMode):
     stretches by the worst active straggler's extra compute time.
     """
 
+    #: Short name stored on :attr:`ExperimentResult.execution`.
     name = "sync"
 
     def run(self, simulator: Simulator) -> None:
+        """Drive ``simulator`` to completion, filling its result in place."""
+
         config = simulator.config
         if simulator.arenas is None:
             train = train_rows
@@ -973,7 +909,7 @@ class SynchronousMode(ExecutionMode):
         simulator.result.per_node_time_seconds = [clock] * config.num_nodes
 
 
-class AsynchronousMode(ExecutionMode):
+class AsynchronousMode:
     """Event-driven gossip: every node rounds at its own, heterogeneous pace.
 
     Per node the event chain is ``START_ROUND -> FINISH_TRAIN ->
@@ -1223,7 +1159,6 @@ class AsynchronousMode(ExecutionMode):
         simulator, config = self.simulator, self.simulator.config
         round_index = self.node_round[node_id]
         self.node_round[node_id] += 1
-        simulator.emit_round_end(round_index, node_id, now)
 
         global_round = min(self.node_round)
         advanced = global_round > simulator.result.rounds_completed
@@ -1238,6 +1173,9 @@ class AsynchronousMode(ExecutionMode):
             if global_round < config.rounds:
                 simulator.apply_topology_policy(global_round)
         simulator.result.rounds_completed = global_round
+        # After the global bookkeeping, before the evaluation: observers see
+        # settled progress, as under the barrier.
+        simulator.emit_round_end(round_index, node_id, now)
         due = global_round % config.eval_every == 0 or global_round == config.rounds
         stop = False
         if global_round > self.evaluated_through and due:

@@ -12,19 +12,18 @@ continues the run bit-identically to never having stopped (``task``,
 snapshot was captured from; schedule-level changes — another scenario, more
 rounds — are the ``fork`` workflow).  Every orchestrated cell reaches this
 function through :meth:`~repro.orchestration.spec.ExperimentSpec.run`, the
-only call to it in the CLI and the orchestration layer.  Code that needs the
-engine's observer hooks or a custom
-:class:`~repro.simulation.engine.ExecutionMode` should construct the
-:class:`~repro.simulation.engine.Simulator` directly.
+only call to it in the CLI and the orchestration layer.  Anything that watches
+the run — a trace, a dashboard — goes in ``observers=`` and is attached through
+:meth:`~repro.simulation.engine.Simulator.add_observer`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.interface import SchemeFactory
 from repro.datasets.base import LearningTask
-from repro.simulation.engine import Simulator, build_nodes
+from repro.simulation.engine import SimulationObserver, Simulator, build_nodes
 from repro.simulation.experiment import ExperimentConfig
 from repro.simulation.metrics import ExperimentResult
 from repro.utils.profiling import Profiler
@@ -33,25 +32,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.checkpoint.snapshot import SimulationSnapshot
     from repro.observability.metrics import MetricsRegistry
     from repro.observability.status import CellStatusWriter
-    from repro.observability.trace import TraceEmitter
 
 __all__ = ["build_nodes", "run_experiment"]
 
 
-def _attach_heartbeat(simulator: Simulator, heartbeat: "CellStatusWriter") -> None:
-    """Wire a status heartbeat onto the engine's round-end observer hook.
+class _Heartbeat(SimulationObserver):
+    """A status heartbeat on the engine's round-end and checkpoint hooks.
 
-    ``heartbeat`` is duck-typed (``on_round(rounds_completed)``); the engine
-    updates ``result.rounds_completed`` *before* emitting the round-end event
-    in both execution modes, so the callback always reports settled progress.
-    Observer hooks fire regardless of whether anyone listens, so attaching a
-    heartbeat cannot perturb RNG order or results.
+    ``heartbeat`` is duck-typed (``on_round(rounds_completed)``,
+    ``on_checkpoint(rounds_completed)``).  Both execution modes settle
+    ``result.rounds_completed`` before the round-end hook, so it reports
+    settled progress; a checkpoint counts once a sink holds the snapshot.
+    Hooks fire whether or not anyone listens, so a heartbeat cannot perturb
+    RNG order or results.
     """
 
-    def _on_round_end(round_index: int, node_id: int | None, now: float) -> None:
-        heartbeat.on_round(simulator.result.rounds_completed)
+    def __init__(self, simulator: Simulator, heartbeat: "CellStatusWriter") -> None:
+        self.simulator = simulator
+        self.heartbeat = heartbeat
 
-    simulator.on_round_end(_on_round_end)
+    def on_round_end(self, round_index: int, node_id: int | None, now: float) -> None:
+        self.heartbeat.on_round(self.simulator.result.rounds_completed)
+
+    def on_checkpoint(self, rounds_completed: int, reason: str) -> None:
+        if self.simulator.checkpoint_sink is not None:
+            self.heartbeat.on_checkpoint(rounds_completed)
 
 
 def run_experiment(
@@ -65,7 +70,7 @@ def run_experiment(
     resume_from: "SimulationSnapshot | None" = None,
     spec: dict[str, Any] | None = None,
     metrics: "MetricsRegistry | None" = None,
-    trace: "TraceEmitter | None" = None,
+    observers: Sequence[object] = (),
     heartbeat: "CellStatusWriter | None" = None,
 ) -> ExperimentResult:
     """Run one decentralized-learning experiment and return its metrics.
@@ -88,24 +93,17 @@ def run_experiment(
     orchestration cell that produced them.  All default to off, in which case
     behaviour is bit-identical to a build without checkpointing.
 
-    ``metrics``, ``trace`` and ``heartbeat`` attach the observability layer
-    (see :mod:`repro.observability`): a live registry collects run counters,
-    a trace emitter receives one structured record per round/message/
-    evaluation event, and a status heartbeat (a
-    :class:`~repro.observability.status.CellStatusWriter`) reports live
-    progress — current round and last checkpoint round — through the
-    observer hooks.  All are pure telemetry — the returned result and any
+    ``metrics``, ``observers`` and ``heartbeat`` attach the observability
+    layer (see :mod:`repro.observability`): a live registry collects run
+    counters, each observer (e.g. a
+    :class:`~repro.observability.trace.TraceEmitter`) gets the engine's hooks
+    (:meth:`~repro.simulation.engine.Simulator.add_observer`), and a status
+    heartbeat (a :class:`~repro.observability.status.CellStatusWriter`)
+    reports live progress — current round and last checkpoint round — through
+    the same hooks.  All are pure telemetry — the returned result and any
     persisted store rows are byte-identical with them on or off.
     """
 
-    if heartbeat is not None and checkpoint_sink is not None:
-        inner_sink = checkpoint_sink
-
-        def _sink_with_heartbeat(snapshot: "SimulationSnapshot") -> None:
-            inner_sink(snapshot)
-            heartbeat.on_checkpoint(int(snapshot.rounds_completed))
-
-        checkpoint_sink = _sink_with_heartbeat
     simulator = Simulator(
         task,
         scheme_factory,
@@ -117,8 +115,9 @@ def run_experiment(
         resume_from=resume_from,
         spec=spec,
         metrics=metrics,
-        trace=trace,
     )
+    for observer in observers:
+        simulator.add_observer(observer)
     if heartbeat is not None:
-        _attach_heartbeat(simulator, heartbeat)
+        simulator.add_observer(_Heartbeat(simulator, heartbeat))
     return simulator.run()

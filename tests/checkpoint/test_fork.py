@@ -13,7 +13,7 @@ import pytest
 
 from repro.checkpoint import CheckpointManager, preemption
 from repro.exceptions import CheckpointError, ConfigurationError
-from repro.observability.trace import TraceEmitter
+from repro.observability.trace import TraceEmitter, strip_wall
 from repro.orchestration import (
     ExperimentSpec,
     ResultStore,
@@ -142,14 +142,12 @@ def test_fork_trace_dir_never_clobbers_the_parent_cell_trace(paused, tmp_path):
     assert json.loads(lines[-1])["kind"] == "run_end"
 
 
-def test_fork_rejects_trace_and_trace_dir_together(paused, tmp_path):
+def test_fork_traces_to_an_observer_and_a_trace_dir_together(paused, tmp_path):
     spec, snapshot = paused
-    with pytest.raises(ConfigurationError):
-        run_fork(
-            snapshot,
-            trace=TraceEmitter(tmp_path / "x.trace.jsonl"),
-            trace_dir=tmp_path,
-        )
+    with TraceEmitter(tmp_path / "x.trace.jsonl") as emitter:
+        forked_spec, _ = run_fork(snapshot, observers=(emitter,), trace_dir=tmp_path)
+    named = tmp_path / f"{forked_spec.content_hash()}.trace.jsonl"
+    assert strip_wall(named) == strip_wall(emitter.path)
 
 
 def test_fork_can_extend_the_round_budget(paused):

@@ -59,14 +59,13 @@ def make_context(rng_seed: int, round_index: int) -> RoundContext:
 
 
 def drive_rounds(scheme, rounds: int, start: int = 0) -> list[np.ndarray]:
-    """Run full prepare/aggregate/finalize rounds; return the new params."""
+    """Run full prepare/aggregate rounds; return the new params."""
 
     outputs = []
     for round_index in range(start, start + rounds):
         context = make_context(round_index, round_index)
         scheme.prepare(context)
         new_params = scheme.aggregate(context, [])
-        scheme.finalize(context, new_params)
         outputs.append(new_params)
     return outputs
 

@@ -150,7 +150,6 @@ def test_accumulator_reset_for_shared_coefficients():
     shared = message.payload["indices"]
     assert set(range(10)).issubset(set(shared.tolist()))
     new_params = scheme.aggregate(context, [])
-    scheme.finalize(context, new_params)
     # Shared coordinates were reset before the end-of-round update, so their
     # score equals only the whole-round change; they did not double-count.
     assert np.allclose(scheme.ranker.scores[:10], trained[:10], atol=1e-9)
@@ -303,7 +302,7 @@ def test_rows_form_rejects_schemes_with_different_configs():
 def test_rows_hooks_equal_per_node_rounds_at_every_pass_size(
     monkeypatch, rows_per_pass, scheme_type, config_name
 ):
-    """``prepare_rows``/``aggregate_rows`` vs ``prepare``/``aggregate``/``finalize``.
+    """``prepare_rows``/``aggregate_rows`` vs ``prepare``/``aggregate``.
 
     Whatever the pass size cuts the seven rows into, messages, accumulators,
     every ``context.rng`` and the new parameters equal — byte for byte — what
@@ -355,7 +354,6 @@ def test_rows_hooks_equal_per_node_rounds_at_every_pass_size(
         for node in range(nodes):
             inbox = [messages_b[peer] for peer in ring[node]]
             expected = alone[node].aggregate(contexts_b[node], inbox)
-            alone[node].finalize(contexts_b[node], expected)
             assert new_models[node].tobytes() == expected.tobytes()
             assert together[node].ranker.scores.tobytes() == alone[node].ranker.scores.tobytes()
             assert together[node]._own_coefficients is None

@@ -194,7 +194,7 @@ def test_real_double_run_diffs_identical(tmp_path):
     for index in range(2):
         task = make_toy_task(seed=5)
         path = tmp_path / f"run{index}.trace.jsonl"
-        run_experiment(task, full_sharing_factory(), config, trace=TraceEmitter(path))
+        run_experiment(task, full_sharing_factory(), config, observers=(TraceEmitter(path),))
         paths.append(path)
     diff = diff_traces(paths[0], paths[1])
     assert diff.identical

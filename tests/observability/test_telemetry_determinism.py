@@ -68,18 +68,19 @@ def test_instrumented_run_is_bit_identical_to_plain(tmp_path, execution):
         _tiny_config(execution=execution),
         profiler=Profiler(),
         metrics=MetricsRegistry(),
-        trace=TraceEmitter(tmp_path / "run.trace.jsonl"),
+        observers=(TraceEmitter(tmp_path / "run.trace.jsonl"),),
     )
     assert plain.history == instrumented.history
     assert plain.total_bytes == instrumented.total_bytes
     assert plain.simulated_time_seconds == instrumented.simulated_time_seconds
 
 
-def test_engine_populates_the_metrics_catalog():
+@pytest.mark.parametrize("execution", ["sync", "async"])
+def test_engine_populates_the_metrics_catalog(execution):
     task = make_toy_task(seed=5)
     registry = MetricsRegistry()
     result = run_experiment(
-        task, full_sharing_factory(), _tiny_config(), metrics=registry
+        task, full_sharing_factory(), _tiny_config(execution=execution), metrics=registry
     )
     # 4 nodes x degree 2 x 3 rounds, nothing dropped or suppressed.
     assert registry.value("engine_messages_delivered{scheme=full-sharing}") == 24
@@ -94,7 +95,8 @@ def test_engine_populates_the_metrics_catalog():
         registry.value("net_bytes_received{scheme=full-sharing}") == result.total_bytes
     )
     latency = registry.histogram("engine_round_latency_seconds")
-    assert latency.count == 3  # sync mode: one observation per global round
+    # One observation per global round under sync, per node-round under async.
+    assert latency.count == (3 if execution == "sync" else 12)
 
 
 @pytest.mark.parametrize("execution", ["sync", "async"])
@@ -140,7 +142,7 @@ def test_trace_records_cover_the_run(tmp_path):
         full_sharing_factory(),
         _tiny_config(),
         profiler=Profiler(),
-        trace=TraceEmitter(path, wall_clock=FixedClock()),
+        observers=(TraceEmitter(path, wall_clock=FixedClock()),),
     )
     records = read_trace(path)
     kinds = [record["kind"] for record in records]
@@ -172,7 +174,7 @@ def test_stripped_trace_is_byte_stable_across_reruns(tmp_path):
             full_sharing_factory(),
             _tiny_config(),
             profiler=Profiler(),
-            trace=TraceEmitter(path, wall_clock=FixedClock(start=start)),
+            observers=(TraceEmitter(path, wall_clock=FixedClock(start=start)),),
         )
         documents.append(strip_wall(path))
         raw.append(path.read_bytes())

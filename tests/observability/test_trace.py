@@ -28,7 +28,7 @@ class FixedClock:
 def test_emitter_writes_sequenced_records_with_wall_section(tmp_path):
     path = tmp_path / "run.trace.jsonl"
     with TraceEmitter(path, wall_clock=FixedClock()) as trace:
-        trace.begin_run({"scheme": "jwins", "seed": 1})
+        trace.emit("manifest", {"scheme": "jwins", "seed": 1})
         trace.emit("round", {"round": 0, "now": 1.5})
         trace.emit("round", {"round": 1, "now": 3.0}, wall={"extra": "x"})
     records = read_trace(path)
@@ -60,7 +60,7 @@ def test_strip_wall_is_identical_across_different_clocks(tmp_path):
     for index, start in enumerate((100.0, 99999.0)):
         path = tmp_path / f"run{index}.trace.jsonl"
         with TraceEmitter(path, wall_clock=FixedClock(start=start)) as trace:
-            trace.begin_run({"scheme": "jwins", "seed": 1})
+            trace.emit("manifest", {"scheme": "jwins", "seed": 1})
             trace.emit("round", {"round": 0, "now": 1.5})
         paths.append(path)
     # Raw files differ (the timestamps moved) ...
@@ -80,7 +80,7 @@ def test_summarize_groups_runs_at_manifest_boundaries(tmp_path):
     path = tmp_path / "two-runs.trace.jsonl"
     with TraceEmitter(path, wall_clock=FixedClock()) as trace:
         for scheme in ("jwins", "full-sharing"):
-            trace.begin_run({"scheme": scheme, "seed": 1, "spec_hash": "a" * 64})
+            trace.emit("manifest", {"scheme": scheme, "seed": 1, "spec_hash": "a" * 64})
             trace.emit("round", {"round": 0, "node": 0, "now": 1.0})
             trace.emit("message", {"sender": 1, "receiver": 0, "bytes": 7, "now": 1.0})
             trace.emit(

@@ -21,7 +21,9 @@ import repro.simulation
 from repro.baselines import FullSharingScheme, choco_factory, full_sharing_factory
 from repro.core import JwinsConfig, jwins_factory
 from repro.core.interface import Message, RoundContext
-from repro.exceptions import SimulationError
+from repro.checkpoint import preemption
+from repro.exceptions import ExperimentPaused, SimulationError
+from repro.scenarios import get_scenario
 from repro.simulation import (
     ENGINES,
     AsynchronousMode,
@@ -31,7 +33,7 @@ from repro.simulation import (
     SynchronousMode,
     run_experiment,
 )
-from repro.simulation.engine import build_nodes
+from repro.simulation.engine import OBSERVER_HOOKS, build_nodes
 from repro.simulation.metrics import ExperimentResult, RoundRecord
 from repro.simulation.network import ByteMeter
 from repro.topology.graphs import random_regular_topology
@@ -149,7 +151,6 @@ def reference_run_experiment(task, scheme_factory, config, scheme_name=None):
                     m for m in inbox if drop_rng.random() >= config.message_drop_probability
                 ]
             new_params = node.scheme.aggregate(context, inbox)
-            node.scheme.finalize(context, new_params)
             node.set_parameters(new_params)
 
         max_bytes = max(
@@ -301,6 +302,117 @@ def test_observers_do_not_perturb_the_run(toy_task, small_config):
     observed = observed_sim.run()
     assert observed.history == plain.history
     assert observed.total_bytes == plain.total_bytes
+
+
+class _HookLog(SimulationObserver):
+    """Every hook but ``on_message``, in call order, with the settled progress."""
+
+    def __init__(self):
+        self.simulator = None
+        self.events = []
+
+    def on_run_start(self, simulator):
+        self.simulator = simulator
+        self.events.append(("run_start",))
+
+    def on_round_end(self, round_index, node_id, now):
+        self.events.append(("round_end", self.simulator.result.rounds_completed))
+
+    def on_evaluate(self, record):
+        self.events.append(("evaluate", record.round_index))
+
+    def on_checkpoint(self, rounds_completed, reason):
+        self.events.append(("checkpoint", rounds_completed, reason))
+
+    def on_run_end(self, result):
+        self.events.append(("run_end", result.rounds_completed))
+
+
+def _check_hook_order(events, config, completed):
+    assert events[0] == ("run_start",)
+    assert events.count(("run_start",)) == 1
+    ends = [index for index, event in enumerate(events) if event[0] == "run_end"]
+    assert ends == ([len(events) - 1] if completed else [])
+    for index, event in enumerate(events):
+        if event[0] == "evaluate":
+            # Right after the round end that settled its round.
+            assert events[index - 1] == ("round_end", event[1])
+        elif event[0] == "checkpoint":
+            rounds = event[1]
+            assert events[index - 1] in {("round_end", rounds), ("evaluate", rounds)}
+            if rounds % config.eval_every == 0 or rounds == config.rounds:
+                assert ("evaluate", rounds) in events[:index]
+
+
+@pytest.mark.parametrize("execution", ["sync", "async"])
+def test_observer_hooks_fire_in_contract_order_across_a_pause(execution):
+    """Run start first; round end, then its evaluation, then its checkpoint;
+    run end last, and only when the run completes."""
+
+    config = ExperimentConfig(
+        num_nodes=6, degree=2, rounds=6, local_steps=1, batch_size=8, eval_every=2,
+        eval_test_samples=32, seed=3, execution=execution,
+        scenario=get_scenario("churn-partition", num_nodes=6, rounds=6),
+    )
+    snapshots = []
+    paused_log = _HookLog()
+    simulator = Simulator(
+        make_toy_task(), full_sharing_factory(), config,
+        checkpoint_every=2, checkpoint_sink=snapshots.append,
+    ).add_observer(paused_log)
+    preemption.preempt_after_round(3)
+    try:
+        with pytest.raises(ExperimentPaused):
+            simulator.run()
+    finally:
+        preemption.reset()
+    _check_hook_order(paused_log.events, config, completed=False)
+    assert [event for event in paused_log.events if event[0] == "checkpoint"] == [
+        ("checkpoint", 2, "cadence"),
+        ("checkpoint", 3, "stop"),
+    ]
+
+    resumed_log = _HookLog()
+    resumed = Simulator(
+        make_toy_task(), full_sharing_factory(), config,
+        checkpoint_every=2, checkpoint_sink=snapshots.append, resume_from=snapshots[-1],
+    ).add_observer(resumed_log)
+    result = resumed.run()
+    _check_hook_order(resumed_log.events, config, completed=True)
+    assert [event for event in resumed_log.events if event[0] == "checkpoint"] == [
+        ("checkpoint", 4, "cadence"),
+        ("checkpoint", 6, "cadence"),
+    ]
+    assert resumed_log.events[-1] == ("run_end", result.rounds_completed)
+
+
+def test_an_observer_gets_only_the_hooks_it_defines(toy_task, small_config, monkeypatch):
+    inherited = []
+    for name in OBSERVER_HOOKS:
+        monkeypatch.setattr(
+            SimulationObserver, name, lambda self, *args, name=name: inherited.append(name)
+        )
+
+    class OnlyEvaluations(SimulationObserver):
+        def __init__(self):
+            self.records = []
+
+        def on_evaluate(self, record):
+            self.records.append(record)
+
+    class RunEnd:  # hooks by name alone, no base class
+        def __init__(self):
+            self.results = []
+
+        def on_run_end(self, result):
+            self.results.append(result)
+
+    evaluations, run_end = OnlyEvaluations(), RunEnd()
+    simulator = Simulator(toy_task, full_sharing_factory(), small_config)
+    result = simulator.add_observer(evaluations).add_observer(run_end).run()
+    assert evaluations.records == result.history
+    assert run_end.results == [result]
+    assert inherited == []
 
 
 # -- explicit shared_fraction (replaces the payload sniffing) ---------------------
