@@ -11,13 +11,17 @@ Two implementations are provided with byte-identical output:
 * :func:`elias_gamma_encode_reference`/:func:`elias_gamma_decode_reference` —
   the original bit-serial code built on :class:`~repro.compression.bitstream.BitWriter`;
   the ground truth the equivalence tests compare against.
-* :func:`elias_gamma_encode`/:func:`elias_gamma_decode` — the vectorized hot
-  path.  Encoding computes every code length at once with a branch-free
-  bit-smearing popcount and hands ``(value, 2L - 1)`` fields to the word-level
-  packer :func:`~repro.compression.bitstream.pack_bitfields`, so its cost
-  grows with the number of values, not of output bits; decoding finds each
-  code's unary terminator with a vectorized leading-one scan and enumerates
-  the code boundaries by pointer doubling instead of walking bit by bit.
+* :func:`elias_gamma_encode`/:func:`elias_gamma_decode` — the vectorized
+  path.  Encoding computes every code length at once from ``np.frexp``'s
+  exponent and hands ``(value, 2L - 1)`` fields to the word-level packer
+  :func:`~repro.compression.bitstream.pack_bitfields`, so its cost grows with
+  the number of values, not of output bits; decoding finds each code's unary
+  terminator with a vectorized leading-one scan and enumerates the code
+  boundaries by pointer doubling instead of walking bit by bit.
+
+The index codec needs only the stream's length at encode time, which is
+arithmetic over the same code lengths (``_gamma_bit_counts``); it packs with
+:func:`elias_gamma_encode` when its payload is first read.
 
 Values at or above ``2**32`` (codes wider than 63 bits, beyond numpy's int64
 shift range) are transparently routed to the reference implementation, so the
@@ -45,6 +49,9 @@ __all__ = [
 #: Largest value whose gamma code fits the vectorized int64 kernels
 #: (bit_length 32 -> code width 63).
 _MAX_FAST_VALUE = (1 << 32) - 1
+
+#: Significant bits of a float64: every integer below ``2**53`` converts exactly.
+_FLOAT64_EXACT_BITS = 53
 
 #: Most bit fields the rows form of :func:`elias_gamma_encode` hands
 #: :func:`~repro.compression.bitstream.pack_bitfields` at once.  The packer
@@ -103,24 +110,41 @@ def elias_gamma_decode_reference(payload: bytes, bit_length: int, count: int) ->
 
 
 def _bit_lengths(values: np.ndarray) -> np.ndarray:
-    """Exact ``int.bit_length()`` of each positive int64, vectorized.
+    """Exact ``int.bit_length()`` of each positive int64, vectorized (as C ints).
 
-    Smears the leading one bit rightwards so the word becomes ``2**L - 1``,
-    then counts the ones with a SWAR popcount — no floats involved, so the
-    result is exact over the whole int64 range (unlike ``np.log2``).
+    ``np.frexp`` writes ``v = m * 2**e`` with ``0.5 <= m < 1``, so ``e`` is the
+    bit length of every value float64 holds exactly: all below ``2**53``.
+    Above, rounding to 53 significant bits can carry into the next power of
+    two and report one bit too many, which shows as ``2**(e - 1) > v`` and is
+    taken back, so the result is exact over the whole positive int64 range.
     """
 
-    x = values.astype(np.uint64)
-    for shift in (1, 2, 4, 8, 16, 32):
-        x |= x >> np.uint64(shift)
-    m1 = np.uint64(0x5555555555555555)
-    m2 = np.uint64(0x3333333333333333)
-    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    h01 = np.uint64(0x0101010101010101)
-    x = x - ((x >> np.uint64(1)) & m1)
-    x = (x & m2) + ((x >> np.uint64(2)) & m2)
-    x = (x + (x >> np.uint64(4))) & m4
-    return ((x * h01) >> np.uint64(56)).astype(np.int64)
+    _, lengths = np.frexp(values)
+    if lengths.max() > _FLOAT64_EXACT_BITS:
+        wide = lengths > _FLOAT64_EXACT_BITS
+        claimed = np.left_shift(np.uint64(1), (lengths[wide] - 1).astype(np.uint64))
+        lengths[wide] -= claimed > values[wide].astype(np.uint64)
+    return lengths
+
+
+def _require_positive(data: np.ndarray) -> None:
+    if data.min() < 1:
+        bad = int(data[data < 1][0])
+        raise CodecError(f"Elias gamma requires positive integers, got {bad}")
+
+
+def _gamma_bit_counts(data: np.ndarray) -> list[int]:
+    """Bits of the gamma codes of each row of an ``(n, k)`` int64 matrix.
+
+    The exact ``bit_length`` of :func:`elias_gamma_encode`'s stream for that
+    row, as arithmetic over the values (``sum(2 * bit_length(v) - 1)``),
+    without packing a bit: the index codec's size at encode time.
+    """
+
+    if data.size == 0:
+        return [0] * data.shape[0]
+    _require_positive(data)
+    return (2 * _bit_lengths(data).sum(axis=1) - data.shape[1]).tolist()
 
 
 def elias_gamma_encode(
@@ -158,11 +182,9 @@ def _encode_matrix(data: np.ndarray) -> list[tuple[bytes, int, int]]:
     """
 
     rows, count = data.shape
-    if count == 0:
+    if data.size == 0:
         return [(b"", 0, 0)] * rows
-    if np.any(data < 1):
-        bad = int(data[data < 1][0])
-        raise CodecError(f"Elias gamma requires positive integers, got {bad}")
+    _require_positive(data)
     if int(data.max()) > _MAX_FAST_VALUE:
         return [elias_gamma_encode_reference(row) for row in data]
     encoded: list[tuple[bytes, int, int]] = []

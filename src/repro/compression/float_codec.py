@@ -12,25 +12,28 @@ only the plane of high bytes is DEFLATEd.  Like Fpzip it is lossless at 32-bit
 precision, and its measured size is what the byte-metering layer reports.
 
 On every payload the five ``BENCHMARK.json`` workloads compress (seed 7, 4-byte
-header included, best of three), against the design it replaced (XOR with the
-previous value, four byte planes, DEFLATE-6); raw float32 is 4 B/value::
+header included, best of three on a 2-core host with numpy 2.4), against the
+design it replaced (XOR with the previous value, four byte planes, DEFLATE-6);
+raw float32 is 4 B/value.  The times are of ``compress(values).size_bytes``,
+the call the schemes make, which builds no raw mantissa bytes; reading
+``payload`` as well adds 14-26%::
 
     workload        messages x values   replaced design      this codec
-    wide4_sync           24 x 94k       3.460 B/v  625 ms    3.441 B/v  60 ms
-    conv8_sync          192 x 6.6k      3.582 B/v  174 ms    3.446 B/v  36 ms
-    gossip64_async    1,014 x 836       3.725 B/v  126 ms    3.459 B/v  36 ms
-    sweep8_ckpt         576 x 2.1k      3.598 B/v  167 ms    3.424 B/v  39 ms
-    mlp1k_arena       2,000 x 118       4.063 B/v   84 ms    3.650 B/v  24 ms
+    wide4_sync           24 x 94k       3.460 B/v  487 ms    3.441 B/v  43 ms
+    conv8_sync          192 x 6.6k      3.582 B/v  152 ms    3.446 B/v  27 ms
+    gossip64_async    1,014 x 837       3.725 B/v  110 ms    3.459 B/v  28 ms
+    sweep8_ckpt         576 x 2.1k      3.598 B/v  146 ms    3.424 B/v  29 ms
+    mlp1k_arena       4,000 x 119       4.063 B/v  149 ms    3.650 B/v  43 ms
 """
 
 from __future__ import annotations
 
 import lzma
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
+from repro.compression.sizing import _Deferred, _Encoding
 from repro.exceptions import CodecError
 
 __all__ = [
@@ -48,26 +51,35 @@ __all__ = [
 _EXPONENT_PLANE_LEVEL = 1
 
 
-@dataclass(frozen=True)
-class CompressedFloats:
-    """A compressed float payload and the metadata needed to restore it."""
+class CompressedFloats(_Encoding):
+    """A compressed float payload and the metadata needed to restore it.
 
-    codec: str
-    payload: bytes
-    count: int
+    :class:`FloatCodec` and :class:`RawFloatCodec` size it when they make it
+    and pack ``payload`` on first read.
+    """
+
+    __slots__ = ("codec", "count")
+    _FIELDS = ("codec", "payload", "count")
+
+    def __init__(self, codec: str, payload: bytes, count: int) -> None:
+        self.codec = codec
+        self._payload = payload
+        self.count = count
 
     @property
     def size_bytes(self) -> int:
         """Size on the wire (payload plus a 4-byte element count header)."""
 
-        return len(self.payload) + 4
+        return len(self._payload) + 4
 
 
 class FloatCodec:
     """Mantissa bytes raw, sign/exponent bytes through DEFLATE-1, no predictor.
 
     The payload of ``n`` little-endian float32 values is their ``3n`` low bytes
-    in value order, then one zlib stream of their ``n`` high bytes.
+    in value order, then one zlib stream of their ``n`` high bytes.  DEFLATE
+    has no size formula, so :meth:`compress` runs it; the ``3n`` raw bytes and
+    the concatenated payload are only built when ``payload`` is read.
     """
 
     name = "exp-deflate"
@@ -75,10 +87,13 @@ class FloatCodec:
     def compress(self, values: np.ndarray) -> CompressedFloats:
         """Compress ``values`` losslessly at float32 precision."""
 
-        data = np.asarray(values, dtype="<f4").ravel()
+        data = np.array(values, dtype="<f4").ravel()  # a copy: the record owns it
         octets = data.view(np.uint8).reshape(data.size, 4)
         exponents = zlib.compress(octets[:, 3].tobytes(), _EXPONENT_PLANE_LEVEL)
-        return CompressedFloats(self.name, octets[:, :3].tobytes() + exponents, data.size)
+        payload = _Deferred(
+            3 * data.size + len(exponents), lambda: octets[:, :3].tobytes() + exponents
+        )
+        return CompressedFloats(self.name, payload, data.size)
 
     def decompress(self, compressed: CompressedFloats) -> np.ndarray:
         """Exactly invert :meth:`compress`, restoring the float32 values."""
@@ -124,8 +139,9 @@ class RawFloatCodec:
     def compress(self, values: np.ndarray) -> CompressedFloats:
         """Store the values as raw little-endian float32 bytes."""
 
-        data = np.asarray(values, dtype=np.float32).ravel()
-        return CompressedFloats(codec=self.name, payload=data.astype("<f4").tobytes(), count=int(data.size))
+        data = np.array(values, dtype="<f4").ravel()  # a copy: the record owns it
+        payload = _Deferred(4 * data.size, data.tobytes)
+        return CompressedFloats(codec=self.name, payload=payload, count=int(data.size))
 
     def decompress(self, compressed: CompressedFloats) -> np.ndarray:
         """Reinterpret the payload as float32 values."""

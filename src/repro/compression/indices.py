@@ -16,11 +16,16 @@ Three codecs are provided, matching the alternatives discussed in the paper:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from repro.compression.elias import elias_gamma_decode_array, elias_gamma_encode
+from repro.compression.elias import (
+    _gamma_bit_counts,
+    elias_gamma_decode_array,
+    elias_gamma_encode,
+)
+from repro.compression.sizing import _Deferred, _Encoding
 from repro.exceptions import CodecError
 
 __all__ = [
@@ -34,16 +39,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EncodedIndices:
-    """An encoded index list together with everything needed to decode it."""
+class EncodedIndices(_Encoding):
+    """An encoded index list together with everything needed to decode it.
 
-    codec: str
-    payload: bytes
-    bit_length: int
-    count: int
-    universe: int
-    extra: tuple[int, ...] = ()
+    :class:`RawIndexCodec` and :class:`EliasGammaIndexCodec` size it when they
+    make it and pack ``payload`` on first read.
+    """
+
+    __slots__ = ("codec", "bit_length", "count", "universe", "extra")
+    _FIELDS = ("codec", "payload", "bit_length", "count", "universe", "extra")
+
+    def __init__(
+        self,
+        codec: str,
+        payload: bytes,
+        bit_length: int,
+        count: int,
+        universe: int,
+        extra: tuple[int, ...] = (),
+    ) -> None:
+        self.codec = codec
+        self._payload = payload
+        self.bit_length = bit_length
+        self.count = count
+        self.universe = universe
+        self.extra = extra
 
     @property
     def size_bytes(self) -> int:
@@ -51,7 +71,7 @@ class EncodedIndices:
 
         # Header: count (4 bytes) + universe (4 bytes) + bit length (4 bytes)
         # + any extra integers (4 bytes each).
-        return len(self.payload) + 12 + 4 * len(self.extra)
+        return len(self._payload) + 12 + 4 * len(self.extra)
 
 
 class EncodedIndexRows(tuple):
@@ -98,15 +118,15 @@ class RawIndexCodec(IndexCodec):
     ) -> EncodedIndices | EncodedIndexRows:
         """Ship the indices verbatim as little-endian 32-bit integers."""
 
-        if np.ndim(indices) == 2:
-            return EncodedIndexRows(self.encode(row, universe) for row in indices)
-        values = _validate_indices(indices, universe)
-        payload = values.astype("<u4").tobytes()
+        values = _as_indices(indices)
+        if values.ndim == 2:
+            return EncodedIndexRows(self.encode(row, universe) for row in values)
+        words = _validate_indices(values, universe).astype("<u4")
         return EncodedIndices(
             codec=self.name,
-            payload=payload,
-            bit_length=len(payload) * 8,
-            count=values.size,
+            payload=_Deferred(4 * words.size, words.tobytes),
+            bit_length=32 * words.size,
+            count=words.size,
             universe=int(universe),
         )
 
@@ -128,7 +148,7 @@ class EliasGammaIndexCodec(IndexCodec):
     ) -> EncodedIndices | EncodedIndexRows:
         """Sort, delta-encode and Elias-gamma code the index gaps."""
 
-        values = np.asarray(indices, dtype=np.int64)
+        values = _as_indices(indices)
         if values.ndim == 2:
             return self._encode_matrix(values, universe)
         return self._encode_matrix(values.reshape(1, -1), universe)[0]
@@ -146,17 +166,21 @@ class EliasGammaIndexCodec(IndexCodec):
             for row in np.flatnonzero(~proven):
                 values[row] = np.sort(_validate_indices(values[row], universe))
         # Gaps are >= 1 between sorted distinct indices; shift the first index
-        # by one so that every encoded integer is positive as gamma requires.
-        gaps = np.diff(values, prepend=-1)
+        # by one so that every encoded integer is positive as gamma requires
+        # (``np.diff(values, prepend=-1)``, without its concatenated copy).
+        # The gaps are a new array, so the records own what they pack from.
+        gaps = np.empty_like(values)
+        np.add(values[:, :1], 1, out=gaps[:, :1])
+        np.subtract(values[:, 1:], values[:, :-1], out=gaps[:, 1:])
         return EncodedIndexRows(
             EncodedIndices(
                 codec=self.name,
-                payload=payload,
+                payload=_Deferred((bit_length + 7) >> 3, partial(_pack_gaps, row)),
                 bit_length=bit_length,
-                count=count,
+                count=gaps.shape[1],
                 universe=int(universe),
             )
-            for payload, bit_length, count in elias_gamma_encode(gaps)
+            for row, bit_length in zip(gaps, _gamma_bit_counts(gaps))
         )
 
     def decode(self, encoded: EncodedIndices) -> np.ndarray:
@@ -232,8 +256,23 @@ def _strictly_ascending_within(values: np.ndarray, universe: int) -> np.ndarray:
     )
 
 
+def _pack_gaps(gaps: np.ndarray) -> bytes:
+    return elias_gamma_encode(gaps)[0]
+
+
+def _as_indices(indices: np.ndarray) -> np.ndarray:
+    """``indices`` as int64, refusing input that casting would silently change."""
+
+    array = np.asarray(indices)
+    if array.ndim > 2:
+        raise CodecError(f"indices must be a list or an (n, k) matrix, got shape {array.shape}")
+    if array.size and array.dtype.kind not in "iu":
+        raise CodecError(f"indices must be integers, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)
+
+
 def _validate_indices(indices: np.ndarray, universe: int) -> np.ndarray:
-    values = np.asarray(indices, dtype=np.int64).ravel()
+    values = _as_indices(indices).ravel()
     if universe <= 0:
         raise CodecError("universe must be positive")
     if values.size and (values.min() < 0 or values.max() >= universe):

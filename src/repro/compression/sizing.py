@@ -11,11 +11,16 @@ same accounting rules:
   through DEFLATE level 1);
 * sparsification metadata travels through the configured index codec;
 * every message carries a small fixed framing header.
+
+The simulator meters every message and decodes none, so a codec's record
+knows its exact size when it is made and packs its bytes only when someone
+reads them (:class:`_Encoding`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 BYTES_PER_FLOAT32 = 4
 BYTES_PER_INT32 = 4
@@ -57,6 +62,62 @@ class PayloadSize:
             metadata_bytes=self.metadata_bytes + other.metadata_bytes,
             header_bytes=self.header_bytes + other.header_bytes,
         )
+
+
+class _Deferred:
+    """A payload of known length whose bytes ``pack()`` makes when first needed."""
+
+    __slots__ = ("length", "pack")
+
+    def __init__(self, length: int, pack: Callable[[], bytes]) -> None:
+        self.length = length
+        self.pack = pack
+
+    def __len__(self) -> int:
+        return self.length
+
+
+class _Encoding:
+    """Base of a codec's output record: exact size at once, payload bytes on demand.
+
+    A codec passes a :class:`_Deferred` as ``payload`` and keeps its own copy
+    of what it packs from, so metering a record (``len`` of the payload) never
+    packs it, and mutating the encoded array afterwards cannot change it.  The
+    first read of ``payload`` packs it and keeps the bytes.  A record built
+    from bytes (a decoder's input) holds them as given.  Records are values:
+    they compare, hash, print and pickle by their constructor fields, listed
+    in order in ``_FIELDS``, payload bytes included.  Subclasses assign their
+    slots directly (a round makes one or two records per message).
+    """
+
+    __slots__ = ("_payload",)
+    _FIELDS: tuple[str, ...] = ()
+
+    @property
+    def payload(self) -> bytes:
+        """The encoded bytes (packed on first read)."""
+
+        if isinstance(self._payload, _Deferred):
+            self._payload = self._payload.pack()
+        return self._payload
+
+    def _values(self) -> tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple[Any, tuple[Any, ...]]:
+        return type(self), self._values()
 
 
 def format_bytes(count: float) -> str:

@@ -100,10 +100,9 @@ def test_pack_bitfields_rejects_overflow_and_negative():
 
 
 def test_pack_bitfields_peak_memory_at_a_full_wide_row():
-    """A JWINS round's memory peak sits inside this packer: ``wide4_sync``
-    gamma-codes rows of up to 273,420 index gaps, one row per call.  Its
-    temporaries are dropped as soon as they are read: 18 bytes per field at
-    the peak, against 59 when each lived to the end."""
+    """Packing a ``wide4_sync`` row (up to 273,420 index gaps) in one call:
+    the packer's temporaries are dropped as soon as they are read, 18 bytes
+    per field at the peak, against 59 when each lived to the end."""
 
     fields = 273_420
     rng = np.random.default_rng(6)

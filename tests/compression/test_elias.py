@@ -74,6 +74,10 @@ def test_matrix_encodes_each_row_as_the_one_dimensional_call(rows, count):
         assert elias_gamma_decode(payload, bit_length, decoded_count) == row.tolist()
 
 
+def test_matrix_of_no_rows_encodes_to_no_streams():
+    assert elias_gamma_encode(np.zeros((0, 5), dtype=np.int64)) == []
+
+
 def test_matrix_with_a_non_positive_value_is_rejected_like_its_row():
     values = np.arange(1, 13).reshape(3, 4)
     values[1, 2] = 0

@@ -107,6 +107,19 @@ def test_raw_codec_size_is_four_bytes_per_value():
     assert np.array_equal(codec.decompress(compressed), np.ones(100, dtype=np.float32))
 
 
+@pytest.mark.parametrize("codec", [FloatCodec(), RawFloatCodec()], ids=["exp-deflate", "raw32"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mutating_the_values_after_compress_changes_no_payload(codec, dtype):
+    """float32 input is the trap: ``np.asarray`` would hand back the caller's array."""
+
+    values = np.random.default_rng(9).normal(size=500).astype(dtype)
+    untouched = codec.compress(values.copy())
+    compressed = codec.compress(values)  # sized now, packed below
+    values[:] = 0.0
+    assert compressed.payload == untouched.payload
+    assert compressed.size_bytes == len(untouched.payload) + 4
+
+
 def test_float16_codec_is_lossy_but_small():
     rng = np.random.default_rng(1)
     values = rng.normal(size=256).astype(np.float32)

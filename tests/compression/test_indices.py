@@ -200,3 +200,48 @@ def test_empty_rows_encode_to_empty_streams():
     assert encoded == tuple(
         EliasGammaIndexCodec().encode(np.zeros(0, dtype=np.int64), UNIVERSE) for _ in range(3)
     )
+
+
+# -- input edges: what the codecs refuse and what they accept -----------------------
+CODECS = [EliasGammaIndexCodec(), RawIndexCodec()]
+CODEC_IDS = ["elias", "raw"]
+
+
+@pytest.mark.parametrize("codec", CODECS, ids=CODEC_IDS)
+def test_a_matrix_of_no_rows_encodes_to_no_rows(codec):
+    encoded = codec.encode(np.zeros((0, 5), dtype=np.int64), UNIVERSE)
+    assert isinstance(encoded, EncodedIndexRows) and encoded == () and encoded.size_bytes == 0
+
+
+@pytest.mark.parametrize("codec", CODECS, ids=CODEC_IDS)
+@pytest.mark.parametrize("indices", [[0.9, 2.5], [1.0, 2.0], [[0.5, 1.5]]], ids=str)
+def test_non_integer_indices_are_refused_not_truncated(codec, indices):
+    with pytest.raises(CodecError, match="indices must be integers"):
+        codec.encode(np.asarray(indices), UNIVERSE)
+
+
+@pytest.mark.parametrize("codec", CODECS, ids=CODEC_IDS)
+def test_an_empty_list_still_encodes(codec):
+    encoded = codec.encode([], UNIVERSE)
+    assert (encoded.payload, encoded.count) == (b"", 0)
+    assert codec.decode(encoded).size == 0
+
+
+@pytest.mark.parametrize("codec", CODECS, ids=CODEC_IDS)
+def test_a_three_dimensional_input_is_refused_by_its_shape(codec):
+    with pytest.raises(CodecError, match=r"shape \(2, 2, 3\)"):
+        codec.encode(np.arange(12).reshape(2, 2, 3), UNIVERSE)
+
+
+# -- the record owns what it packs from ----------------------------------------------
+@pytest.mark.parametrize("codec", CODECS, ids=CODEC_IDS)
+@pytest.mark.parametrize("rows", [1, 3], ids=["list", "matrix"])
+def test_mutating_the_indices_after_encode_changes_no_payload(codec, rows):
+    indices = _index_rows(rows, 34)
+    if rows == 1:
+        indices = indices[0]
+    untouched = codec.encode(indices.copy(), UNIVERSE)
+    encoded = codec.encode(indices, UNIVERSE)  # sized now, packed below
+    indices[...] = 0
+    assert encoded == untouched  # compares the payload bytes
+    assert encoded.size_bytes == untouched.size_bytes

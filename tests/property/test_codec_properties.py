@@ -1,10 +1,15 @@
 """Property-based tests for the compression codecs."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.compression.elias import elias_gamma_decode, elias_gamma_encode, gamma_code_length
+from repro.compression.elias import (
+    elias_gamma_decode,
+    elias_gamma_encode,
+    elias_gamma_encode_reference,
+    gamma_code_length,
+)
 from repro.compression.float_codec import FloatCodec
 from repro.compression.indices import EliasGammaIndexCodec, RawIndexCodec
 
@@ -16,6 +21,51 @@ def test_elias_gamma_roundtrip(values):
     assert elias_gamma_decode(payload, bits, count) == values
     assert bits == sum(gamma_code_length(v) for v in values)
     assert len(payload) == (bits + 7) // 8
+
+
+#: Index gaps: runs of 1, ordinary gaps, gaps past the int64 kernels (>= 2**32),
+#: gaps on both sides of 2**53 (where float64 stops holding every integer) and
+#: 2**k - 1 above it, which float64 rounds up to the next power of two.
+GAPS = st.one_of(
+    st.just(1),
+    st.integers(min_value=1, max_value=2**20),
+    st.integers(min_value=2**32, max_value=2**33),
+    st.integers(min_value=2**53 - 2**12, max_value=2**53 + 2**12),
+    st.integers(min_value=54, max_value=59).map(lambda bits: 2**bits - 1),
+    st.integers(min_value=2**53, max_value=2**59),
+)
+
+
+@st.composite
+def gap_matrices(draw):
+    """An ``(n, k)`` matrix of index gaps; every row sums below 2**62."""
+
+    count = draw(st.integers(min_value=0, max_value=6))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(GAPS, min_size=count, max_size=count)
+    return np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=np.int64).reshape(
+        rows, count
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(gaps=gap_matrices())
+@example(gaps=np.array([[2**54 - 1, 1], [2**59 - 1, 2**53 + 1]], dtype=np.int64))
+@example(gaps=np.zeros((3, 0), dtype=np.int64))
+def test_gamma_index_size_is_exact_before_the_payload_is_packed(gaps):
+    """``size_bytes`` (arithmetic at encode time) is the packed stream's length."""
+
+    indices = np.cumsum(gaps, axis=1) - 1
+    universe = int(indices.max(initial=0)) + 1
+    codec = EliasGammaIndexCodec()
+    encoded = codec.encode(indices, universe)
+    sizes = [row.size_bytes for row in encoded]  # read before anything is packed
+    for row, row_gaps, size, row_indices in zip(encoded, gaps, sizes, indices):
+        payload, bit_length, count = elias_gamma_encode_reference(row_gaps)
+        assert size == len(row.payload) + 12 == (bit_length + 7) // 8 + 12
+        assert (row.payload, row.bit_length, row.count) == (payload, bit_length, count)
+        assert codec.encode(row_indices, universe) == row
+        assert np.array_equal(codec.decode(row), row_indices)
 
 
 @settings(max_examples=60, deadline=None)
