@@ -1,10 +1,30 @@
-"""Setuptools entry point.
+"""Setuptools entry point and the package metadata.
 
-The project metadata lives in ``pyproject.toml``; this file exists so that the
-package can be installed in environments without the ``wheel`` package (legacy
-``pip install -e .``).
+``pip install .`` installs the ``repro`` package from ``src/`` with its runtime
+dependencies and the ``jwins-repro`` console script.  The test suite also
+needs ``pytest``, ``pytest-benchmark`` and ``hypothesis``, which the CI
+workflow installs; ``tests/test_dependencies.py`` checks both lists against
+what the code imports.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "version.py").read_text(encoding="utf-8"),
+).group(1)
+
+setup(
+    name="jwins-repro",
+    version=VERSION,
+    description="JWINS (ICDCS 2023): wavelet-based sparsification for decentralized learning",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    package_data={"repro.scenarios": ["traces/*.jsonl"]},
+    python_requires=">=3.10",
+    install_requires=["numpy", "networkx", "scipy"],
+    entry_points={"console_scripts": ["jwins-repro = repro.cli:main"]},
+)

@@ -40,7 +40,6 @@ from repro.checkpoint.serialization import decode_value, encode_value
 from repro.exceptions import CheckpointError
 from repro.simulation.metrics import ExperimentResult
 from repro.topology.graphs import Topology
-from repro.topology.weights import metropolis_hastings_weights
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.simulation.engine import Simulator
@@ -340,11 +339,12 @@ def restore_simulator(simulator: "Simulator", snapshot: SimulationSnapshot) -> N
         getattr(simulator, attr).bit_generator.state = dict(
             decode_value(snapshot.rng_streams[name])
         )
-    simulator.topology = Topology(
-        num_nodes=int(snapshot.topology["num_nodes"]),
-        edges=tuple((int(u), int(v)) for u, v in snapshot.topology["edges"]),
+    simulator.install_topology(
+        Topology(
+            num_nodes=int(snapshot.topology["num_nodes"]),
+            edges=tuple((int(u), int(v)) for u, v in snapshot.topology["edges"]),
+        )
     )
-    simulator.weights = metropolis_hastings_weights(simulator.topology)
     simulator.meter.load_state_dict(decode_value(snapshot.meter))
     simulator._byzantine_stale = {
         int(node_id): decode_value(encoded) for node_id, encoded in snapshot.byzantine

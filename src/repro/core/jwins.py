@@ -157,8 +157,36 @@ def _aggregate_pass(
     return new_params
 
 
+_Parts = tuple[
+    WaveletTransform | IdentityTransform,
+    FloatCodec | RawFloatCodec,
+    EliasGammaIndexCodec | RawIndexCodec,
+]
+
+
+def _stateless_parts(model_size: int, config: JwinsConfig) -> _Parts:
+    """The transform and the two codecs a node derives from its model size and config.
+
+    None of them holds per-node state, so the nodes of a deployment may share
+    one set (:func:`jwins_factory` does).
+    """
+
+    if config.use_wavelet:
+        transform = WaveletTransform(model_size, wavelet=config.wavelet, levels=config.levels)
+    else:
+        transform = IdentityTransform(model_size)
+    float_codec = FloatCodec() if config.float_codec == "fpzip-like" else RawFloatCodec()
+    index_codec = (
+        EliasGammaIndexCodec() if config.index_codec == "elias-gamma" else RawIndexCodec()
+    )
+    return transform, float_codec, index_codec
+
+
 class JwinsScheme(SharingScheme):
-    """Per-node JWINS state: transform, ranker, cut-off and codecs."""
+    """Per-node JWINS state: ranker, cut-off and round state, over a transform and codecs.
+
+    ``parts`` hands in a prebuilt :func:`_stateless_parts` set to share.
+    """
 
     name = "jwins"
 
@@ -168,23 +196,15 @@ class JwinsScheme(SharingScheme):
         model_size: int,
         seed: int,
         config: JwinsConfig | None = None,
+        *,
+        parts: "_Parts | None" = None,
     ) -> None:
         self.node_id = int(node_id)
         self.config = config if config is not None else JwinsConfig()
-        self.transform: WaveletTransform | IdentityTransform
-        if self.config.use_wavelet:
-            self.transform = WaveletTransform(
-                model_size, wavelet=self.config.wavelet, levels=self.config.levels
-            )
-        else:
-            self.transform = IdentityTransform(model_size)
+        self.transform, self._float_codec, self._index_codec = (
+            parts if parts is not None else _stateless_parts(model_size, self.config)
+        )
         self.ranker = WaveletRanker(self.transform, self.config.use_accumulation)
-        self._float_codec = (
-            FloatCodec() if self.config.float_codec == "fpzip-like" else RawFloatCodec()
-        )
-        self._index_codec = (
-            EliasGammaIndexCodec() if self.config.index_codec == "elias-gamma" else RawIndexCodec()
-        )
         self._fixed_alpha = self.config.cutoff.expected_fraction()
         #: ``F_start``: the coefficients of the model the next round starts from.
         self._start_coefficients: np.ndarray | None = None
@@ -376,9 +396,16 @@ class JwinsScheme(SharingScheme):
 
 
 def jwins_factory(config: JwinsConfig | None = None):
-    """Return a :data:`~repro.core.interface.SchemeFactory` building JWINS nodes."""
+    """Return a :data:`~repro.core.interface.SchemeFactory` building JWINS nodes.
+
+    The nodes of one model size share one transform and one pair of codecs.
+    """
+
+    shared: dict[int, _Parts] = {}
 
     def factory(node_id: int, model_size: int, seed: int) -> JwinsScheme:
-        return JwinsScheme(node_id, model_size, seed, config)
+        if model_size not in shared:
+            shared[model_size] = _stateless_parts(model_size, config or JwinsConfig())
+        return JwinsScheme(node_id, model_size, seed, config, parts=shared[model_size])
 
     return factory

@@ -59,7 +59,7 @@ from repro.simulation.metrics import ExperimentResult, RoundRecord
 from repro.simulation.network import ByteMeter
 from repro.simulation.node import SimulationNode
 from repro.topology.graphs import Topology
-from repro.topology.weights import metropolis_hastings_weights
+from repro.topology.weights import MixingRow, metropolis_hastings_rows
 from repro.utils.profiling import PhaseTimer, Profiler
 from repro.utils.rng import SeedSequenceFactory
 
@@ -252,10 +252,9 @@ class Simulator:
 
         self.scenario: ScenarioSchedule = config.resolved_scenario()
         self._topology_rng = self.seeds.rng("topology")
-        self.topology: Topology = self.scenario.topology.initial(
-            config.num_nodes, config.degree, self._topology_rng
+        self.install_topology(
+            self.scenario.topology.initial(config.num_nodes, config.degree, self._topology_rng)
         )
-        self.weights = metropolis_hastings_weights(self.topology)
 
         resolved_scheme = scheme_name or self.nodes[0].scheme.name
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -477,9 +476,20 @@ class Simulator:
         )
         if rewired is None:
             return False
-        self.topology = rewired
-        self.weights = metropolis_hastings_weights(rewired)
+        self.install_topology(rewired)
         return True
+
+    def install_topology(self, topology: Topology) -> None:
+        """Make ``topology`` the communication graph, with its mixing rows.
+
+        ``mixing[i]`` is node ``i``'s row of the Metropolis–Hastings matrix
+        (its sorted neighbors, their weights and its self weight): the only
+        part of the matrix a node reads, so the deployment holds O(N·deg)
+        weights, never an ``(N, N)`` matrix.
+        """
+
+        self.topology = topology
+        self.mixing: tuple[MixingRow, ...] = metropolis_hastings_rows(topology)
 
     def make_context(
         self,
@@ -491,16 +501,13 @@ class Simulator:
     ) -> RoundContext:
         """Build the :class:`RoundContext` a scheme sees for one round."""
 
-        neighbor_weights = {
-            neighbor: float(self.weights[node.node_id, neighbor])
-            for neighbor in self.topology.neighbors(node.node_id)
-        }
+        row = self.mixing[node.node_id]
         return RoundContext(
             round_index=round_index,
             params_start=params_start,
             params_trained=params_trained,
-            self_weight=float(self.weights[node.node_id, node.node_id]),
-            neighbor_weights=neighbor_weights,
+            self_weight=row.self_weight,
+            neighbor_weights=dict(zip(row.neighbors, row.weights)),
             rng=self.seeds.node_rng(node.node_id, "round", round_index),
             now=now,
             node_id=node.node_id,
@@ -770,7 +777,7 @@ def deliver(
         receiver = node.node_id
         inbox = [
             messages[sender]
-            for sender in simulator.topology.neighbors(receiver)
+            for sender in simulator.mixing[receiver].neighbors
             if sender in messages and admit(simulator, state, sender, receiver, draw)
         ]
         for message in inbox:
@@ -822,7 +829,7 @@ def account(
 
     local_steps, time_model = simulator.config.local_steps, simulator.config.time_model
     uplinks = [
-        message.size.total_bytes * len(simulator.topology.neighbors(message.sender))
+        message.size.total_bytes * len(simulator.mixing[message.sender].neighbors)
         for message in messages.values()
     ]
     duration = time_model.round_duration(local_steps, max(uplinks, default=0))
@@ -1090,7 +1097,7 @@ class AsynchronousMode:
         message = encode(simulator, [node], [context])[node_id]
         self.last_fraction[node_id] = message.shared_fraction
 
-        neighbors = simulator.topology.neighbors(node_id)
+        neighbors = simulator.mixing[node_id].neighbors
         # The uplink serializes the copies: neighbor k's copy starts
         # travelling only after the first k copies have been pushed.
         transfer = (

@@ -19,6 +19,7 @@ the run — a trace, a dashboard — goes in ``observers=`` and is attached thro
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.interface import SchemeFactory
@@ -48,14 +49,18 @@ class _Heartbeat(SimulationObserver):
     """
 
     def __init__(self, simulator: Simulator, heartbeat: "CellStatusWriter") -> None:
-        self.simulator = simulator
+        # Weak: the simulator holds this observer through its hooks, and a
+        # strong reference back would leave a finished cell's whole deployment
+        # (every model and scheme) to the cyclic collector instead of freeing
+        # it when the run's last reference goes.
+        self.simulator = weakref.ref(simulator)
         self.heartbeat = heartbeat
 
     def on_round_end(self, round_index: int, node_id: int | None, now: float) -> None:
-        self.heartbeat.on_round(self.simulator.result.rounds_completed)
+        self.heartbeat.on_round(self.simulator().result.rounds_completed)
 
     def on_checkpoint(self, rounds_completed: int, reason: str) -> None:
-        if self.simulator.checkpoint_sink is not None:
+        if self.simulator().checkpoint_sink is not None:
             self.heartbeat.on_checkpoint(rounds_completed)
 
 

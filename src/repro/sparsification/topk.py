@@ -27,7 +27,7 @@ def topk_indices(scores: np.ndarray, count: int) -> np.ndarray:
     magnitudes = np.abs(scores)
     # argpartition is O(n); exact ordering inside the top-k set is irrelevant.
     selected = np.argpartition(magnitudes, width - count)[..., width - count :]
-    return np.sort(selected).astype(np.int64)
+    return np.sort(selected).astype(np.int64, copy=False)
 
 
 class TopKSparsifier(Sparsifier):

@@ -16,11 +16,17 @@ from repro.topology.policy import (
     TopologyPolicy,
     topology_policy_from_dict,
 )
-from repro.topology.weights import metropolis_hastings_weights, uniform_neighbor_weights
+from repro.topology.weights import (
+    MixingRow,
+    metropolis_hastings_rows,
+    metropolis_hastings_weights,
+    uniform_neighbor_weights,
+)
 
 __all__ = [
     "DynamicTopology",
     "GeneratorPolicy",
+    "MixingRow",
     "TOPOLOGY_GENERATORS",
     "Topology",
     "TopologyPolicy",
@@ -31,6 +37,7 @@ __all__ = [
     "small_world_topology",
     "star_topology",
     "topology_policy_from_dict",
+    "metropolis_hastings_rows",
     "metropolis_hastings_weights",
     "uniform_neighbor_weights",
 ]

@@ -93,6 +93,18 @@ def pad_images(layout: CoefficientLayout) -> tuple[tuple[np.ndarray, np.ndarray]
     return tuple(images)
 
 
+@functools.lru_cache(maxsize=None)
+def _clamped_layout(model_size: int, wavelet: str, levels: int) -> CoefficientLayout:
+    """The layout of a ``levels``-deep DWT clamped to what ``model_size`` allows.
+
+    Cached per argument triple like :func:`pad_images`: a deployment builds
+    one transform per node, all of one model size.
+    """
+
+    levels = min(levels, max_decomposition_level(model_size, wavelet))
+    return coefficient_layout(model_size, wavelet, levels)
+
+
 class ModelTransform(ABC):
     """Invertible linear map between parameter vectors and coefficient vectors."""
 
@@ -198,8 +210,8 @@ class WaveletTransform(ModelTransform):
     def __init__(self, model_size: int, wavelet: str = "sym2", levels: int = 4) -> None:
         super().__init__(model_size)
         self.wavelet = wavelet
-        self.levels = min(int(levels), max_decomposition_level(model_size, wavelet))
-        self._layout = coefficient_layout(model_size, wavelet, self.levels)
+        self._layout = _clamped_layout(int(model_size), wavelet, int(levels))
+        self.levels = self._layout.levels
 
     @property
     def layout(self) -> CoefficientLayout:

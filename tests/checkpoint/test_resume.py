@@ -9,6 +9,7 @@ the bytes the uninterrupted run produces.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,8 @@ from repro.simulation import (
     run_experiment,
 )
 from repro.simulation.engine import Simulator
+from repro.topology.graphs import Topology
+from repro.topology.weights import metropolis_hastings_rows
 from tests.conftest import make_toy_task
 
 ROUNDS = 6
@@ -86,6 +89,33 @@ def test_interrupt_resume_is_byte_identical(execution, scenario):
         make_toy_task(), jwins_factory(), config, resume_from=json_roundtrip(snapshot)
     )
     assert json.dumps(resumed.to_dict(), sort_keys=True) == json.dumps(
+        uninterrupted.to_dict(), sort_keys=True
+    )
+
+
+@pytest.mark.parametrize("execution", ["sync", "async"])
+def test_interrupt_resume_under_per_round_rewiring(execution):
+    """``rewire_every=1``: the resumed run mixes over the snapshot's graph.
+
+    The restore rebuilds the mixing rows from the restored topology, not
+    from the one a fresh build starts with.
+    """
+
+    config = replace(
+        build_config(execution, scenario=False),
+        scenario=get_scenario("dynamic", num_nodes=6, rounds=ROUNDS).to_dict(),
+    )
+    uninterrupted = run_experiment(make_toy_task(), jwins_factory(), config)
+
+    snapshot = json_roundtrip(pause_at(config, 3))
+    restored = Topology(
+        num_nodes=6, edges=tuple((u, v) for u, v in snapshot.topology["edges"])
+    )
+    assert restored != Simulator(make_toy_task(), jwins_factory(), config).topology
+    resumed = Simulator(make_toy_task(), jwins_factory(), config, resume_from=snapshot)
+    assert resumed.topology == restored
+    assert resumed.mixing == metropolis_hastings_rows(restored)
+    assert json.dumps(resumed.run().to_dict(), sort_keys=True) == json.dumps(
         uninterrupted.to_dict(), sort_keys=True
     )
 

@@ -1,12 +1,40 @@
 """Tests for the round scheduler / experiment runner."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.baselines import full_sharing_factory, random_sampling_factory
 from repro.core import JwinsConfig, jwins_factory
-from repro.simulation.runner import build_nodes, run_experiment
+from repro.simulation import Simulator
+from repro.simulation.runner import _Heartbeat, build_nodes, run_experiment
 from tests.conftest import make_toy_task
+
+
+def test_a_heartbeat_leaves_a_finished_run_to_reference_counting(toy_task, small_config):
+    """Without the cyclic collector, a finished run's deployment is freed at once."""
+
+    class Beat:
+        def on_round(self, rounds_completed):
+            self.rounds = rounds_completed
+
+        def on_checkpoint(self, rounds_completed):
+            pass
+
+    beat = Beat()
+    simulator = Simulator(toy_task, full_sharing_factory(), small_config)
+    simulator.add_observer(_Heartbeat(simulator, beat))
+    simulator.run()
+    assert beat.rounds == small_config.rounds
+    finished = weakref.ref(simulator)
+    gc.disable()
+    try:
+        del simulator
+        assert finished() is None
+    finally:
+        gc.enable()
 
 
 def test_build_nodes_all_start_from_same_model(toy_task, small_config):

@@ -3,13 +3,74 @@
 import numpy as np
 import pytest
 
-from repro.topology.graphs import random_regular_topology, ring_topology, star_topology
-from repro.topology.weights import metropolis_hastings_weights, uniform_neighbor_weights
+from repro.topology.graphs import (
+    clustered_topology,
+    fully_connected_topology,
+    random_regular_topology,
+    ring_topology,
+    small_world_topology,
+    star_topology,
+)
+from repro.topology.weights import (
+    metropolis_hastings_rows,
+    metropolis_hastings_weights,
+    uniform_neighbor_weights,
+)
 
 
 @pytest.fixture
 def topology():
     return random_regular_topology(12, 4, np.random.default_rng(0))
+
+
+def _dense_builder(topology):
+    """The dense N x N builder the rows replaced, frozen here as their oracle."""
+
+    size = topology.num_nodes
+    degrees = [topology.degree(node) for node in range(size)]
+    matrix = np.zeros((size, size))
+    for u, v in topology.edges:
+        weight = 1.0 / (1.0 + max(degrees[u], degrees[v]))
+        matrix[u, v] = weight
+        matrix[v, u] = weight
+    for node in range(size):
+        matrix[node, node] = 1.0 - matrix[node].sum()
+    return matrix
+
+
+GRAPHS = {
+    "ring": lambda n, rng: ring_topology(n),
+    "star": lambda n, rng: star_topology(n),
+    "fully-connected": lambda n, rng: fully_connected_topology(n),
+    "random-regular": lambda n, rng: random_regular_topology(n, 6, rng),
+    "small-world": lambda n, rng: small_world_topology(n, 4, 0.3, rng),
+    "clustered": lambda n, rng: clustered_topology(n, 3, 2, rng),
+}
+#: numpy's pairwise sum changes association at 8 and 128 elements.
+SIZES = (2, 3, 9, 127, 129, 257, 1000)
+#: The random families need more nodes than their degree and three clusters.
+CASES = [
+    (family, n)
+    for family in GRAPHS
+    for n in SIZES
+    if n >= 9 or family in ("ring", "star", "fully-connected")
+]
+
+
+@pytest.mark.parametrize("family, num_nodes", CASES)
+def test_rows_are_the_dense_builder_bit_for_bit(family, num_nodes):
+    topology = GRAPHS[family](num_nodes, np.random.default_rng(num_nodes))
+    reference = _dense_builder(topology)
+    rows = metropolis_hastings_rows(topology)
+
+    self_weights = np.array([row.self_weight for row in rows])
+    assert self_weights.view(np.uint64).tolist() == np.diag(reference).view(np.uint64).tolist()
+    for node, row in enumerate(rows):
+        assert list(row.neighbors) == topology.neighbors(node)
+        expected = reference[node, list(row.neighbors)]
+        assert np.array(row.weights).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    # Every other entry is zero: the densified rows are the reference's bytes.
+    assert metropolis_hastings_weights(topology).tobytes() == reference.tobytes()
 
 
 def test_metropolis_hastings_doubly_stochastic(topology):
