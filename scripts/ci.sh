@@ -28,7 +28,9 @@
 #                and a 96-node fig10 MLP cell through the arena's stacked train
 #                step and its per-node fallback;
 #                then the float-codec oracle: 8 cifar10 nodes, four schemes,
-#                value codec on vs off, results equal but for bytes and time
+#                value codec on vs off, results equal but for bytes and time;
+#                then an 8-node cifar10 cell under OPENBLAS_NUM_THREADS=1 and
+#                =2, whose stores must be byte-identical
 #   checkpoint   SIGINT a 2-cell pool sweep mid-spec, resume it, and
 #                byte-compare the store's rows against an uninterrupted run
 #                (the fourth determinism pillar), plus dry-run/compact smokes
@@ -397,6 +399,20 @@ for label, coded, raw in [
         sys.exit(1)
 PY
   echo "determinism gate: float codec on/off moves only byte and time fields (4 schemes)"
+
+  # BLAS-thread invariance: the benchmark harness pins one OpenBLAS thread and
+  # the CLI does not, and CNN evaluation reads conv1 columns in sample blocks,
+  # which is exact only while a GEMM split by output columns is exact at any
+  # thread count.  An 8-node cifar10 cell (CNN training and evaluation every
+  # round) must store the same bytes under 1 and 2 threads.
+  local blas_args=(--workload cifar10 --scheme jwins --nodes 8 --degree 4 --rounds 2
+                   --seeds 1 --scale eval_every=1)
+  local threads
+  for threads in 1 2; do
+    OPENBLAS_NUM_THREADS="$threads" python -m repro.cli sweep "${blas_args[@]}" \
+        --store "$CI_TMP/det-blas-$threads.jsonl" --workers 1 >/dev/null
+  done
+  _compare_stores "$CI_TMP/det-blas-1.jsonl" "$CI_TMP/det-blas-2.jsonl" "OpenBLAS threads (1 vs 2)"
 }
 
 stage_checkpoint() {

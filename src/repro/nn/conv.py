@@ -106,18 +106,41 @@ class Conv2d(Module):
         self._cache: tuple[np.ndarray, tuple[int, int, int, int], int, int] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
+        return self.forward_columns(*self.columns(inputs))
+
+    def columns(
+        self, inputs: np.ndarray
+    ) -> tuple[np.ndarray, tuple[int, int, int, int], int, int]:
+        """Check ``inputs`` and unfold them: the arguments of :meth:`forward_columns`.
+
+        The columns depend on the layer's geometry only, never on its
+        parameters, so layers of one geometry can share them.
+        """
+
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 4 or inputs.shape[1] != self.in_channels:
             raise ModelError(
                 f"Conv2d expected NCHW input with {self.in_channels} channels, got {inputs.shape}"
             )
-        batch = inputs.shape[0]
         columns, out_h, out_w = _im2col(inputs, self.kernel_size, self.stride, self.padding)
+        return columns, inputs.shape, out_h, out_w
+
+    def forward_columns(
+        self,
+        columns: np.ndarray,
+        input_shape: tuple[int, int, int, int],
+        out_h: int,
+        out_w: int,
+    ) -> np.ndarray:
+        """:meth:`forward` from the :func:`_im2col` columns of an input of ``input_shape``."""
+
         output = self.weight.value.reshape(self.out_channels, -1) @ columns  # (O, N*out_h*out_w)
         if self.bias is not None:
             output += self.bias.value[:, None]
-        self._cache = (columns, inputs.shape, out_h, out_w) if self.training else None
-        return output.reshape(self.out_channels, batch, out_h, out_w).transpose(1, 0, 2, 3)
+        self._cache = (columns, input_shape, out_h, out_w) if self.training else None
+        return output.reshape(self.out_channels, input_shape[0], out_h, out_w).transpose(
+            1, 0, 2, 3
+        )
 
     def backward_parameters(self, grad_output: np.ndarray) -> np.ndarray:
         """The parameter half of :meth:`backward`: accumulate the weight and bias gradients.

@@ -41,6 +41,10 @@ class ConvClassifier(Module):
     caches nothing and a ``backward`` after it raises.  ``backward`` accumulates
     every parameter gradient and returns ``None``: no caller uses the gradient
     of the images, so ``conv1`` runs only the parameter half of its backward.
+
+    ``forward`` is ``head(trunk(conv1(x)))``.  Evaluation calls the parts
+    itself, so that every evaluated model reads one unfolding of conv1's
+    columns (:func:`repro.simulation.node.evaluate_nodes`).
     """
 
     def __init__(
@@ -71,10 +75,18 @@ class ConvClassifier(Module):
         self.fc2 = Linear(hidden, num_classes, rng)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        hidden = self.pool1(self.act1(self.conv1(inputs)))
-        hidden = self.pool2(self.act2(self.conv2(hidden)))
-        hidden = self.act3(self.fc1(self.flatten(hidden)))
-        return self.fc2(hidden)
+        return self.head(self.trunk(self.conv1(inputs)))
+
+    def trunk(self, hidden: np.ndarray) -> np.ndarray:
+        """From ``conv1``'s output to the pooled features the head reads."""
+
+        hidden = self.pool1(self.act1(hidden))
+        return self.pool2(self.act2(self.conv2(hidden)))
+
+    def head(self, features: np.ndarray) -> np.ndarray:
+        """From the pooled features to the logits."""
+
+        return self.fc2(self.act3(self.fc1(self.flatten(features))))
 
     def backward(self, grad_output: np.ndarray) -> None:
         grad = self.fc2.backward(grad_output)

@@ -57,7 +57,7 @@ from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.simulation.experiment import ExperimentConfig
 from repro.simulation.metrics import ExperimentResult, RoundRecord
 from repro.simulation.network import ByteMeter
-from repro.simulation.node import SimulationNode
+from repro.simulation.node import SimulationNode, evaluate_nodes
 from repro.topology.graphs import Topology
 from repro.topology.weights import MixingRow, metropolis_hastings_rows
 from repro.utils.profiling import PhaseTimer, Profiler
@@ -574,11 +574,8 @@ class Simulator:
             )
             evaluated = [self.nodes[i] for i in chosen]
 
-        losses, accuracies = [], []
-        for node in evaluated:
-            loss, accuracy = node.evaluate(inputs, targets, self.task.accuracy_fn)
-            losses.append(loss)
-            accuracies.append(accuracy)
+        scores = evaluate_nodes(evaluated, inputs, targets, self.task.accuracy_fn)
+        losses, accuracies = zip(*scores)
         return float(np.mean(losses)), float(np.mean(accuracies))
 
     def record_evaluation(
@@ -911,6 +908,9 @@ class SynchronousMode:
             # Snapshot-safe boundary: the round is fully accounted (models,
             # meter, clock, evaluation) and nothing is in flight.
             simulator.checkpoint_point(lambda: {"kind": self.name, "clock": clock})
+            # Round t's train output must not live on through round t + 1's
+            # train stage: at scale it is two (N, d) copies.
+            del trained, contexts, messages, inboxes
 
         simulator.result.simulated_time_seconds = clock
         simulator.result.per_node_time_seconds = [clock] * config.num_nodes

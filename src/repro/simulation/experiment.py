@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ConfigurationError("eval_every must be positive")
         if self.eval_test_samples <= 0:
             raise ConfigurationError("eval_test_samples must be positive")
+        if self.eval_nodes is not None and self.eval_nodes < 1:
+            raise ConfigurationError("eval_nodes must be None (every node) or at least 1")
         if self.partition not in {"auto", "shards", "clients", "iid"}:
             raise ConfigurationError(f"unknown partition scheme {self.partition!r}")
         if not 0.0 <= self.message_drop_probability < 1.0:

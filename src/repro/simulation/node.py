@@ -15,10 +15,16 @@ from repro.core.interface import SharingScheme
 from repro.datasets.base import Dataset
 from repro.exceptions import SimulationError
 from repro.nn.losses import Loss
+from repro.nn.models import ConvClassifier
 from repro.nn.module import Module, assign_flat_values, flat_values
 from repro.nn.optim import SGD
 
-__all__ = ["SimulationNode"]
+__all__ = ["SimulationNode", "evaluate_nodes"]
+
+#: Samples per loss chunk of :func:`evaluate_nodes`.
+_EVAL_CHUNK = 256
+#: Samples per shared conv1 column block of :func:`evaluate_nodes`.
+_EVAL_BLOCK = 32
 
 
 class SimulationNode:
@@ -114,30 +120,14 @@ class SimulationNode:
 
     # -- evaluation ---------------------------------------------------------------
     def evaluate(
-        self,
-        inputs: np.ndarray,
-        targets: np.ndarray,
-        accuracy_fn,
-        batch_size: int = 256,
+        self, inputs: np.ndarray, targets: np.ndarray, accuracy_fn
     ) -> tuple[float, float]:
-        """Return ``(loss, accuracy)`` of this node's model on the given data."""
+        """Return ``(loss, accuracy)`` of this node's model on the given data.
 
-        self.set_training(False)
-        try:
-            total_loss = 0.0
-            outputs_all = []
-            count = inputs.shape[0]
-            for start in range(0, count, batch_size):
-                batch_inputs = inputs[start : start + batch_size]
-                batch_targets = targets[start : start + batch_size]
-                outputs = self.model.forward(batch_inputs)
-                total_loss += self.loss.forward(outputs, batch_targets) * batch_inputs.shape[0]
-                outputs_all.append(outputs)
-            outputs = np.concatenate(outputs_all, axis=0)
-        finally:
-            # An eval-mode model has no backward cache: never hand one back.
-            self.set_training(True)
-        return total_loss / count, float(accuracy_fn(outputs, targets))
+        The one-node case of :func:`evaluate_nodes`.
+        """
+
+        return evaluate_nodes([self], inputs, targets, accuracy_fn)[0]
 
     # -- checkpointing ---------------------------------------------------------------
     def state_dict(self) -> dict:
@@ -172,3 +162,66 @@ class SimulationNode:
         self._rng.bit_generator.state = dict(state["rng"])
         self.last_train_loss = float(state["last_train_loss"])
         self.scheme.load_state_dict(state["scheme"])
+
+
+def evaluate_nodes(
+    nodes: list[SimulationNode], inputs: np.ndarray, targets: np.ndarray, accuracy_fn
+) -> list[tuple[float, float]]:
+    """``(loss, accuracy)`` of every node's model on the same data, in node order.
+
+    Each node's numbers are bit-identical to evaluating it alone: the loss is
+    accumulated per node over chunks of :data:`_EVAL_CHUNK` samples.  When
+    every model is a :class:`~repro.nn.models.ConvClassifier`, a chunk runs in
+    blocks of :data:`_EVAL_BLOCK` samples whose conv1 columns are unfolded once
+    and read by every model (a conv GEMM split by output columns is exact);
+    each model's head then reads the whole chunk's features, because a
+    ``Linear`` split by batch rows is not exact.  Other models run ``forward``
+    per node.
+    """
+
+    models = [node.model for node in nodes]
+    # conv1 is the same 3x3, padding-1 layer in every ConvClassifier, and the
+    # inputs fix its channel count: the columns are the same for all models.
+    shared_columns = all(isinstance(model, ConvClassifier) for model in models)
+    for node in nodes:
+        node.set_training(False)
+    try:
+        count = inputs.shape[0]
+        losses = [0.0] * len(nodes)
+        outputs: list[list[np.ndarray]] = [[] for _ in nodes]
+        for start in range(0, count, _EVAL_CHUNK):
+            chunk_inputs = inputs[start : start + _EVAL_CHUNK]
+            chunk_targets = targets[start : start + _EVAL_CHUNK]
+            if shared_columns:
+                logits = _shared_column_logits(models, chunk_inputs)
+            else:
+                logits = (model.forward(chunk_inputs) for model in models)
+            for index, (node, chunk_outputs) in enumerate(zip(nodes, logits)):
+                loss = node.loss.forward(chunk_outputs, chunk_targets)
+                losses[index] += loss * chunk_inputs.shape[0]
+                outputs[index].append(chunk_outputs)
+    finally:
+        # An eval-mode model has no backward cache: never hand one back.
+        for node in nodes:
+            node.set_training(True)
+    return [
+        (loss / count, float(accuracy_fn(np.concatenate(node_outputs, axis=0), targets)))
+        for loss, node_outputs in zip(losses, outputs)
+    ]
+
+
+def _shared_column_logits(
+    models: list[ConvClassifier], inputs: np.ndarray
+) -> list[np.ndarray]:
+    """Every model's logits on ``inputs``, conv1's columns unfolded once per block."""
+
+    features = None
+    for start in range(0, inputs.shape[0], _EVAL_BLOCK):
+        block = slice(start, start + _EVAL_BLOCK)
+        columns = models[0].conv1.columns(inputs[block])
+        for index, model in enumerate(models):
+            pooled = model.trunk(model.conv1.forward_columns(*columns))
+            if features is None:
+                features = np.empty((len(models), inputs.shape[0], *pooled.shape[1:]))
+            features[index, block] = pooled
+    return [model.head(model_features) for model, model_features in zip(models, features)]

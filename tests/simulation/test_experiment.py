@@ -30,6 +30,10 @@ def test_defaults_are_valid():
         {"momentum": 1.5},
         {"eval_test_samples": 0},
         {"eval_test_samples": -5},
+        # Once NaN test loss ("Mean of empty slice"), once a numpy ValueError
+        # after the first round had trained.
+        {"eval_nodes": 0},
+        {"eval_nodes": -1},
         {"execution": "bogus"},
         {"compute_speed_range": (0.0, 2.0)},
         {"compute_speed_range": (3.0, 2.0)},
@@ -40,6 +44,11 @@ def test_defaults_are_valid():
 def test_invalid_configurations_raise(kwargs):
     with pytest.raises(ConfigurationError):
         ExperimentConfig(**kwargs)
+
+
+def test_eval_nodes_boundaries_are_valid():
+    assert ExperimentConfig(eval_nodes=None).eval_nodes is None
+    assert ExperimentConfig(eval_nodes=1).eval_nodes == 1
 
 
 def test_momentum_boundaries_are_valid():
