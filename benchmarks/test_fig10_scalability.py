@@ -9,7 +9,7 @@ workload at 8-20 nodes, where the per-node reference engine is comfortable and
 the accuracy/traffic *shape* is what matters.  The arena sweep
 (:func:`test_fig10_arena_scaling`) then pushes node counts to 1,000 in one
 process — 10,000 with ``FIG10_MAX_NODES=10000`` — under ``engine="arena"``,
-recording wall-clock, per-phase seconds and peak RSS per N into
+recording wall-clock seconds and peak RSS per N into
 ``benchmarks/output/BENCH_engine.json`` (the measured scaling story quoted by
 ``docs/SCALING.md``).
 """
@@ -30,8 +30,8 @@ from repro.datasets.synthetic import make_class_images
 from repro.evaluation import format_table, get_workload
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import MLPClassifier
+from repro.observability import peak_rss_bytes
 from repro.simulation import ExperimentConfig, run_experiment
-from repro.utils.profiling import Profiler
 
 NODE_COUNTS = (8, 12, 16, 20)
 
@@ -141,14 +141,12 @@ def _scaling_config(num_nodes: int, engine: str) -> ExperimentConfig:
 
 def _run_scaling_cell(num_nodes: int, engine: str) -> dict:
     task = _scaling_task(5, train_samples=max(2 * num_nodes, 2000))
-    profiler = Profiler()
     started = time.perf_counter()
     result = run_experiment(
         task,
         jwins_factory(JwinsConfig.paper_default()),
         _scaling_config(num_nodes, engine),
         scheme_name="jwins",
-        profiler=profiler,
     )
     total_seconds = time.perf_counter() - started
     assert result.rounds_completed == 3, (num_nodes, engine)
@@ -158,8 +156,7 @@ def _run_scaling_cell(num_nodes: int, engine: str) -> dict:
         "rounds_completed": result.rounds_completed,
         "total_seconds": total_seconds,
         "seconds_per_round": total_seconds / result.rounds_completed,
-        "phase_seconds": dict(result.phase_seconds),
-        "peak_rss_bytes": int(result.memory.get("peak_rss_bytes", 0)),
+        "peak_rss_bytes": peak_rss_bytes(),
         "total_bytes": result.total_bytes,
     }
 

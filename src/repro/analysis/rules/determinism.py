@@ -29,7 +29,7 @@ _NUMPY_RANDOM_SANCTIONED = {
     "SFC64",
 }
 
-#: Wall-clock callables banned outside ``repro.utils.profiling``.
+#: Wall-clock callables banned outside ``repro.observability``.
 _WALL_CLOCK = {
     "time.time",
     "time.time_ns",
@@ -112,26 +112,22 @@ class NoWallClock(Rule):
     """DET002: wall-clock reads leak real time into simulated time.
 
     The simulation has its own virtual clock (``repro.simulation.timing``);
-    the sanctioned wall-clock consumers are the telemetry modules —
-    ``repro.utils.profiling`` (phase timers) and ``repro.observability``
-    (trace timestamps, memory tracking), both of which sit explicitly outside
-    the determinism contract.  References are flagged, not just calls —
+    the one sanctioned wall-clock consumer is the telemetry package
+    ``repro.observability`` (trace timestamps, status heartbeats), which sits
+    explicitly outside the determinism contract.  References are flagged, not just calls —
     ``clock=time.perf_counter`` smuggles the clock just as effectively.
     """
 
     id = "DET002"
     severity = Severity.ERROR
     summary = (
-        "no wall-clock reads outside the telemetry modules "
-        "(repro.utils.profiling, repro.observability); simulated time "
-        "comes from the virtual clock"
+        "no wall-clock reads outside the telemetry package "
+        "(repro.observability); simulated time comes from the virtual clock"
     )
     node_types = (ast.Attribute, ast.Name)
 
     def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.module_in("repro") and not ctx.module_in(
-            "repro.utils.profiling", "repro.observability"
-        )
+        return ctx.module_in("repro") and not ctx.module_in("repro.observability")
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
         # Only flag the outermost attribute chain: for `time.perf_counter`
@@ -146,8 +142,8 @@ class NoWallClock(Rule):
                 ctx,
                 node.lineno,
                 node.col_offset,
-                f"wall-clock '{origin}' referenced; use the virtual clock or "
-                "repro.utils.profiling",
+                f"wall-clock '{origin}' referenced; use the virtual clock, or "
+                "repro.observability for telemetry",
             )
 
 

@@ -101,7 +101,10 @@ class SimulationSnapshot:
     meter: dict[str, Any]
     #: Execution-mode private state (``{"kind": "sync"|"async", ...}``).
     mode_state: dict[str, Any]
-    #: Encoded profiler state, or ``None`` when profiling was off.
+    #: Reserved: held a removed phase profiler's state.  Captured as ``None``
+    #: and never read, but kept verbatim so a version-3 file that carries
+    #: state still loads and re-serializes identically; the next
+    #: :data:`SNAPSHOT_VERSION` drops it.
     profiler: dict[str, Any] | None = None
     #: ``ExperimentSpec.to_dict()`` when the run was orchestration-driven.
     spec: dict[str, Any] | None = None
@@ -277,11 +280,6 @@ def capture_snapshot(
         },
         meter=encode_value(simulator.meter.state_dict()),
         mode_state=mode_state,
-        profiler=(
-            None
-            if simulator.profiler is None
-            else encode_value(simulator.profiler.state_dict())
-        ),
         spec=simulator.spec_payload,
         byzantine=[
             [int(node_id), encode_value(simulator._byzantine_stale[node_id])]
@@ -355,6 +353,4 @@ def restore_simulator(simulator: "Simulator", snapshot: SimulationSnapshot) -> N
     restored_result.execution = simulator.result.execution
     restored_result.scheme = simulator.result.scheme
     simulator.result = restored_result
-    if simulator.profiler is not None and snapshot.profiler is not None:
-        simulator.profiler.load_state_dict(decode_value(snapshot.profiler))
     simulator.resume_state = snapshot

@@ -75,10 +75,9 @@ from repro.observability import (
 from repro.orchestration.fork import build_forked_spec
 from repro.orchestration.pool import cell_heartbeat, cell_trace, spec_total_rounds
 from repro.simulation import ExperimentResult
-from repro.utils.profiling import Profiler, format_profile
 from repro.version import __version__
 
-__all__ = ["build_cli_parser", "build_parser", "main"]
+__all__ = ["build_cli_parser", "main"]
 
 SCHEME_CHOICES = available_schemes()
 
@@ -163,13 +162,6 @@ def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
     )
 
     telemetry = argparse.ArgumentParser(add_help=False)
-    telemetry.add_argument(
-        "--profile",
-        action="store_true",
-        help="time the engine phases (train/encode/aggregate/evaluate) and "
-        "print a per-phase breakdown after each scheme (sweep: one table "
-        "aggregated over the executed cells; stored rows stay byte-identical)",
-    )
     telemetry.add_argument(
         "--metrics",
         action="store_true",
@@ -263,18 +255,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
             help=f"print the {registry[:-1]} registry and exit",
         )
     parser.add_argument("--version", action="version", version=f"jwins-repro {__version__}")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The flat ``run`` parser (kept for programmatic/backwards-compatible use)."""
-
-    parser = argparse.ArgumentParser(
-        prog="jwins-repro",
-        description="Run decentralized-learning experiments from the JWINS reproduction.",
-        parents=list(_flag_groups()),
-    )
-    _add_run_arguments(parser)
-    return parser
 
 
 def build_cli_parser() -> argparse.ArgumentParser:
@@ -644,10 +624,10 @@ def _run_cells(
     Register the cells on the ``--status`` board -> auto-refresh -> per-cell
     heartbeat -> :meth:`ExperimentSpec.run` (with ``run_options`` on top of
     the telemetry sinks) -> mark done/paused -> close ``trace`` -> finalize
-    the board state, printing a progress line and (under ``--profile``) the
-    phase table per cell.  ``action`` names the subcommand in the clean-exit
-    message of a failing cell.  Returns the results of the finished cells, in
-    order, and the round the next one paused at (``None`` when all finished).
+    the board state, printing a progress line per cell.  ``action`` names the
+    subcommand in the clean-exit message of a failing cell.  Returns the
+    results of the finished cells, in order, and the round the next one paused
+    at (``None`` when all finished).
     """
 
     board = None
@@ -664,10 +644,8 @@ def _run_cells(
     try:
         for spec in specs:
             print(f"running {spec.scheme.label} ...")
-            profiler = Profiler() if args.profile else None
             try:
                 result = spec.run(
-                    profiler=profiler,
                     metrics=metrics,
                     observers=() if trace is None else (trace,),
                     heartbeat=cell_heartbeat(args.status, spec, metrics),
@@ -686,14 +664,6 @@ def _run_cells(
             if board is not None:
                 board.mark_done(spec.content_hash(), result.rounds_completed)
             finished.append(result)
-            if profiler is not None:
-                print(f"\n[{spec.scheme.label} profile]")
-                print(
-                    format_profile(
-                        result.phase_seconds, result.rounds_completed, profiler.counts
-                    )
-                )
-                print()
         state = "done"
         return finished, None
     finally:
@@ -858,38 +828,6 @@ def _build_adhoc_sweep(args: argparse.Namespace, scale: dict | None) -> Sweep:
     )
 
 
-def _print_sweep_telemetry(
-    args: argparse.Namespace,
-    outcome,
-    metrics: MetricsRegistry | None,
-) -> None:
-    """Aggregated profile / metrics / trace footers of a ``sweep`` invocation.
-
-    The per-cell phase telemetry rides back on the in-memory result objects
-    (never on the stored rows), so the aggregate is a plain sum over the
-    cells this invocation executed.
-    """
-
-    if args.profile:
-        totals: dict[str, float] = {}
-        rounds = 0
-        for spec in outcome.executed:
-            result = outcome.result_for(spec)
-            for phase, seconds in result.phase_seconds.items():
-                totals[phase] = totals.get(phase, 0.0) + seconds
-            rounds += result.rounds_completed
-        if totals:
-            print(f"\n[profile: aggregated over {len(outcome.executed)} executed cell(s)]")
-            print(format_profile(totals, rounds))
-    _print_telemetry_footer(
-        metrics,
-        f"metrics: merged over {len(outcome.executed)} executed cell(s)",
-        f"{len(outcome.executed)} trace file(s) written to {args.trace}/"
-        if args.trace is not None and outcome.executed
-        else None,
-    )
-
-
 def _sweep_command(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
@@ -934,7 +872,6 @@ def _sweep_command(args: argparse.Namespace) -> int:
             force=args.force,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every if args.checkpoint_dir else 0,
-            profile=args.profile,
             metrics=metrics,
             trace_dir=args.trace,
             status_dir=args.status,
@@ -945,7 +882,13 @@ def _sweep_command(args: argparse.Namespace) -> int:
         raise SystemExit(f"invalid sweep: {error}")
     print()
     print(f"executed {len(outcome.executed)} cell(s), skipped {len(outcome.skipped)}")
-    _print_sweep_telemetry(args, outcome, metrics)
+    _print_telemetry_footer(
+        metrics,
+        f"metrics: merged over {len(outcome.executed)} executed cell(s)",
+        f"{len(outcome.executed)} trace file(s) written to {args.trace}/"
+        if args.trace is not None and outcome.executed
+        else None,
+    )
     if outcome.interrupted:
         print(
             f"sweep interrupted: {len(outcome.paused)} cell(s) checkpointed "

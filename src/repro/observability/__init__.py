@@ -1,4 +1,4 @@
-"""Run telemetry: metrics, structured traces, memory tracking, forensics, status.
+"""Run telemetry: metrics, structured traces, peak memory, forensics, status.
 
 ``repro.observability`` is the measurement substrate of the reproduction —
 the paper's headline claims are resource claims (bytes on the wire,
@@ -20,19 +20,21 @@ live instead of only through the final result object:
 * :mod:`~repro.observability.status` — the atomically rewritten
   ``status.json`` heartbeat (:class:`StatusBoard` / per-cell
   :class:`CellStatusWriter`) behind ``--status`` and ``jwins-repro top``;
-* :mod:`~repro.observability.memory` — peak-RSS and optional tracemalloc
-  top-N attribution for profiled runs;
-* :mod:`~repro.observability.contract` — the scrub the result store applies
-  so telemetry never leaks into the determinism contract.
+* :mod:`~repro.observability.memory` — the peak-RSS reading a trace's
+  ``run_end`` record carries;
+* :mod:`~repro.observability.contract` — the result row's reserved telemetry
+  keys and the scrub the result store applies, so telemetry never leaks into
+  the determinism contract.
 
-This package is the *only* module tree besides ``repro.utils.profiling``
-sanctioned to read the wall clock (enforced statically by the DET002
+Per-layer wall-clock attribution of a run is the benchmark harness's job
+(``benchmarks/perf``), not the library's.  This package is the *only* module
+tree sanctioned to read the wall clock (enforced statically by the DET002
 analysis rule).
 """
 
 from repro.observability.contract import TELEMETRY_RESULT_FIELDS, scrub_telemetry
 from repro.observability.forensics import FieldDrift, TraceDiff, diff_traces
-from repro.observability.memory import MemoryTracker, peak_rss_bytes
+from repro.observability.memory import peak_rss_bytes
 from repro.observability.metrics import (
     NULL_METRICS,
     Counter,
@@ -62,7 +64,6 @@ __all__ = [
     "FieldDrift",
     "Gauge",
     "Histogram",
-    "MemoryTracker",
     "MetricsRegistry",
     "NULL_METRICS",
     "NullMetricsRegistry",

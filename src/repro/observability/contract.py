@@ -1,14 +1,14 @@
 """The telemetry side of the determinism contract.
 
-Telemetry (profiles, memory stats, metrics, traces) measures real machines
-doing real work, so it can never be part of the byte-identical replay
-guarantees.  The boundary is enforced here: :data:`TELEMETRY_RESULT_FIELDS`
-names every :class:`~repro.simulation.metrics.ExperimentResult` field that
-carries wall-clock-class data, and :func:`scrub_telemetry` resets them to
-their empty defaults.  The result store applies the scrub to every row it
-writes, so a fully instrumented run (``--trace --metrics --profile``)
-persists rows byte-identical to a telemetry-off run's — pinned by tests and
-by the CI determinism stage.
+Telemetry (metrics, traces, status heartbeats) measures real machines doing
+real work, so it can never be part of the byte-identical replay guarantees.
+None of it rides on :class:`~repro.simulation.metrics.ExperimentResult`.
+What is left here are the row format's reserved keys: a result row carries
+:data:`TELEMETRY_RESULT_FIELDS` with their empty values, which
+``ExperimentResult.to_dict`` writes as constants and ``from_dict`` drops, and
+:func:`scrub_telemetry` resets them to empty in a row from elsewhere.  A fully
+instrumented run (``--trace --metrics --status``) persists rows byte-identical
+to a telemetry-off run's — pinned by tests and by the CI determinism stage.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Any, Mapping
 
 __all__ = ["TELEMETRY_RESULT_FIELDS", "scrub_telemetry"]
 
-#: ExperimentResult fields that hold wall-clock-class telemetry, mapped to the
-#: empty default a telemetry-off run serializes.
+#: Reserved result-row keys, mapped to the empty value every row holds.  They
+#: stay in the row format until the next store epoch drops them.
 TELEMETRY_RESULT_FIELDS: dict[str, Any] = {
     "phase_seconds": dict,
     "round_phase_seconds": list,

@@ -1,28 +1,18 @@
-"""Peak-memory tracking for profiled runs.
+"""Peak-memory reading for run telemetry.
 
-Two complementary sources:
-
-* :func:`peak_rss_bytes` — the OS-reported high-water mark of the process'
-  resident set (``resource.getrusage``), free to read and always available on
-  POSIX; reported in bytes regardless of the platform's native unit.
-* :class:`MemoryTracker` — optional ``tracemalloc``-based attribution: start
-  it before the run, stop it after, and it reports the traced Python peak
-  plus the top-N allocation sites.  Costs ~2x allocation overhead while
-  active, so it is strictly opt-in.
-
-Memory numbers are wall-clock-class telemetry: they depend on the allocator,
-the interpreter version and whatever else the process did first, so they ride
-on :attr:`~repro.simulation.metrics.ExperimentResult.memory` — a field the
-result store scrubs, keeping stored rows byte-identical with telemetry on or
-off.
+:func:`peak_rss_bytes` is the OS-reported high-water mark of the process'
+resident set (``resource.getrusage``), free to read and always available on
+POSIX; reported in bytes regardless of the platform's native unit.  The
+trace's ``run_end`` record carries it under its ``"wall"`` key: memory numbers
+depend on the allocator, the interpreter version and whatever else the
+process did first, so they stay outside the determinism contract.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Any
 
-__all__ = ["MemoryTracker", "peak_rss_bytes"]
+__all__ = ["peak_rss_bytes"]
 
 
 def peak_rss_bytes() -> int:
@@ -37,59 +27,3 @@ def peak_rss_bytes() -> int:
     if sys.platform != "darwin":
         peak *= 1024
     return int(peak)
-
-
-class MemoryTracker:
-    """Optional ``tracemalloc`` attribution of where the peak memory went.
-
-    Typical use::
-
-        tracker = MemoryTracker(top_n=5)
-        tracker.start()
-        ...  # the run
-        stats = tracker.stop()
-        # {"tracemalloc_peak_bytes": ..., "tracemalloc_top": [{"site": ..., "bytes": ...}]}
-
-    ``top_n=0`` (the default) keeps tracemalloc off entirely; :meth:`stop`
-    then returns an empty mapping.  A tracker is single-shot, mirroring the
-    engine it instruments.
-    """
-
-    def __init__(self, top_n: int = 0) -> None:
-        if top_n < 0:
-            raise ValueError("top_n must be non-negative")
-        self.top_n = int(top_n)
-        self._started = False
-
-    def start(self) -> None:
-        """Begin tracing allocations (no-op when ``top_n`` is 0)."""
-
-        if self.top_n == 0 or self._started:
-            return
-        import tracemalloc
-
-        tracemalloc.start()
-        self._started = True
-
-    def stop(self) -> dict[str, Any]:
-        """Stop tracing and return the peak plus the top-N allocation sites."""
-
-        if not self._started:
-            return {}
-        import tracemalloc
-
-        _, peak = tracemalloc.get_traced_memory()
-        snapshot = tracemalloc.take_snapshot()
-        tracemalloc.stop()
-        self._started = False
-        top = []
-        for stat in snapshot.statistics("lineno")[: self.top_n]:
-            frame = stat.traceback[0]
-            top.append(
-                {
-                    "site": f"{frame.filename}:{frame.lineno}",
-                    "bytes": int(stat.size),
-                    "count": int(stat.count),
-                }
-            )
-        return {"tracemalloc_peak_bytes": int(peak), "tracemalloc_top": top}

@@ -79,10 +79,12 @@ class CellStatusWriter:
     """The per-cell heartbeat: one atomically rewritten JSON file per cell.
 
     Duck-typed as the engine-facing ``heartbeat`` object: the runner calls
-    :meth:`on_round` from the ``on_round_end`` observer hook and
-    :meth:`on_checkpoint` from the checkpoint sink.  Round-cadence writes are
-    throttled to ``min_interval`` seconds; lifecycle writes (:meth:`start`,
-    :meth:`on_checkpoint`, :meth:`finish`) always land.
+    :meth:`on_run_start` from the ``on_run_start`` observer hook,
+    :meth:`on_round` from the ``on_round_end`` hook and :meth:`on_checkpoint`
+    from the checkpoint sink.  Rate and ETA count only the rounds this
+    process ran, so a resumed cell's restored rounds do not inflate them.
+    Round-cadence writes are throttled to ``min_interval`` seconds; lifecycle
+    writes (:meth:`start`, :meth:`on_checkpoint`, :meth:`finish`) always land.
 
     Parameters
     ----------
@@ -123,12 +125,15 @@ class CellStatusWriter:
         self._started: float | None = None
         self._last_write = float("-inf")
         self.rounds_completed = 0
+        #: The round the run started from (non-zero after a resume).
+        self.start_round = 0
         self.last_checkpoint_round: int | None = None
         self._state = "running"
 
     def _document(self, now: float) -> dict[str, Any]:
         elapsed = max(0.0, now - (self._started if self._started is not None else now))
-        rounds_per_sec = self.rounds_completed / elapsed if elapsed > 0 else None
+        ran = self.rounds_completed - self.start_round
+        rounds_per_sec = ran / elapsed if elapsed > 0 else None
         eta = None
         if (
             rounds_per_sec
@@ -167,6 +172,11 @@ class CellStatusWriter:
         self._started = self._wall_clock()
         self._write(force=True)
         return self
+
+    def on_run_start(self, rounds_completed: int) -> None:
+        """Run-start hook: the round the run starts from, left out of the rate."""
+
+        self.start_round = self.rounds_completed = int(rounds_completed)
 
     def on_round(self, rounds_completed: int) -> None:
         """Round-end hook: record progress, heartbeat at most every throttle tick."""

@@ -12,14 +12,14 @@ has the shape::
 
 The contract that keeps tracing outside the determinism guarantees is the
 **wall split**: every non-deterministic field (wall-clock timestamps,
-profiler seconds, file paths) lives under the record's ``"wall"`` key, and
+peak RSS, file paths) lives under the record's ``"wall"`` key, and
 every field outside it is a pure function of the experiment seed.  Stripping
 the ``"wall"`` key from each line (:func:`strip_wall`) therefore yields a
 byte-stable document across reruns — pinned by tests and usable as a fifth
 determinism oracle: diff two stripped traces to localize the first divergent
 event of a broken replay.
 
-:func:`summarize_trace` renders the per-phase / per-node rollups behind the
+:func:`summarize_trace` renders the per-node rollups behind the
 ``jwins-repro trace summarize`` subcommand.
 """
 
@@ -154,15 +154,12 @@ class TraceEmitter:
         self.emit("checkpoint", {"rounds_completed": rounds_completed, "reason": reason})
 
     def on_run_end(self, result: Any) -> None:
-        wall: dict[str, Any] = {"peak_rss_bytes": peak_rss_bytes()}
-        if result.phase_seconds:
-            wall["phase_seconds"] = dict(result.phase_seconds)
         fields = {
             "rounds_completed": result.rounds_completed,
             "total_bytes": float(result.total_bytes),
             "simulated_time_seconds": float(result.simulated_time_seconds),
         }
-        self.emit("run_end", fields, wall=wall)
+        self.emit("run_end", fields, wall={"peak_rss_bytes": peak_rss_bytes()})
         self.flush()
 
     def flush(self) -> None:
@@ -231,12 +228,12 @@ def _rollup_rows(title: str, header: tuple[str, ...], rows: list[tuple]) -> list
 
 
 def summarize_trace(path: str | Path) -> str:
-    """Per-run, per-phase and per-node rollups of one trace file.
+    """Per-run and per-node rollups of one trace file.
 
     Renders, per traced run: the manifest identity line, record counts by
     kind, the evaluation trajectory end points, a per-node table (rounds
-    completed, messages and bytes received) and — when the run was profiled —
-    the per-phase wall-clock seconds carried by the ``run_end`` record.
+    completed, messages and bytes received) and the peak RSS carried by the
+    ``run_end`` record.
     """
 
     records = read_trace(path)
@@ -320,15 +317,6 @@ def summarize_trace(path: str | Path) -> str:
                     rows,
                 )
             )
-        phase_seconds = (run_end or {}).get(WALL_KEY, {}).get("phase_seconds") or {}
-        if phase_seconds:
-            rows = [
-                (name, f"{seconds:.3f}")
-                for name, seconds in sorted(
-                    phase_seconds.items(), key=lambda item: -item[1]
-                )
-            ]
-            lines.extend(_rollup_rows("  per-phase (wall seconds):", ("phase", "seconds"), rows))
         peak_rss = (run_end or {}).get(WALL_KEY, {}).get("peak_rss_bytes")
         if peak_rss:
             lines.append(f"  peak_rss: {peak_rss / (1024 * 1024):.1f} MiB")

@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.checkpoint.snapshot import SimulationSnapshot
     from repro.observability.metrics import MetricsRegistry
     from repro.observability.status import CellStatusWriter
-    from repro.utils.profiling import Profiler
 
 __all__ = ["build_forked_spec", "run_fork"]
 
@@ -87,7 +86,6 @@ def run_fork(
     mutations: Mapping[str, Any] | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_every: int = 0,
-    profiler: "Profiler | None" = None,
     metrics: "MetricsRegistry | None" = None,
     observers: Sequence[object] = (),
     trace_dir: "str | Path | None" = None,
@@ -97,9 +95,9 @@ def run_fork(
 
     Returns the forked spec (hash-distinct from the parent whenever lineage
     or mutations differ) together with its result.  The forked run is itself
-    checkpointable via ``checkpoint_dir``/``checkpoint_every``; ``profiler``,
-    ``metrics``, ``observers`` and ``heartbeat`` attach run telemetry exactly
-    as on a plain run (and stay outside the determinism contract).
+    checkpointable via ``checkpoint_dir``/``checkpoint_every``; ``metrics``,
+    ``observers`` and ``heartbeat`` attach run telemetry exactly as on a plain
+    run (and stay outside the determinism contract).
 
     ``trace_dir`` adds a trace named by the **forked** spec's content hash
     (``<forked hash>.trace.jsonl``) through the same
@@ -117,7 +115,6 @@ def run_fork(
             checkpoint_every=checkpoint_every,
             snapshot=snapshot,
             verify_spec=False,
-            profiler=profiler,
             metrics=metrics,
             observers=observers if trace is None else (*observers, trace),
             heartbeat=heartbeat,

@@ -48,7 +48,6 @@ from repro.orchestration.spec import ExperimentSpec
 from repro.orchestration.store import ResultStore
 from repro.orchestration.sweep import Sweep
 from repro.simulation import ExperimentResult
-from repro.utils.profiling import Profiler
 
 __all__ = [
     "SweepObserver",
@@ -195,7 +194,6 @@ def _execute_spec_task(
         result = spec.run(
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
-            profiler=Profiler() if telemetry.get("profile") else None,
             metrics=registry,
             observers=() if trace is None else (trace,),
             heartbeat=cell_heartbeat(telemetry.get("status_dir"), spec, registry),
@@ -238,7 +236,6 @@ def run_sweep(
     force: bool = False,
     checkpoint_dir: str | None = None,
     checkpoint_every: int = 0,
-    profile: bool = False,
     metrics: MetricsRegistry | None = None,
     trace_dir: str | Path | None = None,
     status_dir: str | Path | None = None,
@@ -268,12 +265,6 @@ def run_sweep(
     checkpoint_every:
         Cadence (in completed global rounds) of per-cell snapshots; requires
         ``checkpoint_dir``.
-    profile:
-        Attach a fresh :class:`~repro.utils.profiling.Profiler` to every
-        executed cell; the phase telemetry rides back on each result object
-        (``result.phase_seconds``), where the CLI aggregates it.  The store
-        scrubs those fields at write time, so persisted rows stay
-        byte-identical with profiling on or off.
     metrics:
         Parent :class:`~repro.observability.metrics.MetricsRegistry`.  Every
         executed cell records into a registry of its own, handed back as a
@@ -345,7 +336,6 @@ def run_sweep(
 
     preemptible = checkpoint_dir is not None
     telemetry = {
-        "profile": profile,
         # Cells record into a registry whenever either consumer wants it: the
         # caller's merged registry or the status board's live snapshot.
         "metrics": metrics is not None or board is not None,

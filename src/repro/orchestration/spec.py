@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.checkpoint.snapshot import SimulationSnapshot
     from repro.observability.metrics import MetricsRegistry
     from repro.observability.status import CellStatusWriter
-    from repro.utils.profiling import Profiler
 
 __all__ = ["ExperimentSpec"]
 
@@ -193,7 +192,6 @@ class ExperimentSpec:
         checkpoint_every: int = 0,
         snapshot: "SimulationSnapshot | None" = None,
         verify_spec: bool = True,
-        profiler: "Profiler | None" = None,
         metrics: "MetricsRegistry | None" = None,
         observers: Sequence[object] = (),
         heartbeat: "CellStatusWriter | None" = None,
@@ -210,10 +208,9 @@ class ExperimentSpec:
         snapshot-belongs-to-this-spec check (the ``fork`` workflow, which
         replays a parent spec's snapshot under a mutated config).
 
-        ``profiler``, ``metrics``, ``observers`` (e.g. a trace emitter) and
-        ``heartbeat`` attach the telemetry layer (see
-        :mod:`repro.observability`); all four stay outside the determinism
-        contract.
+        ``metrics``, ``observers`` (e.g. a trace emitter) and ``heartbeat``
+        attach the telemetry layer (see :mod:`repro.observability`); all three
+        stay outside the determinism contract.
         """
 
         from repro.checkpoint.manager import CheckpointManager
@@ -252,7 +249,6 @@ class ExperimentSpec:
             factory,
             config,
             scheme_name=self.scheme.label,
-            profiler=profiler,
             checkpoint_every=checkpoint_every,
             checkpoint_sink=None if manager is None else manager.sink_for(key),
             resume_from=snapshot,

@@ -127,12 +127,11 @@ class ResultStore:
         ``result`` may already be a ``to_dict()`` mapping (workers ship dicts
         across the process boundary); both forms store identically.
 
-        Telemetry fields (profiler seconds, memory stats — see
+        The reserved telemetry keys (see
         :data:`repro.observability.contract.TELEMETRY_RESULT_FIELDS`) are
         scrubbed to their empty defaults before the row is written: stored
         rows are part of the determinism contract and must be byte-identical
-        whether or not the run was instrumented.  The caller's ``result``
-        object keeps its telemetry untouched.
+        whether or not the run was instrumented.
         """
 
         result_dict = scrub_telemetry(

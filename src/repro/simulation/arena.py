@@ -317,10 +317,10 @@ def train_batched(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Stage ``train``, step-major: one batched SGD update per local step.
 
-    Same signature as :func:`repro.simulation.engine.train_rows`, one profiler
-    interval for the stage.  All active gradient rows are zeroed at once,
-    every active node samples its own mini-batch and backpropagates it (per-node
-    RNG streams are independent, so the reorder is bit-safe) — all rows in one
+    Same signature as :func:`repro.simulation.engine.train_rows`.  All active
+    gradient rows are zeroed at once, every active node samples its own
+    mini-batch and backpropagates it (per-node RNG streams are independent, so
+    the reorder is bit-safe) — all rows in one
     :func:`_stacked_step` when the nodes are :func:`_stackable` and their
     batches share a shape — then one :meth:`NodeArenas.step_rows` call updates
     all active rows at once.
@@ -329,30 +329,29 @@ def train_batched(
     config = simulator.config
     arenas = simulator.arenas
     active_rows = np.asarray([node.node_id for node in active_nodes], dtype=np.int64)
-    with simulator.profile("train"):
-        start_matrix = arenas.params[active_rows]  # index arrays select copies
-        losses = np.empty((len(active_nodes), config.local_steps))
-        for node in active_nodes:
-            node.set_training(True)
-        stackable = _stackable(active_nodes)
-        for step in range(config.local_steps):
-            arenas.grads[active_rows] = 0.0  # every node's model.zero_grad() at once
-            if not stackable:
-                step_losses = [node.backpropagate_batch() for node in active_nodes]
+    start_matrix = arenas.params[active_rows]  # index arrays select copies
+    losses = np.empty((len(active_nodes), config.local_steps))
+    for node in active_nodes:
+        node.set_training(True)
+    stackable = _stackable(active_nodes)
+    for step in range(config.local_steps):
+        arenas.grads[active_rows] = 0.0  # every node's model.zero_grad() at once
+        if not stackable:
+            step_losses = [node.backpropagate_batch() for node in active_nodes]
+        else:
+            batches = [node.sample_batch() for node in active_nodes]
+            if len({(inputs.shape, targets.shape) for inputs, targets in batches}) == 1:
+                step_losses = _stacked_step(
+                    active_nodes[0].model, arenas, active_rows, batches
+                )
             else:
-                batches = [node.sample_batch() for node in active_nodes]
-                if len({(inputs.shape, targets.shape) for inputs, targets in batches}) == 1:
-                    step_losses = _stacked_step(
-                        active_nodes[0].model, arenas, active_rows, batches
-                    )
-                else:
-                    step_losses = [
-                        node.backpropagate(*batch) for node, batch in zip(active_nodes, batches)
-                    ]
-            losses[:, step] = step_losses
-            arenas.step_rows(active_rows, config.learning_rate, config.momentum)
-        # Row means: each row reduced alone, as ``np.mean`` reduces one node's list.
-        for node, mean in zip(active_nodes, losses.mean(axis=1).tolist()):
-            node.last_train_loss = mean
-        trained_matrix = arenas.params[active_rows]
+                step_losses = [
+                    node.backpropagate(*batch) for node, batch in zip(active_nodes, batches)
+                ]
+        losses[:, step] = step_losses
+        arenas.step_rows(active_rows, config.learning_rate, config.momentum)
+    # Row means: each row reduced alone, as ``np.mean`` reduces one node's list.
+    for node, mean in zip(active_nodes, losses.mean(axis=1).tolist()):
+        node.last_train_loss = mean
+    trained_matrix = arenas.params[active_rows]
     return list(zip(start_matrix, trained_matrix))

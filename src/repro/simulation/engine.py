@@ -32,7 +32,6 @@ API every benchmark and example uses.
 
 from __future__ import annotations
 
-import contextlib
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -52,7 +51,6 @@ from repro.simulation.events import (
     Event,
     EventLoop,
 )
-from repro.observability.memory import peak_rss_bytes
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.simulation.experiment import ExperimentConfig
 from repro.simulation.metrics import ExperimentResult, RoundRecord
@@ -60,7 +58,6 @@ from repro.simulation.network import ByteMeter
 from repro.simulation.node import SimulationNode, evaluate_nodes
 from repro.topology.graphs import Topology
 from repro.topology.weights import MixingRow, metropolis_hastings_rows
-from repro.utils.profiling import PhaseTimer, Profiler
 from repro.utils.rng import SeedSequenceFactory
 
 if TYPE_CHECKING:  # pragma: no cover - lazy runtime import avoids a cycle
@@ -73,9 +70,6 @@ __all__ = [
     "SynchronousMode",
     "build_nodes",
 ]
-
-#: Zero-cost stand-in for :class:`~repro.utils.profiling.PhaseTimer`.
-_NULL_TIMER = contextlib.nullcontext()
 
 MessageCallback = Callable[[Message, int, float], None]
 RoundEndCallback = Callable[[int, "int | None", float], None]
@@ -190,11 +184,6 @@ class Simulator:
         :class:`SynchronousMode` or :class:`AsynchronousMode`.
     scheme_name:
         Optional display name stored on the result.
-    profiler:
-        Optional :class:`~repro.utils.profiling.Profiler` measuring the
-        wall-clock cost of the engine phases (``train``/``encode``/
-        ``aggregate``/``evaluate``); its totals and per-round rows are copied
-        onto the result after the run.
     checkpoint_every:
         Capture a :class:`~repro.checkpoint.snapshot.SimulationSnapshot`
         every this many completed (global) rounds and hand it to
@@ -228,7 +217,6 @@ class Simulator:
         scheme_factory: SchemeFactory,
         config: ExperimentConfig,
         scheme_name: str | None = None,
-        profiler: Profiler | None = None,
         checkpoint_every: int = 0,
         checkpoint_sink: Callable[["SimulationSnapshot"], None] | None = None,
         resume_from: "SimulationSnapshot | None" = None,
@@ -261,7 +249,6 @@ class Simulator:
         self.meter = ByteMeter(
             config.num_nodes, metrics=self.metrics, scheme=resolved_scheme
         )
-        self.profiler = profiler
         self._eval_rng = self.seeds.rng("evaluation")
         self._drop_rng = self.seeds.rng("message-drops")
 
@@ -366,16 +353,6 @@ class Simulator:
             self._latency_marks[key] = now
         self._notify("on_round_end", round_index, node_id, now)
 
-    def mark_profile_round(self, round_index: int) -> None:
-        """Cut the profiler's per-round row at a round boundary (no-op when off).
-
-        The execution modes call this *after* the round's evaluation so the
-        ``evaluate`` time is attributed to the round that triggered it.
-        """
-
-        if self.profiler is not None:
-            self.profiler.mark_round(round_index)
-
     def emit_message(self, message: Message, receiver: int, now: float) -> None:
         self._m_delivered.inc()
         self._m_bytes_received.inc(message.size.total_bytes)
@@ -450,13 +427,6 @@ class Simulator:
         return snapshot
 
     # -- deployment helpers --------------------------------------------------------
-    def profile(self, name: str) -> "PhaseTimer | contextlib.nullcontext":
-        """Context manager timing phase ``name``; a no-op without a profiler."""
-
-        if self.profiler is None:
-            return _NULL_TIMER
-        return self.profiler.phase(name)
-
     def scenario_state(self, round_index: int) -> ScenarioState:
         """The environment state (activity, partitions, slowdowns) at a round."""
 
@@ -583,8 +553,7 @@ class Simulator:
     ) -> RoundRecord:
         """Evaluate the deployment and append a :class:`RoundRecord`."""
 
-        with self.profile("evaluate"):
-            test_loss, test_accuracy = self._evaluate_nodes()
+        test_loss, test_accuracy = self._evaluate_nodes()
         train_loss = float(np.mean([node.last_train_loss for node in self.nodes]))
         record = RoundRecord(
             round_index=round_index,
@@ -633,26 +602,11 @@ class Simulator:
             )
         self._ran = True
         self._notify("on_run_start", self)
-        if self.profiler is not None and self.profiler.memory is not None:
-            self.profiler.memory.start()
         preemption.register(self)
         try:
             self.mode.run(self)
         finally:
             preemption.unregister(self)
-            if self.profiler is not None:
-                # In ``finally`` so a paused or failed run also stops the
-                # memory tracker (tracemalloc must not outlive the run) and
-                # keeps its totals.  Flush work recorded after the last round
-                # boundary (e.g. the final evaluation) into a trailing row
-                # before copying.
-                self.profiler.flush(self.result.rounds_completed)
-                self.result.phase_seconds = self.profiler.totals
-                self.result.round_phase_seconds = self.profiler.round_rows
-                memory: dict[str, Any] = {"peak_rss_bytes": peak_rss_bytes()}
-                if self.profiler.memory is not None:
-                    memory.update(self.profiler.memory.stop())
-                self.result.memory = memory
         if self.scenario.has_events:
             # The trace is a pure function of the schedule, recorded for every
             # round the run actually completed (early stop truncates it).
@@ -674,8 +628,7 @@ class Simulator:
 
 # -- stage functions -------------------------------------------------------------------
 # The one set of round stages both schedules call: lock-step hands each stage
-# all active nodes, the event loop a one-node list.  ``train``, ``encode`` and
-# ``aggregate`` (and ``record_evaluation``) take the profiler intervals.
+# all active nodes, the event loop a one-node list.
 def train_rows(
     simulator: "Simulator", active_nodes: list[SimulationNode]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -683,8 +636,7 @@ def train_rows(
 
     pairs = []
     for node in active_nodes:
-        with simulator.profile("train"):
-            pairs.append(node.local_training())
+        pairs.append(node.local_training())
     return pairs
 
 
@@ -717,20 +669,19 @@ def encode(
 ) -> dict[int, Message]:
     """Stage ``encode``: every node's round message, checked and metered, by sender."""
 
-    with simulator.profile("encode"):
-        prepared = _scheme_class(active_nodes).prepare_rows(
-            [node.scheme for node in active_nodes], contexts
+    prepared = _scheme_class(active_nodes).prepare_rows(
+        [node.scheme for node in active_nodes], contexts
+    )
+    messages: dict[int, Message] = {}
+    for node, context, message in zip(active_nodes, contexts, prepared):
+        if message.sender != node.node_id:
+            raise SimulationError("a scheme produced a message with the wrong sender id")
+        # One copy per neighbor leaves the uplink, delivered or not.
+        simulator.meter.record_send(
+            node.node_id, message.size, copies=len(context.neighbor_weights)
         )
-        messages: dict[int, Message] = {}
-        for node, context, message in zip(active_nodes, contexts, prepared):
-            if message.sender != node.node_id:
-                raise SimulationError("a scheme produced a message with the wrong sender id")
-            # One copy per neighbor leaves the uplink, delivered or not.
-            simulator.meter.record_send(
-                node.node_id, message.size, copies=len(context.neighbor_weights)
-            )
-            messages[node.node_id] = message
-        return messages
+        messages[node.node_id] = message
+    return messages
 
 
 def admit(
@@ -796,22 +747,21 @@ def aggregate(
     stay bound to it).
     """
 
-    with simulator.profile("aggregate"):
-        blocks = _scheme_class(active_nodes).aggregate_rows(
-            [node.scheme for node in active_nodes], contexts, inboxes
-        )
-        for rows, block in blocks:
-            members = active_nodes[rows]
-            if block.shape != (len(members), simulator.model_size):
-                raise SimulationError(
-                    f"aggregation produced a {block.shape} matrix for "
-                    f"{len(members)} models of {simulator.model_size} parameters"
-                )
-            if simulator.arenas is None:
-                for node, new_params in zip(members, block):
-                    node.set_parameters(new_params)
-            else:
-                simulator.arenas.params[[node.node_id for node in members]] = block
+    blocks = _scheme_class(active_nodes).aggregate_rows(
+        [node.scheme for node in active_nodes], contexts, inboxes
+    )
+    for rows, block in blocks:
+        members = active_nodes[rows]
+        if block.shape != (len(members), simulator.model_size):
+            raise SimulationError(
+                f"aggregation produced a {block.shape} matrix for "
+                f"{len(members)} models of {simulator.model_size} parameters"
+            )
+        if simulator.arenas is None:
+            for node, new_params in zip(members, block):
+                node.set_parameters(new_params)
+        else:
+            simulator.arenas.params[[node.node_id for node in members]] = block
 
 
 def account(
@@ -901,10 +851,8 @@ class SynchronousMode:
                 fractions = [message.shared_fraction for message in messages.values()]
                 shared = float(np.mean(fractions)) if fractions else 0.0
                 simulator.record_evaluation(round_index + 1, shared, clock)
-            # After the evaluation, so its time lands in the round that triggered it.
-            simulator.mark_profile_round(round_index)
-            if due and simulator.should_stop_at_target():
-                break
+                if simulator.should_stop_at_target():
+                    break
             # Snapshot-safe boundary: the round is fully accounted (models,
             # meter, clock, evaluation) and nothing is in flight.
             simulator.checkpoint_point(lambda: {"kind": self.name, "clock": clock})
@@ -1184,17 +1132,12 @@ class AsynchronousMode:
         # settled progress, as under the barrier.
         simulator.emit_round_end(round_index, node_id, now)
         due = global_round % config.eval_every == 0 or global_round == config.rounds
-        stop = False
         if global_round > self.evaluated_through and due:
             self.evaluated_through = global_round
             simulator.record_evaluation(global_round, float(np.mean(self.last_fraction)), now)
-            stop = simulator.should_stop_at_target()
-        # Under gossip a profiler row is one node finishing its round: the
-        # work since the last completion, any evaluation it triggered included.
-        simulator.mark_profile_round(round_index)
-        if stop:
-            self.loop.clear()
-            return
+            if simulator.should_stop_at_target():
+                self.loop.clear()
+                return
         if self.node_round[node_id] < config.rounds:
             self.loop.schedule(now, START_ROUND, node_id)
         # Snapshot-safe boundary: the completing node's next round is

@@ -14,6 +14,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.compression.sizing import GIB, MIB
+from repro.observability.contract import TELEMETRY_RESULT_FIELDS
 
 __all__ = ["ExperimentResult", "RoundRecord"]
 
@@ -82,19 +83,6 @@ class ExperimentResult:
     #: barrier all entries equal :attr:`simulated_time_seconds`; under the
     #: asynchronous mode fast nodes finish earlier than stragglers.
     per_node_time_seconds: list[float] = field(default_factory=list)
-    #: Real (wall-clock) seconds spent per engine phase — ``train``,
-    #: ``encode``, ``aggregate``, ``evaluate``.  Empty unless a
-    #: :class:`~repro.utils.profiling.Profiler` was attached to the run.
-    phase_seconds: dict[str, float] = field(default_factory=dict)
-    #: Per-round phase breakdown rows (``{"round": r, phase: seconds, ...}``)
-    #: from the attached profiler; empty when profiling was off.
-    round_phase_seconds: list[dict[str, float]] = field(default_factory=list)
-    #: Peak-memory telemetry captured at run end: ``peak_rss_bytes`` (the OS
-    #: high-water mark) plus, when the profiler carried a
-    #: :class:`~repro.observability.memory.MemoryTracker`, the tracemalloc
-    #: peak and top allocation sites.  Empty unless a profiler was attached;
-    #: wall-clock-class data the result store scrubs.
-    memory: dict[str, Any] = field(default_factory=dict)
     #: Per-round scenario trace rows ``{"round": r, "active_nodes": [...],
     #: "partition_ids": [...]}`` — which nodes were up and, if a partition
     #: window was open, which group each node sat in (``None`` = unlisted).
@@ -126,12 +114,8 @@ class ExperimentResult:
             ),
             "execution": self.execution,
             "per_node_time_seconds": [float(t) for t in self.per_node_time_seconds],
-            "phase_seconds": {name: float(v) for name, v in self.phase_seconds.items()},
-            "round_phase_seconds": [
-                {name: float(v) for name, v in row.items()}
-                for row in self.round_phase_seconds
-            ],
-            "memory": dict(self.memory),
+            # Reserved keys of the row format, always empty; see from_dict.
+            **{name: empty() for name, empty in TELEMETRY_RESULT_FIELDS.items()},
             "scenario_rounds": [
                 {
                     "round": int(row["round"]),
@@ -147,9 +131,15 @@ class ExperimentResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentResult":
-        """Rebuild a result from :meth:`to_dict` output."""
+        """Rebuild a result from :meth:`to_dict` output.
+
+        The reserved telemetry keys (:data:`TELEMETRY_RESULT_FIELDS`) are
+        dropped, whatever they hold: no field carries them any more.
+        """
 
         payload = dict(data)
+        for name in TELEMETRY_RESULT_FIELDS:
+            payload.pop(name, None)
         payload["history"] = [
             RoundRecord.from_dict(record) for record in payload.get("history", [])
         ]

@@ -27,7 +27,6 @@ from repro.datasets.base import LearningTask
 from repro.simulation.engine import SimulationObserver, Simulator, build_nodes
 from repro.simulation.experiment import ExperimentConfig
 from repro.simulation.metrics import ExperimentResult
-from repro.utils.profiling import Profiler
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.checkpoint.snapshot import SimulationSnapshot
@@ -41,7 +40,10 @@ class _Heartbeat(SimulationObserver):
     """A status heartbeat on the engine's round-end and checkpoint hooks.
 
     ``heartbeat`` is duck-typed (``on_round(rounds_completed)``,
-    ``on_checkpoint(rounds_completed)``).  Both execution modes settle
+    ``on_checkpoint(rounds_completed)`` and, optionally,
+    ``on_run_start(rounds_completed)``).  The run-start hook passes the round
+    the run starts from — a resume's restored rounds, which this process did
+    not run, so a rate must leave them out.  Both execution modes settle
     ``result.rounds_completed`` before the round-end hook, so it reports
     settled progress; a checkpoint counts once a sink holds the snapshot.
     Hooks fire whether or not anyone listens, so a heartbeat cannot perturb
@@ -56,6 +58,11 @@ class _Heartbeat(SimulationObserver):
         self.simulator = weakref.ref(simulator)
         self.heartbeat = heartbeat
 
+    def on_run_start(self, simulator: Simulator) -> None:
+        run_start = getattr(self.heartbeat, "on_run_start", None)
+        if run_start is not None:
+            run_start(simulator.result.rounds_completed)
+
     def on_round_end(self, round_index: int, node_id: int | None, now: float) -> None:
         self.heartbeat.on_round(self.simulator().result.rounds_completed)
 
@@ -69,7 +76,6 @@ def run_experiment(
     scheme_factory: SchemeFactory,
     config: ExperimentConfig,
     scheme_name: str | None = None,
-    profiler: Profiler | None = None,
     checkpoint_every: int = 0,
     checkpoint_sink: Callable[["SimulationSnapshot"], None] | None = None,
     resume_from: "SimulationSnapshot | None" = None,
@@ -87,9 +93,7 @@ def run_experiment(
     ``config.engine`` (``"arena"`` holds state in ``(N, d)`` arenas, with
     results byte-identical to the default per-node models; either scales a
     single process to thousands of nodes).  ``scheme_name`` overrides the
-    display name stored on the result; ``profiler`` (see :mod:`repro.utils.profiling`) opts into
-    wall-clock phase timing, surfaced on
-    :attr:`~repro.simulation.metrics.ExperimentResult.phase_seconds`.
+    display name stored on the result.
 
     The checkpoint parameters mirror the :class:`Simulator` constructor:
     ``checkpoint_every``/``checkpoint_sink`` capture mid-run snapshots,
@@ -114,7 +118,6 @@ def run_experiment(
         scheme_factory,
         config,
         scheme_name=scheme_name,
-        profiler=profiler,
         checkpoint_every=checkpoint_every,
         checkpoint_sink=checkpoint_sink,
         resume_from=resume_from,

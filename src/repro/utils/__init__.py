@@ -1,14 +1,10 @@
-"""Shared utilities: deterministic RNG derivation, statistics, vectors, profiling."""
+"""Shared utilities: deterministic RNG derivation, statistics, vectors."""
 
-from repro.utils.profiling import PhaseTimer, Profiler, format_profile
 from repro.utils.rng import SeedSequenceFactory, derive_rng, spawn_seeds
 from repro.utils.statistics import ConfidenceInterval, RunningMean, mean_confidence_interval
 from repro.utils.vectors import flatten_arrays, unflatten_vector
 
 __all__ = [
-    "PhaseTimer",
-    "Profiler",
-    "format_profile",
     "SeedSequenceFactory",
     "derive_rng",
     "spawn_seeds",

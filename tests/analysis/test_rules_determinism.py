@@ -82,9 +82,13 @@ class TestDet002WallClock:
     def test_allows_time_sleep(self):
         assert self.run("import time\ntime.sleep(0)\n") == []
 
-    def test_profiling_module_exempt(self):
+    def test_utils_package_flagged(self):
+        # Only repro.observability may read the wall clock: no module under
+        # repro.utils is exempt, the former phase-timer module included.
         source = "import time\nt = time.perf_counter()\n"
-        assert self.run(source, filename="src/repro/utils/profiling.py") == []
+        findings = self.run(source, filename="src/repro/utils/profiling.py")
+        assert rules_of(findings) == ["DET002"]
+        assert "repro.observability" in findings[0].message
 
     def test_observability_package_exempt(self):
         # The trace emitter's wall-clock timestamps are the sanctioned reason

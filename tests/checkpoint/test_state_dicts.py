@@ -29,7 +29,6 @@ from repro.nn.optim import SGD
 from repro.simulation.events import EventLoop, START_ROUND
 from repro.simulation.network import ByteMeter
 from repro.compression.sizing import PayloadSize
-from repro.utils.profiling import Profiler
 
 MODEL_SIZE = 64
 
@@ -192,25 +191,6 @@ def test_byte_meter_rejects_wrong_node_count():
     meter = ByteMeter(3)
     with pytest.raises(SimulationError):
         ByteMeter(4).load_state_dict(meter.state_dict())
-
-
-# -- profiler -------------------------------------------------------------------------
-def test_profiler_state_roundtrip():
-    ticks = iter(range(100))
-    profiler = Profiler(clock=lambda: float(next(ticks)))
-    with profiler.phase("train"):
-        pass
-    profiler.mark_round(0)
-    with profiler.phase("encode"):
-        pass
-    state = json.loads(json.dumps(profiler.state_dict()))
-    clone = Profiler()
-    clone.load_state_dict(state)
-    assert clone.totals == profiler.totals
-    assert clone.counts == profiler.counts
-    assert clone.round_rows == profiler.round_rows
-    clone.mark_round(1)  # the open since-mark row travelled too
-    assert clone.round_rows[-1]["round"] == 1.0
 
 
 # -- event loop -----------------------------------------------------------------------

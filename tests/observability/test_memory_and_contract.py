@@ -1,18 +1,59 @@
-"""Unit tests for memory tracking and the telemetry-scrub contract."""
+"""Unit tests for the peak-RSS reading, the telemetry scrub, the reserved keys
+and the removed profiler surface."""
 
 from __future__ import annotations
 
-import tracemalloc
+import importlib
+import json
 
 import pytest
 
-from repro.baselines.full_sharing import full_sharing_factory
+from repro.checkpoint import SimulationSnapshot
+from repro.core import jwins_factory
 from repro.exceptions import ExperimentPaused
 from repro.observability.contract import TELEMETRY_RESULT_FIELDS, scrub_telemetry
-from repro.observability.memory import MemoryTracker, peak_rss_bytes
-from repro.simulation import ExperimentConfig, Simulator
-from repro.utils.profiling import Profiler
+from repro.observability.memory import peak_rss_bytes
+from repro.observability.trace import TraceEmitter, read_trace
+from repro.orchestration.fork import run_fork
+from repro.orchestration.pool import run_sweep
+from repro.orchestration.schemes import SchemeSpec
+from repro.orchestration.spec import ExperimentSpec
+from repro.orchestration.store import ResultStore
+from repro.simulation import ExperimentConfig, ExperimentResult, Simulator
+from repro.simulation.runner import run_experiment
 from tests.conftest import make_toy_task
+
+#: A stored row as the store wrote it while results still had profiler fields
+#: (one 1-round ``movielens``/``jwins`` cell): the reserved keys hold their
+#: empty values, as every stored row did.
+PARENT_ROW = (
+    '{"key": "806529c7eb014d3cf7b24fdebbdf4e2274f2ff788115efb367f3aa80e3bd6efc", '
+    '"result": {"execution": "sync", "history": [{"average_shared_fraction": 0.67'
+    '56689791873142, "cumulative_bytes_per_node": 5088.5, "cumulative_metadata_by'
+    'tes_per_node": 251.5, "round_index": 1, "simulated_time_seconds": 0.06591520'
+    '000000001, "test_accuracy": 0.0, "test_loss": 7.5675560066777, "train_loss":'
+    ' 9.485407821288785}], "memory": {}, "num_nodes": 4, "per_node_time_seconds":'
+    ' [0.06591520000000001, 0.06591520000000001, 0.06591520000000001, 0.065915200'
+    '00000001], "phase_seconds": {}, "reached_target_at_round": null, "round_phas'
+    'e_seconds": [], "rounds_completed": 1, "scenario_rounds": [], "scheme": "jwi'
+    'ns", "simulated_time_seconds": 0.06591520000000001, "target_accuracy": null,'
+    ' "task": "movielens", "total_bytes": 20354.0, "total_metadata_bytes": 1006.0'
+    ', "total_values_bytes": 19092.0}, "spec": {"overrides": {"degree": 2, "eval_'
+    'every": 1, "eval_test_samples": 16, "num_nodes": 4, "rounds": 1, "seed": 1},'
+    ' "scheme": {"label": "jwins", "name": "jwins", "params": {}}, "task_seed": n'
+    'ull, "workload": "movielens"}}'
+)
+
+#: A snapshot's ``profiler`` entry as a profiled run captured it, two rounds in.
+PARENT_PROFILER_STATE = {
+    "counts": {"aggregate": 2, "encode": 2, "evaluate": 2, "train": 8},
+    "round_rows": [
+        {"aggregate": 0.0028, "encode": 0.0065, "evaluate": 0.0016, "round": 0.0, "train": 0.0028},
+        {"aggregate": 0.0030, "encode": 0.0043, "evaluate": 0.0015, "round": 1.0, "train": 0.0024},
+    ],
+    "since_mark": {},
+    "totals": {"aggregate": 0.0058, "encode": 0.0108, "evaluate": 0.0031, "train": 0.0052},
+}
 
 
 class TestPeakRss:
@@ -27,58 +68,6 @@ class TestPeakRss:
         ballast = [bytes(1024) for _ in range(1000)]
         assert peak_rss_bytes() >= first
         del ballast
-
-
-class TestMemoryTracker:
-    def test_disabled_tracker_is_a_noop(self):
-        tracker = MemoryTracker()
-        tracker.start()
-        assert tracker.stop() == {}
-
-    def test_stop_without_start_returns_empty(self):
-        assert MemoryTracker(top_n=3).stop() == {}
-
-    def test_negative_top_n_rejected(self):
-        with pytest.raises(ValueError):
-            MemoryTracker(top_n=-1)
-
-    def test_tracks_peak_and_attributes_sites(self):
-        tracker = MemoryTracker(top_n=3)
-        tracker.start()
-        ballast = [bytearray(64 * 1024) for _ in range(16)]
-        stats = tracker.stop()
-        del ballast
-        assert stats["tracemalloc_peak_bytes"] >= 16 * 64 * 1024
-        assert 1 <= len(stats["tracemalloc_top"]) <= 3
-        site = stats["tracemalloc_top"][0]
-        assert ":" in site["site"] and site["bytes"] > 0 and site["count"] > 0
-
-    def test_tracker_is_single_shot(self):
-        tracker = MemoryTracker(top_n=1)
-        tracker.start()
-        assert tracker.stop() != {}
-        assert tracker.stop() == {}
-
-
-    def test_a_paused_run_stops_tracing_and_keeps_its_totals(self):
-        """``Simulator.run`` stops the tracker on every exit, not only success."""
-
-        profiler = Profiler(memory=MemoryTracker(top_n=1))
-        simulator = Simulator(
-            make_toy_task(),
-            full_sharing_factory(),
-            ExperimentConfig(
-                num_nodes=4, degree=2, rounds=3, local_steps=1, batch_size=4,
-                eval_every=2, eval_test_samples=16, seed=5,
-            ),
-            profiler=profiler,
-        )
-        simulator.on_round_end(lambda *_: simulator.request_checkpoint_stop())
-        with pytest.raises(ExperimentPaused):
-            simulator.run()
-        assert not tracemalloc.is_tracing()
-        assert simulator.result.phase_seconds == profiler.totals != {}
-        assert simulator.result.memory["tracemalloc_peak_bytes"] > 0
 
 
 class TestScrubTelemetry:
@@ -117,3 +106,144 @@ class TestScrubTelemetry:
         payload = result.to_dict()
         for name, default in TELEMETRY_RESULT_FIELDS.items():
             assert payload[name] == default()
+
+
+class TestReservedFormatKeys:
+    """Rows and version-3 snapshots from before the profiler went load and
+    re-serialize byte for byte."""
+
+    def test_result_writes_the_reserved_keys_as_constants_and_drops_them_on_load(self):
+        payload = json.loads(PARENT_ROW)["result"]
+        assert {name: payload[name] for name in TELEMETRY_RESULT_FIELDS} == {
+            name: empty() for name, empty in TELEMETRY_RESULT_FIELDS.items()
+        }
+        profiled = {**payload, "phase_seconds": {"train": 1.0}, "memory": {"peak_rss_bytes": 1}}
+        assert ExperimentResult.from_dict(profiled) == ExperimentResult.from_dict(payload)
+        legacy = {k: v for k, v in payload.items() if k not in TELEMETRY_RESULT_FIELDS}
+        assert ExperimentResult.from_dict(legacy).to_dict() == payload
+
+    def test_a_stored_row_reserializes_byte_identically(self, tmp_path):
+        (tmp_path / "old.jsonl").write_text(PARENT_ROW + "\n", encoding="utf-8")
+        [(spec, result)] = list(ResultStore(tmp_path / "old.jsonl").items())
+        ResultStore(tmp_path / "new.jsonl").put(spec, result)
+        assert (tmp_path / "new.jsonl").read_text(encoding="utf-8") == PARENT_ROW + "\n"
+
+    @pytest.mark.parametrize("profiler_state", [None, PARENT_PROFILER_STATE], ids=["null", "state"])
+    def test_a_v3_snapshot_reserializes_and_resumes_identically(self, tmp_path, profiler_state):
+        config = ExperimentConfig(
+            num_nodes=4, degree=2, rounds=4, local_steps=1, batch_size=4,
+            eval_every=1, eval_test_samples=16, seed=5,
+        )
+        simulator = Simulator(make_toy_task(), jwins_factory(), config)
+        simulator.on_round_end(
+            lambda *_: simulator.request_checkpoint_stop()
+            if simulator.result.rounds_completed >= 2
+            else None
+        )
+        with pytest.raises(ExperimentPaused) as paused:
+            simulator.run()
+        assert paused.value.snapshot.profiler is None
+        written = SimulationSnapshot.from_dict(
+            {**paused.value.snapshot.to_dict(), "profiler": profiler_state}
+        ).save(tmp_path / "old.ckpt.json")
+        assert json.loads(written.read_text())["snapshot"]["profiler"] == profiler_state
+
+        loaded = SimulationSnapshot.load(written)
+        resaved = loaded.save(tmp_path / "new.ckpt.json")
+        assert resaved.read_bytes() == written.read_bytes()
+        resumed = run_experiment(make_toy_task(), jwins_factory(), config, resume_from=loaded)
+        uninterrupted = run_experiment(make_toy_task(), jwins_factory(), config)
+        assert resumed.to_dict() == uninterrupted.to_dict()
+
+
+def _tiny_config(**overrides) -> ExperimentConfig:
+    base = dict(
+        num_nodes=4, degree=2, rounds=3, local_steps=1, batch_size=4,
+        eval_every=2, eval_test_samples=16, seed=5,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+class TestEveryEngineKeepsWallClockOutOfResults:
+    """Under each execution mode and engine, a traced run's wall-clock
+    readings reach only the trace's ``wall`` section, never the result."""
+
+    @pytest.mark.parametrize(
+        "execution,engine",
+        [("sync", "pernode"), ("async", "pernode"), ("sync", "arena"), ("async", "arena")],
+        ids=["sync", "async", "sync-arena", "async-arena"],
+    )
+    def test_result_holds_the_reserved_keys_empty_and_the_trace_holds_the_rss(
+        self, tmp_path, execution, engine
+    ):
+        config = _tiny_config(execution=execution).with_engine(engine)
+        path = tmp_path / "run.trace.jsonl"
+        with TraceEmitter(path) as trace:
+            traced = run_experiment(make_toy_task(seed=5), jwins_factory(), config, observers=(trace,))
+        bare = run_experiment(make_toy_task(seed=5), jwins_factory(), config)
+
+        payload = traced.to_dict()
+        assert payload == bare.to_dict()
+        assert {name: payload[name] for name in TELEMETRY_RESULT_FIELDS} == {
+            name: empty() for name, empty in TELEMETRY_RESULT_FIELDS.items()
+        }
+        assert not any(hasattr(traced, name) for name in TELEMETRY_RESULT_FIELDS)
+        run_end = read_trace(path)[-1]
+        assert run_end["kind"] == "run_end"
+        assert run_end["rounds_completed"] == 3
+        assert set(run_end["wall"]) == {"peak_rss_bytes", "unix_time"}
+        assert run_end["wall"]["peak_rss_bytes"] > 0
+
+
+class TestRemovedProfilerSurface:
+    """The phase profiler, its tracemalloc rider and every way into them are
+    gone, with no second path kept beside them."""
+
+    def test_the_profiling_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.utils.profiling")
+
+    @pytest.mark.parametrize(
+        "module,name",
+        [
+            ("repro.utils", "Profiler"),
+            ("repro.utils", "PhaseTimer"),
+            ("repro.utils", "format_profile"),
+            ("repro.observability", "MemoryTracker"),
+            ("repro.observability.memory", "MemoryTracker"),
+            ("repro.simulation.engine", "_NULL_TIMER"),
+        ],
+    )
+    def test_the_removed_name_is_not_exported(self, module, name):
+        imported = importlib.import_module(module)
+        assert not hasattr(imported, name)
+        assert name not in getattr(imported, "__all__", ())
+
+    @pytest.mark.parametrize("execution", ["sync", "async"])
+    def test_a_simulator_has_no_profiling_hooks(self, execution):
+        simulator = Simulator(make_toy_task(), jwins_factory(), _tiny_config(execution=execution))
+        for name in ("profiler", "profile", "mark_profile_round"):
+            assert not hasattr(simulator, name), name
+
+    @pytest.mark.parametrize(
+        "entry_point", ["Simulator", "run_experiment", "ExperimentSpec.run", "run_fork", "run_sweep"]
+    )
+    def test_every_entry_point_refuses_the_old_keyword(self, entry_point):
+        spec = ExperimentSpec(
+            "movielens", SchemeSpec("jwins"),
+            overrides={"num_nodes": 4, "degree": 2, "rounds": 1, "eval_test_samples": 16},
+        )
+        calls = {
+            "Simulator": lambda: Simulator(
+                make_toy_task(), jwins_factory(), _tiny_config(), profiler=object()
+            ),
+            "run_experiment": lambda: run_experiment(
+                make_toy_task(), jwins_factory(), _tiny_config(), profiler=object()
+            ),
+            "ExperimentSpec.run": lambda: spec.run(profiler=object()),
+            "run_fork": lambda: run_fork(None, profiler=object()),
+            "run_sweep": lambda: run_sweep([spec], profile=True),
+        }
+        with pytest.raises(TypeError, match="profile"):
+            calls[entry_point]()

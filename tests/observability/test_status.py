@@ -10,7 +10,7 @@ Four layers:
   ``status.json`` must parse (atomic replace, never a torn read) and the
   final document must be terminal with every cell done;
 * the contract pin: stored rows are byte-identical with status + metrics +
-  trace + profile all enabled vs all disabled.
+  trace all enabled vs all disabled.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.checkpoint import CheckpointManager
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.status import (
     STATUS_FILENAME,
@@ -33,6 +34,7 @@ from repro.observability.status import (
 )
 from repro.orchestration.pool import run_sweep
 from repro.orchestration.schemes import SchemeSpec
+from repro.orchestration.spec import ExperimentSpec
 from repro.orchestration.store import ResultStore
 from repro.orchestration.sweep import Sweep
 
@@ -44,6 +46,14 @@ class ManualClock:
         self.now = start
 
     def __call__(self) -> float:
+        return self.now
+
+
+class TickingClock(ManualClock):
+    """Advances one second per read."""
+
+    def __call__(self) -> float:
+        self.now += 1.0
         return self.now
 
 
@@ -87,6 +97,36 @@ def test_writer_throttles_round_writes_but_forces_lifecycle(tmp_path):
 
     writer.finish()
     assert _cell_doc(writer)["state"] == "done"
+
+
+def test_resumed_cell_rate_counts_only_the_rounds_this_process_ran(tmp_path):
+    spec = ExperimentSpec(
+        "movielens", SchemeSpec("jwins"), overrides={**TINY, "rounds": 8, "seed": 1}
+    )
+    manager = CheckpointManager(tmp_path / "ckpt")
+    spec.run(checkpoint_dir=manager.directory, checkpoint_every=6)
+    snapshot = manager.load_for_spec(spec)
+    assert snapshot.rounds_completed == 6
+
+    writer = CellStatusWriter(
+        tmp_path / "status", spec.content_hash(), total_rounds=8,
+        wall_clock=TickingClock(), min_interval=0.0,
+    ).start()  # start at t=1, its write at t=2
+    spec.run(snapshot=snapshot, heartbeat=writer)  # rounds 7 and 8 write at t=3, 4
+    document = _cell_doc(writer)
+    assert document["rounds_completed"] == 8
+    assert document["rounds_per_sec"] == pytest.approx(2 / 3)  # not 8 / 3
+
+    # Mid-run, the ETA extrapolates from the same rate.
+    clock = ManualClock()
+    writer = CellStatusWriter(tmp_path, "c" * 64, total_rounds=8, wall_clock=clock)
+    writer.start()
+    writer.on_run_start(6)
+    clock.now += 2.0
+    writer.on_round(7)
+    document = _cell_doc(writer)
+    assert document["rounds_per_sec"] == 0.5
+    assert document["eta_seconds"] == 2.0
 
 
 def test_writer_embeds_a_metrics_snapshot(tmp_path):
@@ -221,7 +261,6 @@ def test_store_rows_byte_identical_with_full_telemetry_and_status(tmp_path):
     run_sweep(
         _sweep(),
         ResultStore(instrumented_store),
-        profile=True,
         metrics=MetricsRegistry(),
         trace_dir=tmp_path / "traces",
         status_dir=tmp_path / "status",

@@ -2,8 +2,8 @@
 
 Four guarantees:
 
-* a fully instrumented run (profiler + metrics + trace) produces results
-  bit-identical to a bare run;
+* a fully instrumented run (metrics + trace + status heartbeat) produces
+  results bit-identical to a bare run;
 * stored rows are byte-identical with telemetry on or off (the store scrubs);
 * a stripped trace is byte-stable across reruns (the fifth determinism
   oracle);
@@ -17,6 +17,7 @@ import pytest
 
 from repro.baselines.full_sharing import full_sharing_factory
 from repro.observability.metrics import MetricsRegistry
+from repro.observability.status import CellStatusWriter
 from repro.observability.trace import TraceEmitter, read_trace, strip_wall
 from repro.orchestration.pool import run_sweep
 from repro.orchestration.schemes import SchemeSpec
@@ -25,7 +26,6 @@ from repro.orchestration.store import ResultStore
 from repro.orchestration.sweep import Sweep
 from repro.simulation.experiment import ExperimentConfig
 from repro.simulation.runner import run_experiment
-from repro.utils.profiling import Profiler
 from tests.conftest import make_toy_task
 
 TINY = {"num_nodes": 4, "degree": 2, "rounds": 2, "eval_every": 1, "eval_test_samples": 32}
@@ -62,17 +62,20 @@ def _sweep() -> Sweep:
 def test_instrumented_run_is_bit_identical_to_plain(tmp_path, execution):
     task = make_toy_task(seed=5)
     plain = run_experiment(task, full_sharing_factory(), _tiny_config(execution=execution))
+    registry = MetricsRegistry()
+    heartbeat = CellStatusWriter(
+        tmp_path / "status", "a" * 64, total_rounds=3, registry=registry
+    ).start()
     instrumented = run_experiment(
         task,
         full_sharing_factory(),
         _tiny_config(execution=execution),
-        profiler=Profiler(),
-        metrics=MetricsRegistry(),
+        metrics=registry,
         observers=(TraceEmitter(tmp_path / "run.trace.jsonl"),),
+        heartbeat=heartbeat,
     )
-    assert plain.history == instrumented.history
-    assert plain.total_bytes == instrumented.total_bytes
-    assert plain.simulated_time_seconds == instrumented.simulated_time_seconds
+    assert plain.to_dict() == instrumented.to_dict()
+    assert heartbeat.rounds_completed == 3
 
 
 @pytest.mark.parametrize("execution", ["sync", "async"])
@@ -141,7 +144,6 @@ def test_trace_records_cover_the_run(tmp_path):
         task,
         full_sharing_factory(),
         _tiny_config(),
-        profiler=Profiler(),
         observers=(TraceEmitter(path, wall_clock=FixedClock()),),
     )
     records = read_trace(path)
@@ -157,10 +159,10 @@ def test_trace_records_cover_the_run(tmp_path):
     assert "python" in manifest["versions"] and "numpy" in manifest["versions"]
     run_end = records[-1]
     assert run_end["rounds_completed"] == 3
-    # Profiler seconds and RSS ride in the wall section, never as plain fields.
-    assert "phase_seconds" in run_end["wall"]
+    # RSS rides in the wall section, never as a plain field.
+    assert set(run_end["wall"]) == {"peak_rss_bytes", "unix_time"}
     assert run_end["wall"]["peak_rss_bytes"] > 0
-    assert "phase_seconds" not in {k for r in records for k in r if k != "wall"}
+    assert "peak_rss_bytes" not in {k for r in records for k in r if k != "wall"}
 
 
 def test_stripped_trace_is_byte_stable_across_reruns(tmp_path):
@@ -173,7 +175,6 @@ def test_stripped_trace_is_byte_stable_across_reruns(tmp_path):
             task,
             full_sharing_factory(),
             _tiny_config(),
-            profiler=Profiler(),
             observers=(TraceEmitter(path, wall_clock=FixedClock(start=start)),),
         )
         documents.append(strip_wall(path))
@@ -189,13 +190,14 @@ def test_store_rows_byte_identical_with_and_without_telemetry(tmp_path):
     run_sweep(
         _sweep(),
         ResultStore(instrumented_store),
-        profile=True,
         metrics=MetricsRegistry(),
         trace_dir=tmp_path / "traces",
+        status_dir=tmp_path / "status",
     )
     assert bare_store.read_bytes() == instrumented_store.read_bytes()
     # The telemetry itself still reached the caller's side channels.
     assert list((tmp_path / "traces").glob("*.trace.jsonl"))
+    assert (tmp_path / "status" / "status.json").exists()
 
 
 def test_sweep_telemetry_is_identical_across_worker_counts(tmp_path):

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.cli import _scheme_params_from_args, build_cli_parser, build_parser, main
+from repro.cli import _scheme_params_from_args, build_cli_parser, main
 from repro.orchestration import SchemeSpec
 
 
 def test_parser_defaults():
-    args = build_parser().parse_args([])
+    args = build_cli_parser().parse_args(["run"])
     assert args.workload == "cifar10"
     assert args.scheme == ["jwins", "full-sharing"]
     assert args.seed == 1
@@ -15,7 +15,7 @@ def test_parser_defaults():
 
 def test_parser_rejects_unknown_scheme():
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["--scheme", "magic"])
+        build_cli_parser().parse_args(["run", "--scheme", "magic"])
 
 
 @pytest.mark.parametrize(
@@ -23,7 +23,7 @@ def test_parser_rejects_unknown_scheme():
     ["jwins", "jwins-adaptive", "full-sharing", "random-sampling", "topk", "choco", "quantized"],
 )
 def test_scheme_factory_from_name_builds_every_scheme(name):
-    args = build_parser().parse_args([])
+    args = build_cli_parser().parse_args(["run"])
     factory = SchemeSpec(name, _scheme_params_from_args(name, args)).build()
     scheme = factory(0, 200, 1)
     assert hasattr(scheme, "prepare")
@@ -31,7 +31,7 @@ def test_scheme_factory_from_name_builds_every_scheme(name):
 
 
 def test_budget_configures_jwins_distribution():
-    args = build_parser().parse_args(["--budget", "0.2"])
+    args = build_cli_parser().parse_args(["run", "--budget", "0.2"])
     scheme = SchemeSpec("jwins", _scheme_params_from_args("jwins", args)).build()(0, 200, 1)
     assert scheme.config.expected_sharing_fraction == pytest.approx(0.2)
 
@@ -65,7 +65,7 @@ def test_main_runs_small_experiment(capsys):
 
 
 def test_parser_accepts_execution_mode():
-    args = build_parser().parse_args(["--execution", "async", "--slowdown", "3.0"])
+    args = build_cli_parser().parse_args(["run", "--execution", "async", "--slowdown", "3.0"])
     assert args.execution == "async"
     assert args.slowdown == 3.0
 

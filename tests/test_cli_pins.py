@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import repro.cli as cli
-from repro.cli import build_cli_parser, build_parser, main
+from repro.cli import build_cli_parser, main
 
 _SCHEMES = ("jwins", "jwins-adaptive", "full-sharing", "random-sampling", "topk", "choco", "quantized")
 _ARTIFACTS = ("table1", "fig6", "fig7")
@@ -42,7 +42,6 @@ _SURFACE = {
         (("--list-workloads",), "list_workloads", 0, True, False, None, None, False),
         (("--metrics",), "metrics", 0, True, False, None, None, False),
         (("--nodes",), "nodes", None, None, None, "int", None, False),
-        (("--profile",), "profile", 0, True, False, None, None, False),
         (("--resume-from",), "resume_from", None, None, None, None, None, False),
         (("--rounds",), "rounds", None, None, None, "int", None, False),
         (("--scenario",), "scenario", None, None, None, None, None, False),
@@ -67,7 +66,6 @@ _SURFACE = {
         (("--metrics",), "metrics", 0, True, False, None, None, False),
         (("--nodes",), "nodes", None, None, None, "int", None, False),
         (("--preset",), "preset", None, None, None, None, _ARTIFACTS, False),
-        (("--profile",), "profile", 0, True, False, None, None, False),
         (("--rounds",), "rounds", None, None, None, "int", None, False),
         (("--scale",), "scale", "+", None, None, None, None, False),
         (("--scenario",), "scenario", "+", None, None, None, None, False),
@@ -83,7 +81,6 @@ _SURFACE = {
         (("--checkpoint-dir",), "checkpoint_dir", None, None, None, None, None, False),
         (("--checkpoint-every",), "checkpoint_every", None, None, 0, "int", None, False),
         (("--metrics",), "metrics", 0, True, False, None, None, False),
-        (("--profile",), "profile", 0, True, False, None, None, False),
         (("--rounds",), "rounds", None, None, None, "int", None, False),
         (("--scenario",), "scenario", None, None, None, None, None, False),
         (("--set",), "set", "+", None, None, None, None, False),
@@ -114,7 +111,6 @@ _SURFACE = {
         (("--store",), "store", None, None, None, None, None, True),
     ],
 }
-_SURFACE["<flat>"] = _SURFACE["run"]  # build_parser() is `run` without the subcommand
 
 
 def _surface(parser: argparse.ArgumentParser) -> list[tuple]:
@@ -148,13 +144,29 @@ def _subparsers() -> dict[str, argparse.ArgumentParser]:
 
 
 def test_the_pinned_subcommands_are_all_the_subcommands():
-    assert set(_subparsers()) == set(_SURFACE) - {"<flat>"} == set(cli.SUBCOMMANDS)
+    assert set(_subparsers()) == set(_SURFACE) == set(cli.SUBCOMMANDS)
 
 
 @pytest.mark.parametrize("command", sorted(_SURFACE))
 def test_parser_surface_is_pinned(command):
-    parser = build_parser() if command == "<flat>" else _subparsers()[command]
-    assert _surface(parser) == _SURFACE[command]
+    assert _surface(_subparsers()[command]) == _SURFACE[command]
+
+
+@pytest.mark.parametrize("argv", [[], ["--workload", "movielens", "--nodes", "4", "--seed", "3"]])
+def test_a_flat_invocation_parses_as_run(monkeypatch, argv):
+    parsed = []
+    monkeypatch.setattr(cli, "_run_command", lambda args: parsed.append(vars(args)) or 0)
+    assert main(argv) == 0
+    assert main(["run", *argv]) == 0
+    assert parsed[0] == parsed[1]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "fork"])
+def test_the_removed_profile_flag_is_refused(command, capsys):
+    required = ["--snapshot", "run.ckpt.json"] if command == "fork" else []
+    with pytest.raises(SystemExit):
+        build_cli_parser().parse_args([command, *required, "--profile"])
+    assert "unrecognized arguments: --profile" in capsys.readouterr().err
 
 
 # -- spec identity ----------------------------------------------------------------------
@@ -229,7 +241,7 @@ def test_sweep_dry_run_stdout_is_pinned(capsys):
 # -- declared once ----------------------------------------------------------------------
 _SHARED_FLAGS = (
     "--scheme --nodes --degree --budget --fraction --gamma --bits "
-    "--checkpoint-dir --checkpoint-every --profile --metrics --trace --status"
+    "--checkpoint-dir --checkpoint-every --metrics --trace --status"
 ).split()
 
 
