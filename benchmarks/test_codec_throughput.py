@@ -2,7 +2,7 @@
 
 JWINS' per-round cost is dominated by the wavelet transform and the
 compression of the selected coefficients; this suite measures the vectorized
-hot path against the bit-serial ``*_reference`` implementations on a
+hot path against the bit-serial ``*_reference`` oracles of ``tests/oracles`` on a
 100k-coefficient vector (the scale of the paper's models) and asserts both
 byte-identity and the speedup the optimization PR promised: at least 5x on
 Elias-gamma encoding.  The encode test also times the index codec's full
@@ -23,24 +23,16 @@ import time
 import numpy as np
 
 from benchmarks.conftest import merge_json_metrics, save_report
-from repro.compression.elias import (
-    elias_gamma_decode_array,
-    elias_gamma_decode_reference,
-    elias_gamma_encode,
-    elias_gamma_encode_reference,
-)
+from repro.compression.elias import elias_gamma_decode_array, elias_gamma_encode
 from repro.compression.indices import EliasGammaIndexCodec
-from repro.compression.quantization import (
-    QsgdQuantizer,
-    pack_quantized,
+from repro.compression.quantization import QsgdQuantizer, pack_quantized
+from repro.wavelets.dwt import dwt_single, idwt_single
+from tests.oracles.codecs import (
+    elias_gamma_decode_reference,
+    elias_gamma_encode_reference,
     pack_quantized_reference,
 )
-from repro.wavelets.dwt import (
-    dwt_single,
-    dwt_single_reference,
-    idwt_single,
-    idwt_single_reference,
-)
+from tests.oracles.dwt import dwt_single_reference, idwt_single_reference
 
 SMOKE = bool(os.environ.get("CODEC_THROUGHPUT_SMOKE"))
 #: Number of selected coefficients (the acceptance criterion pins 100k).

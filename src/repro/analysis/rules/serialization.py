@@ -99,7 +99,7 @@ def _derived_fields(cls: ast.ClassDef) -> set[str]:
     return set()
 
 
-def _to_dict_references(func: ast.FunctionDef) -> tuple[set[str], bool]:
+def _names_read_by_to_dict(func: ast.FunctionDef) -> tuple[set[str], bool]:
     """(names referenced in ``to_dict``, is it wildcard-complete?)."""
 
     self_name = _self_name(func)
@@ -151,7 +151,7 @@ class ToDictCompleteness(Rule):
         to_dict = _method(node, "to_dict")
         if to_dict is None:
             return
-        referenced, wildcard = _to_dict_references(to_dict)
+        referenced, wildcard = _names_read_by_to_dict(to_dict)
         if wildcard:
             return
         derived = _derived_fields(node)

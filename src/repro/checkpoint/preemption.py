@@ -29,7 +29,6 @@ import threading
 from typing import Any, Callable
 
 __all__ = [
-    "active_simulators",
     "install_preemption_handler",
     "interrupted",
     "preempt_after_round",
@@ -60,13 +59,6 @@ def unregister(simulator: Any) -> None:
     with _lock:
         if simulator in _active:
             _active.remove(simulator)
-
-
-def active_simulators() -> list[Any]:
-    """The simulators currently running in this process."""
-
-    with _lock:
-        return list(_active)
 
 
 def request_preempt() -> None:

@@ -1,30 +1,19 @@
 """Compression substrate: bit streams, Elias gamma, index codecs and float codecs."""
 
-from repro.compression.bitstream import BitReader, BitWriter, pack_bitfields, unpack_bits
-from repro.compression.elias import (
-    elias_gamma_decode,
-    elias_gamma_decode_array,
-    elias_gamma_decode_reference,
-    elias_gamma_encode,
-    elias_gamma_encode_reference,
-    gamma_code_length,
-)
+from repro.compression.bitstream import pack_bitfields, unpack_bits
+from repro.compression.elias import elias_gamma_decode_array, elias_gamma_encode
 from repro.compression.float_codec import (
     CompressedFloats,
     DeflateFloatCodec,
-    Float16Codec,
     FloatCodec,
     LzmaFloatCodec,
     RawFloatCodec,
-    float_compress_reference,
 )
 from repro.compression.quantization import (
     QsgdQuantizer,
     QuantizedVector,
     pack_quantized,
-    pack_quantized_reference,
     unpack_quantized,
-    unpack_quantized_reference,
 )
 from repro.compression.indices import (
     EliasGammaIndexCodec,
@@ -47,29 +36,19 @@ from repro.compression.sizing import (
 )
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
     "pack_bitfields",
     "unpack_bits",
-    "elias_gamma_decode",
     "elias_gamma_decode_array",
-    "elias_gamma_decode_reference",
     "elias_gamma_encode",
-    "elias_gamma_encode_reference",
-    "gamma_code_length",
     "CompressedFloats",
     "DeflateFloatCodec",
-    "Float16Codec",
     "FloatCodec",
     "LzmaFloatCodec",
     "RawFloatCodec",
-    "float_compress_reference",
     "QsgdQuantizer",
     "QuantizedVector",
     "pack_quantized",
-    "pack_quantized_reference",
     "unpack_quantized",
-    "unpack_quantized_reference",
     "EliasGammaIndexCodec",
     "EncodedIndexRows",
     "EncodedIndices",

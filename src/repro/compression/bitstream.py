@@ -1,23 +1,19 @@
-"""Minimal bit-level I/O used by the entropy coders.
+"""Vectorized bit-level packing used by the entropy coders.
 
-The Elias-gamma metadata codec (Section III-C of the paper) operates on a bit
-granularity; this module provides a writer that packs bits into ``bytes`` and
-a reader that consumes them again.  Bits are stored most-significant first
-within each byte, and the writer records the exact number of valid bits so the
-reader never interprets padding.
+The Elias-gamma metadata codec (Section III-C of the paper) and the quantized
+wire format operate at bit granularity.  Bits are stored most-significant
+first within each byte, the final byte is zero-padded, and every stream
+carries its exact number of valid bits so a reader never interprets padding.
 
-Two interchangeable implementations live here:
+* :func:`pack_bitfields` works at 64-bit-word granularity, one array element
+  per *field*: each value is shifted to where its last bit belongs in its
+  word, the fields of one word are combined in a single ``reduceat``, and the
+  words are serialized big-endian.
+* :func:`unpack_bits` expands a payload into a 0/1 array with
+  ``np.unpackbits`` for the vectorized decoders.
 
-* :class:`BitWriter`/:class:`BitReader` — the scalar, one-bit-at-a-time
-  reference.  Easy to audit, and the ground truth the vectorized paths are
-  pinned against byte-for-byte.
-* :func:`pack_bitfields`/:func:`unpack_bits` — the vectorized bulk operations
-  the hot path uses.  Packing works at 64-bit-word granularity, one array
-  element per *field*: each value is shifted to where its last bit belongs in
-  its word, the fields of one word are combined in a single ``reduceat``, and
-  the words are serialized big-endian — the same bytes, zero-padded final byte
-  included, as :meth:`BitWriter.getvalue`.  Unpacking expands a payload into a
-  0/1 array with ``np.unpackbits`` for the vectorized decoders.
+Both are pinned byte for byte to the one-bit-at-a-time writer and reader kept
+as oracles in ``tests/oracles/bitstream.py``.
 """
 
 from __future__ import annotations
@@ -26,125 +22,21 @@ import numpy as np
 
 from repro.exceptions import CodecError
 
-__all__ = ["BitReader", "BitWriter", "pack_bitfields", "unpack_bits"]
+__all__ = ["pack_bitfields", "unpack_bits"]
 
-
-class BitWriter:
-    """Accumulates individual bits and unsigned integers into a byte string."""
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._current = 0
-        self._filled = 0
-        self._bit_count = 0
-
-    def write_bit(self, bit: int) -> None:
-        """Append a single bit (0 or 1)."""
-
-        if bit not in (0, 1):
-            raise CodecError(f"bit must be 0 or 1, got {bit!r}")
-        self._current = (self._current << 1) | bit
-        self._filled += 1
-        self._bit_count += 1
-        if self._filled == 8:
-            self._buffer.append(self._current)
-            self._current = 0
-            self._filled = 0
-
-    def write_bits(self, value: int, width: int) -> None:
-        """Append ``width`` bits of ``value``, most significant bit first."""
-
-        if width < 0:
-            raise CodecError("width must be non-negative")
-        if value < 0 or (width < 64 and value >= (1 << width)):
-            raise CodecError(f"value {value} does not fit in {width} bits")
-        for position in range(width - 1, -1, -1):
-            self.write_bit((value >> position) & 1)
-
-    def write_unary(self, count: int) -> None:
-        """Append ``count`` zero bits followed by a one bit."""
-
-        if count < 0:
-            raise CodecError("unary count must be non-negative")
-        for _ in range(count):
-            self.write_bit(0)
-        self.write_bit(1)
-
-    @property
-    def bit_length(self) -> int:
-        """Number of bits written so far."""
-
-        return self._bit_count
-
-    def getvalue(self) -> bytes:
-        """Return the packed bytes (the final byte is zero-padded)."""
-
-        data = bytes(self._buffer)
-        if self._filled:
-            data += bytes([self._current << (8 - self._filled)])
-        return data
-
-
-class BitReader:
-    """Reads bits previously produced by :class:`BitWriter`."""
-
-    def __init__(self, data: bytes, bit_length: int | None = None) -> None:
-        self._data = bytes(data)
-        self._bit_length = len(self._data) * 8 if bit_length is None else int(bit_length)
-        if self._bit_length > len(self._data) * 8:
-            raise CodecError("bit_length exceeds the available data")
-        self._position = 0
-
-    @property
-    def remaining(self) -> int:
-        """Number of unread bits."""
-
-        return self._bit_length - self._position
-
-    def read_bit(self) -> int:
-        """Read the next bit (0 or 1)."""
-
-        if self._position >= self._bit_length:
-            raise CodecError("attempted to read past the end of the bit stream")
-        byte = self._data[self._position // 8]
-        bit = (byte >> (7 - self._position % 8)) & 1
-        self._position += 1
-        return bit
-
-    def read_bits(self, width: int) -> int:
-        """Read ``width`` bits as an unsigned integer (MSB first)."""
-
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | self.read_bit()
-        return value
-
-    def read_unary(self) -> int:
-        """Read a unary-coded count (number of zeros before the next one)."""
-
-        count = 0
-        while self.read_bit() == 0:
-            count += 1
-        return count
-
-
-# -- vectorized bulk operations ---------------------------------------------------------
 
 #: Widest bit field :func:`pack_bitfields` accepts: a field narrower than a
 #: 64-bit word spans at most two words and leaves at least one field end in
 #: every word, which the kernel relies on (and numpy's int64 shifts are
-#: undefined beyond 63 positions).  Wider fields must go through the scalar
-#: :class:`BitWriter` instead.
+#: undefined beyond 63 positions).
 MAX_FIELD_BITS = 63
 
 
 def pack_bitfields(values: np.ndarray, widths: np.ndarray) -> tuple[bytes, int]:
     """Pack ``values[i]`` into ``widths[i]`` MSB-first bits, all at once.
 
-    The output is byte-for-byte identical to a :class:`BitWriter` receiving the
-    same ``write_bits(value, width)`` calls in order: fields are concatenated
-    most-significant-bit first and the final byte is zero-padded.  Returns
-    ``(payload, bit_length)``.
+    Fields are concatenated most-significant-bit first and the final byte is
+    zero-padded.  Returns ``(payload, bit_length)``.
 
     Works on 64-bit words, one array element per *field* rather than per bit:
     field ``i`` ends at stream bit ``ends[i] = cumsum(widths)[i]``, so its
@@ -171,11 +63,10 @@ def pack_bitfields(values: np.ndarray, widths: np.ndarray) -> tuple[bytes, int]:
         raise CodecError("width must be non-negative")
     if widths.max() > MAX_FIELD_BITS:
         raise CodecError(
-            f"pack_bitfields supports fields up to {MAX_FIELD_BITS} bits; "
-            "use BitWriter for wider fields"
+            f"pack_bitfields supports fields up to {MAX_FIELD_BITS} bits"
         )
     # A value fits its width iff shifting the width away leaves nothing
-    # (width 0 therefore only admits the value 0, as write_bits does); the
+    # (width 0 therefore only admits the value 0); the
     # arithmetic shift keeps a negative value negative, hence non-zero.
     # Every field-sized temporary below is dropped (or overwritten in place)
     # as soon as it has been read: the packer runs at a round's memory peak.
@@ -236,9 +127,8 @@ def pack_bitfields(values: np.ndarray, widths: np.ndarray) -> tuple[bytes, int]:
 def unpack_bits(payload: bytes, bit_length: int) -> np.ndarray:
     """The first ``bit_length`` bits of ``payload`` as a ``uint8`` 0/1 array.
 
-    MSB-first within each byte, matching :class:`BitReader`.  Raises
-    :class:`~repro.exceptions.CodecError` when ``bit_length`` exceeds the
-    available data, like the :class:`BitReader` constructor does.
+    MSB-first within each byte.  Raises :class:`~repro.exceptions.CodecError`
+    when ``bit_length`` exceeds the available data.
     """
 
     if bit_length < 0:

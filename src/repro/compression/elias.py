@@ -6,26 +6,24 @@ indices, the same trick used by QSGD.  Elias gamma represents a positive
 integer ``n`` as ``floor(log2 n)`` zero bits followed by the binary expansion
 of ``n``; small gaps therefore cost very few bits.
 
-Two implementations are provided with byte-identical output:
-
-* :func:`elias_gamma_encode_reference`/:func:`elias_gamma_decode_reference` —
-  the original bit-serial code built on :class:`~repro.compression.bitstream.BitWriter`;
-  the ground truth the equivalence tests compare against.
-* :func:`elias_gamma_encode`/:func:`elias_gamma_decode` — the vectorized
-  path.  Encoding computes every code length at once from ``np.frexp``'s
-  exponent and hands ``(value, 2L - 1)`` fields to the word-level packer
-  :func:`~repro.compression.bitstream.pack_bitfields`, so its cost grows with
-  the number of values, not of output bits; decoding finds each code's unary
-  terminator with a vectorized leading-one scan and enumerates the code
-  boundaries by pointer doubling instead of walking bit by bit.
+Encoding computes every code length at once from ``np.frexp``'s exponent and
+hands ``(value, 2L - 1)`` fields to the word-level packer
+:func:`~repro.compression.bitstream.pack_bitfields`, so its cost grows with
+the number of values, not of output bits; decoding
+(:func:`elias_gamma_decode_array`) finds each code's unary terminator with a
+vectorized leading-one scan and enumerates the code boundaries by pointer
+doubling instead of walking bit by bit.  Both are pinned byte for byte to the
+bit-serial coder in ``tests/oracles/codecs.py``.
 
 The index codec needs only the stream's length at encode time, which is
 arithmetic over the same code lengths (``_gamma_bit_counts``); it packs with
 :func:`elias_gamma_encode` when its payload is first read.
 
-Values at or above ``2**32`` (codes wider than 63 bits, beyond numpy's int64
-shift range) are transparently routed to the reference implementation, so the
-public functions are exact for the full positive int64 range.
+The domain is ``[1, 2**32 - 1]``, whose widest code (63 bits) fits the int64
+kernels.  Index gaps are bounded by the coefficient count, and a gap of
+``2**32`` would need a 4.3-billion-parameter model (32 GiB per float64
+vector).  Values outside the domain, and streams holding a code the encoder
+cannot emit, are refused with :class:`~repro.exceptions.CodecError`.
 """
 
 from __future__ import annotations
@@ -34,24 +32,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.compression.bitstream import BitReader, BitWriter, pack_bitfields, unpack_bits
+from repro.compression.bitstream import pack_bitfields, unpack_bits
 from repro.exceptions import CodecError
 
-__all__ = [
-    "elias_gamma_decode",
-    "elias_gamma_decode_array",
-    "elias_gamma_decode_reference",
-    "elias_gamma_encode",
-    "elias_gamma_encode_reference",
-    "gamma_code_length",
-]
+__all__ = ["elias_gamma_decode_array", "elias_gamma_encode"]
 
-#: Largest value whose gamma code fits the vectorized int64 kernels
-#: (bit_length 32 -> code width 63).
-_MAX_FAST_VALUE = (1 << 32) - 1
-
-#: Significant bits of a float64: every integer below ``2**53`` converts exactly.
-_FLOAT64_EXACT_BITS = 53
+#: Largest value the coder accepts: its code (bit_length 32 -> width 63) is
+#: the widest the int64 kernels shift.
+_MAX_VALUE = (1 << 32) - 1
 
 #: Most bit fields the rows form of :func:`elias_gamma_encode` hands
 #: :func:`~repro.compression.bitstream.pack_bitfields` at once.  The packer
@@ -61,76 +49,23 @@ _FLOAT64_EXACT_BITS = 53
 _ROWS_CHUNK_FIELDS = 8192
 
 
-def gamma_code_length(value: int) -> int:
-    """Number of bits Elias gamma uses for ``value`` (must be >= 1)."""
-
-    if value < 1:
-        raise CodecError(f"Elias gamma requires positive integers, got {value}")
-    return 2 * int(value).bit_length() - 1
-
-
-def _encode_single(writer: BitWriter, value: int) -> None:
-    if value < 1:
-        raise CodecError(f"Elias gamma requires positive integers, got {value}")
-    bits = int(value).bit_length()
-    writer.write_unary(bits - 1)
-    # The leading one bit acted as the unary terminator; emit the remainder.
-    writer.write_bits(value - (1 << (bits - 1)), bits - 1)
-
-
-def elias_gamma_encode_reference(
-    values: Iterable[int] | Sequence[int] | np.ndarray,
-) -> tuple[bytes, int, int]:
-    """Bit-serial reference encoder (the original implementation).
-
-    Same contract as :func:`elias_gamma_encode`; kept as the ground truth the
-    vectorized encoder is compared against byte-for-byte.
-    """
-
-    writer = BitWriter()
-    count = 0
-    for value in np.asarray(list(values), dtype=np.int64):
-        _encode_single(writer, int(value))
-        count += 1
-    return writer.getvalue(), writer.bit_length, count
-
-
-def elias_gamma_decode_reference(payload: bytes, bit_length: int, count: int) -> list[int]:
-    """Bit-serial reference decoder (the original implementation)."""
-
-    reader = BitReader(payload, bit_length)
-    values: list[int] = []
-    for _ in range(count):
-        zeros = reader.read_unary()
-        remainder = reader.read_bits(zeros)
-        values.append((1 << zeros) | remainder)
-    if reader.remaining:
-        raise CodecError(f"{reader.remaining} unread bits left after decoding {count} values")
-    return values
-
-
 def _bit_lengths(values: np.ndarray) -> np.ndarray:
-    """Exact ``int.bit_length()`` of each positive int64, vectorized (as C ints).
+    """Exact ``int.bit_length()`` of each value in the domain, vectorized (as C ints).
 
     ``np.frexp`` writes ``v = m * 2**e`` with ``0.5 <= m < 1``, so ``e`` is the
     bit length of every value float64 holds exactly: all below ``2**53``.
-    Above, rounding to 53 significant bits can carry into the next power of
-    two and report one bit too many, which shows as ``2**(e - 1) > v`` and is
-    taken back, so the result is exact over the whole positive int64 range.
     """
 
     _, lengths = np.frexp(values)
-    if lengths.max() > _FLOAT64_EXACT_BITS:
-        wide = lengths > _FLOAT64_EXACT_BITS
-        claimed = np.left_shift(np.uint64(1), (lengths[wide] - 1).astype(np.uint64))
-        lengths[wide] -= claimed > values[wide].astype(np.uint64)
     return lengths
 
 
-def _require_positive(data: np.ndarray) -> None:
-    if data.min() < 1:
-        bad = int(data[data < 1][0])
-        raise CodecError(f"Elias gamma requires positive integers, got {bad}")
+def _require_in_domain(data: np.ndarray) -> None:
+    """Refuse any value outside ``[1, 2**32 - 1]`` (``data`` is non-empty)."""
+
+    if data.min() < 1 or data.max() > _MAX_VALUE:
+        bad = int(data[(data < 1) | (data > _MAX_VALUE)][0])
+        raise CodecError(f"Elias gamma codes integers in [1, 2**32 - 1], got {bad}")
 
 
 def _gamma_bit_counts(data: np.ndarray) -> list[int]:
@@ -143,18 +78,17 @@ def _gamma_bit_counts(data: np.ndarray) -> list[int]:
 
     if data.size == 0:
         return [0] * data.shape[0]
-    _require_positive(data)
+    _require_in_domain(data)
     return (2 * _bit_lengths(data).sum(axis=1) - data.shape[1]).tolist()
 
 
 def elias_gamma_encode(
     values: Iterable[int] | Sequence[int] | np.ndarray,
 ) -> tuple[bytes, int, int] | list[tuple[bytes, int, int]]:
-    """Encode a sequence of positive integers.
+    """Encode a sequence of integers in ``[1, 2**32 - 1]``.
 
     Returns ``(payload, bit_length, count)``; ``bit_length`` is required for an
-    exact decode and ``count`` is the number of encoded integers.  The payload
-    is byte-identical to :func:`elias_gamma_encode_reference`.
+    exact decode and ``count`` is the number of encoded integers.
 
     A 2-D array is a stack of equally long sequences: the result is then a
     list with one such triple per row, each identical to the 1-D call on that
@@ -184,9 +118,7 @@ def _encode_matrix(data: np.ndarray) -> list[tuple[bytes, int, int]]:
     rows, count = data.shape
     if data.size == 0:
         return [(b"", 0, 0)] * rows
-    _require_positive(data)
-    if int(data.max()) > _MAX_FAST_VALUE:
-        return [elias_gamma_encode_reference(row) for row in data]
+    _require_in_domain(data)
     encoded: list[tuple[bytes, int, int]] = []
     step = max(1, _ROWS_CHUNK_FIELDS // (count + 1))
     for start in range(0, rows, step):
@@ -213,8 +145,8 @@ def _encode_matrix(data: np.ndarray) -> list[tuple[bytes, int, int]]:
 def elias_gamma_decode_array(payload: bytes, bit_length: int, count: int) -> np.ndarray:
     """Decode ``count`` integers from an Elias-gamma ``payload`` as an int64 array.
 
-    The vectorized fast path of :func:`elias_gamma_decode` (which only adds a
-    list conversion); callers on the hot path use this form directly.
+    A code with more than 32 value bits is outside the encoder's domain and is
+    refused, like a stream that ends early or has bits left over.
     """
 
     if count < 0:
@@ -262,9 +194,9 @@ def elias_gamma_decode_array(payload: bytes, bit_length: int, count: int) -> np.
 
     terminators = next_one[starts]
     widths = terminators - starts + 1  # leading one + z payload bits
-    if int(widths.max()) > 63:
-        return np.asarray(
-            elias_gamma_decode_reference(payload, bit_length, count), dtype=np.int64
+    if int(widths.max()) > _MAX_VALUE.bit_length():
+        raise CodecError(
+            f"a code holds {int(widths.max())} value bits; Elias gamma codes at most 32"
         )
     # Gather each code's value bits (terminator one included) and fold them
     # MSB-first with grouped shifted sums.
@@ -274,9 +206,3 @@ def elias_gamma_decode_array(payload: bytes, bit_length: int, count: int) -> np.
     shifts = np.repeat(widths, widths) - 1 - positions
     contributions = bits[sources].astype(np.int64) << shifts
     return np.add.reduceat(contributions, bounds)
-
-
-def elias_gamma_decode(payload: bytes, bit_length: int, count: int) -> list[int]:
-    """Decode ``count`` integers from an Elias-gamma ``payload``."""
-
-    return elias_gamma_decode_array(payload, bit_length, count).tolist()

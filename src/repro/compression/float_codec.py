@@ -39,10 +39,8 @@ from repro.exceptions import CodecError
 __all__ = [
     "CompressedFloats",
     "DeflateFloatCodec",
-    "Float16Codec",
     "FloatCodec",
     "LzmaFloatCodec",
-    "float_compress_reference",
     "RawFloatCodec",
 ]
 
@@ -114,21 +112,6 @@ class FloatCodec:
         octets[:, :3] = np.frombuffer(payload[: 3 * count], dtype=np.uint8).reshape(count, 3)
         octets[:, 3] = np.frombuffer(exponents, dtype=np.uint8)
         return octets.reshape(-1).view("<f4").astype(np.float32, copy=False)
-
-
-def float_compress_reference(values: np.ndarray) -> CompressedFloats:
-    """Scalar reference for :meth:`FloatCodec.compress`: shifts in a loop, no vector ops.
-
-    The equivalence tests pin the vectorized payload to it byte for byte.
-    """
-
-    words = [int(w) for w in np.asarray(values, dtype=np.float32).ravel().view(np.uint32)]
-    mantissas, exponents = bytearray(), bytearray()
-    for word in words:
-        mantissas += bytes(((word >> shift) & 0xFF) for shift in (0, 8, 16))
-        exponents.append(word >> 24)
-    payload = bytes(mantissas) + zlib.compress(bytes(exponents), _EXPONENT_PLANE_LEVEL)
-    return CompressedFloats(codec=FloatCodec.name, payload=payload, count=len(words))
 
 
 class RawFloatCodec:
@@ -220,24 +203,3 @@ class LzmaFloatCodec:
         if len(raw) != 4 * compressed.count:
             raise CodecError("decompressed payload has an unexpected size")
         return np.frombuffer(raw, dtype="<f4").copy()
-
-
-class Float16Codec:
-    """Lossy 16-bit truncation, provided for completeness (not used by JWINS)."""
-
-    name = "float16"
-
-    def compress(self, values: np.ndarray) -> CompressedFloats:
-        """Truncate ``values`` to float16 (lossy) and store the raw bytes."""
-
-        data = np.asarray(values, dtype=np.float16).ravel()
-        return CompressedFloats(codec=self.name, payload=data.astype("<f2").tobytes(), count=int(data.size))
-
-    def decompress(self, compressed: CompressedFloats) -> np.ndarray:
-        """Widen the stored float16 payload back to float32."""
-
-        if compressed.codec != self.name:
-            raise CodecError(
-                f"payload was produced by {compressed.codec!r}, not {self.name!r}"
-            )
-        return np.frombuffer(compressed.payload, dtype="<f2").astype(np.float32)

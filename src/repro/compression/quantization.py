@@ -11,9 +11,8 @@ baseline and the codec-comparison benchmarks.
 The wire form a :class:`QuantizedVector` ships in (``norm`` header + one sign
 bit and ``bits`` level bits per value) is realized by
 :func:`pack_quantized`/:func:`unpack_quantized`, vectorized through
-:func:`~repro.compression.bitstream.pack_bitfields`; the bit-serial
-:func:`pack_quantized_reference`/:func:`unpack_quantized_reference` pair is
-the byte-identical ground truth the equivalence tests compare against.
+:func:`~repro.compression.bitstream.pack_bitfields`, and pinned byte for byte
+to the bit-serial pair kept as oracles in ``tests/oracles/codecs.py``.
 """
 
 from __future__ import annotations
@@ -23,16 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.bitstream import BitReader, BitWriter, pack_bitfields, unpack_bits
+from repro.compression.bitstream import pack_bitfields, unpack_bits
 from repro.exceptions import CodecError
 
 __all__ = [
     "QuantizedVector",
     "QsgdQuantizer",
     "pack_quantized",
-    "pack_quantized_reference",
     "unpack_quantized",
-    "unpack_quantized_reference",
 ]
 
 
@@ -133,9 +130,9 @@ class QsgdQuantizer:
 def pack_quantized(quantized: QuantizedVector) -> bytes:
     """Serialize a :class:`QuantizedVector` to its wire bytes (vectorized).
 
-    Byte-identical to :func:`pack_quantized_reference`.  Zero values carry a
-    zero sign bit (their sign never influences dequantization), so packing is
-    deterministic regardless of how ``np.sign`` labelled them.
+    Zero values carry a zero sign bit (their sign never influences
+    dequantization), so packing is deterministic regardless of how
+    ``np.sign`` labelled them.
     """
 
     signs = np.asarray(quantized.signs, dtype=np.int64)
@@ -159,50 +156,27 @@ def pack_quantized(quantized: QuantizedVector) -> bytes:
     return header + payload
 
 
-def pack_quantized_reference(quantized: QuantizedVector) -> bytes:
-    """Bit-serial reference serializer (ground truth for :func:`pack_quantized`)."""
-
-    writer = BitWriter()
-    for sign, level in zip(quantized.signs, quantized.levels):
-        writer.write_bit(1 if sign < 0 else 0)
-        writer.write_bits(int(level), quantized.bits)
-    return struct.pack("<f", quantized.norm) + writer.getvalue()
-
-
 def unpack_quantized(payload: bytes, bits: int, size: int) -> QuantizedVector:
     """Rebuild a :class:`QuantizedVector` from its wire bytes (vectorized).
 
     ``bits`` and ``size`` travel out of band (the byte meter already accounts
     for them in the framing header).  Restored signs are ``±1``; a packed zero
     value therefore comes back with sign ``+1`` instead of ``0``, which leaves
-    ``signs * levels`` — all dequantization uses — unchanged.
+    ``signs * levels`` — all dequantization uses — unchanged.  A payload of
+    any length but ``4 + ceil(size * (1 + bits) / 8)`` bytes is refused.
     """
 
     if not 1 <= bits <= 16:
         raise CodecError("bits must be between 1 and 16")
     if size < 0:
         raise CodecError("size must be non-negative")
-    if len(payload) < 4:
-        raise CodecError("quantized payload is missing its norm header")
+    expected = 4 + (size * (1 + bits) + 7) // 8
+    if len(payload) != expected:
+        raise CodecError(f"quantized payload has {len(payload)} bytes, expected {expected}")
     (norm,) = struct.unpack("<f", payload[:4])
     stream = unpack_bits(payload[4:], size * (1 + bits))
     matrix = stream.reshape(size, 1 + bits).astype(np.int64)
     signs = np.where(matrix[:, 0] == 1, -1, 1).astype(np.int8)
     weights = np.int64(1) << np.arange(bits - 1, -1, -1, dtype=np.int64)
     levels = (matrix[:, 1:] * weights).sum(axis=1).astype(np.int32)
-    return QuantizedVector(norm=float(norm), signs=signs, levels=levels, bits=bits, size=size)
-
-
-def unpack_quantized_reference(payload: bytes, bits: int, size: int) -> QuantizedVector:
-    """Bit-serial reference deserializer (ground truth for :func:`unpack_quantized`)."""
-
-    if len(payload) < 4:
-        raise CodecError("quantized payload is missing its norm header")
-    (norm,) = struct.unpack("<f", payload[:4])
-    reader = BitReader(payload[4:], size * (1 + bits))
-    signs = np.empty(size, dtype=np.int8)
-    levels = np.empty(size, dtype=np.int32)
-    for i in range(size):
-        signs[i] = -1 if reader.read_bit() else 1
-        levels[i] = reader.read_bits(bits)
     return QuantizedVector(norm=float(norm), signs=signs, levels=levels, bits=bits, size=size)

@@ -1,8 +1,8 @@
 """Numpy neural-network substrate (replaces PyTorch in the original system)."""
 
-from repro.nn.activations import ReLU, Sigmoid, Tanh
+from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2d, MaxPool2d
-from repro.nn.layers import Dropout, Embedding, Flatten, Linear
+from repro.nn.layers import Embedding, Flatten, Linear
 from repro.nn.losses import CrossEntropyLoss, Loss, MSELoss, log_softmax, softmax
 from repro.nn.models import (
     CelebACNN,
@@ -16,7 +16,6 @@ from repro.nn.models import (
 from repro.nn.module import (
     Module,
     Parameter,
-    Sequential,
     get_flat_gradients,
     get_flat_parameters,
     set_flat_parameters,
@@ -26,11 +25,8 @@ from repro.nn.rnn import LSTM, LSTMLayer
 
 __all__ = [
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "Conv2d",
     "MaxPool2d",
-    "Dropout",
     "Embedding",
     "Flatten",
     "Linear",
@@ -48,7 +44,6 @@ __all__ = [
     "MLPClassifier",
     "Module",
     "Parameter",
-    "Sequential",
     "get_flat_gradients",
     "get_flat_parameters",
     "set_flat_parameters",

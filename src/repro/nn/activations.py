@@ -7,7 +7,7 @@ import numpy as np
 from repro.exceptions import ModelError
 from repro.nn.module import Module
 
-__all__ = ["ReLU", "Sigmoid", "Tanh", "relu", "sigmoid"]
+__all__ = ["ReLU", "sigmoid"]
 
 
 def sigmoid(values: np.ndarray) -> np.ndarray:
@@ -19,12 +19,6 @@ def sigmoid(values: np.ndarray) -> np.ndarray:
     exp_vals = np.exp(values[~positive])
     out[~positive] = exp_vals / (1.0 + exp_vals)
     return out
-
-
-def relu(values: np.ndarray) -> np.ndarray:
-    """Rectified linear unit."""
-
-    return np.maximum(values, 0.0)
 
 
 class ReLU(Module):
@@ -47,40 +41,3 @@ class ReLU(Module):
         if self._cache_mask is None:
             raise ModelError("backward called before forward")
         return np.asarray(grad_output, dtype=np.float64) * self._cache_mask
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._cache_output: np.ndarray | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        output = np.tanh(np.asarray(inputs, dtype=np.float64))
-        self._cache_output = output if self.training else None
-        return output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache_output is None:
-            raise ModelError("backward called before forward")
-        return np.asarray(grad_output, dtype=np.float64) * (1.0 - self._cache_output**2)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._cache_output: np.ndarray | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        output = sigmoid(np.asarray(inputs, dtype=np.float64))
-        self._cache_output = output if self.training else None
-        return output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache_output is None:
-            raise ModelError("backward called before forward")
-        output = self._cache_output
-        return np.asarray(grad_output, dtype=np.float64) * output * (1.0 - output)

@@ -9,16 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "normal_init", "uniform_init", "xavier_uniform"]
-
-
-def xavier_uniform(
-    rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int
-) -> np.ndarray:
-    """Glorot/Xavier uniform initialization."""
-
-    limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-limit, limit, size=shape)
+__all__ = ["kaiming_uniform", "normal_init", "uniform_init"]
 
 
 def kaiming_uniform(

@@ -8,7 +8,7 @@ from repro.exceptions import ModelError
 from repro.nn.init import kaiming_uniform, normal_init, uniform_init
 from repro.nn.module import Module, Parameter
 
-__all__ = ["Dropout", "Embedding", "Flatten", "Linear"]
+__all__ = ["Embedding", "Flatten", "Linear"]
 
 
 class Linear(Module):
@@ -149,31 +149,3 @@ class Flatten(Module):
         if self._cache_shape is None:
             raise ModelError("backward called before forward")
         return np.asarray(grad_output, dtype=np.float64).reshape(self._cache_shape)
-
-
-class Dropout(Module):
-    """Inverted dropout; active only in training mode."""
-
-    def __init__(self, rate: float, rng: np.random.Generator) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ModelError("dropout rate must be in [0, 1)")
-        self.rate = float(rate)
-        self._rng = rng
-        self._cache_mask: np.ndarray | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if not self.training or self.rate == 0.0:
-            self._cache_mask = None
-            return inputs
-        keep = 1.0 - self.rate
-        mask = (self._rng.random(inputs.shape) < keep) / keep
-        self._cache_mask = mask
-        return inputs * mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        if self._cache_mask is None:
-            return grad_output
-        return grad_output * self._cache_mask

@@ -20,7 +20,6 @@ from repro.utils.vectors import flatten_arrays
 __all__ = [
     "Module",
     "Parameter",
-    "Sequential",
     "assign_flat_values",
     "flat_values",
     "get_flat_gradients",
@@ -136,26 +135,6 @@ class Module:
 
     def parameter_shapes(self) -> list[tuple[int, ...]]:
         return [parameter.shape for parameter in self.parameters()]
-
-
-class Sequential(Module):
-    """Compose modules by chaining their forward and backward passes."""
-
-    def __init__(self, *layers: Module) -> None:
-        super().__init__()
-        self.layers = list(layers)
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        output = inputs
-        for layer in self.layers:
-            output = layer.forward(output)
-        return output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad = grad_output
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
 
 
 def flat_values(parameters: Sequence[Parameter]) -> np.ndarray:

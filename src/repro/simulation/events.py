@@ -123,11 +123,6 @@ class EventLoop:
         self._now = event.time
         return event
 
-    def peek(self) -> Event | None:
-        """The next event without removing it, or ``None`` when empty."""
-
-        return self._heap[0][1] if self._heap else None
-
     def clear(self) -> None:
         """Drop all pending events (used by early-stop)."""
 

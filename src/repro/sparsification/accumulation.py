@@ -56,11 +56,6 @@ class ResidualAccumulator:
             raise ConfigurationError("reset indices out of range")
         self._scores[indices] = 0.0
 
-    def reset_all(self) -> None:
-        """Clear the accumulator entirely."""
-
-        self._scores.fill(0.0)
-
     # -- checkpointing --------------------------------------------------------------
     def state_dict(self) -> dict:
         """The accumulated scores, for checkpointing."""

@@ -34,9 +34,3 @@ class Sparsifier(ABC):
     @abstractmethod
     def select(self, scores: np.ndarray, count: int) -> np.ndarray:
         """Return the (sorted) indices of the ``count`` selected coefficients."""
-
-    def select_fraction(self, scores: np.ndarray, fraction: float) -> np.ndarray:
-        """Convenience wrapper converting a fraction into a count."""
-
-        scores = np.asarray(scores)
-        return self.select(scores, fraction_to_count(fraction, scores.size))

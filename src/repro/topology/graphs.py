@@ -18,7 +18,6 @@ import numpy as np
 from repro.exceptions import TopologyError
 
 __all__ = [
-    "DynamicTopology",
     "Topology",
     "clustered_topology",
     "fully_connected_topology",
@@ -68,15 +67,6 @@ class Topology:
 
     def degree(self, node: int) -> int:
         return len(self.neighbors(node))
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix."""
-
-        matrix = np.zeros((self.num_nodes, self.num_nodes))
-        for u, v in self.edges:
-            matrix[u, v] = 1.0
-            matrix[v, u] = 1.0
-        return matrix
 
     def is_connected(self) -> bool:
         graph = nx.Graph()
@@ -213,28 +203,3 @@ def star_topology(num_nodes: int, center: int = 0) -> Topology:
         (min(center, node), max(center, node)) for node in range(num_nodes) if node != center
     )
     return Topology(num_nodes=num_nodes, edges=edges)
-
-
-class DynamicTopology:
-    """A topology that is re-sampled every communication round.
-
-    Section IV-D of the paper shows that randomizing neighbors every round
-    improves model mixing for both full sharing and JWINS (and breaks CHOCO,
-    whose error-feedback state is tied to fixed neighbors).
-    """
-
-    def __init__(self, num_nodes: int, degree: int, rng: np.random.Generator) -> None:
-        self.num_nodes = int(num_nodes)
-        self.degree = int(degree)
-        self._rng = rng
-        self._current = random_regular_topology(num_nodes, degree, rng)
-
-    @property
-    def current(self) -> Topology:
-        return self._current
-
-    def advance(self) -> Topology:
-        """Sample the topology for the next round and return it."""
-
-        self._current = random_regular_topology(self.num_nodes, self.degree, self._rng)
-        return self._current

@@ -36,7 +36,6 @@ __all__ = [
     "GeneratorPolicy",
     "TOPOLOGY_GENERATORS",
     "TopologyPolicy",
-    "topology_policy_from_dict",
 ]
 
 
@@ -205,9 +204,3 @@ class GeneratorPolicy:
             rewire_every=int(data.get("rewire_every", 0)),
             params=tuple(dict(data.get("params", {})).items()),
         )
-
-
-def topology_policy_from_dict(data: Mapping[str, Any]) -> GeneratorPolicy:
-    """Module-level alias of :meth:`GeneratorPolicy.from_dict`."""
-
-    return GeneratorPolicy.from_dict(data)

@@ -8,8 +8,7 @@ gossip step.
 
 A node only ever reads its own row, so the engine holds the matrix as one
 :class:`MixingRow` per node (:func:`metropolis_hastings_rows`, O(N·deg)
-memory); :func:`metropolis_hastings_weights` is the dense ``(N, N)`` form of
-the same rows, for tests and analysis.
+memory); no ``(N, N)`` matrix is ever built.
 """
 
 from __future__ import annotations
@@ -21,12 +20,7 @@ import numpy as np
 from repro.exceptions import TopologyError
 from repro.topology.graphs import Topology
 
-__all__ = [
-    "MixingRow",
-    "metropolis_hastings_rows",
-    "metropolis_hastings_weights",
-    "uniform_neighbor_weights",
-]
+__all__ = ["MixingRow", "metropolis_hastings_rows"]
 
 
 class MixingRow(NamedTuple):
@@ -63,27 +57,3 @@ def metropolis_hastings_rows(topology: Topology) -> tuple[MixingRow, ...]:
             raise TopologyError("Metropolis-Hastings weights produced a negative entry")
         rows.append(MixingRow(peers, weights, self_weight))
     return tuple(rows)
-
-
-def metropolis_hastings_weights(topology: Topology) -> np.ndarray:
-    """Symmetric doubly-stochastic mixing matrix for ``topology``: the rows, dense."""
-
-    matrix = np.zeros((topology.num_nodes, topology.num_nodes))
-    for node, row in enumerate(metropolis_hastings_rows(topology)):
-        matrix[node, list(row.neighbors)] = row.weights
-        matrix[node, node] = row.self_weight
-    return matrix
-
-
-def uniform_neighbor_weights(topology: Topology) -> np.ndarray:
-    """Row-stochastic matrix averaging each node uniformly with its neighbors."""
-
-    size = topology.num_nodes
-    matrix = np.zeros((size, size))
-    for node in range(size):
-        neighbors = topology.neighbors(node)
-        share = 1.0 / (len(neighbors) + 1)
-        matrix[node, node] = share
-        for neighbor in neighbors:
-            matrix[node, neighbor] = share
-    return matrix

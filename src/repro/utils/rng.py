@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["SeedSequenceFactory", "derive_rng", "spawn_seeds"]
+__all__ = ["SeedSequenceFactory", "derive_rng"]
 
 
 @lru_cache(maxsize=256)
@@ -46,13 +46,6 @@ def derive_rng(seed: int, *namespace: object) -> np.random.Generator:
         else:
             entropy.append(_fnv1a(str(part)))
     return np.random.default_rng(np.random.SeedSequence(np.array(entropy, dtype=np.uint32)))
-
-
-def spawn_seeds(seed: int, count: int, *namespace: object) -> list[int]:
-    """Derive ``count`` independent integer seeds from ``seed``."""
-
-    rng = derive_rng(seed, "spawn", *namespace)
-    return [int(value) for value in rng.integers(0, 2**31 - 1, size=count)]
 
 
 @dataclass(frozen=True)

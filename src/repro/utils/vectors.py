@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["flatten_arrays", "unflatten_vector"]
+__all__ = ["flatten_arrays"]
 
 
 def flatten_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -20,29 +20,3 @@ def flatten_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
     if not arrays:
         return np.zeros(0, dtype=np.float64)
     return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
-
-
-def unflatten_vector(
-    vector: np.ndarray, shapes: Sequence[tuple[int, ...]]
-) -> list[np.ndarray]:
-    """Split a flat ``vector`` back into arrays with the given ``shapes``.
-
-    Raises
-    ------
-    ValueError
-        If the vector length does not match the total number of elements.
-    """
-
-    vector = np.asarray(vector, dtype=np.float64).ravel()
-    total = int(sum(int(np.prod(shape)) for shape in shapes))
-    if vector.size != total:
-        raise ValueError(
-            f"vector has {vector.size} elements but shapes require {total}"
-        )
-    out: list[np.ndarray] = []
-    offset = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        out.append(vector[offset : offset + size].reshape(shape).copy())
-        offset += size
-    return out

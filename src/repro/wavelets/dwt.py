@@ -30,18 +30,17 @@ samples and odd taps with odd samples, so both directions work on the two
   interleaves them once at the end.
 
 The kernels broadcast over leading axes and accumulate taps in exactly the
-original order: every row is bit-identical (signed zeros included) to
-:func:`dwt_single_reference`/:func:`idwt_single_reference`, the original
-scalar-loop implementations kept as the equivalence-test ground truth.  Those
-loops also serve what the phase kernels do not cover — filters with an odd
-number of taps and signals shorter than the filter's half-length — which no
-shipped wavelet and no decomposition level :func:`max_decomposition_level`
-admits ever reaches.
+original scalar-loop order: every row is bit-identical (signed zeros
+included) to the per-row loops kept as oracles in ``tests/oracles/dwt.py``.
+They are the only path, for every signal length: when a band has fewer
+samples than the cyclic extension (a signal shorter than the filter), the
+extension is filled one wrapped column at a time.  Filter banks have an even
+tap count (:class:`~repro.wavelets.filters.WaveletFilterBank` refuses any
+other), so taps always pair up with the two phases.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,47 +51,11 @@ from repro.wavelets.filters import WaveletFilterBank, get_filter_bank
 __all__ = [
     "MultiLevelCoefficients",
     "dwt_single",
-    "dwt_single_reference",
     "idwt_single",
-    "idwt_single_reference",
     "max_decomposition_level",
     "wavedec",
     "waverec",
 ]
-
-
-def _analysis_reference(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Per-tap modulo-gather analysis (the original loop; ground truth)."""
-
-    length = signal.size
-    half = length // 2
-    # Positions (2 * i + k) mod length for i in [0, half) and k in [0, taps).
-    starts = 2 * np.arange(half)
-    out = np.zeros(half, dtype=np.float64)
-    for k, tap in enumerate(taps):
-        out += tap * signal[(starts + k) % length]
-    return out
-
-
-def _synthesis_accumulate_reference(
-    coefficients: np.ndarray, taps: np.ndarray, length: int, out: np.ndarray
-) -> None:
-    """Per-tap ``np.add.at`` synthesis (the original loop; ground truth)."""
-
-    starts = 2 * np.arange(coefficients.size)
-    for k, tap in enumerate(taps):
-        np.add.at(out, (starts + k) % length, tap * coefficients)
-
-
-def _phase_kernels_apply(bank: WaveletFilterBank, half: int) -> bool:
-    """Whether the phase-split kernels cover ``bank`` at ``half`` outputs per band.
-
-    They pair taps ``2m``/``2m + 1`` with the even/odd phase (an even tap
-    count) and take the cyclic extension as one slice of the phase itself (at
-    least ``taps / 2 - 1`` samples per phase).
-    """
-
-    return bank.length % 2 == 0 and bank.length // 2 - 1 <= half
 
 
 def _analysis(values: np.ndarray, bank: WaveletFilterBank) -> tuple[np.ndarray, np.ndarray]:
@@ -101,32 +64,24 @@ def _analysis(values: np.ndarray, bank: WaveletFilterBank) -> tuple[np.ndarray, 
     Returns ``(approximation, detail)``, each ``(..., ceil(n / 2))``; an odd
     length ``n`` is zero-padded by one sample.  Output ``i`` of a band is the
     sum over taps ``k`` ascending, from a zero start, of ``taps[k] *
-    x[(2i + k) % length]`` — the operations of :func:`_analysis_reference` in
-    the same order, so every leading-axis row is bit-identical to it.
+    x[(2i + k) % length]`` — the per-row reference loop's operations in the
+    same order, so every leading-axis row is bit-identical to it.
     """
 
     lead, n = values.shape[:-1], values.shape[-1]
     half = (n + 1) // 2
-    if not _phase_kernels_apply(bank, half):
-        if n % 2:
-            values = np.concatenate([values, np.zeros(lead + (1,))], axis=-1)
-        rows = values.reshape(-1, 2 * half)
-        approx, detail = (
-            np.array([_analysis_reference(row, taps) for row in rows]).reshape(lead + (half,))
-            for taps in (bank.dec_lo, bank.dec_hi)
-        )
-        return approx, detail
-
     # x[(2i + k) % length] is sample (i + (k >> 1)) % half of phase k & 1, so
     # extending each phase cyclically by taps / 2 - 1 samples turns tap k's
-    # operand into a plain slice.
+    # operand into a plain slice.  The extension can be longer than the phase,
+    # so it wraps column by column.
     extension = bank.length // 2 - 1
     phases = np.empty((2,) + lead + (half + extension,), dtype=np.float64)
     phases[0][..., :half] = values[..., 0::2]
     phases[1][..., : n // 2] = values[..., 1::2]
     if n % 2:
         phases[1][..., half - 1] = 0.0
-    phases[..., half:] = phases[..., :extension]
+    for j in range(extension):
+        phases[..., half + j] = phases[..., j % half]
 
     scratch = np.empty(lead + (half,), dtype=np.float64)
     bands = []
@@ -147,18 +102,11 @@ def _synthesis(approx: np.ndarray, detail: np.ndarray, bank: WaveletFilterBank) 
 
     Output ``2p + parity`` receives, for ``(approx, dec_lo)`` then ``(detail,
     dec_hi)`` and ``m`` ascending, ``taps[2m + parity] * c[(p - m) % half]`` —
-    the contributions :func:`_synthesis_accumulate_reference` scatters to that
-    position, in its order, so every leading-axis row is bit-identical to it.
+    the contributions the per-row reference loop scatters to that position, in
+    its order, so every leading-axis row is bit-identical to it.
     """
 
     lead, half = approx.shape[:-1], approx.shape[-1]
-    if not _phase_kernels_apply(bank, half):
-        out = np.zeros((math.prod(lead), 2 * half), dtype=np.float64)
-        for band, taps in ((approx, bank.dec_lo), (detail, bank.dec_hi)):
-            for row, coefficients in zip(out, band.reshape(len(out), half)):
-                _synthesis_accumulate_reference(coefficients, taps, 2 * half, row)
-        return out.reshape(lead + (2 * half,))
-
     extension = bank.length // 2 - 1
     prefixed = np.empty(lead + (extension + half,), dtype=np.float64)
     scratch = np.empty(lead + (half,), dtype=np.float64)
@@ -166,9 +114,11 @@ def _synthesis(approx: np.ndarray, detail: np.ndarray, bank: WaveletFilterBank) 
     odd = np.zeros(lead + (half,), dtype=np.float64)
     for band, taps in ((approx, bank.dec_lo), (detail, bank.dec_hi)):
         # c[(p - m) % half] for p in [0, half) is the slice starting at
-        # extension - m of the band prefixed with its own last samples.
+        # extension - m of the band prefixed with its own last samples, one
+        # column at a time so that a prefix longer than the band wraps.
         prefixed[..., extension:] = band
-        prefixed[..., :extension] = band[..., half - extension :]
+        for j in range(extension):
+            prefixed[..., j] = band[..., (j - extension) % half]
         for m in range(taps.size // 2):
             source = prefixed[..., extension - m : extension - m + half]
             np.multiply(source, taps[2 * m], out=scratch)
@@ -214,49 +164,10 @@ def idwt_single(
         raise WaveletError(
             f"approximation {approx.shape} and detail {detail.shape} shapes differ"
         )
+    if approx.shape[-1] == 0:
+        raise WaveletError("idwt_single requires non-empty bands")
     out = _synthesis(approx, detail, bank)
     return out[..., :-1] if padded else out
-
-
-def dwt_single_reference(
-    signal: np.ndarray, wavelet: str | WaveletFilterBank = "sym2"
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Scalar-loop version of :func:`dwt_single` (equivalence-test ground truth)."""
-
-    bank = wavelet if isinstance(wavelet, WaveletFilterBank) else get_filter_bank(wavelet)
-    values = np.asarray(signal, dtype=np.float64).ravel()
-    if values.size < 2:
-        raise WaveletError("dwt_single requires a signal with at least 2 elements")
-    padded = values.size % 2 == 1
-    if padded:
-        values = np.concatenate([values, np.zeros(1)])
-    approx = _analysis_reference(values, bank.dec_lo)
-    detail = _analysis_reference(values, bank.dec_hi)
-    return approx, detail, padded
-
-
-def idwt_single_reference(
-    approx: np.ndarray,
-    detail: np.ndarray,
-    wavelet: str | WaveletFilterBank = "sym2",
-    padded: bool = False,
-) -> np.ndarray:
-    """Scalar-loop version of :func:`idwt_single` (equivalence-test ground truth)."""
-
-    bank = wavelet if isinstance(wavelet, WaveletFilterBank) else get_filter_bank(wavelet)
-    approx = np.asarray(approx, dtype=np.float64).ravel()
-    detail = np.asarray(detail, dtype=np.float64).ravel()
-    if approx.size != detail.size:
-        raise WaveletError(
-            f"approximation ({approx.size}) and detail ({detail.size}) lengths differ"
-        )
-    length = 2 * approx.size
-    out = np.zeros(length, dtype=np.float64)
-    _synthesis_accumulate_reference(approx, bank.dec_lo, length, out)
-    _synthesis_accumulate_reference(detail, bank.dec_hi, length, out)
-    if padded:
-        out = out[:-1]
-    return out
 
 
 def max_decomposition_level(length: int, wavelet: str | WaveletFilterBank = "sym2") -> int:

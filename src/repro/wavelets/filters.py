@@ -87,6 +87,14 @@ class WaveletFilterBank:
     rec_lo: np.ndarray = field(repr=False)
     rec_hi: np.ndarray = field(repr=False)
 
+    def __post_init__(self) -> None:
+        # The DWT kernels pair taps 2m/2m + 1 with the even/odd signal phase.
+        sizes = [f.size for f in (self.dec_lo, self.dec_hi, self.rec_lo, self.rec_hi)]
+        if sizes[0] % 2 or len(set(sizes)) != 1:
+            raise WaveletError(
+                f"wavelet {self.name!r} needs four filters of one even length, got {sizes}"
+            )
+
     @property
     def length(self) -> int:
         """Filter length (number of taps)."""

@@ -23,8 +23,8 @@ from repro.checkpoint.serialization import decode_value, encode_value
 from repro.core import adaptive_jwins_factory, jwins_factory
 from repro.core.interface import RoundContext
 from repro.exceptions import ModelError, SimulationError
-from repro.nn.layers import Linear
-from repro.nn.module import Sequential, get_flat_parameters
+from repro.nn.models import MLPClassifier
+from repro.nn.module import get_flat_parameters
 from repro.nn.optim import SGD
 from repro.simulation.events import EventLoop, START_ROUND
 from repro.simulation.network import ByteMeter
@@ -132,9 +132,8 @@ def test_choco_rejects_wrong_model_size():
 
 
 # -- optimizer ------------------------------------------------------------------------
-def make_model(seed: int) -> Sequential:
-    rng = np.random.default_rng(seed)
-    return Sequential(Linear(4, 8, rng), Linear(8, 2, rng))
+def make_model(seed: int) -> MLPClassifier:
+    return MLPClassifier(4, 8, 2, np.random.default_rng(seed))
 
 
 def test_sgd_state_roundtrip_continues_identically():

@@ -1,9 +1,9 @@
-"""Tests for the bit-level reader/writer."""
+"""Tests for the bit-level reader/writer oracle the vectorized packer is pinned to."""
 
 import pytest
 
-from repro.compression.bitstream import BitReader, BitWriter
 from repro.exceptions import CodecError
+from tests.oracles.bitstream import BitReader, BitWriter
 
 
 def test_write_read_single_bits():

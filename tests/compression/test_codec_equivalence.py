@@ -2,9 +2,9 @@
 
 The vectorized hot path (``pack_bitfields``, the Elias-gamma kernels, the
 quantized wire format, the float compressor) must produce *exactly* the bytes
-of the original bit-serial implementations — the determinism contract of the
-metering layer depends on it.  Every test here asserts payload equality, not
-just value round trips.
+of the original bit-serial implementations, kept as oracles in
+``tests/oracles`` — the determinism contract of the metering layer depends on
+it.  Every test here asserts payload equality, not just value round trips.
 """
 
 import tracemalloc
@@ -12,24 +12,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.compression.bitstream import BitWriter, pack_bitfields, unpack_bits
-from repro.compression.elias import (
-    elias_gamma_decode,
-    elias_gamma_decode_array,
+from repro.compression.bitstream import pack_bitfields, unpack_bits
+from repro.compression.elias import elias_gamma_decode_array, elias_gamma_encode
+from repro.compression.float_codec import FloatCodec
+from repro.compression.indices import EliasGammaIndexCodec, EncodedIndices
+from repro.compression.quantization import QsgdQuantizer, pack_quantized, unpack_quantized
+from repro.exceptions import CodecError
+from tests.oracles.bitstream import BitWriter
+from tests.oracles.codecs import (
     elias_gamma_decode_reference,
-    elias_gamma_encode,
     elias_gamma_encode_reference,
-)
-from repro.compression.float_codec import FloatCodec, float_compress_reference
-from repro.compression.indices import EliasGammaIndexCodec
-from repro.compression.quantization import (
-    QsgdQuantizer,
-    pack_quantized,
+    float_compress_reference,
     pack_quantized_reference,
-    unpack_quantized,
     unpack_quantized_reference,
 )
-from repro.exceptions import CodecError
 
 
 # -- pack_bitfields vs BitWriter --------------------------------------------------------
@@ -130,9 +126,8 @@ EDGE_SEQUENCES = [
     [],                                  # empty index list
     [1],                                 # single value
     [1] * 257,                           # run of minimal gaps crossing a byte boundary
-    [2**31],                             # single maximal fast-path-adjacent gap
-    [2**32 - 1],                         # largest value the vectorized kernel handles
-    [2**32, 1, 7],                       # forces the reference fallback
+    [2**31],                             # single gap with a 32-bit value
+    [2**32 - 1],                         # largest value in the coder's domain
     list(range(1, 100)),
     [5, 1, 1, 9, 1000000, 1, 3],
 ]
@@ -146,9 +141,8 @@ def test_gamma_encode_matches_reference(values):
 @pytest.mark.parametrize("values", EDGE_SEQUENCES, ids=lambda v: f"n={len(v)}")
 def test_gamma_decode_matches_reference(values):
     payload, bits, count = elias_gamma_encode_reference(values)
-    assert elias_gamma_decode(payload, bits, count) == elias_gamma_decode_reference(
-        payload, bits, count
-    )
+    decoded = elias_gamma_decode_array(payload, bits, count)
+    assert decoded.tolist() == elias_gamma_decode_reference(payload, bits, count)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -169,9 +163,9 @@ def test_gamma_decode_error_parity():
         with pytest.raises(CodecError):
             elias_gamma_decode_reference(*args)
         with pytest.raises(CodecError):
-            elias_gamma_decode(*args)
+            elias_gamma_decode_array(*args)
     with pytest.raises(CodecError):
-        elias_gamma_decode(payload, len(payload) * 8 + 1, count)
+        elias_gamma_decode_array(payload, len(payload) * 8 + 1, count)
 
 
 def test_gamma_rejects_nonpositive_like_reference():
@@ -180,6 +174,55 @@ def test_gamma_rejects_nonpositive_like_reference():
             elias_gamma_encode(bad)
         with pytest.raises(CodecError):
             elias_gamma_encode_reference(bad)
+
+
+#: Values above the coder's domain [1, 2**32 - 1].
+ABOVE_DOMAIN = [[2**32, 1, 7], [1, 2**32 + 5], [2**40], [2**62, 3]]
+
+
+@pytest.mark.parametrize("values", ABOVE_DOMAIN, ids=lambda v: f"max=2**{max(v).bit_length() - 1}")
+def test_gamma_refuses_values_above_the_domain_in_one_and_two_dimensions(values):
+    message = rf"integers in \[1, 2\*\*32 - 1\], got {max(values)}$"
+    with pytest.raises(CodecError, match=message):
+        elias_gamma_encode(values)
+    with pytest.raises(CodecError, match=message):
+        elias_gamma_encode(np.array([[1] * len(values), values], dtype=np.int64))
+
+
+@pytest.mark.parametrize("shape", ["one-row", "rows"])
+def test_index_codec_size_refuses_a_gap_above_the_domain(shape):
+    indices = np.array([3, 2**32 + 3], dtype=np.int64)  # second gap is 2**32
+    if shape == "rows":
+        indices = np.stack([np.array([0, 1]), indices])
+    with pytest.raises(CodecError, match=r"\[1, 2\*\*32 - 1\]"):
+        EliasGammaIndexCodec().encode(indices, 2**33).size_bytes
+
+
+def test_gamma_decoder_refuses_a_code_with_more_than_32_value_bits():
+    # The oracle still writes 2**32's 65-bit code; the encoder cannot emit it.
+    payload, bits, count = elias_gamma_encode_reference([5, 2**32])
+    assert elias_gamma_decode_reference(payload, bits, count) == [5, 2**32]
+    with pytest.raises(CodecError, match="33 value bits"):
+        elias_gamma_decode_array(payload, bits, count)
+
+
+def _one_code_with_64_zeros() -> tuple[bytes, int]:
+    """A 129-bit stream: 64 zeros, the terminating one, 64 value bits."""
+
+    return bytes(8) + b"\x80" + bytes(8), 129
+
+
+def test_gamma_decoder_raises_codec_error_not_overflow_on_a_malformed_stream():
+    payload, bit_length = _one_code_with_64_zeros()
+    with pytest.raises(CodecError, match="65 value bits"):
+        elias_gamma_decode_array(payload, bit_length, 1)
+
+
+def test_index_codec_decode_raises_codec_error_on_a_malformed_stream():
+    payload, bit_length = _one_code_with_64_zeros()
+    encoded = EncodedIndices("elias-gamma", payload, bit_length, 1, 1000)
+    with pytest.raises(CodecError):
+        EliasGammaIndexCodec().decode(encoded)
 
 
 # -- index codec edge cases -------------------------------------------------------------
@@ -271,6 +314,15 @@ def test_quantized_unpack_rejects_truncated_payload():
         unpack_quantized(packed[:-1], 4, 16)
     with pytest.raises(CodecError):
         unpack_quantized(b"", 4, 0)
+
+
+@pytest.mark.parametrize("extra", [1, 10])
+def test_quantized_unpack_rejects_trailing_bytes(extra):
+    # 3 values of 1 + 4 bits take 2 bytes after the 4-byte norm header.
+    payload = b"\x00\x00\x80\x3f" + b"\xff" * 2
+    assert unpack_quantized(payload, 4, 3).levels.tolist() == [15, 15, 15]
+    with pytest.raises(CodecError, match="expected 6"):
+        unpack_quantized(payload + b"\xff" * extra, 4, 3)
 
 
 # -- float codec ------------------------------------------------------------------------

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.compression.elias import elias_gamma_decode, elias_gamma_encode, gamma_code_length
+from repro.compression.elias import elias_gamma_decode_array, elias_gamma_encode
 from repro.exceptions import CodecError
+
+
+def elias_gamma_decode(payload, bit_length, count):
+    return elias_gamma_decode_array(payload, bit_length, count).tolist()
 
 
 def test_known_code_lengths():
     # gamma(1) = "1" (1 bit), gamma(2) = "010" (3 bits), gamma(5) = "00101" (5 bits).
-    assert gamma_code_length(1) == 1
-    assert gamma_code_length(2) == 3
-    assert gamma_code_length(5) == 5
-    assert gamma_code_length(255) == 15
+    assert [elias_gamma_encode([value])[1] for value in (1, 2, 5, 255)] == [1, 3, 5, 15]
+    assert elias_gamma_encode([5]) == (bytes([0b00101000]), 5, 1)
 
 
 def test_roundtrip_small_values():
@@ -31,7 +33,7 @@ def test_roundtrip_random_values():
 def test_bit_length_matches_sum_of_code_lengths():
     values = [1, 7, 300, 42]
     _, bits, _ = elias_gamma_encode(values)
-    assert bits == sum(gamma_code_length(v) for v in values)
+    assert bits == sum(2 * v.bit_length() - 1 for v in values)
 
 
 def test_small_gaps_compress_well():

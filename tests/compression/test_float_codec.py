@@ -8,7 +8,6 @@ import pytest
 from repro.compression.float_codec import (
     CompressedFloats,
     DeflateFloatCodec,
-    Float16Codec,
     FloatCodec,
     RawFloatCodec,
 )
@@ -118,16 +117,6 @@ def test_mutating_the_values_after_compress_changes_no_payload(codec, dtype):
     values[:] = 0.0
     assert compressed.payload == untouched.payload
     assert compressed.size_bytes == len(untouched.payload) + 4
-
-
-def test_float16_codec_is_lossy_but_small():
-    rng = np.random.default_rng(1)
-    values = rng.normal(size=256).astype(np.float32)
-    codec = Float16Codec()
-    compressed = codec.compress(values)
-    assert compressed.size_bytes == 2 * 256 + 4
-    restored = codec.decompress(compressed)
-    assert np.allclose(restored, values, atol=1e-2)
 
 
 def test_wrong_codec_rejected():

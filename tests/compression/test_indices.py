@@ -12,6 +12,7 @@ from repro.compression.indices import (
     random_indices_from_seed,
 )
 from repro.exceptions import CodecError
+from tests.oracles.codecs import elias_gamma_encode_reference
 
 
 @pytest.fixture
@@ -169,22 +170,21 @@ def test_matrix_form_rejects_a_bad_row_like_the_single_call(codec, corrupt):
             codec.encode(matrix[:2], universe)
 
 
-def test_elias_matrix_form_takes_the_reference_path_above_the_fast_limit(monkeypatch):
+def test_elias_matrix_form_codes_the_widest_gaps_and_refuses_wider_ones_like_one_row():
     universe = 1 << 40
-    matrix = np.array([[3, 1 << 34, (1 << 34) + 9], [0, 1, 2]], dtype=np.int64)
-    calls = []
-    reference = elias_module.elias_gamma_encode_reference
-    monkeypatch.setattr(
-        elias_module,
-        "elias_gamma_encode_reference",
-        lambda values: calls.append(1) or reference(values),
-    )
+    top = (1 << 32) - 1  # the largest gap: a 63-bit code
+    matrix = np.array([[top - 1, 2 * top - 1, 2 * top], [0, 1, 2]], dtype=np.int64)
     codec = EliasGammaIndexCodec()
     encoded = _assert_rows_equal_single_calls(codec, matrix, universe)
-    assert calls, "a gap of 2**34 cannot go through the int64 kernels"
     for row, indices in zip(encoded, matrix):
-        assert row.payload == reference(np.diff(indices, prepend=-1))[0]
+        assert row.payload == elias_gamma_encode_reference(np.diff(indices, prepend=-1))[0]
         assert np.array_equal(codec.decode(row), indices)
+    matrix[0, 1:] += 1  # the middle gap becomes 2**32
+    with pytest.raises(CodecError) as single:
+        codec.encode(matrix[0], universe)
+    with pytest.raises(CodecError) as stacked:
+        codec.encode(matrix, universe)
+    assert str(stacked.value) == str(single.value)
 
 
 def test_raw_matrix_form_equals_row_by_row():

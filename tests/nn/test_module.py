@@ -7,8 +7,8 @@ from repro.exceptions import ModelError
 from repro.nn.layers import Linear
 from repro.nn.models import MLPClassifier
 from repro.nn.module import (
+    Module,
     Parameter,
-    Sequential,
     get_flat_gradients,
     get_flat_parameters,
     set_flat_parameters,
@@ -73,17 +73,8 @@ def test_train_eval_propagates_to_submodules(rng):
     assert all(module.training for module in model.modules())
 
 
-def test_sequential_composes_forward_and_backward(rng):
-    model = Sequential(Linear(5, 4, rng), Linear(4, 2, rng))
-    inputs = rng.normal(size=(3, 5))
-    outputs = model.forward(inputs)
-    assert outputs.shape == (3, 2)
-    grad_in = model.backward(np.ones_like(outputs))
-    assert grad_in.shape == inputs.shape
-    assert model.num_parameters == 5 * 4 + 4 + 4 * 2 + 2
-
-
 def test_modules_in_lists_are_discovered(rng):
-    model = Sequential(Linear(3, 3, rng), Linear(3, 3, rng))
+    model = Module()
+    model.layers = [Linear(3, 3, rng), Linear(3, 3, rng)]
     assert len(list(model.modules())) == 3
     assert len(model.parameters()) == 4

@@ -4,31 +4,35 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.compression.elias import (
-    elias_gamma_decode,
-    elias_gamma_encode,
-    elias_gamma_encode_reference,
-    gamma_code_length,
-)
+import pytest
+
+from repro.compression.elias import elias_gamma_decode_array, elias_gamma_encode
 from repro.compression.float_codec import FloatCodec
 from repro.compression.indices import EliasGammaIndexCodec, RawIndexCodec
+from repro.exceptions import CodecError
+from tests.oracles.codecs import elias_gamma_encode_reference
 
 
 @settings(max_examples=60, deadline=None)
-@given(values=st.lists(st.integers(min_value=1, max_value=2**40), max_size=200))
+@given(values=st.lists(st.integers(min_value=1, max_value=2**32 - 1), max_size=200))
 def test_elias_gamma_roundtrip(values):
     payload, bits, count = elias_gamma_encode(values)
-    assert elias_gamma_decode(payload, bits, count) == values
-    assert bits == sum(gamma_code_length(v) for v in values)
+    assert elias_gamma_decode_array(payload, bits, count).tolist() == values
+    assert bits == sum(2 * v.bit_length() - 1 for v in values)
     assert len(payload) == (bits + 7) // 8
 
 
-#: Index gaps: runs of 1, ordinary gaps, gaps past the int64 kernels (>= 2**32),
-#: gaps on both sides of 2**53 (where float64 stops holding every integer) and
-#: 2**k - 1 above it, which float64 rounds up to the next power of two.
+#: Index gaps in the coder's domain: runs of 1, ordinary gaps and gaps up to
+#: its top, 2**32 - 1, whose 63-bit code is the widest the int64 kernels shift.
 GAPS = st.one_of(
     st.just(1),
     st.integers(min_value=1, max_value=2**20),
+    st.integers(min_value=2**32 - 2**12, max_value=2**32 - 1),
+)
+#: Gaps above the domain, which the codec refuses: past the int64 kernels
+#: (>= 2**32), both sides of 2**53 (where float64 stops holding every integer)
+#: and 2**k - 1 above it, which float64 rounds up to the next power of two.
+ABOVE_DOMAIN_GAPS = st.one_of(
     st.integers(min_value=2**32, max_value=2**33),
     st.integers(min_value=2**53 - 2**12, max_value=2**53 + 2**12),
     st.integers(min_value=54, max_value=59).map(lambda bits: 2**bits - 1),
@@ -37,10 +41,10 @@ GAPS = st.one_of(
 
 
 @st.composite
-def gap_matrices(draw):
+def gap_matrices(draw, min_count=0):
     """An ``(n, k)`` matrix of index gaps; every row sums below 2**62."""
 
-    count = draw(st.integers(min_value=0, max_value=6))
+    count = draw(st.integers(min_value=min_count, max_value=6))
     rows = draw(st.integers(min_value=1, max_value=4))
     row = st.lists(GAPS, min_size=count, max_size=count)
     return np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=np.int64).reshape(
@@ -50,7 +54,7 @@ def gap_matrices(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(gaps=gap_matrices())
-@example(gaps=np.array([[2**54 - 1, 1], [2**59 - 1, 2**53 + 1]], dtype=np.int64))
+@example(gaps=np.array([[2**32 - 1, 1], [2**31, 2**32 - 1]], dtype=np.int64))
 @example(gaps=np.zeros((3, 0), dtype=np.int64))
 def test_gamma_index_size_is_exact_before_the_payload_is_packed(gaps):
     """``size_bytes`` (arithmetic at encode time) is the packed stream's length."""
@@ -66,6 +70,25 @@ def test_gamma_index_size_is_exact_before_the_payload_is_packed(gaps):
         assert (row.payload, row.bit_length, row.count) == (payload, bit_length, count)
         assert codec.encode(row_indices, universe) == row
         assert np.array_equal(codec.decode(row), row_indices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaps=gap_matrices(min_count=1), bad=ABOVE_DOMAIN_GAPS, data=st.data())
+@example(gaps=np.array([[1, 1], [1, 1]]), bad=2**54 - 1, data=None)
+def test_gamma_index_codec_refuses_a_gap_above_the_domain(gaps, bad, data):
+    """One gap >= 2**32 anywhere: the stacked and the one-row encode both refuse."""
+
+    row, column = (0, 0) if data is None else data.draw(
+        st.tuples(st.integers(0, gaps.shape[0] - 1), st.integers(0, gaps.shape[1] - 1))
+    )
+    gaps[row, column] = bad
+    indices = np.cumsum(gaps, axis=1) - 1
+    universe = int(indices.max()) + 1
+    codec = EliasGammaIndexCodec()
+    with pytest.raises(CodecError, match=rf"got {bad}$"):
+        codec.encode(indices, universe)
+    with pytest.raises(CodecError, match=rf"got {bad}$"):
+        codec.encode(indices[row], universe).size_bytes
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.topology.graphs import random_regular_topology, ring_topology
-from repro.topology.weights import metropolis_hastings_weights
+from tests.oracles.weights import metropolis_hastings_weights
 
 
 @settings(max_examples=25, deadline=None)

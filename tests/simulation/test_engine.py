@@ -37,9 +37,9 @@ from repro.simulation.engine import OBSERVER_HOOKS, build_nodes
 from repro.simulation.metrics import ExperimentResult, RoundRecord
 from repro.simulation.network import ByteMeter
 from repro.topology.graphs import random_regular_topology
-from repro.topology.weights import metropolis_hastings_weights
 from repro.utils.rng import SeedSequenceFactory
 from tests.conftest import make_toy_task
+from tests.oracles.weights import metropolis_hastings_weights
 
 
 # -- the frozen seed-runner reference ---------------------------------------------

@@ -59,16 +59,14 @@ def test_pop_from_empty_loop_raises():
         loop.pop()
 
 
-def test_peek_len_bool_and_clear():
+def test_len_bool_and_clear():
     loop = EventLoop()
     assert not loop and len(loop) == 0
-    assert loop.peek() is None
-    first = loop.schedule(1.0, START_ROUND, 3)
+    loop.schedule(1.0, START_ROUND, 3)
     loop.schedule(2.0, FINISH_TRAIN, 3)
     assert loop and len(loop) == 2
-    assert loop.peek() is first
     loop.clear()
-    assert not loop and loop.peek() is None
+    assert not loop and len(loop) == 0
 
 
 def test_event_data_rides_along_and_is_excluded_from_ordering():

@@ -21,13 +21,6 @@ def test_reset_indices_zeroes_only_selected():
     assert np.array_equal(accumulator.scores, [0.0, 0.0, 2.0, 0.0, 4.0])
 
 
-def test_reset_all():
-    accumulator = ResidualAccumulator(3)
-    accumulator.add(np.ones(3))
-    accumulator.reset_all()
-    assert np.array_equal(accumulator.scores, np.zeros(3))
-
-
 def test_scores_view_is_read_only():
     accumulator = ResidualAccumulator(3)
     with pytest.raises(ValueError):

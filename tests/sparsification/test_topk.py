@@ -41,13 +41,6 @@ def test_topk_threshold_property():
     assert selected.min() >= rejected.max() - 1e-12
 
 
-def test_sparsifier_select_fraction():
-    sparsifier = TopKSparsifier()
-    scores = np.random.default_rng(2).normal(size=200)
-    indices = sparsifier.select_fraction(scores, 0.25)
-    assert indices.size == 50
-
-
 def test_fraction_to_count_bounds():
     assert fraction_to_count(0.1, 100) == 10
     assert fraction_to_count(1.0, 7) == 7

@@ -7,7 +7,6 @@ import pytest
 
 from repro.exceptions import TopologyError
 from repro.topology.graphs import (
-    DynamicTopology,
     Topology,
     fully_connected_topology,
     random_regular_topology,
@@ -74,25 +73,6 @@ def test_topology_rejects_self_loops():
 def test_topology_rejects_unknown_nodes():
     with pytest.raises(TopologyError):
         Topology(num_nodes=3, edges=((0, 5),))
-
-
-def test_adjacency_matrix_symmetric():
-    topology = random_regular_topology(10, 3, np.random.default_rng(1))
-    matrix = topology.adjacency_matrix()
-    assert np.array_equal(matrix, matrix.T)
-    assert matrix.sum() == 10 * 3
-
-
-def test_dynamic_topology_changes_every_round():
-    dynamic = DynamicTopology(12, 4, np.random.default_rng(2))
-    first = dynamic.current.edges
-    second = dynamic.advance().edges
-    third = dynamic.advance().edges
-    assert dynamic.current.edges == third
-    assert first != second or second != third
-    assert all(
-        dynamic.current.degree(node) == 4 for node in range(12)
-    )
 
 
 # -- neighbors()/degree() against an edge-scan oracle ---------------------------------

