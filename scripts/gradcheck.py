@@ -10,7 +10,10 @@ train step runs them) against the sum of its members' losses.  The layer checks
 at the end difference a bare ``Conv2d``'s weight and bias and the *input* of
 ``Conv2d`` and ``MaxPool2d`` over kernel sizes, strides and paddings, which is
 the only finite-difference cover of ``_im2col``/``_col2im`` beyond the one
-geometry (kernel 3, stride 1, padding 1) a ``ConvClassifier`` uses.
+geometry (kernel 3, stride 1, padding 1) a ``ConvClassifier`` uses.  The
+``MaxPool2d`` checks and two of the ``Conv2d`` input checks run on both
+batch-major arrays and channel-major views (an NCHW view of a ``(C, N, H, W)``
+buffer), the layout a conv stack passes from layer to layer.
 """
 
 from __future__ import annotations
@@ -102,18 +105,32 @@ class WeightedSum:
         return self.upstream
 
 
-def check_input_gradient(name, layer, inputs, upstream, tolerance=1e-6, epsilon=1e-6):
-    """``layer.backward`` against central differences of ``sum(forward(x) * upstream)`` in x."""
+def channel_major(array):
+    """``array`` (N, C, H, W) as a view of a ``(C, N, H, W)`` buffer."""
 
-    layer.forward(inputs)
-    analytic = layer.backward(upstream)
+    return np.ascontiguousarray(array.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+LAYOUTS = {"batch-major": np.ascontiguousarray, "channel-major": channel_major}
+
+
+def check_input_gradient(
+    name, layer, inputs, upstream, layout=np.ascontiguousarray, tolerance=1e-6, epsilon=1e-6
+):
+    """``layer.backward`` against central differences of ``sum(forward(x) * upstream)`` in x.
+
+    ``layout`` lays out every input (and the upstream gradient) the layer sees.
+    """
+
+    layer.forward(layout(inputs))
+    analytic = layer.backward(layout(upstream))
     numeric = np.zeros_like(inputs)
     for index in np.ndindex(*inputs.shape):
         perturbed = inputs.copy()
         perturbed[index] += epsilon
-        plus = float(np.sum(layer.forward(perturbed) * upstream))
+        plus = float(np.sum(layer.forward(layout(perturbed)) * upstream))
         perturbed[index] -= 2 * epsilon
-        minus = float(np.sum(layer.forward(perturbed) * upstream))
+        minus = float(np.sum(layer.forward(layout(perturbed)) * upstream))
         numeric[index] = (plus - minus) / (2 * epsilon)
     error = np.max(np.abs(analytic - numeric)) / max(1.0, np.max(np.abs(numeric)))
     status = "OK " if error < tolerance else "FAIL"
@@ -154,12 +171,19 @@ def main() -> None:
                 name = f"Conv2d(kernel={kernel}, stride={stride}, padding={padding})"
                 ok &= check(f"{name} weight+bias", conv, WeightedSum(), inputs, upstream)
                 ok &= check_input_gradient(f"{name} input", conv, inputs, upstream)
+    for kernel, stride, padding in ((3, 1, 1), (2, 2, 0)):
+        conv = Conv2d(2, 3, kernel, rng, stride=stride, padding=padding)
+        inputs = rng.normal(size=(2, 2, 6, 6))
+        upstream = rng.normal(size=conv.forward(inputs).shape)
+        name = f"Conv2d(kernel={kernel}, stride={stride}, padding={padding}) input, channel-major"
+        ok &= check_input_gradient(name, conv, inputs, upstream, channel_major)
     for kernel in (2, 3):
         # Continuous random inputs: no window ties, so the maximum is differentiable.
         inputs = rng.normal(size=(2, 3, 2 * kernel, 3 * kernel))
-        ok &= check_input_gradient(
-            f"MaxPool2d({kernel}) input", MaxPool2d(kernel), inputs, rng.normal(size=(2, 3, 2, 3))
-        )
+        upstream = rng.normal(size=(2, 3, 2, 3))
+        for layout_name, layout in LAYOUTS.items():
+            name = f"MaxPool2d({kernel}) input, {layout_name}"
+            ok &= check_input_gradient(name, MaxPool2d(kernel), inputs, upstream, layout)
 
     raise SystemExit(0 if ok else 1)
 

@@ -14,6 +14,7 @@ wavelets for order >= 4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -119,6 +120,9 @@ def _quadrature_mirror(dec_lo: np.ndarray) -> np.ndarray:
 def get_filter_bank(name: str) -> WaveletFilterBank:
     """Return the :class:`WaveletFilterBank` for wavelet ``name``.
 
+    Each lowercased name maps to one shared bank, built and checked on first
+    use; its arrays are read-only.
+
     Raises
     ------
     WaveletError
@@ -126,17 +130,18 @@ def get_filter_bank(name: str) -> WaveletFilterBank:
     """
 
     key = name.lower()
-    canonical = _ALIASES.get(key, key)
-    if canonical not in _DEC_LO:
+    if _ALIASES.get(key, key) not in _DEC_LO:
         raise WaveletError(
             f"unknown wavelet {name!r}; available: {', '.join(available_wavelets())}"
         )
-    dec_lo = np.asarray(_DEC_LO[canonical], dtype=np.float64)
+    return _filter_bank(key)
+
+
+@cache
+def _filter_bank(key: str) -> WaveletFilterBank:
+    dec_lo = np.asarray(_DEC_LO[_ALIASES.get(key, key)], dtype=np.float64)
     dec_hi = _quadrature_mirror(dec_lo)
-    return WaveletFilterBank(
-        name=key,
-        dec_lo=dec_lo,
-        dec_hi=dec_hi,
-        rec_lo=dec_lo[::-1].copy(),
-        rec_hi=dec_hi[::-1].copy(),
-    )
+    filters = (dec_lo, dec_hi, dec_lo[::-1].copy(), dec_hi[::-1].copy())
+    for taps in filters:
+        taps.flags.writeable = False
+    return WaveletFilterBank(key, *filters)

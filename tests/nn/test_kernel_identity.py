@@ -1,15 +1,22 @@
 """The conv-stack kernels against the forms they replaced.
 
 Every stored digest rests on these kernels' float64 bits, so each rewrite is
-pinned against its old form, kept here as an oracle.  Data movement is pinned
-bit for bit by comparing ``uint64`` views (``==`` on floats cannot tell -0.0
-from 0.0 and fails on NaN):
+pinned against its old forms, kept as oracles in ``tests/oracles/conv.py``.
+Data movement is pinned bit for bit by comparing ``uint64`` views (``==`` on
+floats cannot tell -0.0 from 0.0 and fails on NaN):
 
-* channel-major ``_im2col`` against the ``as_strided`` window copy, and
-  channel-major slab ``_col2im`` against the fancy-index scatter, each after a
-  relayout of the columns;
+* flat-shift ``_im2col`` against the strided-slice loop over a padded buffer
+  and the batch-major ``as_strided`` window copy, and flat-shift ``_col2im``
+  against the strided-slice loop and the fancy-index scatter, for kernels 1-5,
+  strides 1-3 and paddings 0-2; ``_im2col`` and ``Conv2d``'s input gradient
+  (whose GEMM BLAS may write straight onto the fold's lattice) against the
+  slice forms on batch-major and channel-major inputs as well;
 * ``ReLU``'s ``abs(fmax(x, 0.0))`` against ``np.where(x > 0, x, 0.0)``;
-* eval-mode ``MaxPool2d`` (a ``np.maximum`` chain) against the training path;
+* training-mode ``MaxPool2d`` (coalesced folds, winners kept as bit masks)
+  against the ``argmax`` pool, forward value and ``backward``, on random,
+  tie-heavy, all-equal, mixed-sign-zero and NaN windows in both layouts,
+  under upstream gradients that hold -0.0, +-inf and NaN;
+* eval-mode ``MaxPool2d`` (``np.maximum`` folds) against the training path;
 * a root model's ``backward`` (parameter half only on its first layer) against
   a full backward through every layer.
 
@@ -28,6 +35,14 @@ from repro.nn.conv import Conv2d, MaxPool2d, _col2im, _im2col
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import CelebACNN, FEMNISTCNN, GNLeNet, MLPClassifier
 from repro.nn.module import get_flat_gradients
+from tests.oracles.conv import (
+    col2im_fancy_index,
+    col2im_slices,
+    im2col_as_strided,
+    im2col_slices,
+    maxpool_argmax,
+    maxpool_argmax_backward,
+)
 
 
 def bits(array: np.ndarray) -> np.ndarray:
@@ -65,41 +80,13 @@ def to_batch_major(columns, channels, kernel, batch, out_h, out_w):
     )
 
 
-def im2col_as_strided(inputs, kernel, stride, padding):
-    """The ``(N, out_h*out_w, C*k*k)`` window copy ``_im2col`` made before it went channel-major."""
+def channel_major(array):
+    """``array`` (N, C, H, W) as a view of a (C, N, H, W) buffer, as a conv layer outputs it."""
 
-    batch, channels = inputs.shape[:2]
-    if padding:
-        inputs = np.pad(inputs, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out_h = (inputs.shape[2] - kernel) // stride + 1
-    out_w = (inputs.shape[3] - kernel) // stride + 1
-    strides = inputs.strides
-    windows = np.lib.stride_tricks.as_strided(
-        inputs,
-        shape=(batch, channels, out_h, out_w, kernel, kernel),
-        strides=(*strides[:2], strides[2] * stride, strides[3] * stride, *strides[2:]),
-    )
-    return np.ascontiguousarray(
-        windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch, out_h * out_w, -1)
-    )
+    return np.ascontiguousarray(array.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
 
 
-def col2im_fancy_index(columns, input_shape, kernel, stride, padding, out_h, out_w):
-    """The scatter ``_col2im`` used before it accumulated through basic slices."""
-
-    batch, channels, height, width = input_shape
-    padded = np.zeros((batch, channels, height + 2 * padding, width + 2 * padding))
-    cols = columns.reshape(batch, out_h, out_w, channels, kernel, kernel)
-    for row in range(kernel):
-        row_span = row + stride * np.arange(out_h)
-        for col in range(kernel):
-            col_span = col + stride * np.arange(out_w)
-            padded[:, :, row_span[:, None], col_span[None, :]] += cols[
-                :, :, :, :, row, col
-            ].transpose(0, 3, 1, 2)
-    if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+LAYOUTS = {"batch-major": np.ascontiguousarray, "channel-major": channel_major}
 
 
 def signed_normal(rng, shape):
@@ -108,23 +95,23 @@ def signed_normal(rng, shape):
     return values
 
 
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("kernel, stride, padding, batch", GEOMETRY)
-def test_im2col_matches_the_as_strided_form(kernel, stride, padding, batch):
+def test_im2col_matches_the_as_strided_form(kernel, stride, padding, batch, layout):
     rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
-    inputs = signed_normal(rng, (batch, 2, 7, 8))
+    inputs = LAYOUTS[layout](signed_normal(rng, (batch, 2, 7, 8)))
     columns, out_h, out_w = _im2col(inputs, kernel, stride, padding)
     assert (out_h, out_w) == output_size(kernel, stride, padding)
     assert columns.shape == (2 * kernel * kernel, batch * out_h * out_w)
+    assert columns.flags.c_contiguous
+    assert_same_bits(columns, im2col_slices(inputs, kernel, stride, padding)[0])
     assert_same_bits(
         to_batch_major(columns, 2, kernel, batch, out_h, out_w),
         im2col_as_strided(inputs, kernel, stride, padding),
     )
 
 
-@pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("padding", [0, 1, 2])
-@pytest.mark.parametrize("stride", [1, 2, 3])
-@pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+@pytest.mark.parametrize("kernel, stride, padding, batch", GEOMETRY)
 def test_col2im_matches_the_fancy_index_form(kernel, stride, padding, batch):
     """Overlapping (stride < kernel), touching and gapped windows alike."""
 
@@ -132,8 +119,12 @@ def test_col2im_matches_the_fancy_index_form(kernel, stride, padding, batch):
     input_shape = (batch, 2, 7, 8)
     out_h, out_w = output_size(kernel, stride, padding)
     columns = signed_normal(rng, (2 * kernel * kernel, batch * out_h * out_w))
+    folded = _col2im(lambda out: np.copyto(out, columns), input_shape, kernel, stride, padding)
     assert_same_bits(
-        _col2im(columns, input_shape, kernel, stride, padding, out_h, out_w),
+        folded, col2im_slices(columns, input_shape, kernel, stride, padding, out_h, out_w)
+    )
+    assert_same_bits(
+        folded,
         col2im_fancy_index(
             to_batch_major(columns, 2, kernel, batch, out_h, out_w),
             input_shape, kernel, stride, padding, out_h, out_w,
@@ -178,6 +169,27 @@ def test_conv2d_matches_the_einsum_form(kernel, stride, padding, batch):
         assert float(np.max(np.abs(actual - oracle))) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("kernel, stride, padding, batch", GEOMETRY)
+def test_conv2d_input_gradient_is_the_slice_fold_of_its_gemm(
+    kernel, stride, padding, batch, layout
+):
+    """Bit for bit, also where BLAS writes the GEMM straight onto the fold's lattice."""
+
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+    layer = Conv2d(2, 3, kernel, rng, stride=stride, padding=padding)
+    inputs = LAYOUTS[layout](rng.normal(size=(batch, 2, 7, 8)))
+    output = layer.forward(inputs)
+    grad_output = LAYOUTS[layout](rng.normal(size=output.shape))
+    grad_input = layer.backward(grad_output)
+    grad_matrix = grad_output.transpose(1, 0, 2, 3).reshape(3, -1)
+    columns = layer.weight.value.reshape(3, -1).T @ grad_matrix
+    out_h, out_w = output.shape[2:]
+    assert_same_bits(
+        grad_input, col2im_slices(columns, inputs.shape, kernel, stride, padding, out_h, out_w)
+    )
+
+
 # -- ReLU ----------------------------------------------------------------------------
 def relu_where(inputs):
     return np.where(inputs > 0, inputs, 0.0)
@@ -219,6 +231,60 @@ def test_relu_matches_where_on_odd_length_arrays(length):
     strided = np.stack([inputs, -inputs, inputs])[:, ::2]  # non-contiguous rows
     assert_same_bits(layer.forward(strided), relu_where(strided))
     assert np.array_equal(layer._cache_mask, strided > 0)
+
+
+# -- training-mode pooling -------------------------------------------------------------
+def pool_inputs(rng, shape):
+    """Windows where ``argmax``'s choice is easy to get wrong, by name."""
+
+    random = rng.normal(size=shape)
+    # Post-ReLU activations: most windows tie on +0.0, many hold only zeros.
+    tie_heavy = ReLU().forward(rng.normal(size=shape) - 1.0)
+    mixed_zeros = np.zeros(shape)
+    mixed_zeros[rng.random(shape) < 0.5] = -0.0
+    with_nan = rng.normal(size=shape)
+    with_nan[rng.random(shape) < 0.15] = np.nan
+    with_nan[rng.random(shape) < 0.1] = -np.nan
+    with_nan[rng.random(shape) < 0.1] = 0.0
+    return {
+        "random": random,
+        "tie-heavy": tie_heavy,
+        "all-equal": np.full(shape, -2.5),
+        "mixed-zeros": mixed_zeros,
+        "nan": with_nan,
+    }
+
+
+def special_gradient(rng, shape):
+    grad = rng.normal(size=shape)
+    for value, share in ((-0.0, 0.2), (np.inf, 0.05), (-np.inf, 0.05), (np.nan, 0.05)):
+        grad[rng.random(shape) < share] = value
+    return grad
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("values", ["random", "tie-heavy", "all-equal", "mixed-zeros", "nan"])
+@pytest.mark.parametrize("kernel", [2, 3])
+def test_training_pooling_matches_the_argmax_form(kernel, values, layout):
+    """Forward bits and the routed gradient bits, ties and NaNs included.
+
+    The earlier sample wins a tie, so a window of +0.0 and -0.0 returns its
+    first zero; the first NaN wins a window; the winner's gradient keeps its
+    bits (-0.0, infinities and NaN too) and every other input reads +0.0.
+    """
+
+    rng = np.random.default_rng(kernel)
+    inputs = LAYOUTS[layout](pool_inputs(rng, (5, 3, 4 * kernel, 3 * kernel))[values])
+    layer = MaxPool2d(kernel)
+    output = layer.forward(inputs)
+    expected, argmax = maxpool_argmax(inputs, kernel)
+    assert_same_bits(output, expected)
+    assert not np.shares_memory(output, inputs)
+    for grad_layout in sorted(LAYOUTS):
+        grad = LAYOUTS[grad_layout](special_gradient(rng, output.shape))
+        assert_same_bits(
+            layer.backward(grad), maxpool_argmax_backward(grad, argmax, inputs.shape, kernel)
+        )
 
 
 # -- eval-mode pooling -----------------------------------------------------------------

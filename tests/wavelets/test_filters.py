@@ -53,6 +53,18 @@ def test_reconstruction_filters_are_reversed_decomposition():
 def test_unknown_wavelet_raises():
     with pytest.raises(WaveletError):
         get_filter_bank("db99")
+    with pytest.raises(WaveletError):  # a failed lookup caches nothing
+        get_filter_bank("db99")
+
+
+@pytest.mark.parametrize("name", available_wavelets())
+def test_one_read_only_bank_per_lowercased_name(name):
+    bank = get_filter_bank(name)
+    assert get_filter_bank(name.upper()) is bank
+    assert bank.name == name
+    for taps in (bank.dec_lo, bank.dec_hi, bank.rec_lo, bank.rec_hi):
+        with pytest.raises(ValueError):
+            taps[0] = 0.0
 
 
 def test_available_wavelets_contains_paper_default():
