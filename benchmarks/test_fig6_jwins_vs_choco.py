@@ -10,78 +10,39 @@ At simulator scale single runs of the 20% setting are noisy, so the benchmark
 runs both budgets and asserts the paper's robust claims: budget compliance,
 a clear JWINS win at the tight 10% budget, and a JWINS-vs-CHOCO gap that grows
 as the budget shrinks.
+
+The grid (full sharing plus {JWINS, CHOCO} x {20%, 10%}) runs as the
+declarative ``fig6_sweep`` and the report comes from the same ``render_fig6``
+layer that ``jwins-repro regenerate`` uses.
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import save_report, scale_down
-from repro.baselines import choco_factory, full_sharing_factory
-from repro.core import JwinsConfig, jwins_factory
-from repro.evaluation import format_table, get_workload
-from repro.simulation import run_experiment
+from benchmarks.conftest import save_report
+from repro.orchestration import ResultStore, fig6_sweep, render_fig6, run_sweep
 
-GAMMAS = {0.2: 0.6, 0.1: 0.1}
 BUDGETS = (0.2, 0.1)
 
 
 def _run():
-    workload = get_workload("cifar10")
-    task = workload.make_task(seed=2)
-    config = scale_down(workload.config, num_nodes=8, rounds=18, eval_every=3)
-    full = run_experiment(task, full_sharing_factory(), config, scheme_name="full-sharing")
-    per_budget = {}
-    for budget in BUDGETS:
-        per_budget[budget] = {
-            "jwins": run_experiment(
-                task, jwins_factory(JwinsConfig.low_budget(budget)), config, scheme_name="jwins"
-            ),
-            "choco": run_experiment(
-                task,
-                choco_factory(fraction=budget, gamma=GAMMAS[budget]),
-                config,
-                scheme_name="choco",
-            ),
-        }
-    return full, per_budget
+    store = ResultStore()
+    sweep = fig6_sweep()
+    run_sweep(sweep, store)
+    results = {cell.scheme.label: store.get(cell.spec) for cell in sweep.cells()}
+    report = render_fig6(store)["fig6_jwins_vs_choco"]
+    return results, report
 
 
 def test_fig6_jwins_vs_choco(benchmark):
-    full, per_budget = benchmark.pedantic(_run, rounds=1, iterations=1)
+    results, report = benchmark.pedantic(_run, rounds=1, iterations=1)
 
-    rows = [
-        [
-            "100% (reference)",
-            "full-sharing",
-            f"{100 * full.final_accuracy:.1f}%",
-            f"{full.final_loss:.3f}",
-            f"{full.average_bytes_per_node / 2**20:.2f} MiB",
-            f"{full.simulated_time_seconds:.1f} s",
-        ]
-    ]
-    for budget, results in per_budget.items():
-        for scheme, result in results.items():
-            rows.append(
-                [
-                    f"{int(100 * budget)}%",
-                    scheme,
-                    f"{100 * result.final_accuracy:.1f}%",
-                    f"{result.final_loss:.3f}",
-                    f"{result.average_bytes_per_node / 2**20:.2f} MiB",
-                    f"{result.simulated_time_seconds:.1f} s",
-                ]
-            )
-    report = format_table(
-        ["budget", "scheme", "final acc", "test loss", "bytes/node", "sim. time"], rows
-    )
-    report += (
-        "\npaper: JWINS >= CHOCO at both budgets, with the gap growing as the budget shrinks"
-    )
     save_report("fig6_jwins_vs_choco", report)
 
+    full = results["full-sharing"]
     gaps = {}
-    for budget, results in per_budget.items():
-        jwins = results["jwins"]
-        choco = results["choco"]
+    for budget in BUDGETS:
+        jwins = results[f"jwins@{int(100 * budget)}%"]
+        choco = results[f"choco@{int(100 * budget)}%"]
         # Both budgeted schemes respect the budget (well under half of full sharing).
         assert jwins.total_bytes < 0.45 * full.total_bytes
         assert choco.total_bytes < 0.45 * full.total_bytes

@@ -15,8 +15,11 @@
 #                (scripts/gradcheck.py, ~2 s)
 #   bench        codec throughput benchmark in smoke mode
 #   smoke        pinned CLI spec hashes / `sweep --dry-run` expansion first,
-#                then async gossip example + orchestration sweep resume smoke
-#                + live status.json heartbeat smoke (2-worker sweep, `top`)
+#                then the registry listings and a dry run of every scenario
+#                preset, async gossip example + orchestration sweep resume
+#                smoke (every scheme the CLI pins) + fig7 preset sweep and
+#                `regenerate` + live status.json heartbeat smoke (2-worker
+#                sweep, `top`)
 #   determinism  churn+partition sweep (sync and async cells) twice serially
 #                and once on 2 workers; the JSONL stores must be byte-for-byte
 #                identical and so must every wall-stripped cell trace (a
@@ -34,6 +37,8 @@
 #   checkpoint   SIGINT a 2-cell pool sweep mid-spec, resume it, and
 #                byte-compare the store's rows against an uninterrupted run
 #                (the fourth determinism pillar), plus dry-run/compact smokes
+#                and a checkpointing `run` -> `run --resume-from` -> `fork`
+#                -> `trace summarize` chain
 #   fuzz         fixed-seed scenario-fuzz smoke, 10 cases under jwins and 4
 #                under choco (a stateful baseline through the event loop's
 #                one-row encode/aggregate calls): every generated hostile
@@ -44,6 +49,11 @@
 #                prints its JSON schedule for local replay), plus the
 #                injected-nondeterminism self-test, which must also
 #                root-cause the injected bug via the forensic trace differ
+#   reach        scripts/reach.py: run the figure benchmarks, examples, perf
+#                workloads and the stages above under a profile hook, and fail
+#                on any src/ function none of them enters that
+#                scripts/reach_allowlist.txt does not list with a reason (or
+#                on an allowlist entry that is now entered or gone)
 #
 # Each stage prints its wall-clock time on success.
 set -euo pipefail
@@ -60,6 +70,27 @@ stage_lint() {
 
 stage_analysis() {
   python -m repro.analysis --baseline .analysis-baseline.json src README.md docs
+
+  # The gate must also fail: a file shaped like an operator-facing module,
+  # with an undocumented public method and a wall-clock read, must be reported
+  # (JSON form), grandfathered by a written baseline, and then pass.
+  local bad="$CI_TMP/analysis/src/repro/orchestration/smoke.py"
+  mkdir -p "$(dirname "$bad")"
+  printf 'import time\n\n\nclass Public:\n    def method(self):\n        return time.time()\n' >"$bad"
+  python -m repro.analysis --list-rules >/dev/null
+  if python -m repro.analysis --format json "$bad" >"$CI_TMP/analysis.json"; then
+    echo "analysis gate FAILED: a known violation was not reported" >&2
+    return 1
+  fi
+  python - "$CI_TMP/analysis.json" <<'PY'
+import json
+import sys
+
+rules = {finding["rule"] for finding in json.load(open(sys.argv[1], encoding="utf-8"))["findings"]}
+assert "API001" in rules, f"undocumented public method not reported: {sorted(rules)}"
+PY
+  python -m repro.analysis --write-baseline "$CI_TMP/analysis-baseline.json" "$bad" >/dev/null
+  python -m repro.analysis --baseline "$CI_TMP/analysis-baseline.json" "$bad" >/dev/null
 }
 
 stage_docs() {
@@ -97,16 +128,33 @@ stage_smoke() {
   # resolved seeds, labels) fail here in about a second.
   python -m pytest -q tests/test_cli_pins.py -k "spec_identity or dry_run"
 
+  python -m repro.cli --list-workloads --list-schemes --list-scenarios >/dev/null
+  # Every preset resolves for a 4-node deployment (the dry run builds each cell).
+  python -m repro.cli sweep --workload movielens --scheme jwins --nodes 4 --degree 2 --rounds 3 \
+      --scenario static dynamic small-world partition stragglers byzantine \
+      --store "$CI_TMP/scenarios.jsonl" --dry-run >/dev/null
+
   python examples/async_gossip.py --smoke
   python examples/churn_partition.py --smoke
 
-  local sweep_args=(--workload movielens --scheme jwins full-sharing
+  local sweep_args=(--workload movielens --scheme jwins full-sharing jwins-adaptive quantized
                     --nodes 4 --degree 2 --rounds 2 --seeds 3)
   python -m repro.cli sweep "${sweep_args[@]}" --store "$CI_TMP/smoke.jsonl" --workers 1
-  # Resuming against the store must skip both completed cells.
+  # Resuming against the store must skip every completed cell (and mark each
+  # skipped on the status board).
   local resume_output
-  resume_output="$(python -m repro.cli sweep "${sweep_args[@]}" --store "$CI_TMP/smoke.jsonl" --workers 2)"
-  grep -q "executed 0 cell(s), skipped 2" <<<"$resume_output"
+  resume_output="$(python -m repro.cli sweep "${sweep_args[@]}" --store "$CI_TMP/smoke.jsonl" \
+      --workers 2 --status "$CI_TMP/resume-status")"
+  grep -q "executed 0 cell(s), skipped 4" <<<"$resume_output"
+
+  # A preset sweep and its figure regenerated from the store (the --scale
+  # overrides must match the sweep's, or the cells are not found).
+  local fig7_scale=(num_nodes=4 degree=2 rounds=2 eval_every=1 eval_test_samples=32)
+  python -m repro.cli sweep --preset fig7 --store "$CI_TMP/fig7.jsonl" --workers 2 \
+      --scale "${fig7_scale[@]}" >/dev/null
+  python -m repro.cli regenerate --store "$CI_TMP/fig7.jsonl" --artifact fig7 \
+      --output "$CI_TMP/regen" --scale "${fig7_scale[@]}" >/dev/null
+  test -s "$CI_TMP/regen/fig7_dynamic_topology.txt"
 
   # Live status heartbeat: a 2-cell pool sweep must leave an atomically
   # rewritten status.json in a terminal state with every cell done, and
@@ -425,7 +473,8 @@ stage_checkpoint() {
   python -m repro.cli sweep "${ck_args[@]}" --store "$CI_TMP/ck-ref.jsonl" --workers 1 --trace "$CI_TMP/ck-ref-traces" >/dev/null
 
   python -m repro.cli sweep "${ck_args[@]}" --store "$CI_TMP/ck-intr.jsonl" \
-      --workers 2 --checkpoint-dir "$CI_TMP/ckpts" >"$CI_TMP/ck-intr.log" 2>&1 &
+      --workers 2 --checkpoint-dir "$CI_TMP/ckpts" --status "$CI_TMP/ck-intr-status" \
+      >"$CI_TMP/ck-intr.log" 2>&1 &
   local sweep_pid=$!
   sleep 4
   kill -INT "$sweep_pid" 2>/dev/null || true
@@ -464,6 +513,23 @@ stage_checkpoint() {
   python -m repro.cli sweep "${ck_args[@]}" --store "$CI_TMP/ck-ref.jsonl" --workers 1 --force >/dev/null
   python -m repro.cli store compact --store "$CI_TMP/ck-ref.jsonl" \
       | grep -q "4 line(s) -> 2 row(s)"
+
+  # The single-run checkpoint chain: a checkpointing event-loop `run` (with
+  # every telemetry sink), a resume from its snapshot, a fork of that snapshot
+  # into a churn future, and the trace rollups of the run and of the sweep.
+  local run_args=(--workload movielens --scheme jwins --nodes 4 --degree 2 --rounds 3
+                  --execution async --checkpoint-dir "$CI_TMP/run-ckpts")
+  python -m repro.cli run "${run_args[@]}" --checkpoint-every 1 --metrics \
+      --trace "$CI_TMP/run.trace.jsonl" --status "$CI_TMP/run-status" >/dev/null
+  local snapshot
+  snapshot="$(ls "$CI_TMP"/run-ckpts/*.ckpt.json)"
+  python -m repro.cli run "${run_args[@]}" --resume-from "$snapshot" >/dev/null
+  python -m repro.cli fork --snapshot "$snapshot" --scenario churn --rounds 5 \
+      --store "$CI_TMP/fork.jsonl" >"$CI_TMP/fork.log"
+  grep -q "stored forked result" "$CI_TMP/fork.log"
+  python -m repro.cli trace summarize "$CI_TMP/run.trace.jsonl" >"$CI_TMP/summary.txt"
+  grep -q "rounds_completed=3" "$CI_TMP/summary.txt"
+  python -m repro.cli trace summarize "$CI_TMP/ck-ref-traces" >/dev/null
 }
 
 stage_fuzz() {
@@ -486,7 +552,11 @@ stage_fuzz() {
   echo "fuzz gate: 10 jwins + 4 choco hostile schedules passed all 6 oracles; self-test caught and root-caused the injected bug"
 }
 
-ALL_STAGES=(lint analysis docs test gradcheck bench smoke determinism checkpoint fuzz)
+stage_reach() {
+  python scripts/reach.py
+}
+
+ALL_STAGES=(lint analysis docs test gradcheck bench smoke determinism checkpoint fuzz reach)
 
 run_stage() {
   local name="$1"

@@ -23,8 +23,7 @@ setup(
     description="JWINS (ICDCS 2023): wavelet-based sparsification for decentralized learning",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    package_data={"repro.scenarios": ["traces/*.jsonl"]},
     python_requires=">=3.10",
-    install_requires=["numpy", "networkx", "scipy"],
+    install_requires=["numpy", "networkx"],
     entry_points={"console_scripts": ["jwins-repro = repro.cli:main"]},
 )

@@ -34,7 +34,7 @@ Quickstart — one call, the paper's synchronous schedule::
     task = make_cifar10_task(seed=1, train_samples=512, test_samples=128)
     result = run_experiment(task, jwins_factory(JwinsConfig.paper_default()),
                             ExperimentConfig(num_nodes=8, rounds=20, seed=1))
-    print(result.final_accuracy, result.total_gib)
+    print(result.final_accuracy, result.total_bytes)
 
 The engine behind the facade is a first-class object.  Build it directly to
 pick an execution mode and attach observers without editing any loop::

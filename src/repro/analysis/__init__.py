@@ -24,7 +24,7 @@ The shipped rules are documented in ``docs/ARCHITECTURE.md`` and listed by
 
 from repro.analysis.baseline import Baseline
 from repro.analysis.core import Finding, Rule, Severity, all_rules, get_rule, register_rule
-from repro.analysis.engine import AnalysisReport, analyze_paths, analyze_source
+from repro.analysis.engine import AnalysisReport, analyze_paths
 
 __all__ = [
     "AnalysisReport",
@@ -34,7 +34,6 @@ __all__ = [
     "Severity",
     "all_rules",
     "analyze_paths",
-    "analyze_source",
     "get_rule",
     "register_rule",
 ]

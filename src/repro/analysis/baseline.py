@@ -37,9 +37,6 @@ class Baseline:
             for entry in (entries or ())
         )
 
-    def __len__(self) -> int:
-        return sum(self._entries.values())
-
     @classmethod
     def load(cls, path: str | Path) -> "Baseline":
         """Read a baseline file; malformed documents fail loudly."""

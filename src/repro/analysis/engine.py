@@ -25,7 +25,7 @@ from repro.analysis.context import FileContext
 from repro.analysis.core import Finding, Rule, Severity, all_rules
 from repro.exceptions import ConfigurationError
 
-__all__ = ["AnalysisReport", "analyze_paths", "analyze_source", "collect_files"]
+__all__ = ["AnalysisReport", "analyze_paths", "collect_files"]
 
 #: File suffixes the engine looks at when expanding directories.
 _SCANNED_SUFFIXES = (".py", ".md")
@@ -110,26 +110,6 @@ def _analyze_context(ctx: FileContext, rules: Sequence[Rule]) -> list[Finding]:
     for rule in applicable:
         findings.extend(rule.check_file(ctx))
     return findings
-
-
-def analyze_source(
-    source: str,
-    filename: str = "<memory>.py",
-    rules: Sequence[Rule] | None = None,
-) -> list[Finding]:
-    """Analyze an in-memory snippet (the unit-test entry point).
-
-    ``filename`` controls module-scoped rules: pass a path shaped like the
-    real tree (e.g. ``src/repro/simulation/engine.py``) to exercise them.
-    Suppressions are honoured; no baseline is involved.
-    """
-
-    path = Path(filename)
-    ctx = FileContext.build(path, path.as_posix(), source)
-    selected = list(rules) if rules is not None else all_rules()
-    raw = _analyze_context(ctx, selected)
-    kept = [f for f in raw if not ctx.is_suppressed(f.line, f.rule)]
-    return sorted(kept, key=Finding.sort_key)
 
 
 def analyze_paths(

@@ -61,18 +61,6 @@ class CheckpointManager:
 
         return self.directory / _LINEAGE_FILE
 
-    def keys(self) -> Iterator[str]:
-        """Run keys that currently have a snapshot on disk (sorted)."""
-
-        if not self.directory.is_dir():
-            return iter(())
-        return iter(
-            sorted(
-                path.name[: -len(_SNAPSHOT_SUFFIX)]
-                for path in self.directory.glob(f"*{_SNAPSHOT_SUFFIX}")
-            )
-        )
-
     # -- saving --------------------------------------------------------------------
     def save(
         self, snapshot: SimulationSnapshot, run_key: str, action: str = "save"
@@ -142,16 +130,3 @@ class CheckpointManager:
         self.directory.mkdir(parents=True, exist_ok=True)
         with self.lineage_path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
-
-    def lineage(self) -> list[dict[str, Any]]:
-        """Every lineage row recorded so far, in append order."""
-
-        if not self.lineage_path.exists():
-            return []
-        rows = []
-        with self.lineage_path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    rows.append(json.loads(line))
-        return rows

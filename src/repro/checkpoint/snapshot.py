@@ -213,29 +213,6 @@ class SimulationSnapshot:
             )
         return snapshot
 
-    @classmethod
-    def verify(cls, path: str | Path) -> dict[str, Any]:
-        """Fully load ``path`` and return a summary of what it holds.
-
-        Raises :class:`~repro.exceptions.CheckpointError` on any corruption;
-        on success the returned mapping describes the snapshot (hash, round,
-        execution mode, spec hash) without exposing the bulky state.
-        """
-
-        snapshot = cls.load(path)
-        return {
-            "path": str(path),
-            "hash": snapshot.content_hash(),
-            "version": snapshot.version,
-            "execution": snapshot.execution,
-            "rounds_completed": snapshot.rounds_completed,
-            "task": snapshot.task,
-            "scheme": snapshot.scheme,
-            "num_nodes": int(snapshot.topology["num_nodes"]),
-            "spec_hash": snapshot.spec_hash(),
-        }
-
-
 # -- engine bridge -------------------------------------------------------------------
 #: The RNG streams a `Simulator` owns directly (name -> attribute).
 _ENGINE_RNG_ATTRS = {

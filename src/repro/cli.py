@@ -503,11 +503,8 @@ def _resolve_scenario(
     the mutations), falling back to the ``num_nodes``/``rounds`` of the
     workload (``fork``: the snapshot) where they leave the deployment alone.
     Preset names win (so a stray local file cannot shadow ``churn``); a value
-    ending in ``.jsonl`` is compiled as an availability/latency trace via
-    :meth:`~repro.scenarios.ScenarioSchedule.from_trace` (clipped to the
-    deployment); any other value ending in ``.json`` or naming an existing
-    file is parsed as a :meth:`~repro.scenarios.ScenarioSchedule.to_dict`
-    document.
+    ending in ``.json`` or naming an existing file is parsed as a
+    :meth:`~repro.scenarios.ScenarioSchedule.to_dict` document.
     """
 
     num_nodes = int(overrides.get("num_nodes", num_nodes))
@@ -515,13 +512,6 @@ def _resolve_scenario(
     path = Path(value)
     if value.lower() in SCENARIO_PRESETS:
         return get_scenario(value, num_nodes=num_nodes, rounds=rounds)
-    if value.endswith(".jsonl"):
-        try:
-            return ScenarioSchedule.from_trace(
-                path, name=path.stem, num_nodes=num_nodes, rounds=rounds
-            )
-        except ConfigurationError as error:
-            raise SystemExit(f"invalid scenario trace {value!r}: {error}")
     if value.endswith(".json") or path.exists():
         try:
             data = json.loads(path.read_text(encoding="utf-8"))

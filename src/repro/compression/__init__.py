@@ -21,7 +21,6 @@ from repro.compression.indices import (
     EncodedIndices,
     IndexCodec,
     RawIndexCodec,
-    SeedIndexCodec,
     random_indices_from_seed,
 )
 from repro.compression.sizing import (
@@ -54,7 +53,6 @@ __all__ = [
     "EncodedIndices",
     "IndexCodec",
     "RawIndexCodec",
-    "SeedIndexCodec",
     "random_indices_from_seed",
     "BYTES_PER_FLOAT32",
     "BYTES_PER_INT32",

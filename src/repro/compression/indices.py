@@ -1,6 +1,6 @@
 """Codecs for the sparsification metadata (selected coefficient indices).
 
-Three codecs are provided, matching the alternatives discussed in the paper:
+Two codecs are provided, matching the alternatives discussed in the paper:
 
 * :class:`RawIndexCodec` — ships every index as a 32-bit integer.  Without any
   compression the metadata is as large as the parameter payload itself
@@ -8,9 +8,10 @@ Three codecs are provided, matching the alternatives discussed in the paper:
 * :class:`EliasGammaIndexCodec` — sorts the indices, delta-encodes them and
   Elias-gamma codes the gaps (Section III-C, Figure 9 second bar).  This is
   the codec JWINS uses.
-* :class:`SeedIndexCodec` — for random-sampling sparsification the indices are
-  a deterministic function of a shared pseudo-random seed, so transmitting the
-  seed and the count suffices (Section II-B2a).
+
+For random-sampling sparsification the indices are a deterministic function of
+a shared pseudo-random seed (:func:`random_indices_from_seed`), so only the
+seed travels (Section II-B2a); that baseline needs no index codec.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "EncodedIndices",
     "IndexCodec",
     "RawIndexCodec",
-    "SeedIndexCodec",
     "random_indices_from_seed",
 ]
 
@@ -202,42 +202,6 @@ def random_indices_from_seed(seed: int, count: int, universe: int) -> np.ndarray
         raise CodecError(f"cannot draw {count} distinct indices from a universe of {universe}")
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFF)
     return np.sort(rng.choice(universe, size=count, replace=False)).astype(np.int64)
-
-
-class SeedIndexCodec(IndexCodec):
-    """Transmit only the pseudo-random seed instead of the index list."""
-
-    name = "seed"
-
-    def __init__(self, seed: int) -> None:
-        self.seed = int(seed)
-
-    def encode(self, indices: np.ndarray, universe: int) -> EncodedIndices:
-        """Encode by validating the set matches the seed; ships only the seed."""
-
-        values = _validate_indices(indices, universe)
-        expected = random_indices_from_seed(self.seed, values.size, universe)
-        if not np.array_equal(np.sort(values), expected):
-            raise CodecError(
-                "SeedIndexCodec can only encode the exact index set generated from its seed"
-            )
-        return EncodedIndices(
-            codec=self.name,
-            payload=b"",
-            bit_length=0,
-            count=values.size,
-            universe=int(universe),
-            extra=(self.seed & 0xFFFFFFFF,),
-        )
-
-    def decode(self, encoded: EncodedIndices) -> np.ndarray:
-        """Regenerate the index set from the transmitted seed and count."""
-
-        if encoded.codec != self.name:
-            raise CodecError(f"payload was encoded with {encoded.codec!r}, not {self.name!r}")
-        if not encoded.extra:
-            raise CodecError("seed-coded indices are missing the seed")
-        return random_indices_from_seed(encoded.extra[0], encoded.count, encoded.universe)
 
 
 def _strictly_ascending_within(values: np.ndarray, universe: int) -> np.ndarray:

@@ -56,13 +56,6 @@ class PayloadSize:
 
         return self.values_bytes + self.metadata_bytes + self.header_bytes
 
-    def __add__(self, other: "PayloadSize") -> "PayloadSize":
-        return PayloadSize(
-            values_bytes=self.values_bytes + other.values_bytes,
-            metadata_bytes=self.metadata_bytes + other.metadata_bytes,
-            header_bytes=self.header_bytes + other.header_bytes,
-        )
-
 
 class _Deferred:
     """A payload of known length whose bytes ``pack()`` makes when first needed."""
@@ -84,10 +77,10 @@ class _Encoding:
     of what it packs from, so metering a record (``len`` of the payload) never
     packs it, and mutating the encoded array afterwards cannot change it.  The
     first read of ``payload`` packs it and keeps the bytes.  A record built
-    from bytes (a decoder's input) holds them as given.  Records are values:
-    they compare, hash, print and pickle by their constructor fields, listed
-    in order in ``_FIELDS``, payload bytes included.  Subclasses assign their
-    slots directly (a round makes one or two records per message).
+    from bytes (a decoder's input) holds them as given.  Records compare
+    by their constructor fields, listed in order in ``_FIELDS``, payload bytes
+    included.  Subclasses assign their slots directly (a round makes one or
+    two records per message).
     """
 
     __slots__ = ("_payload",)
@@ -108,16 +101,6 @@ class _Encoding:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self) -> tuple[Any, tuple[Any, ...]]:
-        return type(self), self._values()
 
 
 def format_bytes(count: float) -> str:

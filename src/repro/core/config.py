@@ -89,9 +89,3 @@ class JwinsConfig:
         """Figure 8 ablation: use a fixed sharing fraction every round."""
 
         return replace(self, use_random_cutoff=False)
-
-    @property
-    def expected_sharing_fraction(self) -> float:
-        """Long-run fraction of coefficients shared per round."""
-
-        return self.cutoff.expected_fraction()

@@ -98,6 +98,3 @@ class CutoffDistribution:
         """The mean sharing fraction (the long-run communication budget)."""
 
         return float(np.dot(self.alphas, self.probabilities))
-
-    def max_fraction(self) -> float:
-        return float(max(self.alphas))

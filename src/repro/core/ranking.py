@@ -33,12 +33,6 @@ class WaveletRanker:
     def coefficient_size(self) -> int:
         return self._accumulator.size
 
-    @property
-    def scores(self) -> np.ndarray:
-        """The persistent accumulated scores ``V`` (read-only view)."""
-
-        return self._accumulator.scores
-
     def round_scores_from_change(self, local_change: np.ndarray) -> np.ndarray:
         """Equation 3 in place: ``V' = V + DWT(x^(t,tau) - x^(t,0))``, given that DWT.
 

@@ -60,9 +60,6 @@ class Dataset:
     def __len__(self) -> int:
         return int(self.inputs.shape[0])
 
-    def __getitem__(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.inputs[index], self.targets[index]
-
     def subset(self, indices: np.ndarray) -> "Dataset":
         """Return a new dataset restricted to ``indices``."""
 

@@ -42,9 +42,6 @@ class Loss:
     def backward(self) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        return self.forward(predictions, targets)
-
 
 class CrossEntropyLoss(Loss):
     """Softmax cross-entropy over integer class targets (mean over the batch).
@@ -85,11 +82,6 @@ class CrossEntropyLoss(Loss):
         grad = softmax(logits)
         grad[targets_at] -= 1.0
         return grad / logits.shape[-2]
-
-    def predictions(self, logits: np.ndarray) -> np.ndarray:
-        """Return the predicted class per row (used by accuracy metrics)."""
-
-        return np.asarray(logits).argmax(axis=-1)
 
 
 class MSELoss(Loss):

@@ -51,9 +51,6 @@ class Parameter:
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Parameter(name={self.name!r}, shape={self.shape})"
-
 
 class Module:
     """Base class of every layer and model.
@@ -132,9 +129,6 @@ class Module:
         """Total number of scalar parameters."""
 
         return int(sum(parameter.size for parameter in self.parameters()))
-
-    def parameter_shapes(self) -> list[tuple[int, ...]]:
-        return [parameter.shape for parameter in self.parameters()]
 
 
 def flat_values(parameters: Sequence[Parameter]) -> np.ndarray:

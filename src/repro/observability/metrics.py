@@ -229,25 +229,11 @@ class MetricsRegistry:
 
         return self._get(Histogram, name, labels)
 
-    def __len__(self) -> int:
-        return len(self._instruments)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._instruments
-
     def items(self) -> Iterator[tuple[str, Counter | Gauge | Histogram]]:
         """``(key, instrument)`` pairs in sorted key order."""
 
         for key in sorted(self._instruments):
             yield key, self._instruments[key]
-
-    def value(self, key: str) -> float:
-        """The scalar value of counter/gauge ``key`` (KeyError when absent)."""
-
-        instrument = self._instruments[key]
-        if isinstance(instrument, Histogram):
-            raise ValueError(f"metric {key!r} is a histogram; read its fields instead")
-        return instrument.value
 
     # -- (de)serialization ---------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:

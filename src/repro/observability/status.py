@@ -191,12 +191,6 @@ class CellStatusWriter:
         self.rounds_completed = max(self.rounds_completed, int(rounds_completed))
         self._write(force=True)
 
-    def finish(self, state: str = "done") -> None:
-        """Write the cell's terminal heartbeat (the board may later remove it)."""
-
-        self._state = state
-        self._write(force=True)
-
 
 class StatusBoard:
     """Per-sweep status aggregator behind the ``--status`` flag.

@@ -231,9 +231,11 @@ def summarize_trace(path: str | Path) -> str:
     """Per-run and per-node rollups of one trace file.
 
     Renders, per traced run: the manifest identity line, record counts by
-    kind, the evaluation trajectory end points, a per-node table (rounds
-    completed, messages and bytes received) and the peak RSS carried by the
-    ``run_end`` record.
+    kind, the evaluation trajectory end points, a per-node table (messages
+    and bytes received, plus rounds completed when the run's round records
+    name a node, as the event loop's do; a lock-step run's rounds are global
+    and its ``rounds_completed`` line already counts them) and the peak RSS
+    carried by the ``run_end`` record.
     """
 
     records = read_trace(path)
@@ -264,6 +266,7 @@ def summarize_trace(path: str | Path) -> str:
 
         counts: dict[str, int] = {}
         per_node: dict[int, dict[str, float]] = {}
+        node_rounds = False
         evaluations: list[dict[str, Any]] = []
         run_end: dict[str, Any] | None = None
         for record in run:
@@ -280,6 +283,7 @@ def summarize_trace(path: str | Path) -> str:
                     int(record["node"]), {"rounds": 0, "messages": 0, "bytes": 0.0}
                 )
                 node["rounds"] += 1
+                node_rounds = True
             elif kind == "evaluate":
                 evaluations.append(record)
             elif kind == "run_end":
@@ -301,20 +305,15 @@ def summarize_trace(path: str | Path) -> str:
                 f" -> {last.get('accuracy'):.4f} (round {last.get('round')})"
             )
         if per_node:
+            columns = ("rounds", "messages", "bytes") if node_rounds else ("messages", "bytes")
             rows = [
-                (
-                    node_id,
-                    int(per_node[node_id]["rounds"]),
-                    int(per_node[node_id]["messages"]),
-                    int(per_node[node_id]["bytes"]),
-                )
+                (node_id, *(int(per_node[node_id][column]) for column in columns))
                 for node_id in sorted(per_node)
             ]
+            header = ("node", "rounds") if node_rounds else ("node",)
             lines.extend(
                 _rollup_rows(
-                    "  per-node:",
-                    ("node", "rounds", "messages_received", "bytes_received"),
-                    rows,
+                    "  per-node:", header + ("messages_received", "bytes_received"), rows
                 )
             )
         peak_rss = (run_end or {}).get(WALL_KEY, {}).get("peak_rss_bytes")

@@ -80,16 +80,8 @@ class ResultStore:
 
         return spec if isinstance(spec, str) else spec.content_hash()
 
-    def __contains__(self, spec: ExperimentSpec | str) -> bool:
-        return self.key_for(spec) in self._records
-
     def __len__(self) -> int:
         return len(self._records)
-
-    def keys(self) -> Iterator[str]:
-        """All stored content hashes, in insertion order."""
-
-        return iter(self._records)
 
     def get(self, spec: ExperimentSpec | str) -> ExperimentResult | None:
         """The stored result for ``spec``, or ``None`` when absent."""
@@ -98,23 +90,6 @@ class ResultStore:
         if record is None:
             return None
         return ExperimentResult.from_dict(record["result"])
-
-    def get_spec(self, key: str) -> ExperimentSpec | None:
-        """The stored spec under content hash ``key``, or ``None`` when absent."""
-
-        record = self._records.get(key)
-        if record is None:
-            return None
-        return ExperimentSpec.from_dict(record["spec"])
-
-    def items(self) -> Iterator[tuple[ExperimentSpec, ExperimentResult]]:
-        """All stored ``(spec, result)`` pairs, in insertion order."""
-
-        for record in self._records.values():
-            yield (
-                ExperimentSpec.from_dict(record["spec"]),
-                ExperimentResult.from_dict(record["result"]),
-            )
 
     # -- writing -------------------------------------------------------------------
     def put(

@@ -146,29 +146,3 @@ class Sweep:
         for values in self.axes.values():
             size *= len(values)
         return size
-
-    # -- (de)serialization ---------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation; exact inverse of :meth:`from_dict`."""
-
-        return {
-            "name": self.name,
-            "workloads": list(self.workloads),
-            "schemes": [scheme.to_dict() for scheme in self.schemes],
-            "axes": {name: list(values) for name, values in self.axes.items()},
-            "base_overrides": dict(self.base_overrides),
-            "task_seed": self.task_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Sweep":
-        """Rebuild a sweep from :meth:`to_dict` output."""
-
-        return cls(
-            name=data["name"],
-            workloads=tuple(data["workloads"]),
-            schemes=tuple(SchemeSpec.from_dict(s) for s in data["schemes"]),
-            axes={name: tuple(values) for name, values in data.get("axes", {}).items()},
-            base_overrides=dict(data.get("base_overrides", {})),
-            task_seed=data.get("task_seed"),
-        )

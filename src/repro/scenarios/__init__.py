@@ -23,9 +23,7 @@ the determinism contract over random hostile schedules.
 """
 
 from repro.scenarios.presets import (
-    BUNDLED_TRACES,
     SCENARIO_PRESETS,
-    bundled_trace_path,
     describe_scenarios,
     get_scenario,
 )
@@ -40,7 +38,6 @@ from repro.scenarios.schedule import (
 )
 
 __all__ = [
-    "BUNDLED_TRACES",
     "BYZANTINE_MODES",
     "ByzantineWindow",
     "NodeOutage",
@@ -49,7 +46,6 @@ __all__ = [
     "ScenarioSchedule",
     "ScenarioState",
     "StragglerWindow",
-    "bundled_trace_path",
     "describe_scenarios",
     "get_scenario",
 ]

@@ -9,7 +9,6 @@ validates the result against the deployment size.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Callable
 
 from repro.exceptions import ConfigurationError
@@ -23,28 +22,10 @@ from repro.scenarios.schedule import (
 from repro.topology.policy import GeneratorPolicy
 
 __all__ = [
-    "BUNDLED_TRACES",
     "SCENARIO_PRESETS",
-    "bundled_trace_path",
     "describe_scenarios",
     "get_scenario",
 ]
-
-#: Name -> bundled example trace file (JSONL, see ScenarioSchedule.from_trace).
-BUNDLED_TRACES = {
-    "diurnal": "diurnal.jsonl",
-    "mobile": "mobile.jsonl",
-}
-
-
-def bundled_trace_path(name: str) -> Path:
-    """The on-disk path of a bundled example trace (``diurnal`` or ``mobile``)."""
-
-    if name not in BUNDLED_TRACES:
-        raise ConfigurationError(
-            f"unknown bundled trace {name!r}; available: {', '.join(BUNDLED_TRACES)}"
-        )
-    return Path(__file__).resolve().parent / "traces" / BUNDLED_TRACES[name]
 
 
 def _static(num_nodes: int, rounds: int) -> ScenarioSchedule:
@@ -62,15 +43,6 @@ def _small_world(num_nodes: int, rounds: int) -> ScenarioSchedule:
     return ScenarioSchedule(
         name="small-world",
         topology=GeneratorPolicy(generator="small-world", params=(("beta", 0.2),)),
-    )
-
-
-def _clustered(num_nodes: int, rounds: int) -> ScenarioSchedule:
-    return ScenarioSchedule(
-        name="clustered",
-        topology=GeneratorPolicy(
-            generator="clustered", params=(("bridges", 2), ("num_clusters", 2))
-        ),
     )
 
 
@@ -148,18 +120,6 @@ def _byzantine(num_nodes: int, rounds: int) -> ScenarioSchedule:
     )
 
 
-def _trace_preset(trace: str) -> Callable[[int, int], ScenarioSchedule]:
-    def build(num_nodes: int, rounds: int) -> ScenarioSchedule:
-        return ScenarioSchedule.from_trace(
-            bundled_trace_path(trace),
-            name=f"trace-{trace}",
-            num_nodes=num_nodes,
-            rounds=rounds,
-        )
-
-    return build
-
-
 #: Preset name -> (description, builder(num_nodes, rounds)).
 SCENARIO_PRESETS: dict[
     str, tuple[str, Callable[[int, int], ScenarioSchedule]]
@@ -167,14 +127,11 @@ SCENARIO_PRESETS: dict[
     "static": ("static random-regular topology, no events (the default)", _static),
     "dynamic": ("re-sample the random-regular topology every round (Fig. 7)", _dynamic),
     "small-world": ("static Watts-Strogatz small-world topology (beta=0.2)", _small_world),
-    "clustered": ("two dense clusters joined by sparse random bridges", _clustered),
     "churn": ("rotating two-round node outages from round 2 on", _churn),
     "partition": ("network splits into halves for the middle third of the run", _partition),
     "stragglers": ("a quarter of the nodes compute 4x slower mid-run", _stragglers),
     "churn-partition": ("churn outages plus the mid-run half/half partition", _churn_partition),
     "byzantine": ("a quarter of the nodes sign-flip their updates mid-run", _byzantine),
-    "trace-diurnal": ("bundled diurnal availability trace (staggered night outages)", _trace_preset("diurnal")),
-    "trace-mobile": ("bundled mobile latency trace (handsets throttling off-charger)", _trace_preset("mobile")),
 }
 
 

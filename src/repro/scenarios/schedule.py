@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.exceptions import ConfigurationError
@@ -362,12 +361,6 @@ class ScenarioSchedule:
             + tuple(("byzantine window", window) for window in self.byzantine)
         )
 
-    @property
-    def is_trivial(self) -> bool:
-        """No events and a static default topology (the legacy behavior)."""
-
-        return not self.has_events and self.topology == GeneratorPolicy()
-
     def validate_for(self, num_nodes: int, rounds: int | None = None) -> None:
         """Check the schedule fits a ``num_nodes`` x ``rounds`` deployment.
 
@@ -490,152 +483,4 @@ class ScenarioSchedule:
             partitions=tuple(data.get("partitions", ())),
             stragglers=tuple(data.get("stragglers", ())),
             byzantine=tuple(data.get("byzantine", ())),
-        )
-
-    # -- trace replay --------------------------------------------------------------
-    @classmethod
-    def from_trace(
-        cls,
-        rows: str | Path | Iterable[Mapping[str, Any]],
-        name: str = "trace",
-        topology: GeneratorPolicy | None = None,
-        num_nodes: int | None = None,
-        rounds: int | None = None,
-    ) -> "ScenarioSchedule":
-        """Compile an availability/latency trace into a schedule.
-
-        ``rows`` is a JSONL file path or an iterable of already-parsed row
-        mappings.  Each row describes one node over one round window and is
-        one of two kinds:
-
-        - availability: ``{"node": 3, "round": 7, "available": false}`` —
-          the node is offline for that round.  Consecutive offline rounds
-          merge into a single :class:`NodeOutage`.  ``"available": true``
-          rows are accepted (traces usually log both states) and ignored.
-        - latency: ``{"node": 3, "start_round": 2, "end_round": 5,
-          "slowdown": 3.0}`` — the node computes ``slowdown``x slower for
-          the window.  Rows sharing a window and factor merge into one
-          :class:`StragglerWindow`.
-
-        Both kinds accept either a single ``"round"`` or a
-        ``"start_round"``/``"end_round"`` pair.  When ``num_nodes`` /
-        ``rounds`` are given, rows outside the deployment are clipped (nodes
-        past ``num_nodes`` dropped, windows truncated to ``rounds``) so one
-        recorded trace replays at any smoke or paper scale.  Malformed rows
-        raise :class:`~repro.exceptions.ConfigurationError` naming the row.
-        """
-
-        if isinstance(rows, (str, Path)):
-            path = Path(rows)
-            try:
-                lines = path.read_text(encoding="utf-8").splitlines()
-            except OSError as error:
-                raise ConfigurationError(
-                    f"cannot read trace file {path}: {error}"
-                ) from error
-            parsed: list[Mapping[str, Any]] = []
-            for number, line in enumerate(lines, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as error:
-                    raise ConfigurationError(
-                        f"trace {path} line {number}: invalid JSON ({error})"
-                    ) from error
-                parsed.append(record)
-            rows = parsed
-
-        offline_rounds: dict[int, list[int]] = {}
-        straggler_rows: dict[tuple[int, int, float], list[int]] = {}
-        for number, row in enumerate(rows, start=1):
-            label = f"trace row {number} ({json.dumps(row, sort_keys=True)})"
-            if not isinstance(row, Mapping):
-                raise ConfigurationError(f"trace row {number}: expected an object")
-            extra = sorted(
-                set(row)
-                - {"node", "round", "start_round", "end_round", "available", "slowdown"}
-            )
-            if extra:
-                raise ConfigurationError(
-                    f"{label}: unknown field(s) {', '.join(extra)}"
-                )
-            if "node" not in row:
-                raise ConfigurationError(f"{label}: missing 'node'")
-            node = int(row["node"])
-            if "round" in row:
-                if "start_round" in row or "end_round" in row:
-                    raise ConfigurationError(
-                        f"{label}: give either 'round' or a "
-                        "'start_round'/'end_round' pair, not both"
-                    )
-                start, end = int(row["round"]), int(row["round"]) + 1
-            elif "start_round" in row and "end_round" in row:
-                start, end = int(row["start_round"]), int(row["end_round"])
-            else:
-                raise ConfigurationError(
-                    f"{label}: needs 'round' or both 'start_round' and 'end_round'"
-                )
-            if start < 0 or end <= start:
-                raise ConfigurationError(
-                    f"{label}: window [{start}, {end}) is empty or negative"
-                )
-            has_avail, has_slow = "available" in row, "slowdown" in row
-            if has_avail == has_slow:
-                raise ConfigurationError(
-                    f"{label}: needs exactly one of 'available' or 'slowdown'"
-                )
-            if num_nodes is not None and node >= num_nodes:
-                continue
-            if rounds is not None:
-                end = min(end, rounds)
-                if start >= end:
-                    continue
-            if has_avail:
-                if bool(row["available"]):
-                    continue
-                offline_rounds.setdefault(node, []).extend(range(start, end))
-            else:
-                slowdown = float(row["slowdown"])
-                if slowdown < 1.0:
-                    raise ConfigurationError(
-                        f"{label}: slowdown must be >= 1 (got {slowdown})"
-                    )
-                straggler_rows.setdefault((start, end, slowdown), []).append(node)
-
-        outages: list[NodeOutage] = []
-        for node in sorted(offline_rounds):
-            run_start: int | None = None
-            previous = None
-            for round_index in sorted(set(offline_rounds[node])):
-                if run_start is None:
-                    run_start = round_index
-                elif round_index != previous + 1:
-                    outages.append(
-                        NodeOutage(node=node, start_round=run_start, end_round=previous + 1)
-                    )
-                    run_start = round_index
-                previous = round_index
-            if run_start is not None:
-                outages.append(
-                    NodeOutage(node=node, start_round=run_start, end_round=previous + 1)
-                )
-        outages.sort(key=lambda outage: (outage.start_round, outage.node))
-
-        stragglers = tuple(
-            StragglerWindow(
-                start_round=start,
-                end_round=end,
-                nodes=tuple(sorted(set(straggler_rows[(start, end, slowdown)]))),
-                slowdown=slowdown,
-            )
-            for start, end, slowdown in sorted(straggler_rows)
-        )
-
-        return cls(
-            name=name,
-            topology=topology if topology is not None else GeneratorPolicy(),
-            outages=tuple(outages),
-            stragglers=stragglers,
         )

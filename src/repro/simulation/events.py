@@ -159,8 +159,5 @@ class EventLoop:
         self._seq = next_seq
         self._now = float(now)
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def __bool__(self) -> bool:
         return bool(self._heap)

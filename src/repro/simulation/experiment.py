@@ -23,7 +23,7 @@ from typing import Any, Mapping
 
 from repro.exceptions import ConfigurationError
 from repro.scenarios.schedule import ScenarioSchedule
-from repro.simulation.timing import HeterogeneousTimeModel, TimeModel, time_model_from_dict
+from repro.simulation.timing import HeterogeneousTimeModel, TimeModel
 
 __all__ = ["ENGINES", "EXECUTION_MODES", "ExperimentConfig"]
 
@@ -169,16 +169,16 @@ class ExperimentConfig:
             link_latency_jitter_seconds=self.link_latency_jitter_seconds,
         )
 
-    # -- (de)serialization ---------------------------------------------------------
-    #: Fields declared as tuples, which JSON round-trips as lists.
+    # -- serialization -------------------------------------------------------------
+    #: Fields declared as tuples, which JSON stores as lists.
     _TUPLE_FIELDS = ("compute_speed_range", "bandwidth_scale_range")
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation; exact inverse of :meth:`from_dict`.
+        """JSON-safe representation (a snapshot's ``config`` record).
 
         The nested :attr:`time_model` is serialized through
-        :meth:`~repro.simulation.timing.TimeModel.to_dict`, so heterogeneous
-        models survive the round trip with their class intact.
+        :meth:`~repro.simulation.timing.TimeModel.to_dict`, which names its
+        kind, so a heterogeneous model is recorded with its class.
         """
 
         data: dict[str, Any] = {}
@@ -193,39 +193,11 @@ class ExperimentConfig:
             data[config_field.name] = value
         return data
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
-        """Rebuild a configuration from :meth:`to_dict` output.
-
-        Unknown keys raise :class:`~repro.exceptions.ConfigurationError` so a
-        stored configuration from a newer schema fails loudly instead of being
-        silently reinterpreted.
-        """
-
-        known = {config_field.name for config_field in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown ExperimentConfig field(s): {', '.join(unknown)}"
-            )
-        payload = dict(data)
-        if "time_model" in payload:
-            payload["time_model"] = time_model_from_dict(payload["time_model"])
-        for name in cls._TUPLE_FIELDS:
-            if name in payload:
-                payload[name] = tuple(payload[name])
-        return cls(**payload)
-
     # -- copy helpers -------------------------------------------------------------
     def with_rounds(self, rounds: int) -> "ExperimentConfig":
         """Copy of this configuration with a different round budget."""
 
         return replace(self, rounds=rounds)
-
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        """Copy of this configuration with a different root seed."""
-
-        return replace(self, seed=seed)
 
     def with_target(self, target_accuracy: float, stop: bool = True) -> "ExperimentConfig":
         """Copy of this configuration that stops when ``target_accuracy`` is reached."""

@@ -13,7 +13,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.compression.sizing import GIB, MIB
+from repro.compression.sizing import MIB
 from repro.observability.contract import TELEMETRY_RESULT_FIELDS
 
 __all__ = ["ExperimentResult", "RoundRecord"]
@@ -177,10 +177,6 @@ class ExperimentResult:
         return float(max(self.per_node_time_seconds) - min(self.per_node_time_seconds))
 
     @property
-    def total_gib(self) -> float:
-        return self.total_bytes / GIB
-
-    @property
     def average_mib_per_node(self) -> float:
         return self.average_bytes_per_node / MIB
 
@@ -191,20 +187,6 @@ class ExperimentResult:
         rounds = np.array([record.round_index for record in self.history])
         accuracy = np.array([record.test_accuracy for record in self.history])
         return rounds, accuracy
-
-    def loss_curve(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rounds, test loss) series — Figure 4 row 2."""
-
-        rounds = np.array([record.round_index for record in self.history])
-        loss = np.array([record.test_loss for record in self.history])
-        return rounds, loss
-
-    def bytes_curve(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rounds, cumulative bytes per node) series — Figure 4 row 3."""
-
-        rounds = np.array([record.round_index for record in self.history])
-        sent = np.array([record.cumulative_bytes_per_node for record in self.history])
-        return rounds, sent
 
     # -- target-accuracy queries -------------------------------------------------------
     def rounds_to_accuracy(self, target: float) -> int | None:

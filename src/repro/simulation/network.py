@@ -75,10 +75,6 @@ class ByteMeter:
 
     # -- queries -------------------------------------------------------------------
     @property
-    def values_bytes_per_node(self) -> np.ndarray:
-        return self._values_bytes.copy()
-
-    @property
     def metadata_bytes_per_node(self) -> np.ndarray:
         return self._metadata_bytes.copy()
 
@@ -103,10 +99,6 @@ class ByteMeter:
     @property
     def average_bytes_per_node(self) -> float:
         return float(self.total_bytes_per_node.mean())
-
-    @property
-    def per_round_bytes(self) -> list[float]:
-        return list(self._round_bytes)
 
     # -- checkpointing -------------------------------------------------------------
     def state_dict(self) -> dict:

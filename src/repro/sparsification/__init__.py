@@ -1,15 +1,11 @@
-"""Sparsification substrate: TopK, random sampling and residual accumulation."""
+"""Sparsification substrate: TopK selection, sharing budgets, residual accumulation."""
 
 from repro.sparsification.accumulation import ResidualAccumulator
-from repro.sparsification.base import Sparsifier, fraction_to_count
-from repro.sparsification.random_sampling import RandomSamplingSparsifier
-from repro.sparsification.topk import TopKSparsifier, topk_indices
+from repro.sparsification.base import fraction_to_count
+from repro.sparsification.topk import topk_indices
 
 __all__ = [
     "ResidualAccumulator",
-    "Sparsifier",
     "fraction_to_count",
-    "RandomSamplingSparsifier",
-    "TopKSparsifier",
     "topk_indices",
 ]

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.sparsification.base import Sparsifier
 
-__all__ = ["TopKSparsifier", "topk_indices"]
+__all__ = ["topk_indices"]
 
 
 def topk_indices(scores: np.ndarray, count: int) -> np.ndarray:
@@ -28,10 +27,3 @@ def topk_indices(scores: np.ndarray, count: int) -> np.ndarray:
     # argpartition is O(n); exact ordering inside the top-k set is irrelevant.
     selected = np.argpartition(magnitudes, width - count)[..., width - count :]
     return np.sort(selected).astype(np.int64, copy=False)
-
-
-class TopKSparsifier(Sparsifier):
-    """Select the coefficients with the largest absolute value."""
-
-    def select(self, scores: np.ndarray, count: int) -> np.ndarray:
-        return topk_indices(scores, count)

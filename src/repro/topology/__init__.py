@@ -2,12 +2,10 @@
 
 from repro.topology.graphs import (
     Topology,
-    clustered_topology,
     fully_connected_topology,
     random_regular_topology,
     ring_topology,
     small_world_topology,
-    star_topology,
 )
 from repro.topology.policy import TOPOLOGY_GENERATORS, GeneratorPolicy, TopologyPolicy
 from repro.topology.weights import MixingRow, metropolis_hastings_rows
@@ -18,11 +16,9 @@ __all__ = [
     "TOPOLOGY_GENERATORS",
     "Topology",
     "TopologyPolicy",
-    "clustered_topology",
     "fully_connected_topology",
     "random_regular_topology",
     "ring_topology",
     "small_world_topology",
-    "star_topology",
     "metropolis_hastings_rows",
 ]

@@ -19,12 +19,10 @@ from repro.exceptions import TopologyError
 
 __all__ = [
     "Topology",
-    "clustered_topology",
     "fully_connected_topology",
     "random_regular_topology",
     "ring_topology",
     "small_world_topology",
-    "star_topology",
 ]
 
 
@@ -57,22 +55,6 @@ class Topology:
             found[u].add(v)
             found[v].add(u)
         return tuple(tuple(sorted(peers)) for peers in found)
-
-    def neighbors(self, node: int) -> list[int]:
-        """Sorted neighbor list of ``node`` (empty for a node outside the graph)."""
-
-        if not 0 <= node < self.num_nodes:
-            return []
-        return list(self._adjacency[node])
-
-    def degree(self, node: int) -> int:
-        return len(self.neighbors(node))
-
-    def is_connected(self) -> bool:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_nodes))
-        graph.add_edges_from(self.edges)
-        return nx.is_connected(graph)
 
 
 def _from_networkx(graph: nx.Graph, num_nodes: int) -> Topology:
@@ -140,66 +122,3 @@ def small_world_topology(
     raise TopologyError(
         f"failed to sample a connected small-world graph over {num_nodes} nodes"
     )
-
-
-def clustered_topology(
-    num_nodes: int, num_clusters: int, bridges: int, rng: np.random.Generator
-) -> Topology:
-    """Densely wired clusters joined by a sparse ring of random bridge edges.
-
-    Nodes are split into ``num_clusters`` contiguous groups.  Small clusters
-    (six nodes or fewer) are fully connected; larger ones get a connected
-    random-regular graph of degree 4.  Consecutive clusters (in a ring, so the
-    whole graph is connected) are joined by ``bridges`` random cross edges.
-    This is the classic "data-center islands over a thin WAN" shape used by
-    partition scenarios.
-    """
-
-    if num_clusters < 2:
-        raise TopologyError("a clustered topology needs at least two clusters")
-    if num_nodes < 2 * num_clusters:
-        raise TopologyError("each cluster needs at least two nodes")
-    if bridges < 1:
-        raise TopologyError("bridges must be at least 1")
-
-    bounds = np.linspace(0, num_nodes, num_clusters + 1).astype(int)
-    clusters = [list(range(bounds[i], bounds[i + 1])) for i in range(num_clusters)]
-
-    edges: set[tuple[int, int]] = set()
-    for members in clusters:
-        size = len(members)
-        if size <= 6:
-            edges.update(
-                (members[i], members[j]) for i in range(size) for j in range(i + 1, size)
-            )
-        else:
-            local = random_regular_topology(size, 4, rng)
-            edges.update(
-                (min(members[u], members[v]), max(members[u], members[v]))
-                for u, v in local.edges
-            )
-    # Consecutive clusters form a ring; with exactly two clusters the ring
-    # would visit the single pair twice, so only one direction is wired.
-    for index in range(num_clusters if num_clusters > 2 else 1):
-        members = clusters[index]
-        other = clusters[(index + 1) % num_clusters]
-        for _ in range(bridges):
-            u = int(members[int(rng.integers(0, len(members)))])
-            v = int(other[int(rng.integers(0, len(other)))])
-            edges.add((min(u, v), max(u, v)))
-
-    topology = Topology(num_nodes=num_nodes, edges=tuple(sorted(edges)))
-    if not topology.is_connected():  # pragma: no cover - connected by construction
-        raise TopologyError("clustered topology construction yielded a disconnected graph")
-    return topology
-
-
-def star_topology(num_nodes: int, center: int = 0) -> Topology:
-    """A star graph centered on ``center`` (a degenerate, server-like topology)."""
-
-    if not 0 <= center < num_nodes:
-        raise TopologyError("center must be a valid node id")
-    edges = tuple(
-        (min(center, node), max(center, node)) for node in range(num_nodes) if node != center
-    )
-    return Topology(num_nodes=num_nodes, edges=edges)

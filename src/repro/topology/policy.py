@@ -24,12 +24,10 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.topology.graphs import (
     Topology,
-    clustered_topology,
     fully_connected_topology,
     random_regular_topology,
     ring_topology,
     small_world_topology,
-    star_topology,
 )
 
 __all__ = [
@@ -72,22 +70,8 @@ def _small_world(
     )
 
 
-def _clustered(
-    num_nodes: int,
-    degree: int,
-    rng: np.random.Generator,
-    num_clusters: int = 2,
-    bridges: int = 2,
-) -> Topology:
-    return clustered_topology(num_nodes, int(num_clusters), int(bridges), rng)
-
-
 def _ring(num_nodes: int, degree: int, rng: np.random.Generator) -> Topology:
     return ring_topology(num_nodes)
-
-
-def _star(num_nodes: int, degree: int, rng: np.random.Generator) -> Topology:
-    return star_topology(num_nodes)
 
 
 def _fully_connected(
@@ -100,9 +84,7 @@ def _fully_connected(
 TOPOLOGY_GENERATORS: dict[str, Callable[..., Topology]] = {
     "random-regular": _random_regular,
     "small-world": _small_world,
-    "clustered": _clustered,
     "ring": _ring,
-    "star": _star,
     "fully-connected": _fully_connected,
 }
 

@@ -8,7 +8,7 @@ from repro.wavelets.dwt import (
     wavedec,
     waverec,
 )
-from repro.wavelets.filters import WaveletFilterBank, available_wavelets, get_filter_bank
+from repro.wavelets.filters import WaveletFilterBank, get_filter_bank
 from repro.wavelets.fourier import FourierLayout, fft_forward, fft_inverse
 from repro.wavelets.packing import CoefficientLayout, pack_coefficients, unpack_coefficients
 from repro.wavelets.transform import (
@@ -28,7 +28,6 @@ __all__ = [
     "wavedec",
     "waverec",
     "WaveletFilterBank",
-    "available_wavelets",
     "get_filter_bank",
     "FourierLayout",
     "fft_forward",

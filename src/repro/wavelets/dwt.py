@@ -197,21 +197,13 @@ class MultiLevelCoefficients:
     coefficients along the last one.  ``pad_flags[j]`` records whether the
     input to level ``j`` (counting from the shallowest level, ``j == 0`` being
     the original signal) was zero-padded by one element.  ``original_length``
-    and :attr:`total_size` count one signal, i.e. the last axis.
+    counts one signal, i.e. the last axis.
     """
 
     wavelet: str
     arrays: tuple[np.ndarray, ...]
     pad_flags: tuple[bool, ...]
     original_length: int
-
-    @property
-    def levels(self) -> int:
-        return len(self.arrays) - 1
-
-    @property
-    def total_size(self) -> int:
-        return int(sum(a.shape[-1] for a in self.arrays))
 
 
 def wavedec(

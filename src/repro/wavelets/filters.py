@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.exceptions import WaveletError
 
-__all__ = ["WaveletFilterBank", "available_wavelets", "get_filter_bank"]
+__all__ = ["WaveletFilterBank", "get_filter_bank"]
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -103,12 +103,6 @@ class WaveletFilterBank:
         return int(self.dec_lo.size)
 
 
-def available_wavelets() -> list[str]:
-    """Return the names of all supported wavelets (including aliases)."""
-
-    return sorted(set(_DEC_LO) | set(_ALIASES))
-
-
 def _quadrature_mirror(dec_lo: np.ndarray) -> np.ndarray:
     """Derive the decomposition high-pass filter from the low-pass filter."""
 
@@ -126,13 +120,13 @@ def get_filter_bank(name: str) -> WaveletFilterBank:
     Raises
     ------
     WaveletError
-        If the wavelet is not one of :func:`available_wavelets`.
+        If the wavelet is not a supported name or alias.
     """
 
     key = name.lower()
     if _ALIASES.get(key, key) not in _DEC_LO:
         raise WaveletError(
-            f"unknown wavelet {name!r}; available: {', '.join(available_wavelets())}"
+            f"unknown wavelet {name!r}; available: {', '.join(sorted(set(_DEC_LO) | set(_ALIASES)))}"
         )
     return _filter_bank(key)
 

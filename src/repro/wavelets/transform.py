@@ -119,9 +119,13 @@ class ModelTransform(ABC):
 
         return self._model_size
 
-    @abstractmethod
     def coefficient_size(self) -> int:
-        """Length of the coefficient vectors produced by :meth:`forward`."""
+        """Length of the coefficient vectors produced by :meth:`forward`.
+
+        The model size, unless the transform pads (:class:`WaveletTransform`).
+        """
+
+        return self._model_size
 
     @abstractmethod
     def forward(self, vector: np.ndarray) -> np.ndarray:
@@ -140,29 +144,6 @@ class ModelTransform(ABC):
         return values
 
     # -- stacked (N, size) entry points -------------------------------------------
-    def forward_batch(self, matrix: np.ndarray) -> np.ndarray:
-        """Map a stacked ``(N, model_size)`` matrix to ``(N, coefficient_size)``.
-
-        Row ``r`` of the result equals ``forward(matrix[r])`` bit for bit —
-        that contract is what lets a sharing scheme transform many nodes' rows
-        in one call and stay byte-identical to one call per node.  The default
-        implementation simply loops over rows; transforms with a true batched
-        kernel (:class:`WaveletTransform`) override it.
-        """
-
-        matrix = self._check_batch(matrix, self._model_size)
-        return np.stack([self.forward(row) for row in matrix])
-
-    def inverse_batch(self, coefficients: np.ndarray) -> np.ndarray:
-        """Map stacked ``(N, coefficient_size)`` rows back to ``(N, model_size)``.
-
-        The inverse of :meth:`forward_batch`, with the same per-row
-        bit-identity contract to :meth:`inverse`; the default loops over rows.
-        """
-
-        coefficients = self._check_batch(coefficients, self.coefficient_size())
-        return np.stack([self.inverse(row) for row in coefficients])
-
     def _check_batch(self, matrix: np.ndarray, width: int) -> np.ndarray:
         values = np.asarray(matrix, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] != width:
@@ -174,9 +155,6 @@ class ModelTransform(ABC):
 
 class IdentityTransform(ModelTransform):
     """The trivial transform: coefficients are the parameters themselves."""
-
-    def coefficient_size(self) -> int:
-        return self._model_size
 
     def forward(self, vector: np.ndarray) -> np.ndarray:
         return self._check_input(vector).copy()
@@ -279,9 +257,6 @@ class FourierTransform(ModelTransform):
     def __init__(self, model_size: int) -> None:
         super().__init__(model_size)
         self._layout = FourierLayout(original_length=model_size)
-
-    def coefficient_size(self) -> int:
-        return self._model_size
 
     def forward(self, vector: np.ndarray) -> np.ndarray:
         packed, _ = fft_forward(self._check_input(vector))

@@ -9,8 +9,9 @@ import pytest
 
 from repro.analysis import Baseline, Finding, Severity, all_rules, analyze_paths, get_rule
 from repro.analysis.context import module_name_for
-from repro.analysis.engine import AnalysisReport, analyze_source, collect_files
+from repro.analysis.engine import AnalysisReport, collect_files
 from repro.analysis.reporters import JSON_REPORT_VERSION, render, render_json, render_text
+from tests.analysis.snippets import analyze_source
 from repro.analysis.suppressions import extract_suppressions
 from repro.exceptions import ConfigurationError
 

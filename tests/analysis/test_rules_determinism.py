@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.analysis import analyze_source, get_rule
+from repro.analysis import get_rule
+from tests.analysis.snippets import analyze_source
 
 ENGINE = "src/repro/simulation/engine.py"
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.random_sampling import RandomSamplingScheme, random_sampling_factory
+from repro.compression.indices import random_indices_from_seed
 from repro.core.interface import RoundContext
 from repro.exceptions import SimulationError
 
@@ -44,6 +45,27 @@ def test_selection_changes_each_round_but_is_reproducible():
     second_a = scheme_a.prepare(_context(trained, round_index=1)).payload["indices"]
     assert np.array_equal(first_a, first_b)
     assert not np.array_equal(first_a, second_a)
+
+
+def test_selection_is_independent_of_the_trained_values():
+    zeros = RandomSamplingScheme(0, SIZE, seed=3, fraction=0.1).prepare(_context(np.zeros(SIZE)))
+    noise = np.random.default_rng(0).normal(size=SIZE)
+    noisy = RandomSamplingScheme(0, SIZE, seed=3, fraction=0.1).prepare(_context(noise))
+    assert np.array_equal(zeros.payload["indices"], noisy.payload["indices"])
+
+
+def test_payload_seed_regenerates_the_indices():
+    scheme = RandomSamplingScheme(0, SIZE, seed=5, fraction=0.2)
+    message = scheme.prepare(_context(np.zeros(SIZE), round_index=4))
+    regenerated = random_indices_from_seed(message.payload["seed"], 40, SIZE)
+    assert np.array_equal(regenerated, message.payload["indices"])
+
+
+def test_full_fraction_shares_every_parameter():
+    scheme = RandomSamplingScheme(0, SIZE, seed=2, fraction=1.0)
+    message = scheme.prepare(_context(np.zeros(SIZE)))
+    assert np.array_equal(message.payload["indices"], np.arange(SIZE))
+    assert message.shared_fraction == 1.0
 
 
 def test_values_match_selected_parameters():

@@ -181,7 +181,7 @@ def test_byte_meter_state_roundtrip():
     clone = ByteMeter(3)
     clone.load_state_dict(state)
     assert clone.total_bytes == meter.total_bytes
-    assert clone.per_round_bytes == meter.per_round_bytes
+    assert clone._round_bytes == meter._round_bytes
     assert np.array_equal(clone.total_bytes_per_node, meter.total_bytes_per_node)
     assert clone.end_round() == meter.end_round()
 
@@ -204,8 +204,11 @@ def test_event_loop_restore_preserves_order_and_counter():
     clone = EventLoop()
     clone.restore(events, next_seq=loop.next_seq, now=loop.now)
     assert clone.now == loop.now
-    order = [clone.pop() for _ in range(len(clone))]
-    expected = [loop.pop() for _ in range(len(loop))]
+    order, expected = [], []
+    while clone:
+        order.append(clone.pop())
+    while loop:
+        expected.append(loop.pop())
     assert [e.sort_key for e in order] == [e.sort_key for e in expected]
     # New schedules continue the counter without colliding.
     event = clone.schedule(5.0, START_ROUND, 0)

@@ -8,7 +8,6 @@ from repro.compression.indices import (
     EliasGammaIndexCodec,
     EncodedIndexRows,
     RawIndexCodec,
-    SeedIndexCodec,
     random_indices_from_seed,
 )
 from repro.exceptions import CodecError
@@ -76,25 +75,26 @@ def test_random_indices_from_seed_deterministic():
     assert np.unique(a).size == 50
 
 
+def test_random_indices_from_seed_are_sorted_within_the_universe():
+    indices = random_indices_from_seed(1, 25, 100)
+    assert indices.dtype == np.int64 and indices.size == 25
+    assert indices.min() >= 0 and indices.max() < 100
+    assert np.all(np.diff(indices) > 0)
+
+
+def test_random_indices_from_seed_depend_on_the_seed():
+    assert not np.array_equal(
+        random_indices_from_seed(1, 100, 1000), random_indices_from_seed(2, 100, 1000)
+    )
+
+
+def test_random_indices_from_seed_may_take_the_whole_universe():
+    assert np.array_equal(random_indices_from_seed(3, 10, 10), np.arange(10))
+
+
 def test_random_indices_too_many_raises():
     with pytest.raises(CodecError):
         random_indices_from_seed(1, 11, 10)
-
-
-def test_seed_codec_roundtrip():
-    seed = 99
-    expected = random_indices_from_seed(seed, 64, 512)
-    codec = SeedIndexCodec(seed)
-    encoded = codec.encode(expected, 512)
-    assert encoded.payload == b""
-    assert encoded.size_bytes < 20
-    assert np.array_equal(codec.decode(encoded), expected)
-
-
-def test_seed_codec_rejects_foreign_indices():
-    codec = SeedIndexCodec(1)
-    with pytest.raises(CodecError):
-        codec.encode(np.array([1, 2, 3]), 512)
 
 
 # -- the matrix contract: every row is encoded exactly as the 1-D call would --------

@@ -10,15 +10,6 @@ def test_total_includes_header():
     assert size.total_bytes == 100 + 20 + size.header_bytes
 
 
-def test_addition_accumulates_all_components():
-    a = PayloadSize(values_bytes=10, metadata_bytes=1)
-    b = PayloadSize(values_bytes=20, metadata_bytes=2)
-    total = a + b
-    assert total.values_bytes == 30
-    assert total.metadata_bytes == 3
-    assert total.header_bytes == a.header_bytes + b.header_bytes
-
-
 def test_units_are_binary():
     assert KIB == 1024
     assert MIB == 1024**2

@@ -137,7 +137,7 @@ def test_rounds_match_the_three_forward_oracle_on_every_task(name):
                     oracle[node].transform.forward(expected_model - models[node]),
                     start,
                 ),
-                scale_error(fast[node].ranker.scores, oracle[node].ranker.scores, start),
+                scale_error(fast[node].ranker._accumulator.scores, oracle[node].ranker._accumulator.scores, start),
             )
         models = new_models
     assert worst <= TOLERANCE
@@ -247,5 +247,5 @@ def test_without_wavelets_every_vector_is_bit_identical_to_the_oracle(accumulati
             )
             assert new_models[node].tobytes() == expected.tobytes()
             assert fast[node].start_coefficients.tobytes() == expected.tobytes()
-            assert fast[node].ranker.scores.tobytes() == oracle[node].ranker.scores.tobytes()
+            assert fast[node].ranker._accumulator.scores.tobytes() == oracle[node].ranker._accumulator.scores.tobytes()
         models = new_models

@@ -17,7 +17,7 @@ def test_paper_default_uses_wavelet_accumulation_and_random_cutoff():
 
 def test_low_budget_distribution():
     config = JwinsConfig.low_budget(0.2)
-    assert config.expected_sharing_fraction == pytest.approx(0.2)
+    assert config.cutoff.expected_fraction() == pytest.approx(0.2)
 
 
 def test_ablation_constructors_flip_one_switch_each():
@@ -43,4 +43,4 @@ def test_negative_levels_raise():
 
 def test_custom_cutoff_is_used():
     config = JwinsConfig(cutoff=CutoffDistribution.fixed(0.5))
-    assert config.expected_sharing_fraction == 0.5
+    assert config.cutoff.expected_fraction() == 0.5

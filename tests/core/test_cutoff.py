@@ -86,11 +86,6 @@ def test_invalid_distributions_raise():
         CutoffDistribution.budgeted(0.0)
 
 
-def test_max_fraction():
-    assert CutoffDistribution.uniform().max_fraction() == 1.0
-    assert CutoffDistribution.fixed(0.3).max_fraction() == 0.3
-
-
 @pytest.mark.parametrize(
     "distribution",
     [CutoffDistribution.uniform(), CutoffDistribution.budgeted(0.2), CutoffDistribution.fixed(0.3)],

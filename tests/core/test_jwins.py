@@ -152,7 +152,7 @@ def test_accumulator_reset_for_shared_coefficients():
     new_params = scheme.aggregate(context, [])
     # Shared coordinates were reset before the end-of-round update, so their
     # score equals only the whole-round change; they did not double-count.
-    assert np.allclose(scheme.ranker.scores[:10], trained[:10], atol=1e-9)
+    assert np.allclose(scheme.ranker._accumulator.scores[:10], trained[:10], atol=1e-9)
 
 
 def test_aggregate_before_prepare_raises():
@@ -254,7 +254,7 @@ def test_rows_form_equals_one_row_calls(scheme_type, config_name):
             _assert_same_message(messages[row], expected)
             counts.add(expected.payload["indices"].size)
             assert stacked[row].last_alpha == single[row].last_alpha
-            assert stacked[row].ranker.scores.tobytes() == single[row].ranker.scores.tobytes()
+            assert stacked[row].ranker._accumulator.scores.tobytes() == single[row].ranker._accumulator.scores.tobytes()
             assert (
                 stacked[row]._own_coefficients.tobytes() == own_matrix[row].tobytes()
                 and single[row]._own_coefficients.tobytes() == own_matrix[row].tobytes()
@@ -355,7 +355,7 @@ def test_rows_hooks_equal_per_node_rounds_at_every_pass_size(
             inbox = [messages_b[peer] for peer in ring[node]]
             expected = alone[node].aggregate(contexts_b[node], inbox)
             assert new_models[node].tobytes() == expected.tobytes()
-            assert together[node].ranker.scores.tobytes() == alone[node].ranker.scores.tobytes()
+            assert together[node].ranker._accumulator.scores.tobytes() == alone[node].ranker._accumulator.scores.tobytes()
             assert together[node]._own_coefficients is None
         models = new_models
 

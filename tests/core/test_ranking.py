@@ -22,21 +22,21 @@ def test_round_scores_equation3(identity_ranker):
     )
     assert np.allclose(scores, trained - start)
     # The persistent accumulator is not modified by computing round scores.
-    assert np.allclose(identity_ranker.scores, 0.0)
+    assert np.allclose(identity_ranker._accumulator.scores, 0.0)
 
 
 def test_end_of_round_equation4(identity_ranker):
     start = np.zeros(8)
     final = np.full(8, 2.0)
     identity_ranker.end_of_round(start, final)
-    assert np.allclose(identity_ranker.scores, 2.0)
+    assert np.allclose(identity_ranker._accumulator.scores, 2.0)
 
 
 def test_mark_shared_resets_selected_entries(identity_ranker):
     identity_ranker.end_of_round(np.zeros(8), np.arange(8.0))
     identity_ranker.mark_shared(np.array([0, 1, 2]))
-    assert np.allclose(identity_ranker.scores[:3], 0.0)
-    assert np.allclose(identity_ranker.scores[3:], np.arange(3.0, 8.0))
+    assert np.allclose(identity_ranker._accumulator.scores[:3], 0.0)
+    assert np.allclose(identity_ranker._accumulator.scores[3:], np.arange(3.0, 8.0))
 
 
 def test_unshared_coordinates_accumulate_across_rounds(identity_ranker):
@@ -47,7 +47,7 @@ def test_unshared_coordinates_accumulate_across_rounds(identity_ranker):
         final = np.zeros(8)
         final[5] = 1.0
         identity_ranker.end_of_round(start, final)
-    assert identity_ranker.scores[5] == pytest.approx(3.0)
+    assert identity_ranker._accumulator.scores[5] == pytest.approx(3.0)
 
 
 def test_round_scores_include_history(identity_ranker):
@@ -65,7 +65,7 @@ def test_accumulation_disabled_only_uses_local_change():
         ranker.transform.forward(np.full(4, 0.25) - np.zeros(4))
     )
     assert np.allclose(scores, 0.25)
-    assert np.allclose(ranker.scores, 0.0)
+    assert np.allclose(ranker._accumulator.scores, 0.0)
     ranker.mark_shared(np.array([0]))  # no-op, must not raise
 
 

@@ -96,5 +96,5 @@ def test_every_delivered_message_costs_its_packed_encodings(scheme, execution):
     simulator.on_message(check)
     simulator.run()
     assert checked, "the run delivered no message"
-    assert metrics.value("engine_messages_dropped") > 0
-    assert metrics.value("engine_messages_suppressed") > 0
+    assert metrics.to_dict()["engine_messages_dropped"]["value"] > 0
+    assert metrics.to_dict()["engine_messages_suppressed"]["value"] > 0

@@ -75,12 +75,6 @@ def test_cross_entropy_rejects_out_of_range_targets():
         CrossEntropyLoss().forward(np.zeros((2, 2)), np.array([0, 5]))
 
 
-def test_cross_entropy_predictions_argmax():
-    loss = CrossEntropyLoss()
-    logits = np.array([[0.1, 0.9], [0.8, 0.2]])
-    assert np.array_equal(loss.predictions(logits), [1, 0])
-
-
 def test_mse_value_and_gradient():
     loss = MSELoss()
     predictions = np.array([1.0, 2.0, 3.0])

@@ -124,7 +124,8 @@ class TestReservedFormatKeys:
 
     def test_a_stored_row_reserializes_byte_identically(self, tmp_path):
         (tmp_path / "old.jsonl").write_text(PARENT_ROW + "\n", encoding="utf-8")
-        [(spec, result)] = list(ResultStore(tmp_path / "old.jsonl").items())
+        spec = ExperimentSpec.from_dict(json.loads(PARENT_ROW)["spec"])
+        result = ResultStore(tmp_path / "old.jsonl").get(spec)
         ResultStore(tmp_path / "new.jsonl").put(spec, result)
         assert (tmp_path / "new.jsonl").read_text(encoding="utf-8") == PARENT_ROW + "\n"
 

@@ -86,16 +86,16 @@ def test_engine_populates_the_metrics_catalog(execution):
         task, full_sharing_factory(), _tiny_config(execution=execution), metrics=registry
     )
     # 4 nodes x degree 2 x 3 rounds, nothing dropped or suppressed.
-    assert registry.value("engine_messages_delivered{scheme=full-sharing}") == 24
-    assert registry.value("net_messages_sent{scheme=full-sharing}") == 24
-    assert registry.value("engine_rounds_completed") == 3
-    assert registry.value("engine_messages_dropped") == 0
-    assert registry.value("engine_messages_suppressed") == 0
-    assert registry.value("engine_evaluations") == len(result.history)
+    assert registry.to_dict()["engine_messages_delivered{scheme=full-sharing}"]["value"] == 24
+    assert registry.to_dict()["net_messages_sent{scheme=full-sharing}"]["value"] == 24
+    assert registry.to_dict()["engine_rounds_completed"]["value"] == 3
+    assert registry.to_dict()["engine_messages_dropped"]["value"] == 0
+    assert registry.to_dict()["engine_messages_suppressed"]["value"] == 0
+    assert registry.to_dict()["engine_evaluations"]["value"] == len(result.history)
     # The byte counters agree with the result's own accounting.
-    assert registry.value("net_bytes_sent{scheme=full-sharing}") == result.total_bytes
+    assert registry.to_dict()["net_bytes_sent{scheme=full-sharing}"]["value"] == result.total_bytes
     assert (
-        registry.value("net_bytes_received{scheme=full-sharing}") == result.total_bytes
+        registry.to_dict()["net_bytes_received{scheme=full-sharing}"]["value"] == result.total_bytes
     )
     latency = registry.histogram("engine_round_latency_seconds")
     # One observation per global round under sync, per node-round under async.
@@ -233,6 +233,6 @@ def test_checkpointing_run_counts_saves_in_the_registry(tmp_path):
         checkpoint_every=1,
         metrics=registry,
     )
-    assert registry.value("checkpoint_saves") >= 2  # one per round at cadence 1
-    assert registry.value("checkpoint_bytes_written") > 0
-    assert registry.value("engine_snapshots_captured") >= 2
+    assert registry.to_dict()["checkpoint_saves"]["value"] >= 2  # one per round at cadence 1
+    assert registry.to_dict()["checkpoint_bytes_written"]["value"] > 0
+    assert registry.to_dict()["engine_snapshots_captured"]["value"] >= 2

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.baselines import full_sharing_factory
 from repro.observability.trace import (
     WALL_KEY,
     TraceEmitter,
@@ -11,6 +14,8 @@ from repro.observability.trace import (
     strip_wall,
     summarize_trace,
 )
+from repro.simulation import ExperimentConfig, run_experiment
+from tests.conftest import make_toy_task
 
 
 class FixedClock:
@@ -100,3 +105,27 @@ def test_summarize_empty_trace(tmp_path):
     path = tmp_path / "empty.trace.jsonl"
     path.write_text("", encoding="utf-8")
     assert "is empty" in summarize_trace(path)
+
+
+@pytest.mark.parametrize("execution", ["sync", "async"])
+def test_summarize_counts_node_rounds_only_where_round_records_name_a_node(tmp_path, execution):
+    # Lock-step round records are global ("node": null); the event loop's
+    # name the node whose local round ended.
+    path = tmp_path / f"{execution}.trace.jsonl"
+    config = ExperimentConfig(
+        num_nodes=4, degree=2, rounds=3, local_steps=1, batch_size=8, learning_rate=0.1,
+        eval_every=3, eval_test_samples=32, seed=1, execution=execution,
+    )
+    with TraceEmitter(path) as trace:
+        run_experiment(make_toy_task(), full_sharing_factory(), config, observers=(trace,))
+    lines = summarize_trace(path).splitlines()
+    assert "  rounds_completed=3 total_bytes=" in "\n".join(lines)
+    start = lines.index("  per-node:")
+    header = lines[start + 1].split()
+    rows = [line.split() for line in lines[start + 2 : start + 6]]
+    assert [int(row[0]) for row in rows] == [0, 1, 2, 3]
+    if execution == "sync":
+        assert header == ["node", "messages_received", "bytes_received"]
+    else:
+        assert header == ["node", "rounds", "messages_received", "bytes_received"]
+        assert [int(row[1]) for row in rows] == [3, 3, 3, 3]

@@ -3,7 +3,10 @@
 import numpy as np
 
 from repro.exceptions import WaveletError
-from repro.wavelets.filters import WaveletFilterBank, get_filter_bank
+from repro.wavelets.filters import _ALIASES, _DEC_LO, WaveletFilterBank, get_filter_bank
+
+#: Every wavelet name ``get_filter_bank`` accepts, aliases included.
+WAVELETS = sorted(set(_DEC_LO) | set(_ALIASES))
 
 
 def _analysis_reference(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:

@@ -1,0 +1,32 @@
+"""Adjacency queries over a topology's edge list, by definition.
+
+``Topology`` holds only ``num_nodes`` and ``edges`` (plus the cached adjacency
+the mixing rows read); tests ask who neighbours whom through these scans.
+"""
+
+import networkx as nx
+
+from repro.topology.graphs import Topology
+
+
+def neighbors(topology: Topology, node: int) -> list[int]:
+    """Sorted neighbours of ``node``: a scan of every edge."""
+
+    found = set()
+    for u, v in topology.edges:
+        if u == node:
+            found.add(v)
+        elif v == node:
+            found.add(u)
+    return sorted(found)
+
+
+def degree(topology: Topology, node: int) -> int:
+    return len(neighbors(topology, node))
+
+
+def is_connected(topology: Topology) -> bool:
+    graph = nx.Graph()
+    graph.add_nodes_from(range(topology.num_nodes))
+    graph.add_edges_from(topology.edges)
+    return nx.is_connected(graph)

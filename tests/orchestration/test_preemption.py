@@ -16,6 +16,12 @@ from repro.exceptions import CheckpointError
 from repro.orchestration import ExperimentSpec, ResultStore, SchemeSpec, run_sweep
 from repro.orchestration.pool import SweepObserver
 
+
+def _lineage(manager: CheckpointManager) -> list[dict]:
+    """The rows of a checkpoint directory's append-only lineage log."""
+
+    return [json.loads(line) for line in manager.lineage_path.read_text().splitlines()]
+
 OVERRIDES = {
     "num_nodes": 4,
     "degree": 2,
@@ -120,9 +126,9 @@ def test_mid_spec_resume_consumes_the_snapshot(tmp_path):
     outcome = run_sweep([spec], ResultStore(), checkpoint_dir=str(checkpoints))
     assert len(outcome.executed) == 1
     # The resume lineage row proves the mid-spec restart.
-    actions = [row["action"] for row in manager.lineage()]
+    actions = [row["action"] for row in _lineage(manager)]
     assert "resume" in actions
-    resume_rows = [row for row in manager.lineage() if row["action"] == "resume"]
+    resume_rows = [row for row in _lineage(manager) if row["action"] == "resume"]
     assert resume_rows[-1]["round"] == 2
 
 
@@ -135,7 +141,7 @@ def test_lineage_log_records_saves_and_resumes(tmp_path):
     )
     run_sweep([spec], ResultStore(), checkpoint_dir=str(checkpoints))
 
-    rows = CheckpointManager(checkpoints).lineage()
+    rows = _lineage(CheckpointManager(checkpoints))
     assert [row["action"] for row in rows].count("resume") == 1
     save_rounds = [row["round"] for row in rows if row["action"] == "save"]
     assert save_rounds == sorted(save_rounds)

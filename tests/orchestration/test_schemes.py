@@ -34,7 +34,7 @@ def test_registry_covers_cli_choices():
 
 def test_params_configure_the_scheme():
     scheme = build_scheme_factory("jwins", {"budget": 0.2})(0, 200, 1)
-    assert scheme.config.expected_sharing_fraction == pytest.approx(0.2)
+    assert scheme.config.cutoff.expected_fraction() == pytest.approx(0.2)
 
 
 def test_unknown_scheme_raises():

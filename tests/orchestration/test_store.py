@@ -26,7 +26,6 @@ def test_in_memory_store_round_trips():
     store = ResultStore()
     spec = _spec()
     store.put(spec, _result())
-    assert spec in store
     assert len(store) == 1
     assert store.get(spec) == _result()
 
@@ -36,15 +35,12 @@ def test_persistence_across_instances(tmp_path):
     spec = _spec()
     ResultStore(path).put(spec, _result())
     reloaded = ResultStore(path)
-    assert spec in reloaded
     assert reloaded.get(spec) == _result()
-    assert reloaded.get_spec(spec.content_hash()) == spec
 
 
 def test_missing_spec_returns_none():
     store = ResultStore()
     assert store.get(_spec()) is None
-    assert _spec() not in store
 
 
 def test_changed_spec_misses_the_store(tmp_path):
@@ -53,7 +49,7 @@ def test_changed_spec_misses_the_store(tmp_path):
     store.put(_spec(seed=1), _result())
     # Any config change produces a different content hash: the old result is
     # invisible (invalidated), not silently reused.
-    assert _spec(seed=2) not in ResultStore(path)
+    assert ResultStore(path).get(_spec(seed=2)) is None
 
 
 def test_last_write_wins_per_key(tmp_path):
@@ -115,17 +111,6 @@ def test_non_record_json_is_discarded(tmp_path):
     reloaded = ResultStore(path)
     assert len(reloaded) == 0
     assert reloaded.discarded_lines == 1
-
-
-def test_items_yields_spec_result_pairs(tmp_path):
-    path = tmp_path / "results.jsonl"
-    store = ResultStore(path)
-    store.put(_spec(seed=1), _result())
-    store.put(_spec(seed=2), _result())
-    pairs = list(ResultStore(path).items())
-    assert len(pairs) == 2
-    assert {spec.overrides["seed"] for spec, _ in pairs} == {1, 2}
-    assert all(isinstance(result, ExperimentResult) for _, result in pairs)
 
 
 def test_store_creates_parent_directories(tmp_path):

@@ -57,15 +57,6 @@ def test_task_seed_propagates_to_every_cell():
     assert all(spec.task_seed == 7 for spec in sweep.expand())
 
 
-def test_round_trip():
-    sweep = _sweep(axes={"seed": (1, 2)}, task_seed=3)
-    rebuilt = Sweep.from_dict(sweep.to_dict())
-    assert rebuilt == sweep
-    assert [s.content_hash() for s in rebuilt.expand()] == [
-        s.content_hash() for s in sweep.expand()
-    ]
-
-
 @pytest.mark.parametrize(
     "kwargs, match",
     [

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.topology.graphs import random_regular_topology, ring_topology
+from tests.oracles import graphs
 from tests.oracles.weights import metropolis_hastings_weights
 
 
@@ -18,8 +19,8 @@ def test_regular_topology_and_weights_invariants(num_nodes, degree, seed):
     if degree >= num_nodes or (num_nodes * degree) % 2 != 0:
         return
     topology = random_regular_topology(num_nodes, degree, np.random.default_rng(seed))
-    assert topology.is_connected()
-    degrees = [topology.degree(node) for node in range(num_nodes)]
+    assert graphs.is_connected(topology)
+    degrees = [graphs.degree(topology, node) for node in range(num_nodes)]
     assert set(degrees) == {degree}
 
     weights = metropolis_hastings_weights(topology)

@@ -9,9 +9,7 @@ import pytest
 from repro.baselines import full_sharing_factory
 from repro.exceptions import ConfigurationError
 from repro.scenarios import (
-    BUNDLED_TRACES,
     SCENARIO_PRESETS,
-    bundled_trace_path,
     describe_scenarios,
     get_scenario,
 )
@@ -71,24 +69,6 @@ def test_byzantine_preset_schedules_an_attack_window():
     assert window.mode == "sign-flip"
     assert window.nodes == (6, 7)  # the last quarter of the deployment
     assert 0 < window.start_round < window.end_round <= 20
-
-
-def test_trace_presets_compile_the_bundled_traces():
-    for name in BUNDLED_TRACES:
-        path = bundled_trace_path(name)
-        assert path.is_file(), path
-        schedule = get_scenario(f"trace-{name}", num_nodes=4, rounds=12)
-        assert schedule.has_events
-    with pytest.raises(ConfigurationError, match="unknown bundled trace"):
-        bundled_trace_path("metropolitan")
-
-
-def test_trace_presets_clip_to_small_deployments():
-    # The bundled traces reference nodes/rounds beyond a smoke deployment;
-    # the preset must clip rather than reject.
-    for name in BUNDLED_TRACES:
-        schedule = get_scenario(f"trace-{name}", num_nodes=2, rounds=3)
-        schedule.validate_for(2, rounds=3)
 
 
 @pytest.mark.parametrize("execution", ["sync", "async"])

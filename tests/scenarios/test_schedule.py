@@ -45,19 +45,16 @@ def _rich_schedule() -> ScenarioSchedule:
 
 
 class TestValidation:
-    def test_default_is_trivial(self):
-        schedule = ScenarioSchedule()
-        assert schedule.is_trivial
-        assert not schedule.has_events
+    def test_default_has_no_events(self):
+        assert not ScenarioSchedule().has_events
 
-    def test_events_make_it_non_trivial(self):
+    def test_an_outage_is_an_event(self):
         schedule = ScenarioSchedule(outages=(NodeOutage(node=0, start_round=1, end_round=2),))
-        assert schedule.has_events and not schedule.is_trivial
+        assert schedule.has_events
 
-    def test_rewiring_alone_is_non_trivial_but_event_free(self):
+    def test_rewiring_alone_is_event_free(self):
         schedule = ScenarioSchedule(topology=GeneratorPolicy(rewire_every=1))
         assert not schedule.has_events
-        assert not schedule.is_trivial
 
     def test_rejects_bad_windows(self):
         with pytest.raises(ConfigurationError):
@@ -223,11 +220,11 @@ class TestByzantine:
         state = ScenarioSchedule().state_at(0, 4)
         assert state.byzantine_mode(3) is None
 
-    def test_byzantine_alone_makes_schedule_non_trivial(self):
+    def test_byzantine_alone_is_an_event(self):
         schedule = ScenarioSchedule(
             byzantine=(ByzantineWindow(start_round=0, end_round=1, nodes=(0,), mode="sign-flip"),)
         )
-        assert schedule.has_events and not schedule.is_trivial
+        assert schedule.has_events
 
     def test_validate_for_checks_byzantine_node_ids(self):
         schedule = ScenarioSchedule(
@@ -286,107 +283,3 @@ class TestValidateForRounds:
             outages=(NodeOutage(node=0, start_round=100, end_round=101),)
         )
         schedule.validate_for(4)  # rounds unknown: nothing to flag
-
-
-class TestFromTrace:
-    def test_consecutive_offline_rounds_merge_into_one_outage(self):
-        rows = [
-            {"node": 2, "round": 5, "available": False},
-            {"node": 2, "round": 7, "available": False},
-            {"node": 2, "round": 6, "available": False},
-            {"node": 0, "round": 1, "available": False},
-        ]
-        schedule = ScenarioSchedule.from_trace(rows, name="merge")
-        assert schedule.outages == (
-            NodeOutage(node=0, start_round=1, end_round=2),
-            NodeOutage(node=2, start_round=5, end_round=8),
-        )
-
-    def test_gaps_split_outages(self):
-        rows = [
-            {"node": 1, "round": 0, "available": False},
-            {"node": 1, "round": 2, "available": False},
-        ]
-        schedule = ScenarioSchedule.from_trace(rows)
-        assert schedule.outages == (
-            NodeOutage(node=1, start_round=0, end_round=1),
-            NodeOutage(node=1, start_round=2, end_round=3),
-        )
-
-    def test_available_true_rows_are_ignored(self):
-        rows = [{"node": 0, "round": 3, "available": True}]
-        assert ScenarioSchedule.from_trace(rows).is_trivial
-
-    def test_slowdown_rows_group_into_straggler_windows(self):
-        rows = [
-            {"node": 1, "start_round": 2, "end_round": 5, "slowdown": 2.5},
-            {"node": 3, "start_round": 2, "end_round": 5, "slowdown": 2.5},
-            {"node": 0, "round": 4, "slowdown": 1.5},
-        ]
-        schedule = ScenarioSchedule.from_trace(rows)
-        assert schedule.stragglers == (
-            StragglerWindow(start_round=2, end_round=5, nodes=(1, 3), slowdown=2.5),
-            StragglerWindow(start_round=4, end_round=5, nodes=(0,), slowdown=1.5),
-        )
-
-    def test_clipping_drops_out_of_range_rows(self):
-        rows = [
-            {"node": 9, "round": 0, "available": False},  # node past deployment
-            {"node": 1, "round": 8, "available": False},  # window past the run
-            {"node": 1, "start_round": 2, "end_round": 9, "slowdown": 2.0},
-        ]
-        schedule = ScenarioSchedule.from_trace(rows, num_nodes=4, rounds=4)
-        assert schedule.outages == ()
-        assert schedule.stragglers == (
-            StragglerWindow(start_round=2, end_round=4, nodes=(1,), slowdown=2.0),
-        )
-        schedule.validate_for(4, rounds=4)
-
-    def test_malformed_rows_name_the_row(self):
-        bad_rows = [
-            ([{"round": 0, "available": False}], "missing 'node'"),
-            ([{"node": 0, "round": 1}], "exactly one of"),
-            ([{"node": 0, "round": 1, "available": False, "slowdown": 2.0}], "exactly one of"),
-            ([{"node": 0, "available": False}], "needs 'round' or both"),
-            ([{"node": 0, "round": 1, "start_round": 0, "end_round": 2, "available": False}], "not both"),
-            ([{"node": 0, "start_round": 3, "end_round": 3, "available": False}], "empty or negative"),
-            ([{"node": 0, "round": 1, "slowdown": 0.5}], "slowdown must be >= 1"),
-            ([{"node": 0, "round": 1, "available": False, "weather": "rainy"}], "unknown field"),
-        ]
-        for rows, fragment in bad_rows:
-            with pytest.raises(ConfigurationError, match="trace row 1") as excinfo:
-                ScenarioSchedule.from_trace(rows)
-            assert fragment in str(excinfo.value)
-
-    def test_jsonl_file_with_comments_and_bad_line_numbers(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text(
-            "# header comment\n"
-            "\n"
-            '{"node": 0, "round": 1, "available": false}\n'
-            "not json\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(ConfigurationError, match="line 4"):
-            ScenarioSchedule.from_trace(path)
-        path.write_text(
-            "# header comment\n"
-            '{"node": 0, "round": 1, "available": false}\n',
-            encoding="utf-8",
-        )
-        schedule = ScenarioSchedule.from_trace(path, name="from-file")
-        assert schedule.name == "from-file"
-        assert schedule.outages == (NodeOutage(node=0, start_round=1, end_round=2),)
-
-    def test_missing_file_raises_configuration_error(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="cannot read trace file"):
-            ScenarioSchedule.from_trace(tmp_path / "absent.jsonl")
-
-    def test_round_trips_exactly(self):
-        rows = [
-            {"node": 1, "round": 0, "available": False},
-            {"node": 2, "start_round": 1, "end_round": 3, "slowdown": 3.0},
-        ]
-        schedule = ScenarioSchedule.from_trace(rows, name="rt")
-        rebuilt = ScenarioSchedule.from_dict(json.loads(json.dumps(schedule.to_dict())))
-        assert rebuilt == schedule

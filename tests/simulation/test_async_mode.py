@@ -40,7 +40,7 @@ def test_async_mode_runs_to_completion_with_stragglers():
 def test_async_mode_meters_one_byte_round_per_global_round():
     simulator = Simulator(make_toy_task(), full_sharing_factory(), ASYNC_CONFIG)
     result = simulator.run()
-    per_round = simulator.meter.per_round_bytes
+    per_round = simulator.meter._round_bytes
     assert len(per_round) == result.rounds_completed
     assert all(bytes_sent > 0 for bytes_sent in per_round)
 

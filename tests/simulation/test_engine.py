@@ -39,6 +39,7 @@ from repro.simulation.network import ByteMeter
 from repro.topology.graphs import random_regular_topology
 from repro.utils.rng import SeedSequenceFactory
 from tests.conftest import make_toy_task
+from tests.oracles.graphs import neighbors
 from tests.oracles.weights import metropolis_hastings_weights
 
 
@@ -128,7 +129,7 @@ def reference_run_experiment(task, scheme_factory, config, scheme_name=None):
             params_start, params_trained = node.local_training()
             neighbor_weights = {
                 neighbor: float(weights[node.node_id, neighbor])
-                for neighbor in topology.neighbors(node.node_id)
+                for neighbor in neighbors(topology, node.node_id)
             }
             context = RoundContext(
                 round_index=round_index,
@@ -145,7 +146,7 @@ def reference_run_experiment(task, scheme_factory, config, scheme_name=None):
 
         round_fractions = [_seed_shared_fraction(m, model_size) for m in messages]
         for node, context in zip(nodes, contexts):
-            inbox = [messages[neighbor] for neighbor in topology.neighbors(node.node_id)]
+            inbox = [messages[neighbor] for neighbor in neighbors(topology, node.node_id)]
             if config.message_drop_probability > 0.0:
                 inbox = [
                     m for m in inbox if drop_rng.random() >= config.message_drop_probability
@@ -154,7 +155,7 @@ def reference_run_experiment(task, scheme_factory, config, scheme_name=None):
             node.set_parameters(new_params)
 
         max_bytes = max(
-            m.size.total_bytes * len(topology.neighbors(m.sender)) for m in messages
+            m.size.total_bytes * len(neighbors(topology, m.sender)) for m in messages
         )
         clock += config.time_model.round_duration(config.local_steps, max_bytes)
         meter.end_round()
@@ -264,7 +265,7 @@ def test_callback_hooks_fire(toy_task, small_config):
     assert all(node_id is None for _, node_id in rounds)  # global barrier rounds
     # Every node receives one message per neighbor per round (no drops configured).
     expected = small_config.rounds * sum(
-        len(simulator.topology.neighbors(n)) for n in range(small_config.num_nodes)
+        len(neighbors(simulator.topology, n)) for n in range(small_config.num_nodes)
     )
     assert len(deliveries) == expected
     assert evaluations == result.history

@@ -59,14 +59,14 @@ def test_pop_from_empty_loop_raises():
         loop.pop()
 
 
-def test_len_bool_and_clear():
+def test_bool_and_clear():
     loop = EventLoop()
-    assert not loop and len(loop) == 0
+    assert not loop
     loop.schedule(1.0, START_ROUND, 3)
     loop.schedule(2.0, FINISH_TRAIN, 3)
-    assert loop and len(loop) == 2
+    assert loop
     loop.clear()
-    assert not loop and len(loop) == 0
+    assert not loop
 
 
 def test_event_data_rides_along_and_is_excluded_from_ordering():

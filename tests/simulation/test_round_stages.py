@@ -213,7 +213,7 @@ def test_start_round_schedules_training_or_the_end_of_an_outage():
 
 def test_finish_train_sends_one_copy_per_neighbor_then_aggregates():
     simulator, mode, messages = bound(senders=(0,))
-    neighbors = simulator.topology.neighbors(0)
+    neighbors = list(simulator.mixing[0].neighbors)
     events = mode.loop.pending()
     assert sorted(e.node_id for e in events if e.kind == DELIVER_MESSAGE) == sorted(neighbors)
     assert [(e.kind, e.node_id) for e in events if e.kind != DELIVER_MESSAGE] == [(AGGREGATE, 0)]
@@ -259,7 +259,7 @@ def test_the_inbox_keeps_the_freshest_message_per_sender_under_reordering():
 def test_aggregate_ignores_a_sender_that_a_rewire_retired():
     def close_round(hold_stranger):
         simulator, mode, messages = bound(senders=(0, 1, 2, 3))
-        neighbor, _ = simulator.topology.neighbors(0)
+        neighbor, _ = simulator.mixing[0].neighbors
         (stranger,) = set(range(1, 4)) - set(mode.contexts[0].neighbor_weights)
         mode.deliver(delivery(messages[neighbor], 0, round_sent=0))
         if hold_stranger:  # its edge to node 0 was retired while the copy was in flight

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def test_run_experiment_is_deterministic(toy_task, small_config):
 
 def test_different_seeds_differ(toy_task, small_config):
     a = run_experiment(toy_task, full_sharing_factory(), small_config)
-    b = run_experiment(toy_task, full_sharing_factory(), small_config.with_seed(99))
+    b = run_experiment(toy_task, full_sharing_factory(), replace(small_config, seed=99))
     assert a.total_bytes != b.total_bytes or a.final_accuracy != b.final_accuracy
 
 

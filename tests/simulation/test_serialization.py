@@ -67,73 +67,6 @@ class TestTimeModelRoundTrip:
             time_model_from_dict({"kind": "quantum"})
 
 
-class TestExperimentConfigRoundTrip:
-    def test_default_config_round_trip_is_exact(self):
-        config = ExperimentConfig()
-        assert ExperimentConfig.from_dict(_json_round_trip(config.to_dict())) == config
-
-    def test_fully_customized_config_round_trip_is_exact(self):
-        config = ExperimentConfig(
-            num_nodes=12,
-            degree=3,
-            dynamic_topology=True,
-            partition="shards",
-            shards_per_node=3,
-            rounds=21,
-            local_steps=4,
-            batch_size=16,
-            learning_rate=0.125,
-            momentum=0.9,
-            eval_every=7,
-            eval_test_samples=96,
-            eval_nodes=4,
-            seed=42,
-            message_drop_probability=0.1,
-            target_accuracy=0.8,
-            stop_at_target=True,
-            time_model=TimeModel(compute_seconds_per_step=0.05),
-            compute_speed_range=(1.0, 3.0),
-            bandwidth_scale_range=(0.25, 1.0),
-            link_latency_jitter_seconds=0.002,
-        )
-        rebuilt = ExperimentConfig.from_dict(_json_round_trip(config.to_dict()))
-        assert rebuilt == config
-        # Tuple-typed fields must come back as tuples, not JSON lists.
-        assert isinstance(rebuilt.compute_speed_range, tuple)
-        assert isinstance(rebuilt.bandwidth_scale_range, tuple)
-
-    def test_heterogeneous_time_model_survives(self):
-        config = ExperimentConfig(
-            time_model=HeterogeneousTimeModel(compute_speed_range=(1.0, 2.0))
-        )
-        rebuilt = ExperimentConfig.from_dict(_json_round_trip(config.to_dict()))
-        assert rebuilt == config
-        assert isinstance(rebuilt.time_model, HeterogeneousTimeModel)
-
-    def test_scenario_survives_the_round_trip(self):
-        from repro.scenarios import ScenarioSchedule, get_scenario
-
-        config = ExperimentConfig(
-            num_nodes=8, scenario=get_scenario("churn-partition", num_nodes=8, rounds=50)
-        )
-        rebuilt = ExperimentConfig.from_dict(_json_round_trip(config.to_dict()))
-        assert rebuilt == config
-        assert isinstance(rebuilt.scenario, ScenarioSchedule)
-        assert rebuilt.scenario.to_dict() == config.scenario.to_dict()
-
-    def test_unknown_field_rejected(self):
-        data = ExperimentConfig().to_dict()
-        data["warp_factor"] = 9
-        with pytest.raises(ConfigurationError, match="warp_factor"):
-            ExperimentConfig.from_dict(data)
-
-    def test_from_dict_revalidates(self):
-        data = ExperimentConfig().to_dict()
-        data["num_nodes"] = 1
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig.from_dict(data)
-
-
 class TestRoundRecordRoundTrip:
     def test_round_trip_is_exact(self):
         record = _record()

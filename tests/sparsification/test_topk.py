@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.sparsification.base import fraction_to_count
-from repro.sparsification.topk import TopKSparsifier, topk_indices
+from repro.sparsification.topk import topk_indices
 
 
 def test_topk_selects_largest_magnitudes():

@@ -33,7 +33,7 @@ def test_scheme_factory_from_name_builds_every_scheme(name):
 def test_budget_configures_jwins_distribution():
     args = build_cli_parser().parse_args(["run", "--budget", "0.2"])
     scheme = SchemeSpec("jwins", _scheme_params_from_args("jwins", args)).build()(0, 200, 1)
-    assert scheme.config.expected_sharing_fraction == pytest.approx(0.2)
+    assert scheme.config.cutoff.expected_fraction() == pytest.approx(0.2)
 
 
 def test_invalid_budget_rejected():

@@ -58,10 +58,8 @@ def checkpoint_args(tmp_path, every: int = 1) -> list[str]:
 
 
 def only_snapshot(tmp_path):
-    manager = CheckpointManager(tmp_path / "ck")
-    keys = list(manager.keys())
-    assert len(keys) == 1
-    return manager.path_for(keys[0])
+    (path,) = (tmp_path / "ck").glob("*.ckpt.json")
+    return path
 
 
 # -- run ------------------------------------------------------------------------------
@@ -235,8 +233,8 @@ def test_fork_unchanged_and_with_scenario(tmp_path, capsys):
     capsys.readouterr()
     reloaded = ResultStore(store)
     assert len(reloaded) == 2  # unchanged and scenario forks are hash-distinct
-    for key in reloaded.keys():
-        assert reloaded.get_spec(key).lineage is not None
+    for line in open(store, encoding="utf-8").read().splitlines():
+        assert json.loads(line)["spec"]["lineage"] is not None
 
 
 def test_fork_trace_into_a_directory_uses_the_forked_hash(tmp_path, capsys):
@@ -281,7 +279,7 @@ def test_store_compact_drops_superseded_and_corrupt_rows(tmp_path, capsys):
     capsys.readouterr()
 
     before = ResultStore(store_path)
-    results_before = {key: before.get(key).to_dict() for key in before.keys()}
+    results_before = {key: before.get(key).to_dict() for key in before._records}
 
     assert main(["store", "compact", "--store", str(store_path)]) == 0
     output = capsys.readouterr().out
@@ -289,7 +287,7 @@ def test_store_compact_drops_superseded_and_corrupt_rows(tmp_path, capsys):
     assert "dropped 2 superseded, 1 corrupt" in output
 
     after = ResultStore(store_path)
-    assert {key: after.get(key).to_dict() for key in after.keys()} == results_before
+    assert {key: after.get(key).to_dict() for key in after._records} == results_before
     assert len(store_path.read_text().splitlines()) == 2
     # Compacting an already-compact store is a no-op.
     assert main(["store", "compact", "--store", str(store_path)]) == 0
@@ -301,9 +299,8 @@ def test_store_compact_missing_file_exits_cleanly(tmp_path):
         main(["store", "compact", "--store", str(tmp_path / "absent.jsonl")])
 
 
-def test_snapshot_verify_reports_spec_hash(tmp_path):
-    snapshot_path = make_paused_snapshot(tmp_path)
-    report = SimulationSnapshot.verify(snapshot_path)
-    assert report["rounds_completed"] == 2
-    assert report["spec_hash"] is not None
-    assert report["execution"] == "sync"
+def test_cli_snapshot_embeds_its_spec_hash(tmp_path):
+    snapshot = SimulationSnapshot.load(make_paused_snapshot(tmp_path))
+    assert snapshot.rounds_completed == 2
+    assert snapshot.spec_hash() is not None
+    assert snapshot.execution == "sync"

@@ -1,7 +1,7 @@
 """The declared dependencies cover every third-party import.
 
 ``setup.py``'s ``install_requires`` must name every package the library
-imports.  The CI workflow runs the suite from a source checkout, so its
+imports, and only those.  The CI workflow runs the suite from a source checkout, so its
 ``pip install`` line must name those and every package the tests and
 benchmarks import, or every step after the install dies at import time.
 """
@@ -75,6 +75,12 @@ def test_install_requires_covers_the_library_imports():
     declared = install_requires()
     missing = {name: where for name, where in third_party_imports("src").items() if name not in declared}
     assert not missing, f"imported under src/ but not in setup.py install_requires: {missing}"
+
+
+def test_install_requires_names_only_what_the_library_imports():
+    imported = third_party_imports("src")
+    unused = sorted(name for name in install_requires() if name not in imported)
+    assert not unused, f"in setup.py install_requires but imported nowhere under src/: {unused}"
 
 
 def test_the_workflow_installs_what_the_suite_imports():

@@ -56,8 +56,58 @@ REMOVED = [
     ("repro.nn.init", "xavier_uniform"),
     ("repro.checkpoint.preemption", "active_simulators"),
     ("repro.simulation.events:EventLoop", "peek"),
-    ("repro.sparsification.base:Sparsifier", "select_fraction"),
+    ("repro.sparsification.base", "select_fraction"),
     ("repro.sparsification.accumulation:ResidualAccumulator", "reset_all"),
+    # Unreached by every non-test entry point (scripts/reach.py).
+    ("repro.scenarios.schedule:ScenarioSchedule", "from_trace"),
+    ("repro.scenarios.schedule:ScenarioSchedule", "is_trivial"),
+    ("repro.scenarios.presets", "BUNDLED_TRACES"),
+    ("repro.scenarios.presets", "bundled_trace_path"),
+    ("repro.scenarios.presets", "_trace_preset"),
+    ("repro.topology.graphs", "clustered_topology"),
+    ("repro.topology.graphs", "star_topology"),
+    ("repro.topology.graphs:Topology", "neighbors"),
+    ("repro.topology.graphs:Topology", "degree"),
+    ("repro.topology.graphs:Topology", "is_connected"),
+    ("repro.sparsification.base", "Sparsifier"),
+    ("repro.sparsification.topk", "TopKSparsifier"),
+    ("repro.sparsification.random_sampling", "RandomSamplingSparsifier"),
+    ("repro.compression.indices", "SeedIndexCodec"),
+    ("repro.compression.sizing:PayloadSize", "__add__"),
+    ("repro.observability.metrics:MetricsRegistry", "value"),
+    ("repro.observability.metrics:MetricsRegistry", "__len__"),
+    ("repro.observability.metrics:MetricsRegistry", "__contains__"),
+    ("repro.observability.status:CellStatusWriter", "finish"),
+    ("repro.simulation.metrics:ExperimentResult", "total_gib"),
+    ("repro.simulation.metrics:ExperimentResult", "loss_curve"),
+    ("repro.simulation.metrics:ExperimentResult", "bytes_curve"),
+    ("repro.simulation.events:EventLoop", "__len__"),
+    ("repro.simulation.network:ByteMeter", "values_bytes_per_node"),
+    ("repro.simulation.network:ByteMeter", "per_round_bytes"),
+    ("repro.simulation.experiment:ExperimentConfig", "from_dict"),
+    ("repro.simulation.experiment:ExperimentConfig", "with_seed"),
+    ("repro.checkpoint.manager:CheckpointManager", "keys"),
+    ("repro.checkpoint.manager:CheckpointManager", "lineage"),
+    ("repro.checkpoint.snapshot:SimulationSnapshot", "verify"),
+    ("repro.orchestration.store:ResultStore", "__contains__"),
+    ("repro.orchestration.store:ResultStore", "keys"),
+    ("repro.orchestration.store:ResultStore", "get_spec"),
+    ("repro.orchestration.store:ResultStore", "items"),
+    ("repro.orchestration.sweep:Sweep", "to_dict"),
+    ("repro.orchestration.sweep:Sweep", "from_dict"),
+    ("repro.core.config:JwinsConfig", "expected_sharing_fraction"),
+    ("repro.core.cutoff:CutoffDistribution", "max_fraction"),
+    ("repro.core.ranking:WaveletRanker", "scores"),
+    ("repro.wavelets.filters", "available_wavelets"),
+    ("repro.wavelets.dwt:MultiLevelCoefficients", "levels"),
+    ("repro.wavelets.dwt:MultiLevelCoefficients", "total_size"),
+    ("repro.wavelets.transform:ModelTransform", "forward_batch"),
+    ("repro.wavelets.transform:ModelTransform", "inverse_batch"),
+    ("repro.datasets.base:Dataset", "__getitem__"),
+    ("repro.nn.losses:CrossEntropyLoss", "predictions"),
+    ("repro.nn.module:Module", "parameter_shapes"),
+    ("repro.analysis.baseline:Baseline", "__len__"),
+    ("repro.analysis.engine", "analyze_source"),
 ]
 
 

@@ -12,10 +12,10 @@ from repro.topology import (
     TOPOLOGY_GENERATORS,
     GeneratorPolicy,
     TopologyPolicy,
-    clustered_topology,
     random_regular_topology,
     small_world_topology,
 )
+from tests.oracles.graphs import degree, is_connected
 
 
 @pytest.fixture
@@ -27,12 +27,12 @@ class TestSmallWorld:
     def test_connected_and_correct_size(self, rng):
         topology = small_world_topology(20, 4, 0.2, rng)
         assert topology.num_nodes == 20
-        assert topology.is_connected()
+        assert is_connected(topology)
 
     def test_beta_zero_is_a_ring_lattice(self, rng):
         topology = small_world_topology(12, 4, 0.0, rng)
         # Every node keeps exactly its k ring neighbors when nothing rewires.
-        assert all(topology.degree(node) == 4 for node in range(12))
+        assert all(degree(topology, node) == 4 for node in range(12))
 
     def test_rejects_bad_parameters(self, rng):
         with pytest.raises(TopologyError):
@@ -46,34 +46,6 @@ class TestSmallWorld:
         first = small_world_topology(16, 4, 0.3, np.random.default_rng(7))
         second = small_world_topology(16, 4, 0.3, np.random.default_rng(7))
         assert first.edges == second.edges
-
-
-class TestClustered:
-    def test_connected_with_contiguous_clusters(self, rng):
-        topology = clustered_topology(16, 2, 2, rng)
-        assert topology.num_nodes == 16
-        assert topology.is_connected()
-
-    def test_large_clusters_stay_sparse(self, rng):
-        topology = clustered_topology(32, 2, 1, rng)
-        # 16-node clusters get a 4-regular interior, not a 16-clique.
-        max_degree = max(topology.degree(node) for node in range(32))
-        assert max_degree < 15
-
-    def test_two_clusters_respect_the_bridge_budget(self, rng):
-        topology = clustered_topology(16, 2, 1, rng)
-        crossings = [
-            (u, v) for u, v in topology.edges if (u < 8) != (v < 8)
-        ]
-        assert len(crossings) == 1  # the cluster pair is wired once, not twice
-
-    def test_rejects_bad_parameters(self, rng):
-        with pytest.raises(TopologyError):
-            clustered_topology(16, 1, 2, rng)
-        with pytest.raises(TopologyError):
-            clustered_topology(6, 4, 2, rng)
-        with pytest.raises(TopologyError):
-            clustered_topology(16, 2, 0, rng)
 
 
 class TestGeneratorPolicy:
@@ -105,7 +77,7 @@ class TestGeneratorPolicy:
         for name in TOPOLOGY_GENERATORS:
             topology = GeneratorPolicy(generator=name).initial(12, 4, rng)
             assert topology.num_nodes == 12
-            assert topology.is_connected()
+            assert is_connected(topology)
 
     def test_unknown_generator_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown topology generator"):
@@ -117,10 +89,10 @@ class TestGeneratorPolicy:
             policy.initial(8, 2, rng)
 
     def test_params_are_canonically_sorted(self):
-        a = GeneratorPolicy(generator="clustered", params=(("num_clusters", 2), ("bridges", 1)))
-        b = GeneratorPolicy(generator="clustered", params=(("bridges", 1), ("num_clusters", 2)))
+        a = GeneratorPolicy(generator="small-world", params=(("k", 4), ("beta", 0.3)))
+        b = GeneratorPolicy(generator="small-world", params=(("beta", 0.3), ("k", 4)))
         assert a == b
-        assert a.params == (("bridges", 1), ("num_clusters", 2))
+        assert a.params == (("beta", 0.3), ("k", 4))
 
     def test_round_trip_is_exact(self):
         policy = GeneratorPolicy(

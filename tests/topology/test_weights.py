@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from repro.topology.graphs import (
-    clustered_topology,
+    Topology,
     fully_connected_topology,
     random_regular_topology,
     ring_topology,
     small_world_topology,
-    star_topology,
 )
 from repro.topology.weights import metropolis_hastings_rows
+from tests.oracles.graphs import degree, neighbors
 from tests.oracles.weights import adjacency_matrix, metropolis_hastings_weights
+
+
+def _star(num_nodes: int) -> Topology:
+    """Node 0 joined to every other node: the widest degree imbalance."""
+
+    return Topology(num_nodes=num_nodes, edges=tuple((0, node) for node in range(1, num_nodes)))
 
 
 @pytest.fixture
@@ -24,7 +30,7 @@ def _dense_builder(topology):
     """The dense N x N builder the rows replaced, frozen here as their oracle."""
 
     size = topology.num_nodes
-    degrees = [topology.degree(node) for node in range(size)]
+    degrees = [degree(topology, node) for node in range(size)]
     matrix = np.zeros((size, size))
     for u, v in topology.edges:
         weight = 1.0 / (1.0 + max(degrees[u], degrees[v]))
@@ -37,15 +43,14 @@ def _dense_builder(topology):
 
 GRAPHS = {
     "ring": lambda n, rng: ring_topology(n),
-    "star": lambda n, rng: star_topology(n),
+    "star": lambda n, rng: _star(n),
     "fully-connected": lambda n, rng: fully_connected_topology(n),
     "random-regular": lambda n, rng: random_regular_topology(n, 6, rng),
     "small-world": lambda n, rng: small_world_topology(n, 4, 0.3, rng),
-    "clustered": lambda n, rng: clustered_topology(n, 3, 2, rng),
 }
 #: numpy's pairwise sum changes association at 8 and 128 elements.
 SIZES = (2, 3, 9, 127, 129, 257, 1000)
-#: The random families need more nodes than their degree and three clusters.
+#: The random families need more nodes than their degree.
 CASES = [
     (family, n)
     for family in GRAPHS
@@ -63,7 +68,7 @@ def test_rows_are_the_dense_builder_bit_for_bit(family, num_nodes):
     self_weights = np.array([row.self_weight for row in rows])
     assert self_weights.view(np.uint64).tolist() == np.diag(reference).view(np.uint64).tolist()
     for node, row in enumerate(rows):
-        assert list(row.neighbors) == topology.neighbors(node)
+        assert list(row.neighbors) == neighbors(topology, node)
         expected = reference[node, list(row.neighbors)]
         assert np.array(row.weights).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
     # Every other entry is zero: the densified rows are the reference's bytes.
@@ -98,7 +103,7 @@ def test_metropolis_hastings_regular_graph_values(topology):
 
 
 def test_metropolis_hastings_star_graph_handles_degree_imbalance():
-    weights = metropolis_hastings_weights(star_topology(6))
+    weights = metropolis_hastings_weights(_star(6))
     assert np.allclose(weights.sum(axis=1), 1.0)
     assert np.all(np.diag(weights) >= 0)
 

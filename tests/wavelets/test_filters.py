@@ -4,22 +4,23 @@ import numpy as np
 import pytest
 
 from repro.exceptions import WaveletError
-from repro.wavelets.filters import available_wavelets, get_filter_bank
+from repro.wavelets.filters import get_filter_bank
+from tests.oracles.dwt import WAVELETS
 
 
-@pytest.mark.parametrize("name", available_wavelets())
+@pytest.mark.parametrize("name", WAVELETS)
 def test_lowpass_sums_to_sqrt2(name):
     bank = get_filter_bank(name)
     assert bank.dec_lo.sum() == pytest.approx(np.sqrt(2.0), abs=1e-10)
 
 
-@pytest.mark.parametrize("name", available_wavelets())
+@pytest.mark.parametrize("name", WAVELETS)
 def test_highpass_sums_to_zero(name):
     bank = get_filter_bank(name)
     assert bank.dec_hi.sum() == pytest.approx(0.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("name", available_wavelets())
+@pytest.mark.parametrize("name", WAVELETS)
 def test_filters_are_orthonormal(name):
     bank = get_filter_bank(name)
     assert np.dot(bank.dec_lo, bank.dec_lo) == pytest.approx(1.0, abs=1e-10)
@@ -27,7 +28,7 @@ def test_filters_are_orthonormal(name):
     assert np.dot(bank.dec_lo, bank.dec_hi) == pytest.approx(0.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("name", available_wavelets())
+@pytest.mark.parametrize("name", WAVELETS)
 def test_double_shift_orthogonality(name):
     """Shifted-by-two copies of the filters must be orthogonal (PR condition)."""
 
@@ -57,7 +58,7 @@ def test_unknown_wavelet_raises():
         get_filter_bank("db99")
 
 
-@pytest.mark.parametrize("name", available_wavelets())
+@pytest.mark.parametrize("name", WAVELETS)
 def test_one_read_only_bank_per_lowercased_name(name):
     bank = get_filter_bank(name)
     assert get_filter_bank(name.upper()) is bank
@@ -67,5 +68,5 @@ def test_one_read_only_bank_per_lowercased_name(name):
             taps[0] = 0.0
 
 
-def test_available_wavelets_contains_paper_default():
-    assert "sym2" in available_wavelets()
+def test_the_paper_default_wavelet_is_supported():
+    assert "sym2" in WAVELETS
