@@ -344,7 +344,7 @@ PY
 
   # The arena's stacked train step (one forward/loss/backward of a member-axis
   # MLP per local step) on the fig10 synthetic MLP task: 96 nodes, degree 6,
-  # churn-partition, momentum 0.9, both engines, equal result payloads.  No
+  # churn-partition, both engines, equal result payloads.  No
   # registered workload trains an MLPClassifier, so the cells above never
   # reach it.  673 samples over 96 iid nodes: node 0 holds 8 (the batch size),
   # every other node 7, so the batches differ in shape and the step falls back
@@ -377,7 +377,7 @@ task = LearningTask(
 )
 config = ExperimentConfig(
     num_nodes=96, degree=6, rounds=6, local_steps=2, batch_size=8, learning_rate=0.05,
-    momentum=0.9, eval_every=2, eval_nodes=8, eval_test_samples=64, seed=5,
+    eval_every=2, eval_nodes=8, eval_test_samples=64, seed=5,
     partition="iid", scenario=get_scenario("churn-partition", 96, 6),
 )
 calls = {"stacked": 0, "per-node": 0}
@@ -410,12 +410,14 @@ PY
   echo "determinism gate: the stacked train step is byte-identical to per-node training"
 
   # Float-codec losslessness, whole-run and parent-free: each compressing
-  # scheme with its value codec on and off must give one result once the six
-  # byte/time fields a codec sets are dropped.  Lock-step with drops on; under
-  # the event loop message size sets the event order, so this cannot hold there.
+  # scheme with its value codec on and off (raw float32 sizing swapped into
+  # FloatCodec) must give one result once the six byte/time fields a codec
+  # sets are dropped.  Lock-step with drops on; under the event loop message
+  # size sets the event order, so this cannot hold there.
   python - <<'PY'
 import sys
 from repro.baselines import choco_factory, full_sharing_factory, random_sampling_factory
+from repro.compression.float_codec import FloatCodec, RawFloatCodec
 from repro.core import JwinsConfig, jwins_factory
 from repro.evaluation.workloads import get_workload
 from repro.simulation import run_experiment
@@ -436,13 +438,16 @@ def stripped(factory):
     return document
 
 
-for label, coded, raw in [
-    ("jwins", jwins_factory(JwinsConfig()), jwins_factory(JwinsConfig(float_codec="raw32"))),
-    ("full-sharing", full_sharing_factory(), full_sharing_factory(compress=False)),
-    ("random-sampling", random_sampling_factory(0.37), random_sampling_factory(0.37, compress=False)),
-    ("choco", choco_factory(0.2, 0.6), choco_factory(0.2, 0.6, compress=False)),
-]:
-    if stripped(coded) != stripped(raw):
+factories = [
+    ("jwins", jwins_factory(JwinsConfig())),
+    ("full-sharing", full_sharing_factory()),
+    ("random-sampling", random_sampling_factory(0.37)),
+    ("choco", choco_factory(0.2, 0.6)),
+]
+coded = {label: stripped(factory) for label, factory in factories}
+FloatCodec.compress = RawFloatCodec.compress
+for label, factory in factories:
+    if coded[label] != stripped(factory):
         print(f"determinism gate FAILED: the float codec changed the {label} trajectory")
         sys.exit(1)
 PY

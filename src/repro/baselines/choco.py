@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.float_codec import FloatCodec, RawFloatCodec
+from repro.compression.float_codec import FloatCodec
 from repro.compression.indices import EliasGammaIndexCodec
 from repro.compression.sizing import PayloadSize
 from repro.core.aggregation import weighted_inbox
@@ -44,7 +44,6 @@ class ChocoScheme(SharingScheme):
         seed: int,
         fraction: float = 0.2,
         gamma: float = 0.6,
-        compress: bool = True,
     ) -> None:
         if not 0.0 < fraction <= 1.0:
             raise SimulationError("compression fraction must be in (0, 1]")
@@ -54,7 +53,7 @@ class ChocoScheme(SharingScheme):
         self.model_size = int(model_size)
         self.fraction = float(fraction)
         self.gamma = float(gamma)
-        self._codec = FloatCodec() if compress else RawFloatCodec()
+        self._codec = FloatCodec()
         self._index_codec = EliasGammaIndexCodec()
         # Public copy of the own model and weighted neighborhood sum.
         self._x_hat = np.zeros(model_size, dtype=np.float64)
@@ -140,12 +139,10 @@ class ChocoScheme(SharingScheme):
         )
 
 
-def choco_factory(fraction: float = 0.2, gamma: float = 0.6, compress: bool = True):
+def choco_factory(fraction: float = 0.2, gamma: float = 0.6):
     """Factory for :class:`ChocoScheme` nodes with the given budget and step size."""
 
     def factory(node_id: int, model_size: int, seed: int) -> ChocoScheme:
-        return ChocoScheme(
-            node_id, model_size, seed, fraction=fraction, gamma=gamma, compress=compress
-        )
+        return ChocoScheme(node_id, model_size, seed, fraction=fraction, gamma=gamma)
 
     return factory

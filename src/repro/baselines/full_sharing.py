@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.float_codec import FloatCodec, RawFloatCodec
+from repro.compression.float_codec import FloatCodec
 from repro.compression.sizing import PayloadSize
 from repro.core.aggregation import average_inbox
 from repro.core.interface import Message, RoundContext, SharingScheme
@@ -25,10 +25,10 @@ class FullSharingScheme(SharingScheme):
 
     name = "full-sharing"
 
-    def __init__(self, node_id: int, model_size: int, seed: int, compress: bool = True) -> None:
+    def __init__(self, node_id: int, model_size: int, seed: int) -> None:
         self.node_id = int(node_id)
         self.model_size = int(model_size)
-        self._codec = FloatCodec() if compress else RawFloatCodec()
+        self._codec = FloatCodec()
 
     def prepare(self, context: RoundContext) -> Message:
         values = np.asarray(context.params_trained, dtype=np.float64)
@@ -51,10 +51,7 @@ class FullSharingScheme(SharingScheme):
         )
 
 
-def full_sharing_factory(compress: bool = True):
+def full_sharing_factory():
     """Factory for :class:`FullSharingScheme` nodes."""
 
-    def factory(node_id: int, model_size: int, seed: int) -> FullSharingScheme:
-        return FullSharingScheme(node_id, model_size, seed, compress=compress)
-
-    return factory
+    return FullSharingScheme

@@ -17,18 +17,20 @@ from repro.compression.quantization import QsgdQuantizer
 from repro.compression.sizing import PayloadSize
 from repro.core.aggregation import average_inbox
 from repro.core.interface import Message, RoundContext, SharingScheme
-from repro.exceptions import SimulationError
 
 __all__ = ["QuantizedSharingScheme", "quantized_sharing_factory"]
 
 MESSAGE_KIND = "quantized-full-model"
+
+#: Consecutive parameters that share one QSGD scaling norm.
+BUCKET_SIZE = 256
 
 
 class QuantizedSharingScheme(SharingScheme):
     """Share the full model quantized to ``bits`` bits per parameter.
 
     As in practical QSGD deployments, the parameter vector is quantized in
-    buckets (one scaling norm per ``bucket_size`` consecutive parameters)
+    buckets (one scaling norm per :data:`BUCKET_SIZE` consecutive parameters)
     rather than with a single global norm — a single norm over tens of
     thousands of parameters would make the per-coordinate quantization noise
     overwhelm the signal.
@@ -42,24 +44,20 @@ class QuantizedSharingScheme(SharingScheme):
         model_size: int,
         seed: int,
         bits: int = 4,
-        bucket_size: int = 256,
     ) -> None:
-        if bucket_size <= 0:
-            raise SimulationError("bucket_size must be positive")
         self.node_id = int(node_id)
         self.model_size = int(model_size)
         self.bits = int(bits)
-        self.bucket_size = int(bucket_size)
         self._quantizer = QsgdQuantizer(bits=bits, rng=np.random.default_rng(seed))
 
     def prepare(self, context: RoundContext) -> Message:
         trained = np.asarray(context.params_trained, dtype=np.float64)
         dequantized = np.empty_like(trained)
         values_bytes = 0
-        for start in range(0, trained.size, self.bucket_size):
-            bucket = trained[start : start + self.bucket_size]
+        for start in range(0, trained.size, BUCKET_SIZE):
+            bucket = trained[start : start + BUCKET_SIZE]
             quantized = self._quantizer.quantize(bucket)
-            dequantized[start : start + self.bucket_size] = self._quantizer.dequantize(quantized)
+            dequantized[start : start + BUCKET_SIZE] = self._quantizer.dequantize(quantized)
             values_bytes += quantized.size_bytes
         size = PayloadSize(values_bytes=values_bytes, metadata_bytes=0)
         return Message(
@@ -89,12 +87,10 @@ class QuantizedSharingScheme(SharingScheme):
         self._quantizer.load_state_dict(state["quantizer"])
 
 
-def quantized_sharing_factory(bits: int = 4, bucket_size: int = 256):
+def quantized_sharing_factory(bits: int = 4):
     """Factory for :class:`QuantizedSharingScheme` nodes."""
 
     def factory(node_id: int, model_size: int, seed: int) -> QuantizedSharingScheme:
-        return QuantizedSharingScheme(
-            node_id, model_size, seed, bits=bits, bucket_size=bucket_size
-        )
+        return QuantizedSharingScheme(node_id, model_size, seed, bits=bits)
 
     return factory

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.float_codec import FloatCodec, RawFloatCodec
+from repro.compression.float_codec import FloatCodec
 from repro.compression.indices import random_indices_from_seed
 from repro.compression.sizing import PayloadSize
 from repro.core.aggregation import average_inbox
@@ -38,7 +38,6 @@ class RandomSamplingScheme(SharingScheme):
         model_size: int,
         seed: int,
         fraction: float = 0.37,
-        compress: bool = True,
     ) -> None:
         if not 0.0 < fraction <= 1.0:
             raise SimulationError("sharing fraction must be in (0, 1]")
@@ -46,7 +45,7 @@ class RandomSamplingScheme(SharingScheme):
         self.model_size = int(model_size)
         self.fraction = float(fraction)
         self._seed = int(seed)
-        self._codec = FloatCodec() if compress else RawFloatCodec()
+        self._codec = FloatCodec()
 
     def _round_seed(self, round_index: int) -> int:
         return (self._seed * 1_000_003 + round_index) & 0x7FFFFFFF
@@ -75,10 +74,10 @@ class RandomSamplingScheme(SharingScheme):
         )
 
 
-def random_sampling_factory(fraction: float = 0.37, compress: bool = True):
+def random_sampling_factory(fraction: float = 0.37):
     """Factory for :class:`RandomSamplingScheme` nodes with the given fraction."""
 
     def factory(node_id: int, model_size: int, seed: int) -> RandomSamplingScheme:
-        return RandomSamplingScheme(node_id, model_size, seed, fraction=fraction, compress=compress)
+        return RandomSamplingScheme(node_id, model_size, seed, fraction=fraction)
 
     return factory

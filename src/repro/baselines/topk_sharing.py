@@ -27,23 +27,19 @@ class TopKSharingScheme(JwinsScheme):
         model_size: int,
         seed: int,
         fraction: float = 0.37,
-        use_accumulation: bool = True,
     ) -> None:
         config = JwinsConfig(
             cutoff=CutoffDistribution.fixed(fraction),
             use_wavelet=False,
-            use_accumulation=use_accumulation,
             use_random_cutoff=False,
         )
         super().__init__(node_id, model_size, seed, config)
 
 
-def topk_sharing_factory(fraction: float = 0.37, use_accumulation: bool = True):
+def topk_sharing_factory(fraction: float = 0.37):
     """Factory for :class:`TopKSharingScheme` nodes."""
 
     def factory(node_id: int, model_size: int, seed: int) -> TopKSharingScheme:
-        return TopKSharingScheme(
-            node_id, model_size, seed, fraction=fraction, use_accumulation=use_accumulation
-        )
+        return TopKSharingScheme(node_id, model_size, seed, fraction=fraction)
 
     return factory

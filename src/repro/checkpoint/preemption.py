@@ -7,10 +7,8 @@ safe boundary and raises
 an *external* stop request (``SIGINT`` on a sweep, a worker being reclaimed)
 and the engine's safe points:
 
-* every :class:`~repro.simulation.engine.Simulator` registers itself here for
-  the duration of its ``run()``;
 * :func:`request_preempt` — typically called from a signal handler — flags the
-  process as interrupted and asks every active simulator to stop at its next
+  process as interrupted, so every running simulator stops at its next
   checkpoint boundary;
 * :func:`install_preemption_handler` wires ``SIGINT`` to
   :func:`request_preempt`; the sweep executor installs it in the main process
@@ -32,43 +30,22 @@ __all__ = [
     "install_preemption_handler",
     "interrupted",
     "preempt_after_round",
-    "register",
     "request_preempt",
     "reset",
     "restore_handler",
     "should_stop",
-    "unregister",
 ]
 
-_lock = threading.Lock()
-_active: list[Any] = []
 _interrupted = False
 _preempt_after_round: int | None = None
-
-
-def register(simulator: Any) -> None:
-    """Track ``simulator`` as running (called by ``Simulator.run``)."""
-
-    with _lock:
-        _active.append(simulator)
-
-
-def unregister(simulator: Any) -> None:
-    """Stop tracking ``simulator`` (its run ended, paused or crashed)."""
-
-    with _lock:
-        if simulator in _active:
-            _active.remove(simulator)
 
 
 def request_preempt() -> None:
     """Flag the process as interrupted; runs pause at their next safe point.
 
-    Safe to call from a signal handler: it only flips a boolean and never
-    touches :data:`_lock` (a handler interrupting the lock's holder on the
-    same thread would deadlock).  Active simulators notice through
-    ``checkpoint_stop_pending()``, which consults :func:`should_stop` at
-    every snapshot-safe boundary.
+    Safe to call from a signal handler: it only flips a boolean.  Running
+    simulators notice through ``checkpoint_stop_pending()``, which consults
+    :func:`should_stop` at every snapshot-safe boundary.
     """
 
     global _interrupted

@@ -2,10 +2,9 @@
 
 A :class:`SimulationSnapshot` captures everything a
 :class:`~repro.simulation.engine.Simulator` needs to continue a run as if it
-had never stopped: per-node models, optimizer momentum, accumulation
-residuals and scheme state, every live RNG stream, the communication
-topology, the byte meter, the partial
-:class:`~repro.simulation.metrics.ExperimentResult` and — under the
+had never stopped: per-node models, accumulation residuals and scheme
+state, every live RNG stream, the communication topology, the byte meter,
+the partial :class:`~repro.simulation.metrics.ExperimentResult` and — under the
 asynchronous mode — the full event queue with its in-flight messages and
 per-node round contexts.
 
@@ -57,11 +56,14 @@ __all__ = [
 #: Version 2: new float codec; a snapshot holds byte counts, not the codec's name.
 #: Version 3: JWINS scheme state holds ``F_start``, the coefficients of the
 #: node's start model, which the next round's local change is taken against.
+#: Version 4: plain SGD keeps no state, so a node holds no ``"optimizer"``
+#: entry, and the config record has no ``momentum``, ``stop_at_target`` or
+#: ``time_model``.
 #: A kernel rewrite that only moves float bits (the channel-major conv stack)
-#: does not bump it: a snapshot holds parameters, momentum, RNG and scheme
-#: state at a round boundary, never a kernel's cache or layout.
+#: does not bump it: a snapshot holds parameters, RNG and scheme state at a
+#: round boundary, never a kernel's cache or layout.
 SNAPSHOT_FORMAT = "jwins-repro-checkpoint"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 def _canonical_json(data: Any) -> str:
@@ -102,9 +104,9 @@ class SimulationSnapshot:
     #: Execution-mode private state (``{"kind": "sync"|"async", ...}``).
     mode_state: dict[str, Any]
     #: Reserved: held a removed phase profiler's state.  Captured as ``None``
-    #: and never read, but kept verbatim so a version-3 file that carries
-    #: state still loads and re-serializes identically; the next
-    #: :data:`SNAPSHOT_VERSION` drops it.
+    #: and never read, but kept verbatim so a file that carries state still
+    #: loads and re-serializes identically; it goes with the next change of
+    #: the file layout.
     profiler: dict[str, Any] | None = None
     #: ``ExperimentSpec.to_dict()`` when the run was orchestration-driven.
     spec: dict[str, Any] | None = None

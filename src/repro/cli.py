@@ -52,6 +52,7 @@ from repro.scenarios import (
 )
 from repro.orchestration import (
     ARTIFACTS,
+    SCHEME_REGISTRY,
     ExperimentSpec,
     ResultStore,
     SchemeSpec,
@@ -89,20 +90,17 @@ PAUSED_EXIT_CODE = 130
 
 
 def _scheme_params_from_args(name: str, args: argparse.Namespace) -> dict:
-    """The registry parameters a ``run``/``sweep`` invocation implies."""
+    """The registry parameters a ``run``/``sweep`` invocation implies.
 
-    params: dict = {}
-    if name in ("jwins", "jwins-adaptive"):
-        if args.budget is not None:
-            params["budget"] = args.budget
-    elif name in ("random-sampling", "topk"):
-        params["fraction"] = args.fraction
-    elif name == "choco":
-        params["fraction"] = args.budget if args.budget is not None else args.fraction
-        params["gamma"] = args.gamma
-    elif name == "quantized":
-        params["bits"] = args.bits
-    return params
+    Each parameter the registry declares for ``name`` reads the flag of the
+    same name; an unset flag (``None``) stays out of the spec.  ``--budget``
+    also sets CHOCO's ``fraction``.
+    """
+
+    params = {param: getattr(args, param) for param in SCHEME_REGISTRY[name].params}
+    if name == "choco" and args.budget is not None:
+        params["fraction"] = args.budget
+    return {param: value for param, value in params.items() if value is not None}
 
 
 def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
@@ -676,7 +674,6 @@ def _run_command(args: argparse.Namespace) -> int:
             "--scenario and --dynamic-topology are mutually exclusive; "
             "use --scenario dynamic for the per-round rewiring"
         )
-    checkpointing = bool(args.checkpoint_every or args.checkpoint_dir or args.resume_from)
     if args.resume_from is not None and len(args.scheme) != 1:
         raise SystemExit("--resume-from resumes one run; pass exactly one --scheme")
 
@@ -737,7 +734,9 @@ def _run_command(args: argparse.Namespace) -> int:
             )
     metrics = MetricsRegistry() if args.metrics else None
     # SIGINT pauses at the next round boundary only when there is a
-    # checkpoint to pause into; otherwise it stays a KeyboardInterrupt.
+    # checkpoint directory to pause into; otherwise it stays a
+    # KeyboardInterrupt (a resumed run without one has nowhere to save).
+    checkpointing = args.checkpoint_dir is not None
     previous_handler = preemption.install_preemption_handler() if checkpointing else None
     try:
         finished, paused_at = _run_cells(

@@ -1,9 +1,10 @@
 """Configuration of the JWINS sharing scheme.
 
 One dataclass holds every knob of JWINS: the wavelet family and decomposition
-depth, the randomized cut-off distribution, which codecs compress values and
-metadata, and the three ablation switches of Figure 8 (wavelet, accumulation,
-randomized cut-off).
+depth, the randomized cut-off distribution and the three ablation switches of
+Figure 8 (wavelet, accumulation, randomized cut-off).  The codecs are fixed:
+values go through :class:`~repro.compression.float_codec.FloatCodec`, indices
+through :class:`~repro.compression.indices.EliasGammaIndexCodec`.
 """
 
 from __future__ import annotations
@@ -37,12 +38,6 @@ class JwinsConfig:
     use_random_cutoff:
         When False every round uses the distribution's expected fraction
         ("JWINS without random cut-off").
-    index_codec:
-        Metadata codec: ``"elias-gamma"`` (default) or ``"raw"`` (Figure 9's
-        uncompressed baseline).
-    float_codec:
-        Value codec: ``"fpzip-like"`` (the lossless :class:`FloatCodec` standing
-        in for the paper's Fpzip, default) or ``"raw32"``.
     """
 
     wavelet: str = "sym2"
@@ -51,16 +46,10 @@ class JwinsConfig:
     use_wavelet: bool = True
     use_accumulation: bool = True
     use_random_cutoff: bool = True
-    index_codec: str = "elias-gamma"
-    float_codec: str = "fpzip-like"
 
     def __post_init__(self) -> None:
         if self.levels < 0:
             raise ConfigurationError("levels must be non-negative")
-        if self.index_codec not in {"elias-gamma", "raw"}:
-            raise ConfigurationError(f"unknown index codec {self.index_codec!r}")
-        if self.float_codec not in {"fpzip-like", "raw32"}:
-            raise ConfigurationError(f"unknown float codec {self.float_codec!r}")
 
     # -- convenience constructors ---------------------------------------------
     @classmethod

@@ -42,8 +42,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.compression.float_codec import FloatCodec, RawFloatCodec
-from repro.compression.indices import EliasGammaIndexCodec, RawIndexCodec
+from repro.compression.float_codec import FloatCodec
+from repro.compression.indices import EliasGammaIndexCodec
 from repro.compression.sizing import PayloadSize
 from repro.core.aggregation import inbox_contributions, partial_weighted_average
 from repro.core.config import JwinsConfig
@@ -157,11 +157,7 @@ def _aggregate_pass(
     return new_params
 
 
-_Parts = tuple[
-    WaveletTransform | IdentityTransform,
-    FloatCodec | RawFloatCodec,
-    EliasGammaIndexCodec | RawIndexCodec,
-]
+_Parts = tuple[WaveletTransform | IdentityTransform, FloatCodec, EliasGammaIndexCodec]
 
 
 def _stateless_parts(model_size: int, config: JwinsConfig) -> _Parts:
@@ -175,11 +171,7 @@ def _stateless_parts(model_size: int, config: JwinsConfig) -> _Parts:
         transform = WaveletTransform(model_size, wavelet=config.wavelet, levels=config.levels)
     else:
         transform = IdentityTransform(model_size)
-    float_codec = FloatCodec() if config.float_codec == "fpzip-like" else RawFloatCodec()
-    index_codec = (
-        EliasGammaIndexCodec() if config.index_codec == "elias-gamma" else RawIndexCodec()
-    )
-    return transform, float_codec, index_codec
+    return transform, FloatCodec(), EliasGammaIndexCodec()
 
 
 class JwinsScheme(SharingScheme):

@@ -101,7 +101,7 @@ def compare_to_target(
     target = reference_result.best_accuracy * target_fraction_of_best
 
     runs = {reference_name: _to_target_run(reference_result, target)}
-    challenger_config = config.with_target(target, stop=True)
+    challenger_config = config.with_target(target)
     for name, factory in challenger_factories.items():
         result = run_experiment(task, factory, challenger_config, name)
         runs[name] = _to_target_run(result, target)

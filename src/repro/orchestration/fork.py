@@ -19,11 +19,9 @@ Identity rules, pinned by tests:
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.exceptions import CheckpointError, ConfigurationError
-from repro.orchestration.pool import cell_trace
 from repro.orchestration.spec import ExperimentSpec
 from repro.simulation import ExperimentResult
 
@@ -84,42 +82,21 @@ def build_forked_spec(
 def run_fork(
     snapshot: "SimulationSnapshot",
     mutations: Mapping[str, Any] | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int = 0,
     metrics: "MetricsRegistry | None" = None,
-    observers: Sequence[object] = (),
-    trace_dir: "str | Path | None" = None,
     heartbeat: "CellStatusWriter | None" = None,
 ) -> tuple[ExperimentSpec, ExperimentResult]:
     """Fork ``snapshot`` under ``mutations`` and run the future to completion.
 
     Returns the forked spec (hash-distinct from the parent whenever lineage
-    or mutations differ) together with its result.  The forked run is itself
-    checkpointable via ``checkpoint_dir``/``checkpoint_every``; ``metrics``,
-    ``observers`` and ``heartbeat`` attach run telemetry exactly as on a plain
-    run (and stay outside the determinism contract).
-
-    ``trace_dir`` adds a trace named by the **forked** spec's content hash
-    (``<forked hash>.trace.jsonl``) through the same
-    :func:`~repro.orchestration.pool.cell_trace` that names a sweep's per-cell
-    traces.  Because lineage participates in the hash, a fork traced
-    into its parent sweep's trace directory can never silently overwrite the
-    parent cell's trace file.
+    or mutations differ) together with its result.  ``metrics`` and
+    ``heartbeat`` attach run telemetry exactly as on a plain run (and stay
+    outside the determinism contract).  The CLI's ``fork`` builds the same
+    spec with :func:`build_forked_spec` and runs it with checkpointing and a
+    trace of its own.
     """
 
     spec = build_forked_spec(snapshot, mutations)
-    trace = cell_trace(trace_dir, spec.content_hash())
-    try:
-        result = spec.run(
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            snapshot=snapshot,
-            verify_spec=False,
-            metrics=metrics,
-            observers=observers if trace is None else (*observers, trace),
-            heartbeat=heartbeat,
-        )
-    finally:
-        if trace is not None:
-            trace.close()  # ours; an observer passed in stays the caller's
+    result = spec.run(
+        snapshot=snapshot, verify_spec=False, metrics=metrics, heartbeat=heartbeat
+    )
     return spec, result

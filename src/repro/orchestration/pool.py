@@ -24,7 +24,7 @@ Progress is observable through :class:`SweepObserver` hooks — the resume
 acceptance test counts executed specs exactly this way, and the CLI uses the
 same hooks for its progress lines.  The per-cell telemetry sinks
 (:func:`cell_trace`, :func:`cell_heartbeat`) are built here and nowhere else;
-``run_fork`` and the CLI's ``run``/``fork`` reuse them.
+the CLI's ``run``/``fork`` reuse them.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from repro.exceptions import CheckpointError, ConfigurationError
 from repro.orchestration.schemes import SchemeSpec
 from repro.scenarios.schedule import ScenarioSchedule
 from repro.simulation import ExperimentConfig, ExperimentResult, run_experiment
-from repro.simulation.timing import time_model_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.checkpoint.snapshot import SimulationSnapshot
@@ -70,12 +69,12 @@ class ExperimentSpec:
     overrides:
         :class:`~repro.simulation.ExperimentConfig` field overrides applied on
         top of the workload's default configuration (JSON values only; the
-        tuple-typed fields and a nested ``time_model`` dict are coerced back
-        when the config is built).  A ``"scenario"`` override travels as the
-        schedule's exact ``to_dict`` form — including Byzantine windows and
-        trace-compiled outages — so hostile environments are sweepable axes
-        with stable content hashes, which is what both the determinism gate
-        and the scenario fuzzer (:mod:`repro.scenarios.fuzz`) rely on.
+        tuple-typed fields are coerced back when the config is built).  A
+        ``"scenario"`` override travels as the schedule's exact ``to_dict``
+        form — including Byzantine windows and trace-compiled outages — so
+        hostile environments are sweepable axes with stable content hashes,
+        which is what both the determinism gate and the scenario fuzzer
+        (:mod:`repro.scenarios.fuzz`) rely on.
     task_seed:
         Seed for the dataset/task construction.  ``None`` (the default) ties
         it to the experiment seed, matching ``run_experiment`` call sites that
@@ -167,8 +166,6 @@ class ExperimentSpec:
         workload = get_workload(self.workload)
         overrides = dict(self.overrides)
         overrides["seed"] = self.resolved_seed()
-        if isinstance(overrides.get("time_model"), Mapping):
-            overrides["time_model"] = time_model_from_dict(overrides["time_model"])
         if isinstance(overrides.get("scenario"), Mapping):
             # Scenarios travel through sweeps as their canonical JSON form;
             # the exact from_dict round trip keeps content hashes stable.

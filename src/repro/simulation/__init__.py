@@ -18,8 +18,7 @@ engine:
   resume entry point);
 * :mod:`repro.simulation.experiment` — :class:`ExperimentConfig`, including
   the ``execution`` mode and heterogeneity knobs;
-* :mod:`repro.simulation.timing` — :class:`TimeModel` and
-  :class:`HeterogeneousTimeModel`;
+* :mod:`repro.simulation.timing` — :class:`TimeModel`;
 * :mod:`repro.simulation.node`, :mod:`repro.simulation.network`,
   :mod:`repro.simulation.metrics` — nodes, byte metering and results.
 
@@ -31,7 +30,7 @@ Attach observers (any object defining some of
     result = simulator.run()
 """
 
-from repro.simulation.arena import ArenaSGD, NodeArenas, build_arena_nodes
+from repro.simulation.arena import NodeArenas, build_arena_nodes
 from repro.simulation.engine import (
     AsynchronousMode,
     SimulationObserver,
@@ -44,10 +43,9 @@ from repro.simulation.metrics import ExperimentResult, RoundRecord
 from repro.simulation.network import ByteMeter
 from repro.simulation.node import SimulationNode
 from repro.simulation.runner import build_nodes, run_experiment
-from repro.simulation.timing import HeterogeneousTimeModel, TimeModel, time_model_from_dict
+from repro.simulation.timing import TimeModel
 
 __all__ = [
-    "ArenaSGD",
     "AsynchronousMode",
     "ByteMeter",
     "ENGINES",
@@ -57,7 +55,6 @@ __all__ = [
     "NodeArenas",
     "ExperimentConfig",
     "ExperimentResult",
-    "HeterogeneousTimeModel",
     "RoundRecord",
     "SimulationNode",
     "SimulationObserver",
@@ -67,5 +64,4 @@ __all__ = [
     "build_arena_nodes",
     "build_nodes",
     "run_experiment",
-    "time_model_from_dict",
 ]

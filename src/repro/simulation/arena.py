@@ -4,9 +4,9 @@ The per-node engine (:func:`~repro.simulation.engine.build_nodes`) stores one
 private model per :class:`~repro.simulation.node.SimulationNode`, faithful to
 the original process-per-client deployment.  This module changes where that
 *state* lives, and nothing else.  All mutable per-node training state sits in
-three contiguous ``(N, d)`` float64 arenas — parameters, gradients and momentum — and every node's
-:class:`~repro.nn.module.Parameter` objects are rebound to row views into them
-(:func:`build_arena_nodes`).  The one stage of the lock-step loop
+two contiguous ``(N, d)`` float64 arenas — parameters and gradients — and every
+node's :class:`~repro.nn.module.Parameter` objects are rebound to row views
+into them (:func:`build_arena_nodes`).  The one stage of the lock-step loop
 (:class:`~repro.simulation.engine.SynchronousMode`) that depends on the layout
 is ``train``, and :func:`train_batched` is its arena form:
 
@@ -55,13 +55,11 @@ from repro.datasets.base import LearningTask
 from repro.exceptions import SimulationError
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import MLPClassifier
-from repro.nn.optim import SGD
 from repro.simulation.engine import Simulator, build_nodes
 from repro.simulation.experiment import ExperimentConfig
 from repro.simulation.node import SimulationNode
 
 __all__ = [
-    "ArenaSGD",
     "NodeArenas",
     "build_arena_nodes",
 ]
@@ -84,9 +82,6 @@ class NodeArenas:
         ``(N, d)`` accumulated gradients, zeroed a row block at a time by
         :func:`train_batched` (or by ``model.zero_grad()`` through the same
         views).
-    velocity:
-        ``(N, d)`` SGD momentum buffers (all zeros while momentum is 0.0),
-        owned jointly with each node's :class:`ArenaSGD`.
     """
 
     def __init__(self, num_nodes: int, shapes: list[tuple[int, ...]]) -> None:
@@ -104,7 +99,6 @@ class NodeArenas:
         ]
         self.params = np.zeros((self.num_nodes, self.model_size), dtype=np.float64)
         self.grads = np.zeros_like(self.params)
-        self.velocity = np.zeros_like(self.params)
 
     def tensor_views(
         self, arena: np.ndarray, row: int
@@ -133,83 +127,17 @@ class NodeArenas:
             for column_range, shape in zip(self.slices, self.shapes)
         ]
 
-    def step_rows(self, rows: np.ndarray, lr: float, momentum: float) -> None:
+    def step_rows(self, rows: np.ndarray, lr: float) -> None:
         """One batched SGD update over the given node rows.
 
         Bit-identical to calling :meth:`repro.nn.optim.SGD.step` on each
-        node: the update is elementwise (``v = m*v + g``; ``p -= lr*u``) and
-        elementwise float operations commute with row batching.  Weight decay
-        is intentionally unsupported — the simulator never configures it.
+        node: the update ``p -= lr * g`` is elementwise, and elementwise float
+        operations commute with row batching.
         """
 
         if rows.size == 0:
             return
-        if momentum:
-            self.velocity[rows] *= momentum
-            self.velocity[rows] += self.grads[rows]
-            self.params[rows] -= lr * self.velocity[rows]
-        else:
-            self.params[rows] -= lr * self.grads[rows]
-
-
-class ArenaSGD(SGD):
-    """SGD whose momentum buffers are views into the shared velocity arena.
-
-    Behaviorally identical to :class:`~repro.nn.optim.SGD` — ``step`` and
-    ``state_dict`` keep the base behaviour and operate in place on the views —
-    except that :meth:`load_state_dict` writes *through* the views instead of
-    replacing the buffer list, which would silently sever the node from the
-    arena and break the batched update path after a checkpoint restore.
-    """
-
-    def __init__(
-        self,
-        parameters,
-        lr: float,
-        momentum: float,
-        velocity_views: list[np.ndarray],
-    ) -> None:
-        super().__init__(parameters, lr=lr, momentum=momentum)
-        if len(velocity_views) != len(self.parameters):
-            raise SimulationError(
-                f"expected {len(self.parameters)} velocity views, "
-                f"got {len(velocity_views)}"
-            )
-        for view, parameter in zip(velocity_views, self.parameters):
-            if view.shape != parameter.value.shape:
-                raise SimulationError(
-                    f"velocity view shape {view.shape} does not match "
-                    f"parameter shape {parameter.value.shape}"
-                )
-        self._velocity = list(velocity_views)
-
-    def state_dict(self) -> dict:
-        """Serialize exactly like :class:`~repro.nn.optim.SGD`.
-
-        The velocity views read back the arena rows, so the inherited
-        serialization is already exact; the method is defined explicitly so
-        the pairing with the view-preserving :meth:`load_state_dict` is
-        complete under the snapshot protocol.
-        """
-
-        return super().state_dict()
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore checkpointed momentum by writing through the arena views."""
-
-        velocity = [np.asarray(buffer, dtype=np.float64) for buffer in state["velocity"]]
-        if len(velocity) != len(self.parameters):
-            raise SimulationError(
-                f"checkpointed optimizer holds {len(velocity)} momentum buffers, "
-                f"this optimizer tracks {len(self.parameters)} parameters"
-            )
-        for buffer, view in zip(velocity, self._velocity):
-            if buffer.shape != view.shape:
-                raise SimulationError(
-                    f"momentum buffer shape {buffer.shape} does not match "
-                    f"parameter shape {view.shape}"
-                )
-            view[...] = buffer
+        self.params[rows] -= lr * self.grads[rows]
 
 
 def build_arena_nodes(
@@ -222,10 +150,10 @@ def build_arena_nodes(
     Delegates all construction (data partitioning, model initialization,
     scheme seeding) to :func:`~repro.simulation.engine.build_nodes` so every
     RNG stream is consumed in exactly the per-node order, then migrates each
-    node's parameter values, gradients and momentum buffers into the
-    ``(N, d)`` arenas and rebinds the node's
-    :class:`~repro.nn.module.Parameter` objects (and its optimizer, swapped
-    for :class:`ArenaSGD`) to row views.  The nodes remain fully functional
+    node's parameter values and gradients into the ``(N, d)`` arenas and
+    rebinds the node's :class:`~repro.nn.module.Parameter` objects to row
+    views; the node's optimizer holds those same objects, so it steps the
+    arena too.  The nodes remain fully functional
     per-node objects — ``local_training``, ``state_dict`` and evaluation work
     unchanged — which is what keeps checkpoints and the async mode
     engine-agnostic.
@@ -251,15 +179,6 @@ def build_arena_nodes(
             grad_view[...] = parameter.grad
             parameter.value = value_view
             parameter.grad = grad_view
-        velocity_views = arenas.tensor_views(arenas.velocity, row)
-        for view, buffer in zip(velocity_views, node.optimizer.state_dict()["velocity"]):
-            view[...] = buffer
-        node.optimizer = ArenaSGD(
-            parameters,
-            lr=node.optimizer.lr,
-            momentum=node.optimizer.momentum,
-            velocity_views=velocity_views,
-        )
     return nodes, arenas
 
 
@@ -349,7 +268,7 @@ def train_batched(
                     node.backpropagate(*batch) for node, batch in zip(active_nodes, batches)
                 ]
         losses[:, step] = step_losses
-        arenas.step_rows(active_rows, config.learning_rate, config.momentum)
+        arenas.step_rows(active_rows, config.learning_rate)
     # Row means: each row reduced alone, as ``np.mean`` reduces one node's list.
     for node, mean in zip(active_nodes, losses.mean(axis=1).tolist()):
         node.last_train_loss = mean

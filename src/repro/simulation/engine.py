@@ -115,7 +115,6 @@ def build_nodes(
             batch_size=config.batch_size,
             local_steps=config.local_steps,
             rng=seeds.node_rng(node_id, "batches"),
-            momentum=config.momentum,
         )
         node.set_parameters(initial_parameters)
         nodes.append(node)
@@ -278,6 +277,8 @@ class Simulator:
         # Both run on either node-state engine: gossip steps nodes through
         # their arena views, lock-step picks its train stage off ``arenas``.
         self.mode = SynchronousMode() if config.execution == "sync" else AsynchronousMode()
+        #: The simulated clock's model, built once per run for both modes.
+        self.time_model = config.resolved_time_model()
 
         self.result = ExperimentResult(
             scheme=resolved_scheme,
@@ -579,11 +580,10 @@ class Simulator:
         return record
 
     def should_stop_at_target(self) -> bool:
-        """Whether the early-stop condition fired."""
+        """Whether the run reached its target accuracy and must stop."""
 
         return (
-            self.config.stop_at_target
-            and self.config.target_accuracy is not None
+            self.config.target_accuracy is not None
             and self.result.reached_target_at_round is not None
         )
 
@@ -602,11 +602,7 @@ class Simulator:
             )
         self._ran = True
         self._notify("on_run_start", self)
-        preemption.register(self)
-        try:
-            self.mode.run(self)
-        finally:
-            preemption.unregister(self)
+        self.mode.run(self)
         if self.scenario.has_events:
             # The trace is a pure function of the schedule, recorded for every
             # round the run actually completed (early stop truncates it).
@@ -774,7 +770,7 @@ def account(
     duration) plus the slowest active straggler's extra compute.
     """
 
-    local_steps, time_model = simulator.config.local_steps, simulator.config.time_model
+    local_steps, time_model = simulator.config.local_steps, simulator.time_model
     uplinks = [
         message.size.total_bytes * len(simulator.mixing[message.sender].neighbors)
         for message in messages.values()
@@ -873,7 +869,7 @@ class AsynchronousMode:
 
     * ``START_ROUND``: the node begins its local SGD steps; compute time is
       scaled by its per-node slowdown drawn from the
-      :class:`~repro.simulation.timing.HeterogeneousTimeModel`.
+      :class:`~repro.simulation.timing.TimeModel`.
     * ``FINISH_TRAIN``: the node runs ``train``/``present``/``encode`` as a
       one-node stage and pushes one copy per neighbor on its uplink; deliveries
       land after the serialized transfer time plus per-link latency (with
@@ -906,7 +902,7 @@ class AsynchronousMode:
 
         config = simulator.config
         self.simulator = simulator
-        time_model = self.time_model = config.resolved_time_model()
+        time_model = self.time_model = simulator.time_model
         rng = simulator.seeds.rng("heterogeneity")
         self.compute_slowdown = time_model.sample_compute_multipliers(config.num_nodes, rng)
         self.bandwidth_scale = time_model.sample_bandwidth_multipliers(config.num_nodes, rng)

@@ -3,7 +3,7 @@
 A single :class:`ExperimentConfig` captures the deployment (number of nodes,
 topology, partitioning), the optimization hyperparameters (learning rate,
 local steps, batch size), the evaluation cadence, the optional
-target-accuracy early stop used by the "run until convergence" experiments
+target accuracy at which the "run until convergence" experiments stop
 and — since the engine redesign — the execution mode: ``"sync"`` for the
 paper's lock-step rounds, ``"async"`` for event-driven gossip over
 heterogeneous nodes (see :mod:`repro.simulation.engine`).
@@ -18,12 +18,12 @@ the same code under both, and both produce byte-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
 from repro.exceptions import ConfigurationError
 from repro.scenarios.schedule import ScenarioSchedule
-from repro.simulation.timing import HeterogeneousTimeModel, TimeModel
+from repro.simulation.timing import TimeModel
 
 __all__ = ["ENGINES", "EXECUTION_MODES", "ExperimentConfig"]
 
@@ -51,7 +51,6 @@ class ExperimentConfig:
     local_steps: int = 2
     batch_size: int = 8
     learning_rate: float = 0.05
-    momentum: float = 0.0
 
     eval_every: int = 5
     eval_test_samples: int = 256
@@ -59,9 +58,8 @@ class ExperimentConfig:
 
     seed: int = 1
     message_drop_probability: float = 0.0
+    #: The run stops at the first evaluation whose test accuracy reaches it.
     target_accuracy: float | None = None
-    stop_at_target: bool = False
-    time_model: TimeModel = field(default_factory=TimeModel)
 
     #: ``"sync"`` reproduces the paper's lock-step rounds; ``"async"`` runs the
     #: event-driven gossip mode where each node progresses at its own speed.
@@ -91,8 +89,6 @@ class ExperimentConfig:
             raise ConfigurationError("rounds, local_steps and batch_size must be positive")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError("momentum must be in [0, 1)")
         if self.eval_every <= 0:
             raise ConfigurationError("eval_every must be positive")
         if self.eval_test_samples <= 0:
@@ -103,8 +99,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown partition scheme {self.partition!r}")
         if not 0.0 <= self.message_drop_probability < 1.0:
             raise ConfigurationError("message_drop_probability must be in [0, 1)")
-        if self.stop_at_target and self.target_accuracy is None:
-            raise ConfigurationError("stop_at_target requires a target_accuracy")
         if self.execution not in EXECUTION_MODES:
             raise ConfigurationError(
                 f"unknown execution mode {self.execution!r}; "
@@ -114,8 +108,8 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; choose from {', '.join(ENGINES)}"
             )
-        # Constructing the heterogeneous model validates the ranges and the
-        # jitter once, in timing.py — the single source of truth.
+        # Constructing the time model validates the ranges and the jitter
+        # once, in timing.py — the single source of truth.
         self.resolved_time_model()
         if self.scenario is not None:
             if isinstance(self.scenario, Mapping):
@@ -150,20 +144,10 @@ class ExperimentConfig:
             )
         return ScenarioSchedule()
 
-    def resolved_time_model(self) -> HeterogeneousTimeModel:
-        """The heterogeneous time model the async engine runs on.
+    def resolved_time_model(self) -> TimeModel:
+        """The time model of this run: the cluster constants and these ranges."""
 
-        If :attr:`time_model` already is a :class:`HeterogeneousTimeModel` it
-        wins; otherwise the plain model is lifted using this configuration's
-        heterogeneity knobs.
-        """
-
-        if isinstance(self.time_model, HeterogeneousTimeModel):
-            return self.time_model
-        return HeterogeneousTimeModel(
-            compute_seconds_per_step=self.time_model.compute_seconds_per_step,
-            bandwidth_bytes_per_second=self.time_model.bandwidth_bytes_per_second,
-            latency_seconds=self.time_model.latency_seconds,
+        return TimeModel(
             compute_speed_range=self.compute_speed_range,
             bandwidth_scale_range=self.bandwidth_scale_range,
             link_latency_jitter_seconds=self.link_latency_jitter_seconds,
@@ -174,19 +158,12 @@ class ExperimentConfig:
     _TUPLE_FIELDS = ("compute_speed_range", "bandwidth_scale_range")
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation (a snapshot's ``config`` record).
-
-        The nested :attr:`time_model` is serialized through
-        :meth:`~repro.simulation.timing.TimeModel.to_dict`, which names its
-        kind, so a heterogeneous model is recorded with its class.
-        """
+        """JSON-safe representation (a snapshot's ``config`` record)."""
 
         data: dict[str, Any] = {}
         for config_field in fields(self):
             value = getattr(self, config_field.name)
-            if config_field.name == "time_model":
-                value = value.to_dict()
-            elif config_field.name == "scenario":
+            if config_field.name == "scenario":
                 value = None if value is None else value.to_dict()
             elif config_field.name in self._TUPLE_FIELDS:
                 value = [float(v) for v in value]
@@ -199,10 +176,10 @@ class ExperimentConfig:
 
         return replace(self, rounds=rounds)
 
-    def with_target(self, target_accuracy: float, stop: bool = True) -> "ExperimentConfig":
+    def with_target(self, target_accuracy: float) -> "ExperimentConfig":
         """Copy of this configuration that stops when ``target_accuracy`` is reached."""
 
-        return replace(self, target_accuracy=target_accuracy, stop_at_target=stop)
+        return replace(self, target_accuracy=target_accuracy)
 
     def with_execution(self, execution: str) -> "ExperimentConfig":
         """Copy of this configuration running under a different execution mode."""

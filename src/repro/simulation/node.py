@@ -41,7 +41,6 @@ class SimulationNode:
         batch_size: int,
         local_steps: int,
         rng: np.random.Generator,
-        momentum: float = 0.0,
     ) -> None:
         if len(dataset) == 0:
             raise SimulationError(f"node {node_id} received an empty data partition")
@@ -58,7 +57,7 @@ class SimulationNode:
         # not on every flatten, ``zero_grad`` and mode toggle of every round.
         self.parameters = model.parameters()
         self._modules = list(model.modules())
-        self.optimizer = SGD(self.parameters, lr=learning_rate, momentum=momentum)
+        self.optimizer = SGD(self.parameters, lr=learning_rate)
         self._rng = rng
         self.last_train_loss = float("nan")
 
@@ -131,9 +130,10 @@ class SimulationNode:
 
     # -- checkpointing ---------------------------------------------------------------
     def state_dict(self) -> dict:
-        """The node's full mutable state: model, optimizer, RNG and scheme.
+        """The node's full mutable state: model, RNG and scheme.
 
-        The dataset partition, loss and hyperparameters are *not* captured —
+        Plain SGD keeps no state of its own.  The dataset partition, loss and
+        hyperparameters are *not* captured —
         they are pure functions of the experiment configuration and seed, so
         the checkpoint layer rebuilds the node first and then overlays this
         state on top.
@@ -141,7 +141,6 @@ class SimulationNode:
 
         return {
             "params": self.get_parameters(),
-            "optimizer": self.optimizer.state_dict(),
             "rng": self._rng.bit_generator.state,
             "last_train_loss": float(self.last_train_loss),
             "scheme": self.scheme.state_dict(),
@@ -158,7 +157,6 @@ class SimulationNode:
                 f"parameters, this node's model holds {model_size}"
             )
         self.set_parameters(params)
-        self.optimizer.load_state_dict(state["optimizer"])
         self._rng.bit_generator.state = dict(state["rng"])
         self.last_train_loss = float(state["last_train_loss"])
         self.scheme.load_state_dict(state["scheme"])

@@ -6,41 +6,68 @@ testbed, but the *ratios* are driven by two quantities the simulator knows
 exactly: how many local SGD steps run per round and how many bytes each node
 pushes on its links.  The :class:`TimeModel` turns those into a simulated
 clock: a synchronous round finishes when the slowest node has finished its
-compute and drained its uplink.
+compute and drained its uplink.  The three cluster constants are fixed; only
+the per-node heterogeneity the asynchronous mode draws from comes from the
+:class:`~repro.simulation.experiment.ExperimentConfig`
+(:meth:`~repro.simulation.experiment.ExperimentConfig.resolved_time_model`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import ClassVar
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["HeterogeneousTimeModel", "TimeModel", "time_model_from_dict"]
+__all__ = ["TimeModel"]
 
 
 @dataclass(frozen=True)
 class TimeModel:
-    """Parameters of the simulated cluster.
+    """The simulated cluster: three constants and the nodes' heterogeneity.
+
+    The asynchronous execution mode draws one compute-speed and one bandwidth
+    multiplier per node from the configured ranges, so slow nodes (stragglers)
+    fall behind fast ones instead of stalling a global barrier.  Per-link
+    latency gets an optional uniform jitter on top of :attr:`latency_seconds`.
 
     Attributes
     ----------
-    compute_seconds_per_step:
-        Time of one local SGD step (mini-batch forward + backward + update).
-    bandwidth_bytes_per_second:
-        Uplink bandwidth available to each node (10 Mbit/s by default — the
-        paper targets edge devices whose network, not compute, is the
-        bottleneck, so the default makes communication the dominant cost for
-        full sharing).
-    latency_seconds:
-        Fixed per-round latency (connection handling, serialization, barrier).
+    compute_speed_range:
+        ``(lo, hi)`` multipliers on :attr:`compute_seconds_per_step`.  A node
+        drawing ``2.0`` takes twice as long per SGD step; ``(1.0, 1.0)`` means
+        a homogeneous cluster.
+    bandwidth_scale_range:
+        ``(lo, hi)`` multipliers on :attr:`bandwidth_bytes_per_second`.  A node
+        drawing ``0.5`` has half the uplink bandwidth.
+    link_latency_jitter_seconds:
+        Upper bound of the uniform extra latency added to every delivery.
     """
 
-    compute_seconds_per_step: float = 0.02
-    bandwidth_bytes_per_second: float = 10e6 / 8
-    latency_seconds: float = 0.02
+    #: Time of one local SGD step (mini-batch forward + backward + update).
+    compute_seconds_per_step: ClassVar[float] = 0.02
+    #: Uplink bandwidth of each node, 10 Mbit/s: the paper targets edge devices
+    #: whose network, not compute, is the bottleneck, so communication is the
+    #: dominant cost for full sharing.
+    bandwidth_bytes_per_second: ClassVar[float] = 10e6 / 8
+    #: Fixed per-round latency (connection handling, serialization, barrier).
+    latency_seconds: ClassVar[float] = 0.02
+
+    compute_speed_range: tuple[float, float] = (1.0, 1.0)
+    bandwidth_scale_range: tuple[float, float] = (1.0, 1.0)
+    link_latency_jitter_seconds: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name, (lo, hi) in (
+            ("compute_speed_range", self.compute_speed_range),
+            ("bandwidth_scale_range", self.bandwidth_scale_range),
+        ):
+            if not 0.0 < lo <= hi:
+                raise ConfigurationError(f"{name} must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+        if self.link_latency_jitter_seconds < 0.0:
+            raise ConfigurationError("link_latency_jitter_seconds must be non-negative")
 
     def compute_duration(self, local_steps: int) -> float:
         """Time a reference node needs for ``local_steps`` local SGD steps."""
@@ -62,55 +89,6 @@ class TimeModel:
         compute = self.compute_duration(local_steps)
         communication = self.transfer_duration(max_bytes_sent_by_a_node)
         return compute + communication + self.latency_seconds
-
-    # -- (de)serialization ---------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation; inverse of :func:`time_model_from_dict`."""
-
-        return {
-            "kind": "uniform",
-            "compute_seconds_per_step": float(self.compute_seconds_per_step),
-            "bandwidth_bytes_per_second": float(self.bandwidth_bytes_per_second),
-            "latency_seconds": float(self.latency_seconds),
-        }
-
-
-@dataclass(frozen=True)
-class HeterogeneousTimeModel(TimeModel):
-    """A :class:`TimeModel` whose nodes and links are not identical.
-
-    The asynchronous execution mode draws one compute-speed and one bandwidth
-    multiplier per node from the configured ranges, so slow nodes (stragglers)
-    fall behind fast ones instead of stalling a global barrier.  Per-link
-    latency gets an optional uniform jitter on top of the base
-    ``latency_seconds``.
-
-    Attributes
-    ----------
-    compute_speed_range:
-        ``(lo, hi)`` multipliers on :attr:`~TimeModel.compute_seconds_per_step`.
-        A node drawing ``2.0`` takes twice as long per SGD step; ``(1.0, 1.0)``
-        means a homogeneous cluster.
-    bandwidth_scale_range:
-        ``(lo, hi)`` multipliers on :attr:`~TimeModel.bandwidth_bytes_per_second`.
-        A node drawing ``0.5`` has half the uplink bandwidth.
-    link_latency_jitter_seconds:
-        Upper bound of the uniform extra latency added to every delivery.
-    """
-
-    compute_speed_range: tuple[float, float] = (1.0, 1.0)
-    bandwidth_scale_range: tuple[float, float] = (1.0, 1.0)
-    link_latency_jitter_seconds: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name, (lo, hi) in (
-            ("compute_speed_range", self.compute_speed_range),
-            ("bandwidth_scale_range", self.bandwidth_scale_range),
-        ):
-            if not 0.0 < lo <= hi:
-                raise ConfigurationError(f"{name} must satisfy 0 < lo <= hi, got ({lo}, {hi})")
-        if self.link_latency_jitter_seconds < 0.0:
-            raise ConfigurationError("link_latency_jitter_seconds must be non-negative")
 
     def sample_compute_multipliers(
         self, num_nodes: int, rng: np.random.Generator
@@ -134,31 +112,3 @@ class HeterogeneousTimeModel(TimeModel):
         if self.link_latency_jitter_seconds == 0.0:
             return self.latency_seconds
         return self.latency_seconds + rng.uniform(0.0, self.link_latency_jitter_seconds)
-
-    # -- (de)serialization ---------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation; inverse of :func:`time_model_from_dict`."""
-
-        base = super().to_dict()
-        base.update(
-            kind="heterogeneous",
-            compute_speed_range=[float(v) for v in self.compute_speed_range],
-            bandwidth_scale_range=[float(v) for v in self.bandwidth_scale_range],
-            link_latency_jitter_seconds=float(self.link_latency_jitter_seconds),
-        )
-        return base
-
-
-def time_model_from_dict(data: Mapping[str, Any]) -> TimeModel:
-    """Rebuild a :class:`TimeModel` or :class:`HeterogeneousTimeModel` from
-    :meth:`TimeModel.to_dict` output."""
-
-    payload = dict(data)
-    kind = payload.pop("kind", "uniform")
-    if kind == "uniform":
-        return TimeModel(**payload)
-    if kind == "heterogeneous":
-        payload["compute_speed_range"] = tuple(payload["compute_speed_range"])
-        payload["bandwidth_scale_range"] = tuple(payload["bandwidth_scale_range"])
-        return HeterogeneousTimeModel(**payload)
-    raise ConfigurationError(f"unknown time-model kind {kind!r}")

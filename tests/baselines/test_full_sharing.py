@@ -78,12 +78,6 @@ def test_non_neighbor_message_rejected():
         scheme.aggregate(context, [stranger])
 
 
-def test_uncompressed_size_is_four_bytes_per_parameter():
-    scheme = FullSharingScheme(0, SIZE, seed=1, compress=False)
-    message = scheme.prepare(_context(np.ones(SIZE), (1,)))
-    assert message.size.values_bytes == 4 * SIZE + 4
-
-
 def test_factory_builds_scheme_per_node():
     factory = full_sharing_factory()
     assert factory(3, SIZE, 7).node_id == 3

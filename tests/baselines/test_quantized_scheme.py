@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.baselines.quantized import QuantizedSharingScheme, quantized_sharing_factory
+from repro.baselines.quantized import (
+    BUCKET_SIZE,
+    QuantizedSharingScheme,
+    quantized_sharing_factory,
+)
 from repro.core.interface import Message, RoundContext
 from repro.exceptions import SimulationError
 
@@ -23,30 +27,16 @@ def _context(trained, neighbors=(1,)):
 
 
 def test_message_is_smaller_than_raw_model():
-    scheme = QuantizedSharingScheme(0, SIZE, seed=1, bits=4, bucket_size=256)
+    scheme = QuantizedSharingScheme(0, SIZE, seed=1, bits=4)
     message = scheme.prepare(_context(np.random.default_rng(0).normal(size=SIZE)))
     assert message.size.values_bytes < 4 * SIZE
     assert message.size.metadata_bytes == 0
     # 4-bit quantization uses 5 bits per value plus one norm per bucket.
     expected = 0
-    for start in range(0, SIZE, 256):
-        bucket = min(256, SIZE - start)
+    for start in range(0, SIZE, BUCKET_SIZE):
+        bucket = min(BUCKET_SIZE, SIZE - start)
         expected += 4 + (bucket * 5 + 7) // 8
     assert message.size.values_bytes == expected
-
-
-def test_bucketing_reduces_quantization_error():
-    trained = np.random.default_rng(4).normal(size=SIZE)
-    coarse = QuantizedSharingScheme(0, SIZE, seed=1, bits=4, bucket_size=SIZE)
-    fine = QuantizedSharingScheme(0, SIZE, seed=1, bits=4, bucket_size=32)
-    coarse_error = np.linalg.norm(coarse.prepare(_context(trained)).payload["values"] - trained)
-    fine_error = np.linalg.norm(fine.prepare(_context(trained)).payload["values"] - trained)
-    assert fine_error <= coarse_error
-
-
-def test_invalid_bucket_size_rejected():
-    with pytest.raises(SimulationError):
-        QuantizedSharingScheme(0, SIZE, seed=1, bucket_size=0)
 
 
 def test_payload_approximates_model():

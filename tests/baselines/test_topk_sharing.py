@@ -51,7 +51,7 @@ def test_fixed_fraction_every_round():
 def test_accumulation_recovers_starved_coordinates():
     """A coordinate with small steady changes is eventually selected."""
 
-    scheme = TopKSharingScheme(0, SIZE, seed=1, fraction=1.0 / SIZE, use_accumulation=True)
+    scheme = TopKSharingScheme(0, SIZE, seed=1, fraction=1.0 / SIZE)
     start = np.zeros(SIZE)
     selected_history = []
     for round_index in range(30):
@@ -67,6 +67,6 @@ def test_accumulation_recovers_starved_coordinates():
 
 
 def test_factory_configuration():
-    scheme = topk_sharing_factory(fraction=0.25, use_accumulation=False)(2, SIZE, 9)
+    scheme = topk_sharing_factory(fraction=0.25)(2, SIZE, 9)
     assert scheme.node_id == 2
-    assert not scheme.config.use_accumulation
+    assert scheme.config.use_accumulation

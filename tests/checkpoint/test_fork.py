@@ -12,8 +12,8 @@ import json
 import pytest
 
 from repro.checkpoint import CheckpointManager, preemption
+from repro.cli import main
 from repro.exceptions import CheckpointError, ConfigurationError
-from repro.observability.trace import TraceEmitter, strip_wall
 from repro.orchestration import (
     ExperimentSpec,
     ResultStore,
@@ -120,7 +120,7 @@ def test_scenario_fork_produces_valid_distinct_row(paused, tmp_path):
     assert ExperimentSpec.from_dict(row["spec"]).lineage == forked_spec.lineage
 
 
-def test_fork_trace_dir_never_clobbers_the_parent_cell_trace(paused, tmp_path):
+def test_fork_trace_dir_never_clobbers_the_parent_cell_trace(paused, tmp_path, capsys):
     """Regression: a fork traced into the parent sweep's --trace directory used
     to need an explicit filename; deriving it from the *forked* spec's hash
     (lineage included) guarantees it can never overwrite the parent's file."""
@@ -131,8 +131,11 @@ def test_fork_trace_dir_never_clobbers_the_parent_cell_trace(paused, tmp_path):
     parent_trace = trace_dir / f"{spec.content_hash()}.trace.jsonl"
     parent_trace.write_text('{"kind": "manifest"}\n', encoding="utf-8")
     parent_bytes = parent_trace.read_bytes()
+    snapshot_path = snapshot.save(tmp_path / "parent.ckpt.json")
 
-    forked_spec, _ = run_fork(snapshot, trace_dir=trace_dir)
+    assert main(["fork", "--snapshot", str(snapshot_path), "--trace", str(trace_dir)]) == 0
+    capsys.readouterr()
+    forked_spec = build_forked_spec(snapshot)
 
     assert forked_spec.content_hash() != spec.content_hash()
     forked_trace = trace_dir / f"{forked_spec.content_hash()}.trace.jsonl"
@@ -141,14 +144,6 @@ def test_fork_trace_dir_never_clobbers_the_parent_cell_trace(paused, tmp_path):
     lines = forked_trace.read_text(encoding="utf-8").splitlines()
     assert json.loads(lines[0])["kind"] == "manifest"
     assert json.loads(lines[-1])["kind"] == "run_end"
-
-
-def test_fork_traces_to_an_observer_and_a_trace_dir_together(paused, tmp_path):
-    spec, snapshot = paused
-    with TraceEmitter(tmp_path / "x.trace.jsonl") as emitter:
-        forked_spec, _ = run_fork(snapshot, observers=(emitter,), trace_dir=tmp_path)
-    named = tmp_path / f"{forked_spec.content_hash()}.trace.jsonl"
-    assert strip_wall(named) == strip_wall(emitter.path)
 
 
 def test_fork_can_extend_the_round_budget(paused):

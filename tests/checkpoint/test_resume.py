@@ -296,7 +296,7 @@ def test_byzantine_run_differs_from_honest_run():
 
 
 def test_resume_after_early_target_stop():
-    """stop_at_target interacts correctly with a pause before the stop."""
+    """A target-accuracy stop interacts correctly with a pause before the stop."""
 
     config = ExperimentConfig(
         num_nodes=4,
@@ -313,7 +313,6 @@ def test_resume_after_early_target_stop():
         # (deterministic for this seed): the target fires strictly after the
         # pause point below, exercising the pause-then-early-stop path.
         target_accuracy=0.40,
-        stop_at_target=True,
     )
     uninterrupted = run_experiment(make_toy_task(), jwins_factory(), config)
     assert uninterrupted.reached_target_at_round == 2

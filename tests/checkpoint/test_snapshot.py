@@ -103,11 +103,14 @@ def test_load_rejects_tampered_payload(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "version", [1, 2, 999], ids=["pre-codec-epoch", "pre-coefficient-epoch", "future"]
+    "version",
+    [1, 2, 3, 999],
+    ids=["pre-codec-epoch", "pre-coefficient-epoch", "pre-stateless-sgd-epoch", "future"],
 )
 def test_load_rejects_wrong_version(tmp_path, version):
     """Version 1 files hold the old float codec's byte counts, version 2 files
-    JWINS state without ``F_start``: neither may resume."""
+    JWINS state without ``F_start``, version 3 files an optimizer entry per
+    node and the removed config fields: none may resume."""
 
     snapshot = pause_at(small_config(), 2)
     path = tmp_path / "run.ckpt.json"
@@ -115,7 +118,7 @@ def test_load_rejects_wrong_version(tmp_path, version):
     document = json.loads(path.read_text())
     document["version"] = version
     path.write_text(json.dumps(document))
-    with pytest.raises(CheckpointError, match="schema version"):
+    with pytest.raises(CheckpointError, match=f"schema version {version};"):
         SimulationSnapshot.load(path)
 
 

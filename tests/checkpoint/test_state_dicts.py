@@ -22,10 +22,7 @@ from repro.baselines import (
 from repro.checkpoint.serialization import decode_value, encode_value
 from repro.core import adaptive_jwins_factory, jwins_factory
 from repro.core.interface import RoundContext
-from repro.exceptions import ModelError, SimulationError
-from repro.nn.models import MLPClassifier
-from repro.nn.module import get_flat_parameters
-from repro.nn.optim import SGD
+from repro.exceptions import SimulationError
 from repro.simulation.events import EventLoop, START_ROUND
 from repro.simulation.network import ByteMeter
 from repro.compression.sizing import PayloadSize
@@ -129,45 +126,6 @@ def test_choco_rejects_wrong_model_size():
     other = choco_factory()(0, MODEL_SIZE * 2, 7)
     with pytest.raises(SimulationError):
         scheme.load_state_dict(other.state_dict())
-
-
-# -- optimizer ------------------------------------------------------------------------
-def make_model(seed: int) -> MLPClassifier:
-    return MLPClassifier(4, 8, 2, np.random.default_rng(seed))
-
-
-def test_sgd_state_roundtrip_continues_identically():
-    model_a, model_b = make_model(3), make_model(3)
-    opt_a = SGD(model_a.parameters(), lr=0.1, momentum=0.9)
-    opt_b = SGD(model_b.parameters(), lr=0.1, momentum=0.9)
-
-    rng = np.random.default_rng(11)
-    def step(model, opt):
-        inputs = rng_inputs
-        model.zero_grad()
-        out = model.forward(inputs)
-        model.backward(np.ones_like(out))
-        opt.step()
-
-    for _ in range(3):
-        rng_inputs = rng.normal(size=(5, 4))
-        step(model_a, opt_a)
-    state = decode_value(json.loads(json.dumps(encode_value(opt_a.state_dict()))))
-    # Sync model_b to model_a, then overlay the optimizer state.
-    from repro.nn.module import set_flat_parameters
-
-    set_flat_parameters(model_b, get_flat_parameters(model_a))
-    opt_b.load_state_dict(state)
-    rng_inputs = rng.normal(size=(5, 4))
-    step(model_a, opt_a)
-    step(model_b, opt_b)
-    assert np.array_equal(get_flat_parameters(model_a), get_flat_parameters(model_b))
-
-
-def test_sgd_rejects_mismatched_buffers():
-    opt = SGD(make_model(3).parameters(), lr=0.1)
-    with pytest.raises(ModelError):
-        opt.load_state_dict({"velocity": [np.zeros(3)]})
 
 
 # -- byte meter -----------------------------------------------------------------------

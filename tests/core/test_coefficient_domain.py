@@ -223,10 +223,8 @@ def test_without_wavelets_every_vector_is_bit_identical_to_the_oracle(accumulati
     """``IdentityTransform``: projecting is a copy, so nothing may move a bit."""
 
     size = 97
-    fast = [
-        TopKSharingScheme(node, size, seed=1, use_accumulation=accumulation)
-        for node in range(NODES)
-    ]
+    config = replace(TopKSharingScheme(0, size, seed=1).config, use_accumulation=accumulation)
+    fast = [JwinsScheme(node, size, seed=1, config=config) for node in range(NODES)]
     oracle = [
         ThreeForwardJwins(node, size, seed=1, config=fast[0].config) for node in range(NODES)
     ]

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.compression.float_codec import FloatCodec
+from repro.compression.indices import EliasGammaIndexCodec
 from repro.core.config import JwinsConfig
 from repro.core.cutoff import CutoffDistribution
+from repro.core.jwins import JwinsScheme
 from repro.exceptions import ConfigurationError
 
 
@@ -12,7 +15,9 @@ def test_paper_default_uses_wavelet_accumulation_and_random_cutoff():
     assert config.wavelet == "sym2"
     assert config.levels == 4
     assert config.use_wavelet and config.use_accumulation and config.use_random_cutoff
-    assert config.index_codec == "elias-gamma"
+    scheme = JwinsScheme(0, 64, 1, config)
+    assert isinstance(scheme._index_codec, EliasGammaIndexCodec)
+    assert isinstance(scheme._float_codec, FloatCodec)
 
 
 def test_low_budget_distribution():
@@ -27,13 +32,6 @@ def test_ablation_constructors_flip_one_switch_each():
     assert not base.without_random_cutoff().use_random_cutoff
     # The original configuration is unchanged (frozen dataclass).
     assert base.use_wavelet and base.use_accumulation and base.use_random_cutoff
-
-
-def test_invalid_codec_names_raise():
-    with pytest.raises(ConfigurationError):
-        JwinsConfig(index_codec="zip")
-    with pytest.raises(ConfigurationError):
-        JwinsConfig(float_codec="jpeg")
 
 
 def test_negative_levels_raise():

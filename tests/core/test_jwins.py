@@ -203,7 +203,6 @@ ROWS_CONFIGS = {
     "budgeted": JwinsConfig.low_budget(0.2),
     "fixed-cutoff": JwinsConfig.paper_default().without_random_cutoff(),
     "no-accumulation": JwinsConfig.paper_default().without_accumulation(),
-    "raw-codecs": JwinsConfig(index_codec="raw", float_codec="raw32"),
 }
 
 
@@ -287,7 +286,7 @@ def test_prepare_is_the_rows_form_with_one_row():
 
 
 def test_rows_form_rejects_schemes_with_different_configs():
-    schemes = [_scheme(JwinsConfig.paper_default()), _scheme(JwinsConfig(float_codec="raw32"), 1)]
+    schemes = [_scheme(JwinsConfig.paper_default()), _scheme(JwinsConfig.low_budget(0.2), 1)]
     width = schemes[0].ranker.coefficient_size
     with pytest.raises(SimulationError, match="share one JwinsConfig"):
         JwinsScheme.prepare_from_coefficients(

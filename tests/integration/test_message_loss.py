@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro.baselines import choco_factory, full_sharing_factory, random_sampling_factory
+from repro.compression.float_codec import FloatCodec, RawFloatCodec
 from repro.core import JwinsConfig, jwins_factory
 from repro.exceptions import ConfigurationError
 from repro.simulation import ExperimentConfig, run_experiment
@@ -113,25 +114,27 @@ def without_codec_fields(result):
 
 
 @pytest.mark.parametrize(
-    "coded, raw",
+    "factory",
     [
-        (jwins_factory(JwinsConfig()), jwins_factory(JwinsConfig(float_codec="raw32"))),
-        (full_sharing_factory(), full_sharing_factory(compress=False)),
-        (random_sampling_factory(0.37), random_sampling_factory(0.37, compress=False)),
-        (choco_factory(0.2, 0.6), choco_factory(0.2, 0.6, compress=False)),
+        jwins_factory(JwinsConfig()),
+        full_sharing_factory(),
+        random_sampling_factory(0.37),
+        choco_factory(0.2, 0.6),
     ],
     ids=["jwins", "full-sharing", "random-sampling", "choco"],
 )
-def test_float_codec_is_lossless_over_a_whole_run(task, lossy_config, coded, raw):
+def test_float_codec_is_lossless_over_a_whole_run(task, lossy_config, factory, monkeypatch):
     """The parent-free oracle: compressing the values changes only what they cost.
 
+    The run without the codec swaps raw float32 sizing into ``FloatCodec``.
     Lock-step only.  Under the event loop a message's size sets its transfer
     time and hence the event order, so there a codec moves losses and
     accuracies too, legitimately.
     """
 
     assert lossy_config.execution == "sync" and lossy_config.message_drop_probability > 0
-    with_codec = run_experiment(task, coded, lossy_config)
-    without = run_experiment(task, raw, lossy_config)
+    with_codec = run_experiment(task, factory, lossy_config)
+    monkeypatch.setattr(FloatCodec, "compress", RawFloatCodec.compress)
+    without = run_experiment(task, factory, lossy_config)
     assert with_codec.total_values_bytes < without.total_values_bytes
     assert without_codec_fields(with_codec) == without_codec_fields(without)

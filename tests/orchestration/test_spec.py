@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.orchestration.schemes import SchemeSpec
 from repro.orchestration.spec import ExperimentSpec
-from repro.simulation import HeterogeneousTimeModel
 
 TINY = {"num_nodes": 4, "degree": 2, "rounds": 2, "eval_every": 1, "eval_test_samples": 32}
 
@@ -47,7 +46,7 @@ class TestIdentity:
 
     def test_non_json_override_rejected(self):
         with pytest.raises(ConfigurationError, match="not JSON-serializable"):
-            _spec(overrides={**TINY, "time_model": object()})
+            _spec(overrides={**TINY, "rounds": object()})
 
     def test_scheme_strings_are_coerced(self):
         assert ExperimentSpec("movielens", "jwins").scheme == SchemeSpec("jwins")
@@ -86,23 +85,29 @@ class TestMaterialization:
         scheme = factory(0, 100, 1)
         assert hasattr(scheme, "prepare")
 
-    def test_build_coerces_range_and_time_model_overrides(self):
+    def test_build_coerces_range_overrides(self):
         spec = _spec(
-            overrides={
-                **TINY,
-                "execution": "async",
-                "compute_speed_range": [1.0, 3.0],
-                "time_model": HeterogeneousTimeModel().to_dict(),
-            }
+            overrides={**TINY, "execution": "async", "compute_speed_range": [1.0, 3.0]}
         )
         _, _, config, _ = spec.build()
         assert config.execution == "async"
         assert config.compute_speed_range == (1.0, 3.0)
-        assert isinstance(config.time_model, HeterogeneousTimeModel)
 
     def test_unknown_override_field_raises_configuration_error(self):
         with pytest.raises(ConfigurationError, match="movielens/jwins"):
             _spec(overrides={**TINY, "warp_factor": 9}).build()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("momentum", 0.9),
+            ("time_model", {"kind": "uniform", "latency_seconds": 0.5}),
+            ("stop_at_target", True),
+        ],
+    )
+    def test_removed_config_fields_are_refused_by_name(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            _spec(overrides={**TINY, field: value}).build()
 
     def test_run_produces_result_with_scheme_label(self):
         result = _spec(overrides={**TINY, "seed": 2}).run()

@@ -220,7 +220,7 @@ def test_engines_oracle_rings_when_a_batched_kernel_drifts(monkeypatch):
     monkeypatch.setattr(
         NodeArenas,
         "step_rows",
-        lambda self, rows, lr, momentum: step_rows(self, rows, lr * 1.001, momentum),
+        lambda self, rows, lr: step_rows(self, rows, lr * 1.001),
     )
     assert "arena" in _oracle_engines(case, "movielens", "jwins")
     diff = forensics_for_case(case, "movielens", "jwins", oracle="engines")

@@ -37,7 +37,7 @@ from repro.simulation import (
 )
 from repro.core.jwins import JwinsScheme, _share_passes
 from repro.simulation import arena as arena_module
-from repro.simulation.arena import ArenaSGD, build_arena_nodes
+from repro.simulation.arena import build_arena_nodes
 from repro.simulation.engine import Simulator, SynchronousMode
 from repro.simulation.node import SimulationNode
 from tests.conftest import make_toy_task
@@ -83,17 +83,16 @@ def assert_engines_agree(factory_builder, config, task_kwargs=None):
 
 EQUIVALENCE_CASES = {
     "jwins-sync": {},
-    "momentum": {"momentum": 0.9},
     "drops": {"message_drop_probability": 0.3},
-    "dynamic-topology": {"dynamic_topology": True, "momentum": 0.9},
+    "dynamic-topology": {"dynamic_topology": True},
     "churn-partition": {
         "scenario": get_scenario("churn-partition", num_nodes=6, rounds=ROUNDS).to_dict()
     },
     "byzantine": {
         "scenario": get_scenario("byzantine", num_nodes=6, rounds=ROUNDS).to_dict()
     },
-    # Three stacked steps a round, through the momentum buffers.
-    "local-steps": {"local_steps": 3, "momentum": 0.9},
+    # Three stacked steps a round.
+    "local-steps": {"local_steps": 3},
     "async": {"execution": "async", "compute_speed_range": (1.0, 3.0)},
     # The event loop's one-node calls into the shared train/present/encode/
     # aggregate stages, with attackers, NODE_RESUME sleeps and in-flight drops live.
@@ -155,7 +154,7 @@ def test_unequal_batches_fall_back_per_node_and_still_match(monkeypatch):
     scenario = ScenarioSchedule(
         name="node-0-away", outages=(NodeOutage(node=0, start_round=1, end_round=3),)
     )
-    config = build_config(partition="iid", momentum=0.9, scenario=scenario)
+    config = build_config(partition="iid", scenario=scenario)
     task_kwargs = {"train_samples": 31}
     nodes, _ = build_arena_nodes(make_toy_task(**task_kwargs), jwins_factory(), config)
     sizes = [len(node.dataset) for node in nodes]
@@ -193,12 +192,10 @@ def test_arena_matches_pernode_identity_transform():
     assert_engines_agree(lambda: jwins_factory(config), build_config())
 
 
-# What a count-group shares besides the transform: one cut-off, one codec pair.
+# What a count-group shares besides the transform: one cut-off.
 JWINS_CONFIG_CASES = {
     "fixed-cutoff": JwinsConfig(use_random_cutoff=False),  # one group of all rows
     "budgeted": JwinsConfig.low_budget(0.2),  # a large group and a ``count == c`` one
-    "raw-index-codec": JwinsConfig(index_codec="raw"),
-    "raw-float-codec": JwinsConfig(float_codec="raw32"),
 }
 
 
@@ -217,8 +214,8 @@ def test_arena_matches_pernode_at_sixty_four_nodes():
 
 @pytest.mark.parametrize(
     "odd_config",
-    [JwinsConfig(float_codec="raw32"), JwinsConfig.low_budget(0.2)],
-    ids=["float-codec", "cutoff"],
+    [JwinsConfig(use_accumulation=False), JwinsConfig.low_budget(0.2)],
+    ids=["accumulation", "cutoff"],
 )
 def test_arena_matches_pernode_when_one_node_is_configured_differently(odd_config):
     """No shared pass across unequal configs: every row takes its own calls."""
@@ -421,26 +418,17 @@ def test_single_row_arena_step_matches_sgd():
     rng = np.random.default_rng(11)
     arenas.params[0] = rng.normal(size=arenas.model_size)
     arenas.grads[0] = rng.normal(size=arenas.model_size)
-    arenas.velocity[0] = rng.normal(size=arenas.model_size)
 
     parameters = []
     for column_range, shape in zip(arenas.slices, arenas.shapes):
         parameter = Parameter(arenas.params[0, column_range].reshape(shape).copy())
         parameter.grad = arenas.grads[0, column_range].reshape(shape).copy()
         parameters.append(parameter)
-    reference = SGD(parameters, lr=0.1, momentum=0.9)
-    reference.load_state_dict(
-        {
-            "velocity": [
-                arenas.velocity[0, column_range].reshape(shape).copy()
-                for column_range, shape in zip(arenas.slices, arenas.shapes)
-            ]
-        }
-    )
+    reference = SGD(parameters, lr=0.1)
 
     for _ in range(3):
         reference.step()
-        arenas.step_rows(np.array([0]), lr=0.1, momentum=0.9)
+        arenas.step_rows(np.array([0]), lr=0.1)
 
     flat_reference = np.concatenate(
         [parameter.value.ravel() for parameter in parameters]
@@ -474,7 +462,7 @@ def json_roundtrip(snapshot):
 
 
 def test_arena_interrupt_resume_is_byte_identical():
-    config = build_config(momentum=0.9).with_engine("arena")
+    config = build_config().with_engine("arena")
     uninterrupted = run_experiment(make_toy_task(), jwins_factory(), config)
     snapshot = pause_at(config, 3)
     assert snapshot.rounds_completed == 3
@@ -491,7 +479,7 @@ def test_arena_interrupt_resume_is_byte_identical():
 def test_snapshots_cross_engines(pause_engine, resume_engine):
     """Checkpoints are engine-agnostic: pause under one engine, resume under the other."""
 
-    config = build_config(momentum=0.9)
+    config = build_config()
     uninterrupted = run_experiment(make_toy_task(), jwins_factory(), config)
     snapshot = pause_at(config.with_engine(pause_engine), 3)
     resumed = run_experiment(
@@ -507,7 +495,7 @@ def test_snapshots_cross_engines(pause_engine, resume_engine):
 
 
 def test_build_arena_nodes_rebinds_views():
-    """Node parameters, gradients and momentum all alias the shared arenas."""
+    """Node parameters and gradients alias the shared arenas."""
 
     config = build_config()
     nodes, arenas = build_arena_nodes(make_toy_task(), jwins_factory(), config)
@@ -517,7 +505,7 @@ def test_build_arena_nodes_rebinds_views():
         for parameter in node.model.parameters():
             assert np.shares_memory(parameter.value, arenas.params)
             assert np.shares_memory(parameter.grad, arenas.grads)
-        assert isinstance(node.optimizer, ArenaSGD)
+        assert node.optimizer.parameters == node.parameters
         np.testing.assert_array_equal(
             node.get_parameters(), arenas.params[node.node_id]
         )
@@ -547,27 +535,6 @@ def test_node_parameter_list_stays_bound_to_the_arena():
     assert not arenas.grads[3].any()
 
 
-def test_arena_sgd_load_state_dict_writes_through_views():
-    config = build_config(momentum=0.9)
-    nodes, arenas = build_arena_nodes(make_toy_task(), jwins_factory(), config)
-    node = nodes[2]
-    replacement = [np.full(shape, 0.25) for shape in arenas.shapes]
-    node.optimizer.load_state_dict({"velocity": replacement})
-    np.testing.assert_array_equal(
-        arenas.velocity[2], np.full(arenas.model_size, 0.25)
-    )
-    for buffer, parameter in zip(node.optimizer._velocity, node.model.parameters()):
-        assert np.shares_memory(buffer, arenas.velocity)
-        assert buffer.shape == parameter.value.shape
-
-
-def test_arena_sgd_rejects_mismatched_momentum_buffers():
-    config = build_config()
-    nodes, arenas = build_arena_nodes(make_toy_task(), jwins_factory(), config)
-    with pytest.raises(SimulationError):
-        nodes[0].optimizer.load_state_dict({"velocity": [np.zeros(3)]})
-
-
 def test_node_arenas_validates_construction():
     with pytest.raises(SimulationError):
         NodeArenas(0, [(4,)])
@@ -579,9 +546,8 @@ def test_step_rows_with_no_active_rows_is_a_no_op():
     arenas = NodeArenas(2, [(3,)])
     arenas.params[:] = 1.0
     arenas.grads[:] = 5.0
-    arenas.step_rows(np.array([], dtype=np.int64), lr=0.1, momentum=0.9)
+    arenas.step_rows(np.array([], dtype=np.int64), lr=0.1)
     np.testing.assert_array_equal(arenas.params, np.ones((2, 3)))
-    np.testing.assert_array_equal(arenas.velocity, np.zeros((2, 3)))
 
 
 def test_jwins_batch_plan_rejects_heterogeneous_schemes():
@@ -601,8 +567,6 @@ def test_jwins_batch_plan_rejects_heterogeneous_schemes():
     # Equal-but-distinct config objects share passes; any differing field does not.
     assert jwins_nodes[0].scheme.config is not jwins_nodes[1].scheme.config
     for field, value in (
-        ("float_codec", "raw32"),
-        ("index_codec", "raw"),
         ("use_random_cutoff", False),
         ("use_accumulation", False),
         ("cutoff", CutoffDistribution.budgeted(0.2)),

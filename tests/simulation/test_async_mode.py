@@ -126,7 +126,6 @@ def test_async_early_stop_at_target():
         ASYNC_CONFIG,
         rounds=12,
         target_accuracy=0.0,  # any evaluation reaches this immediately
-        stop_at_target=True,
     )
     result = run_experiment(make_toy_task(), full_sharing_factory(), config)
     assert result.reached_target_at_round is not None

@@ -157,18 +157,14 @@ def reference_run_experiment(task, scheme_factory, config, scheme_name=None):
         max_bytes = max(
             m.size.total_bytes * len(neighbors(topology, m.sender)) for m in messages
         )
-        clock += config.time_model.round_duration(config.local_steps, max_bytes)
+        clock += config.resolved_time_model().round_duration(config.local_steps, max_bytes)
         meter.end_round()
         result.rounds_completed = round_index + 1
 
         is_last = round_index == config.rounds - 1
         if (round_index + 1) % config.eval_every == 0 or is_last:
             record_point(round_index + 1, float(np.mean(round_fractions)))
-            if (
-                config.stop_at_target
-                and config.target_accuracy is not None
-                and result.reached_target_at_round is not None
-            ):
+            if config.target_accuracy is not None and result.reached_target_at_round is not None:
                 break
 
     result.total_bytes = meter.total_bytes

@@ -24,10 +24,6 @@ def test_defaults_are_valid():
         {"learning_rate": 0.0},
         {"eval_every": 0},
         {"partition": "bogus"},
-        {"stop_at_target": True},
-        {"momentum": -0.1},
-        {"momentum": 1.0},
-        {"momentum": 1.5},
         {"eval_test_samples": 0},
         {"eval_test_samples": -5},
         # Once NaN test loss ("Mean of empty slice"), once a numpy ValueError
@@ -51,11 +47,6 @@ def test_eval_nodes_boundaries_are_valid():
     assert ExperimentConfig(eval_nodes=1).eval_nodes == 1
 
 
-def test_momentum_boundaries_are_valid():
-    assert ExperimentConfig(momentum=0.0).momentum == 0.0
-    assert ExperimentConfig(momentum=0.99).momentum == 0.99
-
-
 def test_with_rounds_returns_a_copy():
     config = ExperimentConfig(rounds=10, seed=1)
     more_rounds = config.with_rounds(50)
@@ -65,7 +56,6 @@ def test_with_rounds_returns_a_copy():
 def test_with_target_enables_stop():
     config = ExperimentConfig().with_target(0.8)
     assert config.target_accuracy == 0.8
-    assert config.stop_at_target
 
 
 def test_with_execution_switches_mode_and_validates():
@@ -78,7 +68,7 @@ def test_with_execution_switches_mode_and_validates():
 
 
 def test_resolved_time_model_lifts_heterogeneity_knobs():
-    from repro.simulation.timing import HeterogeneousTimeModel, TimeModel
+    from repro.simulation.timing import TimeModel
 
     config = ExperimentConfig(
         compute_speed_range=(1.0, 3.0),
@@ -86,15 +76,9 @@ def test_resolved_time_model_lifts_heterogeneity_knobs():
         link_latency_jitter_seconds=0.01,
     )
     model = config.resolved_time_model()
-    assert isinstance(model, HeterogeneousTimeModel)
-    assert model.compute_speed_range == (1.0, 3.0)
-    assert model.bandwidth_scale_range == (0.25, 1.0)
-    assert model.compute_seconds_per_step == TimeModel().compute_seconds_per_step
-
-
-def test_resolved_time_model_prefers_an_explicit_heterogeneous_model():
-    from repro.simulation.timing import HeterogeneousTimeModel
-
-    explicit = HeterogeneousTimeModel(compute_speed_range=(1.0, 8.0))
-    config = ExperimentConfig(time_model=explicit, compute_speed_range=(1.0, 2.0))
-    assert config.resolved_time_model() is explicit
+    assert model == TimeModel(
+        compute_speed_range=(1.0, 3.0),
+        bandwidth_scale_range=(0.25, 1.0),
+        link_latency_jitter_seconds=0.01,
+    )
+    assert model.compute_seconds_per_step == 0.02

@@ -10,17 +10,8 @@ from __future__ import annotations
 import json
 
 import numpy as np
-import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.simulation import (
-    ExperimentConfig,
-    ExperimentResult,
-    HeterogeneousTimeModel,
-    RoundRecord,
-    TimeModel,
-    time_model_from_dict,
-)
+from repro.simulation import ExperimentResult, RoundRecord
 
 
 def _json_round_trip(data):
@@ -38,33 +29,6 @@ def _record(round_index: int = 4) -> RoundRecord:
         simulated_time_seconds=17.25,
         average_shared_fraction=0.37,
     )
-
-
-class TestTimeModelRoundTrip:
-    def test_uniform_round_trip_is_exact(self):
-        model = TimeModel(
-            compute_seconds_per_step=0.035,
-            bandwidth_bytes_per_second=2.5e6,
-            latency_seconds=0.011,
-        )
-        rebuilt = time_model_from_dict(_json_round_trip(model.to_dict()))
-        assert rebuilt == model
-        assert type(rebuilt) is TimeModel
-
-    def test_heterogeneous_round_trip_is_exact(self):
-        model = HeterogeneousTimeModel(
-            compute_seconds_per_step=0.02,
-            compute_speed_range=(1.0, 4.0),
-            bandwidth_scale_range=(0.5, 1.0),
-            link_latency_jitter_seconds=0.003,
-        )
-        rebuilt = time_model_from_dict(_json_round_trip(model.to_dict()))
-        assert rebuilt == model
-        assert type(rebuilt) is HeterogeneousTimeModel
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError, match="time-model kind"):
-            time_model_from_dict({"kind": "quantum"})
 
 
 class TestRoundRecordRoundTrip:

@@ -6,9 +6,12 @@ from repro.simulation.timing import TimeModel
 
 
 def test_round_duration_components():
-    model = TimeModel(compute_seconds_per_step=0.1, bandwidth_bytes_per_second=1000, latency_seconds=0.5)
-    duration = model.round_duration(local_steps=3, max_bytes_sent_by_a_node=2000)
-    assert duration == pytest.approx(0.3 + 2.0 + 0.5)
+    duration = TimeModel().round_duration(local_steps=3, max_bytes_sent_by_a_node=2000)
+    assert duration == pytest.approx(
+        3 * TimeModel.compute_seconds_per_step
+        + 2000 / TimeModel.bandwidth_bytes_per_second
+        + TimeModel.latency_seconds
+    )
 
 
 def test_more_bytes_means_longer_round():
@@ -19,8 +22,7 @@ def test_more_bytes_means_longer_round():
 
 
 def test_zero_bytes_still_costs_compute_and_latency():
-    model = TimeModel(compute_seconds_per_step=0.01, latency_seconds=0.2)
-    assert model.round_duration(5, 0) == pytest.approx(0.05 + 0.2)
+    assert TimeModel().round_duration(5, 0) == pytest.approx(5 * 0.02 + 0.02)
 
 
 def test_negative_arguments_raise():

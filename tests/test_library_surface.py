@@ -8,6 +8,7 @@ as a shipped code path or a public alias.
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -108,6 +109,49 @@ REMOVED = [
     ("repro.nn.module:Module", "parameter_shapes"),
     ("repro.analysis.baseline:Baseline", "__len__"),
     ("repro.analysis.engine", "analyze_source"),
+    # Options no caller set, and the code only their other values reached.
+    ("repro.simulation.arena", "ArenaSGD"),
+    ("repro.nn.optim:SGD", "state_dict"),
+    ("repro.nn.optim:SGD", "load_state_dict"),
+    ("repro.simulation.timing", "HeterogeneousTimeModel"),
+    ("repro.simulation.timing", "time_model_from_dict"),
+    ("repro.simulation.timing:TimeModel", "to_dict"),
+    ("repro.checkpoint.preemption", "register"),
+    ("repro.checkpoint.preemption", "unregister"),
+    ("repro.checkpoint.preemption", "_active"),
+    ("repro.checkpoint.preemption", "_lock"),
+]
+
+#: (callable, parameter): the parameter (or dataclass field) is gone from the
+#: callable's signature.
+REMOVED_PARAMETERS = [
+    ("repro.simulation.experiment:ExperimentConfig", "momentum"),
+    ("repro.simulation.experiment:ExperimentConfig", "time_model"),
+    ("repro.simulation.experiment:ExperimentConfig", "stop_at_target"),
+    ("repro.simulation.experiment:ExperimentConfig.with_target", "stop"),
+    ("repro.nn.optim:SGD", "momentum"),
+    ("repro.nn.optim:SGD", "weight_decay"),
+    ("repro.simulation.node:SimulationNode", "momentum"),
+    ("repro.simulation.arena:NodeArenas.step_rows", "momentum"),
+    ("repro.simulation.timing:TimeModel", "compute_seconds_per_step"),
+    ("repro.simulation.timing:TimeModel", "bandwidth_bytes_per_second"),
+    ("repro.simulation.timing:TimeModel", "latency_seconds"),
+    ("repro.core.config:JwinsConfig", "float_codec"),
+    ("repro.core.config:JwinsConfig", "index_codec"),
+    ("repro.baselines.full_sharing:FullSharingScheme", "compress"),
+    ("repro.baselines.full_sharing:full_sharing_factory", "compress"),
+    ("repro.baselines.random_sampling:RandomSamplingScheme", "compress"),
+    ("repro.baselines.random_sampling:random_sampling_factory", "compress"),
+    ("repro.baselines.choco:ChocoScheme", "compress"),
+    ("repro.baselines.choco:choco_factory", "compress"),
+    ("repro.baselines.quantized:QuantizedSharingScheme", "bucket_size"),
+    ("repro.baselines.quantized:quantized_sharing_factory", "bucket_size"),
+    ("repro.baselines.topk_sharing:TopKSharingScheme", "use_accumulation"),
+    ("repro.baselines.topk_sharing:topk_sharing_factory", "use_accumulation"),
+    ("repro.orchestration.fork:run_fork", "checkpoint_dir"),
+    ("repro.orchestration.fork:run_fork", "checkpoint_every"),
+    ("repro.orchestration.fork:run_fork", "observers"),
+    ("repro.orchestration.fork:run_fork", "trace_dir"),
 ]
 
 
@@ -128,6 +172,25 @@ def test_removed_name_is_not_importable_from_repro(owner, name):
     assert holders == []
     with pytest.raises(ImportError):
         exec(f"from {module_name} import {name}", {})
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    REMOVED_PARAMETERS,
+    ids=[f"{owner.rpartition(':')[2]}-{name}" for owner, name in REMOVED_PARAMETERS],
+)
+def test_removed_parameter_is_not_accepted(owner, name):
+    module_name, _, path = owner.partition(":")
+    target = importlib.import_module(module_name)
+    for attribute in path.split("."):
+        target = getattr(target, attribute)
+    assert name not in inspect.signature(target).parameters
+
+
+def test_the_arenas_hold_no_momentum_buffers():
+    from repro.simulation.arena import NodeArenas
+
+    assert not hasattr(NodeArenas(1, [(2,)]), "velocity")
 
 
 def test_the_statistics_module_is_gone():
