@@ -7,7 +7,9 @@
 # Stages:
 #   lint         byte-compile every python tree (fast syntax gate)
 #   analysis     repro.analysis static-analysis gate (determinism &
-#                serialization rules over src/ and the markdown docs)
+#                serialization rules over src/ and the markdown docs; every
+#                finding fails), then a synthetic violation that must be
+#                reported under API001 and DET002
 #   docs         documentation link check (the DOC001 analysis rule alone)
 #   test         the tier-1 pytest suite (tests + benchmark harness); fails
 #                when the run changed `git status --porcelain` (hermeticity)
@@ -69,28 +71,27 @@ stage_lint() {
 }
 
 stage_analysis() {
-  python -m repro.analysis --baseline .analysis-baseline.json src README.md docs
+  python -m repro.analysis src README.md docs
 
   # The gate must also fail: a file shaped like an operator-facing module,
-  # with an undocumented public method and a wall-clock read, must be reported
-  # (JSON form), grandfathered by a written baseline, and then pass.
+  # with an undocumented public method and a wall-clock read, must be
+  # reported under both rules.
   local bad="$CI_TMP/analysis/src/repro/orchestration/smoke.py"
   mkdir -p "$(dirname "$bad")"
   printf 'import time\n\n\nclass Public:\n    def method(self):\n        return time.time()\n' >"$bad"
   python -m repro.analysis --list-rules >/dev/null
-  if python -m repro.analysis --format json "$bad" >"$CI_TMP/analysis.json"; then
+  if python -m repro.analysis "$bad" >"$CI_TMP/analysis.txt"; then
     echo "analysis gate FAILED: a known violation was not reported" >&2
     return 1
   fi
-  python - "$CI_TMP/analysis.json" <<'PY'
-import json
-import sys
-
-rules = {finding["rule"] for finding in json.load(open(sys.argv[1], encoding="utf-8"))["findings"]}
-assert "API001" in rules, f"undocumented public method not reported: {sorted(rules)}"
-PY
-  python -m repro.analysis --write-baseline "$CI_TMP/analysis-baseline.json" "$bad" >/dev/null
-  python -m repro.analysis --baseline "$CI_TMP/analysis-baseline.json" "$bad" >/dev/null
+  local rule
+  for rule in API001 DET002; do
+    if ! grep -q ": $rule: " "$CI_TMP/analysis.txt"; then
+      echo "analysis gate FAILED: $rule not reported:" >&2
+      cat "$CI_TMP/analysis.txt" >&2
+      return 1
+    fi
+  done
 }
 
 stage_docs() {

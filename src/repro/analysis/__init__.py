@@ -12,26 +12,23 @@ The framework is a single-pass AST visitor core with a rule registry:
 * every :class:`~repro.analysis.core.Rule` declares the node types it wants to
   see; the engine parses each file once and dispatches nodes to interested
   rules (markdown rules see the raw text instead);
-* findings can be silenced inline with ``# repro: allow[RULE-ID] reason`` or
-  grandfathered in a committed JSON baseline file;
-* reporters render text (the CI gate) or JSON (machine-readable).
+* every finding fails the gate: nothing in the analysed source can silence a
+  rule, and a rule's exemptions are the modules its
+  :meth:`~repro.analysis.core.Rule.applies_to` scoping leaves out.
 
-Run it as ``python -m repro.analysis [--format json] [--rule ID] [paths]``;
+Run it as ``python -m repro.analysis [--rule ID] [paths]``;
 ``scripts/ci.sh analysis`` wires it between the ``lint`` and ``docs`` stages.
 The shipped rules are documented in ``docs/ARCHITECTURE.md`` and listed by
 ``python -m repro.analysis --list-rules``.
 """
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.core import Finding, Rule, Severity, all_rules, get_rule, register_rule
+from repro.analysis.core import Finding, Rule, all_rules, get_rule, register_rule
 from repro.analysis.engine import AnalysisReport, analyze_paths
 
 __all__ = [
     "AnalysisReport",
-    "Baseline",
     "Finding",
     "Rule",
-    "Severity",
     "all_rules",
     "analyze_paths",
     "get_rule",

@@ -3,13 +3,12 @@
 Usage::
 
     python -m repro.analysis [paths...]
-    python -m repro.analysis --format json src
     python -m repro.analysis --rule DET001 --rule DET002 src/repro/simulation
-    python -m repro.analysis --baseline .analysis-baseline.json src README.md docs
-    python -m repro.analysis --write-baseline .analysis-baseline.json src
     python -m repro.analysis --list-rules
 
-Exit codes: 0 = clean, 1 = findings, 2 = usage/configuration error.
+The report is one ``path:line:col: RULE: message`` line per finding, then a
+summary line.  Exit codes: 0 = clean, 1 = findings, 2 = usage/configuration
+error.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.core import all_rules, get_rule
-from repro.analysis.engine import analyze_paths
-from repro.analysis.reporters import render
+from repro.analysis.engine import AnalysisReport, analyze_paths
 from repro.exceptions import ConfigurationError
 
 #: Scanned when no paths are given (whichever of these exist).
@@ -42,29 +39,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to analyze (default: src README.md docs)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
         "--rule",
         action="append",
         default=None,
         metavar="ID",
         help="run only this rule (repeatable)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="JSON baseline of grandfathered findings to ignore",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="write all current findings as a new baseline and exit 0",
     )
     parser.add_argument(
         "--list-rules",
@@ -78,9 +57,22 @@ def _list_rules() -> str:
     lines = []
     for rule in all_rules():
         suffixes = ",".join(rule.file_suffixes)
-        lines.append(
-            f"{rule.id}  [{rule.severity.value:7s}]  ({suffixes})  {rule.summary}"
-        )
+        lines.append(f"{rule.id}  ({suffixes})  {rule.summary}")
+    return "\n".join(lines)
+
+
+def render_text(report: AnalysisReport) -> str:
+    """One line per finding, then a summary line."""
+
+    lines = [
+        f"{finding.path}:{finding.line}:{finding.column}: {finding.rule}: {finding.message}"
+        for finding in report.findings
+    ]
+    if report.findings:
+        summary = f"analysis FAILED: {len(report.findings)} finding(s)"
+    else:
+        summary = "analysis OK: 0 findings"
+    lines.append(f"{summary} in {report.files_scanned} file(s)")
     return "\n".join(lines)
 
 
@@ -101,18 +93,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigurationError(
                 "no analysis targets: pass paths explicitly or run from the repo root"
             )
-        baseline = Baseline.load(options.baseline) if options.baseline else None
-        report = analyze_paths(paths, rules=rules, baseline=baseline)
-        if options.write_baseline:
-            written = Baseline.from_findings(report.raw_findings).save(
-                options.write_baseline
-            )
-            print(
-                f"wrote baseline with {len(report.raw_findings)} entr(y/ies) "
-                f"to {written}"
-            )
-            return 0
-        print(render(report, options.format))
+        report = analyze_paths(paths, rules=rules)
+        print(render_text(report))
         return 0 if report.ok else 1
     except ConfigurationError as error:
         print(f"analysis: error: {error}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Per-file analysis context: source, AST, imports and name resolution.
 
 The context is built once per file and shared by every rule, so expensive
-work (parsing, the parent map, the import table, suppression extraction)
-happens a single time regardless of how many rules run.
+work (parsing, the parent map, the import table) happens a single time
+regardless of how many rules run.
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-
-from repro.analysis.suppressions import extract_suppressions
 
 __all__ = ["FileContext", "module_name_for"]
 
@@ -64,8 +62,6 @@ class FileContext:
     import_members: dict[str, str] = field(default_factory=dict)
     #: Child node -> parent node, for ancestry queries.
     parents: dict[ast.AST, ast.AST] = field(default_factory=dict)
-    #: Line number -> rule ids allowed there (see ``suppressions.py``).
-    suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
 
     @classmethod
     def build(cls, path: Path, display_path: str, source: str) -> "FileContext":
@@ -85,7 +81,6 @@ class FileContext:
         if path.suffix == ".py":
             ctx.tree = ast.parse(source, filename=str(path))
             ctx._index_tree()
-            ctx.suppressions = extract_suppressions(source)
         return ctx
 
     def _index_tree(self) -> None:
@@ -126,13 +121,6 @@ class FileContext:
         return ".".join(base) if base else None
 
     # -- helpers for rules ---------------------------------------------------------
-    def line_text(self, line: int) -> str:
-        """Source text of 1-indexed ``line`` (empty for out-of-range lines)."""
-
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
-
     def resolve(self, node: ast.AST) -> str | None:
         """Dotted origin of a name/attribute chain, via the import table.
 
@@ -163,9 +151,3 @@ class FileContext:
             self.module == prefix or self.module.startswith(prefix + ".")
             for prefix in prefixes
         )
-
-    def is_suppressed(self, finding_line: int, rule_id: str) -> bool:
-        """Whether an inline ``# repro: allow[...]`` covers ``finding_line``."""
-
-        allowed = self.suppressions.get(finding_line)
-        return allowed is not None and rule_id in allowed

@@ -8,7 +8,6 @@ is by decorator::
     @register_rule
     class NoFrobnication(Rule):
         id = "DET999"
-        severity = Severity.ERROR
         summary = "no frobnication in engine code"
         node_types = (ast.Call,)
 
@@ -17,14 +16,14 @@ is by decorator::
 
 The engine (:mod:`repro.analysis.engine`) instantiates every registered rule
 once, walks each file's AST a single time and dispatches each node to the
-rules interested in its type.
+rules interested in its type.  Every finding fails the gate; a rule that must
+not fire in some module scopes that module out in :meth:`Rule.applies_to`.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
 from repro.exceptions import ConfigurationError
@@ -35,64 +34,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 __all__ = [
     "Finding",
     "Rule",
-    "Severity",
     "all_rules",
     "get_rule",
     "register_rule",
 ]
 
 
-class Severity(str, Enum):
-    """How bad a finding is; any unsuppressed finding fails the gate."""
-
-    WARNING = "warning"
-    ERROR = "error"
-
-
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at one source location."""
+    """One rule violation at one source location; every finding fails the gate."""
 
     rule: str
-    severity: Severity
     path: str
     line: int
     column: int
     message: str
-    #: The stripped source line, used for location-tolerant baseline matching.
-    code: str = ""
 
     def sort_key(self) -> tuple:
         """Stable report order: by location, then rule id."""
 
         return (self.path, self.line, self.column, self.rule)
 
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-number-free identity used by the baseline (survives drift)."""
-
-        return (self.rule, self.path, self.code)
-
-    def to_dict(self) -> dict:
-        """JSON-safe representation (the JSON reporter's row schema)."""
-
-        return {
-            "rule": self.rule,
-            "severity": self.severity.value,
-            "path": self.path,
-            "line": int(self.line),
-            "column": int(self.column),
-            "message": self.message,
-            "code": self.code,
-        }
-
 
 class Rule:
     """Base class for analysis rules; subclass and :func:`register_rule`."""
 
-    #: Unique identifier, e.g. ``"DET001"`` — what suppressions and the
-    #: ``--rule`` flag refer to.
+    #: Unique identifier, e.g. ``"DET001"`` — what the ``--rule`` flag refers to.
     id = "RULE000"
-    severity = Severity.ERROR
     #: One-line description shown by ``--list-rules``.
     summary = ""
     #: AST node types routed to :meth:`visit` (python files only).
@@ -122,12 +90,10 @@ class Rule:
 
         return Finding(
             rule=self.id,
-            severity=self.severity,
             path=ctx.display_path,
             line=line,
             column=column,
             message=message,
-            code=ctx.line_text(line).strip(),
         )
 
 

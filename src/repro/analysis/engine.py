@@ -1,16 +1,15 @@
 """The single-pass analysis engine.
 
 For every target file the engine builds one :class:`~repro.analysis.context.
-FileContext` (source, AST, import table, parent map, suppressions), then
+FileContext` (source, AST, import table, parent map), then
 
 * walks the AST **once**, dispatching each node to the rules that registered
   interest in its type, and
 * calls every applicable rule's :meth:`~repro.analysis.core.Rule.check_file`
   once (markdown rules live entirely in this hook).
 
-Inline ``# repro: allow[RULE-ID]`` suppressions are honoured here, and an
-optional :class:`~repro.analysis.baseline.Baseline` absorbs grandfathered
-findings, so rules never need to think about either mechanism.
+Every finding fails the gate: exemptions live in each rule's module scoping
+(:meth:`~repro.analysis.core.Rule.applies_to`), never in the analysed source.
 """
 
 from __future__ import annotations
@@ -18,11 +17,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.context import FileContext
-from repro.analysis.core import Finding, Rule, Severity, all_rules
+from repro.analysis.core import Finding, Rule, all_rules
 from repro.exceptions import ConfigurationError
 
 __all__ = ["AnalysisReport", "analyze_paths", "collect_files"]
@@ -35,24 +33,14 @@ _SKIPPED_DIRS = {"__pycache__", ".git", ".pytest_cache", "node_modules"}
 
 @dataclass
 class AnalysisReport:
-    """Outcome of one analysis run.
-
-    ``findings`` are the violations that *fail* the gate (already filtered
-    for suppressions and the baseline, sorted by location).  ``suppressed``
-    and ``baselined`` count what was filtered out; ``raw_findings`` holds the
-    suppression-filtered, pre-baseline set (what ``--write-baseline``
-    persists — inline-suppressed findings need no baseline entry).
-    """
+    """Outcome of one analysis run: the findings, sorted by location."""
 
     findings: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    suppressed: int = 0
-    baselined: int = 0
-    raw_findings: list[Finding] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """Whether the gate passes (no unsuppressed, un-baselined findings)."""
+        """Whether the gate passes (no findings at all)."""
 
         return not self.findings
 
@@ -90,7 +78,7 @@ def _display_path(path: Path) -> str:
 
 
 def _analyze_context(ctx: FileContext, rules: Sequence[Rule]) -> list[Finding]:
-    """All raw findings for one built context (no suppression filtering)."""
+    """All findings for one built context, in dispatch order."""
 
     applicable = [
         rule
@@ -115,13 +103,11 @@ def _analyze_context(ctx: FileContext, rules: Sequence[Rule]) -> list[Finding]:
 def analyze_paths(
     paths: Sequence[str | Path],
     rules: Sequence[Rule] | None = None,
-    baseline: Baseline | None = None,
 ) -> AnalysisReport:
     """Run ``rules`` (default: all registered) over ``paths``."""
 
     selected = list(rules) if rules is not None else all_rules()
     report = AnalysisReport()
-    kept: list[Finding] = []
     for path in collect_files(paths):
         display = _display_path(path)
         try:
@@ -133,10 +119,9 @@ def analyze_paths(
         except SyntaxError as error:
             # The lint stage byte-compiles everything first, but a direct
             # invocation must still fail loudly on an unparseable file.
-            kept.append(
+            report.findings.append(
                 Finding(
                     rule="SYNTAX",
-                    severity=Severity.ERROR,
                     path=display,
                     line=int(error.lineno or 1),
                     column=int(error.offset or 0),
@@ -146,16 +131,6 @@ def analyze_paths(
             report.files_scanned += 1
             continue
         report.files_scanned += 1
-        raw = _analyze_context(ctx, selected)
-        for finding in raw:
-            if ctx.is_suppressed(finding.line, finding.rule):
-                report.suppressed += 1
-            else:
-                kept.append(finding)
-    kept.sort(key=Finding.sort_key)
-    report.raw_findings = list(kept)
-    if baseline is not None:
-        kept, grandfathered = baseline.split(kept)
-        report.baselined = len(grandfathered)
-    report.findings = kept
+        report.findings.extend(_analyze_context(ctx, selected))
+    report.findings.sort(key=Finding.sort_key)
     return report

@@ -12,7 +12,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.context import FileContext
-from repro.analysis.core import Finding, Rule, Severity, register_rule
+from repro.analysis.core import Finding, Rule, register_rule
 
 
 def _is_public(name: str) -> bool:
@@ -25,7 +25,6 @@ class PublicApiDocstrings(Rule):
     must carry docstrings."""
 
     id = "API001"
-    severity = Severity.WARNING
     summary = (
         "public functions and methods in repro.orchestration/repro.checkpoint "
         "must have docstrings"

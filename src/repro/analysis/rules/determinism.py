@@ -12,7 +12,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.context import FileContext
-from repro.analysis.core import Finding, Rule, Severity, register_rule
+from repro.analysis.core import Finding, Rule, register_rule
 
 #: ``numpy.random`` attributes that construct or seed generators rather than
 #: drawing from the hidden global state.  Everything else under
@@ -56,7 +56,6 @@ class NoGlobalRng(Rule):
     """
 
     id = "DET001"
-    severity = Severity.ERROR
     summary = (
         "no process-global or OS-entropy randomness; inject a seeded "
         "numpy Generator instead"
@@ -119,7 +118,6 @@ class NoWallClock(Rule):
     """
 
     id = "DET002"
-    severity = Severity.ERROR
     summary = (
         "no wall-clock reads outside the telemetry package "
         "(repro.observability); simulated time comes from the virtual clock"
@@ -177,7 +175,6 @@ class NoUnorderedIteration(Rule):
     """
 
     id = "DET003"
-    severity = Severity.ERROR
     summary = (
         "no iteration over sets (or set-typed expressions) in replay-critical "
         "paths; wrap in sorted(...)"

@@ -14,7 +14,7 @@ import re
 from typing import Iterator
 
 from repro.analysis.context import FileContext
-from repro.analysis.core import Finding, Rule, Severity, register_rule
+from repro.analysis.core import Finding, Rule, register_rule
 
 #: ``[text](target)`` and ``![alt](target)`` — the only link syntax we use.
 LINK_PATTERN = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
@@ -40,7 +40,6 @@ class MarkdownLinksResolve(Rule):
     """DOC001: relative markdown links point at real files and anchors."""
 
     id = "DOC001"
-    severity = Severity.ERROR
     summary = "relative markdown links and #anchors must resolve"
     file_suffixes = (".md",)
 

@@ -12,7 +12,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.context import FileContext
-from repro.analysis.core import Finding, Rule, Severity, register_rule
+from repro.analysis.core import Finding, Rule, register_rule
 
 #: ``Pool`` / executor methods whose callable argument is pickled.
 _POOL_METHODS = {
@@ -46,7 +46,6 @@ class NoUnpicklableAcrossPool(Rule):
     """POOL001: no lambdas or nested functions handed to pool methods."""
 
     id = "POOL001"
-    severity = Severity.ERROR
     summary = (
         "no lambdas or locally-defined functions across the multiprocessing "
         "pool; use module-level functions"
@@ -114,7 +113,6 @@ class NoLambdaOnSerializableState(Rule):
     """
 
     id = "POOL002"
-    severity = Severity.ERROR
     summary = (
         "no lambdas stored as attributes of serializable classes "
         "(to_dict/state_dict/__getstate__)"

@@ -13,7 +13,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.context import FileContext
-from repro.analysis.core import Finding, Rule, Severity, register_rule
+from repro.analysis.core import Finding, Rule, register_rule
 
 #: ``to_dict`` bodies calling any of these are treated as wildcard-complete —
 #: they enumerate fields dynamically rather than naming them one by one.
@@ -136,7 +136,6 @@ class ToDictCompleteness(Rule):
     """
 
     id = "SER001"
-    severity = Severity.ERROR
     summary = (
         "every attribute assigned in __init__ must be referenced in to_dict "
         "(or listed in _DERIVED_FIELDS)"
@@ -225,7 +224,6 @@ class StateDictPairing(Rule):
     """
 
     id = "SER002"
-    severity = Severity.ERROR
     summary = (
         "state_dict/load_state_dict must be implemented together; classes "
         "holding RNG state must implement both"

@@ -84,7 +84,7 @@ SCHEME_CHOICES = available_schemes()
 
 SUBCOMMANDS = ("run", "sweep", "regenerate", "fork", "store", "trace", "top")
 
-#: Exit code of a run/sweep that checkpointed itself after an interrupt
+#: Exit code of a run/sweep/fork that checkpointed itself after an interrupt
 #: (mirrors the conventional 128 + SIGINT).
 PAUSED_EXIT_CODE = 130
 
@@ -256,7 +256,8 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_cli_parser() -> argparse.ArgumentParser:
-    """The full subcommand parser: ``run`` (default), ``sweep``, ``regenerate``."""
+    """The full subcommand parser: ``run`` (the default), ``sweep``,
+    ``regenerate``, ``fork``, ``store``, ``trace`` and ``top``."""
 
     parser = argparse.ArgumentParser(
         prog="jwins-repro",
@@ -616,6 +617,10 @@ def _run_cells(
     subcommand in the clean-exit message of a failing cell.  Returns the
     results of the finished cells, in order, and the round the next one paused
     at (``None`` when all finished).
+
+    SIGINT pauses at the next round boundary only when ``--checkpoint-dir``
+    gives the pause somewhere to save into; otherwise it stays a
+    KeyboardInterrupt.
     """
 
     board = None
@@ -629,6 +634,8 @@ def _run_cells(
         board.start_auto_refresh()
     finished: list[ExperimentResult] = []
     state = "failed"
+    checkpointing = args.checkpoint_dir is not None
+    previous_handler = preemption.install_preemption_handler() if checkpointing else None
     try:
         for spec in specs:
             print(f"running {spec.scheme.label} ...")
@@ -655,6 +662,9 @@ def _run_cells(
         state = "done"
         return finished, None
     finally:
+        if checkpointing:
+            preemption.restore_handler(previous_handler)
+            preemption.reset()
         if trace is not None:
             trace.close()
         if board is not None:
@@ -733,27 +743,17 @@ def _run_command(args: argparse.Namespace) -> int:
                 "changed config with `fork`"
             )
     metrics = MetricsRegistry() if args.metrics else None
-    # SIGINT pauses at the next round boundary only when there is a
-    # checkpoint directory to pause into; otherwise it stays a
-    # KeyboardInterrupt (a resumed run without one has nowhere to save).
-    checkpointing = args.checkpoint_dir is not None
-    previous_handler = preemption.install_preemption_handler() if checkpointing else None
-    try:
-        finished, paused_at = _run_cells(
-            args,
-            "run",
-            f"run:{args.workload}",
-            specs,
-            TraceEmitter(args.trace) if args.trace is not None else None,
-            metrics,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            snapshot=snapshot,
-        )
-    finally:
-        if checkpointing:
-            preemption.restore_handler(previous_handler)
-            preemption.reset()
+    finished, paused_at = _run_cells(
+        args,
+        "run",
+        f"run:{args.workload}",
+        specs,
+        TraceEmitter(args.trace) if args.trace is not None else None,
+        metrics,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=args.checkpoint_every,
+        snapshot=snapshot,
+    )
     if paused_at is not None:
         spec = specs[len(finished)]
         resume_hint = ""
@@ -957,6 +957,8 @@ def _trace_command(args: argparse.Namespace) -> int:
     if args.action == "summarize":
         if args.path_b is not None:
             raise SystemExit("trace summarize takes a single path")
+        if args.json:
+            raise SystemExit("--json applies to trace diff only")
         try:
             print(summarize_trace_dir(path) if path.is_dir() else summarize_trace(path))
         except (OSError, json.JSONDecodeError) as error:

@@ -19,12 +19,9 @@ def analyze_source(
 
     ``filename`` controls module-scoped rules: pass a path shaped like the
     real tree (e.g. ``src/repro/simulation/engine.py``) to exercise them.
-    Suppressions are honoured; no baseline is involved.
     """
 
     path = Path(filename)
     ctx = FileContext.build(path, path.as_posix(), source)
     selected = list(rules) if rules is not None else all_rules()
-    raw = engine._analyze_context(ctx, selected)
-    kept = [f for f in raw if not ctx.is_suppressed(f.line, f.rule)]
-    return sorted(kept, key=Finding.sort_key)
+    return sorted(engine._analyze_context(ctx, selected), key=Finding.sort_key)

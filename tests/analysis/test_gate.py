@@ -8,7 +8,6 @@ rule, file and line.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -37,15 +36,9 @@ def run_analysis(*arguments: str, cwd: Path = REPO_ROOT) -> subprocess.Completed
 
 class TestShippedTreeIsClean:
     def test_full_tree_exits_zero(self):
-        result = run_analysis(
-            "--baseline", ".analysis-baseline.json", "src", "README.md", "docs"
-        )
+        result = run_analysis("src", "README.md", "docs")
         assert result.returncode == 0, result.stdout + result.stderr
         assert "analysis OK" in result.stdout
-
-    def test_shipped_baseline_is_empty(self):
-        document = json.loads((REPO_ROOT / ".analysis-baseline.json").read_text())
-        assert document == {"version": 1, "entries": []}
 
     def test_list_rules(self):
         result = run_analysis("--list-rules")
@@ -82,6 +75,11 @@ SYNTHETIC_VIOLATIONS = {
         "        return {}\n"
     ),
 }
+
+
+#: The inline allow comment the gate once honoured, spelled in two parts so the
+#: retired marker appears verbatim nowhere in the tree.
+RETIRED_ALLOW = "# repro: " + "allow[DET001] fixture"
 
 
 class TestSyntheticViolationsFailTheGate:
@@ -121,15 +119,23 @@ class TestSyntheticViolationsFailTheGate:
         assert result.returncode == 1
         assert "DOC001" in result.stdout
 
-    def test_json_format_reports_violation(self, violation_tree):
+    @pytest.mark.parametrize(
+        "source",
+        [
+            f"import numpy as np\nx = np.random.rand(3)  {RETIRED_ALLOW}\n",
+            f"import numpy as np\n{RETIRED_ALLOW}\nx = np.random.rand(3)\n",
+        ],
+        ids=["same-line", "line-above"],
+    )
+    def test_allow_comment_does_not_silence_a_finding(self, violation_tree, source):
         root, package = violation_tree
         target = package / "bad.py"
-        target.write_text(SYNTHETIC_VIOLATIONS["DET001"])
-        result = run_analysis("--format", "json", str(target))
-        assert result.returncode == 1
-        document = json.loads(result.stdout)
-        assert document["summary"]["errors"] == 1
-        assert document["findings"][0]["rule"] == "DET001"
+        target.write_text(source)
+        result = run_analysis(str(target))
+        assert result.returncode == 1, result.stdout + result.stderr
+        assert "bad.py:" in result.stdout
+        assert ": DET001: " in result.stdout
+        assert "analysis FAILED: 1 finding(s)" in result.stdout
 
     def test_ci_stage_fails_on_synthetic_violation(self, tmp_path):
         """`scripts/ci.sh analysis` must fail when src/ carries a violation.
@@ -141,26 +147,33 @@ class TestSyntheticViolationsFailTheGate:
         package = tmp_path / "src" / "repro" / "simulation"
         package.mkdir(parents=True)
         (package / "bad.py").write_text(SYNTHETIC_VIOLATIONS["DET001"])
-        result = run_analysis(
-            "--baseline", str(REPO_ROOT / ".analysis-baseline.json"),
-            str(tmp_path / "src"),
-        )
+        result = run_analysis(str(tmp_path / "src"))
         assert result.returncode == 1
         assert "DET001" in result.stdout
 
 
-class TestBaselineCli:
-    def test_write_then_consume_baseline(self, violation_tree):
-        root, package = violation_tree
-        (package / "bad.py").write_text(SYNTHETIC_VIOLATIONS["DET001"])
-        baseline_path = root / "baseline.json"
-        written = run_analysis("--write-baseline", str(baseline_path), str(root / "src"))
-        assert written.returncode == 0
-        gated = run_analysis("--baseline", str(baseline_path), str(root / "src"))
-        assert gated.returncode == 0
-        assert "1 baselined" in gated.stdout
-
+class TestUsageErrors:
     def test_unknown_rule_is_usage_error(self):
         result = run_analysis("--rule", "NOPE999", "README.md")
         assert result.returncode == 2
         assert "unknown rule" in result.stderr
+
+    @pytest.mark.parametrize(
+        "option",
+        [("--format", "json"), ("--baseline", "b.json"), ("--write-baseline", "b.json")],
+        ids=["format", "baseline", "write-baseline"],
+    )
+    def test_removed_option_is_usage_error(self, option):
+        result = run_analysis(*option, "README.md")
+        assert result.returncode == 2
+        assert "unrecognized arguments" in result.stderr
+
+    def test_missing_path_is_usage_error(self, tmp_path):
+        result = run_analysis(str(tmp_path / "absent.py"))
+        assert result.returncode == 2
+        assert "does not exist" in result.stderr
+
+    def test_no_default_targets_is_usage_error(self, tmp_path):
+        result = run_analysis(cwd=tmp_path)
+        assert result.returncode == 2
+        assert "no analysis targets" in result.stderr

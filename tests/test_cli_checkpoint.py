@@ -100,21 +100,27 @@ def test_run_paused_by_preemption_exits_130(tmp_path, capsys):
     assert resumed.splitlines()[-3:] == plain.splitlines()[-3:]
 
 
-@pytest.mark.parametrize("with_dir", [False, True], ids=["resume-only", "resume-into-dir"])
+@pytest.mark.parametrize("with_dir", [False, True], ids=["no-dir", "into-dir"])
+@pytest.mark.parametrize("command", ["run", "fork"])
 def test_run_installs_the_sigint_pause_only_with_a_checkpoint_dir(
-    tmp_path, capsys, monkeypatch, with_dir
+    tmp_path, capsys, monkeypatch, command, with_dir
 ):
-    """A pause needs a directory to save into: a bare ``--resume-from`` keeps
-    Ctrl-C a KeyboardInterrupt instead of printing a pause it cannot keep."""
+    """A pause needs a directory to save into: a bare ``--resume-from`` (or a
+    ``fork`` without ``--checkpoint-dir``) keeps Ctrl-C a KeyboardInterrupt
+    instead of printing a pause it cannot keep."""
 
     assert main(RUN_ARGS + checkpoint_args(tmp_path, every=2)) == 0
-    snapshot_path = only_snapshot(tmp_path)
+    snapshot_path = str(only_snapshot(tmp_path))
     installs = []
     monkeypatch.setattr(
         preemption, "install_preemption_handler", lambda: installs.append(True)
     )
+    invocation = {
+        "run": RUN_ARGS + ["--resume-from", snapshot_path],
+        "fork": ["fork", "--snapshot", snapshot_path, "--rounds", "6"],
+    }[command]
     extra = ["--checkpoint-dir", str(tmp_path / "ck")] if with_dir else []
-    assert main(RUN_ARGS + ["--resume-from", str(snapshot_path)] + extra) == 0
+    assert main(invocation + extra) == 0
     capsys.readouterr()
     assert installs == [True] * with_dir
 

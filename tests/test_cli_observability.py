@@ -125,6 +125,12 @@ def test_trace_summarize_rejects_two_paths(tmp_path):
         main(["trace", "summarize", str(trace_dir), str(trace_dir)])
 
 
+def test_trace_summarize_rejects_json(tmp_path):
+    trace_dir = _traced_sweep(tmp_path, "a")
+    with pytest.raises(SystemExit, match="--json applies to trace diff only"):
+        main(["trace", "summarize", str(trace_dir), "--json"])
+
+
 # -- one road: `run` is ExperimentSpec.run with or without checkpoint flags ------------
 def test_run_prints_and_traces_the_same_with_or_without_checkpoint_dir(tmp_path, capsys):
     outputs, traces = [], []
