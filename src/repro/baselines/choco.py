@@ -139,7 +139,7 @@ class ChocoScheme(SharingScheme):
         )
 
 
-def choco_factory(fraction: float = 0.2, gamma: float = 0.6):
+def choco_factory(fraction: float = 0.37, gamma: float = 0.6):
     """Factory for :class:`ChocoScheme` nodes with the given budget and step size."""
 
     def factory(node_id: int, model_size: int, seed: int) -> ChocoScheme:

@@ -21,9 +21,9 @@ Integrity and identity:
   load, so silent corruption or manual edits fail loudly;
 * the snapshot embeds the :class:`~repro.orchestration.spec.ExperimentSpec`
   that produced it (when the run was spec-driven), tying each snapshot to its
-  cell — resuming under a different spec is refused, while ``fork``
-  deliberately relaxes the check to replay a snapshot under a mutated config
-  axis.
+  cell — resuming under a different spec is refused, unless that spec is a
+  ``fork`` whose lineage names this snapshot's spec and round (a replay
+  under a mutated config axis).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -118,6 +118,7 @@ class SimulationSnapshot:
     version: int = SNAPSHOT_VERSION
 
     # -- identity ------------------------------------------------------------------
+    # Hand-written, not the record codec's: a bad file is a CheckpointError.
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe representation; exact inverse of :meth:`from_dict`."""
 
@@ -135,9 +136,11 @@ class SimulationSnapshot:
                 "(snapshot written by a newer version?)"
             )
         missing = sorted(
-            {"execution", "config", "task", "scheme", "model_size", "rounds_completed",
-             "result", "nodes", "rng_streams", "topology", "meter", "mode_state"}
-            - set(data)
+            snapshot_field.name
+            for snapshot_field in fields(cls)
+            if snapshot_field.name not in data
+            and snapshot_field.default is MISSING
+            and snapshot_field.default_factory is MISSING
         )
         if missing:
             raise CheckpointError(f"snapshot is missing field(s): {', '.join(missing)}")

@@ -926,7 +926,6 @@ def _fork_command(args: argparse.Namespace) -> int:
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         snapshot=snapshot,
-        verify_spec=False,
     )
     if paused_at is not None:
         print(f"paused forked run at round {paused_at}")

@@ -7,9 +7,8 @@ from repro.datasets.base import (
     iterate_minibatches,
     rating_accuracy,
 )
-from repro.datasets.celeba import make_celeba_task
 from repro.datasets.cifar10 import make_cifar10_task
-from repro.datasets.femnist import make_femnist_task
+from repro.datasets.leaf import make_celeba_task, make_femnist_task
 from repro.datasets.movielens import make_movielens_task
 from repro.datasets.partition import (
     client_partition,

@@ -53,6 +53,7 @@ class FieldDrift:
     rel_delta: float | None = None
     note: str | None = None
 
+    # Hand-written, not the record codec's: a report is written, never read back.
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe representation (used by ``trace diff --json``)."""
 
@@ -182,6 +183,7 @@ class TraceDiff:
     backtrace: list[dict[str, Any]] = field(default_factory=list)
     origin: str | None = None
 
+    # Hand-written, not the record codec's: a report is written, never read back.
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe representation of the full report."""
 

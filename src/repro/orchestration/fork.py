@@ -96,7 +96,5 @@ def run_fork(
     """
 
     spec = build_forked_spec(snapshot, mutations)
-    result = spec.run(
-        snapshot=snapshot, verify_spec=False, metrics=metrics, heartbeat=heartbeat
-    )
+    result = spec.run(snapshot=snapshot, metrics=metrics, heartbeat=heartbeat)
     return spec, result

@@ -3,13 +3,15 @@
 The sweep subsystem cannot hold live :class:`~repro.core.interface.SchemeFactory`
 callables — an :class:`~repro.orchestration.spec.ExperimentSpec` must be
 hashable, serializable and reconstructible inside a worker process.  This
-registry is the bridge: every scheme the CLI knows is registered here with its
-tunable parameters and their defaults, and :func:`build_scheme_factory` turns a
-``(name, params)`` pair back into a configured factory.
+registry is the bridge: every scheme the CLI knows is registered here by its
+builder, whose signature declares the tunable parameters and their defaults,
+and :func:`build_scheme_factory` turns a ``(name, params)`` pair back into a
+configured factory.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -23,6 +25,7 @@ from repro.baselines import (
 from repro.core import JwinsConfig, adaptive_jwins_factory, jwins_factory
 from repro.core.interface import SchemeFactory
 from repro.exceptions import ConfigurationError
+from repro.utils.records import Record
 
 __all__ = [
     "SCHEME_REGISTRY",
@@ -47,69 +50,47 @@ def _build_jwins_adaptive(budget: float | None = None) -> SchemeFactory:
     return adaptive_jwins_factory(_jwins_config(budget))
 
 
-def _build_full_sharing() -> SchemeFactory:
-    return full_sharing_factory()
-
-
-def _build_random_sampling(fraction: float = 0.37) -> SchemeFactory:
-    return random_sampling_factory(fraction)
-
-
-def _build_topk(fraction: float = 0.37) -> SchemeFactory:
-    return topk_sharing_factory(fraction)
-
-
-def _build_choco(fraction: float = 0.37, gamma: float = 0.6) -> SchemeFactory:
-    return choco_factory(fraction=fraction, gamma=gamma)
-
-
-def _build_quantized(bits: int = 4) -> SchemeFactory:
-    return quantized_sharing_factory(bits=bits)
-
-
 @dataclass(frozen=True)
 class _RegisteredScheme:
-    """One registry entry: the builder plus its declared parameters."""
+    """One registry entry: the builder and what it builds."""
 
     builder: Callable[..., SchemeFactory]
-    params: tuple[str, ...]
     description: str
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        """The builder's parameters: the values a spec may set."""
+
+        return tuple(inspect.signature(self.builder).parameters)
 
 
 SCHEME_REGISTRY: dict[str, _RegisteredScheme] = {
     "jwins": _RegisteredScheme(
         _build_jwins,
-        ("budget",),
         "JWINS with the paper-default alpha distribution (or a budgeted one)",
     ),
     "jwins-adaptive": _RegisteredScheme(
         _build_jwins_adaptive,
-        ("budget",),
         "JWINS with the adaptive wavelet-level selection",
     ),
     "full-sharing": _RegisteredScheme(
-        _build_full_sharing,
-        (),
+        full_sharing_factory,
         "D-PSGD baseline sharing the full model every round",
     ),
     "random-sampling": _RegisteredScheme(
-        _build_random_sampling,
-        ("fraction",),
+        random_sampling_factory,
         "uniformly random parameter subset of the given fraction",
     ),
     "topk": _RegisteredScheme(
-        _build_topk,
-        ("fraction",),
+        topk_sharing_factory,
         "largest-magnitude parameter subset of the given fraction",
     ),
     "choco": _RegisteredScheme(
-        _build_choco,
-        ("fraction", "gamma"),
+        choco_factory,
         "CHOCO-SGD with TopK compression and consensus step size gamma",
     ),
     "quantized": _RegisteredScheme(
-        _build_quantized,
-        ("bits",),
+        quantized_sharing_factory,
         "uniform scalar quantization of the full model",
     ),
 }
@@ -156,7 +137,7 @@ def describe_schemes() -> str:
 
 
 @dataclass(frozen=True)
-class SchemeSpec:
+class SchemeSpec(Record):
     """A scheme reference a sweep can serialize: registry name + parameters.
 
     ``label`` names the cell in stores, reports and result mappings; it
@@ -181,22 +162,6 @@ class SchemeSpec:
         """The configured factory this spec describes."""
 
         return build_scheme_factory(self.name, self.params)
-
-    # -- (de)serialization ---------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation; exact inverse of :meth:`from_dict`."""
-
-        return {"name": self.name, "params": dict(self.params), "label": self.label}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SchemeSpec":
-        """Rebuild a scheme spec from :meth:`to_dict` output."""
-
-        return cls(
-            name=data["name"],
-            params=dict(data.get("params", {})),
-            label=data.get("label"),
-        )
 
     @classmethod
     def coerce(cls, value: "SchemeSpec | str | Mapping[str, Any]") -> "SchemeSpec":

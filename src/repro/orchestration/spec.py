@@ -105,6 +105,7 @@ class ExperimentSpec:
             object.__setattr__(self, "lineage", _jsonify(dict(self.lineage)))
 
     # -- identity ------------------------------------------------------------------
+    # Hand-written, not the record codec's: an absent lineage is omitted, not null.
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe representation; exact inverse of :meth:`from_dict`."""
 
@@ -188,7 +189,6 @@ class ExperimentSpec:
         checkpoint_dir: "str | None" = None,
         checkpoint_every: int = 0,
         snapshot: "SimulationSnapshot | None" = None,
-        verify_spec: bool = True,
         metrics: "MetricsRegistry | None" = None,
         observers: Sequence[object] = (),
         heartbeat: "CellStatusWriter | None" = None,
@@ -201,9 +201,10 @@ class ExperimentSpec:
         :class:`~repro.exceptions.ExperimentPaused`), and an existing
         snapshot for this spec is resumed automatically — mid-spec resume is
         byte-identical to an uninterrupted run.  An explicit ``snapshot``
-        wins over the directory lookup; ``verify_spec=False`` relaxes the
-        snapshot-belongs-to-this-spec check (the ``fork`` workflow, which
-        replays a parent spec's snapshot under a mutated config).
+        wins over the directory lookup.  A snapshot is accepted when it embeds
+        this spec, or when this spec's ``lineage`` names it as the fork point
+        (parent spec hash and round): the ``fork`` workflow, which replays a
+        parent spec's snapshot under a mutated config.
 
         ``metrics``, ``observers`` (e.g. a trace emitter) and ``heartbeat``
         attach the telemetry layer (see :mod:`repro.observability`); all three
@@ -225,12 +226,17 @@ class ExperimentSpec:
         key = self.content_hash()
         if snapshot is None and manager is not None:
             snapshot = manager.load_for_spec(self)
-        if snapshot is not None and verify_spec and snapshot.spec_hash() != key:
-            raise CheckpointError(
-                f"snapshot embeds spec hash {str(snapshot.spec_hash())[:12]}..., "
-                f"this spec hashes to {key[:12]}...; refusing to resume a "
-                "different experiment (use fork to replay under a changed config)"
-            )
+        if snapshot is not None:
+            embedded = snapshot.spec_hash()
+            lineage = self.lineage or {}
+            fork_point = (lineage.get("parent"), lineage.get("round"))
+            if embedded != key and fork_point != (embedded, snapshot.rounds_completed):
+                raise CheckpointError(
+                    f"snapshot embeds spec hash {str(embedded)[:12]}... at round "
+                    f"{snapshot.rounds_completed}, this spec hashes to {key[:12]}... and its "
+                    "lineage does not name that fork point; refusing to resume a different "
+                    "experiment (use fork to replay under a changed config)"
+                )
         if snapshot is not None and manager is not None:
             manager.record_lineage(
                 {

@@ -45,7 +45,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from repro.scenarios.schedule import (
 )
 from repro.simulation.engine import Simulator
 from repro.topology.policy import GeneratorPolicy
+from repro.utils.records import Record
 from repro.utils.rng import derive_rng
 
 __all__ = [
@@ -101,7 +102,7 @@ _FUZZ_GENERATORS = ("random-regular", "ring", "fully-connected", "small-world")
 
 # -- case model --------------------------------------------------------------------
 @dataclass(frozen=True)
-class FuzzCase:
+class FuzzCase(Record):
     """One generated property-test case: a schedule plus its run parameters."""
 
     index: int
@@ -111,38 +112,6 @@ class FuzzCase:
     drop_probability: float
     run_seed: int
     schedule: ScenarioSchedule
-
-    def __post_init__(self) -> None:
-        schedule = self.schedule
-        if isinstance(schedule, Mapping):
-            object.__setattr__(self, "schedule", ScenarioSchedule.from_dict(schedule))
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation; exact inverse of :meth:`from_dict`."""
-
-        return {
-            "index": int(self.index),
-            "num_nodes": int(self.num_nodes),
-            "rounds": int(self.rounds),
-            "execution": self.execution,
-            "drop_probability": float(self.drop_probability),
-            "run_seed": int(self.run_seed),
-            "schedule": self.schedule.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FuzzCase":
-        """Rebuild a case from :meth:`to_dict` output (for ``--replay``)."""
-
-        return cls(
-            index=int(data["index"]),
-            num_nodes=int(data["num_nodes"]),
-            rounds=int(data["rounds"]),
-            execution=str(data["execution"]),
-            drop_probability=float(data["drop_probability"]),
-            run_seed=int(data["run_seed"]),
-            schedule=ScenarioSchedule.from_dict(data["schedule"]),
-        )
 
     def spec(self, workload: str, scheme: str, seed_offset: int = 0) -> ExperimentSpec:
         """The orchestration cell this case executes as."""

@@ -19,9 +19,10 @@ Because the state is a pure function of the round index, a scenario run is as
 deterministic as a plain one: same seed, same schedule, bit-identical result,
 regardless of worker count or execution interleaving.
 
-Everything round-trips exactly through ``to_dict``/``from_dict``, so
-schedules can live in sweep overrides, cross process boundaries and key the
-content-addressed result store.
+Everything round-trips exactly through ``to_dict``/``from_dict`` (the record
+codec of :mod:`repro.utils.records`), so schedules can live in sweep
+overrides, cross process boundaries and key the content-addressed result
+store.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from repro.exceptions import ConfigurationError
 from repro.topology.policy import GeneratorPolicy
+from repro.utils.records import Record
 
 __all__ = [
     "BYZANTINE_MODES",
@@ -59,7 +61,7 @@ def _check_window(name: str, start_round: int, end_round: int | None) -> None:
 
 
 @dataclass(frozen=True)
-class NodeOutage:
+class NodeOutage(Record):
     """One churn event: ``node`` is offline during ``[start_round, end_round)``.
 
     An offline node neither trains, sends nor receives; its model is frozen
@@ -80,24 +82,9 @@ class NodeOutage:
             return False
         return self.end_round is None or round_index < self.end_round
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "node": int(self.node),
-            "start_round": int(self.start_round),
-            "end_round": None if self.end_round is None else int(self.end_round),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NodeOutage":
-        return cls(
-            node=int(data["node"]),
-            start_round=int(data["start_round"]),
-            end_round=data.get("end_round"),
-        )
-
 
 @dataclass(frozen=True)
-class PartitionWindow:
+class PartitionWindow(Record):
     """A temporary network partition during ``[start_round, end_round)``.
 
     ``groups`` are disjoint sets of node ids; while the window is open,
@@ -127,24 +114,9 @@ class PartitionWindow:
     def covers(self, round_index: int) -> bool:
         return self.start_round <= round_index < self.end_round
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "start_round": int(self.start_round),
-            "end_round": int(self.end_round),
-            "groups": [list(group) for group in self.groups],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PartitionWindow":
-        return cls(
-            start_round=int(data["start_round"]),
-            end_round=int(data["end_round"]),
-            groups=tuple(tuple(group) for group in data["groups"]),
-        )
-
 
 @dataclass(frozen=True)
-class StragglerWindow:
+class StragglerWindow(Record):
     """``nodes`` compute ``slowdown``x slower during ``[start_round, end_round)``.
 
     Affects simulated time only (round duration under the synchronous
@@ -172,26 +144,9 @@ class StragglerWindow:
     def covers(self, round_index: int) -> bool:
         return self.start_round <= round_index < self.end_round
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "start_round": int(self.start_round),
-            "end_round": int(self.end_round),
-            "nodes": list(self.nodes),
-            "slowdown": float(self.slowdown),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StragglerWindow":
-        return cls(
-            start_round=int(data["start_round"]),
-            end_round=int(data["end_round"]),
-            nodes=tuple(data["nodes"]),
-            slowdown=float(data["slowdown"]),
-        )
-
 
 @dataclass(frozen=True)
-class ByzantineWindow:
+class ByzantineWindow(Record):
     """``nodes`` send adversarial models during ``[start_round, end_round)``.
 
     The corruption happens at *send time*, after local training and before the
@@ -231,23 +186,6 @@ class ByzantineWindow:
 
     def covers(self, round_index: int) -> bool:
         return self.start_round <= round_index < self.end_round
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "start_round": int(self.start_round),
-            "end_round": int(self.end_round),
-            "nodes": list(self.nodes),
-            "mode": self.mode,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ByzantineWindow":
-        return cls(
-            start_round=int(data["start_round"]),
-            end_round=int(data["end_round"]),
-            nodes=tuple(data["nodes"]),
-            mode=str(data["mode"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -292,7 +230,7 @@ class ScenarioState:
 
 
 @dataclass(frozen=True)
-class ScenarioSchedule:
+class ScenarioSchedule(Record):
     """A named, serializable schedule of environment events over rounds.
 
     The default instance (``ScenarioSchedule()``) is the trivial scenario: a
@@ -310,37 +248,21 @@ class ScenarioSchedule:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("a scenario needs a non-empty name")
-        topology = self.topology
-        if isinstance(topology, Mapping):
-            topology = GeneratorPolicy.from_dict(topology)
-        if not isinstance(topology, GeneratorPolicy):
-            raise ConfigurationError(
-                "scenario topology must be a GeneratorPolicy (or its to_dict form)"
-            )
-        object.__setattr__(self, "topology", topology)
-        object.__setattr__(self, "outages", self._coerce(self.outages, NodeOutage))
-        object.__setattr__(
-            self, "partitions", self._coerce(self.partitions, PartitionWindow)
-        )
-        object.__setattr__(
-            self, "stragglers", self._coerce(self.stragglers, StragglerWindow)
-        )
-        object.__setattr__(
-            self, "byzantine", self._coerce(self.byzantine, ByzantineWindow)
-        )
-
-    @staticmethod
-    def _coerce(values: Iterable[Any], cls: type) -> tuple[Any, ...]:
-        coerced = []
-        for value in values:
-            if isinstance(value, Mapping):
-                value = cls.from_dict(value)
-            if not isinstance(value, cls):
-                raise ConfigurationError(
-                    f"expected {cls.__name__} entries, got {type(value).__name__}"
-                )
-            coerced.append(value)
-        return tuple(coerced)
+        if not isinstance(self.topology, GeneratorPolicy):
+            raise ConfigurationError("scenario topology must be a GeneratorPolicy")
+        for name, cls in (
+            ("outages", NodeOutage),
+            ("partitions", PartitionWindow),
+            ("stragglers", StragglerWindow),
+            ("byzantine", ByzantineWindow),
+        ):
+            values = tuple(getattr(self, name))
+            for value in values:
+                if not isinstance(value, cls):
+                    raise ConfigurationError(
+                        f"expected {cls.__name__} entries, got {type(value).__name__}"
+                    )
+            object.__setattr__(self, name, values)
 
     # -- queries -------------------------------------------------------------------
     @property
@@ -449,38 +371,4 @@ class ScenarioSchedule:
             partition_ids=tuple(partition_ids),
             slowdowns=tuple(slowdowns),
             byzantine=tuple(byzantine),
-        )
-
-    # -- (de)serialization ---------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation; exact inverse of :meth:`from_dict`."""
-
-        return {
-            "name": self.name,
-            "topology": self.topology.to_dict(),
-            "outages": [outage.to_dict() for outage in self.outages],
-            "partitions": [window.to_dict() for window in self.partitions],
-            "stragglers": [window.to_dict() for window in self.stragglers],
-            "byzantine": [window.to_dict() for window in self.byzantine],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSchedule":
-        """Rebuild a schedule from :meth:`to_dict` output (hashes match exactly)."""
-
-        known = {"name", "topology", "outages", "partitions", "stragglers", "byzantine"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown ScenarioSchedule field(s): {', '.join(unknown)}"
-            )
-        return cls(
-            name=data.get("name", "static"),
-            topology=GeneratorPolicy.from_dict(
-                data.get("topology", GeneratorPolicy().to_dict())
-            ),
-            outages=tuple(data.get("outages", ())),
-            partitions=tuple(data.get("partitions", ())),
-            stragglers=tuple(data.get("stragglers", ())),
-            byzantine=tuple(data.get("byzantine", ())),
         )

@@ -18,12 +18,12 @@ the same code under both, and both produce byte-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping
+from dataclasses import dataclass, replace
 
 from repro.exceptions import ConfigurationError
 from repro.scenarios.schedule import ScenarioSchedule
 from repro.simulation.timing import TimeModel
+from repro.utils.records import RecordWriter
 
 __all__ = ["ENGINES", "EXECUTION_MODES", "ExperimentConfig"]
 
@@ -38,7 +38,7 @@ ENGINES = ("pernode", "arena")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(RecordWriter):
     """Configuration of one decentralized-learning run."""
 
     num_nodes: int = 16
@@ -112,10 +112,8 @@ class ExperimentConfig:
         # once, in timing.py — the single source of truth.
         self.resolved_time_model()
         if self.scenario is not None:
-            if isinstance(self.scenario, Mapping):
-                object.__setattr__(
-                    self, "scenario", ScenarioSchedule.from_dict(self.scenario)
-                )
+            if not isinstance(self.scenario, ScenarioSchedule):
+                raise ConfigurationError("scenario must be a ScenarioSchedule")
             if self.dynamic_topology:
                 raise ConfigurationError(
                     "scenario and the legacy dynamic_topology flag are mutually "
@@ -153,22 +151,8 @@ class ExperimentConfig:
             link_latency_jitter_seconds=self.link_latency_jitter_seconds,
         )
 
-    # -- serialization -------------------------------------------------------------
     #: Fields declared as tuples, which JSON stores as lists.
     _TUPLE_FIELDS = ("compute_speed_range", "bandwidth_scale_range")
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation (a snapshot's ``config`` record)."""
-
-        data: dict[str, Any] = {}
-        for config_field in fields(self):
-            value = getattr(self, config_field.name)
-            if config_field.name == "scenario":
-                value = None if value is None else value.to_dict()
-            elif config_field.name in self._TUPLE_FIELDS:
-                value = [float(v) for v in value]
-            data[config_field.name] = value
-        return data
 
     # -- copy helpers -------------------------------------------------------------
     def with_rounds(self, rounds: int) -> "ExperimentConfig":

@@ -8,19 +8,20 @@ and 2), the cumulative bytes per node (row 3), the simulated wall clock
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro.compression.sizing import MIB
 from repro.observability.contract import TELEMETRY_RESULT_FIELDS
+from repro.utils.records import Record
 
 __all__ = ["ExperimentResult", "RoundRecord"]
 
 
 @dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(Record):
     """Metrics observed at one evaluation point."""
 
     round_index: int
@@ -32,38 +33,9 @@ class RoundRecord:
     simulated_time_seconds: float
     average_shared_fraction: float
 
-    # -- (de)serialization ---------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation; exact inverse of :meth:`from_dict`.
-
-        Numpy scalars are converted to native Python numbers.  ``float()`` is
-        value-preserving for ``np.float64``, so a round trip through JSON (whose
-        ``repr``-based float formatting is itself exact) reproduces the record
-        bit for bit.
-        """
-
-        return {
-            "round_index": int(self.round_index),
-            "test_accuracy": float(self.test_accuracy),
-            "test_loss": float(self.test_loss),
-            "train_loss": float(self.train_loss),
-            "cumulative_bytes_per_node": float(self.cumulative_bytes_per_node),
-            "cumulative_metadata_bytes_per_node": float(
-                self.cumulative_metadata_bytes_per_node
-            ),
-            "simulated_time_seconds": float(self.simulated_time_seconds),
-            "average_shared_fraction": float(self.average_shared_fraction),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RoundRecord":
-        """Rebuild a record from :meth:`to_dict` output."""
-
-        return cls(**{record_field.name: data[record_field.name] for record_field in fields(cls)})
-
 
 @dataclass
-class ExperimentResult:
+class ExperimentResult(Record):
     """The outcome of one decentralized-learning run."""
 
     scheme: str
@@ -91,6 +63,7 @@ class ExperimentResult:
     scenario_rounds: list[dict[str, Any]] = field(default_factory=list)
 
     # -- (de)serialization ---------------------------------------------------------
+    # Hand-written, not the record codec's: it writes the reserved telemetry keys.
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe representation; exact inverse of :meth:`from_dict`."""
 
@@ -137,13 +110,9 @@ class ExperimentResult:
         dropped, whatever they hold: no field carries them any more.
         """
 
-        payload = dict(data)
-        for name in TELEMETRY_RESULT_FIELDS:
-            payload.pop(name, None)
-        payload["history"] = [
-            RoundRecord.from_dict(record) for record in payload.get("history", [])
-        ]
-        return cls(**payload)
+        return super().from_dict(
+            {key: value for key, value in data.items() if key not in TELEMETRY_RESULT_FIELDS}
+        )
 
     # -- headline numbers ----------------------------------------------------------
     @property

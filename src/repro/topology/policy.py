@@ -163,6 +163,7 @@ class GeneratorPolicy:
         return self._sample(num_nodes, degree, rng)
 
     # -- (de)serialization ---------------------------------------------------------
+    # Hand-written, not the record codec's: ``params`` is pairs here, a mapping in JSON.
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe representation; exact inverse of :meth:`from_dict`."""
 

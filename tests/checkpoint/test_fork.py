@@ -170,3 +170,20 @@ def test_fork_requires_an_embedded_spec(paused):
     snapshot.spec = None
     with pytest.raises(CheckpointError, match="embed"):
         build_forked_spec(snapshot)
+
+
+def test_a_forked_spec_resumes_only_the_snapshot_its_lineage_names(paused, tmp_path):
+    spec, snapshot = paused
+    forked = build_forked_spec(snapshot, {"rounds": ROUNDS + 1})
+    assert forked.run(snapshot=snapshot).to_dict() == run_fork(
+        snapshot, {"rounds": ROUNDS + 1}
+    )[1].to_dict()
+
+    other = make_spec(seed=11)
+    other.run(checkpoint_dir=str(tmp_path / "other"), checkpoint_every=2)
+    other_snapshot = CheckpointManager(tmp_path / "other").load_for_spec(other)
+    with pytest.raises(CheckpointError, match="lineage does not name"):
+        forked.run(snapshot=other_snapshot)
+    snapshot.rounds_completed = 1  # the right cell, another round
+    with pytest.raises(CheckpointError, match="lineage does not name"):
+        forked.run(snapshot=snapshot)

@@ -51,9 +51,7 @@ def build_config(execution: str, scenario: bool) -> ExperimentConfig:
             compute_speed_range=(1.0, 2.0), link_latency_jitter_seconds=0.01
         )
     if scenario:
-        overrides["scenario"] = get_scenario(
-            "churn-partition", num_nodes=6, rounds=ROUNDS
-        ).to_dict()
+        overrides["scenario"] = get_scenario("churn-partition", num_nodes=6, rounds=ROUNDS)
     return ExperimentConfig(**overrides)
 
 
@@ -103,7 +101,7 @@ def test_interrupt_resume_under_per_round_rewiring(execution):
 
     config = replace(
         build_config(execution, scenario=False),
-        scenario=get_scenario("dynamic", num_nodes=6, rounds=ROUNDS).to_dict(),
+        scenario=get_scenario("dynamic", num_nodes=6, rounds=ROUNDS),
     )
     uninterrupted = run_experiment(make_toy_task(), jwins_factory(), config)
 
@@ -246,7 +244,7 @@ def _byzantine_config(execution: str, mode: str) -> ExperimentConfig:
         partition="shards",
         execution=execution,
         message_drop_probability=0.1,
-        scenario=schedule.to_dict(),
+        scenario=schedule,
     )
     if execution == "async":
         overrides.update(

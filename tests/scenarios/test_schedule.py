@@ -171,17 +171,20 @@ class TestRoundTrips:
         with pytest.raises(ConfigurationError, match="weather"):
             ScenarioSchedule.from_dict(data)
 
-    def test_constructor_coerces_nested_dicts(self):
+    def test_constructor_refuses_mappings(self):
+        """Mappings are read by ``from_dict``; the constructor takes objects."""
+
         data = _rich_schedule().to_dict()
-        schedule = ScenarioSchedule(
-            name=data["name"],
-            topology=data["topology"],
-            outages=tuple(data["outages"]),
-            partitions=tuple(data["partitions"]),
-            stragglers=tuple(data["stragglers"]),
-            byzantine=tuple(data["byzantine"]),
-        )
-        assert schedule == _rich_schedule()
+        with pytest.raises(ConfigurationError, match="GeneratorPolicy"):
+            ScenarioSchedule(topology=data["topology"])
+        for name, cls in (
+            ("outages", "NodeOutage"),
+            ("partitions", "PartitionWindow"),
+            ("stragglers", "StragglerWindow"),
+            ("byzantine", "ByzantineWindow"),
+        ):
+            with pytest.raises(ConfigurationError, match=f"expected {cls} entries, got dict"):
+                ScenarioSchedule(**{name: tuple(data[name])})
 
 
 class TestByzantine:

@@ -86,10 +86,10 @@ EQUIVALENCE_CASES = {
     "drops": {"message_drop_probability": 0.3},
     "dynamic-topology": {"dynamic_topology": True},
     "churn-partition": {
-        "scenario": get_scenario("churn-partition", num_nodes=6, rounds=ROUNDS).to_dict()
+        "scenario": get_scenario("churn-partition", num_nodes=6, rounds=ROUNDS)
     },
     "byzantine": {
-        "scenario": get_scenario("byzantine", num_nodes=6, rounds=ROUNDS).to_dict()
+        "scenario": get_scenario("byzantine", num_nodes=6, rounds=ROUNDS)
     },
     # Three stacked steps a round.
     "local-steps": {"local_steps": 3},
@@ -103,7 +103,7 @@ EQUIVALENCE_CASES = {
         "scenario": replace(
             get_scenario("byzantine", num_nodes=6, rounds=ROUNDS),
             outages=get_scenario("churn", num_nodes=6, rounds=ROUNDS).outages,
-        ).to_dict(),
+        ),
     },
 }
 
@@ -250,7 +250,7 @@ def test_result_is_independent_of_pass_size_and_engine(scheme, monkeypatch):
         num_nodes=8,
         rounds=4,
         message_drop_probability=0.2,
-        scenario=get_scenario("churn-partition", num_nodes=8, rounds=4).to_dict(),
+        scenario=get_scenario("churn-partition", num_nodes=8, rounds=4),
     )
     model_size = Simulator(make_toy_task(), full_sharing_factory(), config).model_size
     payloads = set()

@@ -100,7 +100,7 @@ def test_admit_without_draw_passes_the_copy_and_leaves_the_stream_alone():
 # -- the two draw rules -----------------------------------------------------------------
 def test_lock_step_without_drops_never_touches_the_drop_stream():
     scenario = get_scenario("churn-partition", num_nodes=4, rounds=CONFIG.rounds)
-    simulator = build(replace(CONFIG, scenario=scenario.to_dict()))
+    simulator = build(replace(CONFIG, scenario=scenario))
     simulator.run()
     assert drop_stream_state(simulator) == (
         simulator.seeds.rng("message-drops").bit_generator.state
@@ -113,7 +113,7 @@ def test_gossip_draws_once_per_copy_that_passed_the_scenario_filter(
 ):
     scenario = get_scenario("churn-partition", num_nodes=4, rounds=GOSSIP.rounds)
     simulator = build(
-        replace(GOSSIP, scenario=scenario.to_dict(), message_drop_probability=probability),
+        replace(GOSSIP, scenario=scenario, message_drop_probability=probability),
         metrics=MetricsRegistry(),
     )
     filtered = []
@@ -203,7 +203,7 @@ def test_the_handler_table_covers_the_five_event_kinds():
 
 def test_start_round_schedules_training_or_the_end_of_an_outage():
     outage = ScenarioSchedule(name="out", outages=(NodeOutage(1, 0, 1),))
-    _, mode, _ = bound(replace(GOSSIP, scenario=outage.to_dict()))
+    _, mode, _ = bound(replace(GOSSIP, scenario=outage))
     mode.start_round(Event(0.0, START_ROUND, 0))
     mode.start_round(Event(0.0, START_ROUND, 1))
     scheduled = {(event.kind, event.node_id) for event in mode.loop.pending()}
@@ -225,7 +225,7 @@ def test_finish_train_sends_one_copy_per_neighbor_then_aggregates():
 def test_a_delivery_to_a_receiver_offline_in_its_own_round_is_lost():
     outage = ScenarioSchedule(name="out", outages=(NodeOutage(1, 0, 1),))
     simulator, mode, messages = bound(
-        replace(GOSSIP, scenario=outage.to_dict()), senders=(0,), metrics=MetricsRegistry()
+        replace(GOSSIP, scenario=outage), senders=(0,), metrics=MetricsRegistry()
     )
     seen = []
     simulator.on_message(lambda message, receiver, now: seen.append(receiver))

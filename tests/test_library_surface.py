@@ -125,6 +125,14 @@ REMOVED = [
     ("repro.checkpoint.preemption", "unregister"),
     ("repro.checkpoint.preemption", "_active"),
     ("repro.checkpoint.preemption", "_lock"),
+    # Registry wrappers that only renamed a baseline factory, and the
+    # constructor-side mapping coercion the record codec made redundant.
+    ("repro.orchestration.schemes", "_build_full_sharing"),
+    ("repro.orchestration.schemes", "_build_random_sampling"),
+    ("repro.orchestration.schemes", "_build_topk"),
+    ("repro.orchestration.schemes", "_build_choco"),
+    ("repro.orchestration.schemes", "_build_quantized"),
+    ("repro.scenarios.schedule:ScenarioSchedule", "_coerce"),
 ]
 
 #: (callable, parameter): the parameter (or dataclass field) is gone from the
@@ -157,6 +165,8 @@ REMOVED_PARAMETERS = [
     ("repro.orchestration.fork:run_fork", "checkpoint_every"),
     ("repro.orchestration.fork:run_fork", "observers"),
     ("repro.orchestration.fork:run_fork", "trace_dir"),
+    ("repro.orchestration.spec:ExperimentSpec.run", "verify_spec"),
+    ("repro.orchestration.schemes:_RegisteredScheme", "params"),
 ]
 
 
