@@ -526,14 +526,16 @@ stage_checkpoint() {
   local run_args=(--workload movielens --scheme jwins --nodes 4 --degree 2 --rounds 3
                   --execution async --checkpoint-dir "$CI_TMP/run-ckpts")
   python -m repro.cli run "${run_args[@]}" --checkpoint-every 1 --metrics \
-      --trace "$CI_TMP/run.trace.jsonl" --status "$CI_TMP/run-status" >/dev/null
+      --trace "$CI_TMP/run-traces" --status "$CI_TMP/run-status" >/dev/null
   local snapshot
   snapshot="$(ls "$CI_TMP"/run-ckpts/*.ckpt.json)"
   python -m repro.cli run "${run_args[@]}" --resume-from "$snapshot" >/dev/null
   python -m repro.cli fork --snapshot "$snapshot" --scenario churn --rounds 5 \
       --store "$CI_TMP/fork.jsonl" >"$CI_TMP/fork.log"
   grep -q "stored forked result" "$CI_TMP/fork.log"
-  python -m repro.cli trace summarize "$CI_TMP/run.trace.jsonl" >"$CI_TMP/summary.txt"
+  local run_trace
+  run_trace="$(ls "$CI_TMP"/run-traces/*.trace.jsonl)"  # the one cell's file
+  python -m repro.cli trace summarize "$run_trace" >"$CI_TMP/summary.txt"
   grep -q "rounds_completed=3" "$CI_TMP/summary.txt"
   python -m repro.cli trace summarize "$CI_TMP/ck-ref-traces" >/dev/null
 }

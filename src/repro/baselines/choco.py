@@ -42,8 +42,8 @@ class ChocoScheme(SharingScheme):
         node_id: int,
         model_size: int,
         seed: int,
-        fraction: float = 0.2,
-        gamma: float = 0.6,
+        fraction: float,
+        gamma: float,
     ) -> None:
         if not 0.0 < fraction <= 1.0:
             raise SimulationError("compression fraction must be in (0, 1]")

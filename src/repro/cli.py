@@ -9,16 +9,15 @@ Installed as the ``jwins-repro`` console script; also runnable as
 
 ``run`` executes one flat comparison (the historical behaviour — invoking the
 CLI without a subcommand still defaults to it, so ``jwins-repro --workload
-cifar10`` keeps working): one :class:`~repro.orchestration.ExperimentSpec`
-per ``--scheme``, each executed through :meth:`ExperimentSpec.run` exactly
-like a sweep cell — the checkpoint flags only add arguments to that call.
-``run``, ``sweep`` and ``fork`` take their common flags from four argparse
-parent groups (:func:`_flag_groups`); ``run`` and ``fork`` share one cell
-lifecycle (:func:`_run_cells`: status board, per-cell heartbeat, trace,
-pause/finish verdicts).  ``sweep`` expands
-a declarative grid — a preset from
-:mod:`repro.orchestration.artifacts` or an ad-hoc workload x scheme x seed
-product — and executes it on a worker pool against a resumable JSONL store.
+cifar10`` keeps working): a one-workload :class:`~repro.orchestration.Sweep`
+with one cell per ``--scheme`` and no store.  ``sweep`` expands a declarative
+grid — a preset from :mod:`repro.orchestration.artifacts` or an ad-hoc
+workload x scheme x seed product — and executes it on a worker pool against a
+resumable JSONL store.  ``fork`` runs the one cell a snapshot forks into.
+Each of the three is one :func:`~repro.orchestration.run_sweep` call, the one
+cell lifecycle (status board, per-cell heartbeat and trace, pause/finish
+verdicts), and takes its common flags from four argparse parent groups
+(:func:`_flag_groups`).
 ``regenerate`` re-emits the paper artifacts from such a store without
 recomputing anything.
 
@@ -36,14 +35,9 @@ import sys
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from repro.checkpoint import CheckpointManager, SimulationSnapshot, preemption
+from repro.checkpoint import CheckpointManager, SimulationSnapshot
 from repro.evaluation import WORKLOADS, get_workload, summarize_results
-from repro.exceptions import (
-    CheckpointError,
-    ConfigurationError,
-    ExperimentPaused,
-    ReproError,
-)
+from repro.exceptions import CheckpointError, ConfigurationError, ReproError
 from repro.scenarios import (
     SCENARIO_PRESETS,
     ScenarioSchedule,
@@ -66,16 +60,12 @@ from repro.orchestration import (
 )
 from repro.observability import (
     MetricsRegistry,
-    StatusBoard,
-    TraceEmitter,
     diff_traces,
     summarize_trace,
     summarize_trace_dir,
     watch_status,
 )
 from repro.orchestration.fork import build_forked_spec
-from repro.orchestration.pool import cell_heartbeat, cell_trace, spec_total_rounds
-from repro.simulation import ExperimentResult
 from repro.version import __version__
 
 __all__ = ["build_cli_parser", "main"]
@@ -170,11 +160,10 @@ def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
     telemetry.add_argument(
         "--trace",
         default=None,
-        metavar="PATH",
+        metavar="DIR",
         help="write a structured JSONL event trace (manifest, rounds, "
-        "messages, evaluations, checkpoints) to PATH; the schemes of one `run` "
-        "share the file, back to back; `sweep` (always) and `fork` (when PATH "
-        "is an existing directory) write one <spec hash>.trace.jsonl per cell",
+        "messages, evaluations, checkpoints) into DIR, one <spec hash>.trace.jsonl "
+        "per executed cell",
     )
     telemetry.add_argument(
         "--status",
@@ -599,91 +588,43 @@ def _handle_list_flags(args: argparse.Namespace) -> bool:
     return args.list_workloads or args.list_schemes or args.list_scenarios
 
 
-def _run_cells(
-    args: argparse.Namespace,
-    action: str,
-    board_name: str,
-    specs: Sequence[ExperimentSpec],
-    trace: TraceEmitter | None,
-    metrics: MetricsRegistry | None,
-    **run_options: object,
-) -> tuple[list[ExperimentResult], int | None]:
-    """Execute ``specs`` back to back: the one cell lifecycle of ``run`` and ``fork``.
+class _PrintingObserver(SweepObserver):
+    """Progress lines for the ``run``, ``sweep`` and ``fork`` subcommands.
 
-    Register the cells on the ``--status`` board -> auto-refresh -> per-cell
-    heartbeat -> :meth:`ExperimentSpec.run` (with ``run_options`` on top of
-    the telemetry sinks) -> mark done/paused -> close ``trace`` -> finalize
-    the board state, printing a progress line per cell.  ``action`` names the
-    subcommand in the clean-exit message of a failing cell.  Returns the
-    results of the finished cells, in order, and the round the next one paused
-    at (``None`` when all finished).
-
-    SIGINT pauses at the next round boundary only when ``--checkpoint-dir``
-    gives the pause somewhere to save into; otherwise it stays a
-    KeyboardInterrupt.
+    ``on_start`` fires at submission time, which in pool mode means every
+    pending cell at once — so per-cell "running" lines are only printed for
+    serial runs, where submission and execution coincide.  ``pause_line``
+    words the line of a cell that checkpointed and stopped.
     """
 
-    board = None
-    if args.status is not None:
-        # Cells are keyed by spec hash, so `run`, `fork` and `sweep` status
-        # files read the same way.
-        board = StatusBoard(args.status, sweep_name=board_name, workers=1)
-        board.register_cells(
-            [(spec.content_hash(), spec.label, spec_total_rounds(spec)) for spec in specs]
-        )
-        board.start_auto_refresh()
-    finished: list[ExperimentResult] = []
-    state = "failed"
-    checkpointing = args.checkpoint_dir is not None
-    previous_handler = preemption.install_preemption_handler() if checkpointing else None
-    try:
-        for spec in specs:
-            print(f"running {spec.scheme.label} ...")
-            try:
-                result = spec.run(
-                    metrics=metrics,
-                    observers=() if trace is None else (trace,),
-                    heartbeat=cell_heartbeat(args.status, spec, metrics),
-                    **run_options,
-                )
-            except ExperimentPaused as paused:
-                round_index = int(paused.snapshot.rounds_completed)
-                if board is not None:
-                    board.mark_paused(spec.content_hash(), round_index)
-                state = "interrupted"
-                return finished, round_index
-            except ReproError as error:
-                # e.g. a scenario whose topology generator cannot fit the
-                # deployment — undefined setups exit cleanly, never a traceback.
-                raise SystemExit(f"cannot {action} {spec.scheme.label}: {error}")
-            if board is not None:
-                board.mark_done(spec.content_hash(), result.rounds_completed)
-            finished.append(result)
-        state = "done"
-        return finished, None
-    finally:
-        if checkpointing:
-            preemption.restore_handler(previous_handler)
-            preemption.reset()
-        if trace is not None:
-            trace.close()
-        if board is not None:
-            board.finalize(state)
+    def __init__(
+        self,
+        announce_starts: bool = True,
+        pause_line: Callable[[ExperimentSpec, int], str] = (
+            lambda spec, rounds: f"paused {spec.label} at round {rounds} (snapshot saved)"
+        ),
+    ) -> None:
+        self.announce_starts = announce_starts
+        self.pause_line = pause_line
+
+    def on_skip(self, spec, result) -> None:
+        print(f"skipping {spec.label} (stored, acc={100 * result.final_accuracy:.1f}%)")
+
+    def on_start(self, spec) -> None:
+        if self.announce_starts:
+            print(f"running {spec.label} ...")
+
+    def on_result(self, spec, result) -> None:
+        print(f"finished {spec.label}: acc={100 * result.final_accuracy:.1f}%")
+
+    def on_pause(self, spec, rounds_completed) -> None:
+        print(self.pause_line(spec, rounds_completed))
 
 
 def _run_command(args: argparse.Namespace) -> int:
     if _handle_list_flags(args):
         return 0
     _validate_flags(args)
-    if args.slowdown < 1.0:
-        raise SystemExit("--slowdown must be >= 1")
-    if not 0.0 <= args.drop_probability < 1.0:
-        raise SystemExit("--drop-probability must be in [0, 1)")
-    if args.scenario is not None and args.dynamic_topology:
-        raise SystemExit(
-            "--scenario and --dynamic-topology are mutually exclusive; "
-            "use --scenario dynamic for the per-round rewiring"
-        )
     if args.resume_from is not None and len(args.scheme) != 1:
         raise SystemExit("--resume-from resumes one run; pass exactly one --scheme")
 
@@ -711,6 +652,16 @@ def _run_command(args: argparse.Namespace) -> int:
         # Built here only to validate the flags and print the header; each
         # cell rebuilds task and config from its spec.
         config = workload.make_config(**overrides, scenario=scenario)
+        # One cell per --scheme; the overrides pin the CLI seed, so each
+        # cell's resolved seed is the --seed value.
+        sweep = Sweep(
+            name=f"run:{args.workload}",
+            workloads=(args.workload,),
+            schemes=schemes,
+            base_overrides=overrides
+            if scenario is None
+            else {**overrides, "scenario": scenario.to_dict()},
+        )
     except ConfigurationError as error:
         raise SystemExit(f"invalid configuration: {error}")
 
@@ -721,80 +672,50 @@ def _run_command(args: argparse.Namespace) -> int:
         f"partition={config.partition} seed={config.seed} execution={config.execution}"
         f"{engine_note}{scenario_note}"
     )
-    if scenario is not None:
-        overrides["scenario"] = scenario.to_dict()
-    # One spec per --scheme, run like a sweep cell; the overrides pin the CLI
-    # seed, so each spec's resolved seed is the --seed value.
-    specs = [
-        ExperimentSpec(workload=args.workload, scheme=scheme, overrides=overrides)
-        for scheme in schemes
-    ]
-    snapshot = None
+    snapshots = None
     if args.resume_from is not None:
-        snapshot = _load_snapshot(args.resume_from)
-        if snapshot.spec_hash() != specs[0].content_hash():
-            embedded = snapshot.spec_hash()
-            raise SystemExit(
-                f"snapshot {args.resume_from!r} does not match this "
-                f"invocation: it embeds spec hash "
-                f"{'(none)' if embedded is None else embedded[:12] + '...'}, "
-                f"the command line implies {specs[0].content_hash()[:12]}...; "
-                "re-run with the original flags, or replay it under a "
-                "changed config with `fork`"
-            )
+        [cell] = sweep.cells()
+        snapshots = {cell.spec.content_hash(): _load_snapshot(args.resume_from)}
+
+    manager = None if args.checkpoint_dir is None else CheckpointManager(args.checkpoint_dir)
     metrics = MetricsRegistry() if args.metrics else None
-    finished, paused_at = _run_cells(
-        args,
-        "run",
-        f"run:{args.workload}",
-        specs,
-        TraceEmitter(args.trace) if args.trace is not None else None,
-        metrics,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        snapshot=snapshot,
-    )
-    if paused_at is not None:
-        spec = specs[len(finished)]
-        resume_hint = ""
-        if args.checkpoint_dir is not None:
-            path = CheckpointManager(args.checkpoint_dir).path_for(spec.content_hash())
-            resume_hint = f"; resume with --resume-from {path}"
-        print(f"paused {spec.scheme.label} at round {paused_at}{resume_hint}")
+    try:
+        outcome = run_sweep(
+            sweep,
+            observer=_PrintingObserver(
+                # A cell that saved its snapshot names the file to resume from.
+                pause_line=lambda spec, rounds: f"paused {spec.scheme.label} at round {rounds}"
+                + (
+                    ""
+                    if manager is None
+                    else f"; resume with --resume-from {manager.path_for(spec.content_hash())}"
+                )
+            ),
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+            metrics=metrics,
+            trace_dir=args.trace,
+            status_dir=args.status,
+            snapshots=snapshots,
+        )
+    except ReproError as error:
+        # e.g. a scenario whose topology generator cannot fit the deployment,
+        # or a snapshot of another experiment: a clean exit, never a traceback.
+        raise SystemExit(f"cannot run: {error}")
+    if outcome.interrupted:
         return PAUSED_EXIT_CODE
     print()
-    print(summarize_results(dict(zip(args.scheme, finished))))
+    print(
+        summarize_results(
+            {spec.scheme.label: outcome.result_for(spec) for spec in outcome.specs}
+        )
+    )
     _print_telemetry_footer(
         metrics,
         "metrics",
         None if args.trace is None else f"trace written to {args.trace}",
     )
     return 0
-
-
-class _PrintingObserver(SweepObserver):
-    """Progress lines for the ``sweep`` subcommand.
-
-    ``on_start`` fires at submission time, which in pool mode means every
-    pending cell at once — so per-cell "running" lines are only printed for
-    serial runs, where submission and execution coincide.
-    """
-
-    def __init__(self, announce_starts: bool = True) -> None:
-        self.announce_starts = announce_starts
-
-    def on_skip(self, spec, result) -> None:
-        print(f"skipping {spec.label} (stored, acc={100 * result.final_accuracy:.1f}%)")
-
-    def on_start(self, spec) -> None:
-        if self.announce_starts:
-            print(f"running {spec.label} ...")
-
-    def on_result(self, spec, result) -> None:
-        print(f"finished {spec.label}: acc={100 * result.final_accuracy:.1f}%")
-
-    def on_pause(self, spec, rounds_completed) -> None:
-        print(f"paused {spec.label} at round {rounds_completed} (snapshot saved)")
 
 
 def _build_adhoc_sweep(args: argparse.Namespace, scale: dict | None) -> Sweep:
@@ -903,48 +824,39 @@ def _fork_command(args: argparse.Namespace) -> int:
         ).to_dict()
     try:
         spec = build_forked_spec(snapshot, mutations)
+        metrics = MetricsRegistry() if args.metrics else None
+        outcome = run_sweep(
+            [spec],
+            None if args.store is None else ResultStore(args.store),
+            observer=_PrintingObserver(
+                pause_line=lambda _, rounds: f"paused forked run at round {rounds}"
+            ),
+            force=True,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+            metrics=metrics,
+            trace_dir=args.trace,
+            status_dir=args.status,
+            snapshots={spec.content_hash(): snapshot},
+        )
     except ReproError as error:
         raise SystemExit(f"cannot fork: {error}")
-    trace = None
-    if args.trace is not None:
-        # A directory (typically the parent sweep's --trace dir): the file is
-        # named after the *forked* spec's hash, so the parent cell's trace is
-        # never overwritten.
-        trace = (
-            cell_trace(args.trace, spec.content_hash())
-            if Path(args.trace).is_dir()
-            else TraceEmitter(args.trace)
-        )
-    metrics = MetricsRegistry() if args.metrics else None
-    finished, paused_at = _run_cells(
-        args,
-        "fork",
-        "fork",
-        [spec],
-        trace,
-        metrics,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        snapshot=snapshot,
-    )
-    if paused_at is not None:
-        print(f"paused forked run at round {paused_at}")
+    if outcome.interrupted:
         return PAUSED_EXIT_CODE
-    [result] = finished
-    lineage = spec.lineage or {}
+    key = spec.content_hash()
     print(
-        f"forked {spec.label} from round {lineage.get('round', snapshot.rounds_completed)}: "
-        f"parent spec {str(lineage.get('parent', ''))[:12]}... -> "
-        f"forked spec {spec.content_hash()[:12]}..."
+        f"forked {spec.label} from round {spec.lineage['round']}: "
+        f"parent spec {spec.lineage['parent'][:12]}... -> forked spec {key[:12]}..."
     )
     if args.store is not None:
-        store = ResultStore(args.store)
-        store.put(spec, result)
-        print(f"stored forked result under {spec.content_hash()} in {args.store}")
+        print(f"stored forked result under {key} in {args.store}")
     print()
-    print(summarize_results({spec.label: result}))
+    print(summarize_results({spec.label: outcome.result_for(spec)}))
+    # The trace file is named after the *forked* spec's hash, so a fork traced
+    # into its parent sweep's directory never overwrites the parent's file.
+    trace_path = None if args.trace is None else Path(args.trace, f"{key}.trace.jsonl")
     _print_telemetry_footer(
-        metrics, "metrics", None if trace is None else f"trace written to {trace.path}"
+        metrics, "metrics", None if trace_path is None else f"trace written to {trace_path}"
     )
     return 0
 

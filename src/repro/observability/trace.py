@@ -242,8 +242,9 @@ def summarize_trace(path: str | Path) -> str:
     if not records:
         return f"trace {str(path)!r} is empty"
 
-    # Split the file into runs at manifest boundaries (a CLI invocation
-    # comparing several schemes writes them back to back into one file).
+    # Split the file into runs at manifest boundaries: one cell writes one
+    # run, but a file may hold several back to back (e.g. an older `run
+    # --trace` comparing schemes, or emitters sharing a path).
     runs: list[list[dict[str, Any]]] = []
     for record in records:
         if record.get("kind") == "manifest" or not runs:

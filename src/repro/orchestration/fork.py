@@ -91,8 +91,9 @@ def run_fork(
     or mutations differ) together with its result.  ``metrics`` and
     ``heartbeat`` attach run telemetry exactly as on a plain run (and stay
     outside the determinism contract).  The CLI's ``fork`` builds the same
-    spec with :func:`build_forked_spec` and runs it with checkpointing and a
-    trace of its own.
+    spec with :func:`build_forked_spec` and runs it as a one-cell
+    :func:`~repro.orchestration.run_sweep`, with checkpointing, a trace and a
+    store of its own.
     """
 
     spec = build_forked_spec(snapshot, mutations)

@@ -23,8 +23,10 @@ determinism pillar.
 Progress is observable through :class:`SweepObserver` hooks — the resume
 acceptance test counts executed specs exactly this way, and the CLI uses the
 same hooks for its progress lines.  The per-cell telemetry sinks
-(:func:`cell_trace`, :func:`cell_heartbeat`) are built here and nowhere else;
-the CLI's ``run``/``fork`` reuse them.
+(:func:`cell_trace`, :func:`cell_heartbeat`) are built here and nowhere else.
+The CLI's ``run``, ``sweep`` and ``fork`` are each one :func:`run_sweep`
+call; ``snapshots=`` lets ``run --resume-from`` and ``fork`` start their cell
+from a given snapshot.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ import signal
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
-from repro.checkpoint import preemption
+from repro.checkpoint import SimulationSnapshot, preemption
 from repro.evaluation.workloads import get_workload
 from repro.exceptions import ConfigurationError, ExperimentPaused
 from repro.observability.metrics import MetricsRegistry
@@ -169,7 +171,7 @@ def cell_heartbeat(
 
 
 def _execute_spec_task(
-    task: tuple[dict[str, Any], str | None, int, dict[str, Any]],
+    task: tuple[dict[str, Any], str | None, int, SimulationSnapshot | None, dict[str, Any]],
 ) -> tuple[str, dict[str, Any]]:
     """The one cell worker: a pool process maps it, a serial sweep calls it.
 
@@ -182,7 +184,7 @@ def _execute_spec_task(
     registry with it.
     """
 
-    spec_dict, checkpoint_dir, checkpoint_every, telemetry = task
+    spec_dict, checkpoint_dir, checkpoint_every, snapshot, telemetry = task
     spec = ExperimentSpec.from_dict(spec_dict)
     key = spec.content_hash()
     if preemption.interrupted():
@@ -194,6 +196,7 @@ def _execute_spec_task(
         result = spec.run(
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
+            snapshot=snapshot,
             metrics=registry,
             observers=() if trace is None else (trace,),
             heartbeat=cell_heartbeat(telemetry.get("status_dir"), spec, registry),
@@ -239,6 +242,7 @@ def run_sweep(
     metrics: MetricsRegistry | None = None,
     trace_dir: str | Path | None = None,
     status_dir: str | Path | None = None,
+    snapshots: Mapping[str, SimulationSnapshot] | None = None,
 ) -> SweepOutcome:
     """Execute every cell of ``sweep`` that the store does not already hold.
 
@@ -283,6 +287,11 @@ def run_sweep(
         a merged live metrics snapshot, updated from both the serial and the
         pool path.  Render it live with ``jwins-repro top <dir>``.  Pure
         wall-side telemetry — RNG order and stored bytes are unaffected.
+    snapshots:
+        Content hash -> the snapshot that cell resumes from (``run
+        --resume-from``, ``fork``).  It wins over a ``checkpoint_dir`` lookup;
+        :meth:`ExperimentSpec.run` refuses a snapshot that neither embeds the
+        cell's spec nor is named by its fork lineage.
     """
 
     if isinstance(sweep, Sweep):
@@ -342,8 +351,15 @@ def run_sweep(
         "trace_dir": None if trace_dir is None else str(trace_dir),
         "status_dir": None if status_dir is None else str(status_dir),
     }
+    snapshots = snapshots or {}
     tasks = [
-        (spec.to_dict(), checkpoint_dir, checkpoint_every, telemetry)
+        (
+            spec.to_dict(),
+            checkpoint_dir,
+            checkpoint_every,
+            snapshots.get(spec.content_hash()),
+            telemetry,
+        )
         for spec in pending
     ]
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.interface import SchemeFactory
@@ -30,8 +30,8 @@ from repro.datasets.base import LearningTask
 from repro.evaluation.workloads import Workload, get_workload
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.orchestration.schemes import SchemeSpec
-from repro.scenarios.schedule import ScenarioSchedule
 from repro.simulation import ExperimentConfig, ExperimentResult, run_experiment
+from repro.utils.records import read_fields
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.checkpoint.snapshot import SimulationSnapshot
@@ -68,8 +68,8 @@ class ExperimentSpec:
         The scheme to run, as a serializable :class:`SchemeSpec`.
     overrides:
         :class:`~repro.simulation.ExperimentConfig` field overrides applied on
-        top of the workload's default configuration (JSON values only; the
-        tuple-typed fields are coerced back when the config is built).  A
+        top of the workload's default configuration (JSON values only, read
+        back through the record codec when the config is built).  A
         ``"scenario"`` override travels as the schedule's exact ``to_dict``
         form — including Byzantine windows and trace-compiled outages — so
         hostile environments are sweepable axes with stable content hashes,
@@ -165,22 +165,17 @@ class ExperimentSpec:
         """Materialize the task, scheme factory and validated configuration."""
 
         workload = get_workload(self.workload)
-        overrides = dict(self.overrides)
-        overrides["seed"] = self.resolved_seed()
-        if isinstance(overrides.get("scenario"), Mapping):
-            # Scenarios travel through sweeps as their canonical JSON form;
-            # the exact from_dict round trip keeps content hashes stable.
-            overrides["scenario"] = ScenarioSchedule.from_dict(overrides["scenario"])
-        for name in ExperimentConfig._TUPLE_FIELDS:
-            if name in overrides:
-                overrides[name] = tuple(overrides[name])
-        execution = overrides.pop("execution", workload.config.execution)
         try:
-            config = workload.make_config(execution=execution, **overrides)
-        except TypeError as error:
+            # The overrides are the config's JSON form (a scenario travels as
+            # its to_dict mapping), read back field by field.
+            overrides = read_fields(
+                ExperimentConfig, {**self.overrides, "seed": self.resolved_seed()}
+            )
+        except (ConfigurationError, TypeError, ValueError) as error:
             raise ConfigurationError(
                 f"invalid override for spec {self.label!r}: {error}"
             ) from error
+        config = replace(workload.config, **overrides)
         task = workload.make_task(seed=self.resolved_task_seed())
         return task, self.scheme.build(), config, workload
 
@@ -233,9 +228,10 @@ class ExperimentSpec:
             if embedded != key and fork_point != (embedded, snapshot.rounds_completed):
                 raise CheckpointError(
                     f"snapshot embeds spec hash {str(embedded)[:12]}... at round "
-                    f"{snapshot.rounds_completed}, this spec hashes to {key[:12]}... and its "
-                    "lineage does not name that fork point; refusing to resume a different "
-                    "experiment (use fork to replay under a changed config)"
+                    f"{snapshot.rounds_completed}, which does not match this invocation: "
+                    f"the spec hashes to {key[:12]}... and its lineage does not name that "
+                    "fork point; refusing to resume a different experiment (re-run with "
+                    "the original flags, or use fork to replay under a changed config)"
                 )
         if snapshot is not None and manager is not None:
             manager.record_lineage(

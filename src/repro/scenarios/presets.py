@@ -47,10 +47,13 @@ def _small_world(num_nodes: int, rounds: int) -> ScenarioSchedule:
 
 
 def _churn_outages(num_nodes: int, rounds: int) -> tuple[NodeOutage, ...]:
-    """Rotating two-round outages from round 2 on, one node at a time."""
+    """Rotating two-round outages from round 2 on, one node at a time.
+
+    A run of two rounds or fewer ends before the first outage would start.
+    """
 
     outages = []
-    for position, start in enumerate(range(2, max(3, rounds), 3)):
+    for position, start in enumerate(range(2, rounds, 3)):
         outages.append(
             NodeOutage(
                 node=position % num_nodes, start_round=start, end_round=start + 2

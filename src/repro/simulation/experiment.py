@@ -151,9 +151,6 @@ class ExperimentConfig(RecordWriter):
             link_latency_jitter_seconds=self.link_latency_jitter_seconds,
         )
 
-    #: Fields declared as tuples, which JSON stores as lists.
-    _TUPLE_FIELDS = ("compute_speed_range", "bandwidth_scale_range")
-
     # -- copy helpers -------------------------------------------------------------
     def with_rounds(self, rounds: int) -> "ExperimentConfig":
         """Copy of this configuration with a different round budget."""

@@ -7,7 +7,8 @@ field by field, in a ``to_dict``/``from_dict`` pair.  Per annotation:
 
 * ``int`` and ``float`` values are cast, so numpy scalars become native
   numbers (``float()`` is exact on ``np.float64``, and JSON's float repr is
-  exact, so a round trip is bit for bit);
+  exact, so a round trip is bit for bit); an ``int`` reader refuses a value
+  the cast would change, such as ``2.5``;
 * ``X | None`` keeps ``None`` and converts anything else as ``X``;
 * ``tuple[X, ...]``, fixed tuples and ``list[X]`` are JSON lists, read back
   as the annotated container;
@@ -28,7 +29,7 @@ from typing import Any, Callable, Mapping, TypeVar
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["Record", "RecordWriter"]
+__all__ = ["Record", "RecordWriter", "read_fields"]
 
 _Convert = Callable[[Any], Any]
 _R = TypeVar("_R", bound="Record")
@@ -38,11 +39,22 @@ def _as_is(value: Any) -> Any:
     return value
 
 
+def _read_int(value: Any) -> int:
+    """``int(value)``, refusing a value the cast would change (``2.5``, ``"3"``)."""
+
+    number = int(value)
+    if number != value:
+        raise ConfigurationError(f"{value!r} is not an integer")
+    return number
+
+
 def _converters(annotation: Any) -> tuple[_Convert, _Convert]:
     """``(write, read)`` for values of one resolved annotation."""
 
-    if annotation in (int, float):
-        return annotation, annotation
+    if annotation is int:
+        return int, _read_int
+    if annotation is float:
+        return float, float
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if origin in (typing.Union, types.UnionType):
         [inner] = [arg for arg in args if arg is not type(None)]
@@ -97,6 +109,24 @@ class RecordWriter:
         }
 
 
+def read_fields(cls: type, data: Mapping[str, Any]) -> dict[str, Any]:
+    """The values of the ``cls`` fields that ``data`` holds, read per annotation.
+
+    ``data`` may be partial: absent fields are left out.  An unknown key is
+    refused by name.
+    """
+
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(
+            f"a {cls.__name__} record must be a mapping, got {type(data).__name__}"
+        )
+    plan = _plan(cls)
+    unknown = sorted(str(key) for key in data if key not in plan)
+    if unknown:
+        raise ConfigurationError(f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
+    return {name: read(data[name]) for name, (_, read, _) in plan.items() if name in data}
+
+
 class Record(RecordWriter):
     """A :class:`RecordWriter` that also reads its JSON form back."""
 
@@ -104,18 +134,8 @@ class Record(RecordWriter):
     def from_dict(cls: type[_R], data: Mapping[str, Any]) -> _R:
         """Rebuild a record from :meth:`to_dict` output."""
 
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"a {cls.__name__} record must be a mapping, got {type(data).__name__}"
-            )
-        plan = _plan(cls)
-        unknown = sorted(str(key) for key in data if key not in plan)
-        if unknown:
-            raise ConfigurationError(f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
-        values = {}
-        for name, (_, read, required) in plan.items():
-            if name in data:
-                values[name] = read(data[name])
-            elif required:
+        values = read_fields(cls, data)
+        for name, (_, _, required) in _plan(cls).items():
+            if required and name not in values:
                 raise ConfigurationError(f"{cls.__name__} record is missing field {name!r}")
         return cls(**values)

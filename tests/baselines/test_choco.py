@@ -85,13 +85,13 @@ def test_messages_meter_values_and_metadata():
 
 
 def test_aggregate_before_prepare_raises():
-    scheme = ChocoScheme(0, SIZE, seed=1)
+    scheme = ChocoScheme(0, SIZE, seed=1, fraction=0.37, gamma=0.6)
     with pytest.raises(SimulationError):
         scheme.aggregate(_context(np.zeros(SIZE)), [])
 
 
 def test_incompatible_message_rejected():
-    scheme = ChocoScheme(0, SIZE, seed=1)
+    scheme = ChocoScheme(0, SIZE, seed=1, fraction=0.37, gamma=0.6)
     context = _context(np.zeros(SIZE))
     scheme.prepare(context)
     with pytest.raises(SimulationError):
@@ -100,9 +100,9 @@ def test_incompatible_message_rejected():
 
 def test_invalid_hyperparameters_raise():
     with pytest.raises(SimulationError):
-        ChocoScheme(0, SIZE, seed=1, fraction=0.0)
+        ChocoScheme(0, SIZE, seed=1, fraction=0.0, gamma=0.6)
     with pytest.raises(SimulationError):
-        ChocoScheme(0, SIZE, seed=1, gamma=0.0)
+        ChocoScheme(0, SIZE, seed=1, fraction=0.37, gamma=0.0)
 
 
 def test_factory_sets_budget_and_gamma():

@@ -97,6 +97,11 @@ class TestMaterialization:
         with pytest.raises(ConfigurationError, match="movielens/jwins"):
             _spec(overrides={**TINY, "warp_factor": 9}).build()
 
+    @pytest.mark.parametrize("field,value", [("rounds", 2.5), ("num_nodes", "4")])
+    def test_an_int_override_the_cast_would_change_is_refused(self, field, value):
+        with pytest.raises(ConfigurationError, match="not an integer"):
+            _spec(overrides={**TINY, field: value}).build()
+
     @pytest.mark.parametrize(
         "field,value",
         [

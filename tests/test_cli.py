@@ -60,7 +60,7 @@ def test_main_runs_small_experiment(capsys):
     )
     captured = capsys.readouterr().out
     assert exit_code == 0
-    assert "running jwins" in captured
+    assert "running movielens/jwins ..." in captured
     assert "final acc" in captured
 
 
@@ -104,7 +104,7 @@ def test_main_runs_async_experiment(capsys):
     captured = capsys.readouterr().out
     assert exit_code == 0
     assert "execution=async" in captured
-    assert "running jwins" in captured
+    assert "running movielens/jwins ..." in captured
 
 
 def test_explicit_run_subcommand_equals_flat_invocation(capsys):

@@ -13,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
+import repro.cli as cli
 from repro.checkpoint import preemption
 from repro.cli import main
+from repro.orchestration import run_sweep
 from repro.observability.status import load_status
 from repro.observability.trace import read_trace, strip_wall
 
@@ -131,18 +133,44 @@ def test_trace_summarize_rejects_json(tmp_path):
         main(["trace", "summarize", str(trace_dir), "--json"])
 
 
-# -- one road: `run` is ExperimentSpec.run with or without checkpoint flags ------------
+# -- one road: `run` is a run_sweep call with or without checkpoint flags --------------
 def test_run_prints_and_traces_the_same_with_or_without_checkpoint_dir(tmp_path, capsys):
     outputs, traces = [], []
     for name, extra in (("plain", []), ("ckpt", ["--checkpoint-dir", str(tmp_path / "ck")])):
-        trace = tmp_path / f"{name}.trace.jsonl"
-        assert main([*RUN_ARGS, "--trace", str(trace), *extra]) == 0
-        outputs.append(capsys.readouterr().out.replace(str(trace), "TRACE"))
+        trace_dir = tmp_path / name
+        assert main([*RUN_ARGS, "--trace", str(trace_dir), *extra]) == 0
+        outputs.append(capsys.readouterr().out.replace(str(trace_dir), "TRACE"))
+        [trace] = trace_dir.glob("*.trace.jsonl")
         traces.append(trace)
     assert outputs[0] == outputs[1]
+    assert traces[0].name == traces[1].name
     assert strip_wall(traces[0]) == strip_wall(traces[1])
     manifest = read_trace(traces[0])[0]
     assert manifest["kind"] == "manifest" and len(manifest["spec_hash"]) == 64
+
+
+def test_run_trace_dir_holds_the_sweep_cell_trace_of_the_same_spec(tmp_path, capsys, monkeypatch):
+    """`run --trace DIR` and `sweep --trace DIR` share one layout: the cell's
+    `<spec hash>.trace.jsonl`, equal once wall fields are stripped."""
+
+    swept = []
+
+    def recording_run_sweep(sweep, *args, **options):
+        swept.append(sweep)
+        return run_sweep(sweep, *args, **options)
+
+    monkeypatch.setattr(cli, "run_sweep", recording_run_sweep)
+    assert main([*RUN_ARGS, "--trace", str(tmp_path / "run")]) == 0
+    [sweep] = swept
+    [spec] = sweep.expand()
+    monkeypatch.setattr(cli, "_build_adhoc_sweep", lambda args, scale: sweep)
+    store = tmp_path / "store.jsonl"
+    assert main([*SWEEP_ARGS, "--store", str(store), "--trace", str(tmp_path / "sweep")]) == 0
+    capsys.readouterr()
+    name = f"{spec.content_hash()}.trace.jsonl"
+    assert [path.name for path in (tmp_path / "run").iterdir()] == [name]
+    assert [path.name for path in (tmp_path / "sweep").iterdir()] == [name]
+    assert strip_wall(tmp_path / "run" / name) == strip_wall(tmp_path / "sweep" / name)
 
 
 # -- the --status heartbeat -----------------------------------------------------------

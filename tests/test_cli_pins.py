@@ -16,6 +16,7 @@ import pytest
 
 import repro.cli as cli
 from repro.cli import build_cli_parser, main
+from repro.orchestration import SweepOutcome
 
 _SCHEMES = ("jwins", "jwins-adaptive", "full-sharing", "random-sampling", "topk", "choco", "quantized")
 _ARTIFACTS = ("table1", "fig6", "fig7")
@@ -199,11 +200,13 @@ _RUN_SPEC_HASHES = {
 def test_run_spec_identity_is_pinned(flags, monkeypatch, capsys):
     built = []
 
-    def capture_instead_of_running(args, action, board_name, specs, trace, metrics, **options):
+    def capture_instead_of_running(sweep, **options):
+        specs = sweep.expand()
         built.extend((spec.label, spec.content_hash(), spec.resolved_seed()) for spec in specs)
-        return [], 0  # "paused at round 0": the handler exits without a summary
+        # "Interrupted": the handler exits without a summary.
+        return SweepOutcome(name=sweep.name, specs=specs, interrupted=True)
 
-    monkeypatch.setattr(cli, "_run_cells", capture_instead_of_running)
+    monkeypatch.setattr(cli, "run_sweep", capture_instead_of_running)
     assert main(["run", *flags.split()]) == cli.PAUSED_EXIT_CODE
     assert [(label, key) for label, key, _ in built] == _RUN_SPEC_HASHES[flags]
     assert {seed for _, _, seed in built} == {1}  # the spec pins the --seed default

@@ -133,6 +133,10 @@ REMOVED = [
     ("repro.orchestration.schemes", "_build_choco"),
     ("repro.orchestration.schemes", "_build_quantized"),
     ("repro.scenarios.schedule:ScenarioSchedule", "_coerce"),
+    # The CLI's second cell lifecycle (`run` and `fork` go through run_sweep),
+    # and the tuple-field list the record codec reads in its place.
+    ("repro.cli", "_run_cells"),
+    ("repro.simulation.experiment:ExperimentConfig", "_TUPLE_FIELDS"),
 ]
 
 #: (callable, parameter): the parameter (or dataclass field) is gone from the
