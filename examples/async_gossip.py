@@ -20,6 +20,7 @@ deliveries without touching the simulation loop.
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 
 from repro.core import JwinsConfig, jwins_factory
 from repro.datasets import make_cifar10_task
@@ -64,7 +65,7 @@ def main() -> None:
         task = make_cifar10_task(
             seed=1, train_samples=samples, test_samples=samples // 4, noise=1.0
         )
-        simulator = Simulator(task, factory, config.with_execution(execution))
+        simulator = Simulator(task, factory, replace(config, execution=execution))
 
         def count_delivery(message, receiver, now, execution=execution):
             deliveries[execution] += 1

@@ -18,7 +18,7 @@
 #   bench        codec throughput benchmark in smoke mode
 #   smoke        pinned CLI spec hashes / `sweep --dry-run` expansion first,
 #                then the registry listings and a dry run of every scenario
-#                preset, async gossip example + orchestration sweep resume
+#                preset at 1 and at 3 rounds, async gossip example + orchestration sweep resume
 #                smoke (every scheme the CLI pins) + fig7 preset sweep and
 #                `regenerate` + live status.json heartbeat smoke (2-worker
 #                sweep, `top`)
@@ -44,11 +44,12 @@
 #   fuzz         fixed-seed scenario-fuzz smoke, 10 cases under jwins and 4
 #                under choco (a stateful baseline through the event loop's
 #                one-row encode/aggregate calls): every generated hostile
-#                schedule must pass the rerun, F_start-invariant (JWINS's
-#                cached start coefficients = DWT of the model at every round
-#                end), 1-vs-2-worker, interrupt-resume, strip_wall and
-#                arena-vs-pernode oracles (a failing case
-#                prints its JSON schedule for local replay), plus the
+#                schedule must pass the five oracles: rerun (results and
+#                wall-stripped traces), F_start-invariant (JWINS's cached
+#                start coefficients = DWT of the model at every round end),
+#                1-vs-2-worker, interrupt-resume and arena-vs-pernode (a
+#                failing case prints its JSON schedule for local replay, with
+#                the trace diff of the runs that failed), plus the
 #                injected-nondeterminism self-test, which must also
 #                root-cause the injected bug via the forensic trace differ
 #   reach        scripts/reach.py: run the figure benchmarks, examples, perf
@@ -130,10 +131,14 @@ stage_smoke() {
   python -m pytest -q tests/test_cli_pins.py -k "spec_identity or dry_run"
 
   python -m repro.cli --list-workloads --list-schemes --list-scenarios >/dev/null
-  # Every preset resolves for a 4-node deployment (the dry run builds each cell).
-  python -m repro.cli sweep --workload movielens --scheme jwins --nodes 4 --degree 2 --rounds 3 \
-      --scenario static dynamic small-world partition stragglers byzantine \
-      --store "$CI_TMP/scenarios.jsonl" --dry-run >/dev/null
+  # Every preset resolves for a 4-node deployment of 1 and of 3 rounds (the
+  # dry run builds each cell); a 1-round run is too short for any window.
+  local rounds
+  for rounds in 1 3; do
+    python -m repro.cli sweep --workload movielens --scheme jwins --nodes 4 --degree 2 \
+        --rounds "$rounds" --scenario static dynamic small-world churn partition stragglers \
+        churn-partition byzantine --store "$CI_TMP/scenarios.jsonl" --dry-run >/dev/null
+  done
 
   python examples/async_gossip.py --smoke
   python examples/churn_partition.py --smoke
@@ -544,7 +549,8 @@ stage_fuzz() {
   # Property-test the determinism contract over random hostile schedules
   # (overlapping outages, partitions, byzantine windows, rewiring).  The
   # fixed seed keeps the smoke reproducible; a failure prints the minimal
-  # failing schedule as JSON replayable with `--replay`.
+  # failing schedule as JSON replayable with `--replay`, with the trace diff
+  # of the oracle's own failing runs.
   python -m repro.scenarios.fuzz --cases 10 --seed 0
   # A stateful baseline takes the per-row default hooks: its error-feedback
   # state crosses the one-node stage calls under churn, partitions, byzantine
@@ -557,7 +563,7 @@ stage_fuzz() {
   selftest_out="$(python -m repro.scenarios.fuzz --self-test --cases 1 --seed 0)"
   grep -q "forensics localized the divergence to round" <<<"$selftest_out"
   grep -q "first divergent record" <<<"$selftest_out"
-  echo "fuzz gate: 10 jwins + 4 choco hostile schedules passed all 6 oracles; self-test caught and root-caused the injected bug"
+  echo "fuzz gate: 10 jwins + 4 choco hostile schedules passed all 5 oracles; self-test caught and root-caused the injected bug"
 }
 
 stage_reach() {

@@ -872,7 +872,7 @@ def _trace_command(args: argparse.Namespace) -> int:
             raise SystemExit("--json applies to trace diff only")
         try:
             print(summarize_trace_dir(path) if path.is_dir() else summarize_trace(path))
-        except (OSError, json.JSONDecodeError) as error:
+        except (OSError, ValueError) as error:
             raise SystemExit(f"cannot summarize trace {args.path!r}: {error}")
         return 0
     # diff

@@ -10,7 +10,7 @@ simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.interface import SchemeFactory
 from repro.datasets.base import LearningTask
@@ -96,12 +96,12 @@ def compare_to_target(
         robust).
     """
 
-    reference_config = config.with_rounds(reference_rounds or config.rounds)
+    reference_config = replace(config, rounds=reference_rounds or config.rounds)
     reference_result = run_experiment(task, reference_factory, reference_config, reference_name)
     target = reference_result.best_accuracy * target_fraction_of_best
 
     runs = {reference_name: _to_target_run(reference_result, target)}
-    challenger_config = config.with_target(target)
+    challenger_config = replace(config, target_accuracy=target)
     for name, factory in challenger_factories.items():
         result = run_experiment(task, factory, challenger_config, name)
         runs[name] = _to_target_run(result, target)

@@ -1,8 +1,8 @@
 """Structured JSONL run traces with a determinism-preserving wall split.
 
 A :class:`TraceEmitter` is an engine observer (attach it with
-``Simulator.add_observer`` or pass it in ``observers=``).  It writes one JSON
-object per line: a ``manifest`` header at the start of every run (spec hash,
+``Simulator.add_observer`` or pass it in ``observers=``).  A trace file holds
+exactly one run, one JSON object per line: a ``manifest`` header (spec hash,
 seed, library versions), then one record per round / delivered message /
 evaluation / checkpoint event and a closing ``run_end`` record.  Every record
 has the shape::
@@ -77,8 +77,8 @@ class TraceEmitter:
     """Append-structured-records-to-JSONL emitter with sequence numbering.
 
     Its ``on_*`` methods are the engine's observer hooks (see
-    :class:`~repro.simulation.engine.SimulationObserver`); one emitter may
-    trace several runs back to back into one file.
+    :class:`~repro.simulation.engine.SimulationObserver`); one emitter traces
+    one run into one file, and an emit after :meth:`close` raises.
 
     Parameters
     ----------
@@ -96,8 +96,11 @@ class TraceEmitter:
         self._wall_clock = wall_clock
         self._handle: TextIO | None = None
         self._seq = 0
+        self._closed = False
 
     def _ensure_open(self) -> TextIO:
+        if self._closed:
+            raise ValueError(f"trace {str(self.path)!r} is closed: a trace file holds one run")
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = self.path.open("w", encoding="utf-8")
@@ -169,11 +172,12 @@ class TraceEmitter:
             self._handle.flush()
 
     def close(self) -> None:
-        """Flush and close the underlying file; further emits reopen it."""
+        """Flush and close the underlying file; a further emit raises."""
 
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+        self._closed = True
 
     def __enter__(self) -> "TraceEmitter":
         return self
@@ -227,99 +231,99 @@ def _rollup_rows(title: str, header: tuple[str, ...], rows: list[tuple]) -> list
     return lines
 
 
-def summarize_trace(path: str | Path) -> str:
-    """Per-run and per-node rollups of one trace file.
-
-    Renders, per traced run: the manifest identity line, record counts by
-    kind, the evaluation trajectory end points, a per-node table (messages
-    and bytes received, plus rounds completed when the run's round records
-    name a node, as the event loop's do; a lock-step run's rounds are global
-    and its ``rounds_completed`` line already counts them) and the peak RSS
-    carried by the ``run_end`` record.
-    """
+def _read_one_run(path: str | Path) -> list[dict[str, Any]]:
+    """The records of a trace file, refused when it holds a second manifest."""
 
     records = read_trace(path)
+    manifests = [record for record in records if record.get("kind") == "manifest"]
+    if len(manifests) > 1:
+        raise ValueError(
+            f"trace {str(path)!r} holds a second 'manifest' record "
+            f"(seq {manifests[1].get('seq')}): a trace file holds one run"
+        )
+    return records
+
+
+def summarize_trace(path: str | Path) -> str:
+    """Per-node rollups of the one run a trace file holds.
+
+    Renders the manifest identity line, record counts by kind, the
+    evaluation trajectory end points, a per-node table (messages and bytes
+    received, plus rounds completed when the run's round records name a
+    node, as the event loop's do; a lock-step run's rounds are global and its
+    ``rounds_completed`` line already counts them) and the peak RSS carried
+    by the ``run_end`` record.  A file holding a second ``manifest`` record
+    is refused with :class:`ValueError`.
+    """
+
+    records = _read_one_run(path)
     if not records:
         return f"trace {str(path)!r} is empty"
 
-    # Split the file into runs at manifest boundaries: one cell writes one
-    # run, but a file may hold several back to back (e.g. an older `run
-    # --trace` comparing schemes, or emitters sharing a path).
-    runs: list[list[dict[str, Any]]] = []
+    manifest = records[0] if records[0].get("kind") == "manifest" else {}
+    identity = " ".join(
+        f"{key}={manifest[key]}"
+        for key in ("scheme", "task", "num_nodes", "rounds", "seed", "execution")
+        if key in manifest
+    )
+    spec_hash = manifest.get("spec_hash")
+    if spec_hash:
+        identity += f" spec={str(spec_hash)[:12]}..."
+    lines: list[str] = [f"trace: {path}  ({len(records)} record(s))", ""]
+    lines.append(f"run: {identity}" if identity else "run:")
+
+    counts: dict[str, int] = {}
+    per_node: dict[int, dict[str, float]] = {}
+    node_rounds = False
+    evaluations: list[dict[str, Any]] = []
+    run_end: dict[str, Any] | None = None
     for record in records:
-        if record.get("kind") == "manifest" or not runs:
-            runs.append([])
-        runs[-1].append(record)
+        kind = record.get("kind", "?")
+        counts[kind] = counts.get(kind, 0) + 1
+        if kind == "message":
+            node = per_node.setdefault(
+                int(record["receiver"]), {"rounds": 0, "messages": 0, "bytes": 0.0}
+            )
+            node["messages"] += 1
+            node["bytes"] += float(record.get("bytes", 0.0))
+        elif kind == "round" and record.get("node") is not None:
+            node = per_node.setdefault(
+                int(record["node"]), {"rounds": 0, "messages": 0, "bytes": 0.0}
+            )
+            node["rounds"] += 1
+            node_rounds = True
+        elif kind == "evaluate":
+            evaluations.append(record)
+        elif kind == "run_end":
+            run_end = record
 
-    lines: list[str] = [f"trace: {path}  ({len(records)} record(s), {len(runs)} run(s))"]
-    for index, run in enumerate(runs):
-        manifest = run[0] if run[0].get("kind") == "manifest" else {}
-        identity = " ".join(
-            f"{key}={manifest[key]}"
-            for key in ("scheme", "task", "num_nodes", "rounds", "seed", "execution")
-            if key in manifest
-        )
-        spec_hash = manifest.get("spec_hash")
-        if spec_hash:
-            identity += f" spec={str(spec_hash)[:12]}..."
-        lines.append("")
-        lines.append(f"run {index}: {identity}" if identity else f"run {index}:")
-
-        counts: dict[str, int] = {}
-        per_node: dict[int, dict[str, float]] = {}
-        node_rounds = False
-        evaluations: list[dict[str, Any]] = []
-        run_end: dict[str, Any] | None = None
-        for record in run:
-            kind = record.get("kind", "?")
-            counts[kind] = counts.get(kind, 0) + 1
-            if kind == "message":
-                node = per_node.setdefault(
-                    int(record["receiver"]), {"rounds": 0, "messages": 0, "bytes": 0.0}
-                )
-                node["messages"] += 1
-                node["bytes"] += float(record.get("bytes", 0.0))
-            elif kind == "round" and record.get("node") is not None:
-                node = per_node.setdefault(
-                    int(record["node"]), {"rounds": 0, "messages": 0, "bytes": 0.0}
-                )
-                node["rounds"] += 1
-                node_rounds = True
-            elif kind == "evaluate":
-                evaluations.append(record)
-            elif kind == "run_end":
-                run_end = record
-
+    lines.append(
+        "  records: " + ", ".join(f"{kind}={counts[kind]}" for kind in sorted(counts))
+    )
+    if run_end is not None:
         lines.append(
-            "  records: "
-            + ", ".join(f"{kind}={counts[kind]}" for kind in sorted(counts))
+            f"  rounds_completed={run_end.get('rounds_completed')} "
+            f"total_bytes={run_end.get('total_bytes')}"
         )
-        if run_end is not None:
-            lines.append(
-                f"  rounds_completed={run_end.get('rounds_completed')} "
-                f"total_bytes={run_end.get('total_bytes')}"
-            )
-        if evaluations:
-            first, last = evaluations[0], evaluations[-1]
-            lines.append(
-                f"  accuracy: {first.get('accuracy'):.4f} (round {first.get('round')})"
-                f" -> {last.get('accuracy'):.4f} (round {last.get('round')})"
-            )
-        if per_node:
-            columns = ("rounds", "messages", "bytes") if node_rounds else ("messages", "bytes")
-            rows = [
-                (node_id, *(int(per_node[node_id][column]) for column in columns))
-                for node_id in sorted(per_node)
-            ]
-            header = ("node", "rounds") if node_rounds else ("node",)
-            lines.extend(
-                _rollup_rows(
-                    "  per-node:", header + ("messages_received", "bytes_received"), rows
-                )
-            )
-        peak_rss = (run_end or {}).get(WALL_KEY, {}).get("peak_rss_bytes")
-        if peak_rss:
-            lines.append(f"  peak_rss: {peak_rss / (1024 * 1024):.1f} MiB")
+    if evaluations:
+        first, last = evaluations[0], evaluations[-1]
+        lines.append(
+            f"  accuracy: {first.get('accuracy'):.4f} (round {first.get('round')})"
+            f" -> {last.get('accuracy'):.4f} (round {last.get('round')})"
+        )
+    if per_node:
+        columns = ("rounds", "messages", "bytes") if node_rounds else ("messages", "bytes")
+        rows = [
+            (node_id, *(int(per_node[node_id][column]) for column in columns))
+            for node_id in sorted(per_node)
+        ]
+        header = ("node", "rounds") if node_rounds else ("node",)
+        lines.extend(
+            _rollup_rows("  per-node:", header + ("messages_received", "bytes_received"), rows)
+        )
+    peak_rss = (run_end or {}).get(WALL_KEY, {}).get("peak_rss_bytes")
+    if peak_rss:
+        lines.append(f"  peak_rss: {peak_rss / (1024 * 1024):.1f} MiB")
     return "\n".join(lines)
 
 
@@ -330,7 +334,8 @@ def summarize_trace_dir(path: str | Path) -> str:
     executed cell; this renders the whole directory as one table — per cell:
     record counts, rounds completed, total simulated bytes and the final
     accuracy — so a sweep's traces are inspectable without summarizing each
-    file by hand.
+    file by hand.  A file holding a second ``manifest`` record is refused
+    with :class:`ValueError`, as in :func:`summarize_trace`.
     """
 
     directory = Path(path)
@@ -341,7 +346,7 @@ def summarize_trace_dir(path: str | Path) -> str:
     rows = []
     totals = {"records": 0, "messages": 0, "bytes": 0.0}
     for trace_file in trace_files:
-        records = read_trace(trace_file)
+        records = _read_one_run(trace_file)
         manifest = records[0] if records and records[0].get("kind") == "manifest" else {}
         messages = sum(1 for record in records if record.get("kind") == "message")
         run_end = next(

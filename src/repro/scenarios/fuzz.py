@@ -1,18 +1,18 @@
 """Seeded scenario fuzzer: the determinism contract as a property test.
 
-The six determinism oracles (seed pinning, sync-vs-seed, serial-vs-pool,
+The determinism oracles (seed pinning, sync-vs-seed, serial-vs-pool,
 interrupt-resume, wall-stripped traces, arena-vs-pernode) were historically
-pinned on hand-written cells.  This module turns five of them into a property
-over a *distribution* of hostile schedules: a seeded generator produces
-random well-formed :class:`~repro.scenarios.schedule.ScenarioSchedule`
-instances (overlapping outages, nested partitions, Byzantine windows,
-straggler windows, rewiring policies, boundary rounds) and every generated
-schedule must survive
+pinned on hand-written cells.  This module turns them into a property over a
+*distribution* of hostile schedules: a seeded generator produces random
+well-formed :class:`~repro.scenarios.schedule.ScenarioSchedule` instances
+(overlapping outages, nested partitions, Byzantine windows, straggler
+windows, rewiring policies, boundary rounds) and every generated schedule
+must survive
 
-- ``rerun``    — executing the same spec twice yields byte-identical results,
+- ``rerun``    — executing the same spec twice yields byte-identical results
+  and byte-identical wall-stripped structured traces,
 - ``workers``  — a 2-cell sweep stores byte-identical JSONL on 1 and 2 workers,
 - ``resume``   — interrupt mid-run + resume equals the uninterrupted run,
-- ``trace``    — wall-stripped structured traces are byte-identical across reruns,
 - ``engines``  — the ``engine=arena`` override changes neither the result nor the
   wall-stripped trace (the ``manifest`` record aside: its ``spec_hash`` names
   the override),
@@ -23,9 +23,14 @@ and one invariant the coefficient-domain JWINS round rests on:
   coefficients JWINS keeps of the model its next round starts from) matches
   the DWT of the node's actual model to :data:`COEFFICIENT_TOLERANCE`.
 
-On failure the schedule is *shrunk* (events dropped, windows truncated, the
-topology policy simplified, rounds reduced) to a minimal still-failing case
-and printed as reproducible JSON, replayable with ``--replay``.
+Every oracle traces the runs it makes, so a failing ``rerun``, ``workers``
+or ``engines`` verdict carries the forensic
+:class:`~repro.observability.forensics.TraceDiff` of the runs that failed —
+evidence even for a failure that never reproduces.  On failure the schedule
+is *shrunk* (events dropped, windows truncated, the topology policy
+simplified, rounds reduced) to a minimal still-failing case and printed as
+reproducible JSON, with the diff of its last failing oracle call, replayable
+with ``--replay``.
 
 Run it directly::
 
@@ -75,7 +80,6 @@ __all__ = [
     "ORACLES",
     "FuzzCase",
     "coefficient_drift",
-    "forensics_for_case",
     "generate_case",
     "install_chaos",
     "main",
@@ -84,7 +88,7 @@ __all__ = [
 ]
 
 #: Oracle names, in execution order (cheapest first).
-ORACLES = ("rerun", "coefficients", "workers", "resume", "trace", "engines")
+ORACLES = ("rerun", "coefficients", "workers", "resume", "engines")
 
 #: How far ``F_start`` may sit from the DWT of the model, relative to the
 #: latter's norm.  Not 1e-12: the db2/sym2 taps are orthonormal only to
@@ -284,33 +288,67 @@ def generate_case(seed: int, index: int, ensure_byzantine: bool = False) -> Fuzz
 
 
 # -- oracles -----------------------------------------------------------------------
-def _result_json(spec: ExperimentSpec, observers: tuple[object, ...] = ()) -> str:
-    return json.dumps(spec.run(observers=observers).to_dict(), sort_keys=True)
+#: A failing oracle's verdict: its detail, and the forensic diff of the traces
+#: of the very runs that failed (``None`` where traces cannot see the fault).
+Failure = tuple[str, TraceDiff | None]
 
 
-def _oracle_rerun(case: FuzzCase, workload: str, scheme: str) -> str | None:
+def _traced_result_json(spec: ExperimentSpec, path: Path) -> str:
+    """Run ``spec`` with its trace written to ``path``; the result as JSON."""
+
+    with TraceEmitter(path) as emitter:
+        return json.dumps(spec.run(observers=(emitter,)).to_dict(), sort_keys=True)
+
+
+def _divergence(
+    a: Path | list[dict[str, Any]],
+    b: Path | list[dict[str, Any]],
+    a_label: str,
+    b_label: str,
+) -> TraceDiff | None:
+    """The forensic diff of two traces, ``None`` when they agree."""
+
+    diff = diff_traces(a, b, a_label=a_label, b_label=b_label)
+    return None if diff.identical else diff
+
+
+def _oracle_rerun(case: FuzzCase, workload: str, scheme: str) -> Failure | None:
     spec = case.spec(workload, scheme)
-    if _result_json(spec) != _result_json(spec):
-        return "re-running the identical spec produced a different result"
-    return None
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "run-1.trace.jsonl", Path(tmp) / "run-2.trace.jsonl"
+        if _traced_result_json(spec, first) != _traced_result_json(spec, second):
+            detail = "re-running the identical spec produced a different result"
+        elif strip_wall(first) != strip_wall(second):
+            detail = "wall-stripped traces differ between identical runs"
+        else:
+            return None
+        return detail, _divergence(first, second, "run-1", "run-2")
 
 
-def _oracle_workers(case: FuzzCase, workload: str, scheme: str) -> str | None:
+def _oracle_workers(case: FuzzCase, workload: str, scheme: str) -> Failure | None:
     # Two distinct cells (consecutive seeds), because a single pending cell
     # executes in-process regardless of the worker count.
     specs = [case.spec(workload, scheme), case.spec(workload, scheme, seed_offset=1)]
     with tempfile.TemporaryDirectory() as tmp:
-        serial, pooled = Path(tmp) / "serial.jsonl", Path(tmp) / "pool.jsonl"
-        run_sweep(specs, ResultStore(serial), workers=1)
-        run_sweep(specs, ResultStore(pooled), workers=2)
-        if serial.read_bytes() != pooled.read_bytes():
-            return "1-worker and 2-worker sweep stores are not byte-identical"
-    return None
+        serial, pool = Path(tmp) / "serial", Path(tmp) / "pool"
+        run_sweep(specs, ResultStore(Path(tmp) / "serial.jsonl"), workers=1, trace_dir=serial)
+        run_sweep(specs, ResultStore(Path(tmp) / "pool.jsonl"), workers=2, trace_dir=pool)
+        if (Path(tmp) / "serial.jsonl").read_bytes() == (Path(tmp) / "pool.jsonl").read_bytes():
+            return None
+        # The first cell whose serial and pooled traces disagree.
+        for spec in specs:
+            name = f"{spec.content_hash()}.trace.jsonl"
+            diff = _divergence(
+                serial / name, pool / name, f"serial:{name[:12]}", f"pool:{name[:12]}"
+            )
+            if diff is not None:
+                break
+        return "1-worker and 2-worker sweep stores are not byte-identical", diff
 
 
-def _oracle_resume(case: FuzzCase, workload: str, scheme: str) -> str | None:
+def _oracle_resume(case: FuzzCase, workload: str, scheme: str) -> Failure | None:
     spec = case.spec(workload, scheme)
-    uninterrupted = _result_json(spec)
+    uninterrupted = json.dumps(spec.run().to_dict(), sort_keys=True)
 
     stop_after = max(1, case.rounds // 2)
     task, factory, config, _ = spec.build()
@@ -326,7 +364,7 @@ def _oracle_resume(case: FuzzCase, workload: str, scheme: str) -> str | None:
     )
     try:
         simulator.run()
-        return f"requested a pause at round {stop_after} but the run never stopped"
+        return f"requested a pause at round {stop_after} but the run never stopped", None
     except ExperimentPaused as paused:
         snapshot = paused.snapshot
     # Force the snapshot through its JSON form: what resumes in practice is
@@ -338,59 +376,28 @@ def _oracle_resume(case: FuzzCase, workload: str, scheme: str) -> str | None:
     if json.dumps(resumed.to_dict(), sort_keys=True) != uninterrupted:
         return (
             f"interrupt at round {snapshot.rounds_completed} + resume differs "
-            "from the uninterrupted run"
+            "from the uninterrupted run",
+            None,
         )
     return None
 
 
-def _traced_result_json(spec: ExperimentSpec, path: Path) -> str:
-    """Run ``spec`` with its trace written to ``path``; the result as JSON."""
-
-    with TraceEmitter(path) as emitter:
-        return _result_json(spec, observers=(emitter,))
-
-
-def _oracle_trace(case: FuzzCase, workload: str, scheme: str) -> str | None:
+def _oracle_engines(case: FuzzCase, workload: str, scheme: str) -> Failure | None:
     spec = case.spec(workload, scheme)
-    stripped: list[str] = []
+    results, events = [], []
     with tempfile.TemporaryDirectory() as tmp:
-        for attempt in range(2):
-            path = Path(tmp) / f"run-{attempt}.trace.jsonl"
-            _traced_result_json(spec, path)
-            stripped.append(strip_wall(path))
-    if stripped[0] != stripped[1]:
-        return "wall-stripped traces differ between identical runs"
-    return None
-
-
-def _engine_runs(
-    case: FuzzCase, workload: str, scheme: str, tmp: Path
-) -> list[tuple[str, list[dict[str, Any]]]]:
-    """``(result JSON, trace records)`` of the case as generated, then on the arena.
-
-    The records leave out the manifest, whose ``spec_hash`` names the override.
-    """
-
-    spec = case.spec(workload, scheme)
-    runs = []
-    for variant in (spec, replace(spec, overrides={**spec.overrides, "engine": "arena"})):
-        path = tmp / f"engine-{len(runs)}.trace.jsonl"
-        result = _traced_result_json(variant, path)
-        events = [r for r in read_trace(path) if r.get("kind") != "manifest"]
-        runs.append((result, events))
-    return runs
-
-
-def _oracle_engines(case: FuzzCase, workload: str, scheme: str) -> str | None:
-    with tempfile.TemporaryDirectory() as tmp:
-        (pernode, pernode_events), (arena, arena_events) = _engine_runs(
-            case, workload, scheme, Path(tmp)
-        )
-    if pernode != arena:
-        return "the arena engine's result differs from the per-node engine's"
-    if strip_wall(pernode_events) != strip_wall(arena_events):
-        return "the arena engine's wall-stripped trace differs from the per-node engine's"
-    return None
+        for variant in (spec, replace(spec, overrides={**spec.overrides, "engine": "arena"})):
+            path = Path(tmp) / f"engine-{len(results)}.trace.jsonl"
+            results.append(_traced_result_json(variant, path))
+            # The manifest's ``spec_hash`` names the override: leave it out.
+            events.append([r for r in read_trace(path) if r.get("kind") != "manifest"])
+    if results[0] != results[1]:
+        detail = "the arena engine's result differs from the per-node engine's"
+    elif strip_wall(events[0]) != strip_wall(events[1]):
+        detail = "the arena engine's wall-stripped trace differs from the per-node engine's"
+    else:
+        return None
+    return detail, _divergence(events[0], events[1], "pernode", "arena")
 
 
 def coefficient_drift(node: Any) -> float | None:
@@ -407,7 +414,7 @@ def coefficient_drift(node: Any) -> float | None:
     return float(error / max(np.linalg.norm(expected), np.finfo(np.float64).tiny))
 
 
-def _oracle_coefficients(case: FuzzCase, workload: str, scheme: str) -> str | None:
+def _oracle_coefficients(case: FuzzCase, workload: str, scheme: str) -> Failure | None:
     spec = case.spec(workload, scheme)
     task, factory, config, _ = spec.build()
     simulator = Simulator(task, factory, config, scheme_name=spec.scheme.label)
@@ -427,15 +434,14 @@ def _oracle_coefficients(case: FuzzCase, workload: str, scheme: str) -> str | No
 
     simulator.on_round_end(check)
     simulator.run()
-    return failures[0] if failures else None
+    return (failures[0], None) if failures else None
 
 
-_ORACLE_FUNCS: dict[str, Callable[[FuzzCase, str, str], str | None]] = {
+_ORACLE_FUNCS: dict[str, Callable[[FuzzCase, str, str], Failure | None]] = {
     "rerun": _oracle_rerun,
     "coefficients": _oracle_coefficients,
     "workers": _oracle_workers,
     "resume": _oracle_resume,
-    "trace": _oracle_trace,
     "engines": _oracle_engines,
 }
 
@@ -445,13 +451,13 @@ def run_case(
     workload: str = DEFAULT_WORKLOAD,
     scheme: str = DEFAULT_SCHEME,
     oracles: tuple[str, ...] = ORACLES,
-) -> tuple[str, str] | None:
-    """Run ``case`` through the oracles; ``(oracle, detail)`` on first failure."""
+) -> tuple[str, Failure] | None:
+    """Run ``case`` through the oracles; ``(oracle, failure)`` on first failure."""
 
     for name in oracles:
-        detail = _ORACLE_FUNCS[name](case, workload, scheme)
-        if detail is not None:
-            return name, detail
+        failure = _ORACLE_FUNCS[name](case, workload, scheme)
+        if failure is not None:
+            return name, failure
     return None
 
 
@@ -561,76 +567,34 @@ def install_chaos() -> Callable[[], None]:
     return uninstall
 
 
-# -- forensics ---------------------------------------------------------------------
-def forensics_for_case(
-    case: FuzzCase,
-    workload: str = DEFAULT_WORKLOAD,
-    scheme: str = DEFAULT_SCHEME,
-    oracle: str = "rerun",
-) -> TraceDiff | None:
-    """Root-cause a failing case: re-run it with tracing on and diff the traces.
+# -- runner ------------------------------------------------------------------------
+def _shrink_failure(
+    case: FuzzCase, oracle: str, failure: Failure, workload: str, scheme: str
+) -> tuple[FuzzCase, Failure]:
+    """The minimal still-failing case and the verdict of its last failing run.
 
-    For the ``workers`` oracle the serial and 2-worker sweeps are repeated
-    with per-cell trace directories and the first divergent cell's traces are
-    compared; for the ``engines`` oracle the per-node and arena runs' traces
-    are compared past their manifests; every other oracle re-executes the
-    spec twice with an attached
-    :class:`~repro.observability.trace.TraceEmitter` (whatever run-order
-    dependent state broke the oracle breaks the second traced run the same
-    way).  Returns the forensic :class:`TraceDiff` — first divergent record,
-    per-field drift and causal backtrace — or ``None`` when the traced
-    re-execution did not diverge (a failure specific to the oracle's own
-    path, e.g. snapshot serialization, which traces cannot see).
+    The shrinker accepts exactly the candidates whose oracle call fails, so
+    the last failing call is the returned case's: its trace diff comes from
+    the runs that failed, with no extra execution.
     """
 
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp_path = Path(tmp)
-        if oracle == "workers":
-            specs = [
-                case.spec(workload, scheme),
-                case.spec(workload, scheme, seed_offset=1),
-            ]
-            serial_dir, pool_dir = tmp_path / "serial", tmp_path / "pool"
-            run_sweep(
-                specs, ResultStore(tmp_path / "serial.jsonl"), workers=1,
-                trace_dir=serial_dir,
-            )
-            run_sweep(
-                specs, ResultStore(tmp_path / "pool.jsonl"), workers=2,
-                trace_dir=pool_dir,
-            )
-            for spec in specs:
-                name = f"{spec.content_hash()}.trace.jsonl"
-                a, b = serial_dir / name, pool_dir / name
-                if not (a.exists() and b.exists()):
-                    continue
-                diff = diff_traces(
-                    a, b,
-                    a_label=f"serial:{name[:12]}",
-                    b_label=f"pool:{name[:12]}",
-                )
-                if not diff.identical:
-                    return diff
-            return None
-        if oracle == "engines":
-            (_, pernode), (_, arena) = _engine_runs(case, workload, scheme, tmp_path)
-            diff = diff_traces(pernode, arena, a_label="pernode", b_label="arena")
-            return None if diff.identical else diff
-        spec = case.spec(workload, scheme)
-        paths = []
-        for attempt in range(2):
-            path = tmp_path / f"attempt-{attempt}.trace.jsonl"
-            _traced_result_json(spec, path)
-            paths.append(path)
-        diff = diff_traces(paths[0], paths[1], a_label="run-1", b_label="run-2")
-        return None if diff.identical else diff
+    last = failure
+
+    def still_fails(candidate: FuzzCase) -> bool:
+        nonlocal last
+        verdict = _ORACLE_FUNCS[oracle](candidate, workload, scheme)
+        if verdict is not None:
+            last = verdict
+        return verdict is not None
+
+    return shrink_case(case, still_fails), last
 
 
-# -- runner ------------------------------------------------------------------------
 def _failure_report(
-    seed: int, case: FuzzCase, oracle: str, detail: str, workload: str, scheme: str
+    seed: int, case: FuzzCase, oracle: str, failure: Failure, workload: str, scheme: str
 ) -> dict[str, Any]:
-    return {
+    detail, diff = failure
+    report = {
         "fuzzer": "repro.scenarios.fuzz",
         "seed": seed,
         "workload": workload,
@@ -640,6 +604,9 @@ def _failure_report(
         "case": case.to_dict(),
         "replay": "python -m repro.scenarios.fuzz --replay <this file>",
     }
+    if diff is not None:
+        report["forensics"] = diff.to_dict()
+    return report
 
 
 def _fuzz(args: argparse.Namespace) -> int:
@@ -649,21 +616,15 @@ def _fuzz(args: argparse.Namespace) -> int:
         print(f"unknown oracle(s): {', '.join(unknown)}; available: {', '.join(ORACLES)}")
         return 2
     for index in range(args.cases):
-        case = generate_case(args.seed, index, ensure_byzantine=args.self_test)
-        failure = run_case(case, args.workload, args.scheme, oracles)
-        if failure is None:
+        case = generate_case(args.seed, index)
+        found = run_case(case, args.workload, args.scheme, oracles)
+        if found is None:
             print(f"case {index:3d}: ok       {case.summary}")
             continue
-        oracle, detail = failure
-
-        def still_fails(candidate: FuzzCase) -> bool:
-            return _ORACLE_FUNCS[oracle](candidate, args.workload, args.scheme) is not None
-
-        shrunk = shrink_case(case, still_fails)
-        report = _failure_report(args.seed, shrunk, oracle, detail, args.workload, args.scheme)
-        diff = forensics_for_case(shrunk, args.workload, args.scheme, oracle)
-        if diff is not None:
-            report["forensics"] = diff.to_dict()
+        oracle, failure = found
+        shrunk, failure = _shrink_failure(case, oracle, failure, args.workload, args.scheme)
+        detail, diff = failure
+        report = _failure_report(args.seed, shrunk, oracle, failure, args.workload, args.scheme)
         print(f"case {index:3d}: FAILED   {case.summary}")
         print(f"oracle {oracle!r}: {detail}")
         if diff is not None:
@@ -671,7 +632,7 @@ def _fuzz(args: argparse.Namespace) -> int:
             print(diff.render())
         else:
             print(
-                "forensics: traced re-execution did not diverge; the failure is "
+                "forensics: the failing runs' traces agree; the failure is "
                 f"specific to the {oracle!r} oracle's path (not visible in traces)"
             )
         print("minimal failing case (JSON, replayable with --replay):")
@@ -693,19 +654,17 @@ def _self_test(args: argparse.Namespace) -> int:
     try:
         for index in range(args.cases):
             case = generate_case(args.seed, index, ensure_byzantine=True)
-
-            def still_fails(candidate: FuzzCase) -> bool:
-                return _oracle_rerun(candidate, args.workload, args.scheme) is not None
-
-            detail = _oracle_rerun(case, args.workload, args.scheme)
-            if detail is None:
+            failure = _oracle_rerun(case, args.workload, args.scheme)
+            if failure is None:
                 print(f"self-test case {index}: injected nondeterminism NOT caught")
                 return 1
-            shrunk = shrink_case(case, still_fails)
+            shrunk, failure = _shrink_failure(
+                case, "rerun", failure, args.workload, args.scheme
+            )
             if not shrunk.schedule.byzantine:
                 print("self-test: shrinking removed the byzantine window the bug needs")
                 return 1
-            diff = forensics_for_case(shrunk, args.workload, args.scheme, "rerun")
+            diff = failure[1]
             if diff is None or diff.round is None:
                 print(
                     "self-test: forensics failed to localize the injected "
@@ -713,9 +672,8 @@ def _self_test(args: argparse.Namespace) -> int:
                 )
                 return 1
             report = _failure_report(
-                args.seed, shrunk, "rerun", detail, args.workload, args.scheme
+                args.seed, shrunk, "rerun", failure, args.workload, args.scheme
             )
-            report["forensics"] = diff.to_dict()
             print(f"self-test case {index}: caught and shrunk to:")
             print(json.dumps(report, indent=2, sort_keys=True))
             print(
@@ -735,11 +693,11 @@ def _replay(args: argparse.Namespace) -> int:
     workload = report.get("workload", args.workload)
     scheme = report.get("scheme", args.scheme)
     print(f"replaying case: {case.summary}")
-    failure = run_case(case, workload, scheme)
-    if failure is None:
+    found = run_case(case, workload, scheme)
+    if found is None:
         print("replay: every oracle passed (the failure did not reproduce)")
         return 0
-    oracle, detail = failure
+    oracle, (detail, _) = found
     print(f"replay: oracle {oracle!r} still fails: {detail}")
     return 1
 

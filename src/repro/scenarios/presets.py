@@ -66,34 +66,49 @@ def _churn(num_nodes: int, rounds: int) -> ScenarioSchedule:
     return ScenarioSchedule(name="churn", outages=_churn_outages(num_nodes, rounds))
 
 
-def _partition_window(num_nodes: int, rounds: int) -> PartitionWindow:
+def _middle_window(rounds: int, parts: int) -> tuple[int, int] | None:
+    """``(start, end)`` of all but the first and last of ``parts`` equal slices.
+
+    The window opens at round 1 at the earliest and lasts a round at least.
+    ``None`` for a run of fewer than 2 rounds, where no such window can open.
+    """
+
+    if rounds < 2:
+        return None
+    start = max(1, rounds // parts)
+    return start, max(start + 1, ((parts - 1) * rounds) // parts)
+
+
+def _partition_windows(num_nodes: int, rounds: int) -> tuple[PartitionWindow, ...]:
     """The deployment splits into halves for the middle third of the run."""
 
+    window = _middle_window(rounds, 3)
+    if window is None:
+        return ()
     half = max(1, num_nodes // 2)
-    start = max(1, rounds // 3)
-    end = max(start + 1, (2 * rounds) // 3)
-    return PartitionWindow(
-        start_round=start,
-        end_round=end,
-        groups=(tuple(range(half)), tuple(range(half, num_nodes))),
+    return (
+        PartitionWindow(
+            start_round=window[0],
+            end_round=window[1],
+            groups=(tuple(range(half)), tuple(range(half, num_nodes))),
+        ),
     )
 
 
 def _partition(num_nodes: int, rounds: int) -> ScenarioSchedule:
-    return ScenarioSchedule(
-        name="partition", partitions=(_partition_window(num_nodes, rounds),)
-    )
+    return ScenarioSchedule(name="partition", partitions=_partition_windows(num_nodes, rounds))
 
 
 def _stragglers(num_nodes: int, rounds: int) -> ScenarioSchedule:
+    window = _middle_window(rounds, 4)
+    if window is None:
+        return ScenarioSchedule(name="stragglers")
     slow_nodes = tuple(range(max(1, num_nodes // 4)))
-    start = max(1, rounds // 4)
-    end = max(start + 1, (3 * rounds) // 4)
     return ScenarioSchedule(
         name="stragglers",
         stragglers=(
             StragglerWindow(
-                start_round=start, end_round=end, nodes=slow_nodes, slowdown=4.0
+                start_round=window[0], end_round=window[1], nodes=slow_nodes, slowdown=4.0
             ),
         ),
     )
@@ -103,21 +118,22 @@ def _churn_partition(num_nodes: int, rounds: int) -> ScenarioSchedule:
     return ScenarioSchedule(
         name="churn-partition",
         outages=_churn_outages(num_nodes, rounds),
-        partitions=(_partition_window(num_nodes, rounds),),
+        partitions=_partition_windows(num_nodes, rounds),
     )
 
 
 def _byzantine(num_nodes: int, rounds: int) -> ScenarioSchedule:
     """The last quarter of the nodes sign-flip for the middle third of the run."""
 
+    window = _middle_window(rounds, 3)
+    if window is None:
+        return ScenarioSchedule(name="byzantine")
     attackers = tuple(range(num_nodes - max(1, num_nodes // 4), num_nodes))
-    start = max(1, rounds // 3)
-    end = max(start + 1, (2 * rounds) // 3)
     return ScenarioSchedule(
         name="byzantine",
         byzantine=(
             ByzantineWindow(
-                start_round=start, end_round=end, nodes=attackers, mode="sign-flip"
+                start_round=window[0], end_round=window[1], nodes=attackers, mode="sign-flip"
             ),
         ),
     )

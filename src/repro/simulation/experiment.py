@@ -151,22 +151,7 @@ class ExperimentConfig(RecordWriter):
             link_latency_jitter_seconds=self.link_latency_jitter_seconds,
         )
 
-    # -- copy helpers -------------------------------------------------------------
-    def with_rounds(self, rounds: int) -> "ExperimentConfig":
-        """Copy of this configuration with a different round budget."""
-
-        return replace(self, rounds=rounds)
-
-    def with_target(self, target_accuracy: float) -> "ExperimentConfig":
-        """Copy of this configuration that stops when ``target_accuracy`` is reached."""
-
-        return replace(self, target_accuracy=target_accuracy)
-
-    def with_execution(self, execution: str) -> "ExperimentConfig":
-        """Copy of this configuration running under a different execution mode."""
-
-        return replace(self, execution=execution)
-
+    # -- copy helper --------------------------------------------------------------
     def with_engine(self, engine: str) -> "ExperimentConfig":
         """Copy of this configuration running on a different node-state engine.
 

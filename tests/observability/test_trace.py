@@ -81,24 +81,46 @@ def test_strip_wall_of_empty_trace_is_empty_string(tmp_path):
     assert strip_wall(path) == ""
 
 
-def test_summarize_groups_runs_at_manifest_boundaries(tmp_path):
-    path = tmp_path / "two-runs.trace.jsonl"
+def _emit_run(trace: TraceEmitter, scheme: str) -> None:
+    trace.emit("manifest", {"scheme": scheme, "seed": 1, "spec_hash": "a" * 64})
+    trace.emit("round", {"round": 0, "node": 0, "now": 1.0})
+    trace.emit("message", {"sender": 1, "receiver": 0, "bytes": 7, "now": 1.0})
+    trace.emit(
+        "run_end",
+        {"rounds_completed": 1, "total_bytes": 7.0},
+        wall={"peak_rss_bytes": 2 * 2**20},
+    )
+
+
+def test_summarize_renders_the_one_run_of_a_file(tmp_path):
+    path = tmp_path / "run.trace.jsonl"
     with TraceEmitter(path, wall_clock=FixedClock()) as trace:
-        for scheme in ("jwins", "full-sharing"):
-            trace.emit("manifest", {"scheme": scheme, "seed": 1, "spec_hash": "a" * 64})
-            trace.emit("round", {"round": 0, "node": 0, "now": 1.0})
-            trace.emit("message", {"sender": 1, "receiver": 0, "bytes": 7, "now": 1.0})
-            trace.emit(
-                "run_end",
-                {"rounds_completed": 1, "total_bytes": 7.0},
-                wall={"peak_rss_bytes": 2 * 2**20},
-            )
+        _emit_run(trace, "jwins")
     text = summarize_trace(path)
-    assert "2 run(s)" in text
-    assert "scheme=jwins" in text and "scheme=full-sharing" in text
-    assert "spec=aaaaaaaaaaaa..." in text
+    assert text.startswith(f"trace: {path}  (4 record(s))")
+    assert "run: scheme=jwins seed=1 spec=aaaaaaaaaaaa..." in text
+    assert "  records: manifest=1, message=1, round=1, run_end=1" in text
     assert "messages_received" in text
     assert "peak_rss: 2.0 MiB" in text
+
+
+def test_summarize_refuses_a_second_manifest(tmp_path):
+    path = tmp_path / "two-runs.trace.jsonl"
+    with TraceEmitter(path, wall_clock=FixedClock()) as trace:
+        _emit_run(trace, "jwins")
+        _emit_run(trace, "full-sharing")
+    with pytest.raises(ValueError, match=r"second 'manifest' record \(seq 4\)"):
+        summarize_trace(path)
+
+
+def test_emit_after_close_raises_and_keeps_the_file(tmp_path):
+    path = tmp_path / "run.trace.jsonl"
+    trace = TraceEmitter(path, wall_clock=FixedClock())
+    trace.emit("manifest", {"scheme": "jwins"})
+    trace.close()
+    with pytest.raises(ValueError, match="closed"):
+        trace.emit("round", {"round": 0})
+    assert [record["kind"] for record in read_trace(path)] == ["manifest"]
 
 
 def test_summarize_empty_trace(tmp_path):

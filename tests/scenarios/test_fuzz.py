@@ -7,9 +7,10 @@ Three layers:
   event space (all window kinds, both execution modes, every Byzantine mode);
 * the *shrinker* — greedy delta-debugging reaches a minimal case under a
   known predicate;
-* the *oracles* — a sampled case passes them, and the injected-chaos
-  self-test path catches deliberately broken determinism and shrinks it
-  while keeping the Byzantine window the bug lives in.
+* the *oracles* — a sampled case passes them, the injected-chaos self-test
+  path catches deliberately broken determinism and shrinks it while keeping
+  the Byzantine window the bug lives in, and a failing verdict carries the
+  trace diff of the very runs that failed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.scenarios.fuzz import (
     FuzzCase,
     _oracle_engines,
     _oracle_rerun,
-    forensics_for_case,
+    _oracle_workers,
     generate_case,
     install_chaos,
     main,
@@ -40,6 +41,7 @@ from repro.scenarios.schedule import (
     StragglerWindow,
 )
 from repro.simulation.arena import NodeArenas
+from repro.simulation.engine import Simulator
 from repro.topology.policy import GeneratorPolicy
 
 
@@ -168,8 +170,7 @@ def test_injected_chaos_is_caught_and_shrunk_in_process():
     case = generate_case(0, 0, ensure_byzantine=True)
     uninstall = install_chaos()
     try:
-        detail = _oracle_rerun(case, "movielens", "jwins")
-        assert detail is not None  # the rerun oracle must ring
+        assert _oracle_rerun(case, "movielens", "jwins") is not None  # it must ring
 
         def still_fails(candidate: FuzzCase) -> bool:
             return _oracle_rerun(candidate, "movielens", "jwins") is not None
@@ -186,16 +187,18 @@ def test_injected_chaos_is_caught_and_shrunk_in_process():
     assert _oracle_rerun(case, "movielens", "jwins") is None
 
 
-def test_forensics_localize_injected_chaos_to_a_round():
-    """The root-cause pipeline: chaos -> traced re-run -> divergent record."""
+def test_rerun_failure_carries_a_diff_localized_to_a_round():
+    """The root-cause pipeline: chaos -> the failing runs' traces -> divergent record."""
 
     case = generate_case(0, 0, ensure_byzantine=True)
     uninstall = install_chaos()
     try:
-        diff = forensics_for_case(case, "movielens", "jwins", oracle="rerun")
+        detail, diff = _oracle_rerun(case, "movielens", "jwins")
     finally:
         uninstall()
+    assert "different result" in detail
     assert diff is not None and not diff.identical
+    assert (diff.a_label, diff.b_label) == ("run-1", "run-2")
     assert isinstance(diff.round, int)  # the divergent round is named
     assert diff.seq is not None and diff.kind is not None
     assert diff.drifts, "the divergent record must name at least one field"
@@ -204,10 +207,43 @@ def test_forensics_localize_injected_chaos_to_a_round():
     assert "origin:" in rendered
 
 
-def test_forensics_return_none_when_traces_agree():
-    case = generate_case(0, 0)
-    assert forensics_for_case(case, "movielens", "jwins", oracle="rerun") is None
-    assert forensics_for_case(case, "movielens", "jwins", oracle="engines") is None
+def test_rerun_diff_explains_a_failure_that_does_not_reproduce(monkeypatch):
+    """Perturb only the first execution: a re-run could not show the divergence."""
+
+    case = generate_case(0, 0, ensure_byzantine=True)
+    apply_byzantine = Simulator.apply_byzantine
+    first_run: list[Simulator] = []
+
+    def perturb_first_run(self, node_id, round_index, state, params_start, params_trained):
+        corrupted = apply_byzantine(
+            self, node_id, round_index, state, params_start, params_trained
+        )
+        if not first_run:
+            first_run.append(self)
+        if self is first_run[0] and state.byzantine_mode(node_id) is not None:
+            corrupted = corrupted + 1e-3
+        return corrupted
+
+    monkeypatch.setattr(Simulator, "apply_byzantine", perturb_first_run)
+    detail, diff = _oracle_rerun(case, "movielens", "jwins")
+    assert "different result" in detail
+    assert diff is not None and isinstance(diff.round, int)
+    # Every later execution is clean: the failure does not reproduce.
+    assert _oracle_rerun(case, "movielens", "jwins") is None
+
+
+def test_workers_failure_diffs_the_first_divergent_cell():
+    # A process-global counter advances differently in a forked worker.
+    case = generate_case(0, 0, ensure_byzantine=True)
+    uninstall = install_chaos()
+    try:
+        detail, diff = _oracle_workers(case, "movielens", "jwins")
+    finally:
+        uninstall()
+    assert "not byte-identical" in detail
+    cell = case.spec("movielens", "jwins").content_hash()[:12]
+    assert diff is not None and isinstance(diff.round, int)
+    assert (diff.a_label, diff.b_label) == (f"serial:{cell}", f"pool:{cell}")
 
 
 def test_engines_oracle_rings_when_a_batched_kernel_drifts(monkeypatch):
@@ -222,8 +258,8 @@ def test_engines_oracle_rings_when_a_batched_kernel_drifts(monkeypatch):
         "step_rows",
         lambda self, rows, lr: step_rows(self, rows, lr * 1.001),
     )
-    assert "arena" in _oracle_engines(case, "movielens", "jwins")
-    diff = forensics_for_case(case, "movielens", "jwins", oracle="engines")
+    detail, diff = _oracle_engines(case, "movielens", "jwins")
+    assert "arena" in detail
     assert diff is not None and diff.kind != "manifest"
     assert (diff.a_label, diff.b_label) == ("pernode", "arena")
 
@@ -233,8 +269,29 @@ def test_main_smoke_run_passes():
     assert main(["--cases", "1", "--seed", "0"]) == 0
 
 
-def test_main_rejects_unknown_oracles():
+def test_main_rejects_unknown_oracles(capsys):
     assert main(["--cases", "1", "--seed", "0", "--oracles", "bogus"]) == 2
+    # The trace comparison is part of `rerun` now; its old name is refused.
+    assert main(["--cases", "1", "--seed", "0", "--oracles", "rerun,trace"]) == 2
+    assert "unknown oracle(s): trace; available: rerun, coefficients" in capsys.readouterr().out
+
+
+def test_main_reports_the_shrunk_case_with_the_diff_of_its_failing_runs(tmp_path, capsys):
+    report_path = tmp_path / "failing.json"
+    uninstall = install_chaos()
+    try:
+        argv = ["--cases", "1", "--seed", "0", "--oracles", "workers"]
+        assert main(argv + ["--report", str(report_path)]) == 1
+    finally:
+        uninstall()
+    assert "forensic trace diff (first divergence, shrunk case):" in capsys.readouterr().out
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["oracle"] == "workers"
+    # The diff names a cell of the shrunk case, not of the generated one.
+    shrunk = FuzzCase.from_dict(report["case"])
+    assert shrunk != generate_case(0, 0)
+    cell = shrunk.spec("movielens", "jwins").content_hash()[:12]
+    assert report["forensics"]["a"] == f"serial:{cell}"
 
 
 def test_main_replay_of_a_passing_case(tmp_path, capsys):
@@ -268,4 +325,4 @@ def test_module_self_test_catches_injected_nondeterminism():
 def test_oracle_names_are_stable():
     # scripts/ci.sh and the README document these names; renaming is a breaking
     # change to saved failure reports.
-    assert ORACLES == ("rerun", "coefficients", "workers", "resume", "trace", "engines")
+    assert ORACLES == ("rerun", "coefficients", "workers", "resume", "engines")

@@ -19,7 +19,7 @@ from tests.conftest import make_toy_task
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_PRESETS))
-@pytest.mark.parametrize("num_nodes,rounds", [(4, 2), (4, 3), (8, 20), (16, 40)])
+@pytest.mark.parametrize("num_nodes,rounds", [(4, 1), (4, 2), (4, 3), (8, 20), (16, 40)])
 def test_every_preset_builds_and_round_trips(name, num_nodes, rounds):
     schedule = get_scenario(name, num_nodes=num_nodes, rounds=rounds)
     schedule.validate_for(num_nodes)

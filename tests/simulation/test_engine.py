@@ -229,7 +229,7 @@ def test_simulator_mode_follows_config(toy_task, small_config):
     sync = Simulator(toy_task, full_sharing_factory(), small_config)
     assert isinstance(sync.mode, SynchronousMode)
     async_sim = Simulator(
-        toy_task, full_sharing_factory(), small_config.with_execution("async")
+        toy_task, full_sharing_factory(), replace(small_config, execution="async")
     )
     assert isinstance(async_sim.mode, AsynchronousMode)
 

@@ -1,5 +1,7 @@
 """Tests for the experiment configuration."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -47,24 +49,14 @@ def test_eval_nodes_boundaries_are_valid():
     assert ExperimentConfig(eval_nodes=1).eval_nodes == 1
 
 
-def test_with_rounds_returns_a_copy():
+def test_replace_returns_a_validated_copy():
     config = ExperimentConfig(rounds=10, seed=1)
-    more_rounds = config.with_rounds(50)
-    assert more_rounds.rounds == 50 and config.rounds == 10
-
-
-def test_with_target_enables_stop():
-    config = ExperimentConfig().with_target(0.8)
-    assert config.target_accuracy == 0.8
-
-
-def test_with_execution_switches_mode_and_validates():
-    config = ExperimentConfig()
-    assert config.execution == "sync"
-    async_config = config.with_execution("async")
-    assert async_config.execution == "async" and config.execution == "sync"
+    assert config.execution == "sync" and config.target_accuracy is None
+    copy = replace(config, rounds=50, target_accuracy=0.8, execution="async")
+    assert (copy.rounds, copy.target_accuracy, copy.execution) == (50, 0.8, "async")
+    assert (config.rounds, config.execution) == (10, "sync")
     with pytest.raises(ConfigurationError):
-        config.with_execution("turbo")
+        replace(config, execution="turbo")
 
 
 def test_resolved_time_model_lifts_heterogeneity_knobs():

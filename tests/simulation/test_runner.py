@@ -117,7 +117,7 @@ def make_learning_config():
 
 
 def test_target_accuracy_early_stop(toy_task):
-    config = make_learning_config().with_target(0.4)
+    config = replace(make_learning_config(), target_accuracy=0.4)
     result = run_experiment(toy_task, full_sharing_factory(), config)
     assert result.reached_target_at_round is not None
     assert result.rounds_completed <= config.rounds

@@ -121,6 +121,16 @@ def test_trace_summarize_accepts_a_sweep_directory(tmp_path, capsys):
     assert "jwins" in output and "full-sharing" in output
 
 
+def test_trace_summarize_refuses_a_file_of_two_runs(tmp_path):
+    path = tmp_path / "two-runs.trace.jsonl"
+    path.write_text(
+        '{"kind": "manifest", "seq": 0}\n{"kind": "manifest", "seq": 1}\n', encoding="utf-8"
+    )
+    for target in (path, tmp_path):  # the file, and a directory holding it
+        with pytest.raises(SystemExit, match="second 'manifest' record"):
+            main(["trace", "summarize", str(target)])
+
+
 def test_trace_summarize_rejects_two_paths(tmp_path):
     trace_dir = _traced_sweep(tmp_path, "a")
     with pytest.raises(SystemExit, match="single path"):

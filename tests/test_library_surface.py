@@ -137,6 +137,14 @@ REMOVED = [
     # and the tuple-field list the record codec reads in its place.
     ("repro.cli", "_run_cells"),
     ("repro.simulation.experiment:ExperimentConfig", "_TUPLE_FIELDS"),
+    # The fuzzer's forensic re-execution (every oracle diffs the traces of the
+    # runs that failed) and its `trace` oracle (folded into `rerun`).
+    ("repro.scenarios.fuzz", "forensics_for_case"),
+    ("repro.scenarios.fuzz", "_oracle_trace"),
+    # Copy wrappers around `dataclasses.replace`.
+    ("repro.simulation.experiment:ExperimentConfig", "with_rounds"),
+    ("repro.simulation.experiment:ExperimentConfig", "with_target"),
+    ("repro.simulation.experiment:ExperimentConfig", "with_execution"),
 ]
 
 #: (callable, parameter): the parameter (or dataclass field) is gone from the
@@ -145,7 +153,6 @@ REMOVED_PARAMETERS = [
     ("repro.simulation.experiment:ExperimentConfig", "momentum"),
     ("repro.simulation.experiment:ExperimentConfig", "time_model"),
     ("repro.simulation.experiment:ExperimentConfig", "stop_at_target"),
-    ("repro.simulation.experiment:ExperimentConfig.with_target", "stop"),
     ("repro.nn.optim:SGD", "momentum"),
     ("repro.nn.optim:SGD", "weight_decay"),
     ("repro.simulation.node:SimulationNode", "momentum"),
