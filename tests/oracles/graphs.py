@@ -2,6 +2,8 @@
 
 ``Topology`` holds only ``num_nodes`` and ``edges`` (plus the cached adjacency
 the mixing rows read); tests ask who neighbours whom through these scans.
+:func:`adjacency` is :func:`neighbors` for every node from one scan, for
+oracles that ask about every node of a large graph.
 """
 
 import networkx as nx
@@ -19,6 +21,16 @@ def neighbors(topology: Topology, node: int) -> list[int]:
         elif v == node:
             found.add(u)
     return sorted(found)
+
+
+def adjacency(topology: Topology) -> list[list[int]]:
+    """``neighbors(topology, node)`` for every node, from one scan of the edges."""
+
+    found = [set() for _ in range(topology.num_nodes)]
+    for u, v in topology.edges:
+        found[u].add(v)
+        found[v].add(u)
+    return [sorted(node_neighbors) for node_neighbors in found]
 
 
 def degree(topology: Topology, node: int) -> int:

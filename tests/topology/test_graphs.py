@@ -13,7 +13,7 @@ from repro.topology.graphs import (
     ring_topology,
     small_world_topology,
 )
-from tests.oracles.graphs import degree, is_connected, neighbors
+from tests.oracles.graphs import adjacency, degree, is_connected, neighbors
 
 
 def test_random_regular_topology_degrees():
@@ -83,6 +83,12 @@ def test_adjacency_matches_the_edge_scan_oracle(name):
     assert [list(peers) for peers in topology._adjacency] == [
         neighbors(topology, node) for node in range(topology.num_nodes)
     ]
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_GRAPHS))
+def test_the_one_scan_oracle_is_the_per_node_scan(name):
+    topology = _ORACLE_GRAPHS[name]()
+    assert adjacency(topology) == [neighbors(topology, node) for node in range(topology.num_nodes)]
 
 
 class _CountingEdges(tuple):

@@ -11,7 +11,7 @@ from repro.topology.graphs import (
     small_world_topology,
 )
 from repro.topology.weights import metropolis_hastings_rows
-from tests.oracles.graphs import degree, neighbors
+from tests.oracles.graphs import adjacency
 from tests.oracles.weights import adjacency_matrix, metropolis_hastings_weights
 
 
@@ -30,7 +30,7 @@ def _dense_builder(topology):
     """The dense N x N builder the rows replaced, frozen here as their oracle."""
 
     size = topology.num_nodes
-    degrees = [degree(topology, node) for node in range(size)]
+    degrees = [len(node_neighbors) for node_neighbors in adjacency(topology)]
     matrix = np.zeros((size, size))
     for u, v in topology.edges:
         weight = 1.0 / (1.0 + max(degrees[u], degrees[v]))
@@ -65,10 +65,12 @@ def test_rows_are_the_dense_builder_bit_for_bit(family, num_nodes):
     reference = _dense_builder(topology)
     rows = metropolis_hastings_rows(topology)
 
+    expected_neighbors = adjacency(topology)
+
     self_weights = np.array([row.self_weight for row in rows])
     assert self_weights.view(np.uint64).tolist() == np.diag(reference).view(np.uint64).tolist()
     for node, row in enumerate(rows):
-        assert list(row.neighbors) == neighbors(topology, node)
+        assert list(row.neighbors) == expected_neighbors[node]
         expected = reference[node, list(row.neighbors)]
         assert np.array(row.weights).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
     # Every other entry is zero: the densified rows are the reference's bytes.
