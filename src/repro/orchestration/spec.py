@@ -16,10 +16,17 @@ Two properties make resumable sweeps work:
   explicit ``seed`` override wins; otherwise the seed is derived from the
   content hash, so distinct cells decorrelate while every re-run (serial or
   parallel, any worker count) sees the identical seed.
+
+A sweep repeats one task across schemes and config axes, so
+:meth:`ExperimentSpec.build` takes the task from a small per-process memo
+keyed by (workload, task seed), and every dataset array of a memoized task is
+read-only: a cell that writes into shared data raises instead of corrupting
+the next cell.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -54,6 +61,22 @@ def _jsonify(value: Any) -> Any:
         f"override value {value!r} is not JSON-serializable; "
         "sweep overrides must be plain numbers, strings, booleans, lists or mappings"
     )
+
+
+@functools.lru_cache(maxsize=4)
+def _task(workload: str, seed: int) -> LearningTask:
+    """The task ``workload`` builds from ``seed``, built once per process.
+
+    Bounded to the few most recent (workload, seed) pairs: a sweep interleaves
+    a handful of tasks.  Pool workers each hold their own memo.
+    """
+
+    task = get_workload(workload).make_task(seed=seed)
+    for dataset in (task.train, task.test):
+        for array in (dataset.inputs, dataset.targets, dataset.client_ids):
+            if array is not None:
+                array.flags.writeable = False
+    return task
 
 
 @dataclass(frozen=True)
@@ -162,7 +185,11 @@ class ExperimentSpec:
 
     # -- materialization -----------------------------------------------------------
     def build(self) -> tuple[LearningTask, SchemeFactory, ExperimentConfig, Workload]:
-        """Materialize the task, scheme factory and validated configuration."""
+        """Materialize the task, scheme factory and validated configuration.
+
+        The task is shared with every other build of the same workload and
+        task seed in this process, and its dataset arrays are read-only.
+        """
 
         workload = get_workload(self.workload)
         try:
@@ -176,7 +203,7 @@ class ExperimentSpec:
                 f"invalid override for spec {self.label!r}: {error}"
             ) from error
         config = replace(workload.config, **overrides)
-        task = workload.make_task(seed=self.resolved_task_seed())
+        task = _task(workload.name, self.resolved_task_seed())
         return task, self.scheme.build(), config, workload
 
     def run(

@@ -1,12 +1,18 @@
 """Tests for ExperimentSpec: hashing, seeding, serialization, materialization."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.evaluation.workloads import WORKLOADS
 from repro.exceptions import ConfigurationError
+from repro.orchestration import spec as spec_module
+from repro.orchestration.pool import run_sweep
 from repro.orchestration.schemes import SchemeSpec
 from repro.orchestration.spec import ExperimentSpec
+from repro.orchestration.store import ResultStore
+from repro.orchestration.sweep import Sweep
 
 TINY = {"num_nodes": 4, "degree": 2, "rounds": 2, "eval_every": 1, "eval_test_samples": 32}
 
@@ -124,3 +130,77 @@ class TestMaterialization:
         a = _spec(overrides={**TINY, "seed": 2}).run()
         b = _spec(overrides={**TINY, "seed": 2}).run()
         assert a.to_dict() == b.to_dict()
+
+
+class TestTaskMemo:
+    """`ExperimentSpec.build` builds each (workload, task seed) once per process."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        spec_module._task.cache_clear()
+        yield
+        spec_module._task.cache_clear()
+
+    @pytest.fixture
+    def factory_calls(self, monkeypatch):
+        calls = []
+        workload = WORKLOADS["movielens"]
+
+        def counting(seed):
+            calls.append(seed)
+            return workload.task_factory(seed)
+
+        monkeypatch.setitem(WORKLOADS, "movielens", replace(workload, task_factory=counting))
+        return calls
+
+    def test_a_second_build_returns_the_same_task_without_building_it(self, factory_calls):
+        first = _spec(task_seed=7).build()[0]
+        again = _spec(task_seed=7, scheme=SchemeSpec("topk")).build()[0]
+        assert again is first
+        assert factory_calls == [7]
+
+    def test_a_different_seed_builds_a_new_task_and_the_bound_evicts_old_ones(self, factory_calls):
+        first = _spec(task_seed=1).build()[0]
+        assert _spec(task_seed=2).build()[0] is not first
+        assert factory_calls == [1, 2]
+        bound = spec_module._task.cache_info().maxsize
+        for seed in range(3, bound + 2):
+            _spec(task_seed=seed).build()
+        assert factory_calls == list(range(1, bound + 2))
+        rebuilt = _spec(task_seed=1).build()[0]
+        assert rebuilt is not first  # seed 1 was the oldest entry
+        assert factory_calls[-1] == 1
+
+    def test_a_write_into_a_memoized_array_raises(self):
+        task = _spec(task_seed=3).build()[0]
+        arrays = [
+            array
+            for dataset in (task.train, task.test)
+            for array in (dataset.inputs, dataset.targets, dataset.client_ids)
+            if array is not None
+        ]
+        assert len(arrays) == 6  # movielens groups samples by client
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+
+    def test_the_workload_factory_itself_stays_uncached_and_writable(self):
+        _spec(task_seed=3).build()
+        workload = WORKLOADS["movielens"]
+        task, other = workload.make_task(seed=3), workload.make_task(seed=3)
+        assert task is not other
+        task.train.inputs[0] = task.train.inputs[1]
+
+    def test_a_two_worker_sweep_stores_the_bytes_of_a_serial_one(self, tmp_path):
+        sweep = Sweep(
+            name="memo", workloads=("movielens", "celeba"), schemes=("jwins", "full-sharing"),
+            base_overrides=TINY, task_seed=5,
+        )
+        run_sweep(sweep, ResultStore(tmp_path / "serial.jsonl"), workers=1)
+        assert spec_module._task.cache_info().misses == 2  # two tasks for four cells
+        run_sweep(sweep, ResultStore(tmp_path / "pool.jsonl"), workers=2)
+        spec_module._task.cache_clear()
+        run_sweep(sweep, ResultStore(tmp_path / "cold.jsonl"), workers=1)
+        serial = (tmp_path / "serial.jsonl").read_bytes()
+        assert serial == (tmp_path / "pool.jsonl").read_bytes()
+        assert serial == (tmp_path / "cold.jsonl").read_bytes()
