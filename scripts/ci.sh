@@ -38,9 +38,12 @@
 #                =2, whose stores must be byte-identical
 #   checkpoint   SIGINT a 2-cell pool sweep mid-spec, resume it, and
 #                byte-compare the store's rows against an uninterrupted run
-#                (the fourth determinism pillar), plus dry-run/compact smokes
-#                and a checkpointing `run` -> `run --resume-from` -> `fork`
-#                -> `trace summarize` chain
+#                (the fourth determinism pillar), plus dry-run/compact smokes,
+#                a checkpointing `run` -> `run --resume-from` -> `fork`
+#                -> `trace summarize` chain, and a torn-snapshot smoke (a
+#                truncated snapshot must make `fork` exit with the refusal
+#                message, not a traceback; a version-4 JSON snapshot is
+#                refused by its number)
 #   fuzz         fixed-seed scenario-fuzz smoke, 10 cases under jwins and 4
 #                under choco (a stateful baseline through the event loop's
 #                one-row encode/aggregate calls): every generated hostile
@@ -533,7 +536,7 @@ stage_checkpoint() {
   python -m repro.cli run "${run_args[@]}" --checkpoint-every 1 --metrics \
       --trace "$CI_TMP/run-traces" --status "$CI_TMP/run-status" >/dev/null
   local snapshot
-  snapshot="$(ls "$CI_TMP"/run-ckpts/*.ckpt.json)"
+  snapshot="$(ls "$CI_TMP"/run-ckpts/*.ckpt)"
   python -m repro.cli run "${run_args[@]}" --resume-from "$snapshot" >/dev/null
   python -m repro.cli fork --snapshot "$snapshot" --scenario churn --rounds 5 \
       --store "$CI_TMP/fork.jsonl" >"$CI_TMP/fork.log"
@@ -543,6 +546,31 @@ stage_checkpoint() {
   python -m repro.cli trace summarize "$run_trace" >"$CI_TMP/summary.txt"
   grep -q "rounds_completed=3" "$CI_TMP/summary.txt"
   python -m repro.cli trace summarize "$CI_TMP/ck-ref-traces" >/dev/null
+
+  # A torn snapshot (a write cut short): `fork` must refuse it by its length
+  # with a clean message, never a traceback.
+  cp "$snapshot" "$CI_TMP/torn.ckpt"
+  truncate -s "$(( $(stat -c %s "$snapshot") / 2 ))" "$CI_TMP/torn.ckpt"
+  local torn_rc=0
+  python -m repro.cli fork --snapshot "$CI_TMP/torn.ckpt" --rounds 5 \
+      --store "$CI_TMP/torn.jsonl" >"$CI_TMP/torn.log" 2>&1 || torn_rc=$?
+  if [[ "$torn_rc" == 0 ]] || grep -q "Traceback" "$CI_TMP/torn.log" \
+      || ! grep -q "is torn" "$CI_TMP/torn.log"; then
+    echo "checkpoint gate FAILED: a truncated snapshot was not refused cleanly (exit $torn_rc):"
+    cat "$CI_TMP/torn.log"
+    return 1
+  fi
+  echo "checkpoint gate: a truncated snapshot was refused: $(tail -n 1 "$CI_TMP/torn.log")"
+
+  # A JSON-era snapshot (versions 1-4 were one JSON document) is refused by
+  # its version number.
+  printf '{"format": "jwins-repro-checkpoint", "snapshot": {}, "version": 4}\n' >"$CI_TMP/v4.ckpt.json"
+  if python -m repro.cli fork --snapshot "$CI_TMP/v4.ckpt.json" >"$CI_TMP/v4.log" 2>&1 \
+      || ! grep -q "schema version 4; this build reads version 5" "$CI_TMP/v4.log"; then
+    echo "checkpoint gate FAILED: a version-4 snapshot was not refused by its number:"
+    cat "$CI_TMP/v4.log"
+    return 1
+  fi
 }
 
 stage_fuzz() {

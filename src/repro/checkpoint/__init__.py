@@ -6,11 +6,13 @@ and unlocks scenario forking: replaying one trained state under many what-if
 futures without re-paying the common prefix.
 
 * :mod:`repro.checkpoint.snapshot` — the versioned
-  :class:`SimulationSnapshot` (full mid-run state, content-hashed, verified
-  on load) plus the engine bridge :func:`capture_snapshot` /
+  :class:`SimulationSnapshot` (full mid-run state; one binary file of a JSON
+  header and raw array blobs, hashed once while written, length-checked and
+  verified on load) plus the engine bridge :func:`capture_snapshot` /
   :func:`restore_simulator`;
-* :mod:`repro.checkpoint.serialization` — exact JSON codecs for arrays, RNG
-  streams, messages, events and round contexts;
+* :mod:`repro.checkpoint.serialization` — exact codecs for arrays, RNG
+  streams, messages, events and round contexts, and the two stored forms of
+  an encoded tree (header plus blobs, and JSON);
 * :mod:`repro.checkpoint.manager` — directory-backed snapshot storage keyed
   by spec content hash, with a ``lineage.jsonl`` provenance sidecar;
 * :mod:`repro.checkpoint.preemption` — cooperative ``SIGINT``-to-checkpoint

@@ -26,7 +26,7 @@ from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 
 __all__ = ["CheckpointManager"]
 
-_SNAPSHOT_SUFFIX = ".ckpt.json"
+_SNAPSHOT_SUFFIX = ".ckpt"
 _LINEAGE_FILE = "lineage.jsonl"
 
 
@@ -67,8 +67,7 @@ class CheckpointManager:
     ) -> Path:
         """Persist ``snapshot`` as the latest state of ``run_key``."""
 
-        snapshot_hash = snapshot.content_hash()  # computed once, reused below
-        path = snapshot.save(self.path_for(run_key), content_hash=snapshot_hash)
+        path = snapshot.save(self.path_for(run_key))
         self._m_saves.inc()
         if self._metrics.enabled:
             self._m_bytes.inc(float(path.stat().st_size))
@@ -77,7 +76,7 @@ class CheckpointManager:
                 "key": run_key,
                 "action": action,
                 "round": int(snapshot.rounds_completed),
-                "snapshot_hash": snapshot_hash,
+                "snapshot_hash": snapshot.content_hash(),  # hashed by the write
                 "execution": snapshot.execution,
                 "spec_hash": snapshot.spec_hash(),
             }

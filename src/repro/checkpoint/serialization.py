@@ -1,9 +1,12 @@
-"""Exact, JSON-safe encoding of live simulation state.
+"""Exact encoding of live simulation state.
 
 A checkpoint is only useful if resuming from it is *bit-identical* to never
 having stopped, so every codec here is lossless by construction:
 
-* numpy arrays travel as base64 of their raw little-endian bytes plus dtype
+* numpy arrays stay arrays: :func:`encode_value` keeps a C-contiguous
+  little-endian copy, which a snapshot file stores as a raw blob
+  (:func:`split_blobs` / :func:`join_blobs`) and the JSON form
+  (:func:`to_json` / :func:`from_json`) as base64 of the same bytes plus dtype
   and shape — no text formatting of floats is involved;
 * ``numpy.random.Generator`` streams travel as their bit-generator state
   dictionaries (arbitrary-precision integers, which JSON handles natively);
@@ -23,7 +26,7 @@ point accumulation order during aggregation — both survive the round trip.
 from __future__ import annotations
 
 import base64
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -37,13 +40,19 @@ __all__ = [
     "decode_value",
     "encode_rng_state",
     "encode_value",
+    "from_json",
+    "join_blobs",
     "new_rng_from_state",
+    "split_blobs",
+    "to_json",
 ]
 
-#: Type markers used by :func:`encode_value`.  Plain mappings containing one
-#: of these keys would be misread on decode, so encoding them is refused.
+#: Type markers used by :func:`encode_value`, :func:`to_json` and
+#: :func:`split_blobs`.  Plain mappings containing one of these keys would be
+#: misread on decode, so encoding them is refused.
 _MARKERS = (
     "__ndarray__",
+    "__blob__",
     "__rng__",
     "__items__",
     "__message__",
@@ -53,32 +62,106 @@ _MARKERS = (
 )
 
 
-def _encode_array(array: np.ndarray) -> dict[str, Any]:
-    contiguous = np.ascontiguousarray(array)
-    return {
-        "__ndarray__": {
-            "dtype": contiguous.dtype.str,
-            "shape": list(contiguous.shape),
-            "data": base64.b64encode(contiguous.tobytes()).decode("ascii"),
-        }
-    }
+def _rebuild(value: Any, leaf: Callable[[Any], Any]) -> Any:
+    """Copy an encoded tree, mapping keys in sorted order, every leaf through ``leaf``.
+
+    A mapping that holds an array (``__ndarray__`` or ``__blob__``) is a leaf.
+    Sorted keys make the order arrays are met in a function of the content.
+    """
+
+    if isinstance(value, dict) and "__ndarray__" not in value and "__blob__" not in value:
+        return {key: _rebuild(value[key], leaf) for key in sorted(value)}
+    if isinstance(value, list):
+        return [_rebuild(item, leaf) for item in value]
+    return leaf(value)
 
 
-def _decode_array(payload: Mapping[str, Any]) -> np.ndarray:
+def _array_shape(payload: Mapping[str, Any]) -> tuple[np.dtype, tuple[int, ...]]:
     try:
-        dtype = np.dtype(payload["dtype"])
-        shape = tuple(int(n) for n in payload["shape"])
-        raw = base64.b64decode(payload["data"])
-        array = np.frombuffer(raw, dtype=dtype)
+        return np.dtype(payload["dtype"]), tuple(int(n) for n in payload["shape"])
     except (KeyError, TypeError, ValueError) as error:
         raise CheckpointError(f"malformed ndarray payload: {error}") from error
-    if array.size != int(np.prod(shape, dtype=np.int64)):
-        raise CheckpointError(
-            f"ndarray payload holds {array.size} elements, shape {shape} expects "
-            f"{int(np.prod(shape, dtype=np.int64))}"
-        )
-    # ``frombuffer`` views read-only memory; copy so the consumer may mutate.
-    return array.reshape(shape).copy()
+
+
+def to_json(tree: Any) -> Any:
+    """The JSON-safe form of an encoded tree: each array as base64 of its bytes."""
+
+    def leaf(value: Any) -> Any:
+        if not isinstance(value, np.ndarray):
+            return value
+        return {
+            "__ndarray__": {
+                "dtype": value.dtype.str,
+                "shape": list(value.shape),
+                "data": base64.b64encode(value.tobytes()).decode("ascii"),
+            }
+        }
+
+    return _rebuild(tree, leaf)
+
+
+def from_json(tree: Any) -> Any:
+    """Exact inverse of :func:`to_json` (arrays come back read-only)."""
+
+    def leaf(value: Any) -> Any:
+        if not isinstance(value, dict):
+            return value
+        if "__blob__" in value:
+            raise CheckpointError("a blob reference outside a snapshot file")
+        payload = value["__ndarray__"]
+        dtype, shape = _array_shape(payload)
+        try:
+            array = np.frombuffer(base64.b64decode(payload["data"]), dtype=dtype)
+        except (KeyError, TypeError, ValueError) as error:
+            raise CheckpointError(f"malformed ndarray payload: {error}") from error
+        if array.size != int(np.prod(shape, dtype=np.int64)):
+            raise CheckpointError(
+                f"ndarray payload holds {array.size} elements, shape {shape} expects "
+                f"{int(np.prod(shape, dtype=np.int64))}"
+            )
+        return array.reshape(shape)
+
+    return _rebuild(tree, leaf)
+
+
+def split_blobs(tree: Any) -> tuple[Any, list[np.ndarray]]:
+    """Cut the arrays out of an encoded tree.
+
+    Returns the tree with each array replaced by ``{"__blob__": i, "dtype",
+    "shape"}`` (JSON-safe) and the arrays in index order.
+    """
+
+    blobs: list[np.ndarray] = []
+
+    def leaf(value: Any) -> Any:
+        if not isinstance(value, np.ndarray):
+            return value
+        blobs.append(value)
+        return {"__blob__": len(blobs) - 1, "dtype": value.dtype.str, "shape": list(value.shape)}
+
+    return _rebuild(tree, leaf), blobs
+
+
+def join_blobs(tree: Any, blob: Callable[[np.dtype, tuple[int, ...]], np.ndarray]) -> Any:
+    """Inverse of :func:`split_blobs`.
+
+    ``blob(dtype, shape)`` returns the next array of the file, in index order.
+    """
+
+    count = 0
+
+    def leaf(value: Any) -> Any:
+        nonlocal count
+        if not isinstance(value, dict):
+            return value
+        if value.get("__blob__") != count:
+            raise CheckpointError(
+                f"malformed snapshot header: expected blob {count}, found {value!r:.80}"
+            )
+        count += 1
+        return blob(*_array_shape(value))
+
+    return _rebuild(tree, leaf)
 
 
 def encode_rng_state(generator: np.random.Generator) -> dict[str, Any]:
@@ -138,7 +221,8 @@ def encode_value(value: Any) -> Any:
     if isinstance(value, np.floating):
         return float(value)
     if isinstance(value, np.ndarray):
-        return _encode_array(value)
+        # A copy: the snapshot must not follow the live state it was taken from.
+        return np.array(value, dtype=value.dtype.newbyteorder("<"), order="C")
     if isinstance(value, np.random.Generator):
         return {"__rng__": encode_rng_state(value)}
     if isinstance(value, PayloadSize):
@@ -196,11 +280,13 @@ def decode_value(value: Any) -> Any:
 
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    if isinstance(value, np.ndarray):
+        # A snapshot's arrays may be read-only file views, and are shared by
+        # every restore of it: the consumer gets its own copy.
+        return value.copy()
     if isinstance(value, list):
         return [decode_value(item) for item in value]
     if isinstance(value, Mapping):
-        if "__ndarray__" in value:
-            return _decode_array(value["__ndarray__"])
         if "__rng__" in value:
             return new_rng_from_state(value["__rng__"])
         if "__items__" in value:

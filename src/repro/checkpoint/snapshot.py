@@ -16,9 +16,15 @@ identity, vectorized-vs-reference codecs) are documented in
 
 Integrity and identity:
 
-* :meth:`SimulationSnapshot.content_hash` — SHA-256 over the canonical JSON
-  of the snapshot; stored next to the payload on disk, verified on every
-  load, so silent corruption or manual edits fail loudly;
+* a snapshot file (version 5) is a magic string, the version and header
+  length, a canonical-JSON header (the snapshot with each array as
+  ``{"__blob__": i, "dtype", "shape"}``), the arrays as 8-byte-aligned raw
+  little-endian blobs, and a trailer with the total length and the SHA-256 of
+  the header followed by the blobs (alignment padding included);
+* :meth:`SimulationSnapshot.content_hash` is that SHA-256, computed once
+  while writing; :meth:`SimulationSnapshot.load` refuses a torn file by its
+  length before any hashing and verifies the hash while reading, so silent
+  corruption or manual edits fail loudly;
 * the snapshot embeds the :class:`~repro.orchestration.spec.ExperimentSpec`
   that produced it (when the run was spec-driven), tying each snapshot to its
   cell — resuming under a different spec is refused, unless that spec is a
@@ -31,11 +37,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
-from repro.checkpoint.serialization import decode_value, encode_value
+import numpy as np
+
+from repro.checkpoint.serialization import (
+    decode_value,
+    encode_value,
+    from_json,
+    join_blobs,
+    split_blobs,
+    to_json,
+)
 from repro.exceptions import CheckpointError
 from repro.simulation.metrics import ExperimentResult
 from repro.topology.graphs import Topology
@@ -59,24 +75,51 @@ __all__ = [
 #: Version 4: plain SGD keeps no state, so a node holds no ``"optimizer"``
 #: entry, and the config record has no ``momentum``, ``stop_at_target`` or
 #: ``time_model``.
+#: Version 5: a binary file (header plus raw array blobs, see the module
+#: docstring) instead of one JSON document, hashed over that layout; the
+#: reserved ``profiler`` field is gone.  Versions 1-4 are JSON documents,
+#: refused by their number.
 #: A kernel rewrite that only moves float bits (the channel-major conv stack)
 #: does not bump it: a snapshot holds parameters, RNG and scheme state at a
 #: round boundary, never a kernel's cache or layout.
 SNAPSHOT_FORMAT = "jwins-repro-checkpoint"
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
+
+#: Magic (the format name, NUL-padded), version, header length in bytes.
+_PREFIX = struct.Struct("<24sQQ")
+#: Total file length in bytes, SHA-256 of everything between prefix and trailer.
+_TRAILER = struct.Struct("<Q32s")
+_MAGIC = SNAPSHOT_FORMAT.encode("ascii").ljust(24, b"\0")
+_ALIGN = 8
+
+
+def _aligned(length: int) -> int:
+    return length + -length % _ALIGN
+
+
+def _chunks(header: bytes, blobs: list[np.ndarray]) -> Iterator[Any]:
+    """Everything between prefix and trailer, in order: what the hash covers."""
+
+    yield header
+    yield bytes(_aligned(len(header)) - len(header))
+    for blob in blobs:
+        yield blob.data
+        yield bytes(_aligned(blob.nbytes) - blob.nbytes)
 
 
 def _canonical_json(data: Any) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SimulationSnapshot:
-    """Full mid-run state of one simulation, in JSON-safe encoded form.
+    """Full mid-run state of one simulation, in encoded form.
 
     Every field is already encoded (see
-    :mod:`repro.checkpoint.serialization`), so :meth:`to_dict` and
-    :meth:`from_dict` are trivial exact inverses and hashing is stable.
+    :mod:`repro.checkpoint.serialization`): JSON values, with numpy arrays as
+    leaves.  A snapshot is a value — frozen, and its content hash is computed
+    at most once.  :meth:`to_dict` and :meth:`from_dict` are exact inverses
+    through a JSON-safe form (arrays as base64); compare snapshots by it.
     """
 
     #: Execution mode the snapshot was taken under (``"sync"``/``"async"``).
@@ -103,16 +146,11 @@ class SimulationSnapshot:
     meter: dict[str, Any]
     #: Execution-mode private state (``{"kind": "sync"|"async", ...}``).
     mode_state: dict[str, Any]
-    #: Reserved: held a removed phase profiler's state.  Captured as ``None``
-    #: and never read, but kept verbatim so a file that carries state still
-    #: loads and re-serializes identically; it goes with the next change of
-    #: the file layout.
-    profiler: dict[str, Any] | None = None
     #: ``ExperimentSpec.to_dict()`` when the run was orchestration-driven.
     spec: dict[str, Any] | None = None
     #: Frozen models held by stale-replay Byzantine attackers:
     #: ``[[node_id, encoded_params], ...]`` sorted by node id (empty when no
-    #: stale-replay window was open at capture time; absent in old snapshots).
+    #: stale-replay window was open at capture time).
     byzantine: list[list[Any]] = field(default_factory=list)
     #: Snapshot schema version.
     version: int = SNAPSHOT_VERSION
@@ -122,12 +160,18 @@ class SimulationSnapshot:
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe representation; exact inverse of :meth:`from_dict`."""
 
-        return {snapshot_field.name: getattr(self, snapshot_field.name) for snapshot_field in fields(self)}
+        return to_json(
+            {snapshot_field.name: getattr(self, snapshot_field.name) for snapshot_field in fields(self)}
+        )
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SimulationSnapshot":
         """Rebuild a snapshot from :meth:`to_dict` output."""
 
+        return cls._from_fields(from_json(dict(data)))
+
+    @classmethod
+    def _from_fields(cls, data: Mapping[str, Any]) -> "SimulationSnapshot":
         known = {snapshot_field.name for snapshot_field in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -146,10 +190,30 @@ class SimulationSnapshot:
             raise CheckpointError(f"snapshot is missing field(s): {', '.join(missing)}")
         return cls(**dict(data))
 
-    def content_hash(self) -> str:
-        """SHA-256 hex digest of the canonical snapshot JSON."""
+    def _layout(self) -> tuple[bytes, list[np.ndarray]]:
+        """The canonical-JSON header and the arrays it refers to, in blob order."""
 
-        return hashlib.sha256(_canonical_json(self.to_dict()).encode("utf-8")).hexdigest()
+        tree, blobs = split_blobs(
+            {snapshot_field.name: getattr(self, snapshot_field.name) for snapshot_field in fields(self)}
+        )
+        return _canonical_json(tree).encode("utf-8"), blobs
+
+    def _remember_hash(self, digest: str) -> None:
+        object.__setattr__(self, "_content_hash", digest)
+
+    def content_hash(self) -> str:
+        """SHA-256 hex digest of the header and blobs a saved file holds.
+
+        Computed at most once: :meth:`save` and :meth:`load` keep the digest
+        of the bytes they wrote or verified.
+        """
+
+        if "_content_hash" not in self.__dict__:
+            digest = hashlib.sha256()
+            for chunk in _chunks(*self._layout()):
+                digest.update(chunk)
+            self._remember_hash(digest.hexdigest())
+        return self.__dict__["_content_hash"]
 
     def spec_hash(self) -> str | None:
         """Content hash of the embedded spec, or ``None`` for spec-less runs."""
@@ -161,62 +225,113 @@ class SimulationSnapshot:
         return ExperimentSpec.from_dict(self.spec).content_hash()
 
     # -- persistence ---------------------------------------------------------------
-    def save(self, path: str | Path, content_hash: str | None = None) -> Path:
-        """Write the snapshot (and its content hash) to ``path`` atomically.
+    def save(self, path: str | Path) -> Path:
+        """Write the snapshot to ``path`` atomically; returns ``path``.
 
-        ``content_hash`` lets a caller that already computed
-        :meth:`content_hash` (hashing serializes the whole snapshot) avoid a
-        second full serialization.
+        The content hash is computed once, over the bytes as they are written.
         """
 
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        document = {
-            "format": SNAPSHOT_FORMAT,
-            "version": self.version,
-            "hash": content_hash if content_hash is not None else self.content_hash(),
-            "snapshot": self.to_dict(),
-        }
+        header, blobs = self._layout()
+        digest = hashlib.sha256()
         temporary = path.with_name(path.name + ".tmp")
-        with temporary.open("w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
-            handle.write("\n")
+        with temporary.open("wb") as handle:
+            handle.write(_PREFIX.pack(_MAGIC, self.version, len(header)))
+            for chunk in _chunks(header, blobs):
+                digest.update(chunk)
+                handle.write(chunk)
+            handle.write(_TRAILER.pack(handle.tell() + _TRAILER.size, digest.digest()))
         os.replace(temporary, path)
+        self._remember_hash(digest.hexdigest())
         return path
 
     @classmethod
     def load(cls, path: str | Path) -> "SimulationSnapshot":
-        """Read a snapshot from ``path``, verifying format, version and hash."""
+        """Read a snapshot from ``path``, verifying format, version, length and hash.
+
+        The arrays of the returned snapshot are read-only views of the file's
+        bytes; restoring copies them.
+        """
 
         path = Path(path)
         try:
-            text = path.read_text(encoding="utf-8")
+            with path.open("rb") as handle:
+                prefix = handle.read(_PREFIX.size)
+                if prefix[: len(_MAGIC)] != _MAGIC[: len(prefix)]:
+                    _refuse_foreign(path, prefix + handle.read())
+                if len(prefix) < _PREFIX.size:
+                    raise _torn(path, len(prefix), None)
+                _, version, header_length = _PREFIX.unpack(prefix)
+                if version != SNAPSHOT_VERSION:
+                    raise _version_error(path, version)
+                size = os.fstat(handle.fileno()).st_size
+                if size < _PREFIX.size + _TRAILER.size:
+                    raise _torn(path, size, None)
+                handle.seek(size - _TRAILER.size)
+                total, stored = _TRAILER.unpack(handle.read(_TRAILER.size))
+                if total != size:
+                    raise _torn(path, size, total)
+                handle.seek(_PREFIX.size)
+                body = handle.read(size - _PREFIX.size - _TRAILER.size)
         except OSError as error:
             raise CheckpointError(f"cannot read snapshot {str(path)!r}: {error}") from error
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise CheckpointError(
-                f"snapshot {str(path)!r} is not valid JSON: {error}"
-            ) from error
-        if not isinstance(document, dict) or document.get("format") != SNAPSHOT_FORMAT:
-            raise CheckpointError(f"{str(path)!r} is not a jwins-repro checkpoint file")
-        version = document.get("version")
-        if version != SNAPSHOT_VERSION:
-            raise CheckpointError(
-                f"snapshot {str(path)!r} uses schema version {version!r}; "
-                f"this build reads version {SNAPSHOT_VERSION}"
-            )
-        snapshot = cls.from_dict(document.get("snapshot", {}))
-        stored_hash = document.get("hash")
-        actual_hash = snapshot.content_hash()
-        if stored_hash != actual_hash:
+        actual = hashlib.sha256(body).digest()
+        if actual != stored:
             raise CheckpointError(
                 f"snapshot {str(path)!r} failed its integrity check "
-                f"(stored hash {str(stored_hash)[:12]}..., actual {actual_hash[:12]}...); "
+                f"(stored hash {stored.hex()[:12]}..., actual {actual.hex()[:12]}...); "
                 "the file is corrupt or was edited"
             )
+        try:
+            header = json.loads(body[:header_length])
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            raise CheckpointError(f"snapshot {str(path)!r} has a malformed header: {error}") from error
+        offset = _aligned(header_length)
+
+        def blob(dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
+            nonlocal offset
+            count = int(np.prod(shape, dtype=np.int64))
+            try:
+                array = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
+            except ValueError as error:
+                raise CheckpointError(
+                    f"snapshot {str(path)!r} has a malformed blob: {error}"
+                ) from error
+            offset += _aligned(array.nbytes)
+            return array.reshape(shape)
+
+        snapshot = cls._from_fields(join_blobs(header, blob))
+        snapshot._remember_hash(actual.hex())
         return snapshot
+
+
+def _torn(path: Path, size: int, total: int | None) -> CheckpointError:
+    recorded = "no trailer" if total is None else f"a trailer that records {total}"
+    return CheckpointError(
+        f"snapshot {str(path)!r} is torn: it holds {size} bytes and {recorded}; "
+        "the write did not finish or the file was cut"
+    )
+
+
+def _version_error(path: Path, version: Any) -> CheckpointError:
+    return CheckpointError(
+        f"snapshot {str(path)!r} uses schema version {version!r}; "
+        f"this build reads version {SNAPSHOT_VERSION}"
+    )
+
+
+def _refuse_foreign(path: Path, data: bytes) -> None:
+    """Refuse a file without the magic: a JSON-era snapshot by its version."""
+
+    try:
+        document = json.loads(data)
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        document = None
+    if isinstance(document, dict) and document.get("format") == SNAPSHOT_FORMAT:
+        raise _version_error(path, document.get("version"))
+    raise CheckpointError(f"{str(path)!r} is not a jwins-repro checkpoint file")
+
 
 # -- engine bridge -------------------------------------------------------------------
 #: The RNG streams a `Simulator` owns directly (name -> attribute).

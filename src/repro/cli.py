@@ -232,8 +232,9 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--resume-from",
         default=None,
         metavar="SNAPSHOT",
-        help="continue a paused run from a snapshot file; the remaining "
-        "rounds produce results byte-identical to an uninterrupted run",
+        help="continue a paused run from a snapshot file (<spec hash>.ckpt "
+        "under --checkpoint-dir); the remaining rounds produce results "
+        "byte-identical to an uninterrupted run",
     )
     for registry in ("workloads", "schemes", "scenarios"):
         parser.add_argument(
@@ -334,7 +335,7 @@ def build_cli_parser() -> argparse.ArgumentParser:
         parents=[checkpointing, telemetry],
     )
     fork_parser.add_argument(
-        "--snapshot", required=True, help="snapshot file to fork from"
+        "--snapshot", required=True, help="snapshot file to fork from (<spec hash>.ckpt)"
     )
     fork_parser.add_argument(
         "--scenario",

@@ -1,7 +1,9 @@
 """Exactness tests for the checkpoint codecs.
 
-Every codec must be lossless through a full JSON round trip — the determinism
-contract's fourth pillar (interrupt + resume is byte-identical) rests on it.
+Every codec must be lossless through both stored forms of an encoded tree —
+the JSON form (arrays as base64, what ``to_dict`` gives) and the snapshot
+file's header plus raw blobs — because the determinism contract's fourth
+pillar (interrupt + resume is byte-identical) rests on it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,11 @@ from repro.checkpoint.serialization import (
     decode_value,
     encode_rng_state,
     encode_value,
+    from_json,
+    join_blobs,
     new_rng_from_state,
+    split_blobs,
+    to_json,
 )
 from repro.compression.sizing import PayloadSize
 from repro.core.interface import Message, RoundContext
@@ -25,10 +31,31 @@ from repro.exceptions import CheckpointError
 from repro.simulation.events import DELIVER_MESSAGE, Event
 
 
-def roundtrip(value):
-    """Encode, push through real JSON text, decode."""
+def through_json(value):
+    """Encode, push the JSON form through real JSON text, decode."""
 
-    return decode_value(json.loads(json.dumps(encode_value(value))))
+    return decode_value(from_json(json.loads(json.dumps(to_json(encode_value(value))))))
+
+
+def through_blobs(value):
+    """Encode, push the header through JSON text and the arrays through bytes, decode."""
+
+    tree, blobs = split_blobs(encode_value(value))
+    data = b"".join(blob.tobytes() for blob in blobs)
+    offset = 0
+
+    def blob(dtype, shape):
+        nonlocal offset
+        array = np.frombuffer(data, dtype=dtype, count=int(np.prod(shape)), offset=offset)
+        offset += array.nbytes
+        return array.reshape(shape)
+
+    return decode_value(join_blobs(json.loads(json.dumps(tree)), blob))
+
+
+@pytest.fixture(params=[through_json, through_blobs], ids=["json", "blobs"])
+def roundtrip(request):
+    return request.param
 
 
 # -- arrays ---------------------------------------------------------------------------
@@ -43,7 +70,7 @@ def roundtrip(value):
         np.arange(6, dtype=np.float32).reshape(2, 3) * np.float32(0.1),
     ],
 )
-def test_array_roundtrip_is_bit_exact(array):
+def test_array_roundtrip_is_bit_exact(array, roundtrip):
     restored = roundtrip(array)
     assert restored.dtype == array.dtype
     assert restored.shape == array.shape
@@ -53,12 +80,12 @@ def test_array_roundtrip_is_bit_exact(array):
     )
 
 
-def test_restored_array_is_writable():
+def test_restored_array_is_writable(roundtrip):
     restored = roundtrip(np.zeros(4))
     restored[0] = 1.0  # frombuffer views are read-only; decode must copy
 
 
-def test_noncontiguous_array_roundtrip():
+def test_noncontiguous_array_roundtrip(roundtrip):
     array = np.arange(20, dtype=np.float64).reshape(4, 5)[:, ::2]
     restored = roundtrip(array)
     assert np.array_equal(restored, array)
@@ -81,7 +108,7 @@ def test_decode_rng_state_rejects_wrong_bit_generator():
         decode_rng_state(rng, {"bit_generator": "Philox", "state": {}})
 
 
-def test_generator_inside_value_roundtrips():
+def test_generator_inside_value_roundtrips(roundtrip):
     rng = np.random.default_rng(5)
     rng.random(3)
     restored = roundtrip({"stream": rng})
@@ -89,33 +116,59 @@ def test_generator_inside_value_roundtrips():
 
 
 # -- scalars and containers -----------------------------------------------------------
-def test_scalars_and_nan_roundtrip():
+def test_scalars_and_nan_roundtrip(roundtrip):
     value = {"a": 1, "b": -0.5, "c": None, "d": True, "e": "text", "nan": float("nan")}
     restored = roundtrip(value)
     assert restored["a"] == 1 and restored["d"] is True
     assert math.isnan(restored["nan"])
 
 
-def test_numpy_scalars_become_native():
+def test_numpy_scalars_become_native(roundtrip):
     restored = roundtrip({"i": np.int64(7), "f": np.float64(0.25), "b": np.bool_(True)})
     assert restored == {"i": 7, "f": 0.25, "b": True}
     assert type(restored["i"]) is int and type(restored["f"]) is float
 
 
-def test_int_keyed_mapping_preserves_keys_and_order():
+def test_int_keyed_mapping_preserves_keys_and_order(roundtrip):
     mapping = {3: 0.3, 1: 0.1, 2: 0.2}
     restored = roundtrip(mapping)
     assert restored == mapping
     assert list(restored) == [3, 1, 2]  # insertion order fixes FP summation order
 
 
-def test_tuples_come_back_as_lists():
+def test_tuples_come_back_as_lists(roundtrip):
     assert roundtrip((1, 2, (3, 4))) == [1, 2, [3, 4]]
 
 
-def test_reserved_marker_key_is_refused():
+@pytest.mark.parametrize("marker", ["__ndarray__", "__blob__"])
+def test_reserved_marker_key_is_refused(marker):
     with pytest.raises(CheckpointError):
-        encode_value({"__ndarray__": 1})
+        encode_value({marker: 1})
+
+
+def test_encoded_arrays_are_copies_that_stay_put():
+    live = np.arange(4, dtype=np.float64)
+    encoded = encode_value({"params": live})
+    live[0] = 99.0  # the run goes on after a capture
+    assert encoded["params"].tolist() == [0.0, 1.0, 2.0, 3.0]
+    restored = decode_value(encoded)
+    restored["params"][1] = -1.0  # a restore owns its arrays
+    assert encoded["params"].tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+def test_big_endian_arrays_are_stored_little_endian(roundtrip):
+    array = np.arange(5, dtype=">f8") / 7.0
+    (blob,) = split_blobs(encode_value(array))[1]
+    assert blob.dtype.str == "<f8"
+    assert blob.tobytes() == array.astype("<f8").tobytes()
+    assert np.array_equal(roundtrip(array), array)
+
+
+def test_a_blob_reference_out_of_order_is_refused():
+    tree, _ = split_blobs(encode_value([np.zeros(1), np.ones(1)]))
+    tree.reverse()
+    with pytest.raises(CheckpointError, match="expected blob 0"):
+        join_blobs(tree, lambda dtype, shape: np.zeros(shape, dtype))
 
 
 def test_unencodable_type_is_refused():
@@ -139,7 +192,7 @@ def make_message():
     )
 
 
-def test_message_roundtrip():
+def test_message_roundtrip(roundtrip):
     message = make_message()
     restored = roundtrip(message)
     assert isinstance(restored, Message)
@@ -150,7 +203,7 @@ def test_message_roundtrip():
     assert np.array_equal(restored.payload["values"], message.payload["values"])
 
 
-def test_event_roundtrip_preserves_seq_and_payload():
+def test_event_roundtrip_preserves_seq_and_payload(roundtrip):
     event = Event(
         time=1.5,
         kind=DELIVER_MESSAGE,
@@ -165,7 +218,7 @@ def test_event_roundtrip_preserves_seq_and_payload():
     assert isinstance(restored.data["message"], Message)
 
 
-def test_round_context_roundtrip_with_partially_consumed_rng():
+def test_round_context_roundtrip_with_partially_consumed_rng(roundtrip):
     rng = np.random.default_rng(99)
     rng.random(4)
     context = RoundContext(

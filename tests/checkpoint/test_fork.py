@@ -8,6 +8,7 @@ from both the parent's and a from-scratch run of the mutated configuration.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -131,7 +132,7 @@ def test_fork_trace_dir_never_clobbers_the_parent_cell_trace(paused, tmp_path, c
     parent_trace = trace_dir / f"{spec.content_hash()}.trace.jsonl"
     parent_trace.write_text('{"kind": "manifest"}\n', encoding="utf-8")
     parent_bytes = parent_trace.read_bytes()
-    snapshot_path = snapshot.save(tmp_path / "parent.ckpt.json")
+    snapshot_path = snapshot.save(tmp_path / "parent.ckpt")
 
     assert main(["fork", "--snapshot", str(snapshot_path), "--trace", str(trace_dir)]) == 0
     capsys.readouterr()
@@ -167,7 +168,7 @@ def test_fork_rejects_exhausted_round_budget(paused):
 
 def test_fork_requires_an_embedded_spec(paused):
     spec, snapshot = paused
-    snapshot.spec = None
+    snapshot = replace(snapshot, spec=None)
     with pytest.raises(CheckpointError, match="embed"):
         build_forked_spec(snapshot)
 
@@ -184,6 +185,6 @@ def test_a_forked_spec_resumes_only_the_snapshot_its_lineage_names(paused, tmp_p
     other_snapshot = CheckpointManager(tmp_path / "other").load_for_spec(other)
     with pytest.raises(CheckpointError, match="lineage does not name"):
         forked.run(snapshot=other_snapshot)
-    snapshot.rounds_completed = 1  # the right cell, another round
+    snapshot = replace(snapshot, rounds_completed=1)  # the right cell, another round
     with pytest.raises(CheckpointError, match="lineage does not name"):
         forked.run(snapshot=snapshot)

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
 
+import numpy as np
 import pytest
 
-from repro.checkpoint import SimulationSnapshot
+from repro.checkpoint import (
+    SNAPSHOT_FORMAT,
+    SNAPSHOT_VERSION,
+    CheckpointManager,
+    SimulationSnapshot,
+)
+from repro.checkpoint import snapshot as snapshot_module
 from repro.core import jwins_factory
 from repro.exceptions import CheckpointError, ExperimentPaused
 from repro.simulation import ExperimentConfig
@@ -63,8 +72,8 @@ def test_content_hash_changes_with_state():
 
 def test_save_load(tmp_path):
     snapshot = pause_at(small_config(), 2)
-    path = tmp_path / "run.ckpt.json"
-    snapshot.save(path)
+    path = tmp_path / "run.ckpt"
+    assert snapshot.save(path) == path
     loaded = SimulationSnapshot.load(path)
     assert loaded.content_hash() == snapshot.content_hash()
     assert loaded.rounds_completed == 2
@@ -72,15 +81,72 @@ def test_save_load(tmp_path):
     assert loaded.spec_hash() is None  # engine-level run, no spec embedded
 
 
+@pytest.mark.parametrize("execution", ["sync", "async"])
+def test_save_load_round_trip_is_equal_under_to_dict(tmp_path, execution):
+    snapshot = pause_at(small_config(execution=execution), 2)
+    loaded = SimulationSnapshot.load(snapshot.save(tmp_path / "run.ckpt"))
+    assert loaded.to_dict() == snapshot.to_dict()
+    # The hash is a function of the content, not of how the snapshot was made.
+    assert SimulationSnapshot.from_dict(loaded.to_dict()).content_hash() == snapshot.content_hash()
+    resaved = loaded.save(tmp_path / "again.ckpt")
+    assert resaved.read_bytes() == (tmp_path / "run.ckpt").read_bytes()
+
+
+def test_a_loaded_snapshot_views_the_file_and_a_restore_copies(tmp_path):
+    snapshot = pause_at(small_config(), 2)
+    loaded = SimulationSnapshot.load(snapshot.save(tmp_path / "run.ckpt"))
+    params = loaded.nodes[0]["params"]
+    assert isinstance(params, np.ndarray) and not params.flags.writeable
+    before = params.tobytes()
+    resumed = Simulator(make_toy_task(), jwins_factory(), small_config(), resume_from=loaded).run()
+    assert params.tobytes() == before  # the resumed run trained on its own copy
+    assert resumed.rounds_completed == 4
+
+
+def test_the_file_is_magic_header_blobs_and_trailer(tmp_path):
+    snapshot = pause_at(small_config(), 2)
+    data = snapshot.save(tmp_path / "run.ckpt").read_bytes()
+    magic, version, header_length = struct.unpack_from("<24sQQ", data)
+    assert magic.rstrip(b"\0") == SNAPSHOT_FORMAT.encode() and version == SNAPSHOT_VERSION
+    total, digest = struct.unpack_from("<Q32s", data, len(data) - 40)
+    assert total == len(data) and len(data) % 8 == 0
+    assert digest == hashlib.sha256(data[40:-40]).digest()
+    assert digest.hex() == snapshot.content_hash()
+    header = json.loads(data[40 : 40 + header_length])
+    reference = header["nodes"][0]["params"]
+    assert reference == {"__blob__": reference["__blob__"], "dtype": "<f8", "shape": [snapshot.model_size]}
+    assert b"__ndarray__" not in data  # no array travels as base64
+
+
+def test_saving_hashes_the_snapshot_once(tmp_path, monkeypatch):
+    snapshot = pause_at(small_config(), 2)
+    calls = []
+    real = snapshot_module.hashlib.sha256
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(snapshot_module.hashlib, "sha256", counting)
+    manager = CheckpointManager(tmp_path)
+    path = manager.save(snapshot, "key")
+    assert len(calls) == 1
+    (entry,) = [json.loads(line) for line in manager.lineage_path.read_text().splitlines()]
+    assert entry["snapshot_hash"] == snapshot.content_hash() == real(
+        path.read_bytes()[40:-40]
+    ).hexdigest()
+    assert len(calls) == 1  # the lineage row reused the hash of the write
+
+
 def test_load_rejects_missing_file(tmp_path):
     with pytest.raises(CheckpointError, match="cannot read"):
-        SimulationSnapshot.load(tmp_path / "absent.ckpt.json")
+        SimulationSnapshot.load(tmp_path / "absent.ckpt")
 
 
-def test_load_rejects_non_json(tmp_path):
-    path = tmp_path / "bad.ckpt.json"
+def test_load_rejects_bytes_that_are_not_a_checkpoint(tmp_path):
+    path = tmp_path / "bad.ckpt"
     path.write_text("not json at all")
-    with pytest.raises(CheckpointError, match="not valid JSON"):
+    with pytest.raises(CheckpointError, match="not a jwins-repro checkpoint"):
         SimulationSnapshot.load(path)
 
 
@@ -93,32 +159,94 @@ def test_load_rejects_foreign_document(tmp_path):
 
 def test_load_rejects_tampered_payload(tmp_path):
     snapshot = pause_at(small_config(), 2)
-    path = tmp_path / "run.ckpt.json"
-    snapshot.save(path)
-    document = json.loads(path.read_text())
-    document["snapshot"]["rounds_completed"] = 99
-    path.write_text(json.dumps(document))
+    path = tmp_path / "run.ckpt"
+    data = snapshot.save(path).read_bytes()
+    assert b'"rounds_completed":2' in data
+    path.write_bytes(data.replace(b'"rounds_completed":2', b'"rounds_completed":9', 1))
     with pytest.raises(CheckpointError, match="integrity check"):
+        SimulationSnapshot.load(path)
+
+
+@pytest.mark.parametrize("where", ["header", "blob", "last-blob-byte"])
+def test_load_rejects_a_flipped_bit(tmp_path, where):
+    snapshot = pause_at(small_config(), 2)
+    path = tmp_path / "run.ckpt"
+    data = bytearray(snapshot.save(path).read_bytes())
+    header_length = struct.unpack_from("<Q", data, 32)[0]
+    position = {
+        "header": 40 + header_length // 2,
+        "blob": 40 + header_length + 64,
+        "last-blob-byte": len(data) - 41,
+    }[where]
+    data[position] ^= 0x10
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="failed its integrity check"):
+        SimulationSnapshot.load(path)
+
+
+@pytest.mark.parametrize("keep", [0, 10, 39, 40, 80, -41, -1], ids=lambda k: f"keep{k}")
+def test_load_rejects_a_truncated_file(tmp_path, keep):
+    snapshot = pause_at(small_config(), 2)
+    path = tmp_path / "run.ckpt"
+    data = snapshot.save(path).read_bytes()
+    path.write_bytes(data[:keep])
+    with pytest.raises(CheckpointError, match="is torn"):
+        SimulationSnapshot.load(path)
+
+
+def test_load_rejects_appended_bytes(tmp_path):
+    snapshot = pause_at(small_config(), 2)
+    path = tmp_path / "run.ckpt"
+    path.write_bytes(snapshot.save(path).read_bytes() + bytes(8))
+    with pytest.raises(CheckpointError, match="is torn"):
+        SimulationSnapshot.load(path)
+
+
+def test_a_torn_file_is_refused_before_any_hashing(tmp_path, monkeypatch):
+    snapshot = pause_at(small_config(), 2)
+    path = tmp_path / "run.ckpt"
+    data = snapshot.save(path).read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+    def no_hashing(*args):
+        raise AssertionError("a torn file was hashed")
+
+    monkeypatch.setattr(snapshot_module.hashlib, "sha256", no_hashing)
+    with pytest.raises(CheckpointError, match="is torn"):
         SimulationSnapshot.load(path)
 
 
 @pytest.mark.parametrize(
     "version",
-    [1, 2, 3, 999],
-    ids=["pre-codec-epoch", "pre-coefficient-epoch", "pre-stateless-sgd-epoch", "future"],
+    [1, 2, 3, 4],
+    ids=["pre-codec-epoch", "pre-coefficient-epoch", "pre-stateless-sgd-epoch", "json-epoch"],
 )
-def test_load_rejects_wrong_version(tmp_path, version):
+def test_load_rejects_a_json_era_version(tmp_path, version):
     """Version 1 files hold the old float codec's byte counts, version 2 files
     JWINS state without ``F_start``, version 3 files an optimizer entry per
-    node and the removed config fields: none may resume."""
+    node and the removed config fields, version 4 files one JSON document:
+    none may resume, and each is refused by its number."""
 
     snapshot = pause_at(small_config(), 2)
     path = tmp_path / "run.ckpt.json"
-    snapshot.save(path)
-    document = json.loads(path.read_text())
-    document["version"] = version
-    path.write_text(json.dumps(document))
+    document = {
+        "format": SNAPSHOT_FORMAT,
+        "version": version,
+        "hash": snapshot.content_hash(),
+        "snapshot": {**snapshot.to_dict(), "profiler": None, "version": version},
+    }
+    path.write_text(json.dumps(document, sort_keys=True) + "\n")
     with pytest.raises(CheckpointError, match=f"schema version {version};"):
+        SimulationSnapshot.load(path)
+
+
+def test_load_rejects_a_future_version(tmp_path):
+    snapshot = pause_at(small_config(), 2)
+    path = tmp_path / "run.ckpt"
+    data = bytearray(snapshot.save(path).read_bytes())
+    struct.pack_into("<Q", data, 24, 999)
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="schema version 999;"):
         SimulationSnapshot.load(path)
 
 
@@ -127,6 +255,12 @@ def test_from_dict_rejects_unknown_fields():
     payload = snapshot.to_dict()
     payload["mystery"] = 1
     with pytest.raises(CheckpointError, match="unknown snapshot field"):
+        SimulationSnapshot.from_dict(payload)
+
+
+def test_from_dict_rejects_the_removed_profiler_field():
+    payload = {**pause_at(small_config(), 2).to_dict(), "profiler": None}
+    with pytest.raises(CheckpointError, match="unknown snapshot field.*profiler"):
         SimulationSnapshot.from_dict(payload)
 
 

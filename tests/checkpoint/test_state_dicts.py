@@ -19,7 +19,7 @@ from repro.baselines import (
     random_sampling_factory,
     topk_sharing_factory,
 )
-from repro.checkpoint.serialization import decode_value, encode_value
+from repro.checkpoint.serialization import decode_value, encode_value, from_json, to_json
 from repro.core import adaptive_jwins_factory, jwins_factory
 from repro.core.interface import RoundContext
 from repro.exceptions import SimulationError
@@ -54,6 +54,12 @@ def make_context(rng_seed: int, round_index: int) -> RoundContext:
     )
 
 
+def through_json(state):
+    """Encode ``state``, push its JSON form through real JSON text, decode."""
+
+    return decode_value(from_json(json.loads(json.dumps(to_json(encode_value(state))))))
+
+
 def drive_rounds(scheme, rounds: int, start: int = 0) -> list[np.ndarray]:
     """Run full prepare/aggregate rounds; return the new params."""
 
@@ -72,7 +78,7 @@ def test_scheme_state_roundtrip_preserves_behavior(name):
     original = factory(0, MODEL_SIZE, 7)
     drive_rounds(original, 3)
 
-    state = decode_value(json.loads(json.dumps(encode_value(original.state_dict()))))
+    state = through_json(original.state_dict())
     clone = factory(0, MODEL_SIZE, 7)
     clone.load_state_dict(state)
 
@@ -88,7 +94,7 @@ def test_scheme_state_roundtrip_at_round_zero(name):
     original = factory(0, MODEL_SIZE, 7)
     clone = factory(0, MODEL_SIZE, 7)
     clone.load_state_dict(
-        decode_value(json.loads(json.dumps(encode_value(original.state_dict()))))
+        through_json(original.state_dict())
     )
     a = drive_rounds(original, 2)
     b = drive_rounds(clone, 2)
@@ -104,7 +110,7 @@ def test_scheme_state_roundtrip_mid_round():
     context = make_context(0, 0)
     scheme.prepare(context)
     inbox = [neighbor.prepare(make_context(1, 0))]
-    state = decode_value(json.loads(json.dumps(encode_value(scheme.state_dict()))))
+    state = through_json(scheme.state_dict())
     assert state["own_coefficients"] is not None
     assert state["start_coefficients"].tobytes() == scheme.start_coefficients.tobytes()
 
@@ -134,7 +140,7 @@ def test_byte_meter_state_roundtrip():
     meter.record_send(0, PayloadSize(100, 10), copies=2)
     meter.end_round()
     meter.record_send(1, PayloadSize(50, 5))
-    state = decode_value(json.loads(json.dumps(encode_value(meter.state_dict()))))
+    state = through_json(meter.state_dict())
 
     clone = ByteMeter(3)
     clone.load_state_dict(state)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.checkpoint import SimulationSnapshot
 from repro.core import jwins_factory
-from repro.exceptions import ExperimentPaused
+from repro.exceptions import CheckpointError, ExperimentPaused
 from repro.observability.contract import TELEMETRY_RESULT_FIELDS, scrub_telemetry
 from repro.observability.memory import peak_rss_bytes
 from repro.observability.trace import TraceEmitter, read_trace
@@ -109,8 +109,8 @@ class TestScrubTelemetry:
 
 
 class TestReservedFormatKeys:
-    """Rows and version-3 snapshots from before the profiler went load and
-    re-serialize byte for byte."""
+    """Rows from before the profiler went load and re-serialize byte for
+    byte; snapshots from then are refused by their version."""
 
     def test_result_writes_the_reserved_keys_as_constants_and_drops_them_on_load(self):
         payload = json.loads(PARENT_ROW)["result"]
@@ -130,7 +130,11 @@ class TestReservedFormatKeys:
         assert (tmp_path / "new.jsonl").read_text(encoding="utf-8") == PARENT_ROW + "\n"
 
     @pytest.mark.parametrize("profiler_state", [None, PARENT_PROFILER_STATE], ids=["null", "state"])
-    def test_a_v3_snapshot_reserializes_and_resumes_identically(self, tmp_path, profiler_state):
+    def test_a_json_era_snapshot_is_refused_by_its_version(self, tmp_path, profiler_state):
+        """Snapshot version 5 dropped the reserved ``profiler`` field with the
+        JSON file layout: a file that still carries it, null or with state, is
+        refused by its version number, and its field by name."""
+
         config = ExperimentConfig(
             num_nodes=4, degree=2, rounds=4, local_steps=1, batch_size=4,
             eval_every=1, eval_test_samples=16, seed=5,
@@ -143,15 +147,20 @@ class TestReservedFormatKeys:
         )
         with pytest.raises(ExperimentPaused) as paused:
             simulator.run()
-        assert paused.value.snapshot.profiler is None
-        written = SimulationSnapshot.from_dict(
-            {**paused.value.snapshot.to_dict(), "profiler": profiler_state}
-        ).save(tmp_path / "old.ckpt.json")
-        assert json.loads(written.read_text())["snapshot"]["profiler"] == profiler_state
+        assert not hasattr(paused.value.snapshot, "profiler")
+        old = {**paused.value.snapshot.to_dict(), "profiler": profiler_state, "version": 4}
+        written = tmp_path / "old.ckpt.json"
+        written.write_text(json.dumps(
+            {"format": "jwins-repro-checkpoint", "hash": "0" * 64, "snapshot": old, "version": 4},
+            sort_keys=True,
+        ))
+        with pytest.raises(CheckpointError, match="schema version 4; this build reads version 5"):
+            SimulationSnapshot.load(written)
+        with pytest.raises(CheckpointError, match="unknown snapshot field.*profiler"):
+            SimulationSnapshot.from_dict(old)
 
-        loaded = SimulationSnapshot.load(written)
-        resaved = loaded.save(tmp_path / "new.ckpt.json")
-        assert resaved.read_bytes() == written.read_bytes()
+        # What stays: the paused state, saved now, resumes byte-identically.
+        loaded = SimulationSnapshot.load(paused.value.snapshot.save(tmp_path / "new.ckpt"))
         resumed = run_experiment(make_toy_task(), jwins_factory(), config, resume_from=loaded)
         uninterrupted = run_experiment(make_toy_task(), jwins_factory(), config)
         assert resumed.to_dict() == uninterrupted.to_dict()

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.checkpoint.serialization import from_json, to_json
 from repro.core import jwins_factory
 from repro.exceptions import ExperimentPaused
 from repro.observability.metrics import MetricsRegistry
@@ -165,13 +166,13 @@ def test_load_state_reproduces_state_byte_for_byte_mid_flight():
     assert any(mode_state["inboxes"]) or any(
         context is not None for context in mode_state["contexts"]
     )
-    document = json.dumps(mode_state)
-    assert json.dumps(simulator.mode.state()) == document
+    document = json.dumps(to_json(mode_state))
+    assert json.dumps(to_json(simulator.mode.state())) == document
 
     fresh = build(config)
     fresh.mode.bind(fresh)
-    fresh.mode.load_state(json.loads(document))
-    assert json.dumps(fresh.mode.state()) == document
+    fresh.mode.load_state(from_json(json.loads(document)))
+    assert json.dumps(to_json(fresh.mode.state())) == document
 
 
 # -- the handlers, one event at a time --------------------------------------------------

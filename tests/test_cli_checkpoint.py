@@ -7,6 +7,7 @@ the CLI contract — never a traceback.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -58,7 +59,7 @@ def checkpoint_args(tmp_path, every: int = 1) -> list[str]:
 
 
 def only_snapshot(tmp_path):
-    (path,) = (tmp_path / "ck").glob("*.ckpt.json")
+    (path,) = (tmp_path / "ck").glob("*.ckpt")
     return path
 
 
@@ -137,24 +138,46 @@ def test_run_negative_checkpoint_every_rejected():
 
 def test_run_resume_from_missing_file_exits_cleanly(tmp_path):
     with pytest.raises(SystemExit, match="cannot read snapshot"):
-        main(RUN_ARGS + ["--resume-from", str(tmp_path / "absent.ckpt.json")])
+        main(RUN_ARGS + ["--resume-from", str(tmp_path / "absent.ckpt")])
 
 
 def test_run_resume_from_corrupt_file_exits_cleanly(tmp_path):
-    path = tmp_path / "broken.ckpt.json"
+    path = tmp_path / "broken.ckpt"
     path.write_text("{ not json")
-    with pytest.raises(SystemExit, match="not valid JSON"):
+    with pytest.raises(SystemExit, match="not a jwins-repro checkpoint"):
         main(RUN_ARGS + ["--resume-from", str(path)])
 
 
 def test_run_resume_from_tampered_snapshot_exits_cleanly(tmp_path):
     assert main(RUN_ARGS + checkpoint_args(tmp_path, every=2)) == 0
     path = only_snapshot(tmp_path)
-    document = json.loads(path.read_text())
-    document["snapshot"]["rounds_completed"] = 1
-    path.write_text(json.dumps(document))
+    data = path.read_bytes()
+    tampered = re.sub(rb'"rounds_completed":[02-9]', b'"rounds_completed":1', data, count=1)
+    assert tampered != data
+    path.write_bytes(tampered)
     with pytest.raises(SystemExit, match="integrity check"):
         main(RUN_ARGS + ["--resume-from", str(path)])
+
+
+@pytest.mark.parametrize("command", ["run", "fork"])
+def test_a_truncated_snapshot_exits_with_the_refusal(tmp_path, command):
+    assert main(RUN_ARGS + checkpoint_args(tmp_path, every=2)) == 0
+    path = only_snapshot(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    invocation = {
+        "run": RUN_ARGS + ["--resume-from", str(path)],
+        "fork": ["fork", "--snapshot", str(path)],
+    }[command]
+    with pytest.raises(SystemExit, match="is torn"):
+        main(invocation)
+
+
+def test_a_json_era_snapshot_exits_with_its_version(tmp_path):
+    path = tmp_path / "old.ckpt.json"
+    path.write_text(json.dumps({"format": "jwins-repro-checkpoint", "version": 4, "snapshot": {}}))
+    with pytest.raises(SystemExit, match="schema version 4; this build reads version 5"):
+        main(["fork", "--snapshot", str(path)])
 
 
 def test_run_resume_from_mismatched_spec_exits_cleanly(tmp_path):

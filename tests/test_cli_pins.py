@@ -164,7 +164,7 @@ def test_a_flat_invocation_parses_as_run(monkeypatch, argv):
 
 @pytest.mark.parametrize("command", ["run", "sweep", "fork"])
 def test_the_removed_profile_flag_is_refused(command, capsys):
-    required = ["--snapshot", "run.ckpt.json"] if command == "fork" else []
+    required = ["--snapshot", "run.ckpt"] if command == "fork" else []
     with pytest.raises(SystemExit):
         build_cli_parser().parse_args([command, *required, "--profile"])
     assert "unrecognized arguments: --profile" in capsys.readouterr().err
