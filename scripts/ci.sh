@@ -490,7 +490,15 @@ stage_checkpoint() {
       --workers 2 --checkpoint-dir "$CI_TMP/ckpts" --status "$CI_TMP/ck-intr-status" \
       >"$CI_TMP/ck-intr.log" 2>&1 &
   local sweep_pid=$!
-  sleep 4
+  # Interrupt once the first snapshot is on disk, so the cells are mid-spec
+  # however fast the host runs them (after a fixed 4 s sleep the sweep often
+  # finished first, and the pause path went untested).
+  local waited=0
+  until compgen -G "$CI_TMP/ckpts/*.ckpt" >/dev/null || ((waited >= 300)) \
+      || ! kill -0 "$sweep_pid" 2>/dev/null; do
+    sleep 0.1
+    waited=$((waited + 1))
+  done
   kill -INT "$sweep_pid" 2>/dev/null || true
   local interrupted_rc=0
   wait "$sweep_pid" || interrupted_rc=$?

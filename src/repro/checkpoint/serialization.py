@@ -76,7 +76,7 @@ def _rebuild(value: Any, leaf: Callable[[Any], Any]) -> Any:
     return leaf(value)
 
 
-def _array_shape(payload: Mapping[str, Any]) -> tuple[np.dtype, tuple[int, ...]]:
+def _dtype_and_shape(payload: Mapping[str, Any]) -> tuple[np.dtype, tuple[int, ...]]:
     try:
         return np.dtype(payload["dtype"]), tuple(int(n) for n in payload["shape"])
     except (KeyError, TypeError, ValueError) as error:
@@ -109,7 +109,7 @@ def from_json(tree: Any) -> Any:
         if "__blob__" in value:
             raise CheckpointError("a blob reference outside a snapshot file")
         payload = value["__ndarray__"]
-        dtype, shape = _array_shape(payload)
+        dtype, shape = _dtype_and_shape(payload)
         try:
             array = np.frombuffer(base64.b64decode(payload["data"]), dtype=dtype)
         except (KeyError, TypeError, ValueError) as error:
@@ -159,7 +159,7 @@ def join_blobs(tree: Any, blob: Callable[[np.dtype, tuple[int, ...]], np.ndarray
                 f"malformed snapshot header: expected blob {count}, found {value!r:.80}"
             )
         count += 1
-        return blob(*_array_shape(value))
+        return blob(*_dtype_and_shape(value))
 
     return _rebuild(tree, leaf)
 
