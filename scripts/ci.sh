@@ -542,7 +542,19 @@ stage_checkpoint() {
   local run_args=(--workload movielens --scheme jwins --nodes 4 --degree 2 --rounds 3
                   --execution async --checkpoint-dir "$CI_TMP/run-ckpts")
   python -m repro.cli run "${run_args[@]}" --checkpoint-every 1 --metrics \
-      --trace "$CI_TMP/run-traces" --status "$CI_TMP/run-status" >/dev/null
+      --trace "$CI_TMP/run-traces" --status "$CI_TMP/run-status" >"$CI_TMP/run-metrics.txt"
+  # The registry folds the engine's hooks: its counts must match the run's
+  # own accounting (4 nodes x degree 2 x 3 rounds, no loss).
+  local pinned
+  for pinned in "engine_messages_delivered{scheme=jwins} 24" "engine_messages_dropped 0" \
+      "engine_messages_suppressed 0" "net_bytes_sent{scheme=jwins} 47100"; do
+    if ! awk -v key="${pinned% *}" -v value="${pinned##* }" \
+        '$1 == key && $2 == value { found = 1 } END { exit !found }' "$CI_TMP/run-metrics.txt"; then
+      echo "checkpoint gate FAILED: the --metrics table does not read $pinned:"
+      cat "$CI_TMP/run-metrics.txt"
+      return 1
+    fi
+  done
   local snapshot
   snapshot="$(ls "$CI_TMP"/run-ckpts/*.ckpt)"
   python -m repro.cli run "${run_args[@]}" --resume-from "$snapshot" >/dev/null

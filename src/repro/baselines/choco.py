@@ -104,17 +104,15 @@ class ChocoScheme(SharingScheme):
 
     # -- checkpointing -----------------------------------------------------------
     def state_dict(self) -> dict:
-        """Public copy, neighborhood sum and the in-flight update (if any)."""
+        """Public copy, neighborhood sum and the in-flight update (if any).
 
-        own_update = (
-            None
-            if self._own_update is None
-            else [self._own_update[0].copy(), self._own_update[1].copy()]
-        )
+        The arrays are the live ones: encoding a snapshot copies them.
+        """
+
         return {
-            "x_hat": self._x_hat.copy(),
-            "neighborhood_sum": self._neighborhood_sum.copy(),
-            "own_update": own_update,
+            "x_hat": self._x_hat,
+            "neighborhood_sum": self._neighborhood_sum,
+            "own_update": self._own_update,
         }
 
     def load_state_dict(self, state) -> None:

@@ -22,7 +22,6 @@ from typing import Any, Callable, Iterator
 
 from repro.checkpoint.snapshot import SimulationSnapshot
 from repro.exceptions import CheckpointError
-from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 
 __all__ = ["CheckpointManager"]
 
@@ -31,23 +30,10 @@ _LINEAGE_FILE = "lineage.jsonl"
 
 
 class CheckpointManager:
-    """Directory-backed snapshot storage keyed by run (spec) content hash.
+    """Directory-backed snapshot storage keyed by run (spec) content hash."""
 
-    An optional :class:`~repro.observability.metrics.MetricsRegistry` counts
-    saves, loads and bytes written (``checkpoint_saves`` /
-    ``checkpoint_loads`` / ``checkpoint_bytes_written``); persistence
-    behaviour is identical with metrics on or off.
-    """
-
-    def __init__(
-        self, directory: str | Path, metrics: MetricsRegistry | None = None
-    ) -> None:
+    def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        registry = metrics if metrics is not None else NULL_METRICS
-        self._metrics = registry
-        self._m_saves = registry.counter("checkpoint_saves")
-        self._m_loads = registry.counter("checkpoint_loads")
-        self._m_bytes = registry.counter("checkpoint_bytes_written")
 
     # -- paths ---------------------------------------------------------------------
     def path_for(self, run_key: str) -> Path:
@@ -68,9 +54,6 @@ class CheckpointManager:
         """Persist ``snapshot`` as the latest state of ``run_key``."""
 
         path = snapshot.save(self.path_for(run_key))
-        self._m_saves.inc()
-        if self._metrics.enabled:
-            self._m_bytes.inc(float(path.stat().st_size))
         self.record_lineage(
             {
                 "key": run_key,
@@ -98,7 +81,6 @@ class CheckpointManager:
         path = self.path_for(run_key)
         if not path.exists():
             return None
-        self._m_loads.inc()
         return SimulationSnapshot.load(path)
 
     def load_for_spec(self, spec: Any) -> SimulationSnapshot | None:

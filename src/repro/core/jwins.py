@@ -368,12 +368,15 @@ class JwinsScheme(SharingScheme):
 
     # -- checkpointing -----------------------------------------------------------
     def state_dict(self) -> dict:
-        """Accumulated scores, ``F_start`` and the in-flight round state (if any)."""
+        """Accumulated scores, ``F_start`` and the in-flight round state (if any).
+
+        The arrays are the live ones: encoding a snapshot copies them.
+        """
 
         return {
             "ranker": self.ranker.state_dict(),
-            "start_coefficients": _copy_or_none(self._start_coefficients),
-            "own_coefficients": _copy_or_none(self._own_coefficients),
+            "start_coefficients": self._start_coefficients,
+            "own_coefficients": self._own_coefficients,
             "last_alpha": None if self.last_alpha is None else float(self.last_alpha),
         }
 

@@ -6,9 +6,8 @@ convergence time, scalability), and this package is how a run reports them
 live instead of only through the final result object:
 
 * :mod:`~repro.observability.metrics` — a :class:`MetricsRegistry` of
-  counters/gauges/histograms instrumented through the engine, the byte
-  meter, the checkpoint manager and the sweep executor, with no-op stubs
-  (:data:`NULL_METRICS`) when telemetry is off;
+  counters/gauges/histograms, an engine observer folding the run's hooks
+  into counts (a run without one pays nothing for it);
 * :mod:`~repro.observability.trace` — a JSONL :class:`TraceEmitter` writing
   one record per round/message/evaluation/checkpoint event, wall-clock
   fields segregated under each record's ``"wall"`` key so a
@@ -35,14 +34,7 @@ analysis rule).
 from repro.observability.contract import TELEMETRY_RESULT_FIELDS, scrub_telemetry
 from repro.observability.forensics import FieldDrift, TraceDiff, diff_traces
 from repro.observability.memory import peak_rss_bytes
-from repro.observability.metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
+from repro.observability.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.observability.status import (
     CellStatusWriter,
     StatusBoard,
@@ -65,8 +57,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_METRICS",
-    "NullMetricsRegistry",
     "StatusBoard",
     "TELEMETRY_RESULT_FIELDS",
     "TraceDiff",

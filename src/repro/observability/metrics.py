@@ -1,46 +1,38 @@
 """The run-telemetry metrics registry: counters, gauges and histograms.
 
-A :class:`MetricsRegistry` is the mutable side of the observability layer:
-the engine, the byte meter, the checkpoint manager and the sweep executor all
-increment instruments on one registry while a run unfolds.  Three instrument
-kinds cover every telemetry need the reproduction has:
+A :class:`MetricsRegistry` is an engine observer: attached to a run (through
+``metrics=`` or :meth:`~repro.simulation.engine.Simulator.add_observer`), its
+``on_*`` hooks fold the run's sends, refusals, deliveries, rounds, evaluations
+and snapshots into instruments.  Nothing else in the library records into it.
+Three instrument kinds cover every telemetry need the reproduction has:
 
 * :class:`Counter` — monotonically increasing totals (bytes sent, messages
-  dropped, events processed, checkpoint saves);
+  dropped, snapshots captured);
 * :class:`Gauge` — last-written values (rounds completed so far);
 * :class:`Histogram` — cheap streaming summaries (count/sum/min/max) of a
   distribution, e.g. per-node round latencies in simulated seconds.
 
 Instruments are identified by a name plus optional labels
-(``registry.counter("engine_bytes_sent", scheme="jwins")``); the label set is
+(``registry.counter("net_bytes_sent", scheme="jwins")``); the label set is
 part of the instrument key, rendered Prometheus-style as
-``engine_bytes_sent{scheme=jwins}``.
+``net_bytes_sent{scheme=jwins}``.
 
-Two properties keep telemetry outside the determinism contract:
-
-* **Null stubs.**  :data:`NULL_METRICS` is a registry whose instruments are
-  shared no-op singletons.  Code paths instrument unconditionally against it
-  when telemetry is off, so the hot loops carry no ``if metrics:`` branches
-  and the disabled cost is one trivially inlineable method call.
-* **Deterministic merge.**  Per-worker registries travel back to the sweep
-  parent as :meth:`MetricsRegistry.to_dict` payloads and are folded in with
-  :meth:`MetricsRegistry.merge` — counters and histogram mass add, gauges
-  take the maximum — so the merged registry is identical for any worker
-  count and any merge order.
+Telemetry stays outside the determinism contract: the hooks only read what
+the engine hands them, and a run without a registry pays nothing for it.
+Per-worker registries travel back to the sweep parent as
+:meth:`MetricsRegistry.to_dict` payloads and are folded in with
+:meth:`MetricsRegistry.merge` — counters and histogram mass add, gauges take
+the maximum — so the merged registry is identical for any worker count and
+any merge order.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator, Mapping
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_METRICS",
-    "NullMetricsRegistry",
-]
+from repro.scenarios.schedule import BYZANTINE_MODES
+
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 
 def _instrument_key(name: str, labels: Mapping[str, Any]) -> str:
@@ -188,15 +180,27 @@ _KINDS = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
 
 
 class MetricsRegistry:
-    """Get-or-create registry of named instruments.
+    """Get-or-create registry of named instruments, fed by the engine's hooks.
 
     Instruments are created lazily on first access and held forever; the
     registry serializes to a sorted, JSON-safe mapping so snapshots diff
-    cleanly and merge deterministically across sweep workers.
-    """
+    cleanly and merge deterministically across sweep workers.  Attached to
+    one run at a time, it counts (labelled by the run's ``scheme`` where
+    noted):
 
-    #: Distinguishes a live registry from :class:`NullMetricsRegistry`.
-    enabled = True
+    * ``net_messages_sent``/``net_bytes_sent``/``net_metadata_bytes_sent``
+      (scheme) — the copies each send put on the uplink, delivered or not;
+    * ``engine_messages_delivered``/``net_bytes_received`` (scheme) — the
+      copies that landed;
+    * ``engine_messages_dropped``/``engine_messages_suppressed`` — the copies
+      the lossy network dropped, and those a partition or an offline receiver
+      suppressed;
+    * ``engine_byzantine_sends{mode=...}`` — the sends made under an attack;
+    * ``engine_rounds_completed`` (gauge), ``engine_round_latency_seconds``
+      (per-node round latency in simulated seconds, the barrier's under
+      lock-step), ``engine_evaluations``, ``engine_snapshots_captured`` and
+      ``checkpoint_loads`` (runs started from a snapshot).
+    """
 
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
@@ -299,50 +303,60 @@ class MetricsRegistry:
             lines.append(f"{key:<{width}}  {rendered}")
         return "\n".join(lines)
 
+    # -- the engine's observer hooks -----------------------------------------------
+    def on_run_start(self, simulator: Any) -> None:
+        """Resolve the run's instruments; a resume's latencies start at its clocks."""
 
-class _NullInstrument:
-    """Shared no-op stand-in for every instrument kind."""
+        scheme = simulator.result.scheme
+        self._result = simulator.result
+        self._sent = self.counter("net_messages_sent", scheme=scheme)
+        self._bytes_sent = self.counter("net_bytes_sent", scheme=scheme)
+        self._metadata_sent = self.counter("net_metadata_bytes_sent", scheme=scheme)
+        self._delivered = self.counter("engine_messages_delivered", scheme=scheme)
+        self._received = self.counter("net_bytes_received", scheme=scheme)
+        self._attacks = {
+            mode: self.counter("engine_byzantine_sends", mode=mode) for mode in BYZANTINE_MODES
+        }
+        self._refused = {
+            reason: self.counter(f"engine_messages_{reason}") for reason in ("dropped", "suppressed")
+        }
+        self._rounds = self.gauge("engine_rounds_completed")
+        self._latency = self.histogram("engine_round_latency_seconds")
+        self._evaluations = self.counter("engine_evaluations")
+        #: Round-latency marks: node -> simulated time its current round began
+        #: (key -1 for the lock-step barrier).
+        self._marks: dict[int, float] = {}
+        resume = simulator.resume_state
+        if resume is not None:
+            self.counter("checkpoint_loads").inc()
+            state = resume.mode_state
+            if state["kind"] == "sync":
+                self._marks[-1] = float(state["clock"])
+            else:
+                self._marks.update(enumerate(map(float, state["node_clock"])))
 
-    __slots__ = ()
-    value = 0.0
-    count = 0
-    total = 0.0
-    minimum = float("inf")
-    maximum = float("-inf")
-    mean = 0.0
+    def on_send(self, message: Any, copies: int, attack: str | None) -> None:
+        self._sent.inc(copies)
+        self._bytes_sent.inc(message.size.total_bytes * copies)
+        self._metadata_sent.inc(message.size.metadata_bytes * copies)
+        if attack is not None:
+            self._attacks[attack].inc()
 
-    def inc(self, amount: float = 1.0) -> None:
-        pass
+    def on_refuse(self, message: Any, receiver: int, now: float, reason: str) -> None:
+        self._refused[reason].inc()
 
-    def set(self, value: float) -> None:
-        pass
+    def on_message(self, message: Any, receiver: int, now: float) -> None:
+        self._delivered.inc()
+        self._received.inc(message.size.total_bytes)
 
-    def observe(self, value: float) -> None:
-        pass
+    def on_round_end(self, round_index: int, node_id: int | None, now: float) -> None:
+        self._rounds.set(float(self._result.rounds_completed))
+        key = -1 if node_id is None else node_id
+        self._latency.observe(now - self._marks.get(key, 0.0))
+        self._marks[key] = now
 
+    def on_evaluate(self, record: Any) -> None:
+        self._evaluations.inc()
 
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry(MetricsRegistry):
-    """The disabled registry: every instrument is one shared no-op object.
-
-    Instrumented code paths hold references obtained from this registry when
-    telemetry is off, so recording costs a single no-op method call and the
-    registry never accumulates state (``to_dict`` stays empty).
-    """
-
-    enabled = False
-
-    def counter(self, name: str, **labels: Any) -> Counter:  # type: ignore[override]
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:  # type: ignore[override]
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def histogram(self, name: str, **labels: Any) -> Histogram:  # type: ignore[override]
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-
-#: Process-wide disabled registry; instrument against this when telemetry is off.
-NULL_METRICS = NullMetricsRegistry()
+    def on_checkpoint(self, rounds_completed: int, reason: str) -> None:
+        self.counter("engine_snapshots_captured").inc()

@@ -154,7 +154,7 @@ class CellStatusWriter:
             "started_unix": self._started,
             "updated_unix": now,
         }
-        if self.registry is not None and self.registry.enabled:
+        if self.registry is not None:
             document["metrics"] = self.registry.to_dict()
         return document
 

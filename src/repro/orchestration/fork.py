@@ -88,14 +88,15 @@ def run_fork(
     """Fork ``snapshot`` under ``mutations`` and run the future to completion.
 
     Returns the forked spec (hash-distinct from the parent whenever lineage
-    or mutations differ) together with its result.  ``metrics`` and
-    ``heartbeat`` attach run telemetry exactly as on a plain run (and stay
-    outside the determinism contract).  The CLI's ``fork`` builds the same
+    or mutations differ) together with its result.  ``metrics`` (attached as
+    an observer) and ``heartbeat`` attach run telemetry as on a plain run
+    (and stay outside the determinism contract).  The CLI's ``fork`` builds the same
     spec with :func:`build_forked_spec` and runs it as a one-cell
     :func:`~repro.orchestration.run_sweep`, with checkpointing, a trace and a
     store of its own.
     """
 
     spec = build_forked_spec(snapshot, mutations)
-    result = spec.run(snapshot=snapshot, metrics=metrics, heartbeat=heartbeat)
+    observers = () if metrics is None else (metrics,)
+    result = spec.run(snapshot=snapshot, observers=observers, heartbeat=heartbeat)
     return spec, result

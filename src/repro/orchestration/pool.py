@@ -197,8 +197,7 @@ def _execute_spec_task(
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
             snapshot=snapshot,
-            metrics=registry,
-            observers=() if trace is None else (trace,),
+            observers=[observer for observer in (registry, trace) if observer is not None],
             heartbeat=cell_heartbeat(telemetry.get("status_dir"), spec, registry),
         )
     except ExperimentPaused as paused:

@@ -42,7 +42,6 @@ from repro.utils.records import read_fields
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.checkpoint.snapshot import SimulationSnapshot
-    from repro.observability.metrics import MetricsRegistry
     from repro.observability.status import CellStatusWriter
 
 __all__ = ["ExperimentSpec"]
@@ -211,7 +210,6 @@ class ExperimentSpec:
         checkpoint_dir: "str | None" = None,
         checkpoint_every: int = 0,
         snapshot: "SimulationSnapshot | None" = None,
-        metrics: "MetricsRegistry | None" = None,
         observers: Sequence[object] = (),
         heartbeat: "CellStatusWriter | None" = None,
     ) -> ExperimentResult:
@@ -228,9 +226,10 @@ class ExperimentSpec:
         (parent spec hash and round): the ``fork`` workflow, which replays a
         parent spec's snapshot under a mutated config.
 
-        ``metrics``, ``observers`` (e.g. a trace emitter) and ``heartbeat``
-        attach the telemetry layer (see :mod:`repro.observability`); all three
-        stay outside the determinism contract.
+        ``observers`` (e.g. a metrics registry, a trace emitter) and
+        ``heartbeat`` attach the telemetry layer (see
+        :mod:`repro.observability`); both stay outside the determinism
+        contract.
         """
 
         from repro.checkpoint.manager import CheckpointManager
@@ -240,11 +239,7 @@ class ExperimentSpec:
             raise ConfigurationError(
                 "checkpoint_every requires a checkpoint_dir to save snapshots into"
             )
-        manager = (
-            CheckpointManager(checkpoint_dir, metrics=metrics)
-            if checkpoint_dir is not None
-            else None
-        )
+        manager = None if checkpoint_dir is None else CheckpointManager(checkpoint_dir)
         key = self.content_hash()
         if snapshot is None and manager is not None:
             snapshot = manager.load_for_spec(self)
@@ -279,7 +274,6 @@ class ExperimentSpec:
             checkpoint_sink=None if manager is None else manager.sink_for(key),
             resume_from=snapshot,
             spec=self.to_dict(),
-            metrics=metrics,
             observers=observers,
             heartbeat=heartbeat,
         )

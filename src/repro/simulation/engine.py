@@ -41,7 +41,7 @@ from repro.core.interface import Message, RoundContext, SchemeFactory, SharingSc
 from repro.datasets.base import LearningTask
 from repro.datasets.partition import partition_dataset
 from repro.exceptions import CheckpointError, ExperimentPaused, SimulationError
-from repro.scenarios.schedule import BYZANTINE_MODES, ScenarioSchedule, ScenarioState
+from repro.scenarios.schedule import ScenarioSchedule, ScenarioState
 from repro.simulation.events import (
     AGGREGATE,
     DELIVER_MESSAGE,
@@ -51,7 +51,6 @@ from repro.simulation.events import (
     Event,
     EventLoop,
 )
-from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.simulation.experiment import ExperimentConfig
 from repro.simulation.metrics import ExperimentResult, RoundRecord
 from repro.simulation.network import ByteMeter
@@ -62,6 +61,7 @@ from repro.utils.rng import SeedSequenceFactory
 
 if TYPE_CHECKING:  # pragma: no cover - lazy runtime import avoids a cycle
     from repro.checkpoint.snapshot import SimulationSnapshot
+    from repro.observability.metrics import MetricsRegistry
 
 __all__ = [
     "AsynchronousMode",
@@ -125,9 +125,9 @@ class SimulationObserver:
     """The engine's hooks; an observer defines any subset of them.
 
     :meth:`Simulator.add_observer` attaches whichever hooks an object defines
-    (a subclass of this or not, like the JSONL trace) and skips the no-ops
-    inherited from here, e.g. a dashboard collecting deliveries and
-    evaluation points::
+    (a subclass of this or not, like the JSONL trace or the metrics registry);
+    the ``None`` placeholders below mark the hooks it leaves out, e.g. a
+    dashboard collecting deliveries and evaluation points::
 
         class Dashboard(SimulationObserver):
             def on_message(self, message, receiver, now):
@@ -137,32 +137,40 @@ class SimulationObserver:
 
         simulator.add_observer(Dashboard())
 
-    Within a round the order is ``on_message`` (each delivery), ``on_round_end``,
-    then that round's ``on_evaluate`` and ``on_checkpoint``, if any.
+    The hooks and their arguments:
+
+    ``on_run_start(simulator)``
+        ``simulator.run()`` began; a resumed run starts here too, with
+        ``simulator.resume_state`` still set.
+    ``on_send(message, copies, attack)``
+        ``message`` left its sender's uplink as ``copies`` copies, one per
+        neighbor, delivered or not; ``attack`` is the byzantine mode the
+        sender presented it under (``None`` for an honest send).
+    ``on_refuse(message, receiver, now, reason)``
+        The copy of ``message`` for ``receiver`` will never land: ``reason``
+        is ``"suppressed"`` (an open partition or an offline receiver) or
+        ``"dropped"`` (the lossy network's draw).
+    ``on_message(message, receiver, now)``
+        ``message`` was delivered to ``receiver`` at simulated time ``now``.
+    ``on_round_end(round_index, node_id, now)``
+        A round finished.  ``node_id`` is ``None`` under the synchronous
+        barrier (the round ends globally) and the finishing node's id under
+        the asynchronous mode; ``result.rounds_completed`` is already settled.
+    ``on_evaluate(record)``
+        An evaluation point was recorded.
+    ``on_checkpoint(rounds_completed, reason)``
+        A snapshot was captured (and handed to the sink, if any); ``reason``
+        is ``"cadence"`` or ``"stop"``, and a stop then pauses the run.
+    ``on_run_end(result)``
+        The run completed (a paused or failed run never gets here).
+
+    Within a round the order is ``on_send`` (each send), ``on_refuse`` and
+    ``on_message`` (each copy's fate), ``on_round_end``, then that round's
+    ``on_evaluate`` and ``on_checkpoint``, if any.
     """
 
-    def on_run_start(self, simulator: "Simulator") -> None:
-        """``simulator.run()`` began (a resumed run starts here too)."""
-
-    def on_round_end(self, round_index: int, node_id: int | None, now: float) -> None:
-        """A round finished.  ``node_id`` is ``None`` under the synchronous
-        barrier (the round ends globally) and the finishing node's id under
-        the asynchronous mode; ``result.rounds_completed`` is already settled."""
-
-    def on_message(self, message: Message, receiver: int, now: float) -> None:
-        """``message`` was delivered to ``receiver`` at simulated time ``now``."""
-
-    def on_evaluate(self, record: RoundRecord) -> None:
-        """An evaluation point was recorded."""
-
-    def on_checkpoint(self, rounds_completed: int, reason: str) -> None:
-        """A snapshot was captured (and handed to the sink, if any).
-
-        ``reason`` is ``"cadence"`` or ``"stop"``; a stop then pauses the run.
-        """
-
-    def on_run_end(self, result: ExperimentResult) -> None:
-        """The run completed (a paused or failed run never gets here)."""
+    on_run_start = on_send = on_refuse = on_message = None
+    on_round_end = on_evaluate = on_checkpoint = on_run_end = None
 
 
 #: The hook names :meth:`Simulator.add_observer` looks for.
@@ -201,13 +209,11 @@ class Simulator:
         Optional ``ExperimentSpec.to_dict()`` payload embedded in every
         captured snapshot, tying it to its orchestration cell.
     metrics:
-        Optional :class:`~repro.observability.metrics.MetricsRegistry`
-        collecting run telemetry (bytes and messages per scheme, drops and
-        suppressions, events processed, round latencies).  Defaults to the
-        shared no-op registry, so instrumented code paths never branch.
+        Optional :class:`~repro.observability.metrics.MetricsRegistry`,
+        attached as an observer.
 
-    Everything else that watches a run — the JSONL trace, a status heartbeat —
-    is an observer (:meth:`add_observer`).
+    Everything that watches a run — the registry, the JSONL trace, a status
+    heartbeat — is an observer (:meth:`add_observer`).
     """
 
     def __init__(
@@ -220,7 +226,7 @@ class Simulator:
         checkpoint_sink: Callable[["SimulationSnapshot"], None] | None = None,
         resume_from: "SimulationSnapshot | None" = None,
         spec: dict[str, Any] | None = None,
-        metrics: MetricsRegistry | None = None,
+        metrics: "MetricsRegistry | None" = None,
     ) -> None:
         self.task = task
         self.config = config
@@ -243,36 +249,12 @@ class Simulator:
             self.scenario.topology.initial(config.num_nodes, config.degree, self._topology_rng)
         )
 
-        resolved_scheme = scheme_name or self.nodes[0].scheme.name
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.meter = ByteMeter(
-            config.num_nodes, metrics=self.metrics, scheme=resolved_scheme
-        )
+        self.meter = ByteMeter(config.num_nodes)
         self._eval_rng = self.seeds.rng("evaluation")
         self._drop_rng = self.seeds.rng("message-drops")
-
-        # Instruments are resolved once; recording through them is a no-op
-        # attribute call when telemetry is off, so the hot loops never branch.
-        self._m_events = self.metrics.counter("engine_events_processed")
-        self._m_rounds = self.metrics.gauge("engine_rounds_completed")
-        self._m_delivered = self.metrics.counter(
-            "engine_messages_delivered", scheme=resolved_scheme
-        )
-        self._m_bytes_received = self.metrics.counter(
-            "net_bytes_received", scheme=resolved_scheme
-        )
-        self._m_dropped = self.metrics.counter("engine_messages_dropped")
-        self._m_suppressed = self.metrics.counter("engine_messages_suppressed")
-        self._m_byzantine = {
-            mode: self.metrics.counter("engine_byzantine_sends", mode=mode)
-            for mode in BYZANTINE_MODES
-        }
         # Per-node frozen models held by stale-replay attackers; part of the
         # checkpointed state (see repro.checkpoint.snapshot).
         self._byzantine_stale: dict[int, np.ndarray] = {}
-        self._m_evaluations = self.metrics.counter("engine_evaluations")
-        self._m_round_latency = self.metrics.histogram("engine_round_latency_seconds")
-        self._latency_marks: dict[int, float] = {}
 
         # Both run on either node-state engine: gossip steps nodes through
         # their arena views, lock-step picks its train stage off ``arenas``.
@@ -281,7 +263,7 @@ class Simulator:
         self.time_model = config.resolved_time_model()
 
         self.result = ExperimentResult(
-            scheme=resolved_scheme,
+            scheme=scheme_name or self.nodes[0].scheme.name,
             task=task.name,
             num_nodes=config.num_nodes,
             rounds_completed=0,
@@ -291,6 +273,8 @@ class Simulator:
 
         #: Hook name -> the callbacks attached to it, in registration order.
         self._hooks: dict[str, list[Callable[..., None]]] = {name: [] for name in OBSERVER_HOOKS}
+        if metrics is not None:
+            self.add_observer(metrics)
         self._ran = False
 
         if checkpoint_every < 0:
@@ -327,8 +311,8 @@ class Simulator:
     def add_observer(self, observer: object) -> "Simulator":
         """Attach every hook ``observer`` defines (see :class:`SimulationObserver`).
 
-        A no-op inherited from :class:`SimulationObserver` is not attached, so
-        an observer pays only for the hooks it overrides.
+        A hook inherited from :class:`SimulationObserver` is not attached, so
+        an observer pays only for the hooks it defines.
         """
 
         for name, callbacks in self._hooks.items():
@@ -344,19 +328,7 @@ class Simulator:
         for callback in self._hooks[hook]:
             callback(*args)
 
-    def emit_round_end(self, round_index: int, node_id: int | None, now: float) -> None:
-        self._m_rounds.set(float(self.result.rounds_completed))
-        if self.metrics.enabled:
-            # Per-node round latency in simulated seconds (the barrier's under
-            # sync, where round ends are global and keyed as node -1).
-            key = -1 if node_id is None else node_id
-            self._m_round_latency.observe(now - self._latency_marks.get(key, 0.0))
-            self._latency_marks[key] = now
-        self._notify("on_round_end", round_index, node_id, now)
-
     def emit_message(self, message: Message, receiver: int, now: float) -> None:
-        self._m_delivered.inc()
-        self._m_bytes_received.inc(message.size.total_bytes)
         # The loop of ``_notify`` inlined: this runs once per delivered copy.
         for callback in self._hooks["on_message"]:
             callback(message, receiver, now)
@@ -400,7 +372,6 @@ class Simulator:
         from repro.checkpoint.snapshot import capture_snapshot
 
         snapshot = capture_snapshot(self, mode_state())
-        self.metrics.counter("engine_snapshots_captured").inc()
         if self.checkpoint_sink is not None:
             self.checkpoint_sink(snapshot)
         self._notify(
@@ -509,7 +480,6 @@ class Simulator:
             # Leaving a stale-replay window releases the frozen model.
             self._byzantine_stale.pop(node_id, None)
             return params_trained
-        self._m_byzantine[mode].inc()
         if mode == "sign-flip":
             # Mirror the local update about the round's starting point.
             return 2.0 * params_start - params_trained
@@ -569,7 +539,6 @@ class Simulator:
             average_shared_fraction=shared_fraction,
         )
         self.result.history.append(record)
-        self._m_evaluations.inc()
         if (
             self.config.target_accuracy is not None
             and self.result.reached_target_at_round is None
@@ -661,43 +630,54 @@ def _scheme_class(nodes: list[SimulationNode]) -> type[SharingScheme]:
 
 
 def encode(
-    simulator: "Simulator", active_nodes: list[SimulationNode], contexts: list[RoundContext]
+    simulator: "Simulator",
+    state: ScenarioState,
+    active_nodes: list[SimulationNode],
+    contexts: list[RoundContext],
 ) -> dict[int, Message]:
     """Stage ``encode``: every node's round message, checked and metered, by sender."""
 
     prepared = _scheme_class(active_nodes).prepare_rows(
         [node.scheme for node in active_nodes], contexts
     )
+    on_send = simulator._hooks["on_send"]
     messages: dict[int, Message] = {}
     for node, context, message in zip(active_nodes, contexts, prepared):
         if message.sender != node.node_id:
             raise SimulationError("a scheme produced a message with the wrong sender id")
         # One copy per neighbor leaves the uplink, delivered or not.
-        simulator.meter.record_send(
-            node.node_id, message.size, copies=len(context.neighbor_weights)
-        )
+        copies = len(context.neighbor_weights)
+        simulator.meter.record_send(node.node_id, message.size, copies=copies)
+        for callback in on_send:
+            callback(message, copies, state.byzantine_mode(node.node_id))
         messages[node.node_id] = message
     return messages
 
 
 def admit(
-    simulator: "Simulator", state: ScenarioState, sender: int, receiver: int, draw: bool
+    simulator: "Simulator",
+    state: ScenarioState,
+    message: Message,
+    receiver: int,
+    now: float,
+    draw: bool,
 ) -> bool:
-    """Whether one copy ``sender -> receiver`` survives the send-time filters.
+    """Whether the copy of ``message`` for ``receiver`` survives the send-time filters.
 
     The scenario filter comes first (an open partition or an offline receiver,
     judged in the sender's round: the copy is *suppressed*), then the lossy
     network's Bernoulli draw (*dropped*) — so the ``message-drops`` stream
     advances exactly once per copy that passed the filter.  ``draw`` keeps the
     two pinned draw rules: lock-step draws only when drops are configured,
-    gossip always.  The sender's uplink was metered either way.
+    gossip always.  The sender's uplink was metered either way; a refused copy
+    is reported through ``on_refuse``.
     """
 
-    if not state.allows(sender, receiver):
-        simulator._m_suppressed.inc()
+    if not state.allows(message.sender, receiver):
+        simulator._notify("on_refuse", message, receiver, now, "suppressed")
         return False
     if draw and simulator._drop_rng.random() < simulator.config.message_drop_probability:
-        simulator._m_dropped.inc()
+        simulator._notify("on_refuse", message, receiver, now, "dropped")
         return False
     return True
 
@@ -712,7 +692,9 @@ def deliver(
     """Stage ``deliver`` of a barrier round: every active node's inbox.
 
     One pass per receiver in neighbor order (the drop stream's draw order);
-    a neighbor without a message sat the round out.
+    a neighbor without a message sat the round out.  A copy to an offline
+    neighbor left its sender's uplink too: it is suppressed, without a draw,
+    as :func:`admit` would judge it.
     """
 
     draw = simulator.config.message_drop_probability > 0.0
@@ -720,13 +702,19 @@ def deliver(
     for node in active_nodes:
         receiver = node.node_id
         inbox = [
-            messages[sender]
+            message
             for sender in simulator.mixing[receiver].neighbors
-            if sender in messages and admit(simulator, state, sender, receiver, draw)
+            if (message := messages.get(sender)) is not None
+            and admit(simulator, state, message, receiver, now, draw)
         ]
         for message in inbox:
             simulator.emit_message(message, receiver, now)
         inboxes.append(inbox)
+    if simulator._hooks["on_refuse"]:
+        for message in messages.values():
+            for receiver in simulator.mixing[message.sender].neighbors:
+                if not state.is_active(receiver):
+                    simulator._notify("on_refuse", message, receiver, now, "suppressed")
     return inboxes
 
 
@@ -820,8 +808,6 @@ class SynchronousMode:
             # next round index are the mode's only private state.
             clock = float(resume.mode_state["clock"])
             start_round = int(resume.rounds_completed)
-            # Round latency is measured from the restored clock, not from 0.
-            simulator._latency_marks[-1] = clock
 
         for round_index in range(start_round, config.rounds):
             simulator.apply_topology_policy(round_index)
@@ -835,12 +821,12 @@ class SynchronousMode:
                 present(simulator, node, round_index, state, *params, now=clock)
                 for node, params in zip(active_nodes, trained)
             ]
-            messages = encode(simulator, active_nodes, contexts)
+            messages = encode(simulator, state, active_nodes, contexts)
             inboxes = deliver(simulator, state, active_nodes, messages, clock)
             aggregate(simulator, active_nodes, contexts, inboxes)
             clock += account(simulator, state, messages)
             simulator.result.rounds_completed = round_index + 1
-            simulator.emit_round_end(round_index, None, clock)
+            simulator._notify("on_round_end", round_index, None, clock)
 
             due = (round_index + 1) % config.eval_every == 0 or round_index == config.rounds - 1
             if due:
@@ -986,8 +972,6 @@ class AsynchronousMode:
         self.last_fraction = [float(value) for value in state["last_fraction"]]
         self.evaluated_through = int(state["evaluated_through"])
         wire.decode_rng_state(self.latency_rng, state["latency_rng"])
-        # Each node's next round latency starts at its restored clock.
-        self.simulator._latency_marks.update(enumerate(self.node_clock))
 
     # -- the schedule --------------------------------------------------------------
     def run(self, simulator: Simulator) -> None:
@@ -1002,7 +986,6 @@ class AsynchronousMode:
         loop, node_clock, handlers = self.loop, self.node_clock, self.handlers
         while loop:  # an early stop clears the queue
             event = loop.pop()
-            simulator._m_events.inc()
             if event.kind != DELIVER_MESSAGE:
                 # A delivery is passive: it lands in the inbox without
                 # advancing the receiver's own progress clock.
@@ -1038,7 +1021,7 @@ class AsynchronousMode:
         (params,) = train_rows(simulator, [node])
         context = present(simulator, node, round_index, state, *params, now=now)
         self.contexts[node_id] = context
-        message = encode(simulator, [node], [context])[node_id]
+        message = encode(simulator, state, [node], [context])[node_id]
         self.last_fraction[node_id] = message.shared_fraction
 
         neighbors = simulator.mixing[node_id].neighbors
@@ -1051,7 +1034,7 @@ class AsynchronousMode:
         data = {"message": message, "round": round_index}
         for position, neighbor in enumerate(neighbors):
             # A refused copy still left the uplink; it just never lands.
-            if admit(simulator, state, node_id, neighbor, True):
+            if admit(simulator, state, message, neighbor, now, True):
                 sent_at = now + (position + 1) * transfer
                 latency = self.time_model.sample_link_latency(self.latency_rng)
                 self.loop.schedule(sent_at + latency, DELIVER_MESSAGE, neighbor, data)
@@ -1061,11 +1044,11 @@ class AsynchronousMode:
         """``DELIVER_MESSAGE``: the copy lands in the receiver's inbox."""
 
         simulator, node_id = self.simulator, event.node_id
+        message, round_sent = event.data["message"], event.data["round"]
         if not simulator.scenario_state(self.node_round[node_id]).is_active(node_id):
             # Offline in its own current round: lost, not parked for later.
-            simulator._m_suppressed.inc()
+            simulator._notify("on_refuse", message, node_id, event.time, "suppressed")
             return
-        message, round_sent = event.data["message"], event.data["round"]
         # Keep only the freshest message per sender: gossip aggregation mixes
         # at most one contribution per neighbor.  Latency jitter can reorder a
         # sender's deliveries, so freshness is the sender's round, not arrival.
@@ -1126,7 +1109,7 @@ class AsynchronousMode:
         simulator.result.rounds_completed = global_round
         # After the global bookkeeping, before the evaluation: observers see
         # settled progress, as under the barrier.
-        simulator.emit_round_end(round_index, node_id, now)
+        simulator._notify("on_round_end", round_index, node_id, now)
         due = global_round % config.eval_every == 0 or global_round == config.rounds
         if global_round > self.evaluated_through and due:
             self.evaluated_through = global_round

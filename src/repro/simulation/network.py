@@ -13,28 +13,14 @@ import numpy as np
 
 from repro.compression.sizing import PayloadSize
 from repro.exceptions import SimulationError
-from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 
 __all__ = ["ByteMeter"]
 
 
 class ByteMeter:
-    """Tracks bytes sent per node, split into values and metadata.
+    """Tracks bytes sent per node, split into values and metadata."""
 
-    When a live :class:`~repro.observability.metrics.MetricsRegistry` is
-    attached, every send also increments the ``net_messages_sent`` /
-    ``net_bytes_sent`` / ``net_metadata_bytes_sent`` counters, labelled by
-    ``scheme`` so multi-scheme comparisons stay separable.  The instruments
-    are resolved once here — the recording path pays one no-op call each when
-    telemetry is off.
-    """
-
-    def __init__(
-        self,
-        num_nodes: int,
-        metrics: MetricsRegistry | None = None,
-        scheme: str = "",
-    ) -> None:
+    def __init__(self, num_nodes: int) -> None:
         if num_nodes <= 0:
             raise SimulationError("num_nodes must be positive")
         self.num_nodes = int(num_nodes)
@@ -43,11 +29,6 @@ class ByteMeter:
         self._header_bytes = np.zeros(num_nodes, dtype=np.float64)
         self._round_bytes: list[float] = []
         self._current_round_total = 0.0
-        registry = metrics if metrics is not None else NULL_METRICS
-        labels = {"scheme": scheme} if scheme else {}
-        self._m_messages = registry.counter("net_messages_sent", **labels)
-        self._m_bytes = registry.counter("net_bytes_sent", **labels)
-        self._m_metadata = registry.counter("net_metadata_bytes_sent", **labels)
 
     # -- recording ----------------------------------------------------------------
     def record_send(self, node_id: int, size: PayloadSize, copies: int = 1) -> None:
@@ -61,9 +42,6 @@ class ByteMeter:
         self._metadata_bytes[node_id] += size.metadata_bytes * copies
         self._header_bytes[node_id] += size.header_bytes * copies
         self._current_round_total += size.total_bytes * copies
-        self._m_messages.inc(copies)
-        self._m_bytes.inc(size.total_bytes * copies)
-        self._m_metadata.inc(size.metadata_bytes * copies)
 
     def end_round(self) -> float:
         """Close the current round; returns the bytes sent in it (all nodes)."""
@@ -102,12 +80,15 @@ class ByteMeter:
 
     # -- checkpointing -------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Every counter the meter holds, for checkpointing."""
+        """Every counter the meter holds, for checkpointing.
+
+        The arrays are the live ones: encoding a snapshot copies them.
+        """
 
         return {
-            "values_bytes": self._values_bytes.copy(),
-            "metadata_bytes": self._metadata_bytes.copy(),
-            "header_bytes": self._header_bytes.copy(),
+            "values_bytes": self._values_bytes,
+            "metadata_bytes": self._metadata_bytes,
+            "header_bytes": self._header_bytes,
             "round_bytes": [float(total) for total in self._round_bytes],
             "current_round_total": float(self._current_round_total),
         }

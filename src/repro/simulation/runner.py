@@ -30,7 +30,6 @@ from repro.simulation.metrics import ExperimentResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.checkpoint.snapshot import SimulationSnapshot
-    from repro.observability.metrics import MetricsRegistry
     from repro.observability.status import CellStatusWriter
 
 __all__ = ["build_nodes", "run_experiment"]
@@ -80,7 +79,6 @@ def run_experiment(
     checkpoint_sink: Callable[["SimulationSnapshot"], None] | None = None,
     resume_from: "SimulationSnapshot | None" = None,
     spec: dict[str, Any] | None = None,
-    metrics: "MetricsRegistry | None" = None,
     observers: Sequence[object] = (),
     heartbeat: "CellStatusWriter | None" = None,
 ) -> ExperimentResult:
@@ -102,9 +100,9 @@ def run_experiment(
     orchestration cell that produced them.  All default to off, in which case
     behaviour is bit-identical to a build without checkpointing.
 
-    ``metrics``, ``observers`` and ``heartbeat`` attach the observability
-    layer (see :mod:`repro.observability`): a live registry collects run
-    counters, each observer (e.g. a
+    ``observers`` and ``heartbeat`` attach the observability layer (see
+    :mod:`repro.observability`): each observer (e.g. a
+    :class:`~repro.observability.metrics.MetricsRegistry` or a
     :class:`~repro.observability.trace.TraceEmitter`) gets the engine's hooks
     (:meth:`~repro.simulation.engine.Simulator.add_observer`), and a status
     heartbeat (a :class:`~repro.observability.status.CellStatusWriter`)
@@ -122,7 +120,6 @@ def run_experiment(
         checkpoint_sink=checkpoint_sink,
         resume_from=resume_from,
         spec=spec,
-        metrics=metrics,
     )
     for observer in observers:
         simulator.add_observer(observer)

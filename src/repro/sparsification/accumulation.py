@@ -58,9 +58,12 @@ class ResidualAccumulator:
 
     # -- checkpointing --------------------------------------------------------------
     def state_dict(self) -> dict:
-        """The accumulated scores, for checkpointing."""
+        """The accumulated scores, for checkpointing.
 
-        return {"scores": self._scores.copy()}
+        The array is the live one: encoding a snapshot copies it.
+        """
+
+        return {"scores": self._scores}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore scores captured by :meth:`state_dict`."""

@@ -15,6 +15,7 @@ from repro.checkpoint import (
     CheckpointManager,
     SimulationSnapshot,
 )
+from repro.baselines import choco_factory
 from repro.checkpoint import snapshot as snapshot_module
 from repro.core import jwins_factory
 from repro.exceptions import CheckpointError, ExperimentPaused
@@ -62,6 +63,26 @@ def test_to_dict_from_dict_is_exact():
     clone = SimulationSnapshot.from_dict(payload)
     assert clone.to_dict() == snapshot.to_dict()
     assert clone.content_hash() == snapshot.content_hash()
+
+
+@pytest.mark.parametrize("execution", ["sync", "async"])
+@pytest.mark.parametrize("engine", ["pernode", "arena"])
+@pytest.mark.parametrize("factory", [jwins_factory, choco_factory], ids=["jwins", "choco"])
+def test_a_captured_snapshot_does_not_follow_the_run_on(factory, engine, execution):
+    """State dicts hand over live arrays (scheme, scores, meter); capture copies them."""
+
+    captured = []
+    simulator = Simulator(
+        make_toy_task(),
+        factory(),
+        small_config(engine=engine, execution=execution),
+        checkpoint_every=1,
+        checkpoint_sink=lambda snapshot: captured.append((snapshot, snapshot.to_dict())),
+    )
+    simulator.run()
+    assert len(captured) == 4
+    for snapshot, document in captured:
+        assert snapshot.to_dict() == document
 
 
 def test_content_hash_changes_with_state():

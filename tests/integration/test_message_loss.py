@@ -15,6 +15,8 @@ from repro.baselines import choco_factory, full_sharing_factory, random_sampling
 from repro.compression.float_codec import FloatCodec, RawFloatCodec
 from repro.core import JwinsConfig, jwins_factory
 from repro.exceptions import ConfigurationError
+from repro.observability.metrics import MetricsRegistry
+from repro.scenarios import get_scenario
 from repro.simulation import ExperimentConfig, run_experiment
 from tests.conftest import make_toy_task
 
@@ -138,3 +140,34 @@ def test_float_codec_is_lossless_over_a_whole_run(task, lossy_config, factory, m
     without = run_experiment(task, factory, lossy_config)
     assert with_codec.total_values_bytes < without.total_values_bytes
     assert without_codec_fields(with_codec) == without_codec_fields(without)
+
+
+@pytest.mark.parametrize("probability", [0.0, 0.3])
+@pytest.mark.parametrize("scenario", ["static", "churn-partition"])
+@pytest.mark.parametrize("execution", ["sync", "async"])
+def test_every_copy_sent_is_delivered_dropped_or_suppressed(
+    task, execution, scenario, probability
+):
+    """Including lock-step copies to an offline neighbor, which no receiver loop sees."""
+
+    config = ExperimentConfig(
+        num_nodes=8,
+        degree=3,
+        rounds=9,
+        eval_every=9,
+        eval_test_samples=16,
+        seed=3,
+        execution=execution,
+        message_drop_probability=probability,
+        scenario=get_scenario(scenario, num_nodes=8, rounds=9),
+    )
+    registry = MetricsRegistry()
+    result = run_experiment(task, full_sharing_factory(), config, observers=(registry,))
+    assert result.rounds_completed == config.rounds
+    sent = registry.counter("net_messages_sent", scheme="full-sharing").value
+    delivered = registry.counter("engine_messages_delivered", scheme="full-sharing").value
+    dropped = registry.counter("engine_messages_dropped").value
+    suppressed = registry.counter("engine_messages_suppressed").value
+    assert sent == delivered + dropped + suppressed
+    assert (dropped > 0) == (probability > 0)
+    assert (suppressed > 0) == (scenario != "static")

@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry: instruments, merge, null stubs."""
+"""Unit tests for the metrics registry: instruments, merge, rendering."""
 
 from __future__ import annotations
 
@@ -6,14 +6,7 @@ import json
 
 import pytest
 
-from repro.observability.metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
+from repro.observability.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestInstruments:
@@ -146,20 +139,3 @@ class TestMerge:
         with pytest.raises(ValueError, match="cannot merge"):
             a.merge(b)
 
-
-class TestNullRegistry:
-    def test_disabled_registry_accumulates_nothing(self):
-        registry = NullMetricsRegistry()
-        registry.counter("sent", scheme="jwins").inc(100)
-        registry.gauge("rounds").set(5)
-        registry.histogram("latency").observe(1.0)
-        assert registry.to_dict() == {}
-        assert registry.to_dict() == {}
-        assert not registry.enabled
-
-    def test_instruments_are_one_shared_stub(self):
-        # Hot loops cache the instrument once; the null path must hand out a
-        # single allocation-free object for every name and kind.
-        assert NULL_METRICS.counter("a") is NULL_METRICS.histogram("b")
-        assert NULL_METRICS.counter("a").value == 0.0
-        assert NULL_METRICS.histogram("b").mean == 0.0

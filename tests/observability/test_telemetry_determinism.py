@@ -70,8 +70,7 @@ def test_instrumented_run_is_bit_identical_to_plain(tmp_path, execution):
         task,
         full_sharing_factory(),
         _tiny_config(execution=execution),
-        metrics=registry,
-        observers=(TraceEmitter(tmp_path / "run.trace.jsonl"),),
+        observers=(registry, TraceEmitter(tmp_path / "run.trace.jsonl")),
         heartbeat=heartbeat,
     )
     assert plain.to_dict() == instrumented.to_dict()
@@ -83,7 +82,7 @@ def test_engine_populates_the_metrics_catalog(execution):
     task = make_toy_task(seed=5)
     registry = MetricsRegistry()
     result = run_experiment(
-        task, full_sharing_factory(), _tiny_config(execution=execution), metrics=registry
+        task, full_sharing_factory(), _tiny_config(execution=execution), observers=(registry,)
     )
     # 4 nodes x degree 2 x 3 rounds, nothing dropped or suppressed.
     assert registry.to_dict()["engine_messages_delivered{scheme=full-sharing}"]["value"] == 24
@@ -115,7 +114,7 @@ def test_resumed_run_measures_round_latency_from_the_restored_clock(execution):
         config,
         checkpoint_every=3,
         checkpoint_sink=snapshots.append,
-        metrics=full,
+        observers=(full,),
     )
     resumed = MetricsRegistry()
     run_experiment(
@@ -123,7 +122,7 @@ def test_resumed_run_measures_round_latency_from_the_restored_clock(execution):
         full_sharing_factory(),
         config,
         resume_from=snapshots[0],
-        metrics=resumed,
+        observers=(resumed,),
     )
     whole = full.histogram("engine_round_latency_seconds")
     tail = resumed.histogram("engine_round_latency_seconds")
@@ -225,14 +224,14 @@ def test_sweep_telemetry_is_identical_across_worker_counts(tmp_path):
         assert strip_wall(trace_dirs[1] / name) == strip_wall(trace_dirs[2] / name)
 
 
-def test_checkpointing_run_counts_saves_in_the_registry(tmp_path):
-    registry = MetricsRegistry()
+def test_checkpointing_run_counts_snapshots_and_resumes_in_the_registry(tmp_path):
     spec = ExperimentSpec("movielens", SchemeSpec("jwins"), overrides={**TINY, "seed": 1})
-    spec.run(
-        checkpoint_dir=tmp_path / "ckpts",
-        checkpoint_every=1,
-        metrics=registry,
-    )
-    assert registry.to_dict()["checkpoint_saves"]["value"] >= 2  # one per round at cadence 1
-    assert registry.to_dict()["checkpoint_bytes_written"]["value"] > 0
-    assert registry.to_dict()["engine_snapshots_captured"]["value"] >= 2
+    registry = MetricsRegistry()
+    spec.run(checkpoint_dir=tmp_path / "ckpts", checkpoint_every=1, observers=(registry,))
+    # One snapshot per round at cadence 1; the run started from scratch.
+    assert registry.to_dict()["engine_snapshots_captured"]["value"] == TINY["rounds"]
+    assert "checkpoint_loads" not in registry.to_dict()
+
+    resumed = MetricsRegistry()
+    spec.run(checkpoint_dir=tmp_path / "ckpts", observers=(resumed,))
+    assert resumed.to_dict()["checkpoint_loads"]["value"] == 1

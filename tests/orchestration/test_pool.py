@@ -116,7 +116,8 @@ class TestSerialExecution:
         """Like a pool worker, a cell that raises hands back no registry."""
 
         def explode(self, **kwargs):
-            kwargs["metrics"].counter("half_filled").inc()
+            (registry,) = kwargs["observers"]  # the cell's own registry
+            registry.counter("half_filled").inc()
             raise RuntimeError("boom")
 
         monkeypatch.setattr(ExperimentSpec, "run", explode)

@@ -412,6 +412,18 @@ def test_an_observer_gets_only_the_hooks_it_defines(toy_task, small_config, monk
     assert inherited == []
 
 
+def test_a_simulator_without_observers_has_every_hook_list_empty(toy_task, small_config):
+    """Telemetry is observers only: a bare run attaches nothing to any hook."""
+
+    simulator = Simulator(toy_task, full_sharing_factory(), small_config)
+    assert set(simulator._hooks) == set(OBSERVER_HOOKS)
+    assert {"on_send", "on_refuse"} <= set(OBSERVER_HOOKS)
+    assert all(callbacks == [] for callbacks in simulator._hooks.values())
+    leftovers = [name for name in vars(simulator) if name.startswith("_m_")]
+    assert leftovers == []
+    assert not hasattr(simulator, "metrics") and not hasattr(simulator, "_latency_marks")
+
+
 # -- explicit shared_fraction (replaces the payload sniffing) ---------------------
 
 

@@ -1,6 +1,7 @@
 """The round stages both schedules share, and the gossip loop's handler table.
 
-``admit`` owns the send-time filters and their counters; the two draw rules
+``admit`` owns the send-time filters and reports each refusal to the
+observers (here a metrics registry); the two draw rules
 (lock-step draws only when drops are configured, gossip always) are pinned
 through the state of the ``message-drops`` stream.  The event-loop handlers
 are driven directly on a bound 4-node simulator, one event at a time.
@@ -14,6 +15,7 @@ import pytest
 
 from repro.checkpoint.serialization import from_json, to_json
 from repro.core import jwins_factory
+from repro.core.interface import Message
 from repro.exceptions import ExperimentPaused
 from repro.observability.metrics import MetricsRegistry
 from repro.scenarios import get_scenario
@@ -54,9 +56,21 @@ def build(config, **kwargs):
 
 
 def lossy():
-    """A lock-step simulator with a fair drop coin and live counters."""
+    """A lock-step simulator with a fair drop coin, and its registry."""
 
-    return build(replace(CONFIG, message_drop_probability=0.5), metrics=MetricsRegistry())
+    registry = MetricsRegistry()
+    simulator = build(replace(CONFIG, message_drop_probability=0.5), metrics=registry)
+    registry.on_run_start(simulator)
+    return simulator, registry
+
+
+def refused(registry):
+    """``(suppressed, dropped)`` copies the registry counted."""
+
+    return tuple(
+        registry.counter(f"engine_messages_{reason}").value
+        for reason in ("suppressed", "dropped")
+    )
 
 
 def drop_stream_state(simulator):
@@ -68,33 +82,34 @@ def drop_stream_state(simulator):
 STATE = ScenarioState(
     round_index=0, active=(0, 1, 2), partition_ids=(0, 0, 1, 0), slowdowns=(1.0,) * 4
 )
+FROM_0 = Message(sender=0, kind="test", payload={})
 
 
 @pytest.mark.parametrize("receiver", [2, 3], ids=["partitioned", "offline-receiver"])
 def test_admit_suppresses_what_the_scenario_forbids_without_a_draw(receiver):
-    simulator = lossy()
+    simulator, registry = lossy()
     untouched = drop_stream_state(simulator)
-    assert not engine.admit(simulator, STATE, 0, receiver, True)
-    assert (simulator._m_suppressed.value, simulator._m_dropped.value) == (1, 0)
+    assert not engine.admit(simulator, STATE, FROM_0, receiver, 0.0, True)
+    assert refused(registry) == (1, 0)
     assert drop_stream_state(simulator) == untouched
 
 
 def test_admit_draws_once_per_allowed_copy_and_counts_each_drop():
-    simulator = lossy()
+    simulator, registry = lossy()
     twin = simulator.seeds.rng("message-drops")
     expected = [bool(twin.random() >= 0.5) for _ in range(16)]
-    assert [engine.admit(simulator, STATE, 0, 1, True) for _ in expected] == expected
+    assert [engine.admit(simulator, STATE, FROM_0, 1, 0.0, True) for _ in expected] == expected
     assert 0 < expected.count(False) < len(expected)
-    assert simulator._m_dropped.value == expected.count(False)
-    assert simulator._m_suppressed.value == 0
+    assert refused(registry)[1] == expected.count(False)
+    assert refused(registry)[0] == 0
     assert drop_stream_state(simulator) == twin.bit_generator.state
 
 
 def test_admit_without_draw_passes_the_copy_and_leaves_the_stream_alone():
-    simulator = lossy()
+    simulator, registry = lossy()
     untouched = drop_stream_state(simulator)
-    assert all(engine.admit(simulator, STATE, 0, 1, False) for _ in range(8))
-    assert (simulator._m_suppressed.value, simulator._m_dropped.value) == (0, 0)
+    assert all(engine.admit(simulator, STATE, FROM_0, 1, 0.0, False) for _ in range(8))
+    assert refused(registry) == (0, 0)
     assert drop_stream_state(simulator) == untouched
 
 
@@ -113,17 +128,18 @@ def test_gossip_draws_once_per_copy_that_passed_the_scenario_filter(
     probability, monkeypatch
 ):
     scenario = get_scenario("churn-partition", num_nodes=4, rounds=GOSSIP.rounds)
+    registry = MetricsRegistry()
     simulator = build(
         replace(GOSSIP, scenario=scenario, message_drop_probability=probability),
-        metrics=MetricsRegistry(),
+        metrics=registry,
     )
     filtered = []
     real_admit = engine.admit
 
-    def spy(sim, state, sender, receiver, draw):
+    def spy(sim, state, message, receiver, now, draw):
         assert draw is True
-        filtered.append(state.allows(sender, receiver))
-        return real_admit(sim, state, sender, receiver, draw)
+        filtered.append(state.allows(message.sender, receiver))
+        return real_admit(sim, state, message, receiver, now, draw)
 
     monkeypatch.setattr(engine, "admit", spy)
     simulator.run()
@@ -131,7 +147,7 @@ def test_gossip_draws_once_per_copy_that_passed_the_scenario_filter(
     twin = simulator.seeds.rng("message-drops")
     draws = twin.random(filtered.count(True))
     assert drop_stream_state(simulator) == twin.bit_generator.state
-    assert simulator._m_dropped.value == int(np.sum(draws < probability))
+    assert refused(registry)[1] == int(np.sum(draws < probability))
 
 
 # -- state() / load_state() -------------------------------------------------------------
@@ -180,6 +196,7 @@ def bound(config=GOSSIP, senders=(), **kwargs):
     """A bound simulator and the round-0 messages of ``senders`` (trained, encoded)."""
 
     simulator = build(config, **kwargs)
+    simulator._notify("on_run_start", simulator)  # as ``run`` does before binding
     mode = simulator.mode
     mode.bind(simulator)
     messages = {}
@@ -225,22 +242,23 @@ def test_finish_train_sends_one_copy_per_neighbor_then_aggregates():
 
 def test_a_delivery_to_a_receiver_offline_in_its_own_round_is_lost():
     outage = ScenarioSchedule(name="out", outages=(NodeOutage(1, 0, 1),))
+    registry = MetricsRegistry()
     simulator, mode, messages = bound(
-        replace(GOSSIP, scenario=outage), senders=(0,), metrics=MetricsRegistry()
+        replace(GOSSIP, scenario=outage), senders=(0,), metrics=registry
     )
     seen = []
     simulator.on_message(lambda message, receiver, now: seen.append(receiver))
-    suppressed = simulator._m_suppressed.value  # node 0's round-0 copy to node 1
+    suppressed = refused(registry)[0]  # node 0's round-0 copy to node 1
 
     # Sent in the sender's round 1 (node 1 is back), landing in node 1's round 0.
     mode.deliver(delivery(messages[0], 1, round_sent=1))
     assert mode.inboxes[1] == {} and seen == []
-    assert simulator._m_suppressed.value == suppressed + 1
+    assert refused(registry)[0] == suppressed + 1
 
     mode.node_round[1] = 1
     mode.deliver(delivery(messages[0], 1, round_sent=1))
     assert mode.inboxes[1] == {0: (1, messages[0])} and seen == [1]
-    assert simulator._m_suppressed.value == suppressed + 1
+    assert refused(registry)[0] == suppressed + 1
 
 
 def test_the_inbox_keeps_the_freshest_message_per_sender_under_reordering():

@@ -275,9 +275,7 @@ def test_byzantine_sends_are_counted_per_mode(execution):
 
     registry = MetricsRegistry()
     config = replace(CONFIG, scenario=_byzantine_schedule("sign-flip"), execution=execution)
-    run_experiment(
-        make_toy_task(), full_sharing_factory(), config, metrics=registry
-    )
+    run_experiment(make_toy_task(), full_sharing_factory(), config, observers=(registry,))
     # 2 attackers x 3 in-window rounds, all under the sign-flip label.
     assert registry.counter("engine_byzantine_sends", mode="sign-flip").value == 6.0
     assert registry.counter("engine_byzantine_sends", mode="stale-replay").value == 0.0

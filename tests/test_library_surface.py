@@ -145,6 +145,14 @@ REMOVED = [
     ("repro.simulation.experiment:ExperimentConfig", "with_rounds"),
     ("repro.simulation.experiment:ExperimentConfig", "with_target"),
     ("repro.simulation.experiment:ExperimentConfig", "with_execution"),
+    # The metrics registry's second channel: it is an engine observer now, so
+    # no code path records into a no-op stand-in.
+    ("repro.observability.metrics", "NULL_METRICS"),
+    ("repro.observability.metrics", "NullMetricsRegistry"),
+    ("repro.observability.metrics", "_NullInstrument"),
+    ("repro.observability.metrics", "_NULL_INSTRUMENT"),
+    ("repro.observability.metrics:MetricsRegistry", "enabled"),
+    ("repro.simulation.engine:Simulator", "emit_round_end"),
 ]
 
 #: (callable, parameter): the parameter (or dataclass field) is gone from the
@@ -177,6 +185,11 @@ REMOVED_PARAMETERS = [
     ("repro.orchestration.fork:run_fork", "observers"),
     ("repro.orchestration.fork:run_fork", "trace_dir"),
     ("repro.orchestration.spec:ExperimentSpec.run", "verify_spec"),
+    ("repro.orchestration.spec:ExperimentSpec.run", "metrics"),
+    ("repro.simulation.runner:run_experiment", "metrics"),
+    ("repro.simulation.network:ByteMeter", "metrics"),
+    ("repro.simulation.network:ByteMeter", "scheme"),
+    ("repro.checkpoint.manager:CheckpointManager", "metrics"),
     ("repro.orchestration.schemes:_RegisteredScheme", "params"),
 ]
 
