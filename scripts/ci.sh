@@ -22,20 +22,16 @@
 #                smoke (every scheme the CLI pins) + fig7 preset sweep and
 #                `regenerate` + live status.json heartbeat smoke (2-worker
 #                sweep, `top`)
-#   determinism  churn+partition sweep (sync and async cells) twice serially
-#                and once on 2 workers; the JSONL stores must be byte-for-byte
+#   determinism  a churn+partition sweep (sync and async cells) run twice,
+#                in separate processes: the JSONL stores must be byte-for-byte
 #                identical and so must every wall-stripped cell trace (a
-#                mismatch prints a forensic trace diff: first divergent record,
-#                field drift, causal backtrace); then arena-vs-pernode cells with
-#                equal result payloads: 24 nodes with the default cut-off list
-#                and with --budget 0.2 (jwins and full-sharing each), and a
-#                20-node cifar10 cell whose rows x d need two JWINS passes,
-#                and a 96-node fig10 MLP cell through the arena's stacked train
-#                step and its per-node fallback;
-#                then the float-codec oracle: 8 cifar10 nodes, four schemes,
-#                value codec on vs off, results equal but for bytes and time;
-#                then an 8-node cifar10 cell under OPENBLAS_NUM_THREADS=1 and
-#                =2, whose stores must be byte-identical
+#                mismatch prints a forensic trace diff: first divergent
+#                record, field drift, causal backtrace); then the fuzzer's
+#                nine pinned cases through all five oracles (1 vs 2 workers,
+#                arena vs pernode, 24 movielens nodes with and without a
+#                budget, 20 cifar10 nodes in two JWINS passes); then an
+#                8-node cifar10 cell under OPENBLAS_NUM_THREADS=1 and =2,
+#                whose stores must be byte-identical
 #   checkpoint   SIGINT a 2-cell pool sweep mid-spec, resume it, and
 #                byte-compare the store's rows against an uninterrupted run
 #                (the fourth determinism pillar), plus dry-run/compact smokes,
@@ -280,193 +276,37 @@ PY
 }
 
 stage_determinism() {
-  # A seeded churn+partition sweep must be reproducible byte for byte: run the
-  # grid twice with 1 worker and once with 2 workers, then compare the JSONL
-  # stores and the wall-stripped per-cell traces (every record, not just the
-  # results).  The churn-partition scenario keeps the whole scenario subsystem
-  # (churn, partitions, rewiring trace) inside the gate; each leg runs the
-  # two schemes lock-step, then again under the event loop (a second sweep
-  # into the same store: two cells, so the 2-worker leg maps them over the
-  # pool rather than running one cell in-process).
+  # Rerun across processes: a seeded churn+partition sweep, run twice in
+  # separate processes, must store the same bytes and write the same
+  # wall-stripped per-cell traces (every record, not just the results).  Only
+  # separate processes catch a result that depends on Python's per-process
+  # string-hash seed: the fuzzer's oracles run in one process, and its pool
+  # workers are forked from it.  Each leg runs the two schemes lock-step, then
+  # again under the event loop (a second sweep into the same store).
   local det_args=(--workload movielens --scheme jwins full-sharing
                   --nodes 4 --degree 2 --rounds 3 --scenario churn-partition)
-  local leg workers
-  for leg in serial rerun pool; do
-    workers=1
-    [[ "$leg" == pool ]] && workers=2
+  local leg
+  for leg in serial rerun; do
     python -m repro.cli sweep "${det_args[@]}" --store "$CI_TMP/det-$leg.jsonl" \
-        --workers "$workers" --trace "$CI_TMP/det-$leg-traces" >/dev/null
+        --workers 1 --trace "$CI_TMP/det-$leg-traces" >/dev/null
     python -m repro.cli sweep "${det_args[@]}" --scale execution=async --store "$CI_TMP/det-$leg.jsonl" \
-        --workers "$workers" --trace "$CI_TMP/det-$leg-traces" >/dev/null
+        --workers 1 --trace "$CI_TMP/det-$leg-traces" >/dev/null
   done
   _compare_stores "$CI_TMP/det-serial.jsonl" "$CI_TMP/det-rerun.jsonl" "rerun (1 worker vs 1 worker)" \
       "$CI_TMP/det-serial-traces" "$CI_TMP/det-rerun-traces"
   _compare_traces "$CI_TMP/det-serial-traces" "$CI_TMP/det-rerun-traces" "rerun (1 worker vs 1 worker)"
-  _compare_stores "$CI_TMP/det-serial.jsonl" "$CI_TMP/det-pool.jsonl"  "worker count (1 vs 2)" \
-      "$CI_TMP/det-serial-traces" "$CI_TMP/det-pool-traces"
-  _compare_traces "$CI_TMP/det-serial-traces" "$CI_TMP/det-pool-traces" "worker count (1 vs 2)"
 
-  # Arena-engine equivalence cells: (N, d) arena state must reproduce the
-  # per-node engine's result payloads exactly.  Both engines run one share
-  # path, so what the cells vary is what that path decides from its input.
-  # 24 movielens nodes, so that the count-groups a JWINS pass ranks, selects
-  # and index-codes in one call hold several rows each; the --budget 0.2 cell
-  # adds the two-point cut-off (one large group split across pack chunks, one
-  # `count == c` group); full-sharing in both is a baseline scheme on the
-  # default per-row hooks and the arena's row write-back.  The passes cell is
-  # 20 cifar10 nodes: 20 x 18,490 elements exceed jwins._PASS_ELEMENTS, so
-  # every stage is cut into two passes (14 + 6 rows, 14 + 5 under churn).
-  # The seed is pinned because an unseeded spec derives its seed from the
-  # content hash, which the engine override is deliberately part of; and the
-  # comparison is over result payloads, not raw store bytes, because the spec
-  # rows themselves differ by that override.
-  local arena_args=(--scheme jwins full-sharing --degree 4 --rounds 3
-                    --scenario churn-partition --seeds 1)
-  local cell
-  for cell in default budget passes; do
-    local cell_args=("${arena_args[@]}")
-    case "$cell" in
-      default) cell_args+=(--workload movielens --nodes 24) ;;
-      budget)  cell_args+=(--workload movielens --nodes 24 --budget 0.2) ;;
-      passes)  cell_args+=(--workload cifar10 --nodes 20) ;;
-    esac
-    python -m repro.cli sweep "${cell_args[@]}" --store "$CI_TMP/det-engine-pernode-$cell.jsonl" --workers 1 >/dev/null
-    python -m repro.cli sweep "${cell_args[@]}" --store "$CI_TMP/det-engine-arena-$cell.jsonl"   --workers 1 --scale engine=arena >/dev/null
-    python - "$CI_TMP/det-engine-pernode-$cell.jsonl" "$CI_TMP/det-engine-arena-$cell.jsonl" <<'PY'
-import json
-import sys
-
-pernode = [json.loads(line) for line in open(sys.argv[1], encoding="utf-8")]
-arena = [json.loads(line) for line in open(sys.argv[2], encoding="utf-8")]
-assert len(pernode) == len(arena) and pernode, "store row counts differ"
-for row_p, row_a in zip(pernode, arena):
-    label = row_p["spec"]["scheme"]["label"]
-    assert row_a["spec"]["overrides"].get("engine") == "arena", label
-    left = json.dumps(row_p["result"], sort_keys=True)
-    right = json.dumps(row_a["result"], sort_keys=True)
-    if left != right:
-        print(f"determinism gate FAILED: arena result differs for {label}")
-        sys.exit(1)
-PY
-  done
-  echo "determinism gate: arena-engine results are byte-identical to per-node"
-
-  # The arena's stacked train step (one forward/loss/backward of a member-axis
-  # MLP per local step) on the fig10 synthetic MLP task: 96 nodes, degree 6,
-  # churn-partition, both engines, equal result payloads.  No
-  # registered workload trains an MLPClassifier, so the cells above never
-  # reach it.  673 samples over 96 iid nodes: node 0 holds 8 (the batch size),
-  # every other node 7, so the batches differ in shape and the step falls back
-  # per node -- except while churn has node 0 offline, when the rest stack.
-  python - <<'PY'
-import json
-import sys
-
-import numpy as np
-
-from repro.core import JwinsConfig, jwins_factory
-from repro.datasets.base import Dataset, LearningTask, classification_accuracy
-from repro.datasets.synthetic import make_class_images
-from repro.nn.losses import CrossEntropyLoss
-from repro.nn.models import MLPClassifier
-from repro.scenarios import get_scenario
-from repro.simulation import ExperimentConfig, arena, run_experiment
-from repro.simulation.node import SimulationNode
-
-inputs, labels = make_class_images(
-    np.random.default_rng(5), 673 + 64, 4, image_size=4, channels=1, noise=0.5
-)
-task = LearningTask(
-    name="toy",
-    train=Dataset(inputs[:673], labels[:673]),
-    test=Dataset(inputs[673:], labels[673:]),
-    model_factory=lambda rng: MLPClassifier(16, 16, 4, rng),
-    loss_factory=CrossEntropyLoss,
-    accuracy_fn=classification_accuracy,
-)
-config = ExperimentConfig(
-    num_nodes=96, degree=6, rounds=6, local_steps=2, batch_size=8, learning_rate=0.05,
-    eval_every=2, eval_nodes=8, eval_test_samples=64, seed=5,
-    partition="iid", scenario=get_scenario("churn-partition", 96, 6),
-)
-calls = {"stacked": 0, "per-node": 0}
-stacked_step, backpropagate = arena._stacked_step, SimulationNode.backpropagate
-
-
-def counting_step(*args):
-    calls["stacked"] += 1
-    return stacked_step(*args)
-
-
-def counting_backpropagate(self, *args):
-    calls["per-node"] += 1
-    return backpropagate(self, *args)
-
-
-arena._stacked_step, SimulationNode.backpropagate = counting_step, counting_backpropagate
-factory = jwins_factory(JwinsConfig.paper_default())
-arena_result = run_experiment(task, factory, config.with_engine("arena")).to_dict()
-arena_calls = dict(calls)
-pernode_result = run_experiment(task, factory, config).to_dict()
-if json.dumps(arena_result, sort_keys=True) != json.dumps(pernode_result, sort_keys=True):
-    print("determinism gate FAILED: the stacked train step changed the fig10 MLP result")
-    sys.exit(1)
-if not (arena_calls["stacked"] and arena_calls["per-node"]):
-    print(f"determinism gate FAILED: the cell did not run both train paths: {arena_calls}")
-    sys.exit(1)
-print(f"stacked steps {arena_calls['stacked']}, per-node fallback backprops {arena_calls['per-node']}")
-PY
-  echo "determinism gate: the stacked train step is byte-identical to per-node training"
-
-  # Float-codec losslessness, whole-run and parent-free: each compressing
-  # scheme with its value codec on and off (raw float32 sizing swapped into
-  # FloatCodec) must give one result once the six byte/time fields a codec
-  # sets are dropped.  Lock-step with drops on; under the event loop message
-  # size sets the event order, so this cannot hold there.
-  python - <<'PY'
-import sys
-from repro.baselines import choco_factory, full_sharing_factory, random_sampling_factory
-from repro.compression.float_codec import FloatCodec, RawFloatCodec
-from repro.core import JwinsConfig, jwins_factory
-from repro.evaluation.workloads import get_workload
-from repro.simulation import run_experiment
-
-workload = get_workload("cifar10")
-task = workload.make_task(1)
-config = workload.make_config(num_nodes=8, degree=4, rounds=3, eval_every=1,
-                              eval_test_samples=64, message_drop_probability=0.1)
-
-
-def stripped(factory):
-    document = run_experiment(task, factory, config).to_dict()
-    for name in ("total_bytes", "total_values_bytes", "simulated_time_seconds",
-                 "per_node_time_seconds"):
-        del document[name]
-    for record in document["history"]:
-        del record["cumulative_bytes_per_node"], record["simulated_time_seconds"]
-    return document
-
-
-factories = [
-    ("jwins", jwins_factory(JwinsConfig())),
-    ("full-sharing", full_sharing_factory()),
-    ("random-sampling", random_sampling_factory(0.37)),
-    ("choco", choco_factory(0.2, 0.6)),
-]
-coded = {label: stripped(factory) for label, factory in factories}
-FloatCodec.compress = RawFloatCodec.compress
-for label, factory in factories:
-    if coded[label] != stripped(factory):
-        print(f"determinism gate FAILED: the float codec changed the {label} trajectory")
-        sys.exit(1)
-PY
-  echo "determinism gate: float codec on/off moves only byte and time fields (4 schemes)"
+  # Worker count, engines and the larger deployments (24 movielens nodes with
+  # and without a budget, 20 cifar10 nodes in two JWINS passes): the pinned
+  # fuzz cases, through all five oracles.
+  python -m repro.scenarios.fuzz --pinned
 
   # BLAS-thread invariance: the benchmark harness pins one OpenBLAS thread and
   # the CLI does not, and CNN evaluation reads conv1 columns in sample blocks,
   # which is exact only while a GEMM split by output columns is exact at any
   # thread count.  An 8-node cifar10 cell (CNN training and evaluation every
-  # round) must store the same bytes under 1 and 2 threads.
+  # round) must store the same bytes under 1 and 2 threads; numpy fixes the
+  # thread count when it loads, so each leg is its own process.
   local blas_args=(--workload cifar10 --scheme jwins --nodes 8 --degree 4 --rounds 2
                    --seeds 1 --scale eval_every=1)
   local threads

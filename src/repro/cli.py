@@ -749,7 +749,9 @@ def _sweep_command(args: argparse.Namespace) -> int:
             sweep = get_artifact(args.preset).build_sweep(scale)
         else:
             sweep = _build_adhoc_sweep(args, scale)
-        cells = sweep.cells()  # validate workloads/schemes/overrides before executing
+        cells = sweep.cells()  # validates workloads and schemes
+        for cell in cells:  # and each config, before a dry run or any cell starts
+            cell.spec.config()
     except ConfigurationError as error:
         raise SystemExit(f"invalid sweep: {error}")
 
@@ -894,13 +896,15 @@ def _trace_command(args: argparse.Namespace) -> int:
 
 
 def _top_command(args: argparse.Namespace) -> int:
+    if not args.interval > 0:
+        raise SystemExit(f"--interval must be positive, got {args.interval:g}")
     return watch_status(args.dir, interval=args.interval, once=args.once)
 
 
 def _store_command(args: argparse.Namespace) -> int:
     path = Path(args.store)
-    if not path.exists():
-        raise SystemExit(f"store {args.store!r} does not exist")
+    if not path.is_file():
+        raise SystemExit(f"store {args.store!r} does not exist or is not a file")
     store = ResultStore(path)
     try:
         summary = store.compact()

@@ -183,17 +183,16 @@ class ExperimentSpec:
         return self.task_seed if self.task_seed is not None else self.resolved_seed()
 
     # -- materialization -----------------------------------------------------------
-    def build(self) -> tuple[LearningTask, SchemeFactory, ExperimentConfig, Workload]:
-        """Materialize the task, scheme factory and validated configuration.
+    def config(self) -> ExperimentConfig:
+        """The validated configuration: the workload's, with the overrides applied.
 
-        The task is shared with every other build of the same workload and
-        task seed in this process, and its dataset arrays are read-only.
+        The overrides are the config's JSON form (a scenario travels as its
+        to_dict mapping), read back field by field with the resolved seed; an
+        unknown field, an unreadable value or an invalid configuration raises
+        :class:`~repro.exceptions.ConfigurationError`.  No task is built.
         """
 
-        workload = get_workload(self.workload)
         try:
-            # The overrides are the config's JSON form (a scenario travels as
-            # its to_dict mapping), read back field by field.
             overrides = read_fields(
                 ExperimentConfig, {**self.overrides, "seed": self.resolved_seed()}
             )
@@ -201,7 +200,17 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"invalid override for spec {self.label!r}: {error}"
             ) from error
-        config = replace(workload.config, **overrides)
+        return replace(get_workload(self.workload).config, **overrides)
+
+    def build(self) -> tuple[LearningTask, SchemeFactory, ExperimentConfig, Workload]:
+        """Materialize the task, scheme factory and validated configuration.
+
+        The task is shared with every other build of the same workload and
+        task seed in this process, and its dataset arrays are read-only.
+        """
+
+        config = self.config()
+        workload = get_workload(self.workload)
         task = _task(workload.name, self.resolved_task_seed())
         return task, self.scheme.build(), config, workload
 

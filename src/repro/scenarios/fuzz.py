@@ -1,17 +1,18 @@
 """Seeded scenario fuzzer: the determinism contract as a property test.
 
 The determinism oracles (seed pinning, sync-vs-seed, serial-vs-pool,
-interrupt-resume, wall-stripped traces, arena-vs-pernode) were historically
-pinned on hand-written cells.  This module turns them into a property over a
-*distribution* of hostile schedules: a seeded generator produces random
+interrupt-resume, wall-stripped traces, arena-vs-pernode) run over two sets
+of cases: a seeded generator's *distribution* of hostile schedules, and a
+table of named :data:`PINNED_CASES` (larger deployments, other workloads,
+schemes and budgets) that ``--pinned`` runs.  The generator produces random
 well-formed :class:`~repro.scenarios.schedule.ScenarioSchedule` instances
 (overlapping outages, nested partitions, Byzantine windows, straggler
-windows, rewiring policies, boundary rounds) and every generated schedule
-must survive
+windows, rewiring policies, boundary rounds) and every case must survive
 
 - ``rerun``    — executing the same spec twice yields byte-identical results
   and byte-identical wall-stripped structured traces,
-- ``workers``  — a 2-cell sweep stores byte-identical JSONL on 1 and 2 workers,
+- ``workers``  — a 2-cell sweep stores byte-identical JSONL and writes
+  byte-identical wall-stripped per-cell traces on 1 and 2 workers,
 - ``resume``   — interrupt mid-run + resume equals the uninterrupted run,
 - ``engines``  — the ``engine=arena`` override changes neither the result nor the
   wall-stripped trace (the ``manifest`` record aside: its ``spec_hash`` names
@@ -23,7 +24,9 @@ and one invariant the coefficient-domain JWINS round rests on:
   coefficients JWINS keeps of the model its next round starts from) matches
   the DWT of the node's actual model to :data:`COEFFICIENT_TOLERANCE`.
 
-Every oracle traces the runs it makes, so a failing ``rerun``, ``workers``
+A :class:`FuzzCase` describes its whole run (workload, scheme, budget,
+deployment, schedule), so a failure report is the case alone.  Every oracle
+traces the runs it makes, so a failing ``rerun``, ``workers``
 or ``engines`` verdict carries the forensic
 :class:`~repro.observability.forensics.TraceDiff` of the runs that failed —
 evidence even for a failure that never reproduces.  On failure the schedule
@@ -35,6 +38,7 @@ with ``--replay``.
 Run it directly::
 
     python -m repro.scenarios.fuzz --cases 25 --seed 0
+    python -m repro.scenarios.fuzz --pinned
 
 ``--self-test`` deliberately installs a nondeterministic Byzantine send path
 (:func:`install_chaos`) and asserts the fuzzer catches and shrinks it — a
@@ -56,12 +60,14 @@ import numpy as np
 
 from repro.checkpoint.snapshot import SimulationSnapshot
 from repro.core.jwins import JwinsScheme
-from repro.exceptions import ExperimentPaused
+from repro.exceptions import ConfigurationError, ExperimentPaused
 from repro.observability.forensics import TraceDiff, diff_traces
 from repro.observability.trace import TraceEmitter, read_trace, strip_wall
 from repro.orchestration.pool import run_sweep
+from repro.orchestration.schemes import SchemeSpec
 from repro.orchestration.spec import ExperimentSpec
 from repro.orchestration.store import ResultStore
+from repro.scenarios.presets import get_scenario
 from repro.scenarios.schedule import (
     BYZANTINE_MODES,
     ByzantineWindow,
@@ -78,6 +84,7 @@ from repro.utils.rng import derive_rng
 __all__ = [
     "COEFFICIENT_TOLERANCE",
     "ORACLES",
+    "PINNED_CASES",
     "FuzzCase",
     "coefficient_drift",
     "generate_case",
@@ -96,7 +103,7 @@ ORACLES = ("rerun", "coefficients", "workers", "resume", "engines")
 #: agrees with ``forward(inverse(c))`` to about 1.3e-12.
 COEFFICIENT_TOLERANCE = 1e-11
 
-#: Default workload/scheme for fuzz runs — the cheapest registered workload.
+#: Default workload/scheme of a generated case — the cheapest registered workload.
 DEFAULT_WORKLOAD = "movielens"
 DEFAULT_SCHEME = "jwins"
 
@@ -107,7 +114,13 @@ _FUZZ_GENERATORS = ("random-regular", "ring", "fully-connected", "small-world")
 # -- case model --------------------------------------------------------------------
 @dataclass(frozen=True)
 class FuzzCase(Record):
-    """One generated property-test case: a schedule plus its run parameters."""
+    """One property-test case: a schedule plus everything else its run needs.
+
+    The generator draws none of ``workload``, ``scheme``, ``degree`` and
+    ``budget``: a generated case keeps their defaults (``--scheme`` swaps the
+    scheme), and the :data:`PINNED_CASES` set them.  ``budget`` is the
+    scheme's ``budget`` parameter, ``None`` for its default.
+    """
 
     index: int
     num_nodes: int
@@ -116,13 +129,17 @@ class FuzzCase(Record):
     drop_probability: float
     run_seed: int
     schedule: ScenarioSchedule
+    workload: str = DEFAULT_WORKLOAD
+    scheme: str = DEFAULT_SCHEME
+    degree: int = 2
+    budget: float | None = None
 
-    def spec(self, workload: str, scheme: str, seed_offset: int = 0) -> ExperimentSpec:
+    def spec(self, seed_offset: int = 0) -> ExperimentSpec:
         """The orchestration cell this case executes as."""
 
         overrides: dict[str, Any] = {
             "num_nodes": self.num_nodes,
-            "degree": 2,
+            "degree": self.degree,
             "rounds": self.rounds,
             "local_steps": 1,
             "batch_size": 4,
@@ -136,7 +153,12 @@ class FuzzCase(Record):
         if self.execution == "async":
             overrides["compute_speed_range"] = [1.0, 2.0]
             overrides["link_latency_jitter_seconds"] = 0.01
-        return ExperimentSpec(workload=workload, scheme=scheme, overrides=overrides)
+        params = {} if self.budget is None else {"budget": self.budget}
+        return ExperimentSpec(
+            workload=self.workload,
+            scheme=SchemeSpec(self.scheme, params),
+            overrides=overrides,
+        )
 
     @property
     def summary(self) -> str:
@@ -144,7 +166,8 @@ class FuzzCase(Record):
 
         schedule = self.schedule
         return (
-            f"nodes={self.num_nodes} rounds={self.rounds} exec={self.execution} "
+            f"{self.workload}/{self.spec().scheme.label} nodes={self.num_nodes} "
+            f"degree={self.degree} rounds={self.rounds} exec={self.execution} "
             f"drop={self.drop_probability:g} "
             f"outages={len(schedule.outages)} partitions={len(schedule.partitions)} "
             f"stragglers={len(schedule.stragglers)} byzantine={len(schedule.byzantine)} "
@@ -287,6 +310,57 @@ def generate_case(seed: int, index: int, ensure_byzantine: bool = False) -> Fuzz
     )
 
 
+# -- pinned cases ------------------------------------------------------------------
+#: Named cases every oracle runs on under ``--pinned``: 3-round
+#: ``churn-partition`` cells without message drops, on deployments, workloads,
+#: schemes and budgets the generator never draws.  They take the generated
+#: cases' training constants (``local_steps`` 1, ``batch_size`` 4,
+#: ``eval_every`` 2, ``eval_test_samples`` 32, and an async case's speed
+#: range and latency jitter), not the workload defaults.
+#:
+#: * ``movielens-4-*``: JWINS and full sharing, lock-step and event loop, on
+#:   4 nodes of degree 2.  Their seeds are the ones the unseeded
+#:   ``sweep --nodes 4 --degree 2 --rounds 3 --scenario churn-partition``
+#:   cells resolve to.
+#: * ``movielens-24-*``: 24 nodes of degree 4, so the count-groups a JWINS
+#:   pass ranks, selects and index-codes hold several rows each; budget 0.2
+#:   adds the two-point cut-off (one large group split across pack chunks,
+#:   one ``count == c`` group); full sharing runs a baseline scheme on the
+#:   default per-row hooks and the arena's row write-back.
+#: * ``cifar10-20-*``: 20 x 18,490 elements exceed ``jwins._PASS_ELEMENTS``,
+#:   so every JWINS stage is cut into two passes.
+_PINNED_ROWS = (
+    # name, workload, nodes, degree, execution, scheme, seed, budget
+    ("movielens-4-sync-jwins", "movielens", 4, 2, "sync", "jwins", 1900216204, None),
+    ("movielens-4-sync-full-sharing", "movielens", 4, 2, "sync", "full-sharing", 1409816992, None),
+    ("movielens-4-async-jwins", "movielens", 4, 2, "async", "jwins", 1781563462, None),
+    ("movielens-4-async-full-sharing", "movielens", 4, 2, "async", "full-sharing", 407712805, None),
+    ("movielens-24-jwins", "movielens", 24, 4, "sync", "jwins", 1, None),
+    ("movielens-24-full-sharing", "movielens", 24, 4, "sync", "full-sharing", 1, None),
+    ("movielens-24-jwins-budget-0.2", "movielens", 24, 4, "sync", "jwins", 1, 0.2),
+    ("cifar10-20-jwins", "cifar10", 20, 4, "sync", "jwins", 1, None),
+    ("cifar10-20-full-sharing", "cifar10", 20, 4, "sync", "full-sharing", 1, None),
+)
+PINNED_CASES: dict[str, FuzzCase] = {
+    name: FuzzCase(
+        index=index,
+        num_nodes=nodes,
+        rounds=3,
+        execution=execution,
+        drop_probability=0.0,
+        run_seed=seed,
+        schedule=get_scenario("churn-partition", num_nodes=nodes, rounds=3),
+        workload=workload,
+        scheme=scheme,
+        degree=degree,
+        budget=budget,
+    )
+    for index, (name, workload, nodes, degree, execution, scheme, seed, budget) in enumerate(
+        _PINNED_ROWS
+    )
+}
+
+
 # -- oracles -----------------------------------------------------------------------
 #: A failing oracle's verdict: its detail, and the forensic diff of the traces
 #: of the very runs that failed (``None`` where traces cannot see the fault).
@@ -312,8 +386,8 @@ def _divergence(
     return None if diff.identical else diff
 
 
-def _oracle_rerun(case: FuzzCase, workload: str, scheme: str) -> Failure | None:
-    spec = case.spec(workload, scheme)
+def _oracle_rerun(case: FuzzCase) -> Failure | None:
+    spec = case.spec()
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "run-1.trace.jsonl", Path(tmp) / "run-2.trace.jsonl"
         if _traced_result_json(spec, first) != _traced_result_json(spec, second):
@@ -325,29 +399,34 @@ def _oracle_rerun(case: FuzzCase, workload: str, scheme: str) -> Failure | None:
         return detail, _divergence(first, second, "run-1", "run-2")
 
 
-def _oracle_workers(case: FuzzCase, workload: str, scheme: str) -> Failure | None:
+def _oracle_workers(case: FuzzCase) -> Failure | None:
     # Two distinct cells (consecutive seeds), because a single pending cell
     # executes in-process regardless of the worker count.
-    specs = [case.spec(workload, scheme), case.spec(workload, scheme, seed_offset=1)]
+    specs = [case.spec(), case.spec(seed_offset=1)]
     with tempfile.TemporaryDirectory() as tmp:
         serial, pool = Path(tmp) / "serial", Path(tmp) / "pool"
         run_sweep(specs, ResultStore(Path(tmp) / "serial.jsonl"), workers=1, trace_dir=serial)
         run_sweep(specs, ResultStore(Path(tmp) / "pool.jsonl"), workers=2, trace_dir=pool)
-        if (Path(tmp) / "serial.jsonl").read_bytes() == (Path(tmp) / "pool.jsonl").read_bytes():
+        stores_equal = (
+            (Path(tmp) / "serial.jsonl").read_bytes() == (Path(tmp) / "pool.jsonl").read_bytes()
+        )
+        # The first cell whose serial and pooled wall-stripped traces disagree.
+        names = [f"{spec.content_hash()}.trace.jsonl" for spec in specs]
+        name = next(
+            (n for n in names if strip_wall(serial / n) != strip_wall(pool / n)), None
+        )
+        if stores_equal and name is None:
             return None
-        # The first cell whose serial and pooled traces disagree.
-        for spec in specs:
-            name = f"{spec.content_hash()}.trace.jsonl"
-            diff = _divergence(
-                serial / name, pool / name, f"serial:{name[:12]}", f"pool:{name[:12]}"
-            )
-            if diff is not None:
-                break
+        diff = None if name is None else _divergence(
+            serial / name, pool / name, f"serial:{name[:12]}", f"pool:{name[:12]}"
+        )
+    if not stores_equal:
         return "1-worker and 2-worker sweep stores are not byte-identical", diff
+    return "wall-stripped traces differ between the 1-worker and 2-worker sweeps", diff
 
 
-def _oracle_resume(case: FuzzCase, workload: str, scheme: str) -> Failure | None:
-    spec = case.spec(workload, scheme)
+def _oracle_resume(case: FuzzCase) -> Failure | None:
+    spec = case.spec()
     uninterrupted = json.dumps(spec.run().to_dict(), sort_keys=True)
 
     stop_after = max(1, case.rounds // 2)
@@ -382,8 +461,8 @@ def _oracle_resume(case: FuzzCase, workload: str, scheme: str) -> Failure | None
     return None
 
 
-def _oracle_engines(case: FuzzCase, workload: str, scheme: str) -> Failure | None:
-    spec = case.spec(workload, scheme)
+def _oracle_engines(case: FuzzCase) -> Failure | None:
+    spec = case.spec()
     results, events = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for variant in (spec, replace(spec, overrides={**spec.overrides, "engine": "arena"})):
@@ -414,8 +493,8 @@ def coefficient_drift(node: Any) -> float | None:
     return float(error / max(np.linalg.norm(expected), np.finfo(np.float64).tiny))
 
 
-def _oracle_coefficients(case: FuzzCase, workload: str, scheme: str) -> Failure | None:
-    spec = case.spec(workload, scheme)
+def _oracle_coefficients(case: FuzzCase) -> Failure | None:
+    spec = case.spec()
     task, factory, config, _ = spec.build()
     simulator = Simulator(task, factory, config, scheme_name=spec.scheme.label)
     failures: list[str] = []
@@ -437,7 +516,7 @@ def _oracle_coefficients(case: FuzzCase, workload: str, scheme: str) -> Failure 
     return (failures[0], None) if failures else None
 
 
-_ORACLE_FUNCS: dict[str, Callable[[FuzzCase, str, str], Failure | None]] = {
+_ORACLE_FUNCS: dict[str, Callable[[FuzzCase], Failure | None]] = {
     "rerun": _oracle_rerun,
     "coefficients": _oracle_coefficients,
     "workers": _oracle_workers,
@@ -447,15 +526,12 @@ _ORACLE_FUNCS: dict[str, Callable[[FuzzCase, str, str], Failure | None]] = {
 
 
 def run_case(
-    case: FuzzCase,
-    workload: str = DEFAULT_WORKLOAD,
-    scheme: str = DEFAULT_SCHEME,
-    oracles: tuple[str, ...] = ORACLES,
+    case: FuzzCase, oracles: tuple[str, ...] = ORACLES
 ) -> tuple[str, Failure] | None:
     """Run ``case`` through the oracles; ``(oracle, failure)`` on first failure."""
 
     for name in oracles:
-        failure = _ORACLE_FUNCS[name](case, workload, scheme)
+        failure = _ORACLE_FUNCS[name](case)
         if failure is not None:
             return name, failure
     return None
@@ -568,9 +644,7 @@ def install_chaos() -> Callable[[], None]:
 
 
 # -- runner ------------------------------------------------------------------------
-def _shrink_failure(
-    case: FuzzCase, oracle: str, failure: Failure, workload: str, scheme: str
-) -> tuple[FuzzCase, Failure]:
+def _shrink_failure(case: FuzzCase, oracle: str, failure: Failure) -> tuple[FuzzCase, Failure]:
     """The minimal still-failing case and the verdict of its last failing run.
 
     The shrinker accepts exactly the candidates whose oracle call fails, so
@@ -582,7 +656,7 @@ def _shrink_failure(
 
     def still_fails(candidate: FuzzCase) -> bool:
         nonlocal last
-        verdict = _ORACLE_FUNCS[oracle](candidate, workload, scheme)
+        verdict = _ORACLE_FUNCS[oracle](candidate)
         if verdict is not None:
             last = verdict
         return verdict is not None
@@ -591,14 +665,14 @@ def _shrink_failure(
 
 
 def _failure_report(
-    seed: int, case: FuzzCase, oracle: str, failure: Failure, workload: str, scheme: str
+    origin: dict[str, Any], case: FuzzCase, oracle: str, failure: Failure
 ) -> dict[str, Any]:
+    """The replayable JSON of a failure; ``origin`` names where the case came from."""
+
     detail, diff = failure
     report = {
         "fuzzer": "repro.scenarios.fuzz",
-        "seed": seed,
-        "workload": workload,
-        "scheme": scheme,
+        **origin,
         "oracle": oracle,
         "detail": detail,
         "case": case.to_dict(),
@@ -609,23 +683,38 @@ def _failure_report(
     return report
 
 
+def _cases(args: argparse.Namespace) -> list[tuple[str, dict[str, Any], FuzzCase]]:
+    """``(name, origin, case)`` of every case the invocation runs."""
+
+    if args.pinned:
+        return [(name, {"pinned": name}, case) for name, case in PINNED_CASES.items()]
+    return [
+        (
+            f"{index:3d}",
+            {"seed": args.seed},
+            replace(generate_case(args.seed, index), scheme=args.scheme),
+        )
+        for index in range(args.cases)
+    ]
+
+
 def _fuzz(args: argparse.Namespace) -> int:
     oracles = tuple(args.oracles.split(","))
     unknown = sorted(set(oracles) - set(ORACLES))
     if unknown:
         print(f"unknown oracle(s): {', '.join(unknown)}; available: {', '.join(ORACLES)}")
         return 2
-    for index in range(args.cases):
-        case = generate_case(args.seed, index)
-        found = run_case(case, args.workload, args.scheme, oracles)
+    cases = _cases(args)
+    for name, origin, case in cases:
+        found = run_case(case, oracles)
         if found is None:
-            print(f"case {index:3d}: ok       {case.summary}")
+            print(f"case {name}: ok       {case.summary}")
             continue
         oracle, failure = found
-        shrunk, failure = _shrink_failure(case, oracle, failure, args.workload, args.scheme)
+        shrunk, failure = _shrink_failure(case, oracle, failure)
         detail, diff = failure
-        report = _failure_report(args.seed, shrunk, oracle, failure, args.workload, args.scheme)
-        print(f"case {index:3d}: FAILED   {case.summary}")
+        report = _failure_report(origin, shrunk, oracle, failure)
+        print(f"case {name}: FAILED   {case.summary}")
         print(f"oracle {oracle!r}: {detail}")
         if diff is not None:
             print("forensic trace diff (first divergence, shrunk case):")
@@ -643,7 +732,8 @@ def _fuzz(args: argparse.Namespace) -> int:
             )
             print(f"report written to {args.report}")
         return 1
-    print(f"fuzz: {args.cases} case(s) passed {len(oracles)} oracle(s) (seed {args.seed})")
+    source = "pinned" if args.pinned else f"seed {args.seed}"
+    print(f"fuzz: {len(cases)} case(s) passed {len(oracles)} oracle(s) ({source})")
     return 0
 
 
@@ -653,14 +743,14 @@ def _self_test(args: argparse.Namespace) -> int:
     uninstall = install_chaos()
     try:
         for index in range(args.cases):
-            case = generate_case(args.seed, index, ensure_byzantine=True)
-            failure = _oracle_rerun(case, args.workload, args.scheme)
+            case = replace(
+                generate_case(args.seed, index, ensure_byzantine=True), scheme=args.scheme
+            )
+            failure = _oracle_rerun(case)
             if failure is None:
                 print(f"self-test case {index}: injected nondeterminism NOT caught")
                 return 1
-            shrunk, failure = _shrink_failure(
-                case, "rerun", failure, args.workload, args.scheme
-            )
+            shrunk, failure = _shrink_failure(case, "rerun", failure)
             if not shrunk.schedule.byzantine:
                 print("self-test: shrinking removed the byzantine window the bug needs")
                 return 1
@@ -671,9 +761,7 @@ def _self_test(args: argparse.Namespace) -> int:
                     "divergence to a round"
                 )
                 return 1
-            report = _failure_report(
-                args.seed, shrunk, "rerun", failure, args.workload, args.scheme
-            )
+            report = _failure_report({"seed": args.seed}, shrunk, "rerun", failure)
             print(f"self-test case {index}: caught and shrunk to:")
             print(json.dumps(report, indent=2, sort_keys=True))
             print(
@@ -688,12 +776,19 @@ def _self_test(args: argparse.Namespace) -> int:
 
 
 def _replay(args: argparse.Namespace) -> int:
-    report = json.loads(Path(args.replay).read_text(encoding="utf-8"))
-    case = FuzzCase.from_dict(report["case"])
-    workload = report.get("workload", args.workload)
-    scheme = report.get("scheme", args.scheme)
+    try:
+        report = json.loads(Path(args.replay).read_text(encoding="utf-8"))
+        if not isinstance(report, dict) or not isinstance(report.get("case"), dict):
+            raise ConfigurationError("not a fuzz report: it has no 'case' mapping")
+        # A report written before the case carried its workload and scheme
+        # keeps them at the top level.
+        legacy = {key: report[key] for key in ("workload", "scheme") if key in report}
+        case = FuzzCase.from_dict({**legacy, **report["case"]})
+    except (OSError, json.JSONDecodeError, ConfigurationError) as error:
+        print(f"cannot replay {args.replay!r}: {error}")
+        return 2
     print(f"replaying case: {case.summary}")
-    found = run_case(case, workload, scheme)
+    found = run_case(case)
     if found is None:
         print("replay: every oracle passed (the failure did not reproduce)")
         return 0
@@ -711,8 +806,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--cases", type=int, default=25, help="number of generated cases")
     parser.add_argument("--seed", type=int, default=0, help="fuzz generator seed")
-    parser.add_argument("--workload", default=DEFAULT_WORKLOAD)
-    parser.add_argument("--scheme", default=DEFAULT_SCHEME)
+    parser.add_argument(
+        "--pinned",
+        action="store_true",
+        help="run the named pinned cases instead of generated ones "
+        "(--cases, --seed and --scheme do not apply)",
+    )
+    parser.add_argument(
+        "--scheme", default=DEFAULT_SCHEME, help="scheme of the generated cases"
+    )
     parser.add_argument(
         "--oracles",
         default=",".join(ORACLES),
@@ -730,6 +832,9 @@ def main(argv: list[str] | None = None) -> int:
         help="inject nondeterminism into the byzantine send path and require a catch",
     )
     args = parser.parse_args(argv)
+    if args.cases < 0:
+        print(f"--cases must be non-negative, got {args.cases}")
+        return 2
 
     if args.replay:
         return _replay(args)

@@ -32,7 +32,7 @@ block`` assignment instead of one ``set_parameters`` per node.  This module
 therefore knows no sharing scheme, no transform and no codec.
 
 The determinism contract is strict bit-identity: for any configuration,
-``config.with_engine("arena")`` produces an
+``replace(config, engine="arena")`` produces an
 :class:`~repro.simulation.metrics.ExperimentResult` whose ``to_dict()`` is
 byte-for-byte equal to the per-node engine's (the equivalence tests in
 ``tests/simulation/test_arena.py`` and the fuzzer's ``engines`` oracle pin

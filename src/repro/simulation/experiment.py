@@ -18,7 +18,7 @@ the same code under both, and both produce byte-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
 from repro.scenarios.schedule import ScenarioSchedule
@@ -151,12 +151,3 @@ class ExperimentConfig(RecordWriter):
             link_latency_jitter_seconds=self.link_latency_jitter_seconds,
         )
 
-    # -- copy helper --------------------------------------------------------------
-    def with_engine(self, engine: str) -> "ExperimentConfig":
-        """Copy of this configuration running on a different node-state engine.
-
-        Handy for equivalence tests: ``config.with_engine("arena")`` is the
-        arena twin of a per-node run and must produce byte-identical results.
-        """
-
-        return replace(self, engine=engine)

@@ -202,11 +202,10 @@ def test_f_start_is_the_dwt_of_the_model_after_every_node_round(monkeypatch, exe
         run_seed=3,
         schedule=HOSTILE,
     )
-    workload = "movielens"  # d = 1,009: a pad sample at every level
-    spec = case.spec(workload, "jwins")
+    spec = case.spec()  # movielens, d = 1,009: a pad sample at every level
     spec = replace(spec, overrides={**spec.overrides, "engine": engine})
     monkeypatch.setattr(FuzzCase, "spec", lambda self, *args: spec)
-    assert fuzz._oracle_coefficients(case, workload, "jwins") is None
+    assert fuzz._oracle_coefficients(case) is None
     assert len(checked) >= 5 * 4 and max(checked) <= fuzz.COEFFICIENT_TOLERANCE
 
 
@@ -214,7 +213,7 @@ def test_the_coefficients_oracle_rings_without_the_projection(monkeypatch):
     """Take ``F_new = C`` (no projection): F_start drifts by whole percents."""
 
     monkeypatch.setattr(WaveletTransform, "project_batch", lambda self, c: np.array(c))
-    detail, diff = fuzz._oracle_coefficients(fuzz.generate_case(0, 0), "movielens", "jwins")
+    detail, diff = fuzz._oracle_coefficients(fuzz.generate_case(0, 0))
     assert "F_start" in detail
     assert diff is None  # traces cannot see this fault
 

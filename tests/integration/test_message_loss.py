@@ -14,6 +14,7 @@ import pytest
 from repro.baselines import choco_factory, full_sharing_factory, random_sampling_factory
 from repro.compression.float_codec import FloatCodec, RawFloatCodec
 from repro.core import JwinsConfig, jwins_factory
+from repro.evaluation.workloads import get_workload
 from repro.exceptions import ConfigurationError
 from repro.observability.metrics import MetricsRegistry
 from repro.scenarios import get_scenario
@@ -115,6 +116,24 @@ def without_codec_fields(result):
     return document
 
 
+@pytest.fixture(scope="module", params=["toy", "cifar10"])
+def codec_cell(request, task, lossy_config):
+    """A lossy lock-step (task, config): the toy MLP, and 8 cifar10 CNN nodes."""
+
+    if request.param == "toy":
+        return task, lossy_config
+    workload = get_workload("cifar10")
+    config = workload.make_config(
+        num_nodes=8,
+        degree=4,
+        rounds=3,
+        eval_every=1,
+        eval_test_samples=64,
+        message_drop_probability=0.1,
+    )
+    return workload.make_task(1), config
+
+
 @pytest.mark.parametrize(
     "factory",
     [
@@ -125,7 +144,7 @@ def without_codec_fields(result):
     ],
     ids=["jwins", "full-sharing", "random-sampling", "choco"],
 )
-def test_float_codec_is_lossless_over_a_whole_run(task, lossy_config, factory, monkeypatch):
+def test_float_codec_is_lossless_over_a_whole_run(codec_cell, factory, monkeypatch):
     """The parent-free oracle: compressing the values changes only what they cost.
 
     The run without the codec swaps raw float32 sizing into ``FloatCodec``.
@@ -134,10 +153,11 @@ def test_float_codec_is_lossless_over_a_whole_run(task, lossy_config, factory, m
     accuracies too, legitimately.
     """
 
-    assert lossy_config.execution == "sync" and lossy_config.message_drop_probability > 0
-    with_codec = run_experiment(task, factory, lossy_config)
+    task, config = codec_cell
+    assert config.execution == "sync" and config.message_drop_probability > 0
+    with_codec = run_experiment(task, factory, config)
     monkeypatch.setattr(FloatCodec, "compress", RawFloatCodec.compress)
-    without = run_experiment(task, factory, lossy_config)
+    without = run_experiment(task, factory, config)
     assert with_codec.total_values_bytes < without.total_values_bytes
     assert without_codec_fields(with_codec) == without_codec_fields(without)
 

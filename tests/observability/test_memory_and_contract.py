@@ -187,7 +187,7 @@ class TestEveryEngineKeepsWallClockOutOfResults:
     def test_result_holds_the_reserved_keys_empty_and_the_trace_holds_the_rss(
         self, tmp_path, execution, engine
     ):
-        config = _tiny_config(execution=execution).with_engine(engine)
+        config = _tiny_config(execution=execution, engine=engine)
         path = tmp_path / "run.trace.jsonl"
         with TraceEmitter(path) as trace:
             traced = run_experiment(make_toy_task(seed=5), jwins_factory(), config, observers=(trace,))

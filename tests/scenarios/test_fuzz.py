@@ -20,8 +20,10 @@ import os
 import subprocess
 import sys
 
+from repro.scenarios import fuzz
 from repro.scenarios.fuzz import (
     ORACLES,
+    PINNED_CASES,
     FuzzCase,
     _oracle_engines,
     _oracle_rerun,
@@ -40,6 +42,7 @@ from repro.scenarios.schedule import (
     ScenarioSchedule,
     StragglerWindow,
 )
+from repro.observability.trace import TraceEmitter
 from repro.simulation.arena import NodeArenas
 from repro.simulation.engine import Simulator
 from repro.topology.policy import GeneratorPolicy
@@ -94,12 +97,45 @@ def test_ensure_byzantine_guarantees_an_attack_window():
 
 def test_case_spec_embeds_the_schedule_and_offsets_seeds():
     case = generate_case(0, 0)
-    spec = case.spec("movielens", "jwins")
+    spec = case.spec()
     assert spec.overrides["scenario"] == case.schedule.to_dict()
     assert spec.overrides["rounds"] == case.rounds
-    companion = case.spec("movielens", "jwins", seed_offset=1)
+    companion = case.spec(seed_offset=1)
     assert companion.overrides["seed"] == spec.overrides["seed"] + 1
     assert companion.content_hash() != spec.content_hash()
+
+
+# -- pinned cases ------------------------------------------------------------------
+#: Each pinned case as the determinism-stage cell it stands for:
+#: (workload, nodes, degree, rounds, scheme, budget, execution).
+PINNED_ROWS = {
+    "movielens-4-sync-jwins": ("movielens", 4, 2, 3, "jwins", None, "sync"),
+    "movielens-4-sync-full-sharing": ("movielens", 4, 2, 3, "full-sharing", None, "sync"),
+    "movielens-4-async-jwins": ("movielens", 4, 2, 3, "jwins", None, "async"),
+    "movielens-4-async-full-sharing": ("movielens", 4, 2, 3, "full-sharing", None, "async"),
+    "movielens-24-jwins": ("movielens", 24, 4, 3, "jwins", None, "sync"),
+    "movielens-24-full-sharing": ("movielens", 24, 4, 3, "full-sharing", None, "sync"),
+    "movielens-24-jwins-budget-0.2": ("movielens", 24, 4, 3, "jwins", 0.2, "sync"),
+    "cifar10-20-jwins": ("cifar10", 20, 4, 3, "jwins", None, "sync"),
+    "cifar10-20-full-sharing": ("cifar10", 20, 4, 3, "full-sharing", None, "sync"),
+}
+
+
+def test_pinned_cases_round_trip_build_and_match_their_rows():
+    assert list(PINNED_CASES) == list(PINNED_ROWS)
+    for name, case in PINNED_CASES.items():
+        # --replay reads a case back from its report.
+        assert FuzzCase.from_dict(json.loads(json.dumps(case.to_dict()))) == case
+        case.spec().build()
+        assert (
+            case.workload,
+            case.num_nodes,
+            case.degree,
+            case.rounds,
+            case.scheme,
+            case.budget,
+            case.execution,
+        ) == PINNED_ROWS[name], name
 
 
 # -- shrinking ---------------------------------------------------------------------
@@ -170,10 +206,10 @@ def test_injected_chaos_is_caught_and_shrunk_in_process():
     case = generate_case(0, 0, ensure_byzantine=True)
     uninstall = install_chaos()
     try:
-        assert _oracle_rerun(case, "movielens", "jwins") is not None  # it must ring
+        assert _oracle_rerun(case) is not None  # it must ring
 
         def still_fails(candidate: FuzzCase) -> bool:
-            return _oracle_rerun(candidate, "movielens", "jwins") is not None
+            return _oracle_rerun(candidate) is not None
 
         shrunk = shrink_case(case, still_fails)
         # The bug lives in the byzantine send path: shrinking must keep it.
@@ -184,7 +220,7 @@ def test_injected_chaos_is_caught_and_shrunk_in_process():
     finally:
         uninstall()
     # With the chaos uninstalled the same case is deterministic again.
-    assert _oracle_rerun(case, "movielens", "jwins") is None
+    assert _oracle_rerun(case) is None
 
 
 def test_rerun_failure_carries_a_diff_localized_to_a_round():
@@ -193,7 +229,7 @@ def test_rerun_failure_carries_a_diff_localized_to_a_round():
     case = generate_case(0, 0, ensure_byzantine=True)
     uninstall = install_chaos()
     try:
-        detail, diff = _oracle_rerun(case, "movielens", "jwins")
+        detail, diff = _oracle_rerun(case)
     finally:
         uninstall()
     assert "different result" in detail
@@ -225,11 +261,11 @@ def test_rerun_diff_explains_a_failure_that_does_not_reproduce(monkeypatch):
         return corrupted
 
     monkeypatch.setattr(Simulator, "apply_byzantine", perturb_first_run)
-    detail, diff = _oracle_rerun(case, "movielens", "jwins")
+    detail, diff = _oracle_rerun(case)
     assert "different result" in detail
     assert diff is not None and isinstance(diff.round, int)
     # Every later execution is clean: the failure does not reproduce.
-    assert _oracle_rerun(case, "movielens", "jwins") is None
+    assert _oracle_rerun(case) is None
 
 
 def test_workers_failure_diffs_the_first_divergent_cell():
@@ -237,12 +273,32 @@ def test_workers_failure_diffs_the_first_divergent_cell():
     case = generate_case(0, 0, ensure_byzantine=True)
     uninstall = install_chaos()
     try:
-        detail, diff = _oracle_workers(case, "movielens", "jwins")
+        detail, diff = _oracle_workers(case)
     finally:
         uninstall()
     assert "not byte-identical" in detail
-    cell = case.spec("movielens", "jwins").content_hash()[:12]
+    cell = case.spec().content_hash()[:12]
     assert diff is not None and isinstance(diff.round, int)
+    assert (diff.a_label, diff.b_label) == (f"serial:{cell}", f"pool:{cell}")
+
+
+def test_workers_oracle_compares_traces_when_the_stores_agree(monkeypatch):
+    """A trace field that differs only in a forked pool worker fails ``workers``."""
+
+    case = generate_case(0, 0)
+    parent = os.getpid()
+    emit = TraceEmitter.emit
+
+    def emit_marking_workers(self, kind, fields=None, wall=None):
+        if os.getpid() != parent:
+            fields = {**(fields or {}), "pooled": True}
+        emit(self, kind, fields, wall)
+
+    monkeypatch.setattr(TraceEmitter, "emit", emit_marking_workers)
+    detail, diff = _oracle_workers(case)
+    assert "wall-stripped traces differ" in detail
+    cell = case.spec().content_hash()[:12]
+    assert diff is not None and not diff.identical
     assert (diff.a_label, diff.b_label) == (f"serial:{cell}", f"pool:{cell}")
 
 
@@ -251,14 +307,14 @@ def test_engines_oracle_rings_when_a_batched_kernel_drifts(monkeypatch):
 
     case = generate_case(0, 9)  # sync, with outages, partitions and attackers
     assert case.execution == "sync"
-    assert _oracle_engines(case, "movielens", "jwins") is None
+    assert _oracle_engines(case) is None
     step_rows = NodeArenas.step_rows
     monkeypatch.setattr(
         NodeArenas,
         "step_rows",
         lambda self, rows, lr: step_rows(self, rows, lr * 1.001),
     )
-    detail, diff = _oracle_engines(case, "movielens", "jwins")
+    detail, diff = _oracle_engines(case)
     assert "arena" in detail
     assert diff is not None and diff.kind != "manifest"
     assert (diff.a_label, diff.b_label) == ("pernode", "arena")
@@ -267,6 +323,26 @@ def test_engines_oracle_rings_when_a_batched_kernel_drifts(monkeypatch):
 # -- the CLI entry point -----------------------------------------------------------
 def test_main_smoke_run_passes():
     assert main(["--cases", "1", "--seed", "0"]) == 0
+
+
+def test_main_runs_the_pinned_cases(monkeypatch, capsys):
+    monkeypatch.setattr(
+        fuzz, "PINNED_CASES", {"movielens-4-sync-jwins": PINNED_CASES["movielens-4-sync-jwins"]}
+    )
+    assert main(["--pinned", "--oracles", "rerun"]) == 0
+    output = capsys.readouterr().out
+    assert "case movielens-4-sync-jwins: ok" in output
+    assert "fuzz: 1 case(s) passed 1 oracle(s) (pinned)" in output
+
+
+def test_main_refuses_a_negative_case_count(capsys):
+    assert main(["--cases", "-2"]) == 2
+    assert "--cases must be non-negative, got -2" in capsys.readouterr().out
+
+
+def test_main_replay_of_a_missing_file_exits_two(tmp_path, capsys):
+    assert main(["--replay", str(tmp_path / "absent.json")]) == 2
+    assert "cannot replay" in capsys.readouterr().out
 
 
 def test_main_rejects_unknown_oracles(capsys):
@@ -290,20 +366,41 @@ def test_main_reports_the_shrunk_case_with_the_diff_of_its_failing_runs(tmp_path
     # The diff names a cell of the shrunk case, not of the generated one.
     shrunk = FuzzCase.from_dict(report["case"])
     assert shrunk != generate_case(0, 0)
-    cell = shrunk.spec("movielens", "jwins").content_hash()[:12]
+    cell = shrunk.spec().content_hash()[:12]
     assert report["forensics"]["a"] == f"serial:{cell}"
 
 
 def test_main_replay_of_a_passing_case(tmp_path, capsys):
-    report = {
-        "workload": "movielens",
-        "scheme": "jwins",
-        "case": generate_case(0, 0).to_dict(),
-    }
+    report = {"case": generate_case(0, 0).to_dict()}
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report), encoding="utf-8")
     assert main(["--replay", str(path)]) == 0
     assert "did not reproduce" in capsys.readouterr().out
+
+
+def test_main_replay_reads_the_top_level_workload_and_scheme_of_an_older_report(
+    tmp_path, capsys
+):
+    case = generate_case(1, 0)
+    old_case = {
+        key: value
+        for key, value in case.to_dict().items()
+        if key not in ("workload", "scheme", "degree", "budget")
+    }
+    path = tmp_path / "report.json"
+    path.write_text(
+        json.dumps({"workload": "movielens", "scheme": "choco", "case": old_case}),
+        encoding="utf-8",
+    )
+    assert main(["--replay", str(path)]) == 0
+    assert "replaying case: movielens/choco " in capsys.readouterr().out
+
+
+def test_main_replay_of_a_report_without_a_case_exits_two(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"oracle": "rerun"}), encoding="utf-8")
+    assert main(["--replay", str(path)]) == 2
+    assert "no 'case' mapping" in capsys.readouterr().out
 
 
 def test_module_self_test_catches_injected_nondeterminism():

@@ -72,7 +72,7 @@ def assert_engines_agree(factory_builder, config, task_kwargs=None):
     kwargs = task_kwargs or {}
     pernode = run_experiment(make_toy_task(**kwargs), factory_builder(), config)
     arena = run_experiment(
-        make_toy_task(**kwargs), factory_builder(), config.with_engine("arena")
+        make_toy_task(**kwargs), factory_builder(), replace(config, engine="arena")
     )
     assert dumps(arena) == dumps(pernode)
     return arena
@@ -139,7 +139,7 @@ def test_the_toy_mlp_trains_through_the_stacked_step(monkeypatch):
 
     config = build_config(local_steps=3)
     calls = count_train_calls(monkeypatch)
-    run_experiment(make_toy_task(), jwins_factory(), config.with_engine("arena"))
+    run_experiment(make_toy_task(), jwins_factory(), replace(config, engine="arena"))
     assert calls == {"stacked": ROUNDS * 3, "per-node": 0}
     calls.update({"stacked": 0, "per-node": 0})
     run_experiment(make_toy_task(), jwins_factory(), config)
@@ -167,6 +167,32 @@ def test_unequal_batches_fall_back_per_node_and_still_match(monkeypatch):
         (ROUNDS - away) * steps * 6  # the arena's fallback, node 0 present
         + (ROUNDS * 6 - away) * steps  # the per-node engine, every node-round
     )
+
+
+def test_the_fig10_mlp_cell_runs_both_train_paths_and_matches(monkeypatch):
+    """673 samples over 96 iid nodes: node 0 holds 8 (the batch size), every
+    other node 7, so the batches differ in shape and the step falls back per
+    node -- except while churn has node 0 offline, when the rest stack."""
+
+    config = build_config(
+        num_nodes=96,
+        degree=6,
+        rounds=6,
+        learning_rate=0.05,
+        eval_nodes=8,
+        eval_test_samples=64,
+        seed=5,
+        partition="iid",
+        scenario=get_scenario("churn-partition", num_nodes=96, rounds=6),
+    )
+    task_kwargs = {"seed": 5, "train_samples": 673}
+    calls = count_train_calls(monkeypatch)
+    arena = run_experiment(
+        make_toy_task(**task_kwargs), jwins_factory(), replace(config, engine="arena")
+    )
+    assert calls["stacked"] and calls["per-node"]
+    pernode = run_experiment(make_toy_task(**task_kwargs), jwins_factory(), config)
+    assert dumps(arena) == dumps(pernode)
 
 
 def test_arena_matches_pernode_at_twenty_nodes():
@@ -258,7 +284,7 @@ def test_result_is_independent_of_pass_size_and_engine(scheme, monkeypatch):
         monkeypatch.setattr(jwins_module, "_PASS_ELEMENTS", pass_elements)
         for engine in ENGINES:
             result = run_experiment(
-                make_toy_task(), PASS_SIZE_SCHEMES[scheme](), config.with_engine(engine)
+                make_toy_task(), PASS_SIZE_SCHEMES[scheme](), replace(config, engine=engine)
             )
             payloads.add(dumps(result))
     assert len(payloads) == 1
@@ -285,7 +311,7 @@ def test_a_subclass_overriding_prepare_is_honoured_by_both_engines():
         result = run_experiment(
             make_toy_task(),
             lambda node_id, model_size, seed: _OverridingPrepare(node_id, model_size, seed),
-            build_config().with_engine(engine),
+            replace(build_config(), engine=engine),
             scheme_name="jwins",
         )
         assert _OverridingPrepare.prepared == [
@@ -311,7 +337,7 @@ def test_both_engines_run_the_one_loop_and_deliver_before_aggregating():
 
     logs = {}
     for engine in ENGINES:
-        config = build_config(message_drop_probability=0.3).with_engine(engine)
+        config = replace(build_config(message_drop_probability=0.3), engine=engine)
         simulator = Simulator(make_toy_task(), jwins_factory(), config)
         assert type(simulator.mode) is SynchronousMode
 
@@ -462,7 +488,7 @@ def json_roundtrip(snapshot):
 
 
 def test_arena_interrupt_resume_is_byte_identical():
-    config = build_config().with_engine("arena")
+    config = replace(build_config(), engine="arena")
     uninterrupted = run_experiment(make_toy_task(), jwins_factory(), config)
     snapshot = pause_at(config, 3)
     assert snapshot.rounds_completed == 3
@@ -481,11 +507,11 @@ def test_snapshots_cross_engines(pause_engine, resume_engine):
 
     config = build_config()
     uninterrupted = run_experiment(make_toy_task(), jwins_factory(), config)
-    snapshot = pause_at(config.with_engine(pause_engine), 3)
+    snapshot = pause_at(replace(config, engine=pause_engine), 3)
     resumed = run_experiment(
         make_toy_task(),
         jwins_factory(),
-        config.with_engine(resume_engine),
+        replace(config, engine=resume_engine),
         resume_from=json_roundtrip(snapshot),
     )
     assert dumps(resumed) == dumps(uninterrupted)
@@ -582,5 +608,5 @@ def test_engine_knob_is_validated():
         build_config(engine="vectorized")
     config = build_config()
     assert config.engine == "pernode"
-    assert config.with_engine("arena").engine == "arena"
-    assert config.with_engine("arena").to_dict()["engine"] == "arena"
+    assert replace(config, engine="arena").engine == "arena"
+    assert replace(config, engine="arena").to_dict()["engine"] == "arena"

@@ -508,7 +508,7 @@ class _WrongShape(FullSharingScheme):
 def test_stages_reject_a_wrong_sender_and_a_wrong_shape(
     engine, scheme_type, error, toy_task, small_config
 ):
-    simulator = Simulator(toy_task, scheme_type, small_config.with_engine(engine))
+    simulator = Simulator(toy_task, scheme_type, replace(small_config, engine=engine))
     with pytest.raises(SimulationError, match=error):
         simulator.run()
 

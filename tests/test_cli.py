@@ -199,10 +199,20 @@ def test_sweep_unknown_workload_rejected_cleanly(tmp_path):
               "--store", str(tmp_path / "s.jsonl")])
 
 
-def test_sweep_unknown_scale_field_rejected_cleanly(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "scale, dry_run",
+    [("warp_factor=9", []), ("warp_factor=9", ["--dry-run"]), ("degree=99", ["--dry-run"])],
+    ids=["run", "dry-run", "invalid-config-dry-run"],
+)
+def test_sweep_unknown_scale_field_rejected_cleanly(tmp_path, capsys, scale, dry_run):
+    store = tmp_path / "s.jsonl"
     with pytest.raises(SystemExit, match="invalid sweep"):
-        main(["sweep", "--preset", "fig7", "--store", str(tmp_path / "s.jsonl"),
-              "--scale", "warp_factor=9"])
+        main(["sweep", "--preset", "fig7", "--store", str(store),
+              "--scale", scale, *dry_run])
+    # Refused before a dry run prints a cell or any cell starts.
+    output = capsys.readouterr().out
+    assert "cell(s)" not in output and "running" not in output
+    assert not store.exists()
 
 
 def test_invalid_scale_entry_rejected(tmp_path):

@@ -342,9 +342,10 @@ def test_store_compact_drops_superseded_and_corrupt_rows(tmp_path, capsys):
     assert "2 line(s) -> 2 row(s)" in capsys.readouterr().out
 
 
-def test_store_compact_missing_file_exits_cleanly(tmp_path):
+@pytest.mark.parametrize("name", ["absent.jsonl", "."])
+def test_store_compact_missing_file_exits_cleanly(tmp_path, name):
     with pytest.raises(SystemExit, match="does not exist"):
-        main(["store", "compact", "--store", str(tmp_path / "absent.jsonl")])
+        main(["store", "compact", "--store", str(tmp_path / name)])
 
 
 def test_cli_snapshot_embeds_its_spec_hash(tmp_path):

@@ -229,3 +229,9 @@ def test_top_once_renders_a_finished_sweep(tmp_path, capsys):
 def test_top_once_missing_directory_exits_one(tmp_path, capsys):
     assert main(["top", str(tmp_path / "absent"), "--once"]) == 1
     assert "no status document" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("interval", ["-1", "0"])
+def test_top_refuses_a_non_positive_interval(tmp_path, interval):
+    with pytest.raises(SystemExit, match="--interval must be positive"):
+        main(["top", str(tmp_path), "--interval", interval])

@@ -153,6 +153,7 @@ REMOVED = [
     ("repro.observability.metrics", "_NULL_INSTRUMENT"),
     ("repro.observability.metrics:MetricsRegistry", "enabled"),
     ("repro.simulation.engine:Simulator", "emit_round_end"),
+    ("repro.simulation.experiment:ExperimentConfig", "with_engine"),
 ]
 
 #: (callable, parameter): the parameter (or dataclass field) is gone from the
