@@ -28,7 +28,8 @@
 #                mismatch prints a forensic trace diff: first divergent
 #                record, field drift, causal backtrace); then the fuzzer's
 #                nine pinned cases through all five oracles (1 vs 2 workers,
-#                arena vs pernode, 24 movielens nodes with and without a
+#                interrupt-resume through the snapshot file, arena vs
+#                pernode, 24 movielens nodes with and without a
 #                budget, 20 cifar10 nodes in two JWINS passes); then an
 #                8-node cifar10 cell under OPENBLAS_NUM_THREADS=1 and =2,
 #                whose stores must be byte-identical
@@ -46,7 +47,8 @@
 #                schedule must pass the five oracles: rerun (results and
 #                wall-stripped traces), F_start-invariant (JWINS's cached
 #                start coefficients = DWT of the model at every round end),
-#                1-vs-2-worker, interrupt-resume and arena-vs-pernode (a
+#                1-vs-2-worker, interrupt-resume (through the snapshot
+#                file the pause wrote) and arena-vs-pernode (a
 #                failing case prints its JSON schedule for local replay, with
 #                the trace diff of the runs that failed), plus the
 #                injected-nondeterminism self-test, which must also

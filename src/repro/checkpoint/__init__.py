@@ -11,8 +11,8 @@ futures without re-paying the common prefix.
   verified on load) plus the engine bridge :func:`capture_snapshot` /
   :func:`restore_simulator`;
 * :mod:`repro.checkpoint.serialization` — exact codecs for arrays, RNG
-  streams, messages, events and round contexts, and the two stored forms of
-  an encoded tree (header plus blobs, and JSON);
+  streams, messages, events and round contexts, and the stored form of an
+  encoded tree (a JSON header plus raw blobs);
 * :mod:`repro.checkpoint.manager` — directory-backed snapshot storage keyed
   by spec content hash, with a ``lineage.jsonl`` provenance sidecar;
 * :mod:`repro.checkpoint.preemption` — cooperative ``SIGINT``-to-checkpoint

@@ -12,9 +12,7 @@ and the engine's safe points:
   checkpoint boundary;
 * :func:`install_preemption_handler` wires ``SIGINT`` to
   :func:`request_preempt`; the sweep executor installs it in the main process
-  and in every pool worker while checkpointing is enabled;
-* :func:`preempt_after_round` is the deterministic variant used by tests and
-  budget-limited CI runs ("pause after N completed rounds").
+  and in every pool worker while checkpointing is enabled.
 
 All state is per-process; pool workers inherit nothing and install their own
 handler via their initializer.
@@ -29,15 +27,12 @@ from typing import Any, Callable
 __all__ = [
     "install_preemption_handler",
     "interrupted",
-    "preempt_after_round",
     "request_preempt",
     "reset",
     "restore_handler",
-    "should_stop",
 ]
 
 _interrupted = False
-_preempt_after_round: int | None = None
 
 
 def request_preempt() -> None:
@@ -45,7 +40,7 @@ def request_preempt() -> None:
 
     Safe to call from a signal handler: it only flips a boolean.  Running
     simulators notice through ``checkpoint_stop_pending()``, which consults
-    :func:`should_stop` at every snapshot-safe boundary.
+    :func:`interrupted` at every snapshot-safe boundary.
     """
 
     global _interrupted
@@ -58,32 +53,11 @@ def interrupted() -> bool:
     return _interrupted
 
 
-def preempt_after_round(rounds: int | None) -> None:
-    """Deterministically pause runs once they complete ``rounds`` rounds.
-
-    ``None`` clears the threshold.  Unlike :func:`request_preempt` this does
-    not mark the process as interrupted — a sweep keeps submitting cells, and
-    each cell pauses itself at the threshold.
-    """
-
-    global _preempt_after_round
-    _preempt_after_round = None if rounds is None else int(rounds)
-
-
-def should_stop(rounds_completed: int) -> bool:
-    """Whether a run at ``rounds_completed`` must pause (engine safe points)."""
-
-    if _interrupted:
-        return True
-    return _preempt_after_round is not None and rounds_completed >= _preempt_after_round
-
-
 def reset() -> None:
-    """Clear the interrupted flag and the round threshold (tests, new sweeps)."""
+    """Clear the interrupted flag (tests, new sweeps)."""
 
     global _interrupted
     _interrupted = False
-    preempt_after_round(None)
 
 
 def install_preemption_handler() -> Callable[..., Any] | int | None:

@@ -5,9 +5,8 @@ having stopped, so every codec here is lossless by construction:
 
 * numpy arrays stay arrays: :func:`encode_value` keeps a C-contiguous
   little-endian copy, which a snapshot file stores as a raw blob
-  (:func:`split_blobs` / :func:`join_blobs`) and the JSON form
-  (:func:`to_json` / :func:`from_json`) as base64 of the same bytes plus dtype
-  and shape — no text formatting of floats is involved;
+  (:func:`split_blobs` / :func:`join_blobs`) — no text formatting of floats
+  is involved;
 * ``numpy.random.Generator`` streams travel as their bit-generator state
   dictionaries (arbitrary-precision integers, which JSON handles natively);
 * scalars pass through unchanged (``json.dumps`` renders ``float`` with
@@ -25,7 +24,6 @@ point accumulation order during aggregation — both survive the round trip.
 
 from __future__ import annotations
 
-import base64
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -40,18 +38,15 @@ __all__ = [
     "decode_value",
     "encode_rng_state",
     "encode_value",
-    "from_json",
     "join_blobs",
     "new_rng_from_state",
     "split_blobs",
-    "to_json",
 ]
 
-#: Type markers used by :func:`encode_value`, :func:`to_json` and
-#: :func:`split_blobs`.  Plain mappings containing one of these keys would be
-#: misread on decode, so encoding them is refused.
+#: Type markers used by :func:`encode_value` and :func:`split_blobs`.  Plain
+#: mappings containing one of these keys would be misread on decode, so
+#: encoding them is refused.
 _MARKERS = (
-    "__ndarray__",
     "__blob__",
     "__rng__",
     "__items__",
@@ -65,11 +60,11 @@ _MARKERS = (
 def _rebuild(value: Any, leaf: Callable[[Any], Any]) -> Any:
     """Copy an encoded tree, mapping keys in sorted order, every leaf through ``leaf``.
 
-    A mapping that holds an array (``__ndarray__`` or ``__blob__``) is a leaf.
-    Sorted keys make the order arrays are met in a function of the content.
+    A blob reference (a mapping holding ``__blob__``) is a leaf.  Sorted keys
+    make the order arrays are met in a function of the content.
     """
 
-    if isinstance(value, dict) and "__ndarray__" not in value and "__blob__" not in value:
+    if isinstance(value, dict) and "__blob__" not in value:
         return {key: _rebuild(value[key], leaf) for key in sorted(value)}
     if isinstance(value, list):
         return [_rebuild(item, leaf) for item in value]
@@ -80,48 +75,7 @@ def _dtype_and_shape(payload: Mapping[str, Any]) -> tuple[np.dtype, tuple[int, .
     try:
         return np.dtype(payload["dtype"]), tuple(int(n) for n in payload["shape"])
     except (KeyError, TypeError, ValueError) as error:
-        raise CheckpointError(f"malformed ndarray payload: {error}") from error
-
-
-def to_json(tree: Any) -> Any:
-    """The JSON-safe form of an encoded tree: each array as base64 of its bytes."""
-
-    def leaf(value: Any) -> Any:
-        if not isinstance(value, np.ndarray):
-            return value
-        return {
-            "__ndarray__": {
-                "dtype": value.dtype.str,
-                "shape": list(value.shape),
-                "data": base64.b64encode(value.tobytes()).decode("ascii"),
-            }
-        }
-
-    return _rebuild(tree, leaf)
-
-
-def from_json(tree: Any) -> Any:
-    """Exact inverse of :func:`to_json` (arrays come back read-only)."""
-
-    def leaf(value: Any) -> Any:
-        if not isinstance(value, dict):
-            return value
-        if "__blob__" in value:
-            raise CheckpointError("a blob reference outside a snapshot file")
-        payload = value["__ndarray__"]
-        dtype, shape = _dtype_and_shape(payload)
-        try:
-            array = np.frombuffer(base64.b64decode(payload["data"]), dtype=dtype)
-        except (KeyError, TypeError, ValueError) as error:
-            raise CheckpointError(f"malformed ndarray payload: {error}") from error
-        if array.size != int(np.prod(shape, dtype=np.int64)):
-            raise CheckpointError(
-                f"ndarray payload holds {array.size} elements, shape {shape} expects "
-                f"{int(np.prod(shape, dtype=np.int64))}"
-            )
-        return array.reshape(shape)
-
-    return _rebuild(tree, leaf)
+        raise CheckpointError(f"malformed blob reference: {error}") from error
 
 
 def split_blobs(tree: Any) -> tuple[Any, list[np.ndarray]]:

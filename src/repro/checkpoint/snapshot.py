@@ -44,14 +44,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 import numpy as np
 
-from repro.checkpoint.serialization import (
-    decode_value,
-    encode_value,
-    from_json,
-    join_blobs,
-    split_blobs,
-    to_json,
-)
+from repro.checkpoint.serialization import decode_value, encode_value, join_blobs, split_blobs
 from repro.exceptions import CheckpointError
 from repro.simulation.metrics import ExperimentResult
 from repro.topology.graphs import Topology
@@ -118,8 +111,8 @@ class SimulationSnapshot:
     Every field is already encoded (see
     :mod:`repro.checkpoint.serialization`): JSON values, with numpy arrays as
     leaves.  A snapshot is a value — frozen, and its content hash is computed
-    at most once.  :meth:`to_dict` and :meth:`from_dict` are exact inverses
-    through a JSON-safe form (arrays as base64); compare snapshots by it.
+    at most once.  The file :meth:`save` writes is its only stored form:
+    compare snapshots by those bytes.
     """
 
     #: Execution mode the snapshot was taken under (``"sync"``/``"async"``).
@@ -157,19 +150,6 @@ class SimulationSnapshot:
 
     # -- identity ------------------------------------------------------------------
     # Hand-written, not the record codec's: a bad file is a CheckpointError.
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation; exact inverse of :meth:`from_dict`."""
-
-        return to_json(
-            {snapshot_field.name: getattr(self, snapshot_field.name) for snapshot_field in fields(self)}
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SimulationSnapshot":
-        """Rebuild a snapshot from :meth:`to_dict` output."""
-
-        return cls._from_fields(from_json(dict(data)))
-
     @classmethod
     def _from_fields(cls, data: Mapping[str, Any]) -> "SimulationSnapshot":
         known = {snapshot_field.name for snapshot_field in fields(cls)}

@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -895,9 +896,18 @@ def _trace_command(args: argparse.Namespace) -> int:
     return 0 if report.identical else 1
 
 
+#: The longest ``top`` refresh: ``time.sleep`` adds it to the monotonic clock,
+#: and the sum must stay within ``threading.TIMEOUT_MAX`` (``sleep(TIMEOUT_MAX)``
+#: itself fails with ``EINVAL``).
+_MAX_INTERVAL = threading.TIMEOUT_MAX / 2
+
+
 def _top_command(args: argparse.Namespace) -> int:
-    if not args.interval > 0:
-        raise SystemExit(f"--interval must be positive, got {args.interval:g}")
+    if not 0 < args.interval <= _MAX_INTERVAL:
+        raise SystemExit(
+            f"--interval must be positive and at most {_MAX_INTERVAL:.0f} seconds, "
+            f"got {args.interval:g}"
+        )
     return watch_status(args.dir, interval=args.interval, once=args.once)
 
 

@@ -8,7 +8,8 @@ What is left here are the row format's reserved keys: a result row carries
 ``ExperimentResult.to_dict`` writes as constants and ``from_dict`` drops, and
 :func:`scrub_telemetry` resets them to empty in a row from elsewhere.  A fully
 instrumented run (``--trace --metrics --status``) persists rows byte-identical
-to a telemetry-off run's — pinned by tests and by the CI determinism stage.
+to a telemetry-off run's — pinned by
+``tests/observability/test_telemetry_determinism.py``.
 """
 
 from __future__ import annotations

@@ -493,10 +493,10 @@ def watch_status(
 ) -> int:
     """The ``jwins-repro top`` loop: render until the sweep reaches a terminal state.
 
-    Returns the process exit code (0 on a terminal document, 1 when the
-    status file never appeared).  ``once`` renders a single frame; the
-    refreshing mode clears the screen between frames and also exits on
-    Ctrl-C.
+    Returns the process exit code (0 on a terminal document, 1 when ``once``
+    finds no status file or one that is not JSON).  ``once`` renders a single
+    frame; the refreshing mode clears the screen between frames, waits out a
+    missing or unreadable file, and also exits on Ctrl-C.
     """
 
     stream = sys.stdout if stream is None else stream
@@ -511,6 +511,9 @@ def watch_status(
             time.sleep(interval)
             continue
         except json.JSONDecodeError:
+            if once:
+                print(f"status document at {path} is not valid JSON", file=stream)
+                return 1
             # A reader racing the very first write of a non-atomic filesystem;
             # atomic replace makes this near-impossible, but never crash on it.
             time.sleep(interval)

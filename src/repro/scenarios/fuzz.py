@@ -13,7 +13,8 @@ windows, rewiring policies, boundary rounds) and every case must survive
   and byte-identical wall-stripped structured traces,
 - ``workers``  — a 2-cell sweep stores byte-identical JSONL and writes
   byte-identical wall-stripped per-cell traces on 1 and 2 workers,
-- ``resume``   — interrupt mid-run + resume equals the uninterrupted run,
+- ``resume``   — interrupt mid-run + resume from the snapshot file it wrote
+  equals the uninterrupted run,
 - ``engines``  — the ``engine=arena`` override changes neither the result nor the
   wall-stripped trace (the ``manifest`` record aside: its ``spec_hash`` names
   the override),
@@ -58,7 +59,6 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from repro.checkpoint.snapshot import SimulationSnapshot
 from repro.core.jwins import JwinsScheme
 from repro.exceptions import ConfigurationError, ExperimentPaused
 from repro.observability.forensics import TraceDiff, diff_traces
@@ -76,7 +76,7 @@ from repro.scenarios.schedule import (
     ScenarioSchedule,
     StragglerWindow,
 )
-from repro.simulation.engine import Simulator
+from repro.simulation.engine import SimulationObserver, Simulator
 from repro.topology.policy import GeneratorPolicy
 from repro.utils.records import Record
 from repro.utils.rng import derive_rng
@@ -425,36 +425,36 @@ def _oracle_workers(case: FuzzCase) -> Failure | None:
     return "wall-stripped traces differ between the 1-worker and 2-worker sweeps", diff
 
 
+class _PauseAt(SimulationObserver):
+    """Asks the run it watches to pause once ``rounds`` rounds have completed."""
+
+    def __init__(self, rounds: int) -> None:
+        self.rounds = rounds
+
+    def on_run_start(self, simulator: Simulator) -> None:
+        self.simulator = simulator
+
+    def on_round_end(self, round_index: int, node_id: int | None, now: float) -> None:
+        if self.simulator.result.rounds_completed >= self.rounds:
+            self.simulator.request_checkpoint_stop()
+
+
 def _oracle_resume(case: FuzzCase) -> Failure | None:
+    # The road a preemptible sweep takes: the pause writes the snapshot file,
+    # and the second run finds it under the spec's hash and resumes from it.
     spec = case.spec()
     uninterrupted = json.dumps(spec.run().to_dict(), sort_keys=True)
-
     stop_after = max(1, case.rounds // 2)
-    task, factory, config, _ = spec.build()
-    simulator = Simulator(
-        task, factory, config, scheme_name=spec.scheme.label, spec=spec.to_dict()
-    )
-    simulator.on_round_end(
-        lambda round_index, node_id, now: (
-            simulator.request_checkpoint_stop()
-            if simulator.result.rounds_completed >= stop_after
-            else None
-        )
-    )
-    try:
-        simulator.run()
-        return f"requested a pause at round {stop_after} but the run never stopped", None
-    except ExperimentPaused as paused:
-        snapshot = paused.snapshot
-    # Force the snapshot through its JSON form: what resumes in practice is
-    # the persisted file, not the in-memory object.
-    snapshot = SimulationSnapshot.from_dict(
-        json.loads(json.dumps(snapshot.to_dict(), sort_keys=True))
-    )
-    resumed = spec.run(snapshot=snapshot)
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            spec.run(checkpoint_dir=tmp, observers=(_PauseAt(stop_after),))
+            return f"requested a pause at round {stop_after} but the run never stopped", None
+        except ExperimentPaused as paused:
+            paused_at = paused.snapshot.rounds_completed
+        resumed = spec.run(checkpoint_dir=tmp)
     if json.dumps(resumed.to_dict(), sort_keys=True) != uninterrupted:
         return (
-            f"interrupt at round {snapshot.rounds_completed} + resume differs "
+            f"interrupt at round {paused_at} + resume differs "
             "from the uninterrupted run",
             None,
         )

@@ -347,9 +347,7 @@ class Simulator:
     def checkpoint_stop_pending(self) -> bool:
         """Whether a stop request (direct or process-wide preemption) is live."""
 
-        return self._stop_requested or preemption.should_stop(
-            self.result.rounds_completed
-        )
+        return self._stop_requested or preemption.interrupted()
 
     def checkpoint_point(self, mode_state: Callable[[], dict[str, Any]]) -> None:
         """Execution modes call this at snapshot-safe round boundaries.
@@ -380,22 +378,14 @@ class Simulator:
         if stopping:
             raise ExperimentPaused(snapshot)
 
-    def consume_resume_state(self, kind: str) -> "SimulationSnapshot | None":
+    def consume_resume_state(self) -> "SimulationSnapshot | None":
         """Hand the pending resume snapshot to the execution mode (once).
 
-        ``kind`` is the mode's name; a mismatch means the snapshot was taken
-        under a different schedule and cannot resume here.
+        :func:`~repro.checkpoint.snapshot.restore_simulator` has already
+        refused a snapshot whose mode state is not this run's mode.
         """
 
-        if self.resume_state is None:
-            return None
-        snapshot = self.resume_state
-        if snapshot.mode_state.get("kind") != kind:
-            raise CheckpointError(
-                f"snapshot mode state is {snapshot.mode_state.get('kind')!r}, "
-                f"the running execution mode is {kind!r}"
-            )
-        self.resume_state = None
+        snapshot, self.resume_state = self.resume_state, None
         return snapshot
 
     # -- deployment helpers --------------------------------------------------------
@@ -801,7 +791,7 @@ class SynchronousMode:
             from repro.simulation.arena import train_batched as train
         clock = 0.0
         start_round = 0
-        resume = simulator.consume_resume_state(self.name)
+        resume = simulator.consume_resume_state()
         if resume is not None:
             # Everything else (models, RNG streams, meter, partial result,
             # topology) was restored by the engine; the barrier clock and the
@@ -976,7 +966,7 @@ class AsynchronousMode:
     # -- the schedule --------------------------------------------------------------
     def run(self, simulator: Simulator) -> None:
         self.bind(simulator)
-        resume = simulator.consume_resume_state(self.name)
+        resume = simulator.consume_resume_state()
         if resume is not None:
             self.load_state(resume.mode_state)
         else:

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.checkpoint import CheckpointManager, preemption
+from repro.checkpoint import CheckpointManager
 from repro.cli import main
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.orchestration import (
@@ -45,20 +45,18 @@ def make_spec(**extra) -> ExperimentSpec:
 
 
 @pytest.fixture
-def paused(tmp_path):
+def paused(tmp_path, pause_after_round):
     """A spec paused at round 2 with its snapshot in a checkpoint dir."""
 
     spec = make_spec()
-    preemption.preempt_after_round(2)
-    try:
-        outcome = run_sweep(
-            [spec],
-            ResultStore(),
-            checkpoint_dir=str(tmp_path / "ck"),
-            checkpoint_every=1,
-        )
-    finally:
-        preemption.reset()
+    pause_after_round(2)
+    outcome = run_sweep(
+        [spec],
+        ResultStore(),
+        checkpoint_dir=str(tmp_path / "ck"),
+        checkpoint_every=1,
+    )
+    pause_after_round(None)
     assert outcome.paused == [spec]
     snapshot = CheckpointManager(tmp_path / "ck").load_for_spec(spec)
     assert snapshot is not None and snapshot.rounds_completed == 2

@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.baselines import choco_factory
-from repro.checkpoint import CheckpointManager, SimulationSnapshot, capture_snapshot
+from repro.checkpoint import CheckpointManager, capture_snapshot
 from repro.core import jwins_factory
 from repro.exceptions import ExperimentPaused
 from repro.scenarios import get_scenario
@@ -26,7 +26,7 @@ from repro.simulation import (
 from repro.simulation.engine import Simulator
 from repro.topology.graphs import Topology
 from repro.topology.weights import metropolis_hastings_rows
-from tests.conftest import make_toy_task
+from tests.conftest import make_toy_task, through_file
 
 ROUNDS = 6
 
@@ -69,12 +69,6 @@ def pause_at(config: ExperimentConfig, rounds: int, factory=jwins_factory):
     return info.value.snapshot
 
 
-def json_roundtrip(snapshot) -> SimulationSnapshot:
-    return SimulationSnapshot.from_dict(
-        json.loads(json.dumps(snapshot.to_dict(), sort_keys=True))
-    )
-
-
 @pytest.mark.parametrize("execution", ["sync", "async"])
 @pytest.mark.parametrize("scenario", [False, True])
 def test_interrupt_resume_is_byte_identical(execution, scenario):
@@ -84,7 +78,7 @@ def test_interrupt_resume_is_byte_identical(execution, scenario):
     snapshot = pause_at(config, 3)
     assert snapshot.rounds_completed == 3
     resumed = run_experiment(
-        make_toy_task(), jwins_factory(), config, resume_from=json_roundtrip(snapshot)
+        make_toy_task(), jwins_factory(), config, resume_from=through_file(snapshot)
     )
     assert json.dumps(resumed.to_dict(), sort_keys=True) == json.dumps(
         uninterrupted.to_dict(), sort_keys=True
@@ -105,7 +99,7 @@ def test_interrupt_resume_under_per_round_rewiring(execution):
     )
     uninterrupted = run_experiment(make_toy_task(), jwins_factory(), config)
 
-    snapshot = json_roundtrip(pause_at(config, 3))
+    snapshot = through_file(pause_at(config, 3))
     restored = Topology(
         num_nodes=6, edges=tuple((u, v) for u, v in snapshot.topology["edges"])
     )
@@ -126,7 +120,7 @@ def test_interrupt_resume_choco(execution):
     uninterrupted = run_experiment(make_toy_task(), choco_factory(), config)
     snapshot = pause_at(config, 3, factory=choco_factory)
     resumed = run_experiment(
-        make_toy_task(), choco_factory(), config, resume_from=json_roundtrip(snapshot)
+        make_toy_task(), choco_factory(), config, resume_from=through_file(snapshot)
     )
     assert resumed.to_dict() == uninterrupted.to_dict()
 
@@ -141,7 +135,7 @@ def test_round_zero_snapshot_resumes_full_run():
     snapshot = capture_snapshot(simulator, {"kind": "sync", "clock": 0.0})
     assert snapshot.rounds_completed == 0
     resumed = run_experiment(
-        make_toy_task(), jwins_factory(), config, resume_from=json_roundtrip(snapshot)
+        make_toy_task(), jwins_factory(), config, resume_from=through_file(snapshot)
     )
     assert resumed.to_dict() == uninterrupted.to_dict()
 
@@ -164,7 +158,7 @@ def test_final_round_snapshot_yields_complete_result(execution):
     assert checkpointed.to_dict() == uninterrupted.to_dict()
     assert snapshots[-1].rounds_completed == ROUNDS
     resumed = run_experiment(
-        make_toy_task(), jwins_factory(), config, resume_from=json_roundtrip(snapshots[-1])
+        make_toy_task(), jwins_factory(), config, resume_from=through_file(snapshots[-1])
     )
     assert resumed.to_dict() == uninterrupted.to_dict()
 
@@ -274,7 +268,7 @@ def test_interrupt_resume_under_byzantine_window(execution, mode):
         assert snapshot.byzantine == []
 
     resumed = run_experiment(
-        make_toy_task(), jwins_factory(), config, resume_from=json_roundtrip(snapshot)
+        make_toy_task(), jwins_factory(), config, resume_from=through_file(snapshot)
     )
     assert json.dumps(resumed.to_dict(), sort_keys=True) == json.dumps(
         uninterrupted.to_dict(), sort_keys=True
@@ -316,6 +310,6 @@ def test_resume_after_early_target_stop():
     assert uninterrupted.reached_target_at_round == 2
     snapshot = pause_at(config, 1)
     resumed = run_experiment(
-        make_toy_task(), jwins_factory(), config, resume_from=json_roundtrip(snapshot)
+        make_toy_task(), jwins_factory(), config, resume_from=through_file(snapshot)
     )
     assert resumed.to_dict() == uninterrupted.to_dict()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -21,7 +22,7 @@ from repro.core import jwins_factory
 from repro.exceptions import CheckpointError, ExperimentPaused
 from repro.simulation import ExperimentConfig
 from repro.simulation.engine import Simulator
-from tests.conftest import make_toy_task
+from tests.conftest import make_toy_task, rewrite_header, stored_form
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -57,14 +58,6 @@ def pause_at(config: ExperimentConfig, rounds: int) -> SimulationSnapshot:
     return info.value.snapshot
 
 
-def test_to_dict_from_dict_is_exact():
-    snapshot = pause_at(small_config(), 2)
-    payload = json.loads(json.dumps(snapshot.to_dict(), sort_keys=True))
-    clone = SimulationSnapshot.from_dict(payload)
-    assert clone.to_dict() == snapshot.to_dict()
-    assert clone.content_hash() == snapshot.content_hash()
-
-
 @pytest.mark.parametrize("execution", ["sync", "async"])
 @pytest.mark.parametrize("engine", ["pernode", "arena"])
 @pytest.mark.parametrize("factory", [jwins_factory, choco_factory], ids=["jwins", "choco"])
@@ -77,12 +70,12 @@ def test_a_captured_snapshot_does_not_follow_the_run_on(factory, engine, executi
         factory(),
         small_config(engine=engine, execution=execution),
         checkpoint_every=1,
-        checkpoint_sink=lambda snapshot: captured.append((snapshot, snapshot.to_dict())),
+        checkpoint_sink=lambda snapshot: captured.append((snapshot, stored_form(snapshot))),
     )
     simulator.run()
     assert len(captured) == 4
-    for snapshot, document in captured:
-        assert snapshot.to_dict() == document
+    for snapshot, form in captured:
+        assert stored_form(snapshot) == form
 
 
 def test_content_hash_changes_with_state():
@@ -103,14 +96,17 @@ def test_save_load(tmp_path):
 
 
 @pytest.mark.parametrize("execution", ["sync", "async"])
-def test_save_load_round_trip_is_equal_under_to_dict(tmp_path, execution):
+def test_save_load_round_trip_resaves_the_same_bytes(tmp_path, execution):
     snapshot = pause_at(small_config(execution=execution), 2)
     loaded = SimulationSnapshot.load(snapshot.save(tmp_path / "run.ckpt"))
-    assert loaded.to_dict() == snapshot.to_dict()
-    # The hash is a function of the content, not of how the snapshot was made.
-    assert SimulationSnapshot.from_dict(loaded.to_dict()).content_hash() == snapshot.content_hash()
+    # ``loaded.content_hash()`` is the digest the load verified, so it cannot
+    # tell a wrong decode: compare what was decoded, and what it saves as.
+    assert stored_form(loaded) == stored_form(snapshot)
     resaved = loaded.save(tmp_path / "again.ckpt")
     assert resaved.read_bytes() == (tmp_path / "run.ckpt").read_bytes()
+    # The hash is a function of the content, not of how the snapshot was made.
+    rebuilt = dataclasses.replace(loaded)  # a new value, its hash not yet known
+    assert rebuilt.content_hash() == snapshot.content_hash()
 
 
 def test_a_loaded_snapshot_views_the_file_and_a_restore_copies(tmp_path):
@@ -136,7 +132,7 @@ def test_the_file_is_magic_header_blobs_and_trailer(tmp_path):
     header = json.loads(data[40 : 40 + header_length])
     reference = header["nodes"][0]["params"]
     assert reference == {"__blob__": reference["__blob__"], "dtype": "<f8", "shape": [snapshot.model_size]}
-    assert b"__ndarray__" not in data  # no array travels as base64
+    assert snapshot.nodes[0]["params"].tobytes() in data  # arrays travel raw
 
 
 def test_saving_hashes_the_snapshot_once(tmp_path, monkeypatch):
@@ -250,11 +246,12 @@ def test_load_rejects_a_json_era_version(tmp_path, version):
 
     snapshot = pause_at(small_config(), 2)
     path = tmp_path / "run.ckpt.json"
+    header, _ = stored_form(snapshot)
     document = {
         "format": SNAPSHOT_FORMAT,
         "version": version,
         "hash": snapshot.content_hash(),
-        "snapshot": {**snapshot.to_dict(), "profiler": None, "version": version},
+        "snapshot": {**json.loads(header), "profiler": None, "version": version},
     }
     path.write_text(json.dumps(document, sort_keys=True) + "\n")
     with pytest.raises(CheckpointError, match=f"schema version {version};"):
@@ -271,23 +268,25 @@ def test_load_rejects_a_future_version(tmp_path):
         SimulationSnapshot.load(path)
 
 
-def test_from_dict_rejects_unknown_fields():
-    snapshot = pause_at(small_config(), 2)
-    payload = snapshot.to_dict()
-    payload["mystery"] = 1
+def test_load_rejects_unknown_fields(tmp_path):
+    path = pause_at(small_config(), 2).save(tmp_path / "run.ckpt")
+    rewrite_header(path, lambda header: header.update(mystery=1))
     with pytest.raises(CheckpointError, match="unknown snapshot field"):
-        SimulationSnapshot.from_dict(payload)
+        SimulationSnapshot.load(path)
 
 
-def test_from_dict_rejects_the_removed_profiler_field():
-    payload = {**pause_at(small_config(), 2).to_dict(), "profiler": None}
+def test_load_rejects_the_removed_profiler_field(tmp_path):
+    path = pause_at(small_config(), 2).save(tmp_path / "run.ckpt")
+    rewrite_header(path, lambda header: header.update(profiler=None))
     with pytest.raises(CheckpointError, match="unknown snapshot field.*profiler"):
-        SimulationSnapshot.from_dict(payload)
+        SimulationSnapshot.load(path)
 
 
-def test_from_dict_rejects_missing_fields():
-    with pytest.raises(CheckpointError, match="missing field"):
-        SimulationSnapshot.from_dict({"execution": "sync"})
+def test_load_rejects_missing_fields(tmp_path):
+    path = pause_at(small_config(), 2).save(tmp_path / "run.ckpt")
+    rewrite_header(path, lambda header: header.pop("nodes"))
+    with pytest.raises(CheckpointError, match="missing field.*nodes"):
+        SimulationSnapshot.load(path)
 
 
 def test_restore_rejects_wrong_execution_mode():

@@ -7,8 +7,6 @@ layer composes.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -19,13 +17,14 @@ from repro.baselines import (
     random_sampling_factory,
     topk_sharing_factory,
 )
-from repro.checkpoint.serialization import decode_value, encode_value, from_json, to_json
+from repro.checkpoint.serialization import decode_value, encode_value
 from repro.core import adaptive_jwins_factory, jwins_factory
 from repro.core.interface import RoundContext
 from repro.exceptions import SimulationError
 from repro.simulation.events import EventLoop, START_ROUND
 from repro.simulation.network import ByteMeter
 from repro.compression.sizing import PayloadSize
+from tests.conftest import from_stored_form, stored_form
 
 MODEL_SIZE = 64
 
@@ -54,10 +53,10 @@ def make_context(rng_seed: int, round_index: int) -> RoundContext:
     )
 
 
-def through_json(state):
-    """Encode ``state``, push its JSON form through real JSON text, decode."""
+def through_stored_form(state):
+    """Encode ``state``, push it through a snapshot file's header and blobs, decode."""
 
-    return decode_value(from_json(json.loads(json.dumps(to_json(encode_value(state))))))
+    return decode_value(from_stored_form(stored_form(encode_value(state))))
 
 
 def drive_rounds(scheme, rounds: int, start: int = 0) -> list[np.ndarray]:
@@ -78,7 +77,7 @@ def test_scheme_state_roundtrip_preserves_behavior(name):
     original = factory(0, MODEL_SIZE, 7)
     drive_rounds(original, 3)
 
-    state = through_json(original.state_dict())
+    state = through_stored_form(original.state_dict())
     clone = factory(0, MODEL_SIZE, 7)
     clone.load_state_dict(state)
 
@@ -94,7 +93,7 @@ def test_scheme_state_roundtrip_at_round_zero(name):
     original = factory(0, MODEL_SIZE, 7)
     clone = factory(0, MODEL_SIZE, 7)
     clone.load_state_dict(
-        through_json(original.state_dict())
+        through_stored_form(original.state_dict())
     )
     a = drive_rounds(original, 2)
     b = drive_rounds(clone, 2)
@@ -110,7 +109,7 @@ def test_scheme_state_roundtrip_mid_round():
     context = make_context(0, 0)
     scheme.prepare(context)
     inbox = [neighbor.prepare(make_context(1, 0))]
-    state = through_json(scheme.state_dict())
+    state = through_stored_form(scheme.state_dict())
     assert state["own_coefficients"] is not None
     assert state["start_coefficients"].tobytes() == scheme.start_coefficients.tobytes()
 
@@ -140,7 +139,7 @@ def test_byte_meter_state_roundtrip():
     meter.record_send(0, PayloadSize(100, 10), copies=2)
     meter.end_round()
     meter.record_send(1, PayloadSize(50, 5))
-    state = through_json(meter.state_dict())
+    state = through_stored_form(meter.state_dict())
 
     clone = ByteMeter(3)
     clone.load_state_dict(state)

@@ -21,7 +21,7 @@ from repro.orchestration.spec import ExperimentSpec
 from repro.orchestration.store import ResultStore
 from repro.simulation import ExperimentConfig, ExperimentResult, Simulator
 from repro.simulation.runner import run_experiment
-from tests.conftest import make_toy_task
+from tests.conftest import make_toy_task, rewrite_header, stored_form
 
 #: A stored row as the store wrote it while results still had profiler fields
 #: (one 1-round ``movielens``/``jwins`` cell): the reserved keys hold their
@@ -148,7 +148,8 @@ class TestReservedFormatKeys:
         with pytest.raises(ExperimentPaused) as paused:
             simulator.run()
         assert not hasattr(paused.value.snapshot, "profiler")
-        old = {**paused.value.snapshot.to_dict(), "profiler": profiler_state, "version": 4}
+        header, _ = stored_form(paused.value.snapshot)
+        old = {**json.loads(header), "profiler": profiler_state, "version": 4}
         written = tmp_path / "old.ckpt.json"
         written.write_text(json.dumps(
             {"format": "jwins-repro-checkpoint", "hash": "0" * 64, "snapshot": old, "version": 4},
@@ -156,8 +157,10 @@ class TestReservedFormatKeys:
         ))
         with pytest.raises(CheckpointError, match="schema version 4; this build reads version 5"):
             SimulationSnapshot.load(written)
+        carrying = paused.value.snapshot.save(tmp_path / "profiler.ckpt")
+        rewrite_header(carrying, lambda fields: fields.update(profiler=profiler_state))
         with pytest.raises(CheckpointError, match="unknown snapshot field.*profiler"):
-            SimulationSnapshot.from_dict(old)
+            SimulationSnapshot.load(carrying)
 
         # What stays: the paused state, saved now, resumes byte-identically.
         loaded = SimulationSnapshot.load(paused.value.snapshot.save(tmp_path / "new.ckpt"))

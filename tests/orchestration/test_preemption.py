@@ -51,7 +51,7 @@ def store_bytes(path) -> bytes:
     return path.read_bytes()
 
 
-def test_serial_preempt_and_resume_store_is_byte_identical(tmp_path):
+def test_serial_preempt_and_resume_store_is_byte_identical(tmp_path, pause_after_round):
     reference = tmp_path / "reference.jsonl"
     run_sweep(make_specs(), ResultStore(reference))
 
@@ -68,7 +68,7 @@ def test_serial_preempt_and_resume_store_is_byte_identical(tmp_path):
         def on_pause(self, spec, rounds_completed):
             self.pauses.append((spec.label, rounds_completed))
 
-    preemption.preempt_after_round(2)
+    pause_after_round(2)
     outcome = run_sweep(
         make_specs(),
         ResultStore(interrupted),
@@ -82,8 +82,9 @@ def test_serial_preempt_and_resume_store_is_byte_identical(tmp_path):
     assert Recorder.pauses == [("movielens/jwins", 2)]
     assert Recorder.starts == ["movielens/jwins"]  # nothing starts after a pause
 
-    # preemption.reset() ran inside run_sweep's cleanup; the second invocation
-    # resumes the paused cell mid-spec and runs the untouched one.
+    # The second invocation resumes the paused cell mid-spec and runs the
+    # untouched one.
+    pause_after_round(None)
     resumed = run_sweep(
         make_specs(), ResultStore(interrupted), checkpoint_dir=str(checkpoints)
     )
@@ -109,13 +110,13 @@ def test_pool_checkpointed_sweep_matches_serial(tmp_path):
     assert store_bytes(serial) == store_bytes(pooled)
 
 
-def test_mid_spec_resume_consumes_the_snapshot(tmp_path):
+def test_mid_spec_resume_consumes_the_snapshot(tmp_path, pause_after_round):
     """The paused cell restarts from its snapshot, not from round zero."""
 
     checkpoints = tmp_path / "checkpoints"
     spec = make_specs()[0]
 
-    preemption.preempt_after_round(2)
+    pause_after_round(2)
     run_sweep(
         [spec], ResultStore(), checkpoint_dir=str(checkpoints), checkpoint_every=1
     )
@@ -123,6 +124,7 @@ def test_mid_spec_resume_consumes_the_snapshot(tmp_path):
     snapshot = manager.load_for_spec(spec)
     assert snapshot is not None and snapshot.rounds_completed == 2
 
+    pause_after_round(None)
     outcome = run_sweep([spec], ResultStore(), checkpoint_dir=str(checkpoints))
     assert len(outcome.executed) == 1
     # The resume lineage row proves the mid-spec restart.
@@ -132,13 +134,14 @@ def test_mid_spec_resume_consumes_the_snapshot(tmp_path):
     assert resume_rows[-1]["round"] == 2
 
 
-def test_lineage_log_records_saves_and_resumes(tmp_path):
+def test_lineage_log_records_saves_and_resumes(tmp_path, pause_after_round):
     checkpoints = tmp_path / "checkpoints"
     spec = make_specs()[0]
-    preemption.preempt_after_round(2)
+    pause_after_round(2)
     run_sweep(
         [spec], ResultStore(), checkpoint_dir=str(checkpoints), checkpoint_every=1
     )
+    pause_after_round(None)
     run_sweep([spec], ResultStore(), checkpoint_dir=str(checkpoints))
 
     rows = _lineage(CheckpointManager(checkpoints))
@@ -148,20 +151,21 @@ def test_lineage_log_records_saves_and_resumes(tmp_path):
     assert all(row["key"] == spec.content_hash() for row in rows)
 
 
-def test_lineage_stays_out_of_the_store(tmp_path):
+def test_lineage_stays_out_of_the_store(tmp_path, pause_after_round):
     """Store rows carry no checkpoint provenance — that is what keeps the
     interrupted-and-resumed store byte-identical to the uninterrupted one."""
 
     checkpoints = tmp_path / "checkpoints"
     store_path = tmp_path / "store.jsonl"
     spec = make_specs()[0]
-    preemption.preempt_after_round(2)
+    pause_after_round(2)
     run_sweep(
         [spec],
         ResultStore(store_path),
         checkpoint_dir=str(checkpoints),
         checkpoint_every=1,
     )
+    pause_after_round(None)
     run_sweep([spec], ResultStore(store_path), checkpoint_dir=str(checkpoints))
     with store_path.open() as handle:
         rows = [json.loads(line) for line in handle if line.strip()]
@@ -169,27 +173,27 @@ def test_lineage_stays_out_of_the_store(tmp_path):
     assert set(rows[0]) == {"key", "spec", "result"}
 
 
-def test_spec_run_refuses_a_foreign_snapshot(tmp_path):
+def test_spec_run_refuses_a_foreign_snapshot(tmp_path, pause_after_round):
     checkpoints = tmp_path / "checkpoints"
     specs = make_specs()
-    preemption.preempt_after_round(2)
+    pause_after_round(2)
     run_sweep(
         [specs[0]], ResultStore(), checkpoint_dir=str(checkpoints), checkpoint_every=1
     )
-    preemption.reset()
+    pause_after_round(None)
     snapshot = CheckpointManager(checkpoints).load_for_spec(specs[0])
     with pytest.raises(CheckpointError, match="refusing to resume"):
         specs[1].run(snapshot=snapshot)
 
 
-def test_manager_detects_misfiled_snapshot(tmp_path):
+def test_manager_detects_misfiled_snapshot(tmp_path, pause_after_round):
     checkpoints = tmp_path / "checkpoints"
     specs = make_specs()
-    preemption.preempt_after_round(2)
+    pause_after_round(2)
     run_sweep(
         [specs[0]], ResultStore(), checkpoint_dir=str(checkpoints), checkpoint_every=1
     )
-    preemption.reset()
+    pause_after_round(None)
     manager = CheckpointManager(checkpoints)
     # File the snapshot under the wrong spec's key, as a rename/tamper would.
     manager.path_for(specs[0].content_hash()).rename(

@@ -15,10 +15,13 @@ Three layers:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+
+import numpy as np
 
 from repro.scenarios import fuzz
 from repro.scenarios.fuzz import (
@@ -27,6 +30,7 @@ from repro.scenarios.fuzz import (
     FuzzCase,
     _oracle_engines,
     _oracle_rerun,
+    _oracle_resume,
     _oracle_workers,
     generate_case,
     install_chaos,
@@ -42,6 +46,7 @@ from repro.scenarios.schedule import (
     ScenarioSchedule,
     StragglerWindow,
 )
+from repro.checkpoint import SimulationSnapshot
 from repro.observability.trace import TraceEmitter
 from repro.simulation.arena import NodeArenas
 from repro.simulation.engine import Simulator
@@ -318,6 +323,27 @@ def test_engines_oracle_rings_when_a_batched_kernel_drifts(monkeypatch):
     assert "arena" in detail
     assert diff is not None and diff.kind != "manifest"
     assert (diff.a_label, diff.b_label) == ("pernode", "arena")
+
+
+def test_resume_oracle_resumes_from_the_snapshot_file(monkeypatch):
+    """Corrupt what a load returns: only an oracle that reads the file rings."""
+
+    case = generate_case(0, 0)
+    assert _oracle_resume(case) is None
+    load = SimulationSnapshot.load.__func__
+    loads = []
+
+    def load_reversed(cls, path):
+        snapshot = load(cls, path)
+        loads.append(path)
+        params = np.ascontiguousarray(snapshot.nodes[0]["params"][::-1])
+        first = {**snapshot.nodes[0], "params": params}
+        return dataclasses.replace(snapshot, nodes=[first, *snapshot.nodes[1:]])
+
+    monkeypatch.setattr(SimulationSnapshot, "load", classmethod(load_reversed))
+    detail, diff = _oracle_resume(case)
+    assert len(loads) == 1
+    assert "differs from the uninterrupted run" in detail and diff is None
 
 
 # -- the CLI entry point -----------------------------------------------------------

@@ -40,7 +40,7 @@ from repro.simulation import arena as arena_module
 from repro.simulation.arena import build_arena_nodes
 from repro.simulation.engine import Simulator, SynchronousMode
 from repro.simulation.node import SimulationNode
-from tests.conftest import make_toy_task
+from tests.conftest import make_toy_task, through_file
 
 ROUNDS = 5
 
@@ -479,21 +479,13 @@ def pause_at(config: ExperimentConfig, rounds: int):
     return info.value.snapshot
 
 
-def json_roundtrip(snapshot):
-    from repro.checkpoint import SimulationSnapshot
-
-    return SimulationSnapshot.from_dict(
-        json.loads(json.dumps(snapshot.to_dict(), sort_keys=True))
-    )
-
-
 def test_arena_interrupt_resume_is_byte_identical():
     config = replace(build_config(), engine="arena")
     uninterrupted = run_experiment(make_toy_task(), jwins_factory(), config)
     snapshot = pause_at(config, 3)
     assert snapshot.rounds_completed == 3
     resumed = run_experiment(
-        make_toy_task(), jwins_factory(), config, resume_from=json_roundtrip(snapshot)
+        make_toy_task(), jwins_factory(), config, resume_from=through_file(snapshot)
     )
     assert dumps(resumed) == dumps(uninterrupted)
 
@@ -512,7 +504,7 @@ def test_snapshots_cross_engines(pause_engine, resume_engine):
         make_toy_task(),
         jwins_factory(),
         replace(config, engine=resume_engine),
-        resume_from=json_roundtrip(snapshot),
+        resume_from=through_file(snapshot),
     )
     assert dumps(resumed) == dumps(uninterrupted)
 

@@ -21,7 +21,6 @@ import repro.simulation
 from repro.baselines import FullSharingScheme, choco_factory, full_sharing_factory
 from repro.core import JwinsConfig, jwins_factory
 from repro.core.interface import Message, RoundContext
-from repro.checkpoint import preemption
 from repro.exceptions import ExperimentPaused, SimulationError
 from repro.scenarios import get_scenario
 from repro.simulation import (
@@ -342,7 +341,7 @@ def _check_hook_order(events, config, completed):
 
 
 @pytest.mark.parametrize("execution", ["sync", "async"])
-def test_observer_hooks_fire_in_contract_order_across_a_pause(execution):
+def test_observer_hooks_fire_in_contract_order_across_a_pause(execution, pause_after_round):
     """Run start first; round end, then its evaluation, then its checkpoint;
     run end last, and only when the run completes."""
 
@@ -357,12 +356,10 @@ def test_observer_hooks_fire_in_contract_order_across_a_pause(execution):
         make_toy_task(), full_sharing_factory(), config,
         checkpoint_every=2, checkpoint_sink=snapshots.append,
     ).add_observer(paused_log)
-    preemption.preempt_after_round(3)
-    try:
-        with pytest.raises(ExperimentPaused):
-            simulator.run()
-    finally:
-        preemption.reset()
+    pause_after_round(3)
+    with pytest.raises(ExperimentPaused):
+        simulator.run()
+    pause_after_round(None)
     _check_hook_order(paused_log.events, config, completed=False)
     assert [event for event in paused_log.events if event[0] == "checkpoint"] == [
         ("checkpoint", 2, "cadence"),

@@ -7,13 +7,11 @@ through the state of the ``message-drops`` stream.  The event-loop handlers
 are driven directly on a bound 4-node simulator, one event at a time.
 """
 
-import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.checkpoint.serialization import from_json, to_json
 from repro.core import jwins_factory
 from repro.core.interface import Message
 from repro.exceptions import ExperimentPaused
@@ -29,7 +27,7 @@ from repro.simulation.events import (
     START_ROUND,
     Event,
 )
-from tests.conftest import make_toy_task
+from tests.conftest import from_stored_form, make_toy_task, stored_form
 
 CONFIG = ExperimentConfig(
     num_nodes=4,
@@ -182,13 +180,13 @@ def test_load_state_reproduces_state_byte_for_byte_mid_flight():
     assert any(mode_state["inboxes"]) or any(
         context is not None for context in mode_state["contexts"]
     )
-    document = json.dumps(to_json(mode_state))
-    assert json.dumps(to_json(simulator.mode.state())) == document
+    form = stored_form(mode_state)
+    assert stored_form(simulator.mode.state()) == form
 
     fresh = build(config)
     fresh.mode.bind(fresh)
-    fresh.mode.load_state(from_json(json.loads(document)))
-    assert json.dumps(to_json(fresh.mode.state())) == document
+    fresh.mode.load_state(from_stored_form(form))
+    assert stored_form(fresh.mode.state()) == form
 
 
 # -- the handlers, one event at a time --------------------------------------------------

@@ -85,15 +85,15 @@ def test_run_resume_from_final_snapshot(tmp_path, capsys):
     assert reference.splitlines()[-3:] == resumed.splitlines()[-3:]
 
 
-def test_run_paused_by_preemption_exits_130(tmp_path, capsys):
-    preemption.preempt_after_round(2)
+def test_run_paused_by_preemption_exits_130(tmp_path, capsys, pause_after_round):
+    pause_after_round(2)
     exit_code = main(RUN_ARGS + checkpoint_args(tmp_path))
     output = capsys.readouterr().out
     assert exit_code == 130
     assert "paused jwins at round 2" in output
     assert "--resume-from" in output
     # Resume completes and matches the uninterrupted run.
-    preemption.reset()
+    pause_after_round(None)
     assert main(RUN_ARGS + ["--resume-from", str(only_snapshot(tmp_path))]) == 0
     resumed = capsys.readouterr().out
     assert main(RUN_ARGS) == 0
@@ -222,7 +222,7 @@ def test_sweep_dry_run_marks_duplicates(capsys):
     assert "4 cell(s), 2 unique" in output
 
 
-def test_sweep_preempted_resumes_to_identical_store(tmp_path, capsys):
+def test_sweep_preempted_resumes_to_identical_store(tmp_path, capsys, pause_after_round):
     reference = tmp_path / "reference.jsonl"
     assert main(SWEEP_ARGS + ["--store", str(reference)]) == 0
     capsys.readouterr()
@@ -234,9 +234,10 @@ def test_sweep_preempted_resumes_to_identical_store(tmp_path, capsys):
         "--checkpoint-dir",
         str(tmp_path / "ck"),
     ]
-    preemption.preempt_after_round(1)
+    pause_after_round(1)
     assert main(sweep_ck) == 130
     assert "sweep interrupted" in capsys.readouterr().out
+    pause_after_round(None)
     assert main(sweep_ck) == 0
     capsys.readouterr()
     assert reference.read_bytes() == interrupted.read_bytes()
@@ -248,15 +249,17 @@ def test_sweep_negative_checkpoint_every_rejected(tmp_path):
 
 
 # -- fork -----------------------------------------------------------------------------
-def make_paused_snapshot(tmp_path) -> str:
-    preemption.preempt_after_round(2)
+@pytest.fixture
+def snapshot_path(tmp_path, pause_after_round) -> str:
+    """The snapshot of a ``run`` paused at round 2."""
+
+    pause_after_round(2)
     assert main(RUN_ARGS + checkpoint_args(tmp_path)) == 130
-    preemption.reset()
+    pause_after_round(None)
     return str(only_snapshot(tmp_path))
 
 
-def test_fork_unchanged_and_with_scenario(tmp_path, capsys):
-    snapshot_path = make_paused_snapshot(tmp_path)
+def test_fork_unchanged_and_with_scenario(tmp_path, capsys, snapshot_path):
     capsys.readouterr()
     store = tmp_path / "forks.jsonl"
 
@@ -285,8 +288,7 @@ def test_fork_unchanged_and_with_scenario(tmp_path, capsys):
         assert json.loads(line)["spec"]["lineage"] is not None
 
 
-def test_fork_trace_into_a_directory_uses_the_forked_hash(tmp_path, capsys):
-    snapshot_path = make_paused_snapshot(tmp_path)
+def test_fork_trace_into_a_directory_uses_the_forked_hash(tmp_path, capsys, snapshot_path):
     trace_dir = tmp_path / "traces"
     trace_dir.mkdir()
     capsys.readouterr()
@@ -305,14 +307,12 @@ def test_fork_missing_snapshot_exits_cleanly(tmp_path):
         main(["fork", "--snapshot", str(tmp_path / "absent.json")])
 
 
-def test_fork_structural_mutation_exits_cleanly(tmp_path):
-    snapshot_path = make_paused_snapshot(tmp_path)
+def test_fork_structural_mutation_exits_cleanly(snapshot_path):
     with pytest.raises(SystemExit, match="structural"):
         main(["fork", "--snapshot", snapshot_path, "--set", "num_nodes=8"])
 
 
-def test_fork_exhausted_rounds_exits_cleanly(tmp_path):
-    snapshot_path = make_paused_snapshot(tmp_path)
+def test_fork_exhausted_rounds_exits_cleanly(snapshot_path):
     with pytest.raises(SystemExit, match="cannot fork"):
         main(["fork", "--snapshot", snapshot_path, "--rounds", "1"])
 
@@ -348,8 +348,8 @@ def test_store_compact_missing_file_exits_cleanly(tmp_path, name):
         main(["store", "compact", "--store", str(tmp_path / name)])
 
 
-def test_cli_snapshot_embeds_its_spec_hash(tmp_path):
-    snapshot = SimulationSnapshot.load(make_paused_snapshot(tmp_path))
+def test_cli_snapshot_embeds_its_spec_hash(snapshot_path):
+    snapshot = SimulationSnapshot.load(snapshot_path)
     assert snapshot.rounds_completed == 2
     assert snapshot.spec_hash() is not None
     assert snapshot.execution == "sync"

@@ -9,6 +9,7 @@ exit code *is* the verdict (0 identical, 1 divergent), mirroring ``cmp``.
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -231,7 +232,16 @@ def test_top_once_missing_directory_exits_one(tmp_path, capsys):
     assert "no status document" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("interval", ["-1", "0"])
-def test_top_refuses_a_non_positive_interval(tmp_path, interval):
+def test_top_once_on_a_document_that_is_not_json_exits_one(tmp_path, capsys):
+    (tmp_path / "status.json").write_text("not json\n", encoding="utf-8")
+    assert main(["top", str(tmp_path), "--once"]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line == f"status document at {tmp_path} is not valid JSON"
+
+
+@pytest.mark.parametrize(
+    "interval", ["-1", "0", "nan", "inf", "1e300", str(threading.TIMEOUT_MAX)]
+)
+def test_top_refuses_an_interval_out_of_range(tmp_path, interval):
     with pytest.raises(SystemExit, match="--interval must be positive"):
         main(["top", str(tmp_path), "--interval", interval])

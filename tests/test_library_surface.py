@@ -154,6 +154,16 @@ REMOVED = [
     ("repro.observability.metrics:MetricsRegistry", "enabled"),
     ("repro.simulation.engine:Simulator", "emit_round_end"),
     ("repro.simulation.experiment:ExperimentConfig", "with_engine"),
+    # The snapshot's second stored form (JSON, arrays as base64): the file
+    # is the only one, and every round trip goes through it.
+    ("repro.checkpoint.serialization", "to_json"),
+    ("repro.checkpoint.serialization", "from_json"),
+    ("repro.checkpoint.snapshot:SimulationSnapshot", "to_dict"),
+    ("repro.checkpoint.snapshot:SimulationSnapshot", "from_dict"),
+    # The test-only round threshold (tests patch ``checkpoint_stop_pending``).
+    ("repro.checkpoint.preemption", "preempt_after_round"),
+    ("repro.checkpoint.preemption", "_preempt_after_round"),
+    ("repro.checkpoint.preemption", "should_stop"),
 ]
 
 #: (callable, parameter): the parameter (or dataclass field) is gone from the
@@ -192,6 +202,7 @@ REMOVED_PARAMETERS = [
     ("repro.simulation.network:ByteMeter", "scheme"),
     ("repro.checkpoint.manager:CheckpointManager", "metrics"),
     ("repro.orchestration.schemes:_RegisteredScheme", "params"),
+    ("repro.simulation.engine:Simulator.consume_resume_state", "kind"),
 ]
 
 
