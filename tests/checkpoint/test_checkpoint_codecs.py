@@ -2,7 +2,10 @@
 
 Every codec must be lossless through the stored form of an encoded tree — the
 snapshot file's header plus raw blobs — because the determinism contract's
-fourth pillar (interrupt + resume is byte-identical) rests on it.
+fourth pillar (interrupt + resume is byte-identical) rests on it.  Each round
+trip runs twice: through that form held in memory, and through a real snapshot
+file written by ``save`` and read back by ``load`` (aligned blobs, read-only
+views of one buffer).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from repro.checkpoint.serialization import (
     new_rng_from_state,
     split_blobs,
 )
+from repro.checkpoint.snapshot import SimulationSnapshot
 from repro.compression.sizing import PayloadSize
 from repro.core.interface import Message, RoundContext
 from repro.exceptions import CheckpointError
@@ -29,10 +33,36 @@ from repro.simulation.events import DELIVER_MESSAGE, Event
 from tests.conftest import from_stored_form, stored_form
 
 
-def roundtrip(value):
+def through_blobs(value, directory):
     """Encode, push the header through JSON text and the arrays through bytes, decode."""
 
     return decode_value(from_stored_form(stored_form(encode_value(value))))
+
+
+def through_file(value, directory):
+    """Encode, save inside a snapshot file, load that file, decode."""
+
+    snapshot = SimulationSnapshot(
+        execution="sync",
+        config={},
+        task="",
+        scheme="",
+        model_size=0,
+        rounds_completed=0,
+        result={},
+        nodes=[],
+        rng_streams={},
+        topology={},
+        meter={},
+        mode_state={"kind": "sync", "value": encode_value(value)},
+    )
+    loaded = SimulationSnapshot.load(snapshot.save(directory / "value.ckpt"))
+    return decode_value(loaded.mode_state["value"])
+
+
+@pytest.fixture(params=[through_blobs, through_file], ids=["blobs", "file"])
+def roundtrip(request, tmp_path):
+    return lambda value: request.param(value, tmp_path)
 
 
 # -- arrays ---------------------------------------------------------------------------
@@ -47,7 +77,7 @@ def roundtrip(value):
         np.arange(6, dtype=np.float32).reshape(2, 3) * np.float32(0.1),
     ],
 )
-def test_array_roundtrip_is_bit_exact(array):
+def test_array_roundtrip_is_bit_exact(array, roundtrip):
     restored = roundtrip(array)
     assert restored.dtype == array.dtype
     assert restored.shape == array.shape
@@ -57,12 +87,12 @@ def test_array_roundtrip_is_bit_exact(array):
     )
 
 
-def test_restored_array_is_writable():
+def test_restored_array_is_writable(roundtrip):
     restored = roundtrip(np.zeros(4))
     restored[0] = 1.0  # frombuffer views are read-only; decode must copy
 
 
-def test_noncontiguous_array_roundtrip():
+def test_noncontiguous_array_roundtrip(roundtrip):
     array = np.arange(20, dtype=np.float64).reshape(4, 5)[:, ::2]
     restored = roundtrip(array)
     assert np.array_equal(restored, array)
@@ -85,7 +115,7 @@ def test_decode_rng_state_rejects_wrong_bit_generator():
         decode_rng_state(rng, {"bit_generator": "Philox", "state": {}})
 
 
-def test_generator_inside_value_roundtrips():
+def test_generator_inside_value_roundtrips(roundtrip):
     rng = np.random.default_rng(5)
     rng.random(3)
     restored = roundtrip({"stream": rng})
@@ -93,27 +123,27 @@ def test_generator_inside_value_roundtrips():
 
 
 # -- scalars and containers -----------------------------------------------------------
-def test_scalars_and_nan_roundtrip():
+def test_scalars_and_nan_roundtrip(roundtrip):
     value = {"a": 1, "b": -0.5, "c": None, "d": True, "e": "text", "nan": float("nan")}
     restored = roundtrip(value)
     assert restored["a"] == 1 and restored["d"] is True
     assert math.isnan(restored["nan"])
 
 
-def test_numpy_scalars_become_native():
+def test_numpy_scalars_become_native(roundtrip):
     restored = roundtrip({"i": np.int64(7), "f": np.float64(0.25), "b": np.bool_(True)})
     assert restored == {"i": 7, "f": 0.25, "b": True}
     assert type(restored["i"]) is int and type(restored["f"]) is float
 
 
-def test_int_keyed_mapping_preserves_keys_and_order():
+def test_int_keyed_mapping_preserves_keys_and_order(roundtrip):
     mapping = {3: 0.3, 1: 0.1, 2: 0.2}
     restored = roundtrip(mapping)
     assert restored == mapping
     assert list(restored) == [3, 1, 2]  # insertion order fixes FP summation order
 
 
-def test_tuples_come_back_as_lists():
+def test_tuples_come_back_as_lists(roundtrip):
     assert roundtrip((1, 2, (3, 4))) == [1, 2, [3, 4]]
 
 
@@ -132,7 +162,7 @@ def test_encoded_arrays_are_copies_that_stay_put():
     assert encoded["params"].tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
-def test_big_endian_arrays_are_stored_little_endian():
+def test_big_endian_arrays_are_stored_little_endian(roundtrip):
     array = np.arange(5, dtype=">f8") / 7.0
     (blob,) = split_blobs(encode_value(array))[1]
     assert blob.dtype.str == "<f8"
@@ -168,7 +198,7 @@ def make_message():
     )
 
 
-def test_message_roundtrip():
+def test_message_roundtrip(roundtrip):
     message = make_message()
     restored = roundtrip(message)
     assert isinstance(restored, Message)
@@ -179,7 +209,7 @@ def test_message_roundtrip():
     assert np.array_equal(restored.payload["values"], message.payload["values"])
 
 
-def test_event_roundtrip_preserves_seq_and_payload():
+def test_event_roundtrip_preserves_seq_and_payload(roundtrip):
     event = Event(
         time=1.5,
         kind=DELIVER_MESSAGE,
@@ -194,7 +224,7 @@ def test_event_roundtrip_preserves_seq_and_payload():
     assert isinstance(restored.data["message"], Message)
 
 
-def test_round_context_roundtrip_with_partially_consumed_rng():
+def test_round_context_roundtrip_with_partially_consumed_rng(roundtrip):
     rng = np.random.default_rng(99)
     rng.random(4)
     context = RoundContext(
